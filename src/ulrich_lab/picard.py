@@ -201,7 +201,8 @@ def format_divisor(x: DivisorClass) -> str:
 def parse_divisor(text: str, surface: DelPezzoSurface | None = None) -> DivisorClass:
     """Parse ``(a;b_1,...,b_t)``.
 
-    Whitespace is permitted around every token.  Malformed input raises
+    Integers are an optional sign followed by ASCII digits 0-9; whitespace
+    is permitted around every token.  Malformed input raises
     :class:`ParseError` carrying the offending character position.  When a
     surface is supplied the number of exceptional coordinates must match.
     """
@@ -227,11 +228,14 @@ def parse_divisor(text: str, surface: DelPezzoSurface | None = None) -> DivisorC
         if pos < n and text[pos] in "+-":
             pos += 1
         first_digit = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in "0123456789":
             pos += 1
         if pos == first_digit:
             raise ParseError("expected an integer", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise ParseError("integer too long", start) from None
 
     expect("(")
     a = integer()

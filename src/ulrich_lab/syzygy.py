@@ -12,16 +12,17 @@ surface the ranks N_k = rank(S_k) satisfy the three-term recurrence
 
     N_{-1} = r,   N_0 = r(d-1),   N_k = (d-2) N_{k-1} - N_{k-2},
 
-whose characteristic roots are alpha_{1,2} = ((d-2) +- sqrt(d(d-4)))/2.
-For d = 4 the roots collide and N_k = (2k+3) r; for d >= 5
+whose characteristic roots are alpha_{1,2} = ((d-2) +- sqrt(D))/2 with
+D = d(d-4).  For d = 4 the roots collide and N_k = (2k+3) r.  For d >= 5
+they are units of the ring Z[alpha], alpha = alpha_1; writing
+alpha^n = (x_n + y_n sqrt(D))/2 with integers x_n = (d-2) y_n (mod 2),
 
-    N_k = r * (alpha_1^{k+2} + alpha_1^{k+1}
-               - alpha_2^{k+2} - alpha_2^{k+1}) / sqrt(d(d-4)),
+    N_k = r (alpha_1^{k+2} + alpha_1^{k+1} - alpha_2^{k+2} - alpha_2^{k+1}) / sqrt(D)
+        = r (y_{k+2} + y_{k+1}).
 
-evaluated here in exact arithmetic over Q(sqrt(d(d-4))) via
-:class:`QuadraticNumber`.  The irrational parts must cancel exactly;
-if they do not, :class:`NonIntegerResult` is raised rather than
-rounding.
+The powers are formed in integers: every product halves its numerators
+exactly, and an odd numerator (a value outside the ring) raises
+:class:`NonIntegerResult` rather than rounding.
 
 The degree-3 surface supports the k = 0 step only; deeper iterations
 are refused with :class:`OutOfTheoremScope` because global generation
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator
 
 from . import ulrich
 from .chern import (
@@ -56,7 +57,6 @@ from .chern import (
     NumericClassData,
     discriminant,
     euler_char,
-    expected_moduli_dim,
     twist_by_h,
 )
 from .errors import (
@@ -73,10 +73,10 @@ from .picard import DelPezzoSurface, DivisorClass
 class QuadraticNumber:
     """Exact element a + b*sqrt(radicand) of a real quadratic field.
 
-    Coefficients are stored as Fractions; the radicand is any positive
-    integer (no square-free reduction is performed, none is needed).
-    Arithmetic never leaves the field, and :meth:`as_integer` refuses to
-    return anything that is not an honest rational integer.
+    A general field element with Fraction coefficients and any positive
+    radicand (no square-free reduction is needed); :meth:`as_integer` refuses
+    anything that is not an honest rational integer.  The rank formulas no
+    longer use it: they power in the integer ring Z[alpha].
     """
 
     a: Fraction
@@ -201,18 +201,33 @@ def rank_by_recurrence(d: int, r: int, k: int) -> int:
         raise ValueError(f"rank must be a positive integer, got {r!r}")
     if not isinstance(k, int) or k < -1:
         raise ValueError(f"index k must be an integer >= -1, got {k!r}")
+    return r if k == -1 else next(islice(_recurrence_ranks(d, r), k, None))
+
+
+def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
+    """N_0, N_1, ... from the three-term recurrence, one step at a time."""
     prev, cur = r, r * (d - 1)
-    if k == -1:
-        return prev
-    for _ in range(k):
+    while True:
+        yield cur
         prev, cur = cur, (d - 2) * cur - prev
-    return cur
+
+
+def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[int, int]:
+    """Product of elements (x + y sqrt(radicand))/2 of Z[alpha], in that form.
+
+    Ring elements give even numerators; an odd one raises NonIntegerResult.
+    """
+    (x1, y1), (x2, y2) = u, v
+    x, y = x1 * x2 + radicand * y1 * y2, x1 * y2 + x2 * y1
+    if x % 2 or y % 2:
+        raise NonIntegerResult(f"({x} + {y}*sqrt({radicand}))/4 is not in Z[alpha]")
+    return x // 2, y // 2
 
 
 def rank_closed_form(d: int, r: int, k: int) -> int:
-    """N_k from the characteristic roots, exact in Q(sqrt(d(d-4))).
+    """N_k = r (y_{k+2} + y_{k+1}) by binary powering of alpha in Z[alpha].
 
-    d = 4 has a double root at 1 and degenerates to N_k = (2k+3) r.
+    Never uses the recurrence.  d = 4 has a double root at 1: N_k = (2k+3) r.
     """
     if not isinstance(d, int) or not 4 <= d <= 8:
         raise DegreeOutOfRange(f"closed form needs degree in [4, 8], got {d!r}")
@@ -222,11 +237,16 @@ def rank_closed_form(d: int, r: int, k: int) -> int:
         raise ValueError(f"index k must be an integer >= -1, got {k!r}")
     if d == 4:
         return (2 * k + 3) * r
-    alpha1, alpha2 = alpha_pair(d)
-    numerator = alpha1 ** (k + 2) + alpha1 ** (k + 1) - alpha2 ** (k + 2) - alpha2 ** (k + 1)
-    sqrt_rad = QuadraticNumber(Fraction(0), Fraction(1), d * (d - 4))
-    value = numerator / sqrt_rad
-    return (r * value).as_integer()
+    radicand, alpha = d * (d - 4), (d - 2, 1)
+    power, base, n = (2, 0), alpha, k + 1
+    while n:
+        if n & 1:
+            power = _ring_mul(power, base, radicand)
+        n >>= 1
+        if n:
+            base = _ring_mul(base, base, radicand)
+    _, y_next = _ring_mul(power, alpha, radicand)
+    return r * (y_next + power[1])
 
 
 def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
@@ -291,9 +311,9 @@ class SyzygyTrace:
     entries: tuple[TraceEntry, ...]
 
     def entry(self, k: int) -> TraceEntry:
-        for item in self.entries:
-            if item.k == k:
-                return item
+        # Entries run contiguously from k = -1.
+        if isinstance(k, int) and -1 <= k < len(self.entries) - 1:
+            return self.entries[k + 1]
         raise KeyError(f"no trace entry for k = {k}")
 
     def to_dict(self) -> dict:
@@ -328,18 +348,19 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
         )
     entries = [_entry_from(-1, seed)]
     current = seed
+    previous_rank, expected_rank = seed.rank, rank_by_recurrence(d, seed.rank, 0)
     for k in range(k_max + 1):
         h0 = euler_char(current, surface)
         if h0 <= current.rank:
             raise NoKernel(f"chi = {h0} does not exceed rank {current.rank} at step {k}")
         current = twist_by_h(syzygy_numerics(current, h0), 1, surface)
-        expected_rank = rank_by_recurrence(d, seed.rank, k)
         if current.rank != expected_rank:
             raise RuntimeError(
                 f"internal inconsistency: rank {current.rank} at step {k}, "
                 f"recurrence predicts {expected_rank}"
             )
         entries.append(_entry_from(k, current))
+        previous_rank, expected_rank = expected_rank, (d - 2) * expected_rank - previous_rank
     return SyzygyTrace(surface, seed, tuple(entries))
 
 
@@ -359,30 +380,23 @@ def _scope_check(d: int, k: int) -> None:
         raise OutOfTheoremScope("degree 3 supports k <= 0 only")
 
 
-def _signed_prefix_sums(d: int, r: int, k: int) -> tuple[list[int], list[int]]:
-    """Ranks N_i for i < k and the coefficients m_i of H in c1(S_i(-H)).
+def _closed_core(d: int, c1_sq: int, c1_dot_h: int, c2: int,
+                 ranks: Iterable[int]) -> tuple[int, int, int, int, int]:
+    """(sign_k, m_k, c1^2, c1.H, c2) of S_k(E)(-H) from N_0, ..., N_{k-1}.
 
-    c1(S_i(E)(-H)) = (-1)^{i+1} c1(E) + m_i H with m_0 = 0 and
-    m_{i+1} = -(m_i + N_i).
+    c1(S_i(E)(-H)) = sign_i c1(E) + m_i H, sign_i = (-1)^{i+1}, m_0 = 0 and
+    m_{i+1} = -(m_i + N_i).  So v_k = -sign_k (v_0 + sum_{i<k} sign_i [...]),
+    and as N_i = -(m_i + m_{i+1}) the sum telescopes to -(k mod 2) c1^2
+    + (k - m_k) c1.H + d (sum_{i<k} sign_i m_i - sign_k C(m_k, 2)).
     """
-    ranks = [rank_by_recurrence(d, r, i) for i in range(k)]
-    m = [0]
-    for n_i in ranks:
-        m.append(-(m[-1] + n_i))
-    return ranks, m
-
-
-def _closed_c2(d: int, q_seed: int, c2_seed: int, ranks: Sequence[int],
-               q: Sequence[int], p: Sequence[int], k: int) -> int:
-    """The alternating closed form for c2(S_k(E)(-H)) described above."""
-    v0 = q_seed - c2_seed
-    if k == 0:
-        return v0
-    total = (-1) ** k * v0
-    for i in range(k):
-        term = q[i] + (ranks[i] + 1) * p[i] + comb(ranks[i] + 1, 2) * d
-        total += (-1) ** (k + i + 1) * term
-    return total
+    k, sign, m, signed_sum = 0, -1, 0, 0
+    for n in ranks:
+        signed_sum += sign * m
+        k, sign, m = k + 1, -sign, -(m + n)
+    total = (c1_sq - c2 - k % 2 * c1_sq + (k - m) * c1_dot_h
+             + d * (signed_sum - sign * (m * (m - 1) // 2)))
+    q = c1_sq + 2 * sign * m * c1_dot_h + m * m * d
+    return sign, m, q, sign * c1_dot_h + m * d, -sign * total
 
 
 def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) -> tuple[DivisorClass, int]:
@@ -397,13 +411,9 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     _scope_check(d, k)
     if k == -1:
         return seed.c1, seed.c2
-    ranks, m = _signed_prefix_sums(d, seed.rank, k)
-    h = surface.anticanonical_class
-    classes = [((-1) ** (i + 1)) * seed.c1 + m[i] * h for i in range(k + 1)]
-    q = [u.self_intersection for u in classes]
-    p = [u.degree for u in classes]
-    c2 = _closed_c2(d, seed.c1_sq, seed.c2, ranks, q, p, k)
-    return classes[k], c2
+    ranks = islice(_recurrence_ranks(d, seed.rank), k)
+    sign, m, _, _, c2 = _closed_core(d, seed.c1_sq, seed.c1_dot_h, seed.c2, ranks)
+    return sign * seed.c1 + m * surface.anticanonical_class, c2
 
 
 def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface, k: int) -> NumericClassData:
@@ -412,12 +422,9 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
     _scope_check(d, k)
     if k == -1:
         return seed
-    ranks, m = _signed_prefix_sums(d, seed.rank, k)
-    signs = [(-1) ** (i + 1) for i in range(k + 1)]
-    q = [seed.c1_sq + 2 * signs[i] * m[i] * seed.c1_dot_h + m[i] * m[i] * d for i in range(k + 1)]
-    p = [signs[i] * seed.c1_dot_h + m[i] * d for i in range(k + 1)]
-    c2 = _closed_c2(d, seed.c1_sq, seed.c2, ranks, q, p, k)
-    return NumericClassData(rank_by_recurrence(d, seed.rank, k), q[k], p[k], c2)
+    ranks = _recurrence_ranks(d, seed.rank)
+    _, _, *data = _closed_core(d, seed.c1_sq, seed.c1_dot_h, seed.c2, islice(ranks, k))
+    return NumericClassData(next(ranks), *data)  # islice stopped just before N_k
 
 
 def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassData:
@@ -430,17 +437,9 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
     """
     if not isinstance(d, int) or not 4 <= d <= 7:
         raise OutOfTheoremScope(f"rank-2 tables cover degrees 4..7, got {d!r}")
-    if not isinstance(k, int) or k < -1:
-        raise ValueError(f"index k must be an integer >= -1, got {k!r}")
-    seed = NumericClassData(2, c1_sq, 2 * d, c2)
+    _scope_check(d, k)
     if k == -1:
-        return seed
-    ranks = [rank_closed_form(d, 2, i) for i in range(k)]
-    m = [0]
-    for n_i in ranks:
-        m.append(-(m[-1] + n_i))
-    signs = [(-1) ** (i + 1) for i in range(k + 1)]
-    q = [c1_sq + 2 * signs[i] * m[i] * 2 * d + m[i] * m[i] * d for i in range(k + 1)]
-    p = [signs[i] * 2 * d + m[i] * d for i in range(k + 1)]
-    value_c2 = _closed_c2(d, c1_sq, c2, ranks, q, p, k)
-    return NumericClassData(rank_closed_form(d, 2, k), q[k], p[k], value_c2)
+        return NumericClassData(2, c1_sq, 2 * d, c2)
+    ranks = (rank_closed_form(d, 2, i) for i in range(k))
+    _, _, *data = _closed_core(d, c1_sq, 2 * d, c2, ranks)
+    return NumericClassData(rank_closed_form(d, 2, k), *data)

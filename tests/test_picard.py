@@ -156,6 +156,9 @@ class TestTextFormat:
             ("(2;1,,1)", 5),
             ("(2;1,1", 6),
             ("(2;1,1) junk", 8),
+            pytest.param("(\u00b2;1,0,0,0,0,0)", 1, id="superscript-digit"),
+            pytest.param("(2;\u0661,0,0,0,0,0)", 3, id="arabic-indic-digit"),
+            pytest.param("(1" + "0" * 4300 + ";0,0,0,0,0,0)", 1, id="4301-digit-integer"),
         ],
     )
     def test_parse_errors_carry_position(self, text, position):
@@ -172,3 +175,12 @@ class TestTextFormat:
     @settings(max_examples=300)
     def test_round_trip(self, x):
         assert parse_divisor(format_divisor(x)) == x
+
+    @given(st.text() | st.text(alphabet="()+-;, 019\u00b2\u0661\t").map("(".__add__))
+    @settings(max_examples=300)
+    def test_arbitrary_text_parses_or_raises_parse_error(self, text):
+        try:
+            result = parse_divisor(text)
+        except ParseError:
+            return
+        assert isinstance(result, DivisorClass)

@@ -31,7 +31,8 @@ from ulrich_lab import (
     tensor_line,
     twist_by_h,
 )
-from ulrich_lab.syzygy import alpha_pair
+from ulrich_lab import tables
+from ulrich_lab.syzygy import _ring_mul, alpha_pair
 
 S3 = make_surface(3)
 S4 = make_surface(4)
@@ -121,8 +122,17 @@ class TestRankFormulas:
     @pytest.mark.parametrize("d", range(4, 9))
     def test_closed_matches_recurrence(self, d):
         for r in (1, 2, 3):
-            for k in range(-1, 26):
+            for k in range(-1, 300):
                 assert rank_closed_form(d, r, k) == rank_by_recurrence(d, r, k)
+
+    def test_ring_parity_guard(self):
+        # alpha^2 for d = 5: ((3 + sqrt 5)/2)^2 = (7 + 3 sqrt 5)/2.
+        assert _ring_mul((3, 1), (3, 1), 5) == (7, 3)
+        # (1 + 0 sqrt 5)/2 has numerators of unequal parity: not in Z[alpha].
+        with pytest.raises(NonIntegerResult):
+            _ring_mul((1, 0), (1, 0), 5)
+        with pytest.raises(NonIntegerResult):
+            _ring_mul((3, 1), (2, 1), 5)
 
     def test_domain_errors(self):
         with pytest.raises(DegreeOutOfRange):
@@ -215,6 +225,13 @@ class TestIteration:
             for e in trace.entries:
                 assert e.rank == rank_by_recurrence(d, 1, e.k)
 
+    def test_entry_lookup(self):
+        trace = iterate_syzygy(NumericClassData(2, 12, 8, 4), S4, 3)
+        assert [trace.entry(k).k for k in range(-1, 4)] == list(range(-1, 4))
+        for missing in (-2, 4, 100):
+            with pytest.raises(KeyError):
+                trace.entry(missing)
+
 
 class TestDrift:
     def test_constant_drift_equals_seed_dimension(self):
@@ -271,6 +288,20 @@ class TestRankTwoTableForm:
             assert rank_two_table_chern(d, c1_sq, c2, k) == closed_syzygy_chern_numeric(
                 seed, surface, k
             )
+
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_routes_agree_at_k_1000(self, d):
+        row = next(row for row in tables.MODULI_DIM_ROWS if row.degree == d)
+        surface = make_surface(d)
+        seed = BundleNumerics(2, tables.moduli_row_witness(row), row.c2)
+        k = 1000
+        numeric = closed_syzygy_chern_numeric(reduce_numerics(seed), surface, k)
+        assert rank_two_table_chern(d, row.c1_sq, row.c2, k) == numeric
+        last = iterate_syzygy(seed, surface, k).entries[-1]
+        twisted = tensor_line(last.as_bundle(), -surface.anticanonical_class)
+        assert closed_syzygy_chern(seed, surface, k) == (twisted.c1, twisted.c2)
+        assert (twisted.c1.self_intersection, twisted.c1.degree, twisted.c2) == (
+            numeric.c1_sq, numeric.c1_dot_h, numeric.c2)
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_out_of_scope_degrees(self, d):
