@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import chern, cubic, picard, syzygy, tables, ulrich
 from .chern import AnyNumerics, BundleNumerics, NumericClassData
-from .errors import UlrichLabError
-from .picard import DelPezzoSurface, DivisorClass, make_surface
+from .errors import BadSeedFile, UlrichLabError
+from .picard import DelPezzoSurface, DivisorClass, _is_int, make_surface
 
 DEFAULT_RNG_SEED = 0x5EED
 DEFAULT_CASES = 1000
@@ -54,15 +54,39 @@ def default_seeds() -> list[Seed]:
 
 
 def load_seed_file(path: str) -> list[Seed]:
-    """Read a JSON array of bundle numerics; surfaces are inferred from c1."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    """Read a JSON array of bundle numerics; surfaces are inferred from c1.
+
+    Each entry is an object ``{"rank": int, "c1": "(a;b_1,...,b_t)",
+    "c2": int}``.  Anything else raises :class:`BadSeedFile`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise BadSeedFile(f"cannot read seed file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise BadSeedFile(f"seed file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
-        raise UlrichLabError("seed file must contain a JSON array of bundle numerics")
+        raise BadSeedFile("seed file must contain a JSON array of bundle numerics")
     seeds: list[Seed] = []
-    for item in raw:
-        numerics = BundleNumerics.from_dict(item)
-        seeds.append((make_surface(9 - numerics.c1.num_exceptional), numerics))
+    for position, item in enumerate(raw):
+        where = f"seed file {path}, entry {position}"
+        if not isinstance(item, dict):
+            raise BadSeedFile(f"{where}: expected an object with keys rank, c1, c2")
+        missing = [key for key in ("rank", "c1", "c2") if key not in item]
+        if missing:
+            raise BadSeedFile(f"{where}: missing key(s) {', '.join(missing)}")
+        for key in ("rank", "c2"):
+            if not _is_int(item[key]):
+                raise BadSeedFile(f"{where}: {key} must be an integer, got {item[key]!r}")
+        if not isinstance(item["c1"], str):
+            raise BadSeedFile(f"{where}: c1 must be divisor text, got {item['c1']!r}")
+        try:
+            numerics = BundleNumerics.from_dict(item)
+            surface = make_surface(9 - numerics.c1.num_exceptional)
+        except (UlrichLabError, ValueError) as exc:
+            raise BadSeedFile(f"{where}: {type(exc).__name__}: {exc}") from exc
+        seeds.append((surface, numerics))
     return seeds
 
 

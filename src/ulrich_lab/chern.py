@@ -36,7 +36,7 @@ from math import comb
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
-from .picard import DelPezzoSurface, DivisorClass, format_divisor, parse_divisor
+from .picard import DelPezzoSurface, DivisorClass, _is_int, format_divisor, parse_divisor
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class BundleNumerics:
     c2: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if (type(self.rank) is not int and not _is_int(self.rank)) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if not isinstance(self.c2, int):
+        if type(self.c2) is not int and not _is_int(self.c2):
             raise TypeError(f"c2 must be an integer, got {self.c2!r}")
 
     @property
@@ -79,10 +79,11 @@ class NumericClassData:
     c2: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if (type(self.rank) is not int and not _is_int(self.rank)) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         for name in ("c1_sq", "c1_dot_h", "c2"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if type(value) is not int and not _is_int(value):
                 raise TypeError(f"{name} must be an integer")
 
     def to_dict(self) -> dict:

