@@ -405,39 +405,65 @@ def check_cubic_decompositions() -> CheckResult:
     return CheckResult("cubic.decompositions", True, "table pairs found, all tuples revalidate")
 
 
-def check_cubic_moduli_pairs() -> CheckResult:
+def cubic_pair_rows() -> list[dict]:
+    """One record per golden cubic pair row, recomputed, with its ``match`` flag.
+
+    Five fixed-seed random twists per row recheck the partner's c2
+    polynomial and moduli dimension (``twists_match``); ``match`` also asks
+    the seed's and partner's expected dimensions to equal the shared one.
+    """
     rng = random.Random(0xC0FFEE)
+    records = []
     for row in tables.CUBIC_PAIR_ROWS:
         t1, t2 = row.part_divisors()
-        seed = BundleNumerics(2, t1 + t2, row.seed_c2)
+        seed_c1 = t1 + t2
+        seed_c2 = ulrich.ulrich_c2(2, seed_c1.self_intersection, cubic.CUBIC_SURFACE)
+        seed = BundleNumerics(2, seed_c1, seed_c2)
         partner, dim = cubic.cubic_moduli_pair(seed)
-        if partner.c2 != row.partner_c2 or dim != row.dim:
-            return CheckResult("cubic.moduli-pairs", False, f"row {row.part_tags}")
-        if chern.expected_moduli_dim(seed) != dim or chern.expected_moduli_dim(partner) != dim:
-            return CheckResult("cubic.moduli-pairs", False, f"dim mismatch in row {row.part_tags}")
+        twists_ok = True
         for _ in range(5):
             twist = _random_class(rng, 6, 3)
             moved = cubic.twist_partner(partner, twist)
-            expected = (6 * twist.self_intersection
-                        - 3 * (t1 + t2).dot(twist) + row.partner_c2)
-            if moved.c2 != expected:
-                return CheckResult("cubic.moduli-pairs", False,
-                                   f"twist polynomial fails on row {row.part_tags}")
-            if chern.expected_moduli_dim(moved) != dim:
-                return CheckResult("cubic.moduli-pairs", False,
-                                   f"twist moved the dimension in row {row.part_tags}")
+            expected = 6 * twist.self_intersection - 3 * seed_c1.dot(twist) + partner.c2
+            twists_ok &= moved.c2 == expected
+            twists_ok &= chern.expected_moduli_dim(moved) == dim
+        match = (seed_c2 == row.seed_c2 and partner.c2 == row.partner_c2 and dim == row.dim
+                 and chern.expected_moduli_dim(seed) == dim
+                 and chern.expected_moduli_dim(partner) == dim and twists_ok)
+        records.append({"parts": "+".join(row.part_tags), "seed_c1": str(seed_c1),
+                        "seed_c2": seed_c2, "partner_c2": partner.c2, "dim": dim,
+                        "twists_match": twists_ok, "match": match})
+    return records
+
+
+def check_cubic_moduli_pairs() -> CheckResult:
+    for rec in cubic_pair_rows():
+        if not rec["match"]:
+            return CheckResult(
+                "cubic.moduli-pairs", False,
+                f"row {rec['parts']}: got seed c2={rec['seed_c2']} partner c2={rec['partner_c2']} "
+                f"dim={rec['dim']}, twists {'ok' if rec['twists_match'] else 'FAIL'}")
     return CheckResult("cubic.moduli-pairs", True, "3 rows, partners, 5 random twists each")
 
 
-def check_moduli_table() -> CheckResult:
+def moduli_table_rows() -> list[dict]:
+    """One record per golden moduli row: recomputed c2 and dim, and ``match``."""
+    records = []
     for row in tables.MODULI_DIM_ROWS:
         surface = make_surface(row.degree)
         c2 = ulrich.ulrich_c2(2, row.c1_sq, surface)
-        seed = NumericClassData(2, row.c1_sq, 2 * row.degree, c2)
-        dim = chern.expected_moduli_dim(seed)
-        if c2 != row.c2 or dim != row.dim:
-            return CheckResult("ulrich.moduli-table", False,
-                               f"d={row.degree} c1^2={row.c1_sq}: got c2={c2} dim={dim}")
+        dim = chern.expected_moduli_dim(NumericClassData(2, row.c1_sq, 2 * row.degree, c2))
+        records.append({"d": row.degree, "c1_sq": row.c1_sq, "c2": c2, "dim": dim,
+                        "match": c2 == row.c2 and dim == row.dim})
+    return records
+
+
+def check_moduli_table() -> CheckResult:
+    for rec in moduli_table_rows():
+        if not rec["match"]:
+            return CheckResult(
+                "ulrich.moduli-table", False,
+                f"d={rec['d']} c1^2={rec['c1_sq']}: got c2={rec['c2']} dim={rec['dim']}")
     return CheckResult("ulrich.moduli-table", True, "all 9 rows recomputed")
 
 

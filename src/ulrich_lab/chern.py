@@ -50,6 +50,8 @@ class BundleNumerics:
     def __post_init__(self) -> None:
         if (type(self.rank) is not int and not _is_int(self.rank)) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        if not isinstance(self.c1, DivisorClass):
+            raise TypeError(f"c1 must be a DivisorClass, got {self.c1!r}")
         if type(self.c2) is not int and not _is_int(self.c2):
             raise TypeError(f"c2 must be an integer, got {self.c2!r}")
 
@@ -66,7 +68,7 @@ class BundleNumerics:
 
     @classmethod
     def from_dict(cls, data: dict, surface: DelPezzoSurface | None = None) -> BundleNumerics:
-        return cls(int(data["rank"]), parse_divisor(data["c1"], surface), int(data["c2"]))
+        return cls(data["rank"], parse_divisor(data["c1"], surface), data["c2"])
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,7 @@ class NumericClassData:
 
     @classmethod
     def from_dict(cls, data: dict) -> NumericClassData:
-        return cls(
-            int(data["rank"]),
-            int(data["c1_sq"]),
-            int(data["c1_dot_H"]),
-            int(data["c2"]),
-        )
+        return cls(data["rank"], data["c1_sq"], data["c1_dot_H"], data["c2"])
 
 
 AnyNumerics = Union[BundleNumerics, NumericClassData]

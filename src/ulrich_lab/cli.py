@@ -1,9 +1,10 @@
 """Command line interface.
 
-Every subcommand recomputes its numbers from the library and, where a
-published table exists, diffs against the embedded golden rows.  Output
-is deterministic byte for byte for a fixed invocation; the exit code is
-0 exactly when every emitted check passed.
+Every subcommand computes its numbers from the library; the two table
+commands render the rows that :mod:`ulrich_lab.checks` recomputes and
+diffs against the embedded golden rows.  Output is deterministic byte
+for byte for a fixed invocation; the exit code is 0 exactly when every
+emitted check passed.
 
 Formats: ``markdown`` (default), ``csv``, ``json``.  ``--out PATH``
 writes to a file instead of stdout.  The ``check`` subcommand honors the
@@ -17,12 +18,12 @@ import csv
 import io
 import json
 import os
-import random
 from dataclasses import dataclass
+from typing import Callable
 
 import click
 
-from . import checks, chern, cubic, syzygy, tables, ulrich
+from . import checks, cubic, syzygy, ulrich
 from .chern import NumericClassData
 from .errors import UlrichLabError
 from .picard import make_surface, parse_divisor
@@ -33,52 +34,48 @@ MAX_K = 200
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs of one CLI invocation."""
-
-    command: str
-    d: int = 3
-    r: int = 2
-    k_max: int = 10
-    c1_sq: int | None = None
-    c2: int | None = None
-    target: str | None = None
-    output_format: str = "markdown"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.k_max > MAX_K:
-            raise ValueError(f"k_max capped at {MAX_K}, got {self.k_max}")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown format {self.output_format!r}")
-
-
-@dataclass(frozen=True)
 class CommandOutput:
+    """A command's JSON payload and its text rows.
+
+    A text row is a list of cells or a record whose values are the cells;
+    a ``bool`` cell is shown as ``ok``/``FAIL``.
+    """
+
     payload: dict
     headers: list[str]
-    rows: list[list]
+    rows: list
     notes: list[str]
     ok: bool
+
+
+def _cells(row) -> list[str]:
+    values = row.values() if isinstance(row, dict) else row
+    return [("ok" if v else "FAIL") if isinstance(v, bool) else str(v) for v in values]
 
 
 def _render(out: CommandOutput, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(out.payload, indent=2) + "\n"
+    rows = [_cells(row) for row in out.rows]
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(out.headers)
-        writer.writerows([[str(cell) for cell in row] for row in out.rows])
+        writer.writerows(rows)
         return buffer.getvalue()
     lines = ["| " + " | ".join(out.headers) + " |",
              "| " + " | ".join("---" for _ in out.headers) + " |"]
-    lines.extend("| " + " | ".join(str(cell) for cell in row) + " |" for row in out.rows)
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
     lines.extend(out.notes)
     return "\n".join(lines) + "\n"
 
 
-def _emit(out: CommandOutput, fmt: str, path: str | None) -> None:
+def _emit(fmt: str, path: str | None, command: Callable[..., CommandOutput], *args) -> None:
+    """Run ``command(*args)`` and write its output; library errors become click errors."""
+    try:
+        out = command(*args)
+    except UlrichLabError as exc:
+        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
     text = _render(out, fmt)
     if path is None:
         click.echo(text, nl=False)
@@ -99,121 +96,60 @@ def _extrapolation_notes(d: int) -> list[str]:
     return []
 
 
-def cmd_sequence(cfg: RunConfig) -> CommandOutput:
+def cmd_sequence(d: int, r: int, k_max: int) -> CommandOutput:
     rows = []
-    ok = True
-    for k in range(cfg.k_max + 1):
-        by_rec = syzygy.rank_by_recurrence(cfg.d, cfg.r, k)
-        by_closed = syzygy.rank_closed_form(cfg.d, cfg.r, k)
-        match = by_rec == by_closed
-        ok &= match
-        rows.append([k, by_rec, by_closed, "ok" if match else "FAIL"])
-    payload = {
-        "d": cfg.d,
-        "r": cfg.r,
-        "extrapolated": cfg.d == 8,
-        "rows": [
-            {"k": k, "recurrence": rec, "closed_form": clo, "match": match == "ok"}
-            for k, rec, clo, match in rows
-        ],
-    }
-    return CommandOutput(payload, ["k", "recurrence", "closed_form", "match"],
-                         rows, _extrapolation_notes(cfg.d), ok)
+    for k in range(k_max + 1):
+        by_rec = syzygy.rank_by_recurrence(d, r, k)
+        by_closed = syzygy.rank_closed_form(d, r, k)
+        rows.append({"k": k, "recurrence": by_rec, "closed_form": by_closed,
+                     "match": by_rec == by_closed})
+    payload = {"d": d, "r": r, "extrapolated": d == 8, "rows": rows}
+    return CommandOutput(payload, ["k", "recurrence", "closed_form", "match"], rows,
+                         _extrapolation_notes(d), all(row["match"] for row in rows))
 
 
-def cmd_syzygy(cfg: RunConfig) -> CommandOutput:
-    surface = make_surface(cfg.d)
-    assert cfg.c1_sq is not None
-    c2 = cfg.c2 if cfg.c2 is not None else ulrich.ulrich_c2(cfg.r, cfg.c1_sq, surface)
-    seed = NumericClassData(cfg.r, cfg.c1_sq, cfg.r * cfg.d, c2)
-    trace = syzygy.iterate_syzygy(seed, surface, cfg.k_max)
+def cmd_syzygy(d: int, r: int, c1_sq: int, c2: int | None, k_max: int) -> CommandOutput:
+    surface = make_surface(d)
+    if c2 is None:
+        c2 = ulrich.ulrich_c2(r, c1_sq, surface)
+    trace = syzygy.iterate_syzygy(NumericClassData(r, c1_sq, r * d, c2), surface, k_max)
     payload = trace.to_dict()
-    payload["extrapolated"] = cfg.d == 8
-    rows = [
-        [e["k"], e["rank"], e["c1_sq"], e["c1_dot_H"], e["c2"], e["delta"], e["drift"]]
-        for e in payload["entries"]
-    ]
+    payload["extrapolated"] = d == 8
     headers = ["k", "rank", "c1_sq", "c1_dot_H", "c2", "delta", "drift"]
-    return CommandOutput(payload, headers, rows, _extrapolation_notes(cfg.d), True)
+    return CommandOutput(payload, headers, payload["entries"], _extrapolation_notes(d), True)
 
 
-def cmd_table_moduli(_cfg: RunConfig) -> CommandOutput:
-    rows = []
-    ok = True
-    for row in tables.MODULI_DIM_ROWS:
-        surface = make_surface(row.degree)
-        c2 = ulrich.ulrich_c2(2, row.c1_sq, surface)
-        dim = chern.expected_moduli_dim(NumericClassData(2, row.c1_sq, 2 * row.degree, c2))
-        match = c2 == row.c2 and dim == row.dim
-        ok &= match
-        rows.append([row.degree, row.c1_sq, c2, dim, "ok" if match else "FAIL"])
-    payload = {
-        "rows": [
-            {"d": d, "c1_sq": q, "c2": c2, "dim": dim, "match": match == "ok"}
-            for d, q, c2, dim, match in rows
-        ],
-        "all_match": ok,
-    }
-    return CommandOutput(payload, ["d", "c1_sq", "c2", "dim", "match"], rows, [], ok)
+def _table(rows: list[dict], headers: list[str]) -> CommandOutput:
+    ok = all(row["match"] for row in rows)
+    return CommandOutput({"rows": rows, "all_match": ok}, headers, rows, [], ok)
 
 
-def cmd_table_pairs(_cfg: RunConfig) -> CommandOutput:
-    rng = random.Random(0xC0FFEE)
-    rows = []
-    ok = True
-    for row in tables.CUBIC_PAIR_ROWS:
-        t1, t2 = row.part_divisors()
-        seed_c1 = t1 + t2
-        seed_c2 = ulrich.ulrich_c2(2, seed_c1.self_intersection, cubic.CUBIC_SURFACE)
-        seed = chern.BundleNumerics(2, seed_c1, seed_c2)
-        partner, dim = cubic.cubic_moduli_pair(seed)
-        twists_ok = True
-        for _ in range(5):
-            twist = checks._random_class(rng, 6, 3)
-            moved = cubic.twist_partner(partner, twist)
-            expected = 6 * twist.self_intersection - 3 * seed_c1.dot(twist) + partner.c2
-            twists_ok &= moved.c2 == expected
-            twists_ok &= chern.expected_moduli_dim(moved) == dim
-        match = (seed_c2 == row.seed_c2 and partner.c2 == row.partner_c2
-                 and dim == row.dim and twists_ok)
-        ok &= match
-        rows.append(["+".join(row.part_tags), str(seed_c1), seed_c2, partner.c2, dim,
-                     "ok" if twists_ok else "FAIL", "ok" if match else "FAIL"])
-    payload = {
-        "rows": [
-            {"parts": parts, "seed_c1": c1, "seed_c2": sc2, "partner_c2": pc2,
-             "dim": dim, "twists_match": tw == "ok", "match": match == "ok"}
-            for parts, c1, sc2, pc2, dim, tw, match in rows
-        ],
-        "all_match": ok,
-    }
-    headers = ["parts", "seed_c1", "seed_c2", "partner_c2", "dim", "twists", "match"]
-    return CommandOutput(payload, headers, rows, [], ok)
+def cmd_table_moduli() -> CommandOutput:
+    return _table(checks.moduli_table_rows(), ["d", "c1_sq", "c2", "dim", "match"])
 
 
-def cmd_cubics(_cfg: RunConfig) -> CommandOutput:
+def cmd_table_pairs() -> CommandOutput:
+    return _table(checks.cubic_pair_rows(),
+                  ["parts", "seed_c1", "seed_c2", "partner_c2", "dim", "twists", "match"])
+
+
+def cmd_cubics() -> CommandOutput:
     cubics = cubic.twisted_cubics()
-    rows = [[t.type_tag, str(t.divisor)] for t in cubics]
-    ok = len(cubics) == 72
-    payload = {
-        "count": len(cubics),
-        "classes": [{"type": tag, "class": text} for tag, text in rows],
-    }
-    return CommandOutput(payload, ["type", "class"], rows, [f"count: {len(cubics)}"], ok)
+    rows = [{"type": t.type_tag, "class": str(t.divisor)} for t in cubics]
+    payload = {"count": len(cubics), "classes": rows}
+    return CommandOutput(payload, ["type", "class"], rows, [f"count: {len(cubics)}"],
+                         len(cubics) == 72)
 
 
-def cmd_decompose(cfg: RunConfig, unordered: bool) -> CommandOutput:
-    assert cfg.target is not None
-    target = parse_divisor(cfg.target, cubic.CUBIC_SURFACE)
-    decs = cubic.decompose_stable_sum(target, cfg.r, unordered=unordered)
-    payload = cubic.decomposition_to_dict(target, cfg.r, decs)
-    rows = [[i, ", ".join(str(p.divisor) for p in dec.parts)]
-            for i, dec in enumerate(decs)]
-    return CommandOutput(payload, ["index", "parts"], rows,
-                         [f"count: {len(decs)}"], True)
+def cmd_decompose(target_text: str, r: int, unordered: bool) -> CommandOutput:
+    target = parse_divisor(target_text, cubic.CUBIC_SURFACE)
+    decs = cubic.decompose_stable_sum(target, r, unordered=unordered)
+    payload = cubic.decomposition_to_dict(target, r, decs)
+    rows = [[i, ", ".join(parts)] for i, parts in enumerate(payload["tuples"])]
+    return CommandOutput(payload, ["index", "parts"], rows, [f"count: {len(decs)}"], True)
 
 
-def cmd_check(cfg: RunConfig) -> CommandOutput:
+def cmd_check() -> CommandOutput:
     extra = []
     seed_path = os.environ.get(SEED_FILE_ENV)
     if seed_path:
@@ -256,9 +192,7 @@ def main() -> None:
 @_format_options
 def sequence_command(d: int, r: int, k_max: int, output_format: str, output_path: str | None) -> None:
     """Syzygy ranks N_k by recurrence and by closed form, with a diff."""
-    cfg = RunConfig("sequence", d=d, r=r, k_max=k_max,
-                    output_format=output_format, output_path=output_path)
-    _emit(cmd_sequence(cfg), output_format, output_path)
+    _emit(output_format, output_path, cmd_sequence, d, r, k_max)
 
 
 @main.command("syzygy")
@@ -273,37 +207,28 @@ def sequence_command(d: int, r: int, k_max: int, output_format: str, output_path
 def syzygy_command(d: int, r: int, c1_sq: int, c2: int | None, k_max: int,
                    output_format: str, output_path: str | None) -> None:
     """Trace of the syzygy-and-twist iteration from an Ulrich seed."""
-    cfg = RunConfig("syzygy", d=d, r=r, k_max=k_max, c1_sq=c1_sq, c2=c2,
-                    output_format=output_format, output_path=output_path)
-    try:
-        out = cmd_syzygy(cfg)
-    except UlrichLabError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-    _emit(out, output_format, output_path)
+    _emit(output_format, output_path, cmd_syzygy, d, r, c1_sq, c2, k_max)
 
 
 @main.command("table-moduli")
 @_format_options
 def table_moduli_command(output_format: str, output_path: str | None) -> None:
     """Rank-2 moduli-dimension table on degrees 4..7, recomputed and diffed."""
-    cfg = RunConfig("table-moduli", output_format=output_format, output_path=output_path)
-    _emit(cmd_table_moduli(cfg), output_format, output_path)
+    _emit(output_format, output_path, cmd_table_moduli)
 
 
 @main.command("table-pairs")
 @_format_options
 def table_pairs_command(output_format: str, output_path: str | None) -> None:
     """Cubic-surface pair table: rank-2 seeds, rank-4 partners, twist checks."""
-    cfg = RunConfig("table-pairs", output_format=output_format, output_path=output_path)
-    _emit(cmd_table_pairs(cfg), output_format, output_path)
+    _emit(output_format, output_path, cmd_table_pairs)
 
 
 @main.command("cubics")
 @_format_options
 def cubics_command(output_format: str, output_path: str | None) -> None:
     """List the 72 twisted cubic classes with their orbit tags."""
-    cfg = RunConfig("cubics", output_format=output_format, output_path=output_path)
-    _emit(cmd_cubics(cfg), output_format, output_path)
+    _emit(output_format, output_path, cmd_cubics)
 
 
 @main.command("decompose")
@@ -316,25 +241,14 @@ def cubics_command(output_format: str, output_path: str | None) -> None:
 def decompose_command(target: str, r: int, unordered: bool,
                       output_format: str, output_path: str | None) -> None:
     """Stable-sum decompositions of TARGET, e.g. \"(4;2,1,1,1,1,0)\"."""
-    cfg = RunConfig("decompose", r=r, target=target,
-                    output_format=output_format, output_path=output_path)
-    try:
-        out = cmd_decompose(cfg, unordered)
-    except UlrichLabError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-    _emit(out, output_format, output_path)
+    _emit(output_format, output_path, cmd_decompose, target, r, unordered)
 
 
 @main.command("check")
 @_format_options
 def check_command(output_format: str, output_path: str | None) -> None:
     """Run every module invariant and report one pass/fail line each."""
-    cfg = RunConfig("check", output_format=output_format, output_path=output_path)
-    try:
-        out = cmd_check(cfg)
-    except UlrichLabError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-    _emit(out, output_format, output_path)
+    _emit(output_format, output_path, cmd_check)
 
 
 if __name__ == "__main__":

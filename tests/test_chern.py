@@ -90,6 +90,29 @@ class TestContainers:
         assert n.to_dict() == {"rank": 2, "c1_sq": 12, "c1_dot_H": 8, "c2": 4}
         assert NumericClassData.from_dict(n.to_dict()) == n
 
+    @pytest.mark.parametrize(
+        "cls,data,error",
+        [
+            (BundleNumerics, {"rank": 2.9, "c1": "(4;1,1,1,1,0)", "c2": "4"}, ValueError),
+            (BundleNumerics, {"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": "4"}, TypeError),
+            (BundleNumerics, {"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 4.0}, TypeError),
+            (NumericClassData, {"rank": 2.9, "c1_sq": 12, "c1_dot_H": 8, "c2": 4}, ValueError),
+            (NumericClassData, {"rank": 2, "c1_sq": "12", "c1_dot_H": 8, "c2": 4}, TypeError),
+            (NumericClassData, {"rank": 2, "c1_sq": 12, "c1_dot_H": 8, "c2": "4"}, TypeError),
+        ],
+        ids=["bundle-float-rank", "bundle-string-c2", "bundle-float-c2",
+             "numeric-float-rank", "numeric-string-c1-sq", "numeric-string-c2"],
+    )
+    def test_from_dict_does_not_coerce(self, cls, data, error):
+        with pytest.raises(error):
+            cls.from_dict(data)
+
+    def test_c1_must_be_a_divisor_class(self):
+        with pytest.raises(TypeError, match="c1 must be a DivisorClass"):
+            BundleNumerics(2, "not a class", 3)
+        with pytest.raises(TypeError):
+            BundleNumerics(2, None, 3)
+
 
 class TestTensor:
     def test_known_product(self):

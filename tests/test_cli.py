@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from ulrich_lab import (
+    checks,
     decompose_stable_sum,
     decomposition_to_dict,
     iterate_syzygy,
     make_surface,
     parse_divisor,
+    tables,
 )
 from ulrich_lab.chern import NumericClassData
 from ulrich_lab.cli import main
@@ -270,3 +273,249 @@ class TestOutputPlumbing:
         for name in ("sequence", "syzygy", "table-moduli", "table-pairs",
                      "cubics", "decompose", "check"):
             assert name in result.output
+
+
+# Exact bytes of the published tables and of the self-check report, captured
+# from a known-good build.  Any change to a row, a cell or the rendering shows
+# up here.
+TABLE_MODULI_MARKDOWN = """\
+| d | c1_sq | c2 | dim | match |
+| --- | --- | --- | --- | --- |
+| 4 | 12 | 4 | 1 | ok |
+| 4 | 16 | 6 | 5 | ok |
+| 5 | 16 | 5 | 1 | ok |
+| 5 | 20 | 7 | 5 | ok |
+| 6 | 20 | 6 | 1 | ok |
+| 6 | 24 | 8 | 5 | ok |
+| 7 | 24 | 7 | 1 | ok |
+| 7 | 26 | 8 | 3 | ok |
+| 7 | 28 | 9 | 5 | ok |
+"""
+
+TABLE_MODULI_CSV = """\
+d,c1_sq,c2,dim,match
+4,12,4,1,ok
+4,16,6,5,ok
+5,16,5,1,ok
+5,20,7,5,ok
+6,20,6,1,ok
+6,24,8,5,ok
+7,24,7,1,ok
+7,26,8,3,ok
+7,28,9,5,ok
+"""
+
+TABLE_MODULI_JSON = """\
+{
+  "rows": [
+    {
+      "d": 4,
+      "c1_sq": 12,
+      "c2": 4,
+      "dim": 1,
+      "match": true
+    },
+    {
+      "d": 4,
+      "c1_sq": 16,
+      "c2": 6,
+      "dim": 5,
+      "match": true
+    },
+    {
+      "d": 5,
+      "c1_sq": 16,
+      "c2": 5,
+      "dim": 1,
+      "match": true
+    },
+    {
+      "d": 5,
+      "c1_sq": 20,
+      "c2": 7,
+      "dim": 5,
+      "match": true
+    },
+    {
+      "d": 6,
+      "c1_sq": 20,
+      "c2": 6,
+      "dim": 1,
+      "match": true
+    },
+    {
+      "d": 6,
+      "c1_sq": 24,
+      "c2": 8,
+      "dim": 5,
+      "match": true
+    },
+    {
+      "d": 7,
+      "c1_sq": 24,
+      "c2": 7,
+      "dim": 1,
+      "match": true
+    },
+    {
+      "d": 7,
+      "c1_sq": 26,
+      "c2": 8,
+      "dim": 3,
+      "match": true
+    },
+    {
+      "d": 7,
+      "c1_sq": 28,
+      "c2": 9,
+      "dim": 5,
+      "match": true
+    }
+  ],
+  "all_match": true
+}
+"""
+
+TABLE_PAIRS_MARKDOWN = """\
+| parts | seed_c1 | seed_c2 | partner_c2 | dim | twists | match |
+| --- | --- | --- | --- | --- | --- | --- |
+| A+C | (4;2,1,1,1,1,0) | 3 | 5 | 1 | ok | ok |
+| B+B | (4;1,1,1,1,1,1) | 4 | 6 | 3 | ok | ok |
+| A+E | (6;2,2,2,2,2,2) | 5 | 7 | 5 | ok | ok |
+"""
+
+TABLE_PAIRS_CSV = """\
+parts,seed_c1,seed_c2,partner_c2,dim,twists,match
+A+C,"(4;2,1,1,1,1,0)",3,5,1,ok,ok
+B+B,"(4;1,1,1,1,1,1)",4,6,3,ok,ok
+A+E,"(6;2,2,2,2,2,2)",5,7,5,ok,ok
+"""
+
+TABLE_PAIRS_JSON = """\
+{
+  "rows": [
+    {
+      "parts": "A+C",
+      "seed_c1": "(4;2,1,1,1,1,0)",
+      "seed_c2": 3,
+      "partner_c2": 5,
+      "dim": 1,
+      "twists_match": true,
+      "match": true
+    },
+    {
+      "parts": "B+B",
+      "seed_c1": "(4;1,1,1,1,1,1)",
+      "seed_c2": 4,
+      "partner_c2": 6,
+      "dim": 3,
+      "twists_match": true,
+      "match": true
+    },
+    {
+      "parts": "A+E",
+      "seed_c1": "(6;2,2,2,2,2,2)",
+      "seed_c2": 5,
+      "partner_c2": 7,
+      "dim": 5,
+      "twists_match": true,
+      "match": true
+    }
+  ],
+  "all_match": true
+}
+"""
+
+CHECK_CSV = """\
+check,status,detail
+picard.signature,PASS,"L^2=1, E_i.E_j=-delta, K^2=H^2=d on d=3, d=4, d=5, d=6, d=7, d=8"
+picard.bilinearity,PASS,1000 random triples
+picard.permutation-pairing,PASS,1000 random cases
+picard.parser-roundtrip,PASS,1000 random classes
+chern.tensor-commutative,PASS,1000 random pairs
+chern.tensor-associative,PASS,1000 random triples
+chern.sum-permutation-invariant,PASS,1000 random families
+chern.chi-additive,PASS,1000 random pairs
+chern.discriminant-twist-invariant,PASS,1000 random twists
+ulrich.candidate-permutation-invariant,PASS,500 random cases
+syzygy.rank-triangle,PASS,"recurrence = closed form = iteration, d=4..8, r=1..5, k=-1..50"
+syzygy.rank-monotone,PASS,"strictly increasing, d=4..8, r=1..5, k<=39"
+syzygy.drift-constant,PASS,32 seeds
+syzygy.delta-growth,PASS,Delta(S_k) strictly increasing for k >= 0
+syzygy.closed-vs-iterate,PASS,"32 seeds, k <= 12"
+syzygy.table-vs-closed,PASS,"all table rows, k = -1..20"
+ulrich.thresholds,PASS,"genus 1, Butler, coprime, Koszul iff d>=4, H.(K+F)<0"
+ulrich.candidates,PASS,32 seeds
+ulrich.moduli-table,PASS,all 9 rows recomputed
+cubic.census,PASS,"72 classes, orbits 1/20/30/20/1, T^2=1, T.H=3"
+cubic.chi-closed-vs-oracle,PASS,all 72^2 ordered pairs
+cubic.decompositions,PASS,"table pairs found, all tuples revalidate"
+cubic.moduli-pairs,PASS,"3 rows, partners, 5 random twists each"
+"""
+
+
+class TestExactBytes:
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (["table-moduli"], TABLE_MODULI_MARKDOWN),
+            (["table-moduli", "--format", "csv"], TABLE_MODULI_CSV),
+            (["table-moduli", "--format", "json"], TABLE_MODULI_JSON),
+            (["table-pairs"], TABLE_PAIRS_MARKDOWN),
+            (["table-pairs", "--format", "csv"], TABLE_PAIRS_CSV),
+            (["table-pairs", "--format", "json"], TABLE_PAIRS_JSON),
+            (["check", "--format", "csv"], CHECK_CSV),
+        ],
+        ids=["moduli-markdown", "moduli-csv", "moduli-json", "pairs-markdown",
+             "pairs-csv", "pairs-json", "check-csv"],
+    )
+    def test_output_bytes(self, runner, args, expected):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == expected
+
+
+class TestTableMismatch:
+    """A wrong golden value shows as a FAIL row, a false all_match and a failing check."""
+
+    @pytest.fixture()
+    def wrong_dim(self, monkeypatch):
+        rows = list(tables.MODULI_DIM_ROWS)
+        rows[3] = replace(rows[3], dim=rows[3].dim + 1)  # d = 5, c1^2 = 20
+        monkeypatch.setattr(tables, "MODULI_DIM_ROWS", tuple(rows))
+
+    @pytest.fixture()
+    def wrong_partner_c2(self, monkeypatch):
+        rows = list(tables.CUBIC_PAIR_ROWS)
+        rows[1] = replace(rows[1], partner_c2=rows[1].partner_c2 + 1)  # B+B
+        monkeypatch.setattr(tables, "CUBIC_PAIR_ROWS", tuple(rows))
+
+    def test_moduli_command(self, runner, wrong_dim):
+        result = runner.invoke(main, ["table-moduli"])
+        assert result.exit_code == 1
+        assert "| 5 | 20 | 7 | 5 | FAIL |" in result.output
+        assert result.output.count("| ok |") == 8
+        result = runner.invoke(main, ["table-moduli", "--format", "json"])
+        assert result.exit_code == 1
+        assert '"all_match": false' in result.output
+
+    def test_moduli_check(self, wrong_dim):
+        result = checks.check_moduli_table()
+        assert result.name == "ulrich.moduli-table"
+        assert result.passed is False
+        assert "d=5 c1^2=20" in result.detail
+
+    def test_pairs_command(self, runner, wrong_partner_c2):
+        result = runner.invoke(main, ["table-pairs"])
+        assert result.exit_code == 1
+        assert "| B+B | (4;1,1,1,1,1,1) | 4 | 6 | 3 | ok | FAIL |" in result.output
+        assert result.output.count("| ok | ok |") == 2
+        result = runner.invoke(main, ["table-pairs", "--format", "json"])
+        assert result.exit_code == 1
+        assert '"all_match": false' in result.output
+
+    def test_pairs_check(self, wrong_partner_c2):
+        result = checks.check_cubic_moduli_pairs()
+        assert result.name == "cubic.moduli-pairs"
+        assert result.passed is False
+        assert "B+B" in result.detail
