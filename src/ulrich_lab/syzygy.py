@@ -41,14 +41,20 @@ with v_0 = c1(E)^2 - c2(E), which unrolls to
 
     v_k = sum_{i<k} (-1)^{k+i+1} [q_i + (N_i+1) p_i + C(N_i+1,2) d]
           + (-1)^k v_0.
+
+The sum telescopes, and the recurrence closes what is left (see
+:func:`_closed_core`), so the closed Chern data of S_k need only the two
+ranks N_{k-1} and N_k: one recurrence pass for :func:`closed_syzygy_chern`
+and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
+:func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
+data (rank, c1^2, c1.H, c2) and carries an exact c1 beside it by
+c1(S_k) = -c1(S_{k-1}) + N_k H, so every route is linear in k or better.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator
 
 from . import ulrich
 from .chern import (
@@ -201,15 +207,15 @@ def rank_by_recurrence(d: int, r: int, k: int) -> int:
         raise ValueError(f"rank must be a positive integer, got {r!r}")
     if not isinstance(k, int) or k < -1:
         raise ValueError(f"index k must be an integer >= -1, got {k!r}")
-    return r if k == -1 else next(islice(_recurrence_ranks(d, r), k, None))
+    return r if k == -1 else _recurrence_pair(d, r, k)[1]
 
 
-def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
-    """N_0, N_1, ... from the three-term recurrence, one step at a time."""
+def _recurrence_pair(d: int, r: int, k: int) -> tuple[int, int]:
+    """(N_{k-1}, N_k), k >= 0, from one pass of the three-term recurrence."""
     prev, cur = r, r * (d - 1)
-    while True:
-        yield cur
+    for _ in range(k):
         prev, cur = cur, (d - 2) * cur - prev
+    return prev, cur
 
 
 def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[int, int]:
@@ -284,7 +290,7 @@ class TraceEntry:
 
     @property
     def delta(self) -> int:
-        return discriminant(self.as_numeric())
+        return discriminant(self)  # reads only rank, c1_sq and c2
 
     @property
     def drift(self) -> int:
@@ -324,17 +330,16 @@ class SyzygyTrace:
         }
 
 
-def _entry_from(k: int, f: AnyNumerics) -> TraceEntry:
-    c1 = f.c1 if isinstance(f, BundleNumerics) else None
-    return TraceEntry(k, f.rank, c1, f.c1_sq, f.c1_dot_h, f.c2)
-
-
 def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> SyzygyTrace:
     """Run the syzygy-and-twist iteration from an Ulrich candidate seed.
 
-    The rank of every computed S_k is cross-checked against the
-    three-term recurrence; a mismatch would mean the transform formulas
-    and the recurrence have fallen out of sync and raises RuntimeError.
+    Every step runs in the reduced resolution (rank, c1^2, c1.H, c2).  For
+    a :class:`BundleNumerics` seed the exact class rides along by
+    c1(S_k) = -c1(S_{k-1}) + N_k H, and the last one is checked once
+    against the reduced c1^2 and c1.H.  The rank of every computed S_k is
+    cross-checked against the three-term recurrence.  A mismatch in either
+    check would mean the transform formulas have fallen out of sync and
+    raises RuntimeError.
     """
     if not isinstance(k_max, int) or k_max < -1:
         raise ValueError(f"k_max must be an integer >= -1, got {k_max!r}")
@@ -346,21 +351,30 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
             "degree 3 supports the first syzygy step only (k_max <= 0); "
             "deeper iterations are not globally generated"
         )
-    entries = [_entry_from(-1, seed)]
-    current = seed
+    c1 = seed.c1 if isinstance(seed, BundleNumerics) else None
+    current = NumericClassData(seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2)
+    entries = [TraceEntry(-1, seed.rank, c1, current.c1_sq, current.c1_dot_h, current.c2)]
     previous_rank, expected_rank = seed.rank, rank_by_recurrence(d, seed.rank, 0)
     for k in range(k_max + 1):
         h0 = euler_char(current, surface)
         if h0 <= current.rank:
             raise NoKernel(f"chi = {h0} does not exceed rank {current.rank} at step {k}")
         current = twist_by_h(syzygy_numerics(current, h0), 1, surface)
-        if current.rank != expected_rank:
+        n = current.rank
+        if n != expected_rank:
             raise RuntimeError(
-                f"internal inconsistency: rank {current.rank} at step {k}, "
+                f"internal inconsistency: rank {n} at step {k}, "
                 f"recurrence predicts {expected_rank}"
             )
-        entries.append(_entry_from(k, current))
+        if c1 is not None:
+            c1 = DivisorClass(3 * n - c1.a, tuple(n - b for b in c1.b))
+        entries.append(TraceEntry(k, n, c1, current.c1_sq, current.c1_dot_h, current.c2))
         previous_rank, expected_rank = expected_rank, (d - 2) * expected_rank - previous_rank
+    if c1 is not None and (c1.self_intersection, c1.degree) != (current.c1_sq, current.c1_dot_h):
+        raise RuntimeError(
+            f"internal inconsistency: exact c1 = {c1} at step {k_max} disagrees with "
+            f"the reduced (c1^2, c1.H) = ({current.c1_sq}, {current.c1_dot_h})"
+        )
     return SyzygyTrace(surface, seed, tuple(entries))
 
 
@@ -380,19 +394,27 @@ def _scope_check(d: int, k: int) -> None:
         raise OutOfTheoremScope("degree 3 supports k <= 0 only")
 
 
-def _closed_core(d: int, c1_sq: int, c1_dot_h: int, c2: int,
-                 ranks: Iterable[int]) -> tuple[int, int, int, int, int]:
-    """(sign_k, m_k, c1^2, c1.H, c2) of S_k(E)(-H) from N_0, ..., N_{k-1}.
+def _closed_core(d: int, r: int, c1_sq: int, c1_dot_h: int, c2: int,
+                 k: int, n_prev: int, n_k: int) -> tuple[int, int, int, int, int]:
+    """(sign_k, m_k, c1^2, c1.H, c2) of S_k(E)(-H) from N_{k-1} and N_k, in O(1).
 
     c1(S_i(E)(-H)) = sign_i c1(E) + m_i H, sign_i = (-1)^{i+1}, m_0 = 0 and
     m_{i+1} = -(m_i + N_i).  So v_k = -sign_k (v_0 + sum_{i<k} sign_i [...]),
     and as N_i = -(m_i + m_{i+1}) the sum telescopes to -(k mod 2) c1^2
-    + (k - m_k) c1.H + d (sum_{i<k} sign_i m_i - sign_k C(m_k, 2)).
+    + (k - m_k) c1.H + d (sum_{i<k} sign_i m_i - sign_k C(m_k, 2)).  The
+    recurrence closes both remaining pieces:
+
+        m_k = -sign_k r - (N_k + N_{k-1})/d,
+        sum_{i<k} sign_i m_i = -k r + (r + sign_k N_{k-1})/d,
+
+    (induct on k: the step is N_{k+1} = (d-2) N_k - N_{k-1}).  Both
+    divisions are exact, since N_0 + N_{-1} = r d and the step changes
+    N_k + N_{k-1} and r + sign_k N_{k-1} by multiples of d.  At k = -1,
+    with N_{-2} = (d-2) r - N_0 = -r, the result is E(-H) itself.
     """
-    k, sign, m, signed_sum = 0, -1, 0, 0
-    for n in ranks:
-        signed_sum += sign * m
-        k, sign, m = k + 1, -sign, -(m + n)
+    sign = 1 if k % 2 else -1
+    m = -sign * r - (n_k + n_prev) // d
+    signed_sum = -k * r + (r + sign * n_prev) // d
     total = (c1_sq - c2 - k % 2 * c1_sq + (k - m) * c1_dot_h
              + d * (signed_sum - sign * (m * (m - 1) // 2)))
     q = c1_sq + 2 * sign * m * c1_dot_h + m * m * d
@@ -411,8 +433,8 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     _scope_check(d, k)
     if k == -1:
         return seed.c1, seed.c2
-    ranks = islice(_recurrence_ranks(d, seed.rank), k)
-    sign, m, _, _, c2 = _closed_core(d, seed.c1_sq, seed.c1_dot_h, seed.c2, ranks)
+    sign, m, _, _, c2 = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2,
+                                     k, *_recurrence_pair(d, seed.rank, k))
     return sign * seed.c1 + m * surface.anticanonical_class, c2
 
 
@@ -422,24 +444,25 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
     _scope_check(d, k)
     if k == -1:
         return seed
-    ranks = _recurrence_ranks(d, seed.rank)
-    _, _, *data = _closed_core(d, seed.c1_sq, seed.c1_dot_h, seed.c2, islice(ranks, k))
-    return NumericClassData(next(ranks), *data)  # islice stopped just before N_k
+    n_prev, n_k = _recurrence_pair(d, seed.rank, k)
+    _, _, *data = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2, k, n_prev, n_k)
+    return NumericClassData(n_k, *data)
 
 
 def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassData:
     """Chern data v_{d,k} of the rank-2 tables, in reduced form.
 
     Hardwired to rank-2 Ulrich seeds on degrees 4..7, the range the
-    tables cover.  k = -1 returns the seed row.  The ranks N_{d,k} come
-    from the closed form rather than the recurrence, so comparing with
-    :func:`closed_syzygy_chern_numeric` cross-checks both routes.
+    tables cover.  k = -1 returns the seed row.  The ranks N_{d,k-1} and
+    N_{d,k} come from the closed form rather than the recurrence, so
+    comparing with :func:`closed_syzygy_chern_numeric` cross-checks both
+    routes.
     """
     if not isinstance(d, int) or not 4 <= d <= 7:
         raise OutOfTheoremScope(f"rank-2 tables cover degrees 4..7, got {d!r}")
     _scope_check(d, k)
     if k == -1:
         return NumericClassData(2, c1_sq, 2 * d, c2)
-    ranks = (rank_closed_form(d, 2, i) for i in range(k))
-    _, _, *data = _closed_core(d, c1_sq, 2 * d, c2, ranks)
-    return NumericClassData(rank_closed_form(d, 2, k), *data)
+    n_prev, n_k = rank_closed_form(d, 2, k - 1), rank_closed_form(d, 2, k)
+    _, _, *data = _closed_core(d, 2, c1_sq, 2 * d, c2, k, n_prev, n_k)
+    return NumericClassData(n_k, *data)

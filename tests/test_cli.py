@@ -519,3 +519,30 @@ class TestTableMismatch:
         assert result.name == "cubic.moduli-pairs"
         assert result.passed is False
         assert "B+B" in result.detail
+
+
+class TestTableCounts:
+    """Pass details name the number of rows actually checked."""
+
+    @pytest.fixture()
+    def cut_tables(self, monkeypatch):
+        monkeypatch.setattr(tables, "MODULI_DIM_ROWS", tables.MODULI_DIM_ROWS[:4])
+        monkeypatch.setattr(tables, "CUBIC_PAIR_ROWS", tables.CUBIC_PAIR_ROWS[:2])
+
+    def test_full_tables(self):
+        assert len(tables.MODULI_DIM_ROWS) == 9 and len(tables.CUBIC_PAIR_ROWS) == 3
+        assert checks.check_moduli_table().detail == "all 9 rows recomputed"
+        assert checks.check_cubic_moduli_pairs().detail == "3 rows, partners, 5 random twists each"
+
+    def test_moduli_check(self, cut_tables):
+        result = checks.check_moduli_table()
+        assert (result.passed, result.detail) == (True, "all 4 rows recomputed")
+
+    def test_pairs_check(self, cut_tables):
+        result = checks.check_cubic_moduli_pairs()
+        assert (result.passed, result.detail) == (True, "2 rows, partners, 5 random twists each")
+
+    def test_table_vs_closed(self, cut_tables):
+        # The detail names no count; it covers whatever rows the table holds.
+        result = checks.check_table_vs_closed()
+        assert (result.passed, result.detail) == (True, "all table rows, k = -1..20")

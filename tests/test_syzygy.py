@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -31,8 +33,9 @@ from ulrich_lab import (
     tensor_line,
     twist_by_h,
 )
-from ulrich_lab import tables
-from ulrich_lab.syzygy import _ring_mul, alpha_pair
+from ulrich_lab import checks, discriminant, euler_char, tables
+from ulrich_lab import syzygy as syzygy_module
+from ulrich_lab.syzygy import _closed_core, _ring_mul, alpha_pair
 
 S3 = make_surface(3)
 S4 = make_surface(4)
@@ -307,3 +310,123 @@ class TestRankTwoTableForm:
     def test_out_of_scope_degrees(self, d):
         with pytest.raises(OutOfTheoremScope):
             rank_two_table_chern(d, 12, 4, 0)
+
+
+def reference_trace(seed, surface, k_max):
+    """The step-by-step iteration in the seed's own resolution (exact c1 if any)."""
+    current, rows = seed, [(-1, seed)]
+    for k in range(k_max + 1):
+        current = twist_by_h(syzygy_numerics(current, euler_char(current, surface)), 1, surface)
+        rows.append((k, current))
+    return rows
+
+
+def _rH_seeds():
+    for d in range(4, 9):
+        surface = make_surface(d)
+        for r in (1, 2, 3):
+            c1 = r * surface.anticanonical_class
+            yield surface, BundleNumerics(r, c1, r + (r * r * d - r * d) // 2)
+
+
+class TestIterateOracle:
+    """iterate_syzygy steps in reduced data; the exact composition is the oracle."""
+
+    @pytest.mark.parametrize("surface,seed", checks.default_seeds() + list(_rH_seeds()))
+    def test_matches_exact_composition(self, surface, seed):
+        k_max = 0 if surface.degree == 3 else 40
+        trace = iterate_syzygy(seed, surface, k_max)
+        reference = reference_trace(seed, surface, k_max)
+        assert len(trace.entries) == len(reference)
+        for entry, (k, f) in zip(trace.entries, reference):
+            c1 = f.c1 if isinstance(f, BundleNumerics) else None
+            assert (entry.k, entry.rank, entry.c1, entry.c1_sq, entry.c1_dot_h, entry.c2) == (
+                k, f.rank, c1, f.c1_sq, f.c1_dot_h, f.c2)
+            assert entry.delta == discriminant(f)
+            assert entry.drift == expected_moduli_dim(f)
+
+    @pytest.mark.parametrize("k_max,corrupt_at", [(0, 1), (5, 6)])
+    def test_corrupt_degree_trips_final_check(self, monkeypatch, k_max, corrupt_at):
+        # Shift c1.H by 2 (parity kept) on the last step only, so no rank check fires.
+        calls, original = [], syzygy_module.twist_by_h
+
+        def corrupt(f, m, surface):
+            calls.append(m)
+            out = original(f, m, surface)
+            return replace(out, c1_dot_h=out.c1_dot_h + 2) if len(calls) == corrupt_at else out
+
+        monkeypatch.setattr(syzygy_module, "twist_by_h", corrupt)
+        with pytest.raises(RuntimeError, match=r"\(c1\^2, c1\.H\)"):
+            iterate_syzygy(WITNESS, S4, k_max)
+        # Reduced seeds carry no exact class, so nothing is there to disagree.
+        calls.clear()
+        assert len(iterate_syzygy(reduce_numerics(WITNESS), S4, k_max).entries) == k_max + 2
+
+
+def telescoped_loop(d, c1_sq, c1_dot_h, c2, ranks):
+    """The former O(k) core: telescoped alternating sum over N_0, ..., N_{k-1}."""
+    k, sign, m, signed_sum = 0, -1, 0, 0
+    for n in ranks:
+        signed_sum += sign * m
+        k, sign, m = k + 1, -sign, -(m + n)
+    total = (c1_sq - c2 - k % 2 * c1_sq + (k - m) * c1_dot_h
+             + d * (signed_sum - sign * (m * (m - 1) // 2)))
+    q = c1_sq + 2 * sign * m * c1_dot_h + m * m * d
+    return sign, m, q, sign * c1_dot_h + m * d, -sign * total
+
+
+def unrolled_sums(d, c1_sq, c1_dot_h, c2, ranks):
+    """The module docstring's unrolled recursion, one result per prefix length k.
+
+    v_k = sum_{i<k} (-1)^{k+i+1} [q_i + (N_i+1) p_i + C(N_i+1,2) d] + (-1)^k v_0
+        = (-1)^k (v_0 + sum_{i<k} (-1)^{i+1} [...]).
+    """
+    m, running = 0, c1_sq - c2
+    for k, n in enumerate([*ranks, None]):
+        sign = (-1) ** (k + 1)
+        q, p = c1_sq + 2 * sign * m * c1_dot_h + m * m * d, sign * c1_dot_h + m * d
+        yield sign, m, q, p, (-1) ** k * running
+        if n is not None:
+            running += sign * (q + (n + 1) * p + comb(n + 1, 2) * d)
+            m = -(m + n)
+
+
+def own_ranks(d, r, k_max):
+    """N_{-1}, ..., N_{k_max} by the three-term recurrence."""
+    ranks = [r, r * (d - 1)]
+    while len(ranks) < k_max + 2:
+        ranks.append((d - 2) * ranks[-1] - ranks[-2])
+    return ranks
+
+
+class TestClosedCoreIdentity:
+    """The O(1) core equals the loop it replaced and the docstring's sum."""
+
+    DATA = [(12, 8, 4), (7, -3, 11), (0, 0, 0)]
+
+    def check_range(self, d, r, k_max, data):
+        ranks = own_ranks(d, r, k_max)  # ranks[k + 1] = N_k
+        unrolled = list(unrolled_sums(d, *data, ranks[1:k_max + 1]))
+        for k in range(k_max + 1):
+            n_prev, n_k = ranks[k], ranks[k + 1]
+            sign = (-1) ** (k + 1)
+            assert (n_k + n_prev) % d == 0 and (r + sign * n_prev) % d == 0
+            got = _closed_core(d, r, *data, k, n_prev, n_k)
+            assert got == telescoped_loop(d, *data, ranks[1:k + 1]) == unrolled[k]
+        # k = -1: S_{-1}(E)(-H) = E(-H), with N_{-2} = (d-2) r - N_0 = -r.
+        twisted = twist_by_h(NumericClassData(r, *data), -1, make_surface(d))
+        assert _closed_core(d, r, *data, -1, -r, r) == (
+            1, -r, twisted.c1_sq, twisted.c1_dot_h, twisted.c2)
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    @pytest.mark.parametrize("r", range(1, 5))
+    def test_matches_references(self, d, r):
+        for data in self.DATA:
+            self.check_range(d, r, 300, data)
+
+    @pytest.mark.parametrize("r", range(1, 5))
+    def test_cubic_surface(self, r):
+        # Degree 3 allows k = 0 only, where m_0 = 0.
+        for data in self.DATA:
+            self.check_range(3, r, 0, data)
+            assert _closed_core(3, r, *data, 0, r, 2 * r)[:2] == (-1, 0)
