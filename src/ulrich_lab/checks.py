@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 from . import chern, cubic, picard, syzygy, tables, ulrich
 from .chern import AnyNumerics, BundleNumerics, NumericClassData
 from .errors import BadSeedFile, UlrichLabError
-from .picard import DelPezzoSurface, DivisorClass, _is_int, make_surface
+from .picard import DelPezzoSurface, DivisorClass, _require_int, make_surface
 
 DEFAULT_RNG_SEED = 0x5EED
 DEFAULT_CASES = 1000
@@ -77,8 +77,7 @@ def load_seed_file(path: str) -> list[Seed]:
         if missing:
             raise BadSeedFile(f"{where}: missing key(s) {', '.join(missing)}")
         for key in ("rank", "c2"):
-            if not _is_int(item[key]):
-                raise BadSeedFile(f"{where}: {key} must be an integer, got {item[key]!r}")
+            _require_int(item[key], f"{where}: {key} must be an integer", BadSeedFile)
         if not isinstance(item["c1"], str):
             raise BadSeedFile(f"{where}: c1 must be divisor text, got {item['c1']!r}")
         try:

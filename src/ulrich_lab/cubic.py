@@ -30,7 +30,7 @@ from itertools import permutations
 
 from .chern import BundleNumerics, dual, euler_char, tensor, tensor_line
 from .errors import LatticeMismatch, NotUlrich
-from .picard import DelPezzoSurface, DivisorClass, make_surface, sum_classes
+from .picard import DelPezzoSurface, DivisorClass, _require_int, make_surface, sum_classes
 from .syzygy import syzygy_numerics
 from .ulrich import is_ulrich_candidate
 
@@ -132,8 +132,7 @@ def decompose_stable_sum(
     """
     if target.num_exceptional != 6:
         raise LatticeMismatch(f"target {target} does not live on the cubic surface lattice")
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"need r >= 2 parts, got {r!r}")
+    _require_int(r, "need r >= 2 parts", lo=2)
     if r > 6:
         raise ValueError(f"search capped at r = 6 parts, got {r}")
     if target.degree != 3 * r:
@@ -209,8 +208,7 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
 
     ``pairings`` lists T_i.T_j for i < j and must have j - 1 entries.
     """
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"position j must be a positive integer, got {j!r}")
+    _require_int(j, "position j must be a positive integer", lo=1)
     if len(pairings) != j - 1:
         raise ValueError(f"expected {j - 1} pairings for position {j}, got {len(pairings)}")
     return 2 * (j - 1) - sum(pairings)

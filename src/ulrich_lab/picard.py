@@ -35,6 +35,17 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
+                 lo: int | None = None, hi: int | None = None) -> None:
+    """Raise ``exc(f"{message}, got {value!r}")`` unless value is an int in [lo, hi].
+
+    The one guard for integer arguments: ``bool``, floats and strings are
+    refused like out-of-range integers, with the caller's exception class.
+    """
+    if not _is_int(value) or (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise exc(f"{message}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Coordinates (a; b_1, ..., b_t) of the class a*L - sum(b_i * E_i)."""
@@ -110,10 +121,8 @@ class DelPezzoSurface:
     degree: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or not MIN_DEGREE <= self.degree <= MAX_DEGREE:
-            raise DegreeOutOfRange(
-                f"degree must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}], got {self.degree!r}"
-            )
+        _require_int(self.degree, f"degree must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}]",
+                     DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
 
     @property
     def num_exceptional(self) -> int:

@@ -72,7 +72,7 @@ from .errors import (
     NotUlrich,
     OutOfTheoremScope,
 )
-from .picard import DelPezzoSurface, DivisorClass
+from .picard import MAX_DEGREE, MIN_DEGREE, DelPezzoSurface, DivisorClass, _is_int, _require_int
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ class QuadraticNumber:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        if not isinstance(self.radicand, int) or self.radicand <= 0:
-            raise ValueError(f"radicand must be a positive integer, got {self.radicand!r}")
+        _require_int(self.radicand, "radicand must be a positive integer", lo=1)
 
     def _coerce(self, other) -> QuadraticNumber | None:
         if isinstance(other, QuadraticNumber):
@@ -191,8 +190,7 @@ def alpha_pair(d: int) -> tuple[QuadraticNumber, QuadraticNumber]:
 
     They are units: alpha_1 * alpha_2 = 1 and alpha_1 + alpha_2 = d - 2.
     """
-    if not isinstance(d, int) or d < 5:
-        raise DegreeOutOfRange(f"distinct characteristic roots need d >= 5, got {d!r}")
+    _require_int(d, "distinct characteristic roots need d >= 5", DegreeOutOfRange, 5)
     radicand = d * (d - 4)
     half = Fraction(1, 2)
     alpha = QuadraticNumber(Fraction(d - 2, 2), half, radicand)
@@ -201,12 +199,10 @@ def alpha_pair(d: int) -> tuple[QuadraticNumber, QuadraticNumber]:
 
 def rank_by_recurrence(d: int, r: int, k: int) -> int:
     """N_k via N_{-1} = r, N_0 = r(d-1), N_k = (d-2)N_{k-1} - N_{k-2}."""
-    if not isinstance(d, int) or not 3 <= d <= 8:
-        raise DegreeOutOfRange(f"degree must be in [3, 8], got {d!r}")
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r!r}")
-    if not isinstance(k, int) or k < -1:
-        raise ValueError(f"index k must be an integer >= -1, got {k!r}")
+    _require_int(d, f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]", DegreeOutOfRange,
+                 MIN_DEGREE, MAX_DEGREE)
+    _require_int(r, "rank must be a positive integer", lo=1)
+    _require_int(k, "index k must be an integer >= -1", lo=-1)
     return r if k == -1 else _recurrence_pair(d, r, k)[1]
 
 
@@ -235,12 +231,9 @@ def rank_closed_form(d: int, r: int, k: int) -> int:
 
     Never uses the recurrence.  d = 4 has a double root at 1: N_k = (2k+3) r.
     """
-    if not isinstance(d, int) or not 4 <= d <= 8:
-        raise DegreeOutOfRange(f"closed form needs degree in [4, 8], got {d!r}")
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r!r}")
-    if not isinstance(k, int) or k < -1:
-        raise ValueError(f"index k must be an integer >= -1, got {k!r}")
+    _require_int(d, "closed form needs degree in [4, 8]", DegreeOutOfRange, 4, 8)
+    _require_int(r, "rank must be a positive integer", lo=1)
+    _require_int(k, "index k must be an integer >= -1", lo=-1)
     if d == 4:
         return (2 * k + 3) * r
     radicand, alpha = d * (d - 4), (d - 2, 1)
@@ -260,8 +253,7 @@ def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
 
     Requires h0 > rank(F); otherwise there is no kernel bundle.
     """
-    if not isinstance(h0, int):
-        raise TypeError(f"h0 must be an integer, got {h0!r}")
+    _require_int(h0, "h0 must be an integer", TypeError)
     if h0 <= f.rank:
         raise NoKernel(f"h^0 = {h0} does not exceed the rank {f.rank}")
     if isinstance(f, BundleNumerics):
@@ -318,7 +310,7 @@ class SyzygyTrace:
 
     def entry(self, k: int) -> TraceEntry:
         # Entries run contiguously from k = -1.
-        if isinstance(k, int) and -1 <= k < len(self.entries) - 1:
+        if _is_int(k) and -1 <= k < len(self.entries) - 1:
             return self.entries[k + 1]
         raise KeyError(f"no trace entry for k = {k}")
 
@@ -341,8 +333,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     check would mean the transform formulas have fallen out of sync and
     raises RuntimeError.
     """
-    if not isinstance(k_max, int) or k_max < -1:
-        raise ValueError(f"k_max must be an integer >= -1, got {k_max!r}")
+    _require_int(k_max, "k_max must be an integer >= -1", lo=-1)
     if not ulrich.is_ulrich_candidate(seed, surface):
         raise NotUlrich(f"seed {seed!r} fails the numerical Ulrich conditions")
     d = surface.degree
@@ -388,8 +379,7 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
 
 
 def _scope_check(d: int, k: int) -> None:
-    if not isinstance(k, int) or k < -1:
-        raise ValueError(f"index k must be an integer >= -1, got {k!r}")
+    _require_int(k, "index k must be an integer >= -1", lo=-1)
     if d == 3 and k > 0:
         raise OutOfTheoremScope("degree 3 supports k <= 0 only")
 
@@ -408,8 +398,9 @@ def _closed_core(d: int, r: int, c1_sq: int, c1_dot_h: int, c2: int,
         sum_{i<k} sign_i m_i = -k r + (r + sign_k N_{k-1})/d,
 
     (induct on k: the step is N_{k+1} = (d-2) N_k - N_{k-1}).  Both
-    divisions are exact, since N_0 + N_{-1} = r d and the step changes
-    N_k + N_{k-1} and r + sign_k N_{k-1} by multiples of d.  At k = -1,
+    divisions are exact: N_0 + N_{-1} = r d, the step sends N_k + N_{k-1}
+    to d N_k - (N_k + N_{k-1}) and moves r + sign_k N_{k-1} by
+    -sign_k (N_k + N_{k-1}).  At k = -1,
     with N_{-2} = (d-2) r - N_0 = -r, the result is E(-H) itself.
     """
     sign = 1 if k % 2 else -1
@@ -458,8 +449,7 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
     comparing with :func:`closed_syzygy_chern_numeric` cross-checks both
     routes.
     """
-    if not isinstance(d, int) or not 4 <= d <= 7:
-        raise OutOfTheoremScope(f"rank-2 tables cover degrees 4..7, got {d!r}")
+    _require_int(d, "rank-2 tables cover degrees 4..7", OutOfTheoremScope, 4, 7)
     _scope_check(d, k)
     if k == -1:
         return NumericClassData(2, c1_sq, 2 * d, c2)

@@ -25,7 +25,7 @@ from math import gcd
 
 from .chern import AnyNumerics, BundleNumerics, euler_char, twist_by_h
 from .errors import NotUlrichCompatible, ParityViolation
-from .picard import DelPezzoSurface, intersect
+from .picard import DelPezzoSurface, _require_int, intersect
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,9 @@ class PolarizedData:
     hk: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"dimension n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.hn, int) or self.hn <= 0:
-            raise ValueError(f"H^n must be a positive integer, got {self.hn!r}")
-        if not isinstance(self.hk, int):
-            raise TypeError(f"H^(n-1).K must be an integer, got {self.hk!r}")
+        _require_int(self.n, "dimension n must be an integer >= 2", lo=2)
+        _require_int(self.hn, "H^n must be a positive integer", lo=1)
+        _require_int(self.hk, "H^(n-1).K must be an integer", TypeError)
         if ((self.n - 1) * self.hn + self.hk) % 2:
             raise ParityViolation(
                 f"(n-1)*H^n + H^(n-1).K = {(self.n - 1) * self.hn + self.hk} is odd"
@@ -57,7 +54,7 @@ class PolarizedData:
 
     @classmethod
     def from_dict(cls, data: dict) -> PolarizedData:
-        return cls(int(data["n"]), int(data["Hn"]), int(data["HK"]))
+        return cls(data["n"], data["Hn"], data["HK"])
 
 
 def polarized_data_for(surface: DelPezzoSurface) -> PolarizedData:
@@ -79,8 +76,7 @@ def curve_section_genus(p: PolarizedData) -> int:
 
 def ulrich_profile(rank: int, p: PolarizedData) -> tuple[int, Fraction]:
     """(h^0, slope) = (rank * H^n, H^n + g - 1) of a rank-r Ulrich bundle."""
-    if not isinstance(rank, int) or rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    _require_int(rank, "rank must be a positive integer", lo=1)
     g = curve_section_genus(p)
     return rank * p.hn, Fraction(p.hn + g - 1)
 
@@ -107,8 +103,8 @@ def ulrich_c2(rank: int, c1_sq: int, surface: DelPezzoSurface) -> int:
     Combining chi(E(-H)) = 0 with c1.H = rank*d gives
     c2 = rank + (c1^2 - rank*d)/2; the difference must be even.
     """
-    if not isinstance(rank, int) or rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    _require_int(rank, "rank must be a positive integer", lo=1)
+    _require_int(c1_sq, "c1^2 must be an integer", TypeError)
     d = surface.degree
     if (c1_sq - rank * d) % 2:
         raise NotUlrichCompatible(

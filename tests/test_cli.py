@@ -226,9 +226,14 @@ class TestCheck:
             ('[{"rank": 2, "c1": 7, "c2": 4}]', "c1 must be divisor text"),
             ('[{"rank": 2, "c1": "(4;1,x)", "c2": 4}]', "ParseError"),
             ('[7]', "expected an object"),
+            ('[{"rank": true, "c1": "(4;1,1,1,1,0)", "c2": 4}]', "rank must be an integer"),
+            ('[{"rank": 2.0, "c1": "(4;1,1,1,1,0)", "c2": 4}]', "rank must be an integer"),
+            ('[{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": false}]', "c2 must be an integer"),
+            ('[{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": "4"}]', "c2 must be an integer"),
         ],
         ids=["missing-file", "not-json", "not-array", "missing-key", "string-rank",
-             "float-c2", "bool-c2", "numeric-c1", "bad-divisor", "not-object"],
+             "float-c2", "bool-c2", "numeric-c1", "bad-divisor", "not-object",
+             "bool-rank", "float-rank", "false-c2", "string-c2"],
     )
     def test_malformed_seed_file_is_refused(self, runner, tmp_path, monkeypatch,
                                             content, message):

@@ -42,7 +42,7 @@ class TestSurface:
         assert s.num_exceptional == 9 - d
         assert s.euler_char_structure_sheaf == 1
 
-    @pytest.mark.parametrize("bad", [2, 9, 0, -1, "4", 4.0])
+    @pytest.mark.parametrize("bad", [2, 9, 0, -1, "4", 4.0, True, 1.0, "1"])
     def test_degree_out_of_range(self, bad):
         with pytest.raises(DegreeOutOfRange):
             make_surface(bad)

@@ -1,0 +1,219 @@
+"""Polynomial identities behind the closed forms, proved symbolically.
+
+The other tests check these formulas on finitely many integer points; here
+sympy proves them as identities in all variables.  Each formula is written
+out from its docstring and first checked against the library on integer
+points, so a proof is about the code and not about a transcription of it.
+Needs sympy, which is not a dependency; the module skips without it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+from ulrich_lab import (  # noqa: E402  (after the importorskip)
+    BundleNumerics,
+    DivisorClass,
+    NumericClassData,
+    discriminant,
+    euler_char,
+    make_surface,
+    rank_by_recurrence,
+    syzygy_numerics,
+    tensor,
+    twist_by_h,
+)
+from ulrich_lab.syzygy import _closed_core  # noqa: E402
+
+d, r, k, n_prev, n_k = sp.symbols("d r k N_prev N_k")
+q, p, c2 = sp.symbols("q p c2")  # c1^2, c1.H and c2 of one bundle
+s, t, A, B, X, cf, cg = sp.symbols("s t A B X c_F c_G")
+
+
+def is_zero(expr) -> bool:
+    return sp.simplify(sp.expand(expr)) == 0
+
+
+class TestClosedCore:
+    """m_k and sum_{i<k} sign_i m_i of :func:`syzygy._closed_core`.
+
+    With sign_i = (-1)^{i+1}, m_0 = 0 and m_{i+1} = -(m_i + N_i), the core
+    uses m_k = -sign_k r - (N_k + N_{k-1})/d and
+    sum_{i<k} sign_i m_i = -k r + (r + sign_k N_{k-1})/d.
+    """
+
+    @staticmethod
+    def m(sign, prev, cur):
+        return -sign * r - (cur + prev) / d
+
+    @staticmethod
+    def signed_sum(kk, sign, prev):
+        return -kk * r + (r + sign * prev) / d
+
+    def test_forms_match_the_core(self):
+        # The two forms as written here are the ones _closed_core evaluates.
+        for dd in range(4, 9):
+            for rr in (1, 2, 3):
+                m_i, total = 0, 0
+                for kk in range(12):
+                    sign = 1 if kk % 2 else -1
+                    prev, cur = (rank_by_recurrence(dd, rr, kk - 1),
+                                 rank_by_recurrence(dd, rr, kk))
+                    values = {d: dd, r: rr}
+                    assert self.m(sign, prev, cur).subs(values) == m_i
+                    assert self.signed_sum(kk, sign, prev).subs(values) == total
+                    core_sign, core_m, *_ = _closed_core(dd, rr, 0, 0, 0, kk, prev, cur)
+                    assert (core_sign, core_m) == (sign, m_i)
+                    total += sign * m_i
+                    m_i = -(m_i + cur)
+
+    def test_base_case(self):
+        # k = 0: sign_0 = -1, N_{-1} = r, N_0 = r(d-1); m_0 = 0, empty sum.
+        assert is_zero(self.m(-1, r, r * (d - 1)))
+        assert is_zero(self.signed_sum(0, -1, r))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_induction_step(self, sign):
+        # From k to k+1 under N_{k+1} = (d-2) N_k - N_{k-1}; sign_{k+1} = -sign_k.
+        n_next = (d - 2) * n_k - n_prev
+        m_k = self.m(sign, n_prev, n_k)
+        assert is_zero(-(m_k + n_k) - self.m(-sign, n_k, n_next))
+        step = self.signed_sum(k, sign, n_prev) + sign * m_k
+        assert is_zero(step - self.signed_sum(k + 1, -sign, n_k))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_divisions_stay_exact(self, sign):
+        # The step sends N_k + N_{k-1} to d N_k - (N_k + N_{k-1}), and moves
+        # r + sign_k N_{k-1} by -sign_k (N_k + N_{k-1}).  Both numerators are
+        # multiples of d at k = 0 (r d and 0), so they stay so for every k.
+        n_next = (d - 2) * n_k - n_prev
+        assert is_zero((n_next + n_k) - (d * n_k - (n_k + n_prev)))
+        assert is_zero((r - sign * n_k) - (r + sign * n_prev) + sign * (n_k + n_prev))
+
+
+class TestTensorC2:
+    """The c2 formula of :func:`chern.tensor` from ch(F(x)G) = ch(F) ch(G)."""
+
+    @staticmethod
+    def from_chern_character():
+        # ch = (rk, c1, (c1^2 - 2 c2)/2); c1(F(x)G) = t c1(F) + s c1(G).
+        ch2_f, ch2_g = (A - 2 * cf) / 2, (B - 2 * cg) / 2
+        ch2 = s * ch2_g + X + t * ch2_f  # degree-2 part of ch(F) ch(G)
+        c1_sq = t * t * A + 2 * s * t * X + s * s * B
+        return c1_sq / 2 - ch2  # c2 = c1^2/2 - ch_2
+
+    def test_general_formula(self):
+        code = (sp.binomial(s, 2) * B + s * cg + (s * t - 1) * X
+                + t * cf + sp.binomial(t, 2) * A)
+        assert is_zero(sp.expand_func(code) - self.from_chern_character())
+
+    def test_line_bundle_formulas(self):
+        # A line bundle has c2 = 0.
+        line = self.from_chern_character().subs({t: 1, cg: 0})
+        assert is_zero(sp.expand_func(sp.binomial(s, 2) * B + (s - 1) * X + cf) - line)
+        assert is_zero(line.subs({s: 1, cf: 0}))
+
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 4)])
+    def test_matches_tensor(self, ranks):
+        rng = random.Random(7)
+        expr = self.from_chern_character()
+        for _ in range(6):
+            classes = [DivisorClass(rng.randint(-5, 5),
+                                    tuple(rng.randint(-5, 5) for _ in range(4)))
+                       for _ in range(2)]
+            c2s = [0 if rank == 1 else rng.randint(-9, 9) for rank in ranks]
+            f, g = (BundleNumerics(*data) for data in zip(ranks, classes, c2s))
+            values = {s: f.rank, t: g.rank, A: f.c1_sq, B: g.c1_sq,
+                      X: f.c1.dot(g.c1), cf: f.c2, cg: g.c2}
+            assert tensor(f, g).c2 == expr.subs(values)
+
+
+class TestDriftStep:
+    """Delta(S) - (rk^2 - 1) is the same for E and for S = M_E(H)."""
+
+    @staticmethod
+    def chi(rank, c1_sq, c1_h, second):
+        return rank + (c1_sq + c1_h) / 2 - second  # Riemann-Roch, K = -H
+
+    @staticmethod
+    def delta(rank, c1_sq, second):
+        return 2 * rank * second - (rank - 1) * c1_sq
+
+    @staticmethod
+    def twist(rank, c1_sq, c1_h, second, m):
+        # twist_by_h in the reduced data.
+        return (rank, c1_sq + 2 * rank * m * c1_h + rank * rank * m * m * d,
+                c1_h + rank * m * d,
+                sp.binomial(rank, 2) * m * m * d + (rank - 1) * m * c1_h + second)
+
+    def syzygy(self, rank, c1_sq, c1_h, second):
+        # Kernel of H^0(E) (x) O -> E with h^0 = chi(E).
+        h0 = self.chi(rank, c1_sq, c1_h, second)
+        return h0 - rank, c1_sq, -c1_h, c1_sq - second
+
+    def drift(self, rank, c1_sq, c1_h, second):
+        return self.delta(rank, c1_sq, second) - (rank * rank - 1)
+
+    def linear_form(self, rank, c1_sq, c1_h, second):
+        # chi(E(-H)) / 2, which the Ulrich conditions set to zero.
+        return self.chi(*self.twist(rank, c1_sq, c1_h, second, -1)) / 2
+
+    def test_formulas_match_the_library(self):
+        m = sp.Symbol("m")
+        rng = random.Random(11)
+        for _ in range(30):
+            dd = rng.randint(3, 8)
+            surface = make_surface(dd)
+            rank = rng.randint(1, 5)
+            c1_sq = rng.randint(-30, 30)
+            data = NumericClassData(rank, c1_sq, rng.randint(-30, 30) * 2 + c1_sq % 2,
+                                    rng.randint(-30, 30))
+            point = {q: data.c1_sq, p: data.c1_dot_h, c2: data.c2, r: rank, d: dd}
+            mm = rng.randint(-3, 3)
+            twisted = twist_by_h(data, mm, surface)
+            formula = self.twist(r, q, p, c2, m)
+            assert [sp.expand_func(x).subs({**point, m: mm}) for x in formula] == [
+                twisted.rank, twisted.c1_sq, twisted.c1_dot_h, twisted.c2]
+            assert self.chi(r, q, p, c2).subs(point) == euler_char(data, surface)
+            assert self.delta(r, q, c2).subs(point) == discriminant(data)
+            h0 = euler_char(data, surface)
+            if h0 > rank:
+                kernel = syzygy_numerics(data, h0)
+                assert [x.subs(point) for x in self.syzygy(r, q, p, c2)] == [
+                    kernel.rank, kernel.c1_sq, kernel.c1_dot_h, kernel.c2]
+
+    def test_step_factors_through_chi(self):
+        # Delta(M) - (N^2-1) - (Delta(E) - (r^2-1)) = 2 chi(E) * lambda(E).
+        jump = sp.expand(self.drift(*self.syzygy(r, q, p, c2)) - self.drift(r, q, p, c2))
+        chi = self.chi(r, q, p, c2)
+        form = sp.expand(sp.expand_func(self.linear_form(r, q, p, c2)))
+        assert sp.Poly(form, r, q, p, c2).total_degree() == 1
+        assert is_zero(jump - 2 * chi * form)
+        factors = [f for f, _ in sp.factor_list(jump)[1]]
+        assert any(is_zero(f - 2 * chi) or is_zero(f + 2 * chi) for f in factors)
+
+    def test_form_vanishes_on_ulrich_data(self):
+        # Ulrich: c1.H = r d and c2 = r + (c1^2 - r d)/2.
+        ulrich = {p: r * d, c2: r + (q - r * d) / 2}
+        assert is_zero(sp.expand_func(self.linear_form(r, q, p, c2)).subs(ulrich))
+
+    def test_form_is_kept_by_syzygy_and_twist(self):
+        # lambda(M_E(H)) = chi(M_E)/2 = (h^0 - chi(E))/2 = 0 for any E.
+        step = self.twist(*self.syzygy(r, q, p, c2), 1)
+        assert is_zero(sp.expand_func(self.linear_form(*step)))
+
+    def test_twist_keeps_delta(self):
+        m = sp.Symbol("m")
+        rank, c1_sq, _, second = self.twist(r, q, p, c2, m)
+        assert is_zero(sp.expand_func(self.delta(rank, c1_sq, second) - self.delta(r, q, c2)))
+
+    def test_drift_is_constant_along_the_iteration(self):
+        # The three facts above, chained: on data where lambda = 0, one
+        # syzygy-and-twist step keeps the drift and lands where lambda = 0.
+        ulrich = {p: r * d, c2: r + (q - r * d) / 2}
+        step = self.twist(*self.syzygy(r, q, p, c2), 1)
+        assert is_zero(sp.expand_func(self.drift(*step) - self.drift(r, q, p, c2)).subs(ulrich))

@@ -231,7 +231,7 @@ class TestIteration:
     def test_entry_lookup(self):
         trace = iterate_syzygy(NumericClassData(2, 12, 8, 4), S4, 3)
         assert [trace.entry(k).k for k in range(-1, 4)] == list(range(-1, 4))
-        for missing in (-2, 4, 100):
+        for missing in (-2, 4, 100, True, False, 1.0):
             with pytest.raises(KeyError):
                 trace.entry(missing)
 

@@ -49,6 +49,20 @@ class TestPolarizedData:
         with pytest.raises(ParityViolation):
             PolarizedData(2, 5, 0)
 
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            ({"n": 2.9, "Hn": 5, "HK": -5}, ValueError),
+            ({"n": 2, "Hn": "5", "HK": -5}, ValueError),
+            ({"n": 2, "Hn": 4.0, "HK": -4}, ValueError),
+            ({"n": 2, "Hn": 4, "HK": "-4"}, TypeError),
+        ],
+        ids=["float-n", "string-hn", "float-hn", "string-hk"],
+    )
+    def test_from_dict_does_not_coerce(self, data, error):
+        with pytest.raises(error):
+            PolarizedData.from_dict(data)
+
     @pytest.mark.parametrize("d", range(3, 9))
     def test_del_pezzo_data(self, d):
         assert polarized_data_for(make_surface(d)) == PolarizedData(2, d, -d)
@@ -110,6 +124,11 @@ class TestUlrichC2:
         assert ulrich_c2(2, 8, S3) == 3
         assert ulrich_c2(1, 2, S4) == 0
         assert ulrich_c2(3, 27, S3) == 12
+
+    def test_float_c1_sq_refused(self):
+        # 16.0 - 10 is even, so only the type guard stops a float c2.
+        with pytest.raises(TypeError):
+            ulrich_c2(2, 16.0, make_surface(5))
 
     def test_parity_guard(self):
         with pytest.raises(NotUlrichCompatible):
