@@ -36,7 +36,7 @@ from math import comb
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
-from .picard import DelPezzoSurface, DivisorClass, _is_int, format_divisor, parse_divisor
+from .picard import DelPezzoSurface, DivisorClass, _combine, _is_int, format_divisor, parse_divisor
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,10 @@ def reduce_numerics(f: BundleNumerics) -> NumericClassData:
 
 def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     """Twist by the line bundle with first Chern class ``line``."""
-    if f.c1.num_exceptional != line.num_exceptional:
+    if len(f.c1.b) != len(line.b):
         raise LatticeMismatch("twist class lives on a different lattice")
     s = f.rank
-    c1 = f.c1 + s * line
+    c1 = _combine(1, f.c1, s, line)
     c2 = comb(s, 2) * line.self_intersection + (s - 1) * f.c1.dot(line) + f.c2
     return BundleNumerics(s, c1, c2)
 
@@ -134,24 +134,25 @@ def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
 
 def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
     """Numerics of the tensor product F (x) G."""
-    if f.c1.num_exceptional != g.c1.num_exceptional:
+    fc, gc = f.c1, g.c1
+    if len(fc.b) != len(gc.b):
         raise LatticeMismatch("tensor factors live on different lattices")
     s, t = f.rank, g.rank
-    c1 = t * f.c1 + s * g.c1
-    cross = f.c1.dot(g.c1)
+    c1 = _combine(t, fc, s, gc)
+    cross = fc.dot(gc)
     if s == 1 and t == 1:
         c2 = 0
     elif t == 1:
-        c2 = comb(s, 2) * g.c1_sq + (s - 1) * cross + f.c2
+        c2 = comb(s, 2) * gc.self_intersection + (s - 1) * cross + f.c2
     elif s == 1:
-        c2 = comb(t, 2) * f.c1_sq + (t - 1) * cross + g.c2
+        c2 = comb(t, 2) * fc.self_intersection + (t - 1) * cross + g.c2
     else:
         c2 = (
-            comb(s, 2) * g.c1_sq
+            comb(s, 2) * gc.self_intersection
             + s * g.c2
             + (s * t - 1) * cross
             + t * f.c2
-            + comb(t, 2) * f.c1_sq
+            + comb(t, 2) * fc.self_intersection
         )
     return BundleNumerics(s * t, c1, c2)
 
@@ -186,8 +187,12 @@ def dual(f: AnyNumerics) -> AnyNumerics:
 def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
     """Riemann-Roch: chi(F) = rank + (c1^2 + c1.H)/2 - c2."""
     if isinstance(f, BundleNumerics):
-        surface.require(f.c1)
-    numerator = f.c1_sq + f.c1_dot_h
+        c1 = f.c1
+        if len(c1.b) != surface.num_exceptional:
+            surface.require(c1)  # raises, naming both lattices
+        numerator = c1.self_intersection + c1.degree
+    else:
+        numerator = f.c1_sq + f.c1_dot_h
     if numerator % 2:
         raise ParityViolation(
             f"c1^2 + c1.H = {numerator} is odd; not realizable on a surface lattice"

@@ -19,6 +19,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import click
@@ -97,12 +98,12 @@ def _extrapolation_notes(d: int) -> list[str]:
 
 
 def cmd_sequence(d: int, r: int, k_max: int) -> CommandOutput:
-    rows = []
-    for k in range(k_max + 1):
-        by_rec = syzygy.rank_by_recurrence(d, r, k)
-        by_closed = syzygy.rank_closed_form(d, r, k)
-        rows.append({"k": k, "recurrence": by_rec, "closed_form": by_closed,
-                     "match": by_rec == by_closed})
+    # The closed forms are computed first, so their guards refuse a bad d or r
+    # before the recurrence runs; the recurrence is then walked once for all rows.
+    closed = [syzygy.rank_closed_form(d, r, k) for k in range(k_max + 1)]
+    by_recurrence = islice(syzygy._recurrence_ranks(d, r), 1, None)  # N_0, N_1, ...
+    rows = [{"k": k, "recurrence": by_rec, "closed_form": by_closed, "match": by_rec == by_closed}
+            for k, (by_closed, by_rec) in enumerate(zip(closed, by_recurrence))]
     payload = {"d": d, "r": r, "extrapolated": d == 8, "rows": rows}
     return CommandOutput(payload, ["k", "recurrence", "closed_form", "match"], rows,
                          _extrapolation_notes(d), all(row["match"] for row in rows))

@@ -195,8 +195,13 @@ def decomposition_to_dict(target: DivisorClass, r: int,
     }
 
 
+@cache
 def kernel_bundle_of_cubic(t: DivisorClass) -> BundleNumerics:
-    """Numerics (2, -T, 1) of the kernel of evaluation on O(T)."""
+    """Numerics (2, -T, 1) of the kernel of evaluation on O(T).
+
+    Memoised: only the 72 twisted cubics get an entry, since any other
+    class raises (and exceptions are not cached).
+    """
     if not is_twisted_cubic(t):
         raise NotUlrich(f"{t} is not a twisted cubic class")
     line = BundleNumerics(1, t, 0)

@@ -17,11 +17,18 @@ structure.
 
 All arithmetic uses Python integers, which never overflow, so large
 coordinates are exact and safe.
+
+Every coordinate is an ``int`` (never a ``bool``): the constructor checks
+each one.  Sums, differences, negatives and integer multiples of classes
+are formed by int arithmetic on coordinates that were already checked,
+so they are ints again; those results are built by ``_trusted``, which
+skips the check.  Nothing outside this module calls ``_trusted``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import BadPermutation, DegreeOutOfRange, LatticeMismatch, ParseError
@@ -54,11 +61,14 @@ class DivisorClass:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
+        b = self.b
+        if type(b) is not tuple:
+            b = tuple(b)
+            object.__setattr__(self, "b", b)
         # Plain ints skip the helper call: this constructor is on every hot path.
         if type(self.a) is not int and not _is_int(self.a):
             raise TypeError(f"coordinate a must be an integer, got {self.a!r}")
-        for entry in self.b:
+        for entry in b:
             if type(entry) is not int and not _is_int(entry):
                 raise TypeError(f"coordinate {entry!r} is not an integer")
 
@@ -72,16 +82,17 @@ class DivisorClass:
 
     def dot(self, other: DivisorClass) -> int:
         """Intersection number a*a' - sum(b_i*b_i')."""
-        if self.num_exceptional != other.num_exceptional:
+        b, other_b = self.b, other.b
+        if len(b) != len(other_b):
             raise LatticeMismatch(
-                f"classes have {self.num_exceptional} and "
-                f"{other.num_exceptional} exceptional coordinates"
+                f"classes have {len(b)} and {len(other_b)} exceptional coordinates"
             )
-        return self.a * other.a - sum(x * y for x, y in zip(self.b, other.b))
+        return self.a * other.a - sum(map(mul, b, other_b))
 
     @property
     def self_intersection(self) -> int:
-        return self.dot(self)
+        b = self.b
+        return self.a * self.a - sum(map(mul, b, b))
 
     @property
     def degree(self) -> int:
@@ -91,27 +102,46 @@ class DivisorClass:
     def __add__(self, other: DivisorClass) -> DivisorClass:
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        if self.num_exceptional != other.num_exceptional:
+        if len(self.b) != len(other.b):
             raise LatticeMismatch("cannot add classes from different lattices")
-        return DivisorClass(self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b)))
+        return _trusted(self.a + other.a, tuple(map(add, self.b, other.b)))
 
     def __sub__(self, other: DivisorClass) -> DivisorClass:
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return self + (-other)
+        if len(self.b) != len(other.b):
+            raise LatticeMismatch("cannot subtract classes from different lattices")
+        return _trusted(self.a - other.a, tuple(map(sub, self.b, other.b)))
 
     def __neg__(self) -> DivisorClass:
-        return DivisorClass(-self.a, tuple(-x for x in self.b))
+        return _trusted(-self.a, tuple(map(neg, self.b)))
 
     def __mul__(self, scalar: int) -> DivisorClass:
-        if not isinstance(scalar, int):
+        if type(scalar) is not int and not _is_int(scalar):
             return NotImplemented
-        return DivisorClass(scalar * self.a, tuple(scalar * x for x in self.b))
+        return _trusted(scalar * self.a, tuple(map(scalar.__mul__, self.b)))
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
         return format_divisor(self)
+
+
+def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:
+    """``DivisorClass(a, b)`` without the coordinate checks.
+
+    Only for int results of arithmetic on checked coordinates; see the
+    module docstring.
+    """
+    x = object.__new__(DivisorClass)
+    object.__setattr__(x, "a", a)
+    object.__setattr__(x, "b", b)
+    return x
+
+
+def _combine(m: int, x: DivisorClass, n: int, y: DivisorClass) -> DivisorClass:
+    """m*x + n*y in one pass, for ints m, n and classes on one lattice."""
+    return _trusted(m * x.a + n * y.a, tuple(map(add, map(m.__mul__, x.b), map(n.__mul__, y.b))))
 
 
 @dataclass(frozen=True)

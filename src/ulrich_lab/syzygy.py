@@ -55,6 +55,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from . import ulrich
 from .chern import (
@@ -90,8 +92,11 @@ class QuadraticNumber:
     radicand: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, Fraction)):
+                raise TypeError(f"coefficient {name} must be an int or a Fraction, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         _require_int(self.radicand, "radicand must be a positive integer", lo=1)
 
     def _coerce(self, other) -> QuadraticNumber | None:
@@ -99,7 +104,7 @@ class QuadraticNumber:
             if other.radicand != self.radicand:
                 raise ValueError("mixed radicands")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_int(other) or isinstance(other, Fraction):
             return QuadraticNumber(Fraction(other), Fraction(0), self.radicand)
         return None
 
@@ -157,7 +162,7 @@ class QuadraticNumber:
         return self * rhs.inverse()
 
     def __pow__(self, exponent: int) -> QuadraticNumber:
-        if not isinstance(exponent, int):
+        if not _is_int(exponent):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
         e = abs(exponent)
@@ -206,11 +211,18 @@ def rank_by_recurrence(d: int, r: int, k: int) -> int:
     return r if k == -1 else _recurrence_pair(d, r, k)[1]
 
 
+def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
+    """N_{-1}, N_0, N_1, ... without end, from the three-term recurrence."""
+    prev, cur = r, r * (d - 1)
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, (d - 2) * cur - prev
+
+
 def _recurrence_pair(d: int, r: int, k: int) -> tuple[int, int]:
     """(N_{k-1}, N_k), k >= 0, from one pass of the three-term recurrence."""
-    prev, cur = r, r * (d - 1)
-    for _ in range(k):
-        prev, cur = cur, (d - 2) * cur - prev
+    prev, cur = islice(_recurrence_ranks(d, r), k, k + 2)
     return prev, cur
 
 

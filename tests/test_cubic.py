@@ -26,11 +26,13 @@ from ulrich_lab import (
     expected_moduli_dim,
     is_twisted_cubic,
     kernel_bundle_of_cubic,
+    syzygy_numerics,
     twist_partner,
     twisted_cubic_representative,
     twisted_cubics,
     ulrich_c2,
 )
+from ulrich_lab import checks, cubic
 
 T_A = twisted_cubic_representative("A")
 T_B = twisted_cubic_representative("B")
@@ -127,8 +129,31 @@ class TestKernelBundle:
             assert kernel_bundle_of_cubic(t) == BundleNumerics(2, -t, 1)
 
     def test_rejects_non_cubic(self):
-        with pytest.raises(NotUlrich):
-            kernel_bundle_of_cubic(CUBIC_SURFACE.anticanonical_class)
+        # Twice: the memo must not turn a refusal into a cached value.
+        for _ in range(2):
+            with pytest.raises(NotUlrich):
+                kernel_bundle_of_cubic(CUBIC_SURFACE.anticanonical_class)
+
+    def test_each_cubic_is_computed_once(self, monkeypatch):
+        computed = []
+
+        def counting(f, h0):
+            computed.append(f.c1)
+            return syzygy_numerics(f, h0)
+
+        monkeypatch.setattr(cubic, "syzygy_numerics", counting)
+        kernel_bundle_of_cubic.cache_clear()
+        try:
+            assert checks.check_cubic_chi_oracle().passed
+            assert len(computed) == len(set(computed)) == 72
+        finally:
+            kernel_bundle_of_cubic.cache_clear()
+
+    def test_memoised_values_are_fresh_values(self):
+        for t in twisted_cubics():
+            # h^0(O(T)) = chi(O(T)) = 1 + (T.T + T.H)/2 = 3.
+            expected = syzygy_numerics(BundleNumerics(1, t.divisor, 0), 3)
+            assert kernel_bundle_of_cubic(t.divisor) == expected == BundleNumerics(2, -t.divisor, 1)
 
 
 class TestDecompositions:

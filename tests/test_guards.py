@@ -13,6 +13,7 @@ from ulrich_lab import (
     CUBIC_SURFACE,
     BundleNumerics,
     DegreeOutOfRange,
+    DivisorClass,
     NumericClassData,
     OutOfTheoremScope,
     PolarizedData,
@@ -50,6 +51,8 @@ ROWS = [
     ("ulrich_c2-rank", lambda v: ulrich_c2(v, 16, S5), ValueError, False),
     ("ulrich_c2-c1_sq", lambda v: ulrich_c2(2, v, S5), TypeError, True),
     ("QuadraticNumber-radicand", lambda v: QuadraticNumber(1, 1, v), ValueError, False),
+    ("QuadraticNumber-a", lambda v: QuadraticNumber(v, 1, 5), TypeError, True),
+    ("QuadraticNumber-b", lambda v: QuadraticNumber(1, v, 5), TypeError, True),
     ("alpha_pair-d", alpha_pair, DegreeOutOfRange, False),
     ("rank_by_recurrence-d", lambda v: rank_by_recurrence(v, 2, 3), DegreeOutOfRange, False),
     ("rank_by_recurrence-r", lambda v: rank_by_recurrence(5, v, 3), ValueError, False),
@@ -86,3 +89,25 @@ def test_non_integer_is_refused(call, value, error):
         call(value)
     # The guard itself raised, naming the rejected value.
     assert str(info.value).endswith(f", got {value!r}")
+
+
+# A bool operand is refused by the operator itself, so Python raises TypeError.
+ROOT = QuadraticNumber(1, 1, 5)
+BOOL_OPERANDS = [
+    ("class*bool", lambda: DivisorClass(1, (2,)) * True),
+    ("bool*class", lambda: False * DivisorClass(1, (2,))),
+    ("number**bool", lambda: ROOT ** True),
+    ("number+bool", lambda: ROOT + True),
+    ("bool+number", lambda: True + ROOT),
+    ("number-bool", lambda: ROOT - True),
+    ("bool-number", lambda: True - ROOT),
+    ("number*bool", lambda: ROOT * False),
+    ("bool*number", lambda: True * ROOT),
+    ("number/bool", lambda: ROOT / True),
+]
+
+
+@pytest.mark.parametrize("operation", [pytest.param(op, id=name) for name, op in BOOL_OPERANDS])
+def test_bool_operand_is_refused(operation):
+    with pytest.raises(TypeError):
+        operation()

@@ -118,6 +118,64 @@ class TestIntersection:
         assert (m * x).dot(y) == m * x.dot(y)
 
 
+# Coordinates well past 2**64: the lattice arithmetic must stay exact.
+BIG = 2**80
+
+
+def _reference_dot(x: tuple[int, list[int]], y: tuple[int, list[int]]) -> int:
+    (a, b), (a2, b2) = x, y
+    total = a * a2
+    for i in range(len(b)):
+        total -= b[i] * b2[i]
+    return total
+
+
+@st.composite
+def coordinate_pairs(draw):
+    t = draw(st.integers(min_value=1, max_value=6))
+    coordinate = st.integers(min_value=-BIG, max_value=BIG)
+    vector = st.tuples(coordinate, st.lists(coordinate, min_size=t, max_size=t))
+    return draw(vector), draw(vector)
+
+
+class TestAgainstReference:
+    @given(coordinate_pairs(), st.integers(min_value=-BIG, max_value=BIG))
+    @settings(max_examples=300)
+    def test_operations(self, pair, m):
+        (a, b), (a2, b2) = pair
+        x, y = DivisorClass(a, b), DivisorClass(a2, b2)
+        assert x.dot(y) == _reference_dot((a, b), (a2, b2))
+        assert x.self_intersection == _reference_dot((a, b), (a, b))
+        assert x.degree == _reference_dot((a, b), (3, [1] * len(b)))
+        expected = {
+            "sum": (a + a2, [p + q for p, q in zip(b, b2)]),
+            "difference": (a - a2, [p - q for p, q in zip(b, b2)]),
+            "negative": (-a, [-p for p in b]),
+            "left multiple": (m * a, [m * p for p in b]),
+            "right multiple": (m * a, [m * p for p in b]),
+        }
+        results = {"sum": x + y, "difference": x - y, "negative": -x,
+                   "left multiple": m * x, "right multiple": x * m}
+        for name, result in results.items():
+            ea, eb = expected[name]
+            assert (result.a, list(result.b)) == (ea, eb), name
+            assert type(result.b) is tuple, name
+            assert all(type(v) is int for v in (result.a, *result.b)), name
+            assert result == DivisorClass(ea, eb), name
+            assert hash(result) == hash(DivisorClass(ea, eb)), name
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=-BIG, max_value=BIG))
+    def test_unequal_lengths_are_refused(self, t, u, a):
+        if t == u:
+            u = t % 6 + 1
+        x, y = DivisorClass(a, (a,) * t), DivisorClass(a, (1,) * u)
+        for operation in (x.dot, x.__add__, x.__sub__, y.dot, y.__add__, y.__sub__):
+            other = y if operation.__self__ is x else x
+            with pytest.raises(LatticeMismatch):
+                operation(other)
+
+
 class TestPermutations:
     def test_swap_on_cubic(self):
         t_b = DivisorClass(2, (1, 1, 1, 0, 0, 0))

@@ -57,6 +57,7 @@ class TestQuadraticNumber:
         assert -x == q(-1, -2, 5)
         assert x + 2 == q(3, 2, 5)
         assert 3 * x == q(3, 6, 5)
+        assert x * Fraction(1, 2) == q(Fraction(1, 2), 1, 5)
 
     def test_division_and_powers(self):
         x = q(1, 1, 2)
