@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from . import chern, cubic, picard, syzygy, tables, ulrich
@@ -90,9 +91,8 @@ def load_seed_file(path: str) -> list[Seed]:
 
 
 def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
-    return DivisorClass(
-        rng.randint(-span, span), tuple(rng.randint(-span, span) for _ in range(t))
-    )
+    a, *b = rng.choices(range(-span, span + 1), k=t + 1)
+    return DivisorClass(a, tuple(b))
 
 
 def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
@@ -233,8 +233,8 @@ def check_rank_triangle() -> CheckResult:
             c1_sq = r * r * d
             seed = NumericClassData(r, c1_sq, r * d, ulrich.ulrich_c2(r, c1_sq, surface))
             trace = syzygy.iterate_syzygy(seed, surface, 50)
-            for k in range(-1, 51):
-                by_rec = syzygy.rank_by_recurrence(d, r, k)
+            by_recurrence = islice(syzygy._recurrence_ranks(d, r), 52)  # N_-1 .. N_50
+            for k, by_rec in enumerate(by_recurrence, start=-1):
                 by_closed = syzygy.rank_closed_form(d, r, k)
                 by_iter = trace.entry(k).rank
                 if not by_rec == by_closed == by_iter:
@@ -251,7 +251,7 @@ def check_rank_triangle() -> CheckResult:
 def check_rank_monotone() -> CheckResult:
     for d in range(4, 9):
         for r in range(1, 6):
-            values = [syzygy.rank_by_recurrence(d, r, k) for k in range(-1, 40)]
+            values = list(islice(syzygy._recurrence_ranks(d, r), 41))  # N_-1 .. N_39
             if any(b <= a for a, b in zip(values, values[1:])):
                 return CheckResult("syzygy.rank-monotone", False, f"d={d} r={r}")
     return CheckResult("syzygy.rank-monotone", True, "strictly increasing, d=4..8, r=1..5, k<=39")
@@ -469,11 +469,7 @@ def check_moduli_table() -> CheckResult:
     return CheckResult("ulrich.moduli-table", True, f"all {len(records)} rows recomputed")
 
 
-def run_all_checks(
-    extra_seeds: Iterable[Seed] = (),
-    cases: int = DEFAULT_CASES,
-    rng_seed: int = DEFAULT_RNG_SEED,
-) -> list[CheckResult]:
+def run_all_checks(extra_seeds: Iterable[Seed] = ()) -> list[CheckResult]:
     """Run every invariant check; extra seeds join the seed-driven ones.
 
     A check that raises (for example on a user seed that is not an
@@ -481,7 +477,7 @@ def run_all_checks(
     rest of the suite.
     """
     seeds = default_seeds() + list(extra_seeds)
-    rng = random.Random(rng_seed)
+    rng, cases = random.Random(DEFAULT_RNG_SEED), DEFAULT_CASES
     plan: list[tuple[str, Callable[[], CheckResult]]] = [
         ("picard.signature", check_picard_signature),
         ("picard.bilinearity", lambda: check_picard_bilinearity(rng, cases)),

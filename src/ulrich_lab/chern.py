@@ -121,6 +121,8 @@ def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
 
 def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
     """Twist by m copies of the hyperplane class, in either resolution."""
+    if type(m) is not int and not _is_int(m):
+        raise TypeError(f"twist multiple m must be an integer, got {m!r}")
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)
         return tensor_line(f, m * surface.anticanonical_class)

@@ -6,10 +6,12 @@ diffs against the embedded golden rows.  Output is deterministic byte
 for byte for a fixed invocation; the exit code is 0 exactly when every
 emitted check passed.
 
-Formats: ``markdown`` (default), ``csv``, ``json``.  ``--out PATH``
-writes to a file instead of stdout.  The ``check`` subcommand honors the
-``ULRICH_LAB_SEED_FILE`` environment variable, a JSON array of bundle
-numerics objects to add to the seed-driven property checks.
+Each subcommand is one ``cmd_*`` function, declared by ``@_subcommand``
+with its click parameters and with its docstring as help text.  The
+decorator adds ``--format`` (``markdown``, ``csv`` or ``json``) and
+``--out PATH``, which writes to a file instead of stdout.  The ``check``
+subcommand honors the ``ULRICH_LAB_SEED_FILE`` environment variable, a
+JSON array of bundle numerics objects to add to the seed-driven checks.
 """
 
 from __future__ import annotations
@@ -71,23 +73,44 @@ def _render(out: CommandOutput, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(fmt: str, path: str | None, command: Callable[..., CommandOutput], *args) -> None:
-    """Run ``command(*args)`` and write its output; library errors become click errors."""
-    try:
-        out = command(*args)
-    except UlrichLabError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-    text = _render(out, fmt)
-    if path is None:
-        click.echo(text, nl=False)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise click.ClickException(f"cannot write {path}: {exc.strerror}") from exc
-    if not out.ok:
-        raise SystemExit(1)
+@click.group()
+def main() -> None:
+    """Exact Ulrich-bundle and syzygy-bundle numerics on del Pezzo surfaces."""
+
+
+def _subcommand(name: str, *params: click.Parameter):
+    """Register the decorated ``cmd_*`` function as subcommand NAME of :func:`main`.
+
+    Library errors become click errors; a failed check exits with status 1.
+    """
+    def register(command: Callable[..., CommandOutput]) -> Callable[..., CommandOutput]:
+        def callback(output_format: str, output_path: str | None, **arguments) -> None:
+            try:
+                out = command(**arguments)
+            except UlrichLabError as exc:
+                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+            text = _render(out, output_format)
+            if output_path is None:
+                click.echo(text, nl=False)
+            else:
+                try:
+                    with open(output_path, "w", encoding="utf-8") as handle:
+                        handle.write(text)
+                except OSError as exc:
+                    raise click.ClickException(
+                        f"cannot write {output_path}: {exc.strerror}") from exc
+            if not out.ok:
+                raise SystemExit(1)
+
+        main.command(name, help=command.__doc__, params=[
+            *params,
+            click.Option(["--out", "output_path"], type=click.Path(dir_okay=False),
+                         default=None, help="Write output to a file instead of stdout."),
+            click.Option(["--format", "output_format"], type=click.Choice(FORMATS),
+                         default="markdown", show_default=True, help="Output format."),
+        ])(callback)
+        return command
+    return register
 
 
 def _extrapolation_notes(d: int) -> list[str]:
@@ -97,7 +120,16 @@ def _extrapolation_notes(d: int) -> list[str]:
     return []
 
 
+@_subcommand(
+    "sequence",
+    click.Option(["--d"], type=click.IntRange(4, 8), required=True,
+                 help="Surface degree (closed rank form needs d >= 4)."),
+    click.Option(["--r"], type=click.IntRange(1, None), default=2, show_default=True,
+                 help="Seed rank."),
+    click.Option(["--k-max"], type=click.IntRange(0, MAX_K), default=10, show_default=True),
+)
 def cmd_sequence(d: int, r: int, k_max: int) -> CommandOutput:
+    """Syzygy ranks N_k by recurrence and by closed form, with a diff."""
     # The closed forms are computed first, so their guards refuse a bad d or r
     # before the recurrence runs; the recurrence is then walked once for all rows.
     closed = [syzygy.rank_closed_form(d, r, k) for k in range(k_max + 1)]
@@ -109,7 +141,18 @@ def cmd_sequence(d: int, r: int, k_max: int) -> CommandOutput:
                          _extrapolation_notes(d), all(row["match"] for row in rows))
 
 
+@_subcommand(
+    "syzygy",
+    click.Option(["--d"], type=click.IntRange(3, 8), required=True, help="Surface degree."),
+    click.Option(["--r"], type=click.IntRange(1, None), default=2, show_default=True,
+                 help="Seed rank."),
+    click.Option(["--c1-sq"], type=int, required=True, help="c1^2 of the seed."),
+    click.Option(["--c2"], type=int, default=None,
+                 help="c2 of the seed; defaults to the unique Ulrich-compatible value."),
+    click.Option(["--k-max"], type=click.IntRange(-1, MAX_K), default=5, show_default=True),
+)
 def cmd_syzygy(d: int, r: int, c1_sq: int, c2: int | None, k_max: int) -> CommandOutput:
+    """Trace of the syzygy-and-twist iteration from an Ulrich seed."""
     surface = make_surface(d)
     if c2 is None:
         c2 = ulrich.ulrich_c2(r, c1_sq, surface)
@@ -125,16 +168,22 @@ def _table(rows: list[dict], headers: list[str]) -> CommandOutput:
     return CommandOutput({"rows": rows, "all_match": ok}, headers, rows, [], ok)
 
 
+@_subcommand("table-moduli")
 def cmd_table_moduli() -> CommandOutput:
+    """Rank-2 moduli-dimension table on degrees 4..7, recomputed and diffed."""
     return _table(checks.moduli_table_rows(), ["d", "c1_sq", "c2", "dim", "match"])
 
 
+@_subcommand("table-pairs")
 def cmd_table_pairs() -> CommandOutput:
+    """Cubic-surface pair table: rank-2 seeds, rank-4 partners, twist checks."""
     return _table(checks.cubic_pair_rows(),
                   ["parts", "seed_c1", "seed_c2", "partner_c2", "dim", "twists", "match"])
 
 
+@_subcommand("cubics")
 def cmd_cubics() -> CommandOutput:
+    """List the 72 twisted cubic classes with their orbit tags."""
     cubics = cubic.twisted_cubics()
     rows = [{"type": t.type_tag, "class": str(t.divisor)} for t in cubics]
     payload = {"count": len(cubics), "classes": rows}
@@ -142,15 +191,26 @@ def cmd_cubics() -> CommandOutput:
                          len(cubics) == 72)
 
 
-def cmd_decompose(target_text: str, r: int, unordered: bool) -> CommandOutput:
-    target = parse_divisor(target_text, cubic.CUBIC_SURFACE)
-    decs = cubic.decompose_stable_sum(target, r, unordered=unordered)
-    payload = cubic.decomposition_to_dict(target, r, decs)
+@_subcommand(
+    "decompose",
+    click.Argument(["target"]),
+    click.Option(["--r"], type=click.IntRange(2, 6), default=2, show_default=True,
+                 help="Number of twisted cubic parts."),
+    click.Option(["--unordered"], is_flag=True,
+                 help="Collapse to one representative ordering per multiset."),
+)
+def cmd_decompose(target: str, r: int, unordered: bool) -> CommandOutput:
+    """Stable-sum decompositions of TARGET, e.g. \"(4;2,1,1,1,1,0)\"."""
+    divisor = parse_divisor(target, cubic.CUBIC_SURFACE)
+    decs = cubic.decompose_stable_sum(divisor, r, unordered=unordered)
+    payload = cubic.decomposition_to_dict(divisor, r, decs)
     rows = [[i, ", ".join(parts)] for i, parts in enumerate(payload["tuples"])]
     return CommandOutput(payload, ["index", "parts"], rows, [f"count: {len(decs)}"], True)
 
 
+@_subcommand("check")
 def cmd_check() -> CommandOutput:
+    """Run every module invariant and report one pass/fail line each."""
     extra = []
     seed_path = os.environ.get(SEED_FILE_ENV)
     if seed_path:
@@ -168,88 +228,6 @@ def cmd_check() -> CommandOutput:
         "extra_seeds": len(extra),
     }
     return CommandOutput(payload, ["check", "status", "detail"], rows, [], ok)
-
-
-def _format_options(fn):
-    fn = click.option("--format", "output_format", type=click.Choice(FORMATS),
-                      default="markdown", show_default=True,
-                      help="Output format.")(fn)
-    fn = click.option("--out", "output_path", type=click.Path(dir_okay=False),
-                      default=None, help="Write output to a file instead of stdout.")(fn)
-    return fn
-
-
-@click.group()
-def main() -> None:
-    """Exact Ulrich-bundle and syzygy-bundle numerics on del Pezzo surfaces."""
-
-
-@main.command("sequence")
-@click.option("--d", type=click.IntRange(4, 8), required=True,
-              help="Surface degree (closed rank form needs d >= 4).")
-@click.option("--r", type=click.IntRange(1, None), default=2, show_default=True,
-              help="Seed rank.")
-@click.option("--k-max", type=click.IntRange(0, MAX_K), default=10, show_default=True)
-@_format_options
-def sequence_command(d: int, r: int, k_max: int, output_format: str, output_path: str | None) -> None:
-    """Syzygy ranks N_k by recurrence and by closed form, with a diff."""
-    _emit(output_format, output_path, cmd_sequence, d, r, k_max)
-
-
-@main.command("syzygy")
-@click.option("--d", type=click.IntRange(3, 8), required=True, help="Surface degree.")
-@click.option("--r", type=click.IntRange(1, None), default=2, show_default=True,
-              help="Seed rank.")
-@click.option("--c1-sq", type=int, required=True, help="c1^2 of the seed.")
-@click.option("--c2", type=int, default=None,
-              help="c2 of the seed; defaults to the unique Ulrich-compatible value.")
-@click.option("--k-max", type=click.IntRange(-1, MAX_K), default=5, show_default=True)
-@_format_options
-def syzygy_command(d: int, r: int, c1_sq: int, c2: int | None, k_max: int,
-                   output_format: str, output_path: str | None) -> None:
-    """Trace of the syzygy-and-twist iteration from an Ulrich seed."""
-    _emit(output_format, output_path, cmd_syzygy, d, r, c1_sq, c2, k_max)
-
-
-@main.command("table-moduli")
-@_format_options
-def table_moduli_command(output_format: str, output_path: str | None) -> None:
-    """Rank-2 moduli-dimension table on degrees 4..7, recomputed and diffed."""
-    _emit(output_format, output_path, cmd_table_moduli)
-
-
-@main.command("table-pairs")
-@_format_options
-def table_pairs_command(output_format: str, output_path: str | None) -> None:
-    """Cubic-surface pair table: rank-2 seeds, rank-4 partners, twist checks."""
-    _emit(output_format, output_path, cmd_table_pairs)
-
-
-@main.command("cubics")
-@_format_options
-def cubics_command(output_format: str, output_path: str | None) -> None:
-    """List the 72 twisted cubic classes with their orbit tags."""
-    _emit(output_format, output_path, cmd_cubics)
-
-
-@main.command("decompose")
-@click.argument("target")
-@click.option("--r", type=click.IntRange(2, 6), default=2, show_default=True,
-              help="Number of twisted cubic parts.")
-@click.option("--unordered", is_flag=True,
-              help="Collapse to one representative ordering per multiset.")
-@_format_options
-def decompose_command(target: str, r: int, unordered: bool,
-                      output_format: str, output_path: str | None) -> None:
-    """Stable-sum decompositions of TARGET, e.g. \"(4;2,1,1,1,1,0)\"."""
-    _emit(output_format, output_path, cmd_decompose, target, r, unordered)
-
-
-@main.command("check")
-@_format_options
-def check_command(output_format: str, output_path: str | None) -> None:
-    """Run every module invariant and report one pass/fail line each."""
-    _emit(output_format, output_path, cmd_check)
 
 
 if __name__ == "__main__":

@@ -216,6 +216,9 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
     _require_int(j, "position j must be a positive integer", lo=1)
     if len(pairings) != j - 1:
         raise ValueError(f"expected {j - 1} pairings for position {j}, got {len(pairings)}")
+    for pairing in pairings:
+        if type(pairing) is not int:
+            _require_int(pairing, "pairings must be integers", TypeError)
     return 2 * (j - 1) - sum(pairings)
 
 

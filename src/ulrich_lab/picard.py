@@ -185,8 +185,8 @@ class DelPezzoSurface:
 
     def exceptional_class(self, i: int) -> DivisorClass:
         """The class E_i, 1-based."""
-        if not 1 <= i <= self.num_exceptional:
-            raise LatticeMismatch(f"exceptional index {i} outside 1..{self.num_exceptional}")
+        _require_int(i, f"exceptional index outside 1..{self.num_exceptional}",
+                     LatticeMismatch, 1, self.num_exceptional)
         coords = [0] * self.num_exceptional
         coords[i - 1] = -1
         return DivisorClass(0, tuple(coords))
@@ -230,6 +230,9 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
     """
     t = x.num_exceptional
     perm = tuple(p)
+    for image in perm:
+        if type(image) is not int:
+            _require_int(image, "permutation images must be integers", BadPermutation)
     if sorted(perm) != list(range(1, t + 1)):
         raise BadPermutation(f"{perm!r} is not a bijection of 1..{t}")
     coords = [0] * t

@@ -49,6 +49,8 @@ and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
 :func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
 data (rank, c1^2, c1.H, c2) and carries an exact c1 beside it by
 c1(S_k) = -c1(S_{k-1}) + N_k H, so every route is linear in k or better.
+Every route refuses a seed that fails the numerical Ulrich conditions
+with :class:`NotUlrich`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .chern import (
     NumericClassData,
     discriminant,
     euler_char,
+    reduce_numerics,
     twist_by_h,
 )
 from .errors import (
@@ -346,8 +349,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     raises RuntimeError.
     """
     _require_int(k_max, "k_max must be an integer >= -1", lo=-1)
-    if not ulrich.is_ulrich_candidate(seed, surface):
-        raise NotUlrich(f"seed {seed!r} fails the numerical Ulrich conditions")
+    _require_ulrich(seed, surface)
     d = surface.degree
     if d == 3 and k_max > 0:
         raise OutOfTheoremScope(
@@ -396,6 +398,12 @@ def _scope_check(d: int, k: int) -> None:
         raise OutOfTheoremScope("degree 3 supports k <= 0 only")
 
 
+def _require_ulrich(seed: AnyNumerics, surface: DelPezzoSurface) -> None:
+    """Refuse a seed that fails the numerical Ulrich conditions."""
+    if not ulrich.is_ulrich_candidate(seed, surface):
+        raise NotUlrich(f"seed {seed!r} fails the numerical Ulrich conditions")
+
+
 def _closed_core(d: int, r: int, c1_sq: int, c1_dot_h: int, c2: int,
                  k: int, n_prev: int, n_k: int) -> tuple[int, int, int, int, int]:
     """(sign_k, m_k, c1^2, c1.H, c2) of S_k(E)(-H) from N_{k-1} and N_k, in O(1).
@@ -429,14 +437,17 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
 
     Never calls the step-by-step iteration, so it serves as an
     independent oracle for it.  k = -1 returns the untwisted seed data,
-    matching the base row of the rank-2 table form.
+    matching the base row of the rank-2 table form.  A seed that fails the
+    numerical Ulrich conditions raises NotUlrich, as in the iteration.
     """
     surface.require(seed.c1)
     d = surface.degree
     _scope_check(d, k)
+    reduced = reduce_numerics(seed)
+    _require_ulrich(reduced, surface)
     if k == -1:
         return seed.c1, seed.c2
-    sign, m, _, _, c2 = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2,
+    sign, m, _, _, c2 = _closed_core(d, seed.rank, reduced.c1_sq, reduced.c1_dot_h, seed.c2,
                                      k, *_recurrence_pair(d, seed.rank, k))
     return sign * seed.c1 + m * surface.anticanonical_class, c2
 
@@ -445,6 +456,7 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
     """Reduced-data form of :func:`closed_syzygy_chern`, including the rank N_k."""
     d = surface.degree
     _scope_check(d, k)
+    _require_ulrich(seed, surface)
     if k == -1:
         return seed
     n_prev, n_k = _recurrence_pair(d, seed.rank, k)
@@ -456,15 +468,17 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
     """Chern data v_{d,k} of the rank-2 tables, in reduced form.
 
     Hardwired to rank-2 Ulrich seeds on degrees 4..7, the range the
-    tables cover.  k = -1 returns the seed row.  The ranks N_{d,k-1} and
-    N_{d,k} come from the closed form rather than the recurrence, so
-    comparing with :func:`closed_syzygy_chern_numeric` cross-checks both
-    routes.
+    tables cover; any other seed raises NotUlrich.  k = -1 returns the
+    seed row.  The ranks N_{d,k-1} and N_{d,k} come from the closed form
+    rather than the recurrence, so comparing with
+    :func:`closed_syzygy_chern_numeric` cross-checks both routes.
     """
     _require_int(d, "rank-2 tables cover degrees 4..7", OutOfTheoremScope, 4, 7)
     _scope_check(d, k)
+    seed = NumericClassData(2, c1_sq, 2 * d, c2)
+    _require_ulrich(seed, DelPezzoSurface(d))
     if k == -1:
-        return NumericClassData(2, c1_sq, 2 * d, c2)
+        return seed
     n_prev, n_k = rank_closed_form(d, 2, k - 1), rank_closed_form(d, 2, k)
     _, _, *data = _closed_core(d, 2, c1_sq, 2 * d, c2, k, n_prev, n_k)
     return NumericClassData(n_k, *data)

@@ -459,6 +459,114 @@ cubic.moduli-pairs,PASS,"3 rows, partners, 5 random twists each"
 """
 
 
+# The --help page of the group and of each subcommand, at a fixed width.
+# These pin the option order, the help texts and the defaults of every
+# declaration.
+HELP = {
+    "": """\
+Usage: main [OPTIONS] COMMAND [ARGS]...
+
+  Exact Ulrich-bundle and syzygy-bundle numerics on del Pezzo surfaces.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  check         Run every module invariant and report one pass/fail line each.
+  cubics        List the 72 twisted cubic classes with their orbit tags.
+  decompose     Stable-sum decompositions of TARGET, e.g.
+  sequence      Syzygy ranks N_k by recurrence and by closed form, with a...
+  syzygy        Trace of the syzygy-and-twist iteration from an Ulrich seed.
+  table-moduli  Rank-2 moduli-dimension table on degrees 4..7, recomputed...
+  table-pairs   Cubic-surface pair table: rank-2 seeds, rank-4 partners,...
+""",
+    "sequence": """\
+Usage: main sequence [OPTIONS]
+
+  Syzygy ranks N_k by recurrence and by closed form, with a diff.
+
+Options:
+  --d INTEGER RANGE             Surface degree (closed rank form needs d >= 4).
+                                [4<=x<=8; required]
+  --r INTEGER RANGE             Seed rank.  [default: 2; x>=1]
+  --k-max INTEGER RANGE         [default: 10; 0<=x<=200]
+  --out FILE                    Write output to a file instead of stdout.
+  --format [markdown|csv|json]  Output format.  [default: markdown]
+  --help                        Show this message and exit.
+""",
+    "syzygy": """\
+Usage: main syzygy [OPTIONS]
+
+  Trace of the syzygy-and-twist iteration from an Ulrich seed.
+
+Options:
+  --d INTEGER RANGE             Surface degree.  [3<=x<=8; required]
+  --r INTEGER RANGE             Seed rank.  [default: 2; x>=1]
+  --c1-sq INTEGER               c1^2 of the seed.  [required]
+  --c2 INTEGER                  c2 of the seed; defaults to the unique Ulrich-
+                                compatible value.
+  --k-max INTEGER RANGE         [default: 5; -1<=x<=200]
+  --out FILE                    Write output to a file instead of stdout.
+  --format [markdown|csv|json]  Output format.  [default: markdown]
+  --help                        Show this message and exit.
+""",
+    "table-moduli": """\
+Usage: main table-moduli [OPTIONS]
+
+  Rank-2 moduli-dimension table on degrees 4..7, recomputed and diffed.
+
+Options:
+  --out FILE                    Write output to a file instead of stdout.
+  --format [markdown|csv|json]  Output format.  [default: markdown]
+  --help                        Show this message and exit.
+""",
+    "table-pairs": """\
+Usage: main table-pairs [OPTIONS]
+
+  Cubic-surface pair table: rank-2 seeds, rank-4 partners, twist checks.
+
+Options:
+  --out FILE                    Write output to a file instead of stdout.
+  --format [markdown|csv|json]  Output format.  [default: markdown]
+  --help                        Show this message and exit.
+""",
+    "cubics": """\
+Usage: main cubics [OPTIONS]
+
+  List the 72 twisted cubic classes with their orbit tags.
+
+Options:
+  --out FILE                    Write output to a file instead of stdout.
+  --format [markdown|csv|json]  Output format.  [default: markdown]
+  --help                        Show this message and exit.
+""",
+    "decompose": """\
+Usage: main decompose [OPTIONS] TARGET
+
+  Stable-sum decompositions of TARGET, e.g. "(4;2,1,1,1,1,0)".
+
+Options:
+  --r INTEGER RANGE             Number of twisted cubic parts.  [default: 2;
+                                2<=x<=6]
+  --unordered                   Collapse to one representative ordering per
+                                multiset.
+  --out FILE                    Write output to a file instead of stdout.
+  --format [markdown|csv|json]  Output format.  [default: markdown]
+  --help                        Show this message and exit.
+""",
+    "check": """\
+Usage: main check [OPTIONS]
+
+  Run every module invariant and report one pass/fail line each.
+
+Options:
+  --out FILE                    Write output to a file instead of stdout.
+  --format [markdown|csv|json]  Output format.  [default: markdown]
+  --help                        Show this message and exit.
+""",
+}
+
+
 class TestExactBytes:
     @pytest.mark.parametrize(
         "args,expected",
@@ -478,6 +586,13 @@ class TestExactBytes:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.output == expected
+
+    @pytest.mark.parametrize("name", list(HELP), ids=[name or "group" for name in HELP])
+    def test_help_bytes(self, runner, name):
+        args = [name, "--help"] if name else ["--help"]
+        result = runner.invoke(main, args, terminal_width=80)
+        assert result.exit_code == 0
+        assert result.output == HELP[name]
 
 
 class TestTableMismatch:

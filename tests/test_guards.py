@@ -11,9 +11,11 @@ import pytest
 
 from ulrich_lab import (
     CUBIC_SURFACE,
+    BadPermutation,
     BundleNumerics,
     DegreeOutOfRange,
     DivisorClass,
+    LatticeMismatch,
     NumericClassData,
     OutOfTheoremScope,
     PolarizedData,
@@ -25,10 +27,12 @@ from ulrich_lab import (
     iterate_syzygy,
     make_surface,
     parse_divisor,
+    permute_exceptionals,
     rank_by_recurrence,
     rank_closed_form,
     rank_two_table_chern,
     syzygy_numerics,
+    twist_by_h,
     ulrich_c2,
     ulrich_profile,
 )
@@ -70,6 +74,12 @@ ROWS = [
     ("rank_two_table_chern-k", lambda v: rank_two_table_chern(5, 16, 5, v), ValueError, True),
     ("decompose_stable_sum-r", lambda v: decompose_stable_sum(TWO_H, v), ValueError, False),
     ("chi_pair_closed_form-j", lambda v: chi_pair_closed_form(v, []), ValueError, False),
+    ("chi_pair_closed_form-pairings", lambda v: chi_pair_closed_form(2, [v]), TypeError, True),
+    ("twist_by_h-m-reduced", lambda v: twist_by_h(SEED, v, S5), TypeError, True),
+    ("twist_by_h-m-exact", lambda v: twist_by_h(WITNESS, v, S4), TypeError, True),
+    ("exceptional_class-i", CUBIC_SURFACE.exceptional_class, LatticeMismatch, False),
+    ("permute_exceptionals-image", lambda v: permute_exceptionals(TWO_H, (v, 2, 3, 4, 5, 6)),
+     BadPermutation, False),
 ]
 
 # A list, not a dict: True == 1 == 1.0 would collide as keys.

@@ -12,6 +12,7 @@ from ulrich_lab import (
     BundleNumerics,
     DegreeOutOfRange,
     DivisorClass,
+    LatticeMismatch,
     NoKernel,
     NonIntegerResult,
     NotUlrich,
@@ -311,6 +312,42 @@ class TestRankTwoTableForm:
     def test_out_of_scope_degrees(self, d):
         with pytest.raises(OutOfTheoremScope):
             rank_two_table_chern(d, 12, 4, 0)
+
+
+class TestClosedRoutesRefuseNonUlrich:
+    """The closed routes refuse what iterate_syzygy refuses, after their own guards."""
+
+    @pytest.mark.parametrize("k", [-1, 0, 2, 200])
+    @pytest.mark.parametrize("route", [
+        pytest.param(lambda k: closed_syzygy_chern_numeric(
+            NumericClassData(2, 17, 10, 5), make_surface(5), k), id="numeric-odd-parity"),
+        pytest.param(lambda k: closed_syzygy_chern_numeric(
+            NumericClassData(2, 12, 8, 5), S4, k), id="numeric-wrong-c2"),
+        pytest.param(lambda k: closed_syzygy_chern_numeric(
+            NumericClassData(2, 12, 7, 4), S4, k), id="numeric-wrong-degree"),
+        pytest.param(lambda k: closed_syzygy_chern(
+            BundleNumerics(2, WITNESS_C1, 5), S4, k), id="exact-wrong-c2"),
+        pytest.param(lambda k: closed_syzygy_chern(
+            BundleNumerics(1, WITNESS_C1, 0), S4, k), id="exact-wrong-rank"),
+        pytest.param(lambda k: rank_two_table_chern(5, 17, 5, k), id="table-odd-parity"),
+        pytest.param(lambda k: rank_two_table_chern(4, 12, 5, k), id="table-wrong-c2"),
+    ])
+    def test_non_candidate_refused(self, route, k):
+        with pytest.raises(NotUlrich):
+            route(k)
+
+    def test_earlier_guards_keep_their_class(self):
+        bad = NumericClassData(2, 8, 6, 4)  # c2 = 3 is the Ulrich value on S3
+        with pytest.raises(OutOfTheoremScope):
+            closed_syzygy_chern_numeric(bad, S3, 1)
+        with pytest.raises(ValueError, match="index k"):
+            closed_syzygy_chern_numeric(bad, S3, -2)
+        with pytest.raises(LatticeMismatch):
+            closed_syzygy_chern(BundleNumerics(2, parse_divisor("(4;1,1,1,1,0,0)"), 5), S4, 0)
+        with pytest.raises(OutOfTheoremScope):
+            rank_two_table_chern(8, 17, 5, 0)
+        with pytest.raises(ValueError, match="index k"):
+            rank_two_table_chern(5, 17, 5, -2)
 
 
 def reference_trace(seed, surface, k_max):
