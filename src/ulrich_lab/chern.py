@@ -26,6 +26,19 @@ A product of two line bundles is again a line bundle, so there c2 = 0.
 Riemann-Roch on a surface with chi(O) = 1 and K = -H reads
 
     chi(F) = rk(F) + (c1^2 + c1.H)/2 - c2.
+
+Along the syzygy iteration the rank N_k, c1.H and the square terms grow
+geometrically in k (about 2,300 bits for N_k at d = 7, k = 1000), so the
+reduced-data formulas are written with one product of two big integers
+each.  Twisting by m H, with s = rk, p = c1.H, d = H^2 and u = 2p + smd:
+
+    c1.H' = p + smd,   c1^2' = c1^2 + sm u,   c2' = c2 + (s-1) m u / 2,
+
+which expands to the textbook 2smp + s^2 m^2 d and C(s,2) m^2 d + (s-1) mp;
+the halving is exact because (s-1) m u = 2(s-1) mp + s(s-1) m^2 d.  Likewise
+
+    Delta = 2 rk c2 - (rk-1) c1^2 = rk (2 c2 - c1^2) + c1^2,
+    Delta - (rk^2 - 1) = rk (2 c2 - c1^2 - rk) + c1^2 + 1.
 """
 
 from __future__ import annotations
@@ -81,8 +94,14 @@ class NumericClassData:
     c2: int
 
     def __post_init__(self) -> None:
-        if (type(self.rank) is not int and not _is_int(self.rank)) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        # Four plain ints and a positive rank skip the checks below: every
+        # syzygy step builds several of these.
+        rank = self.rank
+        if (type(rank) is int and type(self.c1_sq) is int and type(self.c1_dot_h) is int
+                and type(self.c2) is int and rank >= 1):
+            return
+        if (type(rank) is not int and not _is_int(rank)) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
         for name in ("c1_sq", "c1_dot_h", "c2"):
             value = getattr(self, name)
             if type(value) is not int and not _is_int(value):
@@ -126,12 +145,14 @@ def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)
         return tensor_line(f, m * surface.anticanonical_class)
-    d = surface.degree
-    s = f.rank
-    c1_sq = f.c1_sq + 2 * s * m * f.c1_dot_h + s * s * m * m * d
-    c1_dot_h = f.c1_dot_h + s * m * d
-    c2 = comb(s, 2) * m * m * d + (s - 1) * m * f.c1_dot_h + f.c2
-    return NumericClassData(s, c1_sq, c1_dot_h, c2)
+    # The factored step of the module docstring: sm * u is the one product
+    # of two big integers; (s-1) m u is even, so the halving is exact.
+    s, p = f.rank, f.c1_dot_h
+    sm = s * m
+    c1_dot_h = p + sm * surface.degree
+    u = p + c1_dot_h
+    smu = sm * u
+    return NumericClassData(s, f.c1_sq + smu, c1_dot_h, f.c2 + (smu - m * u) // 2)
 
 
 def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
@@ -210,10 +231,18 @@ def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:
 
 
 def discriminant(f: AnyNumerics) -> int:
-    """Delta(F) = 2 rk c2 - (rk - 1) c1^2, invariant under line twists."""
-    return 2 * f.rank * f.c2 - (f.rank - 1) * f.c1_sq
+    """Delta(F) = 2 rk c2 - (rk - 1) c1^2, invariant under line twists.
+
+    Evaluated as rk (2 c2 - c1^2) + c1^2, one product.
+    """
+    c1_sq = f.c1_sq
+    return f.rank * (2 * f.c2 - c1_sq) + c1_sq
 
 
 def expected_moduli_dim(f: AnyNumerics) -> int:
-    """Expected dimension Delta(F) - (rk^2 - 1) of the moduli space at F."""
-    return discriminant(f) - (f.rank * f.rank - 1)
+    """Expected dimension Delta(F) - (rk^2 - 1) of the moduli space at F.
+
+    Evaluated as rk (2 c2 - c1^2 - rk) + c1^2 + 1, one product.
+    """
+    rank, c1_sq = f.rank, f.c1_sq
+    return rank * (2 * f.c2 - c1_sq - rank) + c1_sq + 1

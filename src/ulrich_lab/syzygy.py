@@ -67,6 +67,7 @@ from .chern import (
     NumericClassData,
     discriminant,
     euler_char,
+    expected_moduli_dim,
     reduce_numerics,
     twist_by_h,
 )
@@ -77,7 +78,15 @@ from .errors import (
     NotUlrich,
     OutOfTheoremScope,
 )
-from .picard import MAX_DEGREE, MIN_DEGREE, DelPezzoSurface, DivisorClass, _is_int, _require_int
+from .picard import (
+    MAX_DEGREE,
+    MIN_DEGREE,
+    DelPezzoSurface,
+    DivisorClass,
+    _is_int,
+    _require_int,
+    _trusted,
+)
 
 
 @dataclass(frozen=True)
@@ -268,7 +277,8 @@ def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
 
     Requires h0 > rank(F); otherwise there is no kernel bundle.
     """
-    _require_int(h0, "h0 must be an integer", TypeError)
+    if type(h0) is not int:
+        _require_int(h0, "h0 must be an integer", TypeError)
     if h0 <= f.rank:
         raise NoKernel(f"h^0 = {h0} does not exceed the rank {f.rank}")
     if isinstance(f, BundleNumerics):
@@ -301,7 +311,7 @@ class TraceEntry:
 
     @property
     def drift(self) -> int:
-        return self.delta - (self.rank * self.rank - 1)
+        return expected_moduli_dim(self)  # Delta - (rank^2 - 1)
 
     def to_dict(self) -> dict:
         return {
@@ -372,7 +382,9 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
                 f"recurrence predicts {expected_rank}"
             )
         if c1 is not None:
-            c1 = DivisorClass(3 * n - c1.a, tuple(n - b for b in c1.b))
+            # c1(S_k) = N_k H - c1(S_{k-1}) with H = (3; 1, ..., 1); int
+            # arithmetic on checked coordinates, so no re-check (see picard).
+            c1 = _trusted(3 * n - c1.a, tuple(map(n.__sub__, c1.b)))
         entries.append(TraceEntry(k, n, c1, current.c1_sq, current.c1_dot_h, current.c2))
         previous_rank, expected_rank = expected_rank, (d - 2) * expected_rank - previous_rank
     if c1 is not None and (c1.self_intersection, c1.degree) != (current.c1_sq, current.c1_dot_h):
@@ -441,22 +453,32 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     numerical Ulrich conditions raises NotUlrich, as in the iteration.
     """
     surface.require(seed.c1)
-    d = surface.degree
-    _scope_check(d, k)
-    reduced = reduce_numerics(seed)
-    _require_ulrich(reduced, surface)
+    _scope_check(surface.degree, k)
+    _require_ulrich(reduce_numerics(seed), surface)
+    return _closed_exact(seed, surface, k)
+
+
+def _closed_exact(seed: BundleNumerics, surface: DelPezzoSurface, k: int) -> tuple[DivisorClass, int]:
+    """:func:`closed_syzygy_chern` after its guards: the seed is an Ulrich
+    candidate on ``surface`` and k is in scope."""
     if k == -1:
         return seed.c1, seed.c2
-    sign, m, _, _, c2 = _closed_core(d, seed.rank, reduced.c1_sq, reduced.c1_dot_h, seed.c2,
+    d, c1 = surface.degree, seed.c1
+    sign, m, _, _, c2 = _closed_core(d, seed.rank, c1.self_intersection, c1.degree, seed.c2,
                                      k, *_recurrence_pair(d, seed.rank, k))
-    return sign * seed.c1 + m * surface.anticanonical_class, c2
+    return sign * c1 + m * surface.anticanonical_class, c2
 
 
 def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface, k: int) -> NumericClassData:
     """Reduced-data form of :func:`closed_syzygy_chern`, including the rank N_k."""
-    d = surface.degree
-    _scope_check(d, k)
+    _scope_check(surface.degree, k)
     _require_ulrich(seed, surface)
+    return _closed_numeric(seed, surface.degree, k)
+
+
+def _closed_numeric(seed: NumericClassData, d: int, k: int) -> NumericClassData:
+    """:func:`closed_syzygy_chern_numeric` after its guards: the seed is an
+    Ulrich candidate on the degree-d surface and k is in scope."""
     if k == -1:
         return seed
     n_prev, n_k = _recurrence_pair(d, seed.rank, k)
@@ -477,8 +499,14 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
     _scope_check(d, k)
     seed = NumericClassData(2, c1_sq, 2 * d, c2)
     _require_ulrich(seed, DelPezzoSurface(d))
+    return _table_chern(d, seed, k)
+
+
+def _table_chern(d: int, seed: NumericClassData, k: int) -> NumericClassData:
+    """:func:`rank_two_table_chern` after its guards: ``seed`` is the rank-2
+    Ulrich seed (2, c1^2, 2d, c2) on a degree d in 4..7 and k is in scope."""
     if k == -1:
         return seed
     n_prev, n_k = rank_closed_form(d, 2, k - 1), rank_closed_form(d, 2, k)
-    _, _, *data = _closed_core(d, 2, c1_sq, 2 * d, c2, k, n_prev, n_k)
+    _, _, *data = _closed_core(d, 2, seed.c1_sq, 2 * d, seed.c2, k, n_prev, n_k)
     return NumericClassData(n_k, *data)

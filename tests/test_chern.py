@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulrich_lab import (
@@ -237,3 +239,56 @@ class TestModuliInvariants:
         assert expected_moduli_dim(NumericClassData(2, 12, 8, 4)) == 1
         assert expected_moduli_dim(NumericClassData(2, 26, 14, 8)) == 3
         assert expected_moduli_dim(NumericClassData(2, 16, 8, 6)) == 5
+
+
+BIG = 2 ** 3000
+
+
+@st.composite
+def big_reduced_data(draw):
+    """Reduced data with rank and c2 up to 2**3000 and c1^2 = c1.H (mod 2)."""
+    rank = draw(st.integers(min_value=1, max_value=BIG))
+    c1_dot_h = draw(st.integers(min_value=-BIG, max_value=BIG))
+    c1_sq = 2 * draw(st.integers(min_value=-BIG // 2, max_value=BIG // 2)) + c1_dot_h % 2
+    c2 = draw(st.integers(min_value=-BIG, max_value=BIG))
+    return NumericClassData(rank, c1_sq, c1_dot_h, c2)
+
+
+class TestFactoredForms:
+    """The one-product forms of twist_by_h, discriminant and expected_moduli_dim
+    equal the textbook polynomials, written out here, on integers of the size
+    the syzygy iteration reaches."""
+
+    @given(big_reduced_data(), st.integers(min_value=-5, max_value=5),
+           st.integers(min_value=3, max_value=8))
+    @example(NumericClassData(BIG - 1, BIG + 1, 2 * BIG - 3, -BIG), 0, 7)
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_textbook_polynomials(self, f, m, d):
+        s, q, p, c2 = astuple(f)
+        twisted = twist_by_h(f, m, make_surface(d))
+        textbook = NumericClassData(s, q + 2 * s * m * p + s * s * m * m * d, p + s * m * d,
+                                    c2 + comb(s, 2) * m * m * d + (s - 1) * m * p)
+        assert twisted == textbook
+        assert all(type(x) is int for x in astuple(twisted))
+        delta = 2 * s * c2 - (s - 1) * q
+        assert discriminant(f) == delta and type(discriminant(f)) is int
+        assert expected_moduli_dim(f) == delta - (s * s - 1)
+        assert type(expected_moduli_dim(f)) is int
+
+    @pytest.mark.parametrize("field,error,message", [
+        ("rank", ValueError, "rank must be a positive integer, got {!r}"),
+        ("c1_sq", TypeError, "c1_sq must be an integer"),
+        ("c1_dot_h", TypeError, "c1_dot_h must be an integer"),
+        ("c2", TypeError, "c2 must be an integer"),
+    ])
+    @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_bad_fields_keep_class_and_message(self, field, error, message, value):
+        fields = {"rank": 2, "c1_sq": 12, "c1_dot_h": 8, "c2": 4, field: value}
+        with pytest.raises(error) as info:
+            NumericClassData(**fields)
+        assert str(info.value) == message.format(value)
+
+    def test_rank_zero_keeps_class_and_message(self):
+        with pytest.raises(ValueError) as info:
+            NumericClassData(0, BIG, BIG, BIG)
+        assert str(info.value) == "rank must be a positive integer, got 0"

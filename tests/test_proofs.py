@@ -21,6 +21,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     NumericClassData,
     discriminant,
     euler_char,
+    expected_moduli_dim,
     make_surface,
     rank_by_recurrence,
     syzygy_numerics,
@@ -217,3 +218,62 @@ class TestDriftStep:
         ulrich = {p: r * d, c2: r + (q - r * d) / 2}
         step = self.twist(*self.syzygy(r, q, p, c2), 1)
         assert is_zero(sp.expand_func(self.drift(*step) - self.drift(r, q, p, c2)).subs(ulrich))
+
+
+class TestFactoredForms:
+    """The one-product forms of :mod:`chern` equal the textbook polynomials.
+
+    Twist by m H with s = rk, p = c1.H and u = 2p + smd:
+    c1^2' = c1^2 + sm u and c2' = c2 + (sm u - m u)/2;
+    Delta = r (2 c2 - c1^2) + c1^2 and Delta - (r^2 - 1) = r (2 c2 - c1^2 - r) + c1^2 + 1.
+    """
+
+    m = sp.Symbol("m")
+
+    def u(self):
+        return 2 * p + s * self.m * d
+
+    def twist(self):
+        sm, u = s * self.m, self.u()
+        return q + sm * u, p + sm * d, c2 + (sm * u - self.m * u) / 2
+
+    @staticmethod
+    def delta():
+        return r * (2 * c2 - q) + q
+
+    @staticmethod
+    def moduli_dim():
+        return r * (2 * c2 - q - r) + q + 1
+
+    def test_forms_match_the_library(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            dd, rank, mm = rng.randint(3, 8), rng.randint(1, 6), rng.randint(-5, 5)
+            c1_h = rng.randint(-40, 40)
+            data = NumericClassData(rank, rng.randint(-20, 20) * 2 + c1_h % 2, c1_h,
+                                    rng.randint(-40, 40))
+            point = {s: rank, r: rank, q: data.c1_sq, p: c1_h, c2: data.c2, d: dd, self.m: mm}
+            twisted = twist_by_h(data, mm, make_surface(dd))
+            assert [x.subs(point) for x in self.twist()] == [
+                twisted.c1_sq, twisted.c1_dot_h, twisted.c2]
+            assert self.delta().subs(point) == discriminant(data)
+            assert self.moduli_dim().subs(point) == expected_moduli_dim(data)
+
+    def test_twist_equals_textbook(self):
+        c1_sq, c1_h, second = self.twist()
+        mm = self.m
+        assert is_zero(c1_sq - (q + 2 * s * mm * p + s * s * mm * mm * d))
+        assert is_zero(c1_h - (p + s * mm * d))
+        textbook_c2 = c2 + sp.binomial(s, 2) * mm * mm * d + (s - 1) * mm * p
+        assert is_zero(sp.expand_func(second - textbook_c2))
+
+    def test_halving_is_exact(self):
+        # (s-1) m u is twice C(s,2) m^2 d + (s-1) m p, an integer polynomial.
+        mm = self.m
+        twice = 2 * (sp.binomial(s, 2) * mm * mm * d + (s - 1) * mm * p)
+        assert is_zero(sp.expand_func((s - 1) * mm * self.u() - twice))
+
+    def test_delta_and_moduli_dim_equal_textbook(self):
+        textbook = 2 * r * c2 - (r - 1) * q
+        assert is_zero(self.delta() - textbook)
+        assert is_zero(self.moduli_dim() - (textbook - (r * r - 1)))

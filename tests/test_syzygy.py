@@ -367,8 +367,61 @@ def _rH_seeds():
             yield surface, BundleNumerics(r, c1, r + (r * r * d - r * d) // 2)
 
 
+def textbook_trace(seed, d, k_max):
+    """(k, rank, c1, c1^2, c1.H, c2) of S_{-1}, ..., S_{k_max} by the textbook
+    polynomials: Riemann-Roch, the kernel, and c1^2 + 2Np + N^2 d,
+    C(N,2) d + (N-1) p + c2 for the twist by H.  Calls no library formula."""
+    hyperplane = DivisorClass(3, (1,) * (9 - d))
+    c1 = seed.c1 if isinstance(seed, BundleNumerics) else None
+    rank, c1_sq, p, c2 = seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2
+    rows = [(-1, rank, c1, c1_sq, p, c2)]
+    for k in range(k_max + 1):
+        n = (c1_sq + p) // 2 - c2  # chi(S_{k-1}) - rank
+        p, c2 = -p, c1_sq - c2  # the kernel; c1^2 is unchanged
+        rank, c1_sq, p, c2 = (n, c1_sq + 2 * n * p + n * n * d, p + n * d,
+                              comb(n, 2) * d + (n - 1) * p + c2)
+        if c1 is not None:
+            c1 = -c1 + n * hyperplane
+        rows.append((k, rank, c1, c1_sq, p, c2))
+    return rows
+
+
+def _deep_oracle_seeds():
+    for d in range(5, 9):
+        surface = make_surface(d)
+        for r in (1, 3):
+            yield pytest.param(surface, BundleNumerics(r, r * surface.anticanonical_class,
+                                                       r + (r * r * d - r * d) // 2),
+                               id=f"{r}H-d{d}")
+    for row in (tables.MODULI_DIM_ROWS[3], tables.MODULI_DIM_ROWS[7]):
+        yield pytest.param(make_surface(row.degree),
+                           BundleNumerics(2, tables.moduli_row_witness(row), row.c2),
+                           id=f"row-d{row.degree}-c1sq{row.c1_sq}")
+
+
 class TestIterateOracle:
     """iterate_syzygy steps in reduced data; the exact composition is the oracle."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "reduced"])
+    @pytest.mark.parametrize("surface,seed", _deep_oracle_seeds())
+    def test_matches_textbook_at_k_1000(self, surface, seed, exact):
+        # Big integers (N_1000 has about 2,300 bits at d = 7) against a
+        # reference that uses neither twist_by_h nor discriminant.
+        if not exact:
+            seed = reduce_numerics(seed)
+        trace = iterate_syzygy(seed, surface, 1000)
+        reference = textbook_trace(seed, surface.degree, 1000)
+        assert len(trace.entries) == len(reference) == 1002
+        r, c1_sq, c2 = seed.rank, seed.c1_sq, seed.c2
+        dim = 2 * r * c2 - (r - 1) * c1_sq - (r * r - 1)
+        for entry, row in zip(trace.entries, reference):
+            assert (entry.k, entry.rank, entry.c1, entry.c1_sq, entry.c1_dot_h, entry.c2) == row
+            n, delta = row[1], 2 * row[1] * row[5] - (row[1] - 1) * row[3]
+            assert (entry.delta, entry.drift) == (delta, delta - (n * n - 1))
+        if exact:
+            last_c1 = reference[-1][2]
+            assert (last_c1.self_intersection, last_c1.degree) == reference[-1][3:5]
+        assert discriminant_drift(trace) == [dim] * 1002
 
     @pytest.mark.parametrize("surface,seed", checks.default_seeds() + list(_rH_seeds()))
     def test_matches_exact_composition(self, surface, seed):
