@@ -281,23 +281,18 @@ def check_delta_growth(seeds: Sequence[Seed]) -> CheckResult:
 
 
 def check_closed_vs_iterate(seeds: Sequence[Seed]) -> CheckResult:
-    # The public closed routes run at k = 0 (their guards, candidacy among
-    # them, hold for the whole seed); the unguarded cores serve k >= 1.
     for surface, seed in seeds:
-        d = surface.degree
-        k_max = 0 if d == 3 else 12
+        k_max = 0 if surface.degree == 3 else 12
         trace = syzygy.iterate_syzygy(seed, surface, k_max)
         reduced = seed if isinstance(seed, NumericClassData) else chern.reduce_numerics(seed)
         for k in range(0, k_max + 1):
             twisted = chern.twist_by_h(trace.entry(k).as_numeric(), -1, surface)
-            closed = (syzygy.closed_syzygy_chern_numeric(reduced, surface, k) if k == 0
-                      else syzygy._closed_numeric(reduced, d, k))
+            closed = syzygy.closed_syzygy_chern_numeric(reduced, surface, k)
             if closed != twisted:
                 return CheckResult("syzygy.closed-vs-iterate", False,
                                    f"seed {seed} d={surface.degree} k={k}")
             if isinstance(seed, BundleNumerics):
-                c1, c2 = (syzygy.closed_syzygy_chern(seed, surface, k) if k == 0
-                          else syzygy._closed_exact(seed, surface, k))
+                c1, c2 = syzygy.closed_syzygy_chern(seed, surface, k)
                 bundle = trace.entry(k).as_bundle()
                 exact = chern.tensor_line(bundle, -surface.anticanonical_class)
                 if c1 != exact.c1 or c2 != exact.c2:
@@ -307,17 +302,12 @@ def check_closed_vs_iterate(seeds: Sequence[Seed]) -> CheckResult:
 
 
 def check_table_vs_closed() -> CheckResult:
-    # As in check_closed_vs_iterate: public routes at k = -1, cores after.
     for row in tables.MODULI_DIM_ROWS:
-        d = row.degree
-        surface = make_surface(d)
-        seed = NumericClassData(2, row.c1_sq, 2 * d, row.c2)
+        surface = make_surface(row.degree)
+        seed = NumericClassData(2, row.c1_sq, 2 * row.degree, row.c2)
         for k in range(-1, 21):
-            if k == -1:
-                table_form = syzygy.rank_two_table_chern(d, row.c1_sq, row.c2, k)
-                closed = syzygy.closed_syzygy_chern_numeric(seed, surface, k)
-            else:
-                table_form, closed = syzygy._table_chern(d, seed, k), syzygy._closed_numeric(seed, d, k)
+            table_form = syzygy.rank_two_table_chern(row.degree, row.c1_sq, row.c2, k)
+            closed = syzygy.closed_syzygy_chern_numeric(seed, surface, k)
             if table_form != closed:
                 return CheckResult("syzygy.table-vs-closed", False,
                                    f"d={row.degree} c1^2={row.c1_sq} k={k}")

@@ -45,11 +45,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
-from .picard import DelPezzoSurface, DivisorClass, _combine, _is_int, format_divisor, parse_divisor
+from .picard import (
+    DelPezzoSurface,
+    DivisorClass,
+    _combine,
+    _is_int,
+    format_divisor,
+    parse_divisor,
+    sum_classes,
+)
 
 
 @dataclass(frozen=True)
@@ -189,15 +198,9 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
     for item in items[1:]:
         if item.c1.num_exceptional != arity:
             raise LatticeMismatch("summands live on different lattices")
-    rank = sum(item.rank for item in items)
-    c1 = items[0].c1
-    for item in items[1:]:
-        c1 = c1 + item.c1
-    c2 = sum(item.c2 for item in items)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            c2 += items[i].c1.dot(items[j].c1)
-    return BundleNumerics(rank, c1, c2)
+    classes = [item.c1 for item in items]
+    c2 = sum(item.c2 for item in items) + sum(x.dot(y) for x, y in combinations(classes, 2))
+    return BundleNumerics(sum(item.rank for item in items), sum_classes(classes), c2)
 
 
 def dual(f: AnyNumerics) -> AnyNumerics:

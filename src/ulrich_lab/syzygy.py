@@ -83,6 +83,7 @@ from .picard import (
     MIN_DEGREE,
     DelPezzoSurface,
     DivisorClass,
+    _combine,
     _is_int,
     _require_int,
     _trusted,
@@ -369,8 +370,8 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     c1 = seed.c1 if isinstance(seed, BundleNumerics) else None
     current = NumericClassData(seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2)
     entries = [TraceEntry(-1, seed.rank, c1, current.c1_sq, current.c1_dot_h, current.c2)]
-    previous_rank, expected_rank = seed.rank, rank_by_recurrence(d, seed.rank, 0)
-    for k in range(k_max + 1):
+    expected_ranks = islice(_recurrence_ranks(d, seed.rank), 1, k_max + 2)  # N_0 .. N_k_max
+    for k, expected_rank in enumerate(expected_ranks):
         h0 = euler_char(current, surface)
         if h0 <= current.rank:
             raise NoKernel(f"chi = {h0} does not exceed rank {current.rank} at step {k}")
@@ -386,7 +387,6 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
             # arithmetic on checked coordinates, so no re-check (see picard).
             c1 = _trusted(3 * n - c1.a, tuple(map(n.__sub__, c1.b)))
         entries.append(TraceEntry(k, n, c1, current.c1_sq, current.c1_dot_h, current.c2))
-        previous_rank, expected_rank = expected_rank, (d - 2) * expected_rank - previous_rank
     if c1 is not None and (c1.self_intersection, c1.degree) != (current.c1_sq, current.c1_dot_h):
         raise RuntimeError(
             f"internal inconsistency: exact c1 = {c1} at step {k_max} disagrees with "
@@ -453,32 +453,22 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     numerical Ulrich conditions raises NotUlrich, as in the iteration.
     """
     surface.require(seed.c1)
-    _scope_check(surface.degree, k)
-    _require_ulrich(reduce_numerics(seed), surface)
-    return _closed_exact(seed, surface, k)
-
-
-def _closed_exact(seed: BundleNumerics, surface: DelPezzoSurface, k: int) -> tuple[DivisorClass, int]:
-    """:func:`closed_syzygy_chern` after its guards: the seed is an Ulrich
-    candidate on ``surface`` and k is in scope."""
+    d = surface.degree
+    _scope_check(d, k)
+    reduced = reduce_numerics(seed)
+    _require_ulrich(reduced, surface)
     if k == -1:
         return seed.c1, seed.c2
-    d, c1 = surface.degree, seed.c1
-    sign, m, _, _, c2 = _closed_core(d, seed.rank, c1.self_intersection, c1.degree, seed.c2,
+    sign, m, _, _, c2 = _closed_core(d, seed.rank, reduced.c1_sq, reduced.c1_dot_h, seed.c2,
                                      k, *_recurrence_pair(d, seed.rank, k))
-    return sign * c1 + m * surface.anticanonical_class, c2
+    return _combine(sign, seed.c1, m, surface.anticanonical_class), c2
 
 
 def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface, k: int) -> NumericClassData:
     """Reduced-data form of :func:`closed_syzygy_chern`, including the rank N_k."""
-    _scope_check(surface.degree, k)
+    d = surface.degree
+    _scope_check(d, k)
     _require_ulrich(seed, surface)
-    return _closed_numeric(seed, surface.degree, k)
-
-
-def _closed_numeric(seed: NumericClassData, d: int, k: int) -> NumericClassData:
-    """:func:`closed_syzygy_chern_numeric` after its guards: the seed is an
-    Ulrich candidate on the degree-d surface and k is in scope."""
     if k == -1:
         return seed
     n_prev, n_k = _recurrence_pair(d, seed.rank, k)
@@ -499,14 +489,8 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
     _scope_check(d, k)
     seed = NumericClassData(2, c1_sq, 2 * d, c2)
     _require_ulrich(seed, DelPezzoSurface(d))
-    return _table_chern(d, seed, k)
-
-
-def _table_chern(d: int, seed: NumericClassData, k: int) -> NumericClassData:
-    """:func:`rank_two_table_chern` after its guards: ``seed`` is the rank-2
-    Ulrich seed (2, c1^2, 2d, c2) on a degree d in 4..7 and k is in scope."""
     if k == -1:
         return seed
     n_prev, n_k = rank_closed_form(d, 2, k - 1), rank_closed_form(d, 2, k)
-    _, _, *data = _closed_core(d, 2, seed.c1_sq, 2 * d, seed.c2, k, n_prev, n_k)
+    _, _, *data = _closed_core(d, 2, c1_sq, 2 * d, c2, k, n_prev, n_k)
     return NumericClassData(n_k, *data)

@@ -15,6 +15,7 @@ from ulrich_lab import (
     iterate_syzygy,
     make_surface,
     parse_divisor,
+    syzygy,
     tables,
 )
 from ulrich_lab.chern import NumericClassData
@@ -639,6 +640,29 @@ class TestTableMismatch:
         assert result.name == "cubic.moduli-pairs"
         assert result.passed is False
         assert "B+B" in result.detail
+
+
+class TestCheckReachesClosedRoutes:
+    """``check`` calls the public closed routes at every k: one that is wrong
+    only at k = 5 fails the syzygy checks that use it, and no other check."""
+
+    @pytest.mark.parametrize("name,spoil,failing", [
+        ("closed_syzygy_chern_numeric", lambda v: replace(v, c2=v.c2 + 1),
+         {"syzygy.closed-vs-iterate", "syzygy.table-vs-closed"}),
+        ("closed_syzygy_chern", lambda v: (v[0], v[1] + 1), {"syzygy.closed-vs-iterate"}),
+        ("rank_two_table_chern", lambda v: replace(v, c2=v.c2 + 1), {"syzygy.table-vs-closed"}),
+    ], ids=["numeric", "exact", "table"])
+    def test_route_wrong_at_k5_fails_check(self, monkeypatch, name, spoil, failing):
+        route = getattr(syzygy, name)
+
+        def wrong_at_5(*args):
+            value = route(*args)
+            return spoil(value) if args[-1] == 5 else value
+
+        monkeypatch.setattr(syzygy, name, wrong_at_5)
+        failed = {r.name: r.detail for r in checks.run_all_checks() if not r.passed}
+        assert set(failed) == failing
+        assert all(detail.endswith("k=5") for detail in failed.values())
 
 
 class TestTableCounts:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ulrich_lab import (
     BundleNumerics,
     DivisorClass,
+    LatticeMismatch,
     NotUlrichCompatible,
     NumericClassData,
     ParityViolation,
@@ -23,12 +25,44 @@ from ulrich_lab import (
     parse_divisor,
     polarized_data_for,
     prioritary_polarization_check,
+    reduce_numerics,
+    tensor_line,
     ulrich_c2,
     ulrich_profile,
 )
+from ulrich_lab.checks import default_seeds
 
 S3 = make_surface(3)
 S4 = make_surface(4)
+WITNESS = BundleNumerics(2, parse_divisor("(4;1,1,1,1,0)"), 4)
+
+
+def random_bundles(d: int, count: int = 200) -> list[BundleNumerics]:
+    """Seeded bundles on the degree-d lattice.  About half have c1.H = rank*d
+    and c2 within one of the Ulrich value, so both answers occur."""
+    rng = random.Random(d)
+    bundles = []
+    for _ in range(count):
+        rank = rng.randint(1, 4)
+        b = [rng.randint(-3, 3) for _ in range(9 - d)]
+        a = rng.randint(-3, 9)
+        if rng.random() < 0.5:
+            b[0] += -(rank * d + sum(b)) % 3
+            a = (rank * d + sum(b)) // 3
+        c1 = DivisorClass(a, tuple(b))
+        c2 = rank + (c1.self_intersection - rank * d) // 2 + rng.choice((-1, 0, 0, 1))
+        bundles.append(BundleNumerics(rank, c1, c2))
+    return bundles
+
+
+NON_CANDIDATES = [
+    (S4, BundleNumerics(2, WITNESS.c1, 5)),
+    (S4, BundleNumerics(1, WITNESS.c1, 0)),
+    (S4, BundleNumerics(1, S4.zero_class(), 0)),
+    (S4, BundleNumerics(2, -WITNESS.c1, 4)),
+    (S4, tensor_line(WITNESS, S4.anticanonical_class)),
+    (make_surface(5), BundleNumerics(3, 3 * make_surface(5).anticanonical_class, 23)),
+]
 
 
 class TestPolarizedData:
@@ -156,3 +190,22 @@ class TestCandidates:
     def test_rank_one_conic_class(self):
         conic = BundleNumerics(1, DivisorClass(2, (1, 1, 0, 0, 0)), 0)
         assert is_ulrich_candidate(conic, S4)
+
+    @pytest.mark.parametrize("cases,answers", [
+        *(pytest.param([(make_surface(d), f) for f in random_bundles(d)], {False, True},
+                       id=f"random-d{d}") for d in range(3, 9)),
+        pytest.param(default_seeds(), {True}, id="default-seeds"),
+        pytest.param(NON_CANDIDATES, {False}, id="non-candidates"),
+    ])
+    def test_exact_and_reduced_agree(self, cases, answers):
+        exact = [is_ulrich_candidate(f, surface) for surface, f in cases]
+        assert exact == [is_ulrich_candidate(reduce_numerics(f), surface) for surface, f in cases]
+        assert set(exact) == answers
+
+    @pytest.mark.parametrize("surface,f", [
+        (make_surface(5), WITNESS),
+        (make_surface(8), BundleNumerics(2, 2 * S3.anticanonical_class, 12)),
+    ])
+    def test_foreign_lattice_refused(self, surface, f):
+        with pytest.raises(LatticeMismatch):
+            is_ulrich_candidate(f, surface)
