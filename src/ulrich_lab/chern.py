@@ -39,6 +39,15 @@ the halving is exact because (s-1) m u = 2(s-1) mp + s(s-1) m^2 d.  Likewise
 
     Delta = 2 rk c2 - (rk-1) c1^2 = rk (2 c2 - c1^2) + c1^2,
     Delta - (rk^2 - 1) = rk (2 c2 - c1^2 - rk) + c1^2 + 1.
+
+Riemann-Roch and the reduced twist have one body each, on plain ints:
+``_chi`` (the parity refusal, then chi) and ``_twist`` (the step above).
+:func:`euler_char` and :func:`twist_by_h` check and unpack their arguments
+and call them; :func:`ulrich_lab.syzygy.iterate_syzygy` calls them once per
+step on the ints it carries.  The exact halvings are ``>> 1`` and the parity
+test is ``& 1``: for every Python int, negative ones included, they equal
+``// 2`` and ``% 2``, and on integers of thousands of bits they cost a
+fraction of the division.
 """
 
 from __future__ import annotations
@@ -154,14 +163,21 @@ def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)
         return tensor_line(f, m * surface.anticanonical_class)
-    # The factored step of the module docstring: sm * u is the one product
-    # of two big integers; (s-1) m u is even, so the halving is exact.
-    s, p = f.rank, f.c1_dot_h
+    s = f.rank
+    return NumericClassData(s, *_twist(s, f.c1_sq, f.c1_dot_h, f.c2, m, surface.degree))
+
+
+def _twist(s: int, c1_sq: int, p: int, c2: int, m: int, d: int) -> tuple[int, int, int]:
+    """(c1^2, c1.H, c2) of a rank-s twist by m H on the degree-d surface.
+
+    The factored step of the module docstring: sm * u is the one product of
+    two big integers; (s-1) m u is even, so the halving is exact.
+    """
     sm = s * m
-    c1_dot_h = p + sm * surface.degree
+    c1_dot_h = p + sm * d
     u = p + c1_dot_h
     smu = sm * u
-    return NumericClassData(s, f.c1_sq + smu, c1_dot_h, f.c2 + (smu - m * u) // 2)
+    return c1_sq + smu, c1_dot_h, c2 + ((smu - m * u) >> 1)
 
 
 def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
@@ -216,14 +232,20 @@ def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
         c1 = f.c1
         if len(c1.b) != surface.num_exceptional:
             surface.require(c1)  # raises, naming both lattices
-        numerator = c1.self_intersection + c1.degree
+        c1_sq, c1_dot_h = c1.self_intersection, c1.degree
     else:
-        numerator = f.c1_sq + f.c1_dot_h
-    if numerator % 2:
+        c1_sq, c1_dot_h = f.c1_sq, f.c1_dot_h
+    return _chi(f.rank, c1_sq, c1_dot_h, f.c2, surface.euler_char_structure_sheaf)
+
+
+def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int, chi_o: int) -> int:
+    """Riemann-Roch on ints, chi(O) = chi_o; an odd c1^2 + c1.H is refused."""
+    numerator = c1_sq + c1_dot_h
+    if numerator & 1:
         raise ParityViolation(
             f"c1^2 + c1.H = {numerator} is odd; not realizable on a surface lattice"
         )
-    return f.rank * surface.euler_char_structure_sheaf + numerator // 2 - f.c2
+    return rank * chi_o + (numerator >> 1) - c2
 
 
 def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:

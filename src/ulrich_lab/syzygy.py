@@ -49,8 +49,20 @@ and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
 :func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
 data (rank, c1^2, c1.H, c2) and carries an exact c1 beside it by
 c1(S_k) = -c1(S_{k-1}) + N_k H, so every route is linear in k or better.
-Every route refuses a seed that fails the numerical Ulrich conditions
-with :class:`NotUlrich`.
+One step from (n, q, p, c2) of S_{k-1} is Riemann-Roch, the kernel and the
+twist by H:
+
+    N_k = chi(S_{k-1}) - n = (q + p)/2 - c2,   p' = N_k d - p,
+    q' = q + N_k u,   c2' = q - c2 + (N_k - 1) u / 2,   u = p' - p,
+
+so N_k u is the one product of two big integers per step, and both
+halvings are exact (q + p is even on a lattice, (N_k - 1) u is even by the
+twist formula of :mod:`ulrich_lab.chern`).  The step runs on plain ints
+through ``chern._chi`` and ``chern._twist``, the cores of
+:func:`~ulrich_lab.chern.euler_char` and :func:`~ulrich_lab.chern.twist_by_h`,
+which halve with ``>> 1``; so do ``_ring_mul`` of the closed rank form and
+C(m, 2) in ``_closed_core``.  Every route refuses a seed that fails the
+numerical Ulrich conditions with :class:`NotUlrich`.
 """
 
 from __future__ import annotations
@@ -65,11 +77,11 @@ from .chern import (
     AnyNumerics,
     BundleNumerics,
     NumericClassData,
+    _chi,
+    _twist,
     discriminant,
-    euler_char,
     expected_moduli_dim,
     reduce_numerics,
-    twist_by_h,
 )
 from .errors import (
     DegreeOutOfRange,
@@ -246,9 +258,9 @@ def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[in
     """
     (x1, y1), (x2, y2) = u, v
     x, y = x1 * x2 + radicand * y1 * y2, x1 * y2 + x2 * y1
-    if x % 2 or y % 2:
+    if x & 1 or y & 1:
         raise NonIntegerResult(f"({x} + {y}*sqrt({radicand}))/4 is not in Z[alpha]")
-    return x // 2, y // 2
+    return x >> 1, y >> 1
 
 
 def rank_closed_form(d: int, r: int, k: int) -> int:
@@ -326,6 +338,15 @@ class TraceEntry:
         }
 
 
+def _trusted_entry(k: int, rank: int, c1: DivisorClass | None,
+                   c1_sq: int, c1_dot_h: int, c2: int) -> TraceEntry:
+    """``TraceEntry(...)`` without the dataclass ``__init__``, for int fields
+    from int arithmetic on a checked seed (the idiom of ``picard._trusted``)."""
+    entry = object.__new__(TraceEntry)
+    entry.__dict__.update(k=k, rank=rank, c1=c1, c1_sq=c1_sq, c1_dot_h=c1_dot_h, c2=c2)
+    return entry
+
+
 @dataclass(frozen=True)
 class SyzygyTrace:
     """The numerics of E = S_{-1}, S_0, ..., S_{k_max} on one surface."""
@@ -370,13 +391,19 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     c1 = seed.c1 if isinstance(seed, BundleNumerics) else None
     current = NumericClassData(seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2)
     entries = [TraceEntry(-1, seed.rank, c1, current.c1_sq, current.c1_dot_h, current.c2)]
+    # From here on every value is an int from int arithmetic on the checked
+    # seed: one step is Riemann-Roch, the kernel and the twist by H on locals,
+    # through the cores that euler_char and twist_by_h share (see chern).
+    n, q, p, c2 = current.rank, current.c1_sq, current.c1_dot_h, current.c2
+    chi_o = surface.euler_char_structure_sheaf
     expected_ranks = islice(_recurrence_ranks(d, seed.rank), 1, k_max + 2)  # N_0 .. N_k_max
     for k, expected_rank in enumerate(expected_ranks):
-        h0 = euler_char(current, surface)
-        if h0 <= current.rank:
-            raise NoKernel(f"chi = {h0} does not exceed rank {current.rank} at step {k}")
-        current = twist_by_h(syzygy_numerics(current, h0), 1, surface)
-        n = current.rank
+        h0 = _chi(n, q, p, c2, chi_o)
+        if h0 <= n:
+            raise NoKernel(f"chi = {h0} does not exceed rank {n} at step {k}")
+        # The kernel (rank h0 - n, c1 -> -c1, c2 -> c1^2 - c2), then O(H).
+        n = h0 - n
+        q, p, c2 = _twist(n, q, -p, q - c2, 1, d)
         if n != expected_rank:
             raise RuntimeError(
                 f"internal inconsistency: rank {n} at step {k}, "
@@ -386,11 +413,11 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
             # c1(S_k) = N_k H - c1(S_{k-1}) with H = (3; 1, ..., 1); int
             # arithmetic on checked coordinates, so no re-check (see picard).
             c1 = _trusted(3 * n - c1.a, tuple(map(n.__sub__, c1.b)))
-        entries.append(TraceEntry(k, n, c1, current.c1_sq, current.c1_dot_h, current.c2))
-    if c1 is not None and (c1.self_intersection, c1.degree) != (current.c1_sq, current.c1_dot_h):
+        entries.append(_trusted_entry(k, n, c1, q, p, c2))
+    if c1 is not None and (c1.self_intersection, c1.degree) != (q, p):
         raise RuntimeError(
             f"internal inconsistency: exact c1 = {c1} at step {k_max} disagrees with "
-            f"the reduced (c1^2, c1.H) = ({current.c1_sq}, {current.c1_dot_h})"
+            f"the reduced (c1^2, c1.H) = ({q}, {p})"
         )
     return SyzygyTrace(surface, seed, tuple(entries))
 
@@ -439,7 +466,7 @@ def _closed_core(d: int, r: int, c1_sq: int, c1_dot_h: int, c2: int,
     m = -sign * r - (n_k + n_prev) // d
     signed_sum = -k * r + (r + sign * n_prev) // d
     total = (c1_sq - c2 - k % 2 * c1_sq + (k - m) * c1_dot_h
-             + d * (signed_sum - sign * (m * (m - 1) // 2)))
+             + d * (signed_sum - sign * (m * (m - 1) >> 1)))
     q = c1_sq + 2 * sign * m * c1_dot_h + m * m * d
     return sign, m, q, sign * c1_dot_h + m * d, -sign * total
 

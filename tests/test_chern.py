@@ -246,26 +246,37 @@ BIG = 2 ** 3000
 
 @st.composite
 def big_reduced_data(draw):
-    """Reduced data with rank and c2 up to 2**3000 and c1^2 = c1.H (mod 2)."""
-    rank = draw(st.integers(min_value=1, max_value=BIG))
-    c1_dot_h = draw(st.integers(min_value=-BIG, max_value=BIG))
-    c1_sq = 2 * draw(st.integers(min_value=-BIG // 2, max_value=BIG // 2)) + c1_dot_h % 2
-    c2 = draw(st.integers(min_value=-BIG, max_value=BIG))
+    """Reduced data with rank and c2 up to 2**3000 and c1^2 = c1.H (mod 2).
+
+    c1^2, c1.H and c2 are drawn from +-2**3000 or from +-64, so the halvings
+    also see small negative values, where a floor off by one shows.
+    """
+    bound = draw(st.sampled_from([BIG, 64]))
+    rank = draw(st.integers(min_value=1, max_value=bound))
+    c1_dot_h = draw(st.integers(min_value=-bound, max_value=bound))
+    c1_sq = 2 * draw(st.integers(min_value=-bound // 2, max_value=bound // 2)) + c1_dot_h % 2
+    c2 = draw(st.integers(min_value=-bound, max_value=bound))
     return NumericClassData(rank, c1_sq, c1_dot_h, c2)
 
 
 class TestFactoredForms:
-    """The one-product forms of twist_by_h, discriminant and expected_moduli_dim
-    equal the textbook polynomials, written out here, on integers of the size
-    the syzygy iteration reaches."""
+    """The one-product forms of twist_by_h, discriminant and expected_moduli_dim,
+    and the shift-halving Riemann-Roch, equal the textbook polynomials, written
+    out here, on integers of the size the syzygy iteration reaches."""
 
     @given(big_reduced_data(), st.integers(min_value=-5, max_value=5),
            st.integers(min_value=3, max_value=8))
     @example(NumericClassData(BIG - 1, BIG + 1, 2 * BIG - 3, -BIG), 0, 7)
+    @example(NumericClassData(3, -BIG - 1, -2 * BIG + 1, -BIG), -5, 4)
+    @example(NumericClassData(2, -3, -1, -1), 1, 3)
     @settings(max_examples=150, deadline=None)
     def test_match_the_textbook_polynomials(self, f, m, d):
         s, q, p, c2 = astuple(f)
-        twisted = twist_by_h(f, m, make_surface(d))
+        surface = make_surface(d)
+        assert euler_char(f, surface) == s + Fraction(q + p, 2) - c2
+        with pytest.raises(ParityViolation):
+            euler_char(NumericClassData(s, q - 1, p, c2), surface)
+        twisted = twist_by_h(f, m, surface)
         textbook = NumericClassData(s, q + 2 * s * m * p + s * s * m * m * d, p + s * m * d,
                                     c2 + comb(s, 2) * m * m * d + (s - 1) * m * p)
         assert twisted == textbook

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -567,6 +568,73 @@ Options:
 """,
 }
 
+# sha256 and length of outputs too long to inline: `syzygy` on every
+# moduli-table row (its c2 given) and `sequence` at r = 2, both at k_max = 200.
+DIGESTS = {
+    "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format markdown":
+        ("2498eb553d053926769cf3a69938efb7742cf54383d637183ac29bb220b58e75", 9937),
+    "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format csv":
+        ("5c9d992f3f8d259f12eea870c1869938f17aa979f93dc8ca26a64959dcad5d88", 6645),
+    "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format json":
+        ("c50ca92eb3d8fcb07c56fcfa2f0275d67eff8d639cc9fdf53dca74fdcb7d06ae", 30783),
+    "syzygy --d 4 --c1-sq 16 --c2 6 --k-max 200 --format markdown":
+        ("a3aed3b9ef9f834017a9b2fd45c3db3efa581c72a4c0235eee46c7662190b745", 9938),
+    "syzygy --d 4 --c1-sq 16 --c2 6 --k-max 200 --format csv":
+        ("8f4cda1a79757755760be35eb43a17094f9da30d47f499eb9da46f2c72ee1d0c", 6646),
+    "syzygy --d 4 --c1-sq 16 --c2 6 --k-max 200 --format json":
+        ("14fcb2408a8fe8386db0ce8c1b2631ec1c596a9a1919eeac91952f76b8c96c9b", 30784),
+    "syzygy --d 5 --c1-sq 16 --c2 5 --k-max 200 --format markdown":
+        ("e2f5773bc9eb76a60864fc0f2b3d2c50b52477ebd925c18d5f201e23cfeffe17", 74870),
+    "syzygy --d 5 --c1-sq 16 --c2 5 --k-max 200 --format csv":
+        ("7499959065a995f0218a08c9307f3fc06345cb08d392797ce5d60e57915644e4", 71578),
+    "syzygy --d 5 --c1-sq 16 --c2 5 --k-max 200 --format json":
+        ("c7f81119ac2552dfb8841a5b907a734ecbda9427b7ebd463d2509bd607a008d3", 95717),
+    "syzygy --d 5 --c1-sq 20 --c2 7 --k-max 200 --format markdown":
+        ("a67015b8852827ba2d11d64e5b336d5b30281da30933f35bfa64d58e8156290a", 74870),
+    "syzygy --d 5 --c1-sq 20 --c2 7 --k-max 200 --format csv":
+        ("351df2dda0bbe56dd32addcd200f5d066f0ecd47579a8cd8887c947386083440", 71578),
+    "syzygy --d 5 --c1-sq 20 --c2 7 --k-max 200 --format json":
+        ("2a9b62d8bc395020b917349be2e6f1adb3b3e0ae7691d99cbe32f1cb2e6dbda3", 95717),
+    "syzygy --d 6 --c1-sq 20 --c2 6 --k-max 200 --format markdown":
+        ("3d8428ec4258e9817f0ad4dbe79ecc38347d0f718e3610cb8d53376545759b7b", 99856),
+    "syzygy --d 6 --c1-sq 20 --c2 6 --k-max 200 --format csv":
+        ("d07378c21a5a10f25f54ee20201341179b4a8bd668b8b6711e4a92d0e2f22644", 96564),
+    "syzygy --d 6 --c1-sq 20 --c2 6 --k-max 200 --format json":
+        ("bd7182b544343b08bcb9903adacd936220db9fb49149e9094cb4e1fcd5e9536b", 120703),
+    "syzygy --d 6 --c1-sq 24 --c2 8 --k-max 200 --format markdown":
+        ("f07421c7d7ec274a2a2a2cc45f47e32dea4e10eda9fd224fc5b745c6fcf1b2f3", 99856),
+    "syzygy --d 6 --c1-sq 24 --c2 8 --k-max 200 --format csv":
+        ("cf5e87bd479320b7b637b0636724ac0fc614eab5d34eb8b58b281090507961d5", 96564),
+    "syzygy --d 6 --c1-sq 24 --c2 8 --k-max 200 --format json":
+        ("0c80462dd640a2ba8579baa21be213c997170ba419735e43ab421cd74ced5c5c", 120703),
+    "syzygy --d 7 --c1-sq 24 --c2 7 --k-max 200 --format markdown":
+        ("721eb70ed7eb9fe74fe3932802edb0d2620f42b883238fc41234ef9f480a19a2", 117474),
+    "syzygy --d 7 --c1-sq 24 --c2 7 --k-max 200 --format csv":
+        ("7e691882ac2710a28b48902806f906a8f1b442626141d618ae33f96b4738c4b2", 114182),
+    "syzygy --d 7 --c1-sq 24 --c2 7 --k-max 200 --format json":
+        ("28cf757a4e723b111c9e73a670c48fb2098694c1236a38e0f24078b340bdd9a4", 138321),
+    "syzygy --d 7 --c1-sq 26 --c2 8 --k-max 200 --format markdown":
+        ("a235d17b5d395182998194653333769a2090799167c0e9262247231b3bf66eed", 117474),
+    "syzygy --d 7 --c1-sq 26 --c2 8 --k-max 200 --format csv":
+        ("ccc027e7af1d7d91e7b08840abc7d23eeacdc0e7080a068a97a8c2b4cde51b7f", 114182),
+    "syzygy --d 7 --c1-sq 26 --c2 8 --k-max 200 --format json":
+        ("c1d7b40fb892d861427ac49efd94cbe8fadc26c0a42b33525be534b781bdfef7", 138321),
+    "syzygy --d 7 --c1-sq 28 --c2 9 --k-max 200 --format markdown":
+        ("9acef832e32440b1225f5a8bc9dcccc43d35614d66c31ce459f7f29141863a35", 117474),
+    "syzygy --d 7 --c1-sq 28 --c2 9 --k-max 200 --format csv":
+        ("666da12a833b6752824d61fa5a4dc9cf4be3805a78afde6f1f0d649afe84cdbb", 114182),
+    "syzygy --d 7 --c1-sq 28 --c2 9 --k-max 200 --format json":
+        ("5916d4e6f0ddf1b7591ee845bf3174ac2649770d36abfe429ceff2b3c63f3690", 138321),
+    "sequence --d 5 --k-max 200":
+        ("62662119f5cf337ee61045bae91c50309f785ff602017baf6b69c17784587260", 21152),
+    "sequence --d 6 --k-max 200":
+        ("a48e9a934dc95b1bb28edaf57db5af3a9fd84603c27807166fbe40a85ed91802", 27380),
+    "sequence --d 7 --k-max 200":
+        ("637cd1d1b7b87dded7e8ec82ca46b4a3ac891c5a63b78aaa9f819b6fa7589b0b", 31768),
+    "sequence --d 8 --k-max 200":
+        ("5b4a42126c5de8b12556ac3d7ff393da3a4ff1d13f5aaa9a1ee42ed4d6cded6b", 35306),
+}
+
 
 class TestExactBytes:
     @pytest.mark.parametrize(
@@ -587,6 +655,13 @@ class TestExactBytes:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.output == expected
+
+    @pytest.mark.parametrize("args", list(DIGESTS))
+    def test_output_digest(self, runner, args):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 0
+        data = result.output.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == DIGESTS[args]
 
     @pytest.mark.parametrize("name", list(HELP), ids=[name or "group" for name in HELP])
     def test_help_bytes(self, runner, name):

@@ -22,11 +22,13 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     discriminant,
     euler_char,
     expected_moduli_dim,
+    iterate_syzygy,
     make_surface,
     rank_by_recurrence,
     syzygy_numerics,
     tensor,
     twist_by_h,
+    ulrich_c2,
 )
 from ulrich_lab.syzygy import _closed_core  # noqa: E402
 
@@ -277,3 +279,60 @@ class TestFactoredForms:
         textbook = 2 * r * c2 - (r - 1) * q
         assert is_zero(self.delta() - textbook)
         assert is_zero(self.moduli_dim() - (textbook - (r * r - 1)))
+
+
+class TestOnePassStep:
+    """One step of :func:`syzygy.iterate_syzygy` is the kernel, then O(H).
+
+    From (n, q, p, c2) of S_{k-1}, the syzygy module docstring's step is
+    N = (q + p)/2 - c2, p' = N d - p, u = p' - p, q' = q + N u and
+    c2' = q - c2 + (N - 1) u / 2.
+    """
+
+    @staticmethod
+    def one_pass(rank, c1_sq, c1_h, second):
+        n = (c1_sq + c1_h) / 2 - second
+        p_next = n * d - c1_h
+        u = p_next - c1_h
+        return n, c1_sq + n * u, p_next, c1_sq - second + (n - 1) * u / 2
+
+    @staticmethod
+    def textbook(rank, c1_sq, c1_h, second):
+        # Kernel of H^0 (x) O -> S with h^0 = chi(S): (chi - rank, c1^2, -c1.H,
+        # c1^2 - c2); then the textbook twist by H of a rank-N bundle.
+        n = rank + (c1_sq + c1_h) / 2 - second - rank
+        kp, kc2 = -c1_h, c1_sq - second
+        return (n, c1_sq + 2 * n * kp + n * n * d, kp + n * d,
+                sp.binomial(n, 2) * d + (n - 1) * kp + kc2)
+
+    def test_step_matches_the_library(self):
+        for dd in range(4, 9):
+            surface = make_surface(dd)
+            for rank, c1_sq in ((1, dd - 2), (2, 4 * dd - 4), (3, 9 * dd)):
+                seed = NumericClassData(rank, c1_sq, rank * dd, ulrich_c2(rank, c1_sq, surface))
+                rows = iterate_syzygy(seed, surface, 6).entries
+                for before, after in zip(rows, rows[1:]):
+                    data = tuple(map(sp.Integer, (before.rank, before.c1_sq, before.c1_dot_h,
+                                                  before.c2)))
+                    got = (after.rank, after.c1_sq, after.c1_dot_h, after.c2)
+                    assert tuple(x.subs(d, dd) for x in self.one_pass(*data)) == got
+                    # The public composition the step replaces gives the same row.
+                    f = before.as_numeric()
+                    twisted = twist_by_h(syzygy_numerics(f, euler_char(f, surface)), 1, surface)
+                    assert (twisted.rank, twisted.c1_sq, twisted.c1_dot_h, twisted.c2) == got
+
+    def test_one_pass_equals_kernel_then_twist(self):
+        for mine, theirs in zip(self.one_pass(r, q, p, c2), self.textbook(r, q, p, c2)):
+            assert is_zero(sp.expand_func(mine - theirs))
+
+    def test_halvings_are_exact(self):
+        # c2': (N - 1) u = 2 [C(N, 2) d - (N - 1) p], an integer polynomial in N.
+        nn = sp.Symbol("N")
+        u = nn * d - 2 * p
+        assert is_zero(sp.expand_func((nn - 1) * u - 2 * (sp.binomial(nn, 2) * d - (nn - 1) * p)))
+        # Riemann-Roch at the next step: q' + p' - (q + p) = 2 [C(N+1, 2) d - p - N p],
+        # so q + p stays even along the iteration and N stays an integer.
+        q_next, p_next = q + nn * u, nn * d - p
+        assert is_zero(sp.expand_func(
+            (q_next + p_next) - (q + p) - 2 * (sp.binomial(nn + 1, 2) * d - p - nn * p)))
+
