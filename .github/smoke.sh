@@ -1,0 +1,19 @@
+#!/bin/sh
+# Console-script smoke test: run the installed `ulrich-lab` entry point, so
+# the [project.scripts] declaration is exercised (the CliRunner tests call
+# main in process).  Subcommands are registered at import time, so --help of
+# each one fails on a broken declaration.  The deep syzygy and sequence runs
+# take the integer syzygy step and the closed rank form to k = 200.
+#
+# Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
+# first failing command)
+set -eu
+
+ulrich-lab --help
+for sub in sequence syzygy table-moduli table-pairs cubics decompose check; do
+    ulrich-lab "$sub" --help
+done
+ulrich-lab check --format json
+ulrich-lab table-pairs
+ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
+ulrich-lab sequence --d 8 --k-max 200

@@ -21,7 +21,8 @@ and, when G is a line bundle,
 
     c2(F(x)G) = C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).
 
-A product of two line bundles is again a line bundle, so there c2 = 0.
+It has one body, :func:`tensor_line`, which :func:`tensor`'s rank-1 cases
+call.  A product of two line bundles is again a line bundle, so there c2 = 0.
 
 Riemann-Roch on a surface with chi(O) = 1 and K = -H reads
 
@@ -64,6 +65,7 @@ from .picard import (
     DivisorClass,
     _combine,
     _is_int,
+    _require_int,
     format_divisor,
     parse_divisor,
     sum_classes,
@@ -79,12 +81,12 @@ class BundleNumerics:
     c2: int
 
     def __post_init__(self) -> None:
-        if (type(self.rank) is not int and not _is_int(self.rank)) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        if type(self.rank) is not int or self.rank < 1:
+            _require_int(self.rank, "rank must be a positive integer", lo=1)
         if not isinstance(self.c1, DivisorClass):
             raise TypeError(f"c1 must be a DivisorClass, got {self.c1!r}")
-        if type(self.c2) is not int and not _is_int(self.c2):
-            raise TypeError(f"c2 must be an integer, got {self.c2!r}")
+        if type(self.c2) is not int:
+            _require_int(self.c2, "c2 must be an integer", TypeError)
 
     @property
     def c1_sq(self) -> int:
@@ -112,14 +114,8 @@ class NumericClassData:
     c2: int
 
     def __post_init__(self) -> None:
-        # Four plain ints and a positive rank skip the checks below: every
-        # syzygy step builds several of these.
-        rank = self.rank
-        if (type(rank) is int and type(self.c1_sq) is int and type(self.c1_dot_h) is int
-                and type(self.c2) is int and rank >= 1):
-            return
-        if (type(rank) is not int and not _is_int(rank)) or rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        if type(self.rank) is not int or self.rank < 1:
+            _require_int(self.rank, "rank must be a positive integer", lo=1)
         for name in ("c1_sq", "c1_dot_h", "c2"):
             value = getattr(self, name)
             if type(value) is not int and not _is_int(value):
@@ -158,8 +154,7 @@ def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
 
 def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
     """Twist by m copies of the hyperplane class, in either resolution."""
-    if type(m) is not int and not _is_int(m):
-        raise TypeError(f"twist multiple m must be an integer, got {m!r}")
+    _require_int(m, "twist multiple m must be an integer", TypeError)
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)
         return tensor_line(f, m * surface.anticanonical_class)
@@ -181,27 +176,26 @@ def _twist(s: int, c1_sq: int, p: int, c2: int, m: int, d: int) -> tuple[int, in
 
 
 def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
-    """Numerics of the tensor product F (x) G."""
+    """Numerics of F (x) G; a rank-1 factor is read as a line bundle, its c2 unused."""
     fc, gc = f.c1, g.c1
     if len(fc.b) != len(gc.b):
         raise LatticeMismatch("tensor factors live on different lattices")
     s, t = f.rank, g.rank
+    if s == 1 and t == 1:
+        return BundleNumerics(1, fc + gc, 0)
+    if t == 1:
+        return tensor_line(f, gc)
+    if s == 1:
+        return tensor_line(g, fc)
     c1 = _combine(t, fc, s, gc)
     cross = fc.dot(gc)
-    if s == 1 and t == 1:
-        c2 = 0
-    elif t == 1:
-        c2 = comb(s, 2) * gc.self_intersection + (s - 1) * cross + f.c2
-    elif s == 1:
-        c2 = comb(t, 2) * fc.self_intersection + (t - 1) * cross + g.c2
-    else:
-        c2 = (
-            comb(s, 2) * gc.self_intersection
-            + s * g.c2
-            + (s * t - 1) * cross
-            + t * f.c2
-            + comb(t, 2) * fc.self_intersection
-        )
+    c2 = (
+        comb(s, 2) * gc.self_intersection
+        + s * g.c2
+        + (s * t - 1) * cross
+        + t * f.c2
+        + comb(t, 2) * fc.self_intersection
+    )
     return BundleNumerics(s * t, c1, c2)
 
 

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Callable
 
@@ -220,10 +220,7 @@ def cmd_check() -> CommandOutput:
     rows = [[result.name, "PASS" if result.passed else "FAIL", result.detail]
             for result in results]
     payload = {
-        "results": [
-            {"name": result.name, "passed": result.passed, "detail": result.detail}
-            for result in results
-        ],
+        "results": [asdict(result) for result in results],
         "passed": ok,
         "extra_seeds": len(extra),
     }

@@ -66,8 +66,8 @@ class DivisorClass:
             b = tuple(b)
             object.__setattr__(self, "b", b)
         # Plain ints skip the helper call: this constructor is on every hot path.
-        if type(self.a) is not int and not _is_int(self.a):
-            raise TypeError(f"coordinate a must be an integer, got {self.a!r}")
+        if type(self.a) is not int:
+            _require_int(self.a, "coordinate a must be an integer", TypeError)
         for entry in b:
             if type(entry) is not int and not _is_int(entry):
                 raise TypeError(f"coordinate {entry!r} is not an integer")

@@ -233,22 +233,16 @@ def rank_by_recurrence(d: int, r: int, k: int) -> int:
                  MIN_DEGREE, MAX_DEGREE)
     _require_int(r, "rank must be a positive integer", lo=1)
     _require_int(k, "index k must be an integer >= -1", lo=-1)
-    return r if k == -1 else _recurrence_pair(d, r, k)[1]
+    return next(islice(_recurrence_ranks(d, r), k + 1, None))
 
 
 def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
-    """N_{-1}, N_0, N_1, ... without end, from the three-term recurrence."""
+    """N_{-1}, N_0, N_1, ... without end: the one reader of the three-term recurrence."""
     prev, cur = r, r * (d - 1)
     yield prev
     while True:
         yield cur
         prev, cur = cur, (d - 2) * cur - prev
-
-
-def _recurrence_pair(d: int, r: int, k: int) -> tuple[int, int]:
-    """(N_{k-1}, N_k), k >= 0, from one pass of the three-term recurrence."""
-    prev, cur = islice(_recurrence_ranks(d, r), k, k + 2)
-    return prev, cur
 
 
 def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[int, int]:
@@ -290,8 +284,7 @@ def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
 
     Requires h0 > rank(F); otherwise there is no kernel bundle.
     """
-    if type(h0) is not int:
-        _require_int(h0, "h0 must be an integer", TypeError)
+    _require_int(h0, "h0 must be an integer", TypeError)
     if h0 <= f.rank:
         raise NoKernel(f"h^0 = {h0} does not exceed the rank {f.rank}")
     if isinstance(f, BundleNumerics):
@@ -389,12 +382,11 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
             "deeper iterations are not globally generated"
         )
     c1 = seed.c1 if isinstance(seed, BundleNumerics) else None
-    current = NumericClassData(seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2)
-    entries = [TraceEntry(-1, seed.rank, c1, current.c1_sq, current.c1_dot_h, current.c2)]
+    n, q, p, c2 = seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2
+    entries = [TraceEntry(-1, n, c1, q, p, c2)]
     # From here on every value is an int from int arithmetic on the checked
     # seed: one step is Riemann-Roch, the kernel and the twist by H on locals,
     # through the cores that euler_char and twist_by_h share (see chern).
-    n, q, p, c2 = current.rank, current.c1_sq, current.c1_dot_h, current.c2
     chi_o = surface.euler_char_structure_sheaf
     expected_ranks = islice(_recurrence_ranks(d, seed.rank), 1, k_max + 2)  # N_0 .. N_k_max
     for k, expected_rank in enumerate(expected_ranks):
@@ -487,7 +479,7 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     if k == -1:
         return seed.c1, seed.c2
     sign, m, _, _, c2 = _closed_core(d, seed.rank, reduced.c1_sq, reduced.c1_dot_h, seed.c2,
-                                     k, *_recurrence_pair(d, seed.rank, k))
+                                     k, *islice(_recurrence_ranks(d, seed.rank), k, k + 2))
     return _combine(sign, seed.c1, m, surface.anticanonical_class), c2
 
 
@@ -498,7 +490,7 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
     _require_ulrich(seed, surface)
     if k == -1:
         return seed
-    n_prev, n_k = _recurrence_pair(d, seed.rank, k)
+    n_prev, n_k = islice(_recurrence_ranks(d, seed.rank), k, k + 2)
     _, _, *data = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2, k, n_prev, n_k)
     return NumericClassData(n_k, *data)
 

@@ -128,10 +128,14 @@ class TestTensor:
         product = tensor(BundleNumerics(1, T_A, 0), BundleNumerics(1, T_C, 0))
         assert product == BundleNumerics(1, T_A + T_C, 0)
 
-    def test_tensor_by_rank_one_matches_tensor_line(self):
-        f = BundleNumerics(2, T_A + T_C, 3)
-        line = S3.fiber_class
-        assert tensor(f, BundleNumerics(1, line, 0)) == tensor_line(f, line)
+    @given(surface_bundle_pairs())
+    @example((S3, BundleNumerics(2, T_A + T_C, 3), BundleNumerics(1, S3.fiber_class, 0)))
+    @settings(max_examples=150)
+    def test_tensor_by_rank_one_matches_tensor_line(self, data):
+        # g only supplies a random class L on f's lattice.
+        _, f, g = data
+        line = BundleNumerics(1, g.c1, 0)
+        assert tensor(f, line) == tensor(line, f) == tensor_line(f, g.c1)
 
     def test_rank_multiplies(self):
         f = BundleNumerics(2, T_A, 1)
@@ -286,17 +290,28 @@ class TestFactoredForms:
         assert expected_moduli_dim(f) == delta - (s * s - 1)
         assert type(expected_moduli_dim(f)) is int
 
+    # A bare field name is a NumericClassData field; "Owner.field" names another type's.
+    GOOD_FIELDS = {
+        "": (NumericClassData, {"rank": 2, "c1_sq": 12, "c1_dot_h": 8, "c2": 4}),
+        "BundleNumerics": (BundleNumerics, {"rank": 2, "c1": T_A, "c2": 4}),
+        "DivisorClass": (DivisorClass, {"a": 1, "b": (0,)}),
+    }
+
     @pytest.mark.parametrize("field,error,message", [
         ("rank", ValueError, "rank must be a positive integer, got {!r}"),
         ("c1_sq", TypeError, "c1_sq must be an integer"),
         ("c1_dot_h", TypeError, "c1_dot_h must be an integer"),
         ("c2", TypeError, "c2 must be an integer"),
+        ("BundleNumerics.rank", ValueError, "rank must be a positive integer, got {!r}"),
+        ("BundleNumerics.c2", TypeError, "c2 must be an integer, got {!r}"),
+        ("DivisorClass.a", TypeError, "coordinate a must be an integer, got {!r}"),
     ])
     @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
     def test_bad_fields_keep_class_and_message(self, field, error, message, value):
-        fields = {"rank": 2, "c1_sq": 12, "c1_dot_h": 8, "c2": 4, field: value}
+        owner, _, name = field.rpartition(".")
+        cls, fields = self.GOOD_FIELDS[owner]
         with pytest.raises(error) as info:
-            NumericClassData(**fields)
+            cls(**{**fields, name: value})
         assert str(info.value) == message.format(value)
 
     def test_rank_zero_keeps_class_and_message(self):

@@ -460,6 +460,34 @@ cubic.decompositions,PASS,"table pairs found, all tuples revalidate"
 cubic.moduli-pairs,PASS,"3 rows, partners, 5 random twists each"
 """
 
+CHECK_MARKDOWN = """\
+| check | status | detail |
+| --- | --- | --- |
+| picard.signature | PASS | L^2=1, E_i.E_j=-delta, K^2=H^2=d on d=3, d=4, d=5, d=6, d=7, d=8 |
+| picard.bilinearity | PASS | 1000 random triples |
+| picard.permutation-pairing | PASS | 1000 random cases |
+| picard.parser-roundtrip | PASS | 1000 random classes |
+| chern.tensor-commutative | PASS | 1000 random pairs |
+| chern.tensor-associative | PASS | 1000 random triples |
+| chern.sum-permutation-invariant | PASS | 1000 random families |
+| chern.chi-additive | PASS | 1000 random pairs |
+| chern.discriminant-twist-invariant | PASS | 1000 random twists |
+| ulrich.candidate-permutation-invariant | PASS | 500 random cases |
+| syzygy.rank-triangle | PASS | recurrence = closed form = iteration, d=4..8, r=1..5, k=-1..50 |
+| syzygy.rank-monotone | PASS | strictly increasing, d=4..8, r=1..5, k<=39 |
+| syzygy.drift-constant | PASS | 32 seeds |
+| syzygy.delta-growth | PASS | Delta(S_k) strictly increasing for k >= 0 |
+| syzygy.closed-vs-iterate | PASS | 32 seeds, k <= 12 |
+| syzygy.table-vs-closed | PASS | all table rows, k = -1..20 |
+| ulrich.thresholds | PASS | genus 1, Butler, coprime, Koszul iff d>=4, H.(K+F)<0 |
+| ulrich.candidates | PASS | 32 seeds |
+| ulrich.moduli-table | PASS | all 9 rows recomputed |
+| cubic.census | PASS | 72 classes, orbits 1/20/30/20/1, T^2=1, T.H=3 |
+| cubic.chi-closed-vs-oracle | PASS | all 72^2 ordered pairs |
+| cubic.decompositions | PASS | table pairs found, all tuples revalidate |
+| cubic.moduli-pairs | PASS | 3 rows, partners, 5 random twists each |
+"""
+
 
 # The --help page of the group and of each subcommand, at a fixed width.
 # These pin the option order, the help texts and the defaults of every
@@ -569,7 +597,8 @@ Options:
 }
 
 # sha256 and length of outputs too long to inline: `syzygy` on every
-# moduli-table row (its c2 given) and `sequence` at r = 2, both at k_max = 200.
+# moduli-table row (its c2 given) and `sequence` at r = 2, both at k_max = 200,
+# and the JSON report of `check`.
 DIGESTS = {
     "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format markdown":
         ("2498eb553d053926769cf3a69938efb7742cf54383d637183ac29bb220b58e75", 9937),
@@ -633,6 +662,8 @@ DIGESTS = {
         ("637cd1d1b7b87dded7e8ec82ca46b4a3ac891c5a63b78aaa9f819b6fa7589b0b", 31768),
     "sequence --d 8 --k-max 200":
         ("5b4a42126c5de8b12556ac3d7ff393da3a4ff1d13f5aaa9a1ee42ed4d6cded6b", 35306),
+    "check --format json":
+        ("53289fd4596b5de63bf9d46f6619db7a2eb755fcdef96f2e0d4aca6861a450e3", 2871),
 }
 
 
@@ -647,9 +678,10 @@ class TestExactBytes:
             (["table-pairs", "--format", "csv"], TABLE_PAIRS_CSV),
             (["table-pairs", "--format", "json"], TABLE_PAIRS_JSON),
             (["check", "--format", "csv"], CHECK_CSV),
+            (["check"], CHECK_MARKDOWN),
         ],
         ids=["moduli-markdown", "moduli-csv", "moduli-json", "pairs-markdown",
-             "pairs-csv", "pairs-json", "check-csv"],
+             "pairs-csv", "pairs-json", "check-csv", "check-markdown"],
     )
     def test_output_bytes(self, runner, args, expected):
         result = runner.invoke(main, args)
@@ -662,6 +694,17 @@ class TestExactBytes:
         assert result.exit_code == 0
         data = result.output.encode()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == DIGESTS[args]
+
+    def test_check_with_seed_file_digest(self, runner, tmp_path):
+        # One good extra seed: three details count 33 seeds, extra_seeds is 1.
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps([{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 4}]))
+        result = runner.invoke(main, ["check", "--format", "json"],
+                               env={"ULRICH_LAB_SEED_FILE": str(path)})
+        assert result.exit_code == 0
+        data = result.output.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            "a2122ab695d43f4e0c89a0d21d18be3ed536e8af46eb1a6aff46ce20ea97b6ec", 2871)
 
     @pytest.mark.parametrize("name", list(HELP), ids=[name or "group" for name in HELP])
     def test_help_bytes(self, runner, name):
