@@ -3,7 +3,8 @@
 # the [project.scripts] declaration is exercised (the CliRunner tests call
 # main in process).  Subcommands are registered at import time, so --help of
 # each one fails on a broken declaration.  The deep syzygy and sequence runs
-# take the integer syzygy step and the closed rank form to k = 200.
+# take the integer syzygy step and the closed rank form to k = 200; the
+# cubics and decompose runs print divisor classes through their str() memo.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)
@@ -17,3 +18,5 @@ ulrich-lab check --format json
 ulrich-lab table-pairs
 ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
 ulrich-lab sequence --d 8 --k-max 200
+ulrich-lab cubics --format csv
+ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json

@@ -30,7 +30,7 @@ from itertools import permutations
 
 from .chern import BundleNumerics, dual, euler_char, tensor, tensor_line
 from .errors import LatticeMismatch, NotUlrich
-from .picard import DelPezzoSurface, DivisorClass, _require_int, make_surface, sum_classes
+from .picard import DelPezzoSurface, DivisorClass, _require_int, make_surface
 from .syzygy import syzygy_numerics
 from .ulrich import is_ulrich_candidate
 
@@ -98,16 +98,25 @@ class StableSumDecomposition:
     parts: tuple[TwistedCubicClass, ...]
 
     def validate(self) -> bool:
-        """Recheck the defining sum and partial-pairing inequalities."""
+        """Recheck the defining sum and partial-pairing inequalities.
+
+        One pass, on any lattice: the running partial sum feeds each pairing
+        test and is compared with the target at the end.  Empty parts, and
+        parts on mixed lattices, raise :class:`LatticeMismatch` with the
+        messages of :func:`~ulrich_lab.picard.sum_classes`; the sum is carried
+        through every part even after a pairing fails, so that holds for
+        every order of the parts.
+        """
         divisors = [p.divisor for p in self.parts]
-        if sum_classes(divisors) != self.target:
-            return False
-        partial = DivisorClass.zero(6)
-        for j, t in enumerate(divisors, start=1):
-            if j >= 2 and partial.dot(t) < 2 * j - 1:
-                return False
-            partial = partial + t
-        return True
+        if not divisors:
+            raise LatticeMismatch("cannot sum an empty family of divisor classes")
+        partial = divisors[0]
+        stable = True
+        for j, t in enumerate(divisors[1:], start=2):
+            total = partial + t  # before dot(), whose mismatch message differs
+            stable = stable and partial.dot(t) >= 2 * j - 1
+            partial = total
+        return stable and partial == self.target
 
 
 def decompose_stable_sum(

@@ -22,7 +22,16 @@ Every coordinate is an ``int`` (never a ``bool``): the constructor checks
 each one.  Sums, differences, negatives and integer multiples of classes
 are formed by int arithmetic on coordinates that were already checked,
 so they are ints again; those results are built by ``_trusted``, which
-skips the check.  Nothing outside this module calls ``_trusted``.
+skips the check.  The only caller outside this module is
+``syzygy.iterate_syzygy``, which builds each step's c1 the same way.
+
+A class is immutable: only ``__post_init__`` and ``_trusted`` write ``a``
+and ``b``, and both do so before the instance is shared.  That is what lets
+``hash(x)`` and ``str(x)`` be computed once, on first use, and kept in the
+instance's ``__dict__`` under the private keys ``_hash_memo`` and
+``_text_memo``.  The memo keys are not fields, so ``==``, ``fields()``,
+``asdict`` and ``repr`` never see them, and pickling and copying carry only
+``a`` and ``b`` (int-tuple hashes differ between 32- and 64-bit builds).
 """
 
 from __future__ import annotations
@@ -123,8 +132,27 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
+    # Memo defaults: an instance's __dict__ shadows them once filled in.  Not
+    # annotated, so not dataclass fields.
+    _hash_memo = None
+    _text_memo = None
+
+    # Defined in the class body, so @dataclass keeps it; the value is the one
+    # the generated __hash__ gives, hash((a, b)).
+    def __hash__(self) -> int:
+        h = self._hash_memo
+        if h is None:
+            h = self.__dict__["_hash_memo"] = hash((self.a, self.b))
+        return h
+
     def __str__(self) -> str:
-        return format_divisor(self)
+        text = self._text_memo
+        if text is None:
+            text = self.__dict__["_text_memo"] = format_divisor(self)
+        return text
+
+    def __getstate__(self) -> dict:
+        return {"a": self.a, "b": self.b}
 
 
 def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:

@@ -664,6 +664,40 @@ DIGESTS = {
         ("5b4a42126c5de8b12556ac3d7ff393da3a4ff1d13f5aaa9a1ee42ed4d6cded6b", 35306),
     "check --format json":
         ("53289fd4596b5de63bf9d46f6619db7a2eb755fcdef96f2e0d4aca6861a450e3", 2871),
+    "cubics --format markdown":
+        ("2593ab17688ec0290ca5f4f214b4966e278b3b19607746d4203f1b40c7db27a0", 1769),
+    "cubics --format csv":
+        ("ee952b2aa2e748d809707880e384d22b856115f2da57e0a1b951276fc730fc91", 1451),
+    "cubics --format json":
+        ("08af86d1029723a7efef1695d256b9fb024f88d45b6eb26de77e14787a39e9cd", 4717),
+    "decompose (4;2,1,1,1,1,0) --format markdown":
+        ("e617af6ef4a9e0ed8255ee10905715539072f0cce0194206fb5ffbcf5edeaf73", 369),
+    "decompose (4;2,1,1,1,1,0) --format csv":
+        ("8a23a003010699d4b162af79af1501551ac1ae69771e46e18eb7723e8fea7eb8", 308),
+    "decompose (4;2,1,1,1,1,0) --format json":
+        ("aea148f8846d877a03bc46d36dbca2b1bb4ed8aacfc7970625157b917ac5009c", 572),
+    "decompose (4;2,1,1,1,1,0) --unordered --format markdown":
+        ("1a1cb0e314a3f3094d0715b9ad7a1da4026eb8d5d2921071ac49eaf88908c2b8", 205),
+    "decompose (4;2,1,1,1,1,0) --unordered --format csv":
+        ("3d063dcb1711bf434917f2771532e916079764224551a5c2658009d7df30b5ea", 160),
+    "decompose (4;2,1,1,1,1,0) --unordered --format json":
+        ("9e25b428fa060db8526a91321165aaced5520fbcd0f5fa7ac5b7a47d373ac949", 324),
+    "decompose (9;4,3,3,3,3,2) --r 3 --format markdown":
+        ("8f849ffaf87f81b5cafd9740ae1a05fb0beeeb5d2d4629f1cbe2f97a800deba3", 42653),
+    "decompose (9;4,3,3,3,3,2) --r 3 --format csv":
+        ("7367a5a093230ce81839da0301be3ea20e17014beddc11aa4e330c46a3a24aa3", 39774),
+    "decompose (9;4,3,3,3,3,2) --r 3 --format json":
+        ("b0cf2da55b7f5143fcd908200a90d81c48c325e3f4b65fde6942c91ee5aa6c1c", 62022),
+    "decompose (9;4,3,3,3,3,2) --r 3 --unordered --format markdown":
+        ("c16ec1aba977dfc2337ba1f6e72e1be5e7e52c95e0033a6e7a73a970a24f4625", 7493),
+    "decompose (9;4,3,3,3,3,2) --r 3 --unordered --format csv":
+        ("4029b554ea1dce7d353e62ff4057c69b4734461c7e3155b45ec79edbbb63741a", 6958),
+    "decompose (9;4,3,3,3,3,2) --r 3 --unordered --format json":
+        ("0a1708493fba2e269ceefee8a9a73fc8860f1e42ea1ea980e421f4ec5002b1fc", 11040),
+    "decompose (2;0,0,0,0,0,0)":
+        ("eb0dd986a6706694ac7ef306a3a1cfe3ac31399c088e14d5eecbd3607e5e2749", 41),
+    "decompose (12;4,4,4,4,4,4) --r 4 --format markdown":
+        ("1c024be724669378b470f061a45b6bf0be015c15dcffc2674129adade63dbd4e", 4038791),
 }
 
 

@@ -33,6 +33,7 @@ from ulrich_lab import (
     ulrich_c2,
 )
 from ulrich_lab import checks, cubic
+from ulrich_lab.picard import sum_classes
 
 T_A = twisted_cubic_representative("A")
 T_B = twisted_cubic_representative("B")
@@ -85,6 +86,29 @@ def brute_force_decompositions(target, r, unordered=False):
                 kept.append(p)
         picks = kept
     return [StableSumDecomposition(target, tuple(cubics[i] for i in p)) for p in picks]
+
+
+QUARTIC_A = DivisorClass(1, (0, 0, 0, 0, 0))
+
+
+def decomposition(target, *divisors):
+    """A decomposition of target with the given parts, on any lattice."""
+    return StableSumDecomposition(target, tuple(TwistedCubicClass("?", x) for x in divisors))
+
+
+def two_pass_validate(dec):
+    """The earlier body of ``StableSumDecomposition.validate``: the sum first,
+    then the pairings, with the zero class taken on the parts' lattice
+    instead of the cubic one."""
+    divisors = [p.divisor for p in dec.parts]
+    if sum_classes(divisors) != dec.target:
+        return False
+    partial = DivisorClass.zero(divisors[0].num_exceptional)
+    for j, t in enumerate(divisors, start=1):
+        if j >= 2 and partial.dot(t) < 2 * j - 1:
+            return False
+        partial = partial + t
+    return True
 
 
 class TestCensus:
@@ -212,6 +236,67 @@ class TestDecompositions:
             (TwistedCubicClass("A", T_A), TwistedCubicClass("C", T_C)),
         )
         assert not bad.validate()
+
+    def test_validate_empty_parts_raises(self):
+        with pytest.raises(LatticeMismatch,
+                           match=r"^cannot sum an empty family of divisor classes$"):
+            StableSumDecomposition(T_A, ()).validate()
+
+    @pytest.mark.parametrize(
+        "divisors",
+        [
+            (T_A, QUARTIC_A),
+            (T_A, T_C, QUARTIC_A),
+            # T_A.T_A = 1 < 3 fails the pairing before the quartic part is met.
+            (T_A, T_A, QUARTIC_A),
+            (QUARTIC_A, QUARTIC_A, T_A),
+        ],
+        ids=["pair", "stable-then-mixed", "unstable-then-mixed", "quartic-then-cubic"],
+    )
+    def test_validate_mixed_lattices_raise(self, divisors):
+        dec = decomposition(T_A + T_C + T_E, *divisors)
+        with pytest.raises(LatticeMismatch, match=r"^cannot add classes from different lattices$"):
+            dec.validate()
+
+    def test_validate_on_the_quartic_lattice(self):
+        # Quartic classes with the pairings of a cubic stable pair, and one without.
+        first, second = DivisorClass(1, (0,) * 5), DivisorClass(3, (2, 1, 1, 1, 1))
+        assert first.dot(second) == 3 and first.dot(first) == 1
+        assert decomposition(first + second, first, second).validate()
+        assert not decomposition(first + first, first, first).validate()
+        # A cubic target, or a quartic target on cubic parts, is never the sum.
+        assert not decomposition(T_A + T_C, first, second).validate()
+        assert not decomposition(first + second, T_A, T_C).validate()
+
+    @pytest.mark.parametrize(
+        "target,count",
+        [(T_A + T_C + T_E, 712), (DivisorClass(9, (3, 3, 3, 3, 3, 3)), 1440)],
+        ids=["A+C+E", "3H"],
+    )
+    def test_validate_matches_two_pass_body(self, target, count):
+        decs = decompose_stable_sum(target, 3)
+        assert len(decs) == count
+        verdicts = Counter()
+        for dec in decs:
+            for parts in (dec.parts, dec.parts[::-1]):
+                for goal in (target, target + T_A, target - DivisorClass(0, (0, 0, 0, 0, 0, 1))):
+                    case = StableSumDecomposition(goal, parts)
+                    verdict = case.validate()
+                    assert verdict == two_pass_validate(case)
+                    verdicts[verdict] += 1
+        # Reversed orders and shifted targets both fail: the comparison sees both answers.
+        assert verdicts[True] >= count and verdicts[False] >= 4 * count
+
+    def test_validate_matches_two_pass_body_on_every_degree(self):
+        rng = random.Random(13)
+        for _ in range(600):
+            t = rng.randint(1, 6)
+            divisors = [DivisorClass(rng.randint(0, 5), tuple(rng.randint(0, 2) for _ in range(t)))
+                        for _ in range(rng.randint(1, 4))]
+            total = sum_classes(divisors)
+            for goal in (total, total + DivisorClass(1, (0,) * t)):
+                case = decomposition(goal, *divisors)
+                assert case.validate() == two_pass_validate(case)
 
     def test_triple_target(self):
         decs = decompose_stable_sum(T_A + T_C + T_E, 3)

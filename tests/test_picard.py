@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +37,59 @@ def divisor_classes(draw, t=None):
 def divisor_pairs(draw):
     t = draw(st.integers(min_value=1, max_value=6))
     return draw(divisor_classes(t=t)), draw(divisor_classes(t=t))
+
+
+@st.composite
+def built_classes(draw):
+    """A class from the checked constructor or from arithmetic, which builds
+    its results through ``picard._trusted``."""
+    x, y = draw(divisor_pairs())
+    m = draw(st.integers(min_value=-5, max_value=5))
+    return draw(st.sampled_from([x, x + y, x - y, -x, m * x]))
+
+
+MEMO_KEYS = {"_hash_memo", "_text_memo"}
+
+
+class TestMemo:
+    """``hash`` and ``str`` are memoised per instance; nothing else sees the memo."""
+
+    @given(built_classes(), st.booleans())
+    @settings(max_examples=300)
+    def test_memo_contract(self, x, text_first):
+        plain = hash((x.a, x.b))
+        if text_first:
+            assert str(x) == format_divisor(x)
+        assert hash(x) == plain
+        assert str(x) == format_divisor(x)
+        assert hash(x) == hash(x) == plain
+        assert str(x) == str(x) == format_divisor(x)
+        assert MEMO_KEYS <= set(vars(x))
+
+        twin = DivisorClass(x.a, x.b)
+        assert x == twin and twin == x and hash(twin) == plain
+        assert x != DivisorClass(x.a + 1, x.b)
+        assert dataclasses.asdict(x) == {"a": x.a, "b": x.b}
+        assert [f.name for f in dataclasses.fields(x)] == ["a", "b"]
+        assert repr(x) == f"DivisorClass(a={x.a!r}, b={x.b!r})"
+
+        copies = [pickle.loads(pickle.dumps(x, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.copy(x), copy.deepcopy(x)]:
+            assert twin == x
+            assert set(vars(twin)) == {"a", "b"}
+            assert hash(twin) == plain and str(twin) == str(x)
+
+        moved = dataclasses.replace(x, a=x.a + 1)
+        assert set(vars(moved)) == {"a", "b"}
+        assert hash(moved) == hash((x.a + 1, x.b))
+        assert str(moved) == format_divisor(moved) == format_divisor(DivisorClass(x.a + 1, x.b))
+        assert str(x) == format_divisor(x)
+
+    def test_memo_is_per_instance(self):
+        x, y = DivisorClass(1, (2, 3)), DivisorClass(4, (5,))
+        assert (str(x), str(y), str(x)) == ("(1;2,3)", "(4;5)", "(1;2,3)")
+        assert {x: 1, y: 2}[DivisorClass(1, (2, 3))] == 1
 
 
 class TestSurface:
