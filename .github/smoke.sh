@@ -5,6 +5,9 @@
 # each one fails on a broken declaration.  The deep syzygy and sequence runs
 # take the integer syzygy step and the closed rank form to k = 200; the
 # cubics and decompose runs print divisor classes through their str() memo.
+# One check run reads a seed file, so the validating path from JSON to
+# BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
+# the library's internal results, which skip re-validation.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)
@@ -15,6 +18,10 @@ for sub in sequence syzygy table-moduli table-pairs cubics decompose check; do
     ulrich-lab "$sub" --help
 done
 ulrich-lab check --format json
+seed_file=$(mktemp)
+trap 'rm -f "$seed_file"' EXIT
+printf '%s\n' '[{"rank": 2, "c1": "(6;2,2,2,2,2)", "c2": 6}]' > "$seed_file"
+ULRICH_LAB_SEED_FILE="$seed_file" ulrich-lab check
 ulrich-lab table-pairs
 ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
 ulrich-lab sequence --d 8 --k-max 200

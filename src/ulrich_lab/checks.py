@@ -14,9 +14,9 @@ from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from . import chern, cubic, picard, syzygy, tables, ulrich
-from .chern import AnyNumerics, BundleNumerics, NumericClassData
+from .chern import AnyNumerics, BundleNumerics, NumericClassData, _trusted_bundle
 from .errors import BadSeedFile, UlrichLabError
-from .picard import DelPezzoSurface, DivisorClass, _require_int, make_surface
+from .picard import DelPezzoSurface, DivisorClass, _require_int, _trusted, make_surface
 
 DEFAULT_RNG_SEED = 0x5EED
 DEFAULT_CASES = 1000
@@ -91,14 +91,22 @@ def load_seed_file(path: str) -> list[Seed]:
 
 
 def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
-    a, *b = rng.choices(range(-span, span + 1), k=t + 1)
-    return DivisorClass(a, tuple(b))
+    """Coordinates uniform in [-span, span], a first, then b_1..b_t.
+
+    The draws are those of ``rng.choices(range(-span, span + 1), k=t + 1)``,
+    which picks ``floor(rng.random() * n)`` from a population of n, so the
+    stream and every case are unchanged; the coordinates are ints by
+    construction, so the class is built without the constructor's checks.
+    """
+    draw, n = rng.random, 2 * span + 1
+    a = int(draw() * n) - span
+    return _trusted(a, tuple([int(draw() * n) - span for _ in range(t)]))
 
 
 def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
     rank = rng.randint(1, 5)
     c2 = 0 if rank == 1 else rng.randint(-20, 20)
-    return BundleNumerics(rank, _random_class(rng, t, 6), c2)
+    return _trusted_bundle(rank, _random_class(rng, t, 6), c2)
 
 
 def _random_permutation(rng: random.Random, t: int) -> tuple[int, ...]:
@@ -350,7 +358,7 @@ def check_candidate_permutation_invariance(rng: random.Random, cases: int) -> Ch
     for _ in range(cases):
         surface, numerics = pool[rng.randrange(len(pool))]
         p = _random_permutation(rng, surface.num_exceptional)
-        moved = BundleNumerics(
+        moved = _trusted_bundle(
             numerics.rank, picard.permute_exceptionals(numerics.c1, p), numerics.c2
         )
         if not ulrich.is_ulrich_candidate(moved, surface):

@@ -49,6 +49,17 @@ step on the ints it carries.  The exact halvings are ``>> 1`` and the parity
 test is ``& 1``: for every Python int, negative ones included, they equal
 ``// 2`` and ``% 2``, and on integers of thousands of bits they cost a
 fraction of the division.
+
+Results are built without re-checking their fields, by ``_trusted_bundle``
+and ``_trusted_numeric`` (the contract is in :mod:`ulrich_lab.picard`):
+every rank, Chern number and coordinate a function here returns is int
+arithmetic on the fields of its operands, which passed a constructor.  What
+keeps that sound is the operand test at the top of each public function:
+:func:`tensor`, :func:`tensor_line`, :func:`direct_sum`, :func:`dual`,
+:func:`reduce_numerics`, :func:`twist_by_h` and :func:`euler_char` refuse an
+operand of the wrong type with ``TypeError`` naming the argument, before
+reading a field of it.  A rank-s, rank-t product has rank st >= 1, a sum
+or a dual keeps a positive rank, so the rank stays positive as well.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
@@ -66,9 +78,10 @@ from .picard import (
     _combine,
     _is_int,
     _require_int,
+    _require_type,
+    _trusted,
     format_divisor,
     parse_divisor,
-    sum_classes,
 )
 
 
@@ -114,12 +127,7 @@ class NumericClassData:
     c2: int
 
     def __post_init__(self) -> None:
-        if type(self.rank) is not int or self.rank < 1:
-            _require_int(self.rank, "rank must be a positive integer", lo=1)
-        for name in ("c1_sq", "c1_dot_h", "c2"):
-            value = getattr(self, name)
-            if type(value) is not int and not _is_int(value):
-                raise TypeError(f"{name} must be an integer")
+        _check_reduced(self)
 
     def to_dict(self) -> dict:
         return {
@@ -134,32 +142,80 @@ class NumericClassData:
         return cls(data["rank"], data["c1_sq"], data["c1_dot_H"], data["c2"])
 
 
+def _check_reduced(x: NumericClassData) -> None:
+    """The field checks of reduced data (rank, c1_sq, c1_dot_h, c2), for any
+    value type that carries them."""
+    if type(x.rank) is not int or x.rank < 1:
+        _require_int(x.rank, "rank must be a positive integer", lo=1)
+    for name in ("c1_sq", "c1_dot_h", "c2"):
+        value = getattr(x, name)
+        if type(value) is not int and not _is_int(value):
+            raise TypeError(f"{name} must be an integer")
+
+
 AnyNumerics = Union[BundleNumerics, NumericClassData]
+_BUNDLE = (BundleNumerics,)
+_NUMERICS = (BundleNumerics, NumericClassData)
+
+
+def _trusted_bundle(rank: int, c1: DivisorClass, c2: int) -> BundleNumerics:
+    """``BundleNumerics(rank, c1, c2)`` without the field checks.
+
+    Only for a positive int rank, a checked or trusted class and an int c2
+    computed from checked values; see the contract in :mod:`ulrich_lab.picard`.
+    """
+    x = object.__new__(BundleNumerics)
+    object.__setattr__(x, "rank", rank)
+    object.__setattr__(x, "c1", c1)
+    object.__setattr__(x, "c2", c2)
+    return x
+
+
+def _trusted_numeric(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> NumericClassData:
+    """``NumericClassData(rank, c1_sq, c1_dot_h, c2)`` without the field checks,
+    under the same contract as :func:`_trusted_bundle`."""
+    x = object.__new__(NumericClassData)
+    object.__setattr__(x, "rank", rank)
+    object.__setattr__(x, "c1_sq", c1_sq)
+    object.__setattr__(x, "c1_dot_h", c1_dot_h)
+    object.__setattr__(x, "c2", c2)
+    return x
 
 
 def reduce_numerics(f: BundleNumerics) -> NumericClassData:
-    """Forget the exact c1, keeping (rank, c1^2, c1.H, c2)."""
-    return NumericClassData(f.rank, f.c1_sq, f.c1_dot_h, f.c2)
+    """Forget the exact c1, keeping (rank, c1^2, c1.H, c2).
+
+    Reduced data passes through as an equal copy.
+    """
+    if type(f) is not BundleNumerics:
+        _require_type(f, _NUMERICS, "f")
+    return _trusted_numeric(f.rank, f.c1_sq, f.c1_dot_h, f.c2)
 
 
 def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     """Twist by the line bundle with first Chern class ``line``."""
-    if len(f.c1.b) != len(line.b):
+    if type(f) is not BundleNumerics:
+        _require_type(f, _BUNDLE, "f")
+    if type(line) is not DivisorClass:
+        _require_type(line, (DivisorClass,), "line")
+    c1 = f.c1
+    if len(c1.b) != len(line.b):
         raise LatticeMismatch("twist class lives on a different lattice")
     s = f.rank
-    c1 = _combine(1, f.c1, s, line)
-    c2 = comb(s, 2) * line.self_intersection + (s - 1) * f.c1.dot(line) + f.c2
-    return BundleNumerics(s, c1, c2)
+    c2 = comb(s, 2) * line.self_intersection + (s - 1) * c1.dot(line) + f.c2
+    return _trusted_bundle(s, _combine(1, c1, s, line), c2)
 
 
 def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
     """Twist by m copies of the hyperplane class, in either resolution."""
     _require_int(m, "twist multiple m must be an integer", TypeError)
-    if isinstance(f, BundleNumerics):
-        surface.require(f.c1)
-        return tensor_line(f, m * surface.anticanonical_class)
+    if type(f) is not NumericClassData:
+        _require_type(f, _NUMERICS, "f")
+        if isinstance(f, BundleNumerics):
+            surface.require(f.c1)
+            return tensor_line(f, m * surface.anticanonical_class)
     s = f.rank
-    return NumericClassData(s, *_twist(s, f.c1_sq, f.c1_dot_h, f.c2, m, surface.degree))
+    return _trusted_numeric(s, *_twist(s, f.c1_sq, f.c1_dot_h, f.c2, m, surface.degree))
 
 
 def _twist(s: int, c1_sq: int, p: int, c2: int, m: int, d: int) -> tuple[int, int, int]:
@@ -177,26 +233,31 @@ def _twist(s: int, c1_sq: int, p: int, c2: int, m: int, d: int) -> tuple[int, in
 
 def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
     """Numerics of F (x) G; a rank-1 factor is read as a line bundle, its c2 unused."""
+    if type(f) is not BundleNumerics:
+        _require_type(f, _BUNDLE, "f")
+    if type(g) is not BundleNumerics:
+        _require_type(g, _BUNDLE, "g")
     fc, gc = f.c1, g.c1
-    if len(fc.b) != len(gc.b):
+    fa, fb, ga, gb = fc.a, fc.b, gc.a, gc.b
+    if len(fb) != len(gb):
         raise LatticeMismatch("tensor factors live on different lattices")
     s, t = f.rank, g.rank
     if s == 1 and t == 1:
-        return BundleNumerics(1, fc + gc, 0)
+        return _trusted_bundle(1, _trusted(fa + ga, tuple(map(add, fb, gb))), 0)
     if t == 1:
         return tensor_line(f, gc)
     if s == 1:
         return tensor_line(g, fc)
-    c1 = _combine(t, fc, s, gc)
-    cross = fc.dot(gc)
+    # The three pairings c1(F)^2, c1(G)^2 and c1(F).c1(G), from the coordinates.
     c2 = (
-        comb(s, 2) * gc.self_intersection
+        comb(s, 2) * (ga * ga - sum(map(mul, gb, gb)))
         + s * g.c2
-        + (s * t - 1) * cross
+        + (s * t - 1) * (fa * ga - sum(map(mul, fb, gb)))
         + t * f.c2
-        + comb(t, 2) * fc.self_intersection
+        + comb(t, 2) * (fa * fa - sum(map(mul, fb, fb)))
     )
-    return BundleNumerics(s * t, c1, c2)
+    c1 = _trusted(t * fa + s * ga, tuple(map(add, map(t.__mul__, fb), map(s.__mul__, gb))))
+    return _trusted_bundle(s * t, c1, c2)
 
 
 def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) -> BundleNumerics:
@@ -204,30 +265,40 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
     items = list(summands)
     if not items:
         raise EmptySum("direct sum needs at least one summand")
-    arity = items[0].c1.num_exceptional
-    for item in items[1:]:
-        if item.c1.num_exceptional != arity:
-            raise LatticeMismatch("summands live on different lattices")
+    for position, item in enumerate(items):
+        if type(item) is not BundleNumerics:
+            _require_type(item, _BUNDLE, f"summands[{position}]")
     classes = [item.c1 for item in items]
+    arity = len(classes[0].b)
+    for x in classes:
+        if len(x.b) != arity:
+            raise LatticeMismatch("summands live on different lattices")
     c2 = sum(item.c2 for item in items) + sum(x.dot(y) for x, y in combinations(classes, 2))
-    return BundleNumerics(sum(item.rank for item in items), sum_classes(classes), c2)
+    # c1 summed column by column: a, then each b_i.
+    c1 = _trusted(sum(x.a for x in classes), tuple(map(sum, zip(*(x.b for x in classes)))))
+    return _trusted_bundle(sum(item.rank for item in items), c1, c2)
 
 
 def dual(f: AnyNumerics) -> AnyNumerics:
     """Numerics of the dual bundle: c1 flips sign, c2 is unchanged."""
-    if isinstance(f, NumericClassData):
-        return NumericClassData(f.rank, f.c1_sq, -f.c1_dot_h, f.c2)
-    return BundleNumerics(f.rank, -f.c1, f.c2)
+    if type(f) is not BundleNumerics:
+        _require_type(f, _NUMERICS, "f")
+        if isinstance(f, NumericClassData):
+            return _trusted_numeric(f.rank, f.c1_sq, -f.c1_dot_h, f.c2)
+    return _trusted_bundle(f.rank, -f.c1, f.c2)
 
 
 def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
     """Riemann-Roch: chi(F) = rank + (c1^2 + c1.H)/2 - c2."""
     if isinstance(f, BundleNumerics):
         c1 = f.c1
-        if len(c1.b) != surface.num_exceptional:
+        a, b = c1.a, c1.b
+        if len(b) != surface.num_exceptional:
             surface.require(c1)  # raises, naming both lattices
-        c1_sq, c1_dot_h = c1.self_intersection, c1.degree
+        c1_sq, c1_dot_h = a * a - sum(map(mul, b, b)), 3 * a - sum(b)
     else:
+        if type(f) is not NumericClassData:
+            _require_type(f, _NUMERICS, "f")
         c1_sq, c1_dot_h = f.c1_sq, f.c1_dot_h
     return _chi(f.rank, c1_sq, c1_dot_h, f.c2, surface.euler_char_structure_sheaf)
 

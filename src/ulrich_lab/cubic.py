@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .chern import BundleNumerics, dual, euler_char, tensor, tensor_line
+from .chern import BundleNumerics, _BUNDLE, dual, euler_char, tensor, tensor_line
 from .errors import LatticeMismatch, NotUlrich
-from .picard import DelPezzoSurface, DivisorClass, _require_int, make_surface
+from .picard import DelPezzoSurface, DivisorClass, _require_int, _require_type, make_surface
 from .syzygy import syzygy_numerics
 from .ulrich import is_ulrich_candidate
 
@@ -119,6 +119,16 @@ class StableSumDecomposition:
         return stable and partial == self.target
 
 
+def _trusted_decomposition(target: DivisorClass,
+                           parts: tuple[TwistedCubicClass, ...]) -> StableSumDecomposition:
+    """``StableSumDecomposition(target, parts)`` without the dataclass
+    ``__init__``; see the contract in :mod:`ulrich_lab.picard`."""
+    x = object.__new__(StableSumDecomposition)
+    object.__setattr__(x, "target", target)
+    object.__setattr__(x, "parts", parts)
+    return x
+
+
 def decompose_stable_sum(
     target: DivisorClass, r: int, unordered: bool = False
 ) -> list[StableSumDecomposition]:
@@ -139,6 +149,8 @@ def decompose_stable_sum(
     tuples returned; :meth:`StableSumDecomposition.validate` rechecks any
     of them with lattice arithmetic.
     """
+    if type(target) is not DivisorClass:
+        _require_type(target, (DivisorClass,), "target")
     if target.num_exceptional != 6:
         raise LatticeMismatch(f"target {target} does not live on the cubic surface lattice")
     _require_int(r, "need r >= 2 parts", lo=2)
@@ -190,8 +202,8 @@ def decompose_stable_sum(
         for parts in found:
             best.setdefault(tuple(sorted(parts)), parts)
         found = sorted(best.values())
-    cubics = twisted_cubics()
-    return [StableSumDecomposition(target, tuple(cubics[i] for i in parts)) for parts in found]
+    part = twisted_cubics().__getitem__
+    return [_trusted_decomposition(target, tuple(map(part, parts))) for parts in found]
 
 
 def decomposition_to_dict(target: DivisorClass, r: int,
@@ -233,6 +245,10 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
 
 def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSurface) -> int:
     """chi(F* (x) M_T) computed through dual, tensor and Riemann-Roch only."""
+    if type(fprev) is not BundleNumerics:
+        _require_type(fprev, _BUNDLE, "fprev")
+    if type(t) is not DivisorClass:
+        _require_type(t, (DivisorClass,), "t")
     return euler_char(tensor(dual(fprev), kernel_bundle_of_cubic(t)), surface)
 
 

@@ -19,11 +19,33 @@ All arithmetic uses Python integers, which never overflow, so large
 coordinates are exact and safe.
 
 Every coordinate is an ``int`` (never a ``bool``): the constructor checks
-each one.  Sums, differences, negatives and integer multiples of classes
-are formed by int arithmetic on coordinates that were already checked,
-so they are ints again; those results are built by ``_trusted``, which
-skips the check.  The only caller outside this module is
-``syzygy.iterate_syzygy``, which builds each step's c1 the same way.
+each one.
+
+Trusted construction.  Each value type of the package checks its fields in
+its constructor, and that is the path every user value takes.  A value
+formed by int arithmetic on fields that were already checked is an int
+again, so checking it a second time proves nothing.  Such results are built
+by private constructors that skip the checks:
+
+* ``picard._trusted`` for :class:`DivisorClass`;
+* ``chern._trusted_bundle`` and ``chern._trusted_numeric`` for the two
+  Chern resolutions;
+* ``syzygy._trusted_entry`` for a syzygy trace row;
+* ``cubic._trusted_decomposition`` for a stable-sum decomposition.
+
+Only library code calls them, and only with ints computed from checked
+values (coordinates, ranks, Chern numbers, counts) or drawn as ints by the
+self-check's random generator, and with classes and numerics that are
+themselves checked or trusted.  That is safe because each public function
+that builds its result this way first tests the type of its operands:
+``type(x) is Cls`` on the hot path, with ``isinstance`` as the fallback for
+subclasses (:func:`_require_type`), raising ``TypeError`` that names the
+argument.  So an operand's fields are known to have passed a constructor.
+The private constructors set the fields and nothing else, skipping only
+the dataclass ``__init__`` and its checks: a trusted result is an ordinary
+instance, the same under ``==``, ``hash``, ``repr``, ``asdict``, pickling,
+copying and ``dataclasses.replace`` (which runs the checks), and assigning
+to a field still raises ``FrozenInstanceError``.
 
 A class is immutable: only ``__post_init__`` and ``_trusted`` write ``a``
 and ``b``, and both do so before the instance is shared.  That is what lets
@@ -44,11 +66,24 @@ from .errors import BadPermutation, DegreeOutOfRange, LatticeMismatch, ParseErro
 
 MIN_DEGREE = 3
 MAX_DEGREE = 8
+_DEGREE_RANGE = f"degree must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}]"
 
 
 def _is_int(value: object) -> bool:
     """True for Python integers, excluding ``bool`` (an ``int`` subclass)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_type(value: object, types: tuple[type, ...], name: str) -> None:
+    """Raise ``TypeError(f"{name} must be a <type>, got {value!r}")`` unless
+    value is an instance of one of ``types``.
+
+    The fallback of the inline ``type(x) is Cls`` operand tests: subclasses
+    pass here, anything else is refused before a field of it is read.
+    """
+    if not isinstance(value, types):
+        expected = " or ".join(cls.__name__ for cls in types)
+        raise TypeError(f"{name} must be a {expected}, got {value!r}")
 
 
 def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
@@ -158,8 +193,8 @@ class DivisorClass:
 def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:
     """``DivisorClass(a, b)`` without the coordinate checks.
 
-    Only for int results of arithmetic on checked coordinates; see the
-    module docstring.
+    Only for an int ``a`` and a tuple ``b`` of ints computed from checked
+    values; see the module docstring.
     """
     x = object.__new__(DivisorClass)
     object.__setattr__(x, "a", a)
@@ -179,8 +214,7 @@ class DelPezzoSurface:
     degree: int
 
     def __post_init__(self) -> None:
-        _require_int(self.degree, f"degree must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}]",
-                     DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
+        _require_int(self.degree, _DEGREE_RANGE, DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
 
     @property
     def num_exceptional(self) -> int:
@@ -256,7 +290,9 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
     ``p`` lists the 1-based images of 1..t and must be a bijection.  The
     pairing is invariant under this action.
     """
-    t = x.num_exceptional
+    if type(x) is not DivisorClass:
+        _require_type(x, (DivisorClass,), "x")
+    t = len(x.b)
     perm = tuple(p)
     for image in perm:
         if type(image) is not int:
@@ -266,7 +302,7 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
     coords = [0] * t
     for source, image in enumerate(perm):
         coords[image - 1] = x.b[source]
-    return DivisorClass(x.a, tuple(coords))
+    return _trusted(x.a, tuple(coords))
 
 
 def format_divisor(x: DivisorClass) -> str:

@@ -77,7 +77,11 @@ from .chern import (
     AnyNumerics,
     BundleNumerics,
     NumericClassData,
+    _NUMERICS,
+    _check_reduced,
     _chi,
+    _trusted_bundle,
+    _trusted_numeric,
     _twist,
     discriminant,
     expected_moduli_dim,
@@ -98,6 +102,7 @@ from .picard import (
     _combine,
     _is_int,
     _require_int,
+    _require_type,
     _trusted,
 )
 
@@ -227,10 +232,12 @@ def alpha_pair(d: int) -> tuple[QuadraticNumber, QuadraticNumber]:
     return alpha, alpha.conjugate()
 
 
+_RECURRENCE_DEGREE = f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]"
+
+
 def rank_by_recurrence(d: int, r: int, k: int) -> int:
     """N_k via N_{-1} = r, N_0 = r(d-1), N_k = (d-2)N_{k-1} - N_{k-2}."""
-    _require_int(d, f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]", DegreeOutOfRange,
-                 MIN_DEGREE, MAX_DEGREE)
+    _require_int(d, _RECURRENCE_DEGREE, DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
     _require_int(r, "rank must be a positive integer", lo=1)
     _require_int(k, "index k must be an integer >= -1", lo=-1)
     return next(islice(_recurrence_ranks(d, r), k + 1, None))
@@ -285,16 +292,22 @@ def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
     Requires h0 > rank(F); otherwise there is no kernel bundle.
     """
     _require_int(h0, "h0 must be an integer", TypeError)
+    _require_type(f, _NUMERICS, "f")
     if h0 <= f.rank:
         raise NoKernel(f"h^0 = {h0} does not exceed the rank {f.rank}")
     if isinstance(f, BundleNumerics):
-        return BundleNumerics(h0 - f.rank, -f.c1, f.c1_sq - f.c2)
-    return NumericClassData(h0 - f.rank, f.c1_sq, -f.c1_dot_h, f.c1_sq - f.c2)
+        return _trusted_bundle(h0 - f.rank, -f.c1, f.c1_sq - f.c2)
+    return _trusted_numeric(h0 - f.rank, f.c1_sq, -f.c1_dot_h, f.c1_sq - f.c2)
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One row of a syzygy trace: the numerics of S_k, k = -1 being the seed."""
+    """One row of a syzygy trace: the numerics of S_k, k = -1 being the seed.
+
+    The constructor checks the fields as :class:`NumericClassData` and
+    :class:`BundleNumerics` do, so :meth:`as_numeric` and :meth:`as_bundle`
+    build their results without a second check.
+    """
 
     k: int
     rank: int
@@ -303,13 +316,19 @@ class TraceEntry:
     c1_dot_h: int
     c2: int
 
+    def __post_init__(self) -> None:
+        _require_int(self.k, "index k must be an integer >= -1", lo=-1)
+        _check_reduced(self)
+        if self.c1 is not None and not isinstance(self.c1, DivisorClass):
+            raise TypeError(f"c1 must be a DivisorClass or None, got {self.c1!r}")
+
     def as_numeric(self) -> NumericClassData:
-        return NumericClassData(self.rank, self.c1_sq, self.c1_dot_h, self.c2)
+        return _trusted_numeric(self.rank, self.c1_sq, self.c1_dot_h, self.c2)
 
     def as_bundle(self) -> BundleNumerics | None:
         if self.c1 is None:
             return None
-        return BundleNumerics(self.rank, self.c1, self.c2)
+        return _trusted_bundle(self.rank, self.c1, self.c2)
 
     @property
     def delta(self) -> int:
@@ -333,8 +352,8 @@ class TraceEntry:
 
 def _trusted_entry(k: int, rank: int, c1: DivisorClass | None,
                    c1_sq: int, c1_dot_h: int, c2: int) -> TraceEntry:
-    """``TraceEntry(...)`` without the dataclass ``__init__``, for int fields
-    from int arithmetic on a checked seed (the idiom of ``picard._trusted``)."""
+    """``TraceEntry(...)`` without the checks, for int fields from int
+    arithmetic on a checked seed; see the contract in :mod:`ulrich_lab.picard`."""
     entry = object.__new__(TraceEntry)
     entry.__dict__.update(k=k, rank=rank, c1=c1, c1_sq=c1_sq, c1_dot_h=c1_dot_h, c2=c2)
     return entry
@@ -374,6 +393,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     raises RuntimeError.
     """
     _require_int(k_max, "k_max must be an integer >= -1", lo=-1)
+    _require_type(seed, _NUMERICS, "seed")
     _require_ulrich(seed, surface)
     d = surface.degree
     if d == 3 and k_max > 0:
@@ -383,7 +403,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
         )
     c1 = seed.c1 if isinstance(seed, BundleNumerics) else None
     n, q, p, c2 = seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2
-    entries = [TraceEntry(-1, n, c1, q, p, c2)]
+    entries = [_trusted_entry(-1, n, c1, q, p, c2)]
     # From here on every value is an int from int arithmetic on the checked
     # seed: one step is Riemann-Roch, the kernel and the twist by H on locals,
     # through the cores that euler_char and twist_by_h share (see chern).
@@ -492,7 +512,7 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
         return seed
     n_prev, n_k = islice(_recurrence_ranks(d, seed.rank), k, k + 2)
     _, _, *data = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2, k, n_prev, n_k)
-    return NumericClassData(n_k, *data)
+    return _trusted_numeric(n_k, *data)
 
 
 def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassData:
@@ -512,4 +532,4 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
         return seed
     n_prev, n_k = rank_closed_form(d, 2, k - 1), rank_closed_form(d, 2, k)
     _, _, *data = _closed_core(d, 2, c1_sq, 2 * d, c2, k, n_prev, n_k)
-    return NumericClassData(n_k, *data)
+    return _trusted_numeric(n_k, *data)

@@ -1,4 +1,5 @@
-"""Integer arguments refuse bool, float and str with each function's own exception.
+"""Integer arguments refuse bool, float and str with each function's own exception;
+operands of the wrong type are refused with TypeError.
 
 One row per guarded public entry point.  ``make_surface`` and the seed-file
 loader have their own parametrized tests (``test_picard.py`` and
@@ -20,10 +21,15 @@ from ulrich_lab import (
     OutOfTheoremScope,
     PolarizedData,
     QuadraticNumber,
+    TraceEntry,
     chi_pair_closed_form,
+    chi_pair_oracle,
     closed_syzygy_chern,
     closed_syzygy_chern_numeric,
     decompose_stable_sum,
+    direct_sum,
+    dual,
+    euler_char,
     iterate_syzygy,
     make_surface,
     parse_divisor,
@@ -31,7 +37,10 @@ from ulrich_lab import (
     rank_by_recurrence,
     rank_closed_form,
     rank_two_table_chern,
+    reduce_numerics,
     syzygy_numerics,
+    tensor,
+    tensor_line,
     twist_by_h,
     ulrich_c2,
     ulrich_profile,
@@ -121,3 +130,82 @@ BOOL_OPERANDS = [
 def test_bool_operand_is_refused(operation):
     with pytest.raises(TypeError):
         operation()
+
+
+# A value of the wrong type where the library expects numerics or a class is
+# refused with TypeError naming the argument, before any field of it is read.
+F = BundleNumerics(2, parse_divisor("(4;2,1,1,1,1,0)"), 3)
+N = reduce_numerics(F)
+T_A = parse_divisor("(1;0,0,0,0,0,0)")
+WRONG_OPERANDS = [
+    ("tensor-f-reduced", lambda: tensor(N, F), "f", N),
+    ("tensor-g-reduced", lambda: tensor(F, N), "g", N),
+    ("tensor-f-int", lambda: tensor(3, F), "f", 3),
+    ("tensor_line-line-tuple", lambda: tensor_line(F, (1, 2)), "line", (1, 2)),
+    ("tensor_line-line-str", lambda: tensor_line(F, "x"), "line", "x"),
+    ("tensor_line-f-reduced", lambda: tensor_line(N, T_A), "f", N),
+    ("direct_sum-reduced-summand", lambda: direct_sum([F, N]), "summands[1]", N),
+    ("direct_sum-int-summand", lambda: direct_sum([3]), "summands[0]", 3),
+    ("dual-int", lambda: dual(3), "f", 3),
+    ("dual-class", lambda: dual(T_A), "f", T_A),
+    ("euler_char-int", lambda: euler_char(3, CUBIC_SURFACE), "f", 3),
+    ("euler_char-class", lambda: euler_char(T_A, CUBIC_SURFACE), "f", T_A),
+    ("reduce_numerics-int", lambda: reduce_numerics(3), "f", 3),
+    ("twist_by_h-int", lambda: twist_by_h(3, 1, CUBIC_SURFACE), "f", 3),
+    ("twist_by_h-class", lambda: twist_by_h(T_A, 1, CUBIC_SURFACE), "f", T_A),
+    ("syzygy_numerics-int", lambda: syzygy_numerics(3, 5), "f", 3),
+    ("iterate_syzygy-int", lambda: iterate_syzygy(3, S5, 2), "seed", 3),
+    ("chi_pair_oracle-fprev-reduced", lambda: chi_pair_oracle(N, T_A, CUBIC_SURFACE), "fprev", N),
+    ("chi_pair_oracle-t-str", lambda: chi_pair_oracle(F, "x", CUBIC_SURFACE), "t", "x"),
+    ("permute_exceptionals-str", lambda: permute_exceptionals("x", (1,)), "x", "x"),
+    ("decompose_stable_sum-str", lambda: decompose_stable_sum("x", 2), "target", "x"),
+]
+
+
+@pytest.mark.parametrize("call,name,value", [
+    pytest.param(call, name, value, id=case) for case, call, name, value in WRONG_OPERANDS
+])
+def test_wrong_operand_type_is_refused(call, name, value):
+    with pytest.raises(TypeError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name} must be a ")
+    assert message.endswith(f", got {value!r}")
+
+
+class _Bundle(BundleNumerics):
+    pass
+
+
+class _Reduced(NumericClassData):
+    pass
+
+
+class _Class(DivisorClass):
+    pass
+
+
+def test_subclass_operands_are_accepted():
+    f = _Bundle(2, _Class(4, (2, 1, 1, 1, 1, 0)), 3)
+    n = _Reduced(2, 8, 6, 3)
+    assert tensor(f, f) == tensor(F, F)
+    assert tensor_line(f, _Class(1, (0,) * 6)) == tensor_line(F, T_A)
+    assert direct_sum([f, F]) == direct_sum([F, F])
+    assert dual(f) == dual(F) and dual(n) == dual(N)
+    assert euler_char(f, CUBIC_SURFACE) == euler_char(n, CUBIC_SURFACE) == euler_char(F, CUBIC_SURFACE)
+    assert reduce_numerics(f) == N and reduce_numerics(n) == N
+    assert twist_by_h(n, 1, CUBIC_SURFACE) == twist_by_h(N, 1, CUBIC_SURFACE)
+    assert chi_pair_oracle(f, T_A, CUBIC_SURFACE) == chi_pair_oracle(F, T_A, CUBIC_SURFACE)
+    assert permute_exceptionals(f.c1, (2, 1, 3, 4, 5, 6)) == DivisorClass(4, (1, 2, 1, 1, 1, 0))
+
+
+def test_trace_entry_checks_its_fields():
+    TraceEntry(-1, 2, None, 16, 10, 5)
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        TraceEntry(0, 0, None, 16, 10, 5)
+    with pytest.raises(TypeError, match="c1_sq must be an integer"):
+        TraceEntry(0, 2, None, 16.0, 10, 5)
+    with pytest.raises(ValueError, match="index k must be an integer >= -1"):
+        TraceEntry(-2, 2, None, 16, 10, 5)
+    with pytest.raises(TypeError, match="c1 must be a DivisorClass or None"):
+        TraceEntry(0, 2, "(4;1,1,1,1,0)", 16, 10, 5)

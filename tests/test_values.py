@@ -1,7 +1,8 @@
 """Value semantics of the frozen primitives: copies, pickling, equality, hash, repr.
 
-Classes made by lattice arithmetic are built without the constructor's
-checks, so they appear here beside directly constructed ones.
+Classes made by lattice arithmetic, and the results of the Chern, syzygy and
+cubic functions, are built without the constructors' checks, so they appear
+here beside directly constructed ones.
 """
 
 from __future__ import annotations
@@ -9,10 +10,33 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ulrich_lab import BundleNumerics, DivisorClass, NumericClassData
+from ulrich_lab import (
+    BundleNumerics,
+    DivisorClass,
+    NumericClassData,
+    checks,
+    closed_syzygy_chern_numeric,
+    decompose_stable_sum,
+    direct_sum,
+    dual,
+    iterate_syzygy,
+    make_surface,
+    permute_exceptionals,
+    rank_two_table_chern,
+    reduce_numerics,
+    syzygy_numerics,
+    tables,
+    tensor,
+    tensor_line,
+    twist_by_h,
+    twisted_cubics,
+)
 
 X = DivisorClass(4, (1, 1, 1, 1, 0))
 Y = DivisorClass(2, (1, 0, 1, 0, 0))
@@ -77,3 +101,74 @@ def test_repr():
     assert repr(NumericClassData(2, 16, 10, 5)) == (
         "NumericClassData(rank=2, c1_sq=16, c1_dot_h=10, c2=5)"
     )
+
+
+def _twin(value):
+    """The same value built through the public constructors, field by field."""
+    if type(value) is tuple:
+        return tuple(_twin(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value)(**{f.name: _twin(getattr(value, f.name)) for f in fields})
+    return value
+
+
+SEEDS = checks.default_seeds()
+
+
+@st.composite
+def trusted_results(draw):
+    """One result of every function that builds its values without re-checking."""
+    d = draw(st.integers(min_value=3, max_value=8))
+    surface = make_surface(d)
+    t = surface.num_exceptional
+    coords = st.integers(min_value=-9, max_value=9)
+    f, g = (BundleNumerics(draw(st.integers(min_value=1, max_value=5)),
+                           DivisorClass(draw(coords), draw(st.tuples(*[coords] * t))),
+                           draw(st.integers(min_value=-20, max_value=20)))
+            for _ in range(2))
+    line_f, line_g = BundleNumerics(1, f.c1, 0), BundleNumerics(1, g.c1, 0)
+    m = draw(st.integers(min_value=-4, max_value=4))
+    perm = draw(st.permutations(range(1, t + 1)))
+    seed_surface, seed = draw(st.sampled_from(SEEDS))
+    k = 0 if seed_surface.degree == 3 else draw(st.integers(min_value=0, max_value=6))
+    entry = iterate_syzygy(seed, seed_surface, k).entries[-1]
+    row = draw(st.sampled_from(tables.MODULI_DIM_ROWS))
+    reduced_seed = seed if isinstance(seed, NumericClassData) else reduce_numerics(seed)
+    cubics = twisted_cubics()
+    t1, t2 = draw(st.sampled_from(cubics)).divisor, draw(st.sampled_from(cubics)).divisor
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    results = [
+        tensor(f, g), tensor(line_f, line_g), tensor(line_f, g), tensor(f, line_g),
+        tensor_line(f, g.c1), dual(f), dual(reduce_numerics(f)), direct_sum([f, g, line_f]),
+        reduce_numerics(f), twist_by_h(reduce_numerics(f), m, surface),
+        syzygy_numerics(f, f.rank + 1 + abs(m)), syzygy_numerics(reduce_numerics(f), f.rank + 1),
+        entry.as_numeric(), entry.as_bundle(),
+        closed_syzygy_chern_numeric(reduced_seed, seed_surface, k),
+        rank_two_table_chern(row.degree, row.c1_sq, row.c2, k),
+        permute_exceptionals(f.c1, perm),
+        checks._random_class(rng, t), checks._random_bundle(rng, t),
+        *decompose_stable_sum(t1 + t2, 2),
+    ]
+    return [value for value in results if value is not None]
+
+
+@given(trusted_results())
+@settings(max_examples=60, deadline=None)
+def test_trusted_results_are_ordinary_values(results):
+    for value in results:
+        names = {f.name for f in dataclasses.fields(value)}
+        assert set(vars(value)) == names  # before hash() or str() fill in a memo
+        twin = _twin(value)
+        assert type(twin) is type(value)
+        assert value == twin and twin == value
+        assert hash(value) == hash(twin)
+        assert repr(value) == repr(twin)
+        assert dataclasses.asdict(value) == dataclasses.asdict(twin)
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                      dataclasses.replace(value)):
+            assert type(clone) is type(value) and clone == value
+            assert hash(clone) == hash(value) and repr(clone) == repr(value)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
