@@ -292,7 +292,7 @@ def check_closed_vs_iterate(seeds: Sequence[Seed]) -> CheckResult:
     for surface, seed in seeds:
         k_max = 0 if surface.degree == 3 else 12
         trace = syzygy.iterate_syzygy(seed, surface, k_max)
-        reduced = seed if isinstance(seed, NumericClassData) else chern.reduce_numerics(seed)
+        reduced = chern.reduce_numerics(seed)
         for k in range(0, k_max + 1):
             twisted = chern.twist_by_h(trace.entry(k).as_numeric(), -1, surface)
             closed = syzygy.closed_syzygy_chern_numeric(reduced, surface, k)

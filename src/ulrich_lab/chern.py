@@ -12,17 +12,14 @@ are supported:
 
 The second Chern class of a tensor product comes from the degree-2 part
 of the multiplicativity of Chern characters.  With ranks s = rk(F) and
-t = rk(G):
+t = rk(G), at every rank:
 
     c2(F(x)G) = C(s,2) c1(G)^2 + s c2(G) + (st-1) c1(F).c1(G)
-                + t c2(F) + C(t,2) c1(F)^2        (s, t >= 2)
+                + t c2(F) + C(t,2) c1(F)^2.
 
-and, when G is a line bundle,
-
-    c2(F(x)G) = C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).
-
-It has one body, :func:`tensor_line`, which :func:`tensor`'s rank-1 cases
-call.  A product of two line bundles is again a line bundle, so there c2 = 0.
+A rank-1 factor's c2 counts like any other.  :func:`tensor_line` is the
+line case t = 1, c2(G) = 0, C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F),
+kept as its own body for the twists.
 
 Riemann-Roch on a surface with chi(O) = 1 and K = -H reads
 
@@ -94,12 +91,10 @@ class BundleNumerics:
     c2: int
 
     def __post_init__(self) -> None:
-        if type(self.rank) is not int or self.rank < 1:
-            _require_int(self.rank, "rank must be a positive integer", lo=1)
+        _require_int(self.rank, "rank must be a positive integer", lo=1)
         if not isinstance(self.c1, DivisorClass):
             raise TypeError(f"c1 must be a DivisorClass, got {self.c1!r}")
-        if type(self.c2) is not int:
-            _require_int(self.c2, "c2 must be an integer", TypeError)
+        _require_int(self.c2, "c2 must be an integer", TypeError)
 
     @property
     def c1_sq(self) -> int:
@@ -145,11 +140,9 @@ class NumericClassData:
 def _check_reduced(x: NumericClassData) -> None:
     """The field checks of reduced data (rank, c1_sq, c1_dot_h, c2), for any
     value type that carries them."""
-    if type(x.rank) is not int or x.rank < 1:
-        _require_int(x.rank, "rank must be a positive integer", lo=1)
+    _require_int(x.rank, "rank must be a positive integer", lo=1)
     for name in ("c1_sq", "c1_dot_h", "c2"):
-        value = getattr(x, name)
-        if type(value) is not int and not _is_int(value):
+        if not _is_int(getattr(x, name)):
             raise TypeError(f"{name} must be an integer")
 
 
@@ -232,7 +225,7 @@ def _twist(s: int, c1_sq: int, p: int, c2: int, m: int, d: int) -> tuple[int, in
 
 
 def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
-    """Numerics of F (x) G; a rank-1 factor is read as a line bundle, its c2 unused."""
+    """Numerics of F (x) G, by the product formula of the module docstring."""
     if type(f) is not BundleNumerics:
         _require_type(f, _BUNDLE, "f")
     if type(g) is not BundleNumerics:
@@ -242,12 +235,6 @@ def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
     if len(fb) != len(gb):
         raise LatticeMismatch("tensor factors live on different lattices")
     s, t = f.rank, g.rank
-    if s == 1 and t == 1:
-        return _trusted_bundle(1, _trusted(fa + ga, tuple(map(add, fb, gb))), 0)
-    if t == 1:
-        return tensor_line(f, gc)
-    if s == 1:
-        return tensor_line(g, fc)
     # The three pairings c1(F)^2, c1(G)^2 and c1(F).c1(G), from the coordinates.
     c2 = (
         comb(s, 2) * (ga * ga - sum(map(mul, gb, gb)))
@@ -315,6 +302,7 @@ def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int, chi_o: int) -> int:
 
 def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:
     """H-slope c1.H / rank as an exact rational."""
+    _require_type(f, _NUMERICS, "f")
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)
     return Fraction(f.c1_dot_h, f.rank)
@@ -323,7 +311,9 @@ def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:
 def discriminant(f: AnyNumerics) -> int:
     """Delta(F) = 2 rk c2 - (rk - 1) c1^2, invariant under line twists.
 
-    Evaluated as rk (2 c2 - c1^2) + c1^2, one product.
+    Evaluated as rk (2 c2 - c1^2) + c1^2, one product.  Duck-typed: it reads
+    only rank, c1_sq and c2, and :attr:`ulrich_lab.syzygy.TraceEntry.delta`
+    passes a trace row.
     """
     c1_sq = f.c1_sq
     return f.rank * (2 * f.c2 - c1_sq) + c1_sq
@@ -332,7 +322,8 @@ def discriminant(f: AnyNumerics) -> int:
 def expected_moduli_dim(f: AnyNumerics) -> int:
     """Expected dimension Delta(F) - (rk^2 - 1) of the moduli space at F.
 
-    Evaluated as rk (2 c2 - c1^2 - rk) + c1^2 + 1, one product.
+    Evaluated as rk (2 c2 - c1^2 - rk) + c1^2 + 1, one product.  Duck-typed
+    like :func:`discriminant`, for :attr:`ulrich_lab.syzygy.TraceEntry.drift`.
     """
     rank, c1_sq = f.rank, f.c1_sq
     return rank * (2 * f.c2 - c1_sq - rank) + c1_sq + 1

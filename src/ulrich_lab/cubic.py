@@ -69,7 +69,7 @@ def twisted_cubics() -> tuple[TwistedCubicClass, ...]:
     for tag, (a, b) in _REPRESENTATIVE_COORDS.items():
         for coords in sorted(set(permutations(b))):
             out.append(TwistedCubicClass(tag, DivisorClass(a, coords)))
-    return tuple(sorted(out, key=TwistedCubicClass.sort_key))
+    return tuple(out)  # tags in order, each tag's coordinates sorted: sort_key order
 
 
 @cache
@@ -149,8 +149,7 @@ def decompose_stable_sum(
     tuples returned; :meth:`StableSumDecomposition.validate` rechecks any
     of them with lattice arithmetic.
     """
-    if type(target) is not DivisorClass:
-        _require_type(target, (DivisorClass,), "target")
+    _require_type(target, (DivisorClass,), "target")
     if target.num_exceptional != 6:
         raise LatticeMismatch(f"target {target} does not live on the cubic surface lattice")
     _require_int(r, "need r >= 2 parts", lo=2)
@@ -258,6 +257,7 @@ def cubic_moduli_pair(f: BundleNumerics) -> tuple[BundleNumerics, int]:
     Both the rank-r space at (c1, c2) and the rank-2r space at
     (-c1, c2 + r) have expected dimension c1^2 - 2 r^2 + 1.
     """
+    _require_type(f, _BUNDLE, "f")
     if f.rank < 2 or not is_ulrich_candidate(f, CUBIC_SURFACE):
         raise NotUlrich(f"{f!r} is not an Ulrich candidate of rank >= 2 on the cubic surface")
     r = f.rank
@@ -274,6 +274,7 @@ def twist_partner(base: BundleNumerics, twist: DivisorClass) -> BundleNumerics:
     c2 of the twist is quadratic in the twist class with leading
     coefficient C(4,2) = 6 and cross term 3 c1(base).twist.
     """
+    _require_type(base, _BUNDLE, "base")
     if base.rank != 4:
         raise ValueError(f"expected a rank-4 partner bundle, got rank {base.rank}")
     result = tensor_line(base, twist)

@@ -109,11 +109,9 @@ class DivisorClass:
         if type(b) is not tuple:
             b = tuple(b)
             object.__setattr__(self, "b", b)
-        # Plain ints skip the helper call: this constructor is on every hot path.
-        if type(self.a) is not int:
-            _require_int(self.a, "coordinate a must be an integer", TypeError)
+        _require_int(self.a, "coordinate a must be an integer", TypeError)
         for entry in b:
-            if type(entry) is not int and not _is_int(entry):
+            if not _is_int(entry):
                 raise TypeError(f"coordinate {entry!r} is not an integer")
 
     @classmethod

@@ -77,6 +77,7 @@ from .chern import (
     AnyNumerics,
     BundleNumerics,
     NumericClassData,
+    _BUNDLE,
     _NUMERICS,
     _check_reduced,
     _chi,
@@ -491,6 +492,7 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     matching the base row of the rank-2 table form.  A seed that fails the
     numerical Ulrich conditions raises NotUlrich, as in the iteration.
     """
+    _require_type(seed, _BUNDLE, "seed")
     surface.require(seed.c1)
     d = surface.degree
     _scope_check(d, k)
@@ -504,7 +506,11 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
 
 
 def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface, k: int) -> NumericClassData:
-    """Reduced-data form of :func:`closed_syzygy_chern`, including the rank N_k."""
+    """Reduced-data form of :func:`closed_syzygy_chern`, including the rank N_k.
+
+    An exact seed is read through its reduced data.
+    """
+    _require_type(seed, _NUMERICS, "seed")
     d = surface.degree
     _scope_check(d, k)
     _require_ulrich(seed, surface)

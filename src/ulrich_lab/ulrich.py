@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .chern import AnyNumerics, BundleNumerics, euler_char, reduce_numerics, twist_by_h
+from .chern import _NUMERICS, AnyNumerics, BundleNumerics, euler_char, reduce_numerics, twist_by_h
 from .errors import NotUlrichCompatible, ParityViolation
-from .picard import DelPezzoSurface, _require_int, intersect
+from .picard import DelPezzoSurface, _require_int, _require_type, intersect
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,10 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
     Requires c1.H = rank*d, the c2 value of :func:`ulrich_c2`, and
     chi(E(-H)) = chi(E(-2H)) = 0.  Never raises on honest numeric input;
     it simply answers False.  These read only (rank, c1^2, c1.H, c2), so
-    an exact c1 is checked against the lattice and then reduced once.
+    an exact c1 is checked against the lattice and then reduced once.  An
+    operand of neither resolution raises TypeError.
     """
+    _require_type(f, _NUMERICS, "f")
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)
         f = reduce_numerics(f)

@@ -16,6 +16,7 @@ from ulrich_lab import (
     EmptySum,
     NumericClassData,
     ParityViolation,
+    TraceEntry,
     direct_sum,
     discriminant,
     dual,
@@ -41,7 +42,7 @@ def bundles(draw, t):
     rank = draw(st.integers(min_value=1, max_value=5))
     a = draw(st.integers(min_value=-8, max_value=8))
     b = draw(st.tuples(*[st.integers(min_value=-8, max_value=8)] * t))
-    c2 = 0 if rank == 1 else draw(st.integers(min_value=-20, max_value=20))
+    c2 = draw(st.integers(min_value=-20, max_value=20))  # also at rank 1
     return BundleNumerics(rank, DivisorClass(a, b), c2)
 
 
@@ -128,11 +129,21 @@ class TestTensor:
         product = tensor(BundleNumerics(1, T_A, 0), BundleNumerics(1, T_C, 0))
         assert product == BundleNumerics(1, T_A + T_C, 0)
 
+    def test_rank_one_factor_counts_its_c2(self):
+        # The product of Chern characters: a rank-1 factor's c2 is not dropped.
+        f = BundleNumerics(1, T_A, 5)
+        g = BundleNumerics(2, parse_divisor("(4;2,1,1,1,1,0)"), 3)
+        assert tensor(g, f).c2 == tensor(f, g).c2 == 18  # 8 + 2 * 5
+        assert tensor(f, f).c2 == 10
+        assert tensor(f, BundleNumerics(1, T_A, 0)) == tensor_line(f, T_A)
+        assert tensor_line(f, T_A).c2 == 5
+
     @given(surface_bundle_pairs())
     @example((S3, BundleNumerics(2, T_A + T_C, 3), BundleNumerics(1, S3.fiber_class, 0)))
+    @example((S3, BundleNumerics(1, T_A, 5), BundleNumerics(1, T_A, 0)))
     @settings(max_examples=150)
     def test_tensor_by_rank_one_matches_tensor_line(self, data):
-        # g only supplies a random class L on f's lattice.
+        # g only supplies a random class L on f's lattice; f has any rank and c2.
         _, f, g = data
         line = BundleNumerics(1, g.c1, 0)
         assert tensor(f, line) == tensor(line, f) == tensor_line(f, g.c1)
@@ -147,6 +158,13 @@ class TestTensor:
     def test_commutative(self, data):
         _, f, g = data
         assert tensor(f, g) == tensor(g, f)
+
+    @given(surface_bundle_pairs(), st.data())
+    @settings(max_examples=150)
+    def test_associative(self, data, draw):
+        surface, f, g = data
+        h = draw.draw(bundles(surface.num_exceptional))
+        assert tensor(tensor(f, g), h) == tensor(f, tensor(g, h))
 
 
 class TestDirectSum:
@@ -290,11 +308,14 @@ class TestFactoredForms:
         assert expected_moduli_dim(f) == delta - (s * s - 1)
         assert type(expected_moduli_dim(f)) is int
 
-    # A bare field name is a NumericClassData field; "Owner.field" names another type's.
+    # A bare field name is a NumericClassData field; "Owner.field" names another
+    # type's.  The field "b" of DivisorClass gets the bad value as its coordinate.
     GOOD_FIELDS = {
         "": (NumericClassData, {"rank": 2, "c1_sq": 12, "c1_dot_h": 8, "c2": 4}),
         "BundleNumerics": (BundleNumerics, {"rank": 2, "c1": T_A, "c2": 4}),
         "DivisorClass": (DivisorClass, {"a": 1, "b": (0,)}),
+        "TraceEntry": (TraceEntry, {"k": 0, "rank": 2, "c1": None, "c1_sq": 12,
+                                    "c1_dot_h": 8, "c2": 4}),
     }
 
     @pytest.mark.parametrize("field,error,message", [
@@ -305,13 +326,15 @@ class TestFactoredForms:
         ("BundleNumerics.rank", ValueError, "rank must be a positive integer, got {!r}"),
         ("BundleNumerics.c2", TypeError, "c2 must be an integer, got {!r}"),
         ("DivisorClass.a", TypeError, "coordinate a must be an integer, got {!r}"),
+        ("DivisorClass.b", TypeError, "coordinate {!r} is not an integer"),
+        ("TraceEntry.rank", ValueError, "rank must be a positive integer, got {!r}"),
     ])
     @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
     def test_bad_fields_keep_class_and_message(self, field, error, message, value):
         owner, _, name = field.rpartition(".")
         cls, fields = self.GOOD_FIELDS[owner]
         with pytest.raises(error) as info:
-            cls(**{**fields, name: value})
+            cls(**{**fields, name: (value,) if name == "b" else value})
         assert str(info.value) == message.format(value)
 
     def test_rank_zero_keeps_class_and_message(self):

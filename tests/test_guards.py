@@ -26,10 +26,12 @@ from ulrich_lab import (
     chi_pair_oracle,
     closed_syzygy_chern,
     closed_syzygy_chern_numeric,
+    cubic_moduli_pair,
     decompose_stable_sum,
     direct_sum,
     dual,
     euler_char,
+    is_ulrich_candidate,
     iterate_syzygy,
     make_surface,
     parse_divisor,
@@ -38,10 +40,12 @@ from ulrich_lab import (
     rank_closed_form,
     rank_two_table_chern,
     reduce_numerics,
+    slope,
     syzygy_numerics,
     tensor,
     tensor_line,
     twist_by_h,
+    twist_partner,
     ulrich_c2,
     ulrich_profile,
 )
@@ -159,6 +163,12 @@ WRONG_OPERANDS = [
     ("chi_pair_oracle-t-str", lambda: chi_pair_oracle(F, "x", CUBIC_SURFACE), "t", "x"),
     ("permute_exceptionals-str", lambda: permute_exceptionals("x", (1,)), "x", "x"),
     ("decompose_stable_sum-str", lambda: decompose_stable_sum("x", 2), "target", "x"),
+    ("slope-int", lambda: slope(3, CUBIC_SURFACE), "f", 3),
+    ("is_ulrich_candidate-int", lambda: is_ulrich_candidate(3, CUBIC_SURFACE), "f", 3),
+    ("cubic_moduli_pair-int", lambda: cubic_moduli_pair(3), "f", 3),
+    ("twist_partner-base-int", lambda: twist_partner(3, T_A), "base", 3),
+    ("closed_syzygy_chern-reduced", lambda: closed_syzygy_chern(SEED, S4, 1), "seed", SEED),
+    ("closed_syzygy_chern_numeric-int", lambda: closed_syzygy_chern_numeric(3, S4, 1), "seed", 3),
 ]
 
 
@@ -195,6 +205,8 @@ def test_subclass_operands_are_accepted():
     assert euler_char(f, CUBIC_SURFACE) == euler_char(n, CUBIC_SURFACE) == euler_char(F, CUBIC_SURFACE)
     assert reduce_numerics(f) == N and reduce_numerics(n) == N
     assert twist_by_h(n, 1, CUBIC_SURFACE) == twist_by_h(N, 1, CUBIC_SURFACE)
+    assert slope(f, CUBIC_SURFACE) == slope(n, CUBIC_SURFACE) == slope(F, CUBIC_SURFACE)
+    assert is_ulrich_candidate(f, CUBIC_SURFACE) == is_ulrich_candidate(F, CUBIC_SURFACE)
     assert chi_pair_oracle(f, T_A, CUBIC_SURFACE) == chi_pair_oracle(F, T_A, CUBIC_SURFACE)
     assert permute_exceptionals(f.c1, (2, 1, 3, 4, 5, 6)) == DivisorClass(4, (1, 2, 1, 1, 1, 0))
 

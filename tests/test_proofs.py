@@ -128,7 +128,7 @@ class TestTensorC2:
             classes = [DivisorClass(rng.randint(-5, 5),
                                     tuple(rng.randint(-5, 5) for _ in range(4)))
                        for _ in range(2)]
-            c2s = [0 if rank == 1 else rng.randint(-9, 9) for rank in ranks]
+            c2s = [rng.randint(-9, 9) for _ in ranks]  # rank-1 c2 counts too
             f, g = (BundleNumerics(*data) for data in zip(ranks, classes, c2s))
             values = {s: f.rank, t: g.rank, A: f.c1_sq, B: g.c1_sq,
                       X: f.c1.dot(g.c1), cf: f.c2, cg: g.c2}
