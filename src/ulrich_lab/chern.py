@@ -19,7 +19,8 @@ t = rk(G), at every rank:
 
 A rank-1 factor's c2 counts like any other.  :func:`tensor_line` is the
 line case t = 1, c2(G) = 0, C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F),
-kept as its own body for the twists.
+kept as its own body for the twists.  Both take C(s,2) as s(s-1) >> 1,
+exact since s(s-1) is even, and cheaper than a call to ``math.comb``.
 
 Riemann-Roch on a surface with chi(O) = 1 and K = -H reads
 
@@ -42,7 +43,8 @@ Riemann-Roch and the reduced twist have one body each, on plain ints:
 ``_chi`` (the parity refusal, then chi) and ``_twist`` (the step above).
 :func:`euler_char` and :func:`twist_by_h` check and unpack their arguments
 and call them; :func:`ulrich_lab.syzygy.iterate_syzygy` calls them once per
-step on the ints it carries.  The exact halvings are ``>> 1`` and the parity
+step on the ints it carries, and :func:`ulrich_lab.ulrich.is_ulrich_candidate`
+once for each of its twists by -H and -2H.  The exact halvings are ``>> 1`` and the parity
 test is ``& 1``: for every Python int, negative ones included, they equal
 ``// 2`` and ``% 2``, and on integers of thousands of bits they cost a
 fraction of the division.
@@ -63,9 +65,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from operator import add, mul
+from itertools import combinations, starmap
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
@@ -158,9 +159,10 @@ def _trusted_bundle(rank: int, c1: DivisorClass, c2: int) -> BundleNumerics:
     computed from checked values; see the contract in :mod:`ulrich_lab.picard`.
     """
     x = object.__new__(BundleNumerics)
-    object.__setattr__(x, "rank", rank)
-    object.__setattr__(x, "c1", c1)
-    object.__setattr__(x, "c2", c2)
+    d = x.__dict__
+    d["rank"] = rank
+    d["c1"] = c1
+    d["c2"] = c2
     return x
 
 
@@ -168,10 +170,11 @@ def _trusted_numeric(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> NumericCl
     """``NumericClassData(rank, c1_sq, c1_dot_h, c2)`` without the field checks,
     under the same contract as :func:`_trusted_bundle`."""
     x = object.__new__(NumericClassData)
-    object.__setattr__(x, "rank", rank)
-    object.__setattr__(x, "c1_sq", c1_sq)
-    object.__setattr__(x, "c1_dot_h", c1_dot_h)
-    object.__setattr__(x, "c2", c2)
+    d = x.__dict__
+    d["rank"] = rank
+    d["c1_sq"] = c1_sq
+    d["c1_dot_h"] = c1_dot_h
+    d["c2"] = c2
     return x
 
 
@@ -195,7 +198,7 @@ def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     if len(c1.b) != len(line.b):
         raise LatticeMismatch("twist class lives on a different lattice")
     s = f.rank
-    c2 = comb(s, 2) * line.self_intersection + (s - 1) * c1.dot(line) + f.c2
+    c2 = (s * (s - 1) >> 1) * line.self_intersection + (s - 1) * c1.dot(line) + f.c2
     return _trusted_bundle(s, _combine(1, c1, s, line), c2)
 
 
@@ -237,14 +240,13 @@ def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
     s, t = f.rank, g.rank
     # The three pairings c1(F)^2, c1(G)^2 and c1(F).c1(G), from the coordinates.
     c2 = (
-        comb(s, 2) * (ga * ga - sum(map(mul, gb, gb)))
+        (s * (s - 1) >> 1) * (ga * ga - sum(map(mul, gb, gb)))
         + s * g.c2
         + (s * t - 1) * (fa * ga - sum(map(mul, fb, gb)))
         + t * f.c2
-        + comb(t, 2) * (fa * fa - sum(map(mul, fb, fb)))
+        + (t * (t - 1) >> 1) * (fa * fa - sum(map(mul, fb, fb)))
     )
-    c1 = _trusted(t * fa + s * ga, tuple(map(add, map(t.__mul__, fb), map(s.__mul__, gb))))
-    return _trusted_bundle(s * t, c1, c2)
+    return _trusted_bundle(s * t, _combine(t, fc, s, gc), c2)
 
 
 def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) -> BundleNumerics:
@@ -252,18 +254,24 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
     items = list(summands)
     if not items:
         raise EmptySum("direct sum needs at least one summand")
+    rank = c2 = a = 0
+    classes, columns = [], []
     for position, item in enumerate(items):
         if type(item) is not BundleNumerics:
             _require_type(item, _BUNDLE, f"summands[{position}]")
-    classes = [item.c1 for item in items]
-    arity = len(classes[0].b)
-    for x in classes:
-        if len(x.b) != arity:
+        c1 = item.c1
+        rank += item.rank
+        c2 += item.c2
+        a += c1.a
+        classes.append(c1)
+        columns.append(c1.b)
+    arity = len(columns[0])
+    for b in columns:
+        if len(b) != arity:
             raise LatticeMismatch("summands live on different lattices")
-    c2 = sum(item.c2 for item in items) + sum(x.dot(y) for x, y in combinations(classes, 2))
-    # c1 summed column by column: a, then each b_i.
-    c1 = _trusted(sum(x.a for x in classes), tuple(map(sum, zip(*(x.b for x in classes)))))
-    return _trusted_bundle(sum(item.rank for item in items), c1, c2)
+    c2 += sum(starmap(DivisorClass.dot, combinations(classes, 2)))
+    # c1 summed column by column: a above, then each b_i.
+    return _trusted_bundle(rank, _trusted(a, tuple(map(sum, zip(*columns)))), c2)
 
 
 def dual(f: AnyNumerics) -> AnyNumerics:

@@ -124,8 +124,9 @@ def _trusted_decomposition(target: DivisorClass,
     """``StableSumDecomposition(target, parts)`` without the dataclass
     ``__init__``; see the contract in :mod:`ulrich_lab.picard`."""
     x = object.__new__(StableSumDecomposition)
-    object.__setattr__(x, "target", target)
-    object.__setattr__(x, "parts", parts)
+    d = x.__dict__
+    d["target"] = target
+    d["parts"] = parts
     return x
 
 
@@ -275,6 +276,7 @@ def twist_partner(base: BundleNumerics, twist: DivisorClass) -> BundleNumerics:
     coefficient C(4,2) = 6 and cross term 3 c1(base).twist.
     """
     _require_type(base, _BUNDLE, "base")
+    _require_type(twist, (DivisorClass,), "twist")
     if base.rank != 4:
         raise ValueError(f"expected a rank-4 partner bundle, got rank {base.rank}")
     result = tensor_line(base, twist)

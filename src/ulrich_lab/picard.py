@@ -42,10 +42,16 @@ that builds its result this way first tests the type of its operands:
 subclasses (:func:`_require_type`), raising ``TypeError`` that names the
 argument.  So an operand's fields are known to have passed a constructor.
 The private constructors set the fields and nothing else, skipping only
-the dataclass ``__init__`` and its checks: a trusted result is an ordinary
-instance, the same under ``==``, ``hash``, ``repr``, ``asdict``, pickling,
-copying and ``dataclasses.replace`` (which runs the checks), and assigning
-to a field still raises ``FrozenInstanceError``.
+the dataclass ``__init__`` and its checks.  Each makes the instance with
+``object.__new__`` and writes the fields straight into its ``__dict__``
+(``d = x.__dict__; d["a"] = a; ...``), in field order.  That leaves the
+dict the checked constructor leaves, keys in the same order, and is
+cheaper than one ``object.__setattr__`` call per field.  The frozen
+``__setattr__`` guards attribute assignment, not the instance dict, so a
+trusted result is an ordinary instance, the same under ``vars``, ``==``,
+``hash``, ``repr``, ``asdict``, pickling, copying and
+``dataclasses.replace`` (which runs the checks), and assigning to a field
+still raises ``FrozenInstanceError``.
 
 A class is immutable: only ``__post_init__`` and ``_trusted`` write ``a``
 and ``b``, and both do so before the instance is shared.  That is what lets
@@ -92,9 +98,12 @@ def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
 
     The one guard for integer arguments: ``bool``, floats and strings are
     refused like out-of-range integers, with the caller's exception class.
+    An exact ``int`` is accepted without the call to :func:`_is_int`.
     """
-    if not _is_int(value) or (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise exc(f"{message}, got {value!r}")
+    if ((type(value) is int or _is_int(value))
+            and (lo is None or value >= lo) and (hi is None or value <= hi)):
+        return
+    raise exc(f"{message}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -195,14 +204,18 @@ def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:
     values; see the module docstring.
     """
     x = object.__new__(DivisorClass)
-    object.__setattr__(x, "a", a)
-    object.__setattr__(x, "b", b)
+    d = x.__dict__
+    d["a"] = a
+    d["b"] = b
     return x
 
 
 def _combine(m: int, x: DivisorClass, n: int, y: DivisorClass) -> DivisorClass:
     """m*x + n*y in one pass, for ints m, n and classes on one lattice."""
-    return _trusted(m * x.a + n * y.a, tuple(map(add, map(m.__mul__, x.b), map(n.__mul__, y.b))))
+    b = []  # a loop, not a comprehension, which is a call of its own before 3.12
+    for u, v in zip(x.b, y.b):
+        b.append(m * u + n * v)
+    return _trusted(m * x.a + n * y.a, tuple(b))
 
 
 @dataclass(frozen=True)
@@ -298,14 +311,14 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
     if sorted(perm) != list(range(1, t + 1)):
         raise BadPermutation(f"{perm!r} is not a bijection of 1..{t}")
     coords = [0] * t
-    for source, image in enumerate(perm):
-        coords[image - 1] = x.b[source]
+    for image, value in zip(perm, x.b):
+        coords[image - 1] = value
     return _trusted(x.a, tuple(coords))
 
 
 def format_divisor(x: DivisorClass) -> str:
     """Render ``(a;b_1,...,b_t)`` with no whitespace."""
-    return f"({x.a};{','.join(str(c) for c in x.b)})"
+    return f"({x.a};{','.join(map(str, x.b))})"
 
 
 def parse_divisor(text: str, surface: DelPezzoSurface | None = None) -> DivisorClass:

@@ -356,7 +356,13 @@ def _trusted_entry(k: int, rank: int, c1: DivisorClass | None,
     """``TraceEntry(...)`` without the checks, for int fields from int
     arithmetic on a checked seed; see the contract in :mod:`ulrich_lab.picard`."""
     entry = object.__new__(TraceEntry)
-    entry.__dict__.update(k=k, rank=rank, c1=c1, c1_sq=c1_sq, c1_dot_h=c1_dot_h, c2=c2)
+    d = entry.__dict__
+    d["k"] = k
+    d["rank"] = rank
+    d["c1"] = c1
+    d["c1_sq"] = c1_sq
+    d["c1_dot_h"] = c1_dot_h
+    d["c2"] = c2
     return entry
 
 
@@ -508,14 +514,15 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
 def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface, k: int) -> NumericClassData:
     """Reduced-data form of :func:`closed_syzygy_chern`, including the rank N_k.
 
-    An exact seed is read through its reduced data.
+    An exact seed is read through its reduced data, so every k, the seed row
+    k = -1 included, gives a :class:`NumericClassData`.
     """
     _require_type(seed, _NUMERICS, "seed")
     d = surface.degree
     _scope_check(d, k)
     _require_ulrich(seed, surface)
     if k == -1:
-        return seed
+        return reduce_numerics(seed)
     n_prev, n_k = islice(_recurrence_ranks(d, seed.rank), k, k + 2)
     _, _, *data = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2, k, n_prev, n_k)
     return _trusted_numeric(n_k, *data)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .chern import _NUMERICS, AnyNumerics, BundleNumerics, euler_char, reduce_numerics, twist_by_h
+from .chern import _NUMERICS, AnyNumerics, BundleNumerics, NumericClassData, _chi, _twist
 from .errors import NotUlrichCompatible, ParityViolation
 from .picard import DelPezzoSurface, _require_int, _require_type, intersect
 
@@ -119,21 +119,28 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
     Requires c1.H = rank*d, the c2 value of :func:`ulrich_c2`, and
     chi(E(-H)) = chi(E(-2H)) = 0.  Never raises on honest numeric input;
     it simply answers False.  These read only (rank, c1^2, c1.H, c2), so
-    an exact c1 is checked against the lattice and then reduced once.  An
-    operand of neither resolution raises TypeError.
+    an exact c1 is checked against the lattice and then read once for its
+    c1^2 and c1.H.  An operand of neither resolution raises TypeError.  The
+    two chi values come from the int cores of :func:`~ulrich_lab.chern.twist_by_h`
+    and :func:`~ulrich_lab.chern.euler_char`, as in the syzygy iteration.
     """
-    _require_type(f, _NUMERICS, "f")
-    if isinstance(f, BundleNumerics):
-        surface.require(f.c1)
-        f = reduce_numerics(f)
+    if type(f) is not NumericClassData:
+        _require_type(f, _NUMERICS, "f")
+        if isinstance(f, BundleNumerics):
+            surface.require(f.c1)
     r, d = f.rank, surface.degree
-    if f.c1_dot_h != r * d:
+    c1_sq, c1_dot_h, c2 = f.c1_sq, f.c1_dot_h, f.c2
+    if c1_dot_h != r * d:
         return False
-    if (f.c1_sq - r * d) % 2:
+    if (c1_sq - r * d) % 2:
         return False
-    if f.c2 != r + (f.c1_sq - r * d) // 2:
+    if c2 != r + (c1_sq - r * d) // 2:
         return False
-    return all(euler_char(twist_by_h(f, -j, surface), surface) == 0 for j in (1, 2))
+    chi_o = surface.euler_char_structure_sheaf
+    for m in (-1, -2):
+        if _chi(r, *_twist(r, c1_sq, c1_dot_h, c2, m, d), chi_o):
+            return False
+    return True
 
 
 def prioritary_polarization_check(surface: DelPezzoSurface) -> int:

@@ -32,7 +32,7 @@ from ulrich_lab import (
     twisted_cubics,
     ulrich_c2,
 )
-from ulrich_lab import checks, cubic
+from ulrich_lab import checks, chern, cubic
 from ulrich_lab.picard import sum_classes
 
 T_A = twisted_cubic_representative("A")
@@ -364,6 +364,34 @@ class TestExtensionChi:
                 kernel_bundle_of_cubic(t1.divisor), t2.divisor, CUBIC_SURFACE
             )
             assert closed == oracle
+
+    def test_chi_check_forms_each_dual_once(self, monkeypatch):
+        # The pair loop tensors the hoisted dual of each row's kernel bundle
+        # with every kernel bundle: 72 duals and 72^2 products through chern.
+        # The public chi_pair_oracle of each row calls cubic's own references.
+        calls = Counter()
+        for name in ("dual", "tensor"):
+            def counting(*args, _name=name, _real=getattr(chern, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(chern, name, counting)
+        assert checks.check_cubic_chi_oracle().passed
+        assert calls == {"dual": 72, "tensor": 72 * 72}
+
+    def test_chi_check_names_the_first_failing_pair(self, monkeypatch):
+        # A closed form that is off by one on pairing 2 only: T_A.T_A = 1, and
+        # the second cubic of the census is the first to pair 2 with T_A.
+        monkeypatch.setattr(cubic, "chi_pair_closed_form",
+                            lambda j, pairings: chi_pair_closed_form(j, pairings) + (pairings == [2]))
+        second = twisted_cubics()[1].divisor
+        assert T_A.dot(T_A) == 1 and T_A.dot(second) == 2
+        result = checks.check_cubic_chi_oracle()
+        assert (result.passed, result.detail) == (False, f"{T_A}, {second}")
+
+    def test_chi_check_compares_the_public_oracle(self, monkeypatch):
+        monkeypatch.setattr(cubic, "chi_pair_oracle", lambda fprev, t, surface: 99)
+        result = checks.check_cubic_chi_oracle()
+        assert (result.passed, result.detail) == (False, f"{T_A}, {T_A}")
 
     def test_three_step_extension(self):
         fprev = direct_sum([kernel_bundle_of_cubic(T_A), kernel_bundle_of_cubic(T_C)])

@@ -141,6 +141,7 @@ def test_bool_operand_is_refused(operation):
 F = BundleNumerics(2, parse_divisor("(4;2,1,1,1,1,0)"), 3)
 N = reduce_numerics(F)
 T_A = parse_divisor("(1;0,0,0,0,0,0)")
+PARTNER = cubic_moduli_pair(BundleNumerics(2, TWO_H, 5))[0]
 WRONG_OPERANDS = [
     ("tensor-f-reduced", lambda: tensor(N, F), "f", N),
     ("tensor-g-reduced", lambda: tensor(F, N), "g", N),
@@ -167,6 +168,7 @@ WRONG_OPERANDS = [
     ("is_ulrich_candidate-int", lambda: is_ulrich_candidate(3, CUBIC_SURFACE), "f", 3),
     ("cubic_moduli_pair-int", lambda: cubic_moduli_pair(3), "f", 3),
     ("twist_partner-base-int", lambda: twist_partner(3, T_A), "base", 3),
+    ("twist_partner-twist-str", lambda: twist_partner(PARTNER, "x"), "twist", "x"),
     ("closed_syzygy_chern-reduced", lambda: closed_syzygy_chern(SEED, S4, 1), "seed", SEED),
     ("closed_syzygy_chern_numeric-int", lambda: closed_syzygy_chern_numeric(3, S4, 1), "seed", 3),
 ]

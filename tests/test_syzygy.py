@@ -270,6 +270,13 @@ class TestClosedChern:
             twisted = tensor_line(trace.entry(k).as_bundle(), -h)
             assert (c1, c2) == (twisted.c1, twisted.c2)
 
+    @pytest.mark.parametrize("seed", [WITNESS, reduce_numerics(WITNESS)],
+                             ids=["exact", "reduced"])
+    def test_numeric_seed_row_is_reduced_data(self, seed):
+        row = closed_syzygy_chern_numeric(seed, S4, -1)
+        assert type(row) is NumericClassData
+        assert row == reduce_numerics(WITNESS)
+
     def test_numeric_variant_matches(self):
         seed = reduce_numerics(WITNESS)
         trace = iterate_syzygy(seed, S4, 8)

@@ -20,6 +20,8 @@ from ulrich_lab import (
     BundleNumerics,
     DivisorClass,
     NumericClassData,
+    StableSumDecomposition,
+    TraceEntry,
     checks,
     closed_syzygy_chern_numeric,
     decompose_stable_sum,
@@ -37,6 +39,10 @@ from ulrich_lab import (
     twist_by_h,
     twisted_cubics,
 )
+from ulrich_lab.chern import _trusted_bundle, _trusted_numeric
+from ulrich_lab.cubic import _trusted_decomposition
+from ulrich_lab.picard import _trusted
+from ulrich_lab.syzygy import _trusted_entry
 
 X = DivisorClass(4, (1, 1, 1, 1, 0))
 Y = DivisorClass(2, (1, 0, 1, 0, 0))
@@ -172,3 +178,41 @@ def test_trusted_results_are_ordinary_values(results):
         for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, name, getattr(value, name))
+
+
+T1, T2 = twisted_cubics()[0], twisted_cubics()[1]
+
+# (trusted build, checked build, a replace() its field checks refuse or None
+# where the type has no field checks, the exception).
+BUILDERS = [
+    pytest.param(lambda: _trusted(4, (1, 1, 1, 1, 0)), lambda: DivisorClass(4, (1, 1, 1, 1, 0)),
+                 {"a": True}, TypeError, id="_trusted"),
+    pytest.param(lambda: _trusted_bundle(2, X, 4), lambda: BundleNumerics(2, X, 4),
+                 {"rank": 0}, ValueError, id="_trusted_bundle"),
+    pytest.param(lambda: _trusted_numeric(2, 16, 10, 5), lambda: NumericClassData(2, 16, 10, 5),
+                 {"c2": 5.0}, TypeError, id="_trusted_numeric"),
+    pytest.param(lambda: _trusted_entry(0, 6, -X, 12, -8, 8),
+                 lambda: TraceEntry(0, 6, -X, 12, -8, 8), {"k": -2}, ValueError,
+                 id="_trusted_entry"),
+    pytest.param(lambda: _trusted_decomposition(T1.divisor + T2.divisor, (T1, T2)),
+                 lambda: StableSumDecomposition(T1.divisor + T2.divisor, (T1, T2)),
+                 None, None, id="_trusted_decomposition"),
+]
+
+
+@pytest.mark.parametrize("trusted,checked,bad,error", BUILDERS)
+def test_builder_writes_the_constructor_dict(trusted, checked, bad, error):
+    value, twin = trusted(), checked()
+    assert type(value) is type(twin)
+    assert list(vars(value).items()) == list(vars(twin).items())  # keys in field order
+    assert [f.name for f in dataclasses.fields(value)] == list(vars(value))
+    for name in vars(twin):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value == twin
+        assert list(vars(clone).items()) == list(vars(twin).items())
+    assert dataclasses.replace(value) == twin
+    if bad is not None:
+        with pytest.raises(error):
+            dataclasses.replace(value, **bad)
