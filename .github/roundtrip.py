@@ -1,0 +1,80 @@
+"""Round trip of every slotted value type, without pytest.
+
+Each value, checked or built by the library without re-checking, goes
+through pickle at every protocol, copy.copy, copy.deepcopy and
+dataclasses.replace.  Every clone must be of the same type, equal, with the
+same hash and repr, with no instance __dict__ and its memo slots unset.
+Assigning to a field or to any other name must raise FrozenInstanceError.
+
+Usage: python3 .github/roundtrip.py   (with ulrich_lab importable, e.g.
+after `pip install .` or with PYTHONPATH=src; needs only the standard
+library; exits non-zero on the first failure)
+"""
+
+import copy
+import dataclasses
+import pickle
+import sys
+
+from ulrich_lab import (
+    BundleNumerics,
+    DivisorClass,
+    NumericClassData,
+    decompose_stable_sum,
+    iterate_syzygy,
+    make_surface,
+    reduce_numerics,
+    tensor,
+    twisted_cubics,
+)
+
+
+def expect(ok, what):
+    if not ok:
+        sys.exit(f"roundtrip: {what}")
+
+
+def check_slots(value, what):
+    expect(not hasattr(value, "__dict__"), f"{what} has an instance __dict__")
+    names = [field.name for field in dataclasses.fields(value)]
+    slots = type(value).__slots__
+    expect(list(slots[:len(names)]) == names, f"{what}: fields are not the first slots")
+    for name in slots[len(names):]:
+        expect(not hasattr(value, name), f"{what}: memo slot {name} is set")
+
+
+x = DivisorClass(4, (1, 1, 1, 1, 0))
+f = BundleNumerics(2, x, 4)
+values = [
+    x,
+    x + DivisorClass(2, (1, 0, 1, 0, 0)),
+    f,
+    tensor(f, f),
+    NumericClassData(2, 16, 10, 5),
+    reduce_numerics(f),
+    iterate_syzygy(f, make_surface(4), 2).entries[-1],
+    twisted_cubics()[5],
+    decompose_stable_sum(DivisorClass(6, (2,) * 6), 2)[0],
+]
+clones = 0
+for value in values:
+    what = type(value).__name__
+    check_slots(value, what)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies = [pickle.loads(pickle.dumps(value, protocol))]
+        if protocol == 0:
+            copies += [copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)]
+        for clone in copies:
+            expect(type(clone) is type(value), f"{what}: a clone changed type")
+            check_slots(clone, f"{what} clone")
+            expect(clone == value and value == clone, f"{what}: a clone is not equal")
+            expect(hash(clone) == hash(value), f"{what}: a clone hashes differently")
+            expect(repr(clone) == repr(value), f"{what}: a clone prints differently")
+            clones += 1
+    for name in [field.name for field in dataclasses.fields(value)] + ["extra"]:
+        try:
+            setattr(value, name, 0)
+        except dataclasses.FrozenInstanceError:
+            continue
+        sys.exit(f"roundtrip: {what}.{name} = 0 did not raise FrozenInstanceError")
+print(f"roundtrip: {len(values)} values, {clones} clones, Python {sys.version.split()[0]}: ok")

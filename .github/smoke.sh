@@ -7,7 +7,9 @@
 # cubics and decompose runs print divisor classes through their str() memo.
 # One check run reads a seed file, so the validating path from JSON to
 # BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
-# the library's internal results, which skip re-validation.
+# the library's internal results, which skip re-validation.  roundtrip.py
+# pickles, copies and replaces every slotted value type, with the standard
+# library only.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)
@@ -27,3 +29,4 @@ ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
 ulrich-lab sequence --d 8 --k-max 200
 ulrich-lab cubics --format csv
 ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json
+python3 "$(dirname "$0")/roundtrip.py"

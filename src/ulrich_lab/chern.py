@@ -57,8 +57,14 @@ keeps that sound is the operand test at the top of each public function:
 :func:`tensor`, :func:`tensor_line`, :func:`direct_sum`, :func:`dual`,
 :func:`reduce_numerics`, :func:`twist_by_h` and :func:`euler_char` refuse an
 operand of the wrong type with ``TypeError`` naming the argument, before
-reading a field of it.  A rank-s, rank-t product has rank st >= 1, a sum
-or a dual keeps a positive rank, so the rank stays positive as well.
+reading a field of it, and every function that takes a surface refuses a
+non-surface the same way.  A rank-s, rank-t product has rank st >= 1, a sum
+or a dual keeps a positive rank, so the rank stays positive as well.  Both
+value types keep their fields in ``__slots__``, with no instance
+``__dict__``.  The two builders make the instance with ``object.__new__``
+and set each field, in field order, through its slot's member-descriptor
+``__set__``, bound once below the classes; pickling and copying use the
+shared field-state pair of :mod:`ulrich_lab.picard`.
 """
 
 from __future__ import annotations
@@ -74,7 +80,10 @@ from .picard import (
     DelPezzoSurface,
     DivisorClass,
     _combine,
+    _fields_getstate,
+    _fields_setstate,
     _is_int,
+    _new,
     _require_int,
     _require_type,
     _trusted,
@@ -86,6 +95,10 @@ from .picard import (
 @dataclass(frozen=True)
 class BundleNumerics:
     """(rank, c1, c2) with the exact first Chern class."""
+
+    __slots__ = ("rank", "c1", "c2")
+    __getstate__ = _fields_getstate
+    __setstate__ = _fields_setstate
 
     rank: int
     c1: DivisorClass
@@ -116,6 +129,10 @@ class BundleNumerics:
 @dataclass(frozen=True)
 class NumericClassData:
     """Reduced invariants (rank, c1^2, c1.H, c2) of a bundle."""
+
+    __slots__ = ("rank", "c1_sq", "c1_dot_h", "c2")
+    __getstate__ = _fields_getstate
+    __setstate__ = _fields_setstate
 
     rank: int
     c1_sq: int
@@ -151,6 +168,14 @@ AnyNumerics = Union[BundleNumerics, NumericClassData]
 _BUNDLE = (BundleNumerics,)
 _NUMERICS = (BundleNumerics, NumericClassData)
 
+_set_bundle_rank = BundleNumerics.rank.__set__
+_set_bundle_c1 = BundleNumerics.c1.__set__
+_set_bundle_c2 = BundleNumerics.c2.__set__
+_set_numeric_rank = NumericClassData.rank.__set__
+_set_numeric_c1_sq = NumericClassData.c1_sq.__set__
+_set_numeric_c1_dot_h = NumericClassData.c1_dot_h.__set__
+_set_numeric_c2 = NumericClassData.c2.__set__
+
 
 def _trusted_bundle(rank: int, c1: DivisorClass, c2: int) -> BundleNumerics:
     """``BundleNumerics(rank, c1, c2)`` without the field checks.
@@ -158,23 +183,21 @@ def _trusted_bundle(rank: int, c1: DivisorClass, c2: int) -> BundleNumerics:
     Only for a positive int rank, a checked or trusted class and an int c2
     computed from checked values; see the contract in :mod:`ulrich_lab.picard`.
     """
-    x = object.__new__(BundleNumerics)
-    d = x.__dict__
-    d["rank"] = rank
-    d["c1"] = c1
-    d["c2"] = c2
+    x = _new(BundleNumerics)
+    _set_bundle_rank(x, rank)
+    _set_bundle_c1(x, c1)
+    _set_bundle_c2(x, c2)
     return x
 
 
 def _trusted_numeric(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> NumericClassData:
     """``NumericClassData(rank, c1_sq, c1_dot_h, c2)`` without the field checks,
     under the same contract as :func:`_trusted_bundle`."""
-    x = object.__new__(NumericClassData)
-    d = x.__dict__
-    d["rank"] = rank
-    d["c1_sq"] = c1_sq
-    d["c1_dot_h"] = c1_dot_h
-    d["c2"] = c2
+    x = _new(NumericClassData)
+    _set_numeric_rank(x, rank)
+    _set_numeric_c1_sq(x, c1_sq)
+    _set_numeric_c1_dot_h(x, c1_dot_h)
+    _set_numeric_c2(x, c2)
     return x
 
 
@@ -204,6 +227,8 @@ def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
 
 def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
     """Twist by m copies of the hyperplane class, in either resolution."""
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     _require_int(m, "twist multiple m must be an integer", TypeError)
     if type(f) is not NumericClassData:
         _require_type(f, _NUMERICS, "f")
@@ -285,6 +310,8 @@ def dual(f: AnyNumerics) -> AnyNumerics:
 
 def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
     """Riemann-Roch: chi(F) = rank + (c1^2 + c1.H)/2 - c2."""
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     if isinstance(f, BundleNumerics):
         c1 = f.c1
         a, b = c1.a, c1.b
@@ -310,6 +337,8 @@ def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int, chi_o: int) -> int:
 
 def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:
     """H-slope c1.H / rank as an exact rational."""
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     _require_type(f, _NUMERICS, "f")
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)

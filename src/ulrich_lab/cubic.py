@@ -30,7 +30,16 @@ from itertools import permutations
 
 from .chern import BundleNumerics, _BUNDLE, dual, euler_char, tensor, tensor_line
 from .errors import LatticeMismatch, NotUlrich
-from .picard import DelPezzoSurface, DivisorClass, _require_int, _require_type, make_surface
+from .picard import (
+    DelPezzoSurface,
+    DivisorClass,
+    _fields_getstate,
+    _fields_setstate,
+    _new,
+    _require_int,
+    _require_type,
+    make_surface,
+)
 from .syzygy import syzygy_numerics
 from .ulrich import is_ulrich_candidate
 
@@ -49,6 +58,10 @@ _REPRESENTATIVE_COORDS: dict[str, tuple[int, tuple[int, ...]]] = {
 class TwistedCubicClass:
     """A twisted cubic class together with its orbit tag."""
 
+    __slots__ = ("type_tag", "divisor")
+    __getstate__ = _fields_getstate
+    __setstate__ = _fields_setstate
+
     type_tag: str
     divisor: DivisorClass
 
@@ -57,9 +70,17 @@ class TwistedCubicClass:
 
 
 def twisted_cubic_representative(tag: str) -> DivisorClass:
-    """The standard representative of orbit A, B, C, D or E."""
-    a, b = _REPRESENTATIVE_COORDS[tag]
-    return DivisorClass(a, b)
+    """The standard representative of orbit A, B, C, D or E.
+
+    A tag that is not a ``str`` raises ``TypeError``; any other string
+    raises ``ValueError``.
+    """
+    if type(tag) is not str:
+        _require_type(tag, (str,), "tag")
+    coords = _REPRESENTATIVE_COORDS.get(tag)
+    if coords is None:
+        raise ValueError(f"tag must be one of {', '.join(_REPRESENTATIVE_COORDS)}, got {tag!r}")
+    return DivisorClass(*coords)
 
 
 @cache
@@ -94,6 +115,10 @@ def is_twisted_cubic(x: DivisorClass) -> bool:
 class StableSumDecomposition:
     """An ordered tuple of twisted cubics summing to the target class."""
 
+    __slots__ = ("target", "parts")
+    __getstate__ = _fields_getstate
+    __setstate__ = _fields_setstate
+
     target: DivisorClass
     parts: tuple[TwistedCubicClass, ...]
 
@@ -119,14 +144,17 @@ class StableSumDecomposition:
         return stable and partial == self.target
 
 
+_set_target = StableSumDecomposition.target.__set__
+_set_parts = StableSumDecomposition.parts.__set__
+
+
 def _trusted_decomposition(target: DivisorClass,
                            parts: tuple[TwistedCubicClass, ...]) -> StableSumDecomposition:
     """``StableSumDecomposition(target, parts)`` without the dataclass
     ``__init__``; see the contract in :mod:`ulrich_lab.picard`."""
-    x = object.__new__(StableSumDecomposition)
-    d = x.__dict__
-    d["target"] = target
-    d["parts"] = parts
+    x = _new(StableSumDecomposition)
+    _set_target(x, target)
+    _set_parts(x, parts)
     return x
 
 
@@ -245,6 +273,8 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
 
 def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSurface) -> int:
     """chi(F* (x) M_T) computed through dual, tensor and Riemann-Roch only."""
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     if type(fprev) is not BundleNumerics:
         _require_type(fprev, _BUNDLE, "fprev")
     if type(t) is not DivisorClass:

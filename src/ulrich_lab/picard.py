@@ -41,25 +41,34 @@ that builds its result this way first tests the type of its operands:
 ``type(x) is Cls`` on the hot path, with ``isinstance`` as the fallback for
 subclasses (:func:`_require_type`), raising ``TypeError`` that names the
 argument.  So an operand's fields are known to have passed a constructor.
-The private constructors set the fields and nothing else, skipping only
-the dataclass ``__init__`` and its checks.  Each makes the instance with
-``object.__new__`` and writes the fields straight into its ``__dict__``
-(``d = x.__dict__; d["a"] = a; ...``), in field order.  That leaves the
-dict the checked constructor leaves, keys in the same order, and is
-cheaper than one ``object.__setattr__`` call per field.  The frozen
-``__setattr__`` guards attribute assignment, not the instance dict, so a
-trusted result is an ordinary instance, the same under ``vars``, ``==``,
-``hash``, ``repr``, ``asdict``, pickling, copying and
-``dataclasses.replace`` (which runs the checks), and assigning to a field
-still raises ``FrozenInstanceError``.
+
+Slots.  The hot value types (:class:`DivisorClass`, ``BundleNumerics``,
+``NumericClassData``, ``TraceEntry``, ``TwistedCubicClass`` and
+``StableSumDecomposition``) declare ``__slots__`` in the class body, one
+slot per field, so their instances have no ``__dict__``: a field read is
+a fixed-offset load, and an instance is smaller.  The private constructors
+make the instance with ``object.__new__`` and set each field through its
+slot's member descriptor, whose ``__set__`` is bound once at module level
+(``_set_a(x, a); _set_b(x, b)``), in field order.  That skips only the
+dataclass ``__init__`` and its checks, and leaves the instance the checked
+constructor leaves.  The frozen ``__setattr__`` guards attribute
+assignment, not the descriptors, so assigning to a field, or to any other
+name, still raises ``FrozenInstanceError``.  Pickling and copying go
+through one shared pair, :func:`_fields_getstate` and
+:func:`_fields_setstate`: the state is the dict of fields in field order,
+the form pickles of these types have always had, and it is written back
+past the frozen ``__setattr__``.  A trusted result is therefore an ordinary
+instance, the same under ``==``, ``hash``, ``repr``, ``fields()``,
+``asdict``, pickling (every protocol), copying and ``dataclasses.replace``
+(which runs the checks).  Instances take no weak references.
 
 A class is immutable: only ``__post_init__`` and ``_trusted`` write ``a``
 and ``b``, and both do so before the instance is shared.  That is what lets
-``hash(x)`` and ``str(x)`` be computed once, on first use, and kept in the
-instance's ``__dict__`` under the private keys ``_hash_memo`` and
-``_text_memo``.  The memo keys are not fields, so ``==``, ``fields()``,
-``asdict`` and ``repr`` never see them, and pickling and copying carry only
-``a`` and ``b`` (int-tuple hashes differ between 32- and 64-bit builds).
+``hash(x)`` and ``str(x)`` be computed once, on first use, and kept in two
+slots that are not fields, ``_hash_memo`` and ``_text_memo``; they stay
+unset until then.  ``==``, ``fields()``, ``asdict`` and ``repr`` never see
+them, and pickling and copying carry only ``a`` and ``b`` (int-tuple hashes
+differ between 32- and 64-bit builds).
 """
 
 from __future__ import annotations
@@ -106,9 +115,25 @@ def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
     raise exc(f"{message}, got {value!r}")
 
 
+def _fields_getstate(self) -> dict:
+    """The pickle and copy state of a slotted value: its fields, in field order."""
+    return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
+def _fields_setstate(self, state: dict) -> None:
+    """Restore a state of :func:`_fields_getstate`, past the frozen ``__setattr__``."""
+    for name, value in state.items():
+        object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Coordinates (a; b_1, ..., b_t) of the class a*L - sum(b_i * E_i)."""
+
+    # The fields, then the hash and text memos (not fields: not annotated).
+    __slots__ = ("a", "b", "_hash_memo", "_text_memo")
+    __getstate__ = _fields_getstate
+    __setstate__ = _fields_setstate
 
     a: int
     b: tuple[int, ...]
@@ -174,27 +199,31 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
-    # Memo defaults: an instance's __dict__ shadows them once filled in.  Not
-    # annotated, so not dataclass fields.
-    _hash_memo = None
-    _text_memo = None
-
     # Defined in the class body, so @dataclass keeps it; the value is the one
-    # the generated __hash__ gives, hash((a, b)).
+    # the generated __hash__ gives, hash((a, b)).  An unset memo slot raises
+    # AttributeError, once per instance.
     def __hash__(self) -> int:
-        h = self._hash_memo
-        if h is None:
-            h = self.__dict__["_hash_memo"] = hash((self.a, self.b))
-        return h
+        try:
+            return self._hash_memo
+        except AttributeError:
+            h = hash((self.a, self.b))
+            _set_hash_memo(self, h)
+            return h
 
     def __str__(self) -> str:
-        text = self._text_memo
-        if text is None:
-            text = self.__dict__["_text_memo"] = format_divisor(self)
-        return text
+        try:
+            return self._text_memo
+        except AttributeError:
+            text = format_divisor(self)
+            _set_text_memo(self, text)
+            return text
 
-    def __getstate__(self) -> dict:
-        return {"a": self.a, "b": self.b}
+
+_new = object.__new__
+_set_a = DivisorClass.a.__set__
+_set_b = DivisorClass.b.__set__
+_set_hash_memo = DivisorClass._hash_memo.__set__
+_set_text_memo = DivisorClass._text_memo.__set__
 
 
 def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:
@@ -203,10 +232,9 @@ def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:
     Only for an int ``a`` and a tuple ``b`` of ints computed from checked
     values; see the module docstring.
     """
-    x = object.__new__(DivisorClass)
-    d = x.__dict__
-    d["a"] = a
-    d["b"] = b
+    x = _new(DivisorClass)
+    _set_a(x, a)
+    _set_b(x, b)
     return x
 
 
@@ -290,6 +318,8 @@ def intersect(x: DivisorClass, y: DivisorClass, surface: DelPezzoSurface | None 
     When a surface is supplied, both classes are checked to live on it.
     """
     if surface is not None:
+        if type(surface) is not DelPezzoSurface:
+            _require_type(surface, (DelPezzoSurface,), "surface")
         surface.require(x)
         surface.require(y)
     return x.dot(y)
@@ -329,6 +359,8 @@ def parse_divisor(text: str, surface: DelPezzoSurface | None = None) -> DivisorC
     :class:`ParseError` carrying the offending character position.  When a
     surface is supplied the number of exceptional coordinates must match.
     """
+    if surface is not None and type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     pos = 0
     n = len(text)
 

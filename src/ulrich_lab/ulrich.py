@@ -59,6 +59,8 @@ class PolarizedData:
 
 def polarized_data_for(surface: DelPezzoSurface) -> PolarizedData:
     """The (n, H^n, H.K) = (2, d, -d) data of an anticanonical surface."""
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     return PolarizedData(2, surface.degree, -surface.degree)
 
 
@@ -105,6 +107,8 @@ def ulrich_c2(rank: int, c1_sq: int, surface: DelPezzoSurface) -> int:
     """
     _require_int(rank, "rank must be a positive integer", lo=1)
     _require_int(c1_sq, "c1^2 must be an integer", TypeError)
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     d = surface.degree
     if (c1_sq - rank * d) % 2:
         raise NotUlrichCompatible(
@@ -124,6 +128,8 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
     two chi values come from the int cores of :func:`~ulrich_lab.chern.twist_by_h`
     and :func:`~ulrich_lab.chern.euler_char`, as in the syzygy iteration.
     """
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     if type(f) is not NumericClassData:
         _require_type(f, _NUMERICS, "f")
         if isinstance(f, BundleNumerics):
@@ -149,6 +155,8 @@ def prioritary_polarization_check(surface: DelPezzoSurface) -> int:
     The caller only needs this to be negative; the exact value on the
     degree-d surface is 2 - d.
     """
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
     k = surface.canonical_class
     f = surface.fiber_class
     return intersect(surface.anticanonical_class, k + f, surface)

@@ -15,6 +15,7 @@ from ulrich_lab import (
     BadPermutation,
     BundleNumerics,
     DegreeOutOfRange,
+    DelPezzoSurface,
     DivisorClass,
     LatticeMismatch,
     NumericClassData,
@@ -31,11 +32,14 @@ from ulrich_lab import (
     direct_sum,
     dual,
     euler_char,
+    intersect,
     is_ulrich_candidate,
     iterate_syzygy,
     make_surface,
     parse_divisor,
     permute_exceptionals,
+    polarized_data_for,
+    prioritary_polarization_check,
     rank_by_recurrence,
     rank_closed_form,
     rank_two_table_chern,
@@ -46,6 +50,7 @@ from ulrich_lab import (
     tensor_line,
     twist_by_h,
     twist_partner,
+    twisted_cubic_representative,
     ulrich_c2,
     ulrich_profile,
 )
@@ -171,6 +176,32 @@ WRONG_OPERANDS = [
     ("twist_partner-twist-str", lambda: twist_partner(PARTNER, "x"), "twist", "x"),
     ("closed_syzygy_chern-reduced", lambda: closed_syzygy_chern(SEED, S4, 1), "seed", SEED),
     ("closed_syzygy_chern_numeric-int", lambda: closed_syzygy_chern_numeric(3, S4, 1), "seed", 3),
+    ("twisted_cubic_representative-int", lambda: twisted_cubic_representative(3), "tag", 3),
+    ("twisted_cubic_representative-none", lambda: twisted_cubic_representative(None), "tag",
+     None),
+    # A surface argument is refused before any attribute of it is read.
+    ("euler_char-surface-int", lambda: euler_char(F, 3), "surface", 3),
+    ("euler_char-surface-reduced", lambda: euler_char(N, 3), "surface", 3),
+    ("twist_by_h-surface-int", lambda: twist_by_h(N, 1, 3), "surface", 3),
+    ("twist_by_h-surface-exact", lambda: twist_by_h(F, 1, "x"), "surface", "x"),
+    ("slope-surface-int", lambda: slope(F, 3), "surface", 3),
+    ("slope-surface-reduced", lambda: slope(N, None), "surface", None),
+    ("chi_pair_oracle-surface-int", lambda: chi_pair_oracle(F, T_A, 3), "surface", 3),
+    ("iterate_syzygy-surface-int", lambda: iterate_syzygy(SEED, 5, 2), "surface", 5),
+    ("closed_syzygy_chern-surface-int", lambda: closed_syzygy_chern(WITNESS, 4, 1),
+     "surface", 4),
+    ("closed_syzygy_chern_numeric-surface-int",
+     lambda: closed_syzygy_chern_numeric(SEED, 5, 1), "surface", 5),
+    ("polarized_data_for-surface-int", lambda: polarized_data_for(4), "surface", 4),
+    ("ulrich_c2-surface-int", lambda: ulrich_c2(2, 16, 5), "surface", 5),
+    ("is_ulrich_candidate-surface-int", lambda: is_ulrich_candidate(N, 3), "surface", 3),
+    ("is_ulrich_candidate-surface-exact", lambda: is_ulrich_candidate(F, T_A), "surface", T_A),
+    ("prioritary_polarization_check-surface-int", lambda: prioritary_polarization_check(4),
+     "surface", 4),
+    ("intersect-surface-int", lambda: intersect(T_A, T_A, 3), "surface", 3),
+    ("parse_divisor-surface-int", lambda: parse_divisor("(1;0,0,0,0,0,0)", 3), "surface", 3),
+    ("from_dict-surface-str", lambda: BundleNumerics.from_dict(F.to_dict(), "x"),
+     "surface", "x"),
 ]
 
 
@@ -223,3 +254,25 @@ def test_trace_entry_checks_its_fields():
         TraceEntry(-2, 2, None, 16, 10, 5)
     with pytest.raises(TypeError, match="c1 must be a DivisorClass or None"):
         TraceEntry(0, 2, "(4;1,1,1,1,0)", 16, 10, 5)
+
+
+@pytest.mark.parametrize("tag", ["x", "", "a", "AB", "F"])
+def test_unknown_cubic_tag_is_refused(tag):
+    with pytest.raises(ValueError) as info:
+        twisted_cubic_representative(tag)
+    assert str(info.value) == f"tag must be one of A, B, C, D, E, got {tag!r}"
+
+
+class _Surface(DelPezzoSurface):
+    pass
+
+
+def test_surface_subclass_is_accepted():
+    surface = _Surface(3)
+    assert euler_char(F, surface) == euler_char(F, CUBIC_SURFACE)
+    assert twist_by_h(N, 1, surface) == twist_by_h(N, 1, CUBIC_SURFACE)
+    assert is_ulrich_candidate(F, surface) == is_ulrich_candidate(F, CUBIC_SURFACE)
+    assert ulrich_c2(2, 16, surface) == ulrich_c2(2, 16, CUBIC_SURFACE)
+    assert intersect(T_A, T_A, surface) == 1
+    assert parse_divisor("(1;0,0,0,0,0,0)", surface) == T_A
+    assert [twisted_cubic_representative(tag).a for tag in "ABCDE"] == [1, 2, 3, 4, 5]

@@ -22,6 +22,7 @@ from ulrich_lab import (
     NumericClassData,
     StableSumDecomposition,
     TraceEntry,
+    TwistedCubicClass,
     checks,
     closed_syzygy_chern_numeric,
     decompose_stable_sum,
@@ -55,15 +56,38 @@ VALUES = [
     pytest.param(3 * X, id="DivisorClass-multiple"),
     pytest.param(BundleNumerics(2, X, 4), id="BundleNumerics"),
     pytest.param(NumericClassData(2, 16, 10, 5), id="NumericClassData"),
+    pytest.param(TraceEntry(0, 6, -X, 12, -8, 8), id="TraceEntry"),
+    pytest.param(twisted_cubics()[5], id="TwistedCubicClass"),
+    pytest.param(decompose_stable_sum(DivisorClass(6, (2,) * 6), 2)[0],
+                 id="StableSumDecomposition"),
 ]
+
+
+def _field_items(value):
+    """(name, value) of every field, in field order; reading an unset slot raises."""
+    return [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+
+
+def _assert_slotted(value):
+    """No instance dict, the fields first among the slots and all set, and
+    every other slot (a class's hash and text memos) unset."""
+    assert not hasattr(value, "__dict__")
+    names = [f.name for f in dataclasses.fields(value)]
+    slots = type(value).__slots__
+    assert list(slots[:len(names)]) == names
+    _field_items(value)
+    for name in slots[len(names):]:
+        assert not hasattr(value, name)
 
 
 @pytest.mark.parametrize("value", VALUES)
 def test_copies_are_equal_values(value):
-    clones = [pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value),
-              dataclasses.replace(value)]
+    clones = [*(pickle.loads(pickle.dumps(value, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+              copy.deepcopy(value), copy.copy(value), dataclasses.replace(value)]
     for clone in clones:
         assert type(clone) is type(value)
+        _assert_slotted(clone)
         assert clone == value
         assert hash(clone) == hash(value)
         assert repr(clone) == repr(value)
@@ -163,10 +187,10 @@ def trusted_results(draw):
 @settings(max_examples=60, deadline=None)
 def test_trusted_results_are_ordinary_values(results):
     for value in results:
-        names = {f.name for f in dataclasses.fields(value)}
-        assert set(vars(value)) == names  # before hash() or str() fill in a memo
+        _assert_slotted(value)  # before hash() or str() fill in a memo
         twin = _twin(value)
         assert type(twin) is type(value)
+        assert _field_items(value) == _field_items(twin)
         assert value == twin and twin == value
         assert hash(value) == hash(twin)
         assert repr(value) == repr(twin)
@@ -174,8 +198,9 @@ def test_trusted_results_are_ordinary_values(results):
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
                       dataclasses.replace(value)):
             assert type(clone) is type(value) and clone == value
+            _assert_slotted(clone)
             assert hash(clone) == hash(value) and repr(clone) == repr(value)
-        for name in names:
+        for name in (f.name for f in dataclasses.fields(value)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, name, getattr(value, name))
 
@@ -201,18 +226,91 @@ BUILDERS = [
 
 
 @pytest.mark.parametrize("trusted,checked,bad,error", BUILDERS)
-def test_builder_writes_the_constructor_dict(trusted, checked, bad, error):
+def test_builder_sets_the_constructor_slots(trusted, checked, bad, error):
     value, twin = trusted(), checked()
     assert type(value) is type(twin)
-    assert list(vars(value).items()) == list(vars(twin).items())  # keys in field order
-    assert [f.name for f in dataclasses.fields(value)] == list(vars(value))
-    for name in vars(twin):
+    _assert_slotted(value)
+    _assert_slotted(twin)
+    assert _field_items(value) == _field_items(twin)  # field by field, in field order
+    for name, field_value in _field_items(value):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, name, getattr(value, name))
-    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            setattr(value, name, field_value)
+    for name in type(value).__slots__[len(dataclasses.fields(value)):]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0)
+    clones = [*(pickle.loads(pickle.dumps(value, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+              copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)]
+    for clone in clones:
         assert type(clone) is type(value) and clone == value == twin
-        assert list(vars(clone).items()) == list(vars(twin).items())
-    assert dataclasses.replace(value) == twin
+        _assert_slotted(clone)
+        assert _field_items(clone) == _field_items(twin)
     if bad is not None:
         with pytest.raises(error):
             dataclasses.replace(value, **bad)
+
+
+# pickle.dumps((X, BundleNumerics(2, X, 4), NumericClassData(2, 16, 10, 5), a trace
+# row, a twisted cubic, a decomposition), protocol) from the code that kept each
+# value's fields in an instance dict (X was hashed and printed first; the memos
+# did not travel).  The state is the same dict of fields, so these still load.
+DICT_LAYOUT_PICKLES = {
+    0: (
+        b'(ccopy_reg\n_reconstructor\np0\n(culrich_lab.picard\nDivisorClass\np1\nc__builti'
+        b'n__\nobject\np2\nNtp3\nRp4\n(dp5\nVa\np6\nI4\nsVb\np7\n(I1\nI1\nI1\nI1\nI0\ntp8'
+        b'\nsbg0\n(culrich_lab.chern\nBundleNumerics\np9\ng2\nNtp10\nRp11\n(dp12\nVrank\np'
+        b'13\nI2\nsVc1\np14\ng4\nsVc2\np15\nI4\nsbg0\n(culrich_lab.chern\nNumericClassData'
+        b'\np16\ng2\nNtp17\nRp18\n(dp19\ng13\nI2\nsVc1_sq\np20\nI16\nsVc1_dot_h\np21\nI10'
+        b'\nsg15\nI5\nsbg0\n(culrich_lab.syzygy\nTraceEntry\np22\ng2\nNtp23\nRp24\n(dp25\n'
+        b'Vk\np26\nI1\nsg13\nI10\nsg14\ng0\n(g1\ng2\nNtp27\nRp28\n(dp29\ng6\nI16\nsg7\n(I5'
+        b'\nI5\nI5\nI5\nI4\ntp30\nsbsg20\nI140\nsg21\nI24\nsg15\nI68\nsbg0\n(culrich_lab.c'
+        b'ubic\nTwistedCubicClass\np31\ng2\nNtp32\nRp33\n(dp34\nVtype_tag\np35\nVB\np36\ns'
+        b'Vdivisor\np37\ng0\n(g1\ng2\nNtp38\nRp39\n(dp40\ng6\nI2\nsg7\n(I0\nI1\nI0\nI0\nI1'
+        b'\nI1\ntp41\nsbsbg0\n(culrich_lab.cubic\nStableSumDecomposition\np42\ng2\nNtp43\n'
+        b'Rp44\n(dp45\nVtarget\np46\ng0\n(g1\ng2\nNtp47\nRp48\n(dp49\ng6\nI6\nsg7\n(I2\nI2'
+        b'\nI2\nI2\nI2\nI2\ntp50\nsbsVparts\np51\n(g0\n(g31\ng2\nNtp52\nRp53\n(dp54\ng35\n'
+        b'VA\np55\nsg37\ng0\n(g1\ng2\nNtp56\nRp57\n(dp58\ng6\nI1\nsg7\n(I0\nI0\nI0\nI0\nI0'
+        b'\nI0\ntp59\nsbsbg0\n(g31\ng2\nNtp60\nRp61\n(dp62\ng35\nVE\np63\nsg37\ng0\n(g1\ng'
+        b'2\nNtp64\nRp65\n(dp66\ng6\nI5\nsg7\n(I2\nI2\nI2\nI2\nI2\nI2\ntp67\nsbsbtp68\nsbt'
+        b'p69\n.'
+    ),
+    5: (
+        b'\x80\x05\x95M\x02\x00\x00\x00\x00\x00\x00(\x8c\x11ulrich_lab.picard\x94\x8c\x0cD'
+        b'ivisorClass\x94\x93\x94)\x81\x94}\x94(\x8c\x01a\x94K\x04\x8c\x01b\x94(K\x01K\x01'
+        b'K\x01K\x01K\x00t\x94ub\x8c\x10ulrich_lab.chern\x94\x8c\x0eBundleNumerics\x94\x93'
+        b'\x94)\x81\x94}\x94(\x8c\x04rank\x94K\x02\x8c\x02c1\x94h\x03\x8c\x02c2\x94K\x04ub'
+        b'h\x08\x8c\x10NumericClassData\x94\x93\x94)\x81\x94}\x94(h\rK\x02\x8c\x05c1_sq'
+        b'\x94K\x10\x8c\x08c1_dot_h\x94K\nh\x0fK\x05ub\x8c\x11ulrich_lab.syzygy\x94\x8c\nT'
+        b'raceEntry\x94\x93\x94)\x81\x94}\x94(\x8c\x01k\x94K\x01h\rK\nh\x0eh\x02)\x81\x94}'
+        b'\x94(h\x05K\x10h\x06(K\x05K\x05K\x05K\x05K\x04t\x94ubh\x14K\x8ch\x15K\x18h\x0fKD'
+        b'ub\x8c\x10ulrich_lab.cubic\x94\x8c\x11TwistedCubicClass\x94\x93\x94)\x81\x94}'
+        b'\x94(\x8c\x08type_tag\x94\x8c\x01B\x94\x8c\x07divisor\x94h\x02)\x81\x94}\x94(h'
+        b'\x05K\x02h\x06(K\x00K\x01K\x00K\x00K\x01K\x01t\x94ububh\x1f\x8c\x16StableSumDeco'
+        b'mposition\x94\x93\x94)\x81\x94}\x94(\x8c\x06target\x94h\x02)\x81\x94}\x94(h\x05K'
+        b'\x06h\x06(K\x02K\x02K\x02K\x02K\x02K\x02t\x94ub\x8c\x05parts\x94h!)\x81\x94}\x94'
+        b'(h$\x8c\x01A\x94h&h\x02)\x81\x94}\x94(h\x05K\x01h\x06(K\x00K\x00K\x00K\x00K\x00K'
+        b'\x00t\x94ububh!)\x81\x94}\x94(h$\x8c\x01E\x94h&h\x02)\x81\x94}\x94(h\x05K\x05h'
+        b'\x06(K\x02K\x02K\x02K\x02K\x02K\x02t\x94ubub\x86\x94ubt\x94.'
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(DICT_LAYOUT_PICKLES))
+def test_pickles_of_the_dict_layout_load(protocol):
+    cubics = {t.divisor: t for t in twisted_cubics()}
+    a, e = cubics[DivisorClass(1, (0,) * 6)], cubics[DivisorClass(5, (2,) * 6)]
+    expected = (
+        X,
+        BundleNumerics(2, X, 4),
+        NumericClassData(2, 16, 10, 5),
+        TraceEntry(1, 10, DivisorClass(16, (5, 5, 5, 5, 4)), 140, 24, 68),
+        TwistedCubicClass("B", DivisorClass(2, (0, 1, 0, 0, 1, 1))),
+        StableSumDecomposition(DivisorClass(6, (2,) * 6), (a, e)),
+    )
+    loaded = pickle.loads(DICT_LAYOUT_PICKLES[protocol])
+    assert loaded == expected
+    for value, twin in zip(loaded, expected):
+        assert type(value) is type(twin)
+        _assert_slotted(value)
+        assert _field_items(value) == _field_items(twin)
+        assert hash(value) == hash(twin) and repr(value) == repr(twin)
