@@ -7,7 +7,10 @@
 # cubics and decompose runs print divisor classes through their str() memo.
 # One check run reads a seed file, so the validating path from JSON to
 # BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
-# the library's internal results, which skip re-validation.  roundtrip.py
+# the library's internal results, which skip re-validation.  The r = 3
+# decompose run takes the search through its first-part scan and its
+# pair-table lookup of the last two parts; its count is checked from a file,
+# since `sh -e` does not see a failure inside a pipe.  roundtrip.py
 # pickles, copies and replaces every slotted value type, with the standard
 # library only.
 #
@@ -21,7 +24,8 @@ for sub in sequence syzygy table-moduli table-pairs cubics decompose check; do
 done
 ulrich-lab check --format json
 seed_file=$(mktemp)
-trap 'rm -f "$seed_file"' EXIT
+out_file=$(mktemp)
+trap 'rm -f "$seed_file" "$out_file"' EXIT
 printf '%s\n' '[{"rank": 2, "c1": "(6;2,2,2,2,2)", "c2": 6}]' > "$seed_file"
 ULRICH_LAB_SEED_FILE="$seed_file" ulrich-lab check
 ulrich-lab table-pairs
@@ -29,4 +33,6 @@ ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
 ulrich-lab sequence --d 8 --k-max 200
 ulrich-lab cubics --format csv
 ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json
+ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --unordered --out "$out_file"
+grep -qx 'count: 240' "$out_file"
 python3 "$(dirname "$0")/roundtrip.py"

@@ -102,6 +102,23 @@ def _cubic_coord_index() -> dict[tuple[int, ...], int]:
     return {(t.divisor.a, *t.divisor.b): i for i, t in enumerate(twisted_cubics())}
 
 
+@cache
+def _pair_table() -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Census-index pairs (i, j) with T_i + T_j equal to each sum.
+
+    Keys are the tuples (a, b_1, ..., b_6) of the 1,135 sums of two cubics;
+    the 72**2 = 5,184 ordered pairs are listed under their sum in ascending
+    (i, j) order.
+    """
+    coords = list(_cubic_coord_index())
+    table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, (s0, s1, s2, s3, s4, s5, s6) in enumerate(coords):
+        for j, (t0, t1, t2, t3, t4, t5, t6) in enumerate(coords):
+            key = (s0 + t0, s1 + t1, s2 + t2, s3 + t3, s4 + t4, s5 + t5, s6 + t6)
+            table.setdefault(key, []).append((i, j))
+    return {key: tuple(pairs) for key, pairs in table.items()}
+
+
 def is_twisted_cubic(x: DivisorClass) -> bool:
     """Membership in the set of 72 twisted cubic classes."""
     if x.num_exceptional != CUBIC_SURFACE.num_exceptional:
@@ -170,13 +187,16 @@ def decompose_stable_sum(
 
     The backtracking runs on plain integer tuples (a, b_1, ..., b_6) and
     census indices, never on :class:`DivisorClass`.  Each of the first
-    r - 1 parts is scanned over the 72 cubics, kept only if its pairing
+    r - 2 parts is scanned over the 72 cubics, kept only if its pairing
     with the partial sum is large enough and the remainder still fits
-    the box that the remaining parts can fill.  The last part is forced
-    to equal the remainder, so it is found by one dictionary lookup and
-    then given the pairing test.  Result objects are built only for the
-    tuples returned; :meth:`StableSumDecomposition.validate` rechecks any
-    of them with lattice arithmetic.
+    the box that the remaining parts can fill.  The last two parts are
+    forced to sum to the remainder, so they come from one lookup in the
+    table of all ordered pairs of cubics keyed by their sum, and each
+    listed pair is then given its two pairing tests.  One level up, with
+    three parts left, a part whose remainder is no sum of two cubics is
+    skipped before the search descends.  Result objects are built only
+    for the tuples returned; :meth:`StableSumDecomposition.validate`
+    rechecks any of them with lattice arithmetic.
     """
     _require_type(target, (DivisorClass,), "target")
     if target.num_exceptional != 6:
@@ -186,40 +206,47 @@ def decompose_stable_sum(
         raise ValueError(f"search capped at r = 6 parts, got {r}")
     if target.degree != 3 * r:
         return []
-    index = _cubic_coord_index()
+    coords = list(_cubic_coord_index())
+    pair_table = _pair_table()
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
     # The pairing (a;b).(a';b') = a*a' - sum(b_i*b_i') and the box test are
-    # spelled out over the seven coordinates: this loop is the whole cost of
-    # the search, and generic zip/sum versions of it run 5-9 times slower.
+    # spelled out over the seven coordinates: these loops are the cost of
+    # the search, and generic zip/sum versions of them run 5-9 times slower.
     def extend(partial: tuple[int, ...], rem: tuple[int, ...]) -> None:
         depth = len(chosen)
         need = 2 * depth + 1
         slots = r - depth - 1
         p0, p1, p2, p3, p4, p5, p6 = partial
-        if slots == 0:
-            i = index.get(rem)
-            if i is not None:
-                t0, t1, t2, t3, t4, t5, t6 = rem
-                if p0 * t0 - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5 - p6 * t6 >= need:
-                    found.append((*chosen, i))
+        if slots == 1:
+            last_need = need + 2
+            for i, j in pair_table.get(rem, ()):
+                t0, t1, t2, t3, t4, t5, t6 = coords[i]
+                if depth and p0 * t0 - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5 - p6 * t6 < need:
+                    continue
+                u0, u1, u2, u3, u4, u5, u6 = coords[j]
+                if ((p0 + t0) * u0 - (p1 + t1) * u1 - (p2 + t2) * u2 - (p3 + t3) * u3
+                        - (p4 + t4) * u4 - (p5 + t5) * u5 - (p6 + t6) * u6 >= last_need):
+                    found.append((*chosen, i, j))
             return
         # Every twisted cubic has a in 1..5 and each b_i in 0..2, so the
         # remainder rem - t is fillable by `slots` of them only inside
         # slots <= a <= 5*slots, 0 <= b_i <= 2*slots.
         m0, m1, m2, m3, m4, m5, m6 = rem
         a_lo, a_hi, w = m0 - 5 * slots, m0 - slots, 2 * slots
-        for (t0, t1, t2, t3, t4, t5, t6), i in index.items():
+        for i, (t0, t1, t2, t3, t4, t5, t6) in enumerate(coords):
             if not (a_lo <= t0 <= a_hi and m1 - w <= t1 <= m1 and m2 - w <= t2 <= m2
                     and m3 - w <= t3 <= m3 and m4 - w <= t4 <= m4
                     and m5 - w <= t5 <= m5 and m6 - w <= t6 <= m6):
                 continue
             if depth and p0 * t0 - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5 - p6 * t6 < need:
                 continue
+            rest = (m0 - t0, m1 - t1, m2 - t2, m3 - t3, m4 - t4, m5 - t5, m6 - t6)
+            if slots == 2 and rest not in pair_table:
+                continue
             chosen.append(i)
-            extend((p0 + t0, p1 + t1, p2 + t2, p3 + t3, p4 + t4, p5 + t5, p6 + t6),
-                   (m0 - t0, m1 - t1, m2 - t2, m3 - t3, m4 - t4, m5 - t5, m6 - t6))
+            extend((p0 + t0, p1 + t1, p2 + t2, p3 + t3, p4 + t4, p5 + t5, p6 + t6), rest)
             chosen.pop()
 
     extend((0,) * 7, (target.a, *target.b))

@@ -54,6 +54,11 @@ class PolarizedData:
 
     @classmethod
     def from_dict(cls, data: dict) -> PolarizedData:
+        """The inverse of :meth:`to_dict`; a missing key raises ``ValueError``
+        naming it."""
+        missing = [key for key in ("n", "Hn", "HK") if key not in data]
+        if missing:
+            raise ValueError(f"polarized data is missing key(s) {', '.join(missing)}")
         return cls(data["n"], data["Hn"], data["HK"])
 
 
@@ -70,6 +75,8 @@ def curve_section_genus(p: PolarizedData) -> int:
     A negative result is returned as computed but flagged with a
     RuntimeWarning, since it signals degenerate input data.
     """
+    if type(p) is not PolarizedData:
+        _require_type(p, (PolarizedData,), "p")
     g = ((p.n - 1) * p.hn + p.hk) // 2 + 1
     if g < 0:
         warnings.warn(f"negative sectional genus {g}", RuntimeWarning, stacklevel=2)
@@ -85,11 +92,15 @@ def ulrich_profile(rank: int, p: PolarizedData) -> tuple[int, Fraction]:
 
 def butler_semistability_criterion(p: PolarizedData) -> bool:
     """(3 - n) H^n > H^{n-1}.K + 2, strict."""
+    if type(p) is not PolarizedData:
+        _require_type(p, (PolarizedData,), "p")
     return (3 - p.n) * p.hn > p.hk + 2
 
 
 def koszul_criterion(p: PolarizedData) -> bool:
     """(2 - n) H^n >= H^{n-1}.K + 4."""
+    if type(p) is not PolarizedData:
+        _require_type(p, (PolarizedData,), "p")
     return (2 - p.n) * p.hn >= p.hk + 4
 
 

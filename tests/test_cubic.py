@@ -88,6 +88,23 @@ def brute_force_decompositions(target, r, unordered=False):
     return [StableSumDecomposition(target, tuple(cubics[i] for i in p)) for p in picks]
 
 
+def pair_sum_orbit_targets():
+    """One sum of two cubics from each orbit of such sums under the
+    permutations of b_1, ..., b_6.
+
+    All 72**2 ordered pair sums are formed with lattice arithmetic and named
+    by a and their sorted b-part; the first sum in census order stands for
+    its orbit.
+    """
+    divisors = [t.divisor for t in twisted_cubics()]
+    targets = {}
+    for s in divisors:
+        for t in divisors:
+            total = s + t
+            targets.setdefault((total.a, tuple(sorted(total.b))), total)
+    return list(targets.values())
+
+
 QUARTIC_A = DivisorClass(1, (0, 0, 0, 0, 0))
 
 
@@ -328,6 +345,27 @@ class TestDecompositions:
         assert expected
         assert decompose_stable_sum(target, r, unordered=unordered) == expected
 
+    @pytest.mark.parametrize("unordered", [False, True])
+    def test_matches_brute_force_on_every_pair_sum_orbit(self, unordered):
+        targets = pair_sum_orbit_targets()
+        assert len(targets) == 27
+        counts = []
+        for target in targets:
+            expected = brute_force_decompositions(target, 2, unordered)
+            assert decompose_stable_sum(target, 2, unordered=unordered) == expected
+            counts.append(len(expected))
+        # Both answers occur: orbits with stable pairs and orbits without.
+        assert 0 in counts and max(counts) > 0
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_no_decomposition_at_degree_three_r(self, r):
+        # r*T_A splits only as T_A + ... + T_A, and T_A.T_A = 1 < 3 fails at
+        # the second part.  (3r; 6r, 0, ..., 0): no r cubics reach b_1 = 6r > 2r.
+        for target in (r * T_A, DivisorClass(3 * r, (6 * r, 0, 0, 0, 0, 0))):
+            assert target.degree == 3 * r
+            assert decompose_stable_sum(target, r) == []
+            assert decompose_stable_sum(target, r, unordered=True) == []
+
     def test_dict_shape(self):
         decs = decompose_stable_sum(T_A + T_C, 2)
         payload = decomposition_to_dict(T_A + T_C, 2, decs)
@@ -335,6 +373,26 @@ class TestDecompositions:
         assert payload["r"] == 2
         assert payload["count"] == 8
         assert ["(1;0,0,0,0,0,0)", "(3;2,1,1,1,1,0)"] in payload["tuples"]
+
+
+class TestPairTable:
+    def test_every_ordered_pair_under_its_sum(self):
+        table = cubic._pair_table()
+        vectors = [(t.divisor.a, *t.divisor.b) for t in twisted_cubics()]
+        assert len(table) == 1135
+        assert sum(map(len, table.values())) == 5184
+        listed = sorted(pair for pairs in table.values() for pair in pairs)
+        assert listed == list(itertools.product(range(72), repeat=2))
+        for key, pairs in table.items():
+            assert list(pairs) == sorted(pairs)
+            for i, j in pairs:
+                assert key == tuple(x + y for x, y in zip(vectors[i], vectors[j]))
+
+    def test_built_once_per_process(self):
+        decompose_stable_sum(T_A + T_C, 2)
+        decompose_stable_sum(T_A + T_C + T_E, 3, unordered=True)
+        assert cubic._pair_table() is cubic._pair_table()
+        assert cubic._pair_table.cache_info().misses == 1
 
 
 class TestExtensionChi:

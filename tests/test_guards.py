@@ -23,11 +23,14 @@ from ulrich_lab import (
     PolarizedData,
     QuadraticNumber,
     TraceEntry,
+    butler_semistability_criterion,
     chi_pair_closed_form,
     chi_pair_oracle,
     closed_syzygy_chern,
     closed_syzygy_chern_numeric,
+    coprime_stability_criterion,
     cubic_moduli_pair,
+    curve_section_genus,
     decompose_stable_sum,
     direct_sum,
     dual,
@@ -35,6 +38,7 @@ from ulrich_lab import (
     intersect,
     is_ulrich_candidate,
     iterate_syzygy,
+    koszul_criterion,
     make_surface,
     parse_divisor,
     permute_exceptionals,
@@ -202,6 +206,14 @@ WRONG_OPERANDS = [
     ("parse_divisor-surface-int", lambda: parse_divisor("(1;0,0,0,0,0,0)", 3), "surface", 3),
     ("from_dict-surface-str", lambda: BundleNumerics.from_dict(F.to_dict(), "x"),
      "surface", "x"),
+    # So is a polarization argument, before any field of it is read.
+    *((f"{name}-p-{label}", lambda call=call, v=v: call(v), "p", v)
+      for name, call in (("curve_section_genus", curve_section_genus),
+                         ("ulrich_profile", lambda p: ulrich_profile(2, p)),
+                         ("butler_semistability_criterion", butler_semistability_criterion),
+                         ("koszul_criterion", koszul_criterion),
+                         ("coprime_stability_criterion", coprime_stability_criterion))
+      for label, v in (("none", None), ("int", 3), ("str", "x"))),
 ]
 
 
@@ -276,3 +288,15 @@ def test_surface_subclass_is_accepted():
     assert intersect(T_A, T_A, surface) == 1
     assert parse_divisor("(1;0,0,0,0,0,0)", surface) == T_A
     assert [twisted_cubic_representative(tag).a for tag in "ABCDE"] == [1, 2, 3, 4, 5]
+
+
+class _Polarization(PolarizedData):
+    pass
+
+
+def test_polarization_subclass_is_accepted():
+    p = _Polarization(2, 4, -4)
+    assert curve_section_genus(p) == curve_section_genus(POLARIZATION) == 1
+    assert ulrich_profile(2, p) == ulrich_profile(2, POLARIZATION)
+    assert butler_semistability_criterion(p) and coprime_stability_criterion(p)
+    assert koszul_criterion(p) == koszul_criterion(POLARIZATION)

@@ -97,6 +97,21 @@ class TestPolarizedData:
         with pytest.raises(error):
             PolarizedData.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data,missing",
+        [
+            ({"Hn": 4, "HK": -4}, "n"),
+            ({"n": 2, "HK": -4}, "Hn"),
+            ({"n": 2, "Hn": 4}, "HK"),
+            ({"n": 2}, "Hn, HK"),
+            ({}, "n, Hn, HK"),
+        ],
+        ids=["n", "hn", "hk", "hn-hk", "all"],
+    )
+    def test_from_dict_names_the_missing_key(self, data, missing):
+        with pytest.raises(ValueError, match=rf"^polarized data is missing key\(s\) {missing}$"):
+            PolarizedData.from_dict(data)
+
     @pytest.mark.parametrize("d", range(3, 9))
     def test_del_pezzo_data(self, d):
         assert polarized_data_for(make_surface(d)) == PolarizedData(2, d, -d)
