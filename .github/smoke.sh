@@ -7,7 +7,9 @@
 # cubics and decompose runs print divisor classes through their str() memo.
 # One check run reads a seed file, so the validating path from JSON to
 # BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
-# the library's internal results, which skip re-validation.  The r = 3
+# the library's internal results, which skip re-validation; a second one
+# reads a seed file without c2 and must fail, naming the key on stderr (a
+# file again, since `sh -eu` has no pipefail).  The r = 3
 # decompose run takes the search through its first-part scan and its
 # pair-table lookup of the last two parts; its count is checked from a file,
 # since `sh -e` does not see a failure inside a pipe.  roundtrip.py
@@ -25,9 +27,16 @@ done
 ulrich-lab check --format json
 seed_file=$(mktemp)
 out_file=$(mktemp)
-trap 'rm -f "$seed_file" "$out_file"' EXIT
+err_file=$(mktemp)
+trap 'rm -f "$seed_file" "$out_file" "$err_file"' EXIT
 printf '%s\n' '[{"rank": 2, "c1": "(6;2,2,2,2,2)", "c2": 6}]' > "$seed_file"
 ULRICH_LAB_SEED_FILE="$seed_file" ulrich-lab check
+printf '%s\n' '[{"rank": 2, "c1": "(6;2,2,2,2,2)"}]' > "$seed_file"
+if ULRICH_LAB_SEED_FILE="$seed_file" ulrich-lab check > "$out_file" 2> "$err_file"; then
+    echo "smoke: check accepted a seed file without c2" >&2
+    exit 1
+fi
+grep -qF 'missing key(s) c2' "$err_file"
 ulrich-lab table-pairs
 ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
 ulrich-lab sequence --d 8 --k-max 200

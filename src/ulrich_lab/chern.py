@@ -17,10 +17,14 @@ t = rk(G), at every rank:
     c2(F(x)G) = C(s,2) c1(G)^2 + s c2(G) + (st-1) c1(F).c1(G)
                 + t c2(F) + C(t,2) c1(F)^2.
 
-A rank-1 factor's c2 counts like any other.  :func:`tensor_line` is the
-line case t = 1, c2(G) = 0, C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F),
-kept as its own body for the twists.  Both take C(s,2) as s(s-1) >> 1,
-exact since s(s-1) is even, and cheaper than a call to ``math.comb``.
+A rank-1 factor's c2 counts like any other.  :func:`tensor` and
+:func:`tensor_line` check their operands and share one body, ``_product``:
+a single pass over the coordinates accumulates c1(F)^2, c1(G)^2 and
+c1(F).c1(G) and builds c1 = t c1(F) + s c1(G), and the formula above gives
+c2.  :func:`tensor_line` is the line case t = 1, c2(G) = 0, where it reads
+C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).  C(s,2) is taken as
+s(s-1) >> 1, exact since s(s-1) is even, and cheaper than a call to
+``math.comb``.
 
 Riemann-Roch on a surface with chi(O) = 1 and K = -H reads
 
@@ -79,12 +83,12 @@ from .errors import EmptySum, LatticeMismatch, ParityViolation
 from .picard import (
     DelPezzoSurface,
     DivisorClass,
-    _combine,
     _fields_getstate,
     _fields_setstate,
     _is_int,
     _new,
     _require_int,
+    _require_keys,
     _require_type,
     _trusted,
     format_divisor,
@@ -123,6 +127,9 @@ class BundleNumerics:
 
     @classmethod
     def from_dict(cls, data: dict, surface: DelPezzoSurface | None = None) -> BundleNumerics:
+        """The inverse of :meth:`to_dict`; missing keys raise ``ValueError``
+        naming them."""
+        _require_keys(data, ("rank", "c1", "c2"), "bundle numerics")
         return cls(data["rank"], parse_divisor(data["c1"], surface), data["c2"])
 
 
@@ -152,6 +159,9 @@ class NumericClassData:
 
     @classmethod
     def from_dict(cls, data: dict) -> NumericClassData:
+        """The inverse of :meth:`to_dict`; missing keys raise ``ValueError``
+        naming them."""
+        _require_keys(data, ("rank", "c1_sq", "c1_dot_H", "c2"), "numeric class data")
         return cls(data["rank"], data["c1_sq"], data["c1_dot_H"], data["c2"])
 
 
@@ -220,9 +230,7 @@ def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     c1 = f.c1
     if len(c1.b) != len(line.b):
         raise LatticeMismatch("twist class lives on a different lattice")
-    s = f.rank
-    c2 = (s * (s - 1) >> 1) * line.self_intersection + (s - 1) * c1.dot(line) + f.c2
-    return _trusted_bundle(s, _combine(1, c1, s, line), c2)
+    return _product(f.rank, c1, f.c2, 1, line, 0)
 
 
 def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
@@ -259,19 +267,31 @@ def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
     if type(g) is not BundleNumerics:
         _require_type(g, _BUNDLE, "g")
     fc, gc = f.c1, g.c1
-    fa, fb, ga, gb = fc.a, fc.b, gc.a, gc.b
-    if len(fb) != len(gb):
+    if len(fc.b) != len(gc.b):
         raise LatticeMismatch("tensor factors live on different lattices")
-    s, t = f.rank, g.rank
-    # The three pairings c1(F)^2, c1(G)^2 and c1(F).c1(G), from the coordinates.
-    c2 = (
-        (s * (s - 1) >> 1) * (ga * ga - sum(map(mul, gb, gb)))
-        + s * g.c2
-        + (s * t - 1) * (fa * ga - sum(map(mul, fb, gb)))
-        + t * f.c2
-        + (t * (t - 1) >> 1) * (fa * fa - sum(map(mul, fb, fb)))
-    )
-    return _trusted_bundle(s * t, _combine(t, fc, s, gc), c2)
+    return _product(f.rank, fc, f.c2, g.rank, gc, g.c2)
+
+
+def _product(s: int, fc: DivisorClass, c2_f: int,
+             t: int, gc: DivisorClass, c2_g: int) -> BundleNumerics:
+    """F (x) G for rank-s F and rank-t G with first Chern classes fc, gc on
+    one lattice and second Chern numbers c2_f, c2_g.
+
+    One pass over the coordinates accumulates the three pairings c1(F)^2,
+    c1(G)^2 and c1(F).c1(G) and builds t c1(F) + s c1(G); the all-ranks
+    formula of the module docstring then gives c2.
+    """
+    fa, ga = fc.a, gc.a
+    ff, gg, fg = fa * fa, ga * ga, fa * ga
+    b = []  # a loop, not a comprehension, which is a call of its own before 3.12
+    for u, v in zip(fc.b, gc.b):
+        ff -= u * u
+        gg -= v * v
+        fg -= u * v
+        b.append(t * u + s * v)
+    c2 = ((s * (s - 1) >> 1) * gg + s * c2_g + (s * t - 1) * fg
+          + t * c2_f + (t * (t - 1) >> 1) * ff)
+    return _trusted_bundle(s * t, _trusted(t * fa + s * ga, tuple(b)), c2)
 
 
 def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) -> BundleNumerics:

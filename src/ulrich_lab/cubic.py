@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
+from operator import add, mul
 
 from .chern import BundleNumerics, _BUNDLE, dual, euler_char, tensor, tensor_line
 from .errors import LatticeMismatch, NotUlrich
@@ -142,23 +143,56 @@ class StableSumDecomposition:
     def validate(self) -> bool:
         """Recheck the defining sum and partial-pairing inequalities.
 
-        One pass, on any lattice: the running partial sum feeds each pairing
-        test and is compared with the target at the end.  Empty parts, and
-        parts on mixed lattices, raise :class:`LatticeMismatch` with the
-        messages of :func:`~ulrich_lab.picard.sum_classes`; the sum is carried
-        through every part even after a pairing fails, so that holds for
-        every order of the parts.
+        One pass, on any lattice, on coordinates: the partial sum is carried
+        as an int ``a`` and a tuple ``b``, each part's pairing with it is
+        tested, and it is compared with the target at the end.  The answers
+        are those of ``+``, :meth:`~ulrich_lab.picard.DivisorClass.dot` and
+        ``==`` on classes:
+
+        * empty parts raise :class:`LatticeMismatch` with the message of
+          :func:`~ulrich_lab.picard.sum_classes`;
+        * a part on another lattice than the first raises
+          :class:`LatticeMismatch` with the message of ``+``, and a part
+          that is no :class:`DivisorClass` raises the ``TypeError`` of
+          ``+``; the sum is carried through every part even after a
+          pairing fails, so both hold for every order of the parts;
+        * one part is compared with the target by ``==``; a target that is
+          not exactly a :class:`DivisorClass` is never the sum of two or
+          more parts, as under ``==``.
         """
-        divisors = [p.divisor for p in self.parts]
-        if not divisors:
+        parts = self.parts
+        if not parts:
             raise LatticeMismatch("cannot sum an empty family of divisor classes")
-        partial = divisors[0]
+        first = parts[0].divisor
+        if len(parts) == 1:
+            return first == self.target
+        if not isinstance(first, DivisorClass):
+            _refuse_addend(type(first), type(parts[1].divisor))
+        pa, pb = first.a, first.b
+        width = len(pb)
+        need = 3  # 2j - 1 at j = 2
         stable = True
-        for j, t in enumerate(divisors[1:], start=2):
-            total = partial + t  # before dot(), whose mismatch message differs
-            stable = stable and partial.dot(t) >= 2 * j - 1
-            partial = total
-        return stable and partial == self.target
+        for part in parts[1:]:
+            t = part.divisor
+            if type(t) is not DivisorClass and not isinstance(t, DivisorClass):
+                _refuse_addend(DivisorClass, type(t))
+            tb = t.b
+            if len(tb) != width:
+                raise LatticeMismatch("cannot add classes from different lattices")
+            ta = t.a
+            if stable:
+                stable = pa * ta - sum(map(mul, pb, tb)) >= need
+            need += 2
+            pa += ta
+            pb = tuple(map(add, pb, tb))
+        target = self.target
+        return stable and type(target) is DivisorClass and pa == target.a and pb == target.b
+
+
+def _refuse_addend(left: type, right: type) -> None:
+    """Raise the ``TypeError`` of ``x + y`` for an ``x`` of type ``left`` and
+    a ``y`` of type ``right`` that do not add."""
+    raise TypeError(f"unsupported operand type(s) for +: '{left.__name__}' and '{right.__name__}'")
 
 
 _set_target = StableSumDecomposition.target.__set__
@@ -196,7 +230,8 @@ def decompose_stable_sum(
     three parts left, a part whose remainder is no sum of two cubics is
     skipped before the search descends.  Result objects are built only
     for the tuples returned; :meth:`StableSumDecomposition.validate`
-    rechecks any of them with lattice arithmetic.
+    rechecks any of them with its own loop over the coordinates, which
+    shares no code with the unrolled loops here.
     """
     _require_type(target, (DivisorClass,), "target")
     if target.num_exceptional != 6:

@@ -115,6 +115,14 @@ def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
     raise exc(f"{message}, got {value!r}")
 
 
+def _require_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
+    """Raise ``ValueError(f"{what} is missing key(s) ...")`` naming every key
+    of ``keys`` that ``data`` lacks, in the order of ``keys``."""
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} is missing key(s) {', '.join(missing)}")
+
+
 def _fields_getstate(self) -> dict:
     """The pickle and copy state of a slotted value: its fields, in field order."""
     return {name: getattr(self, name) for name in self.__dataclass_fields__}

@@ -25,7 +25,7 @@ from math import gcd
 
 from .chern import _NUMERICS, AnyNumerics, BundleNumerics, NumericClassData, _chi, _twist
 from .errors import NotUlrichCompatible, ParityViolation
-from .picard import DelPezzoSurface, _require_int, _require_type, intersect
+from .picard import DelPezzoSurface, _require_int, _require_keys, _require_type, intersect
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ class PolarizedData:
     def from_dict(cls, data: dict) -> PolarizedData:
         """The inverse of :meth:`to_dict`; a missing key raises ``ValueError``
         naming it."""
-        missing = [key for key in ("n", "Hn", "HK") if key not in data]
-        if missing:
-            raise ValueError(f"polarized data is missing key(s) {', '.join(missing)}")
+        _require_keys(data, ("n", "Hn", "HK"), "polarized data")
         return cls(data["n"], data["Hn"], data["HK"])
 
 

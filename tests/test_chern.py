@@ -110,6 +110,26 @@ class TestContainers:
         with pytest.raises(error):
             cls.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "cls,data,message",
+        [
+            (BundleNumerics, {}, "bundle numerics is missing key(s) rank, c1, c2"),
+            (BundleNumerics, {"rank": 2, "c2": 4}, "bundle numerics is missing key(s) c1"),
+            (BundleNumerics, {"c1": "(4;1,1,1,1,0)"}, "bundle numerics is missing key(s) rank, c2"),
+            (NumericClassData, {"rank": 1},
+             "numeric class data is missing key(s) c1_sq, c1_dot_H, c2"),
+            (NumericClassData, {"rank": 2, "c1_sq": 12, "c2": 4},
+             "numeric class data is missing key(s) c1_dot_H"),
+            (NumericClassData, {}, "numeric class data is missing key(s) rank, c1_sq, c1_dot_H, c2"),
+        ],
+        ids=["bundle-all", "bundle-c1", "bundle-rank-c2",
+             "numeric-all-but-rank", "numeric-c1-dot-h", "numeric-all"],
+    )
+    def test_from_dict_names_the_missing_keys(self, cls, data, message):
+        with pytest.raises(ValueError) as info:
+            cls.from_dict(data)
+        assert str(info.value) == message
+
     def test_c1_must_be_a_divisor_class(self):
         with pytest.raises(TypeError, match="c1 must be a DivisorClass"):
             BundleNumerics(2, "not a class", 3)

@@ -275,6 +275,34 @@ class TestDecompositions:
         with pytest.raises(LatticeMismatch, match=r"^cannot add classes from different lattices$"):
             dec.validate()
 
+    @pytest.mark.parametrize(
+        "divisors,left,right",
+        [
+            ((T_A, (1, (0,) * 6)), "DivisorClass", "tuple"),
+            ((T_A, T_C, "(5;2,2,2,2,2,2)"), "DivisorClass", "str"),
+            # T_A.T_A = 1 < 3 fails the pairing before the bad part is met.
+            ((T_A, T_A, None), "DivisorClass", "NoneType"),
+            ((3, T_C), "int", "DivisorClass"),
+        ],
+        ids=["tuple-second", "str-third", "none-after-unstable", "int-first"],
+    )
+    def test_validate_refuses_a_part_that_is_no_class(self, divisors, left, right):
+        dec = decomposition(T_A + T_C + T_E, *divisors)
+        with pytest.raises(TypeError,
+                           match=rf"^unsupported operand type\(s\) for \+: '{left}' and '{right}'$"):
+            dec.validate()
+
+    def test_validate_against_a_target_that_is_no_class(self):
+        class Subclass(DivisorClass):
+            __slots__ = ()
+
+        parts = (T_A, T_C, T_E)
+        total = sum_classes(parts)
+        assert decomposition(total, *parts).validate()
+        # Equal coordinates in another type are never the sum, as under ==.
+        for goal in ((total.a, total.b), str(total), None, Subclass(total.a, total.b)):
+            assert not decomposition(goal, *parts).validate()
+
     def test_validate_on_the_quartic_lattice(self):
         # Quartic classes with the pairings of a cubic stable pair, and one without.
         first, second = DivisorClass(1, (0,) * 5), DivisorClass(3, (2, 1, 1, 1, 1))

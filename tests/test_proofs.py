@@ -27,6 +27,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     rank_by_recurrence,
     syzygy_numerics,
     tensor,
+    tensor_line,
     twist_by_h,
     ulrich_c2,
 )
@@ -133,6 +134,23 @@ class TestTensorC2:
             values = {s: f.rank, t: g.rank, A: f.c1_sq, B: g.c1_sq,
                       X: f.c1.dot(g.c1), cf: f.c2, cg: g.c2}
             assert tensor(f, g).c2 == expr.subs(values)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_tensor_line(self, rank):
+        # The line case t = 1, c2(G) = 0, including the rank-1 twist of a line.
+        rng = random.Random(rank)
+        expr = self.from_chern_character().subs({t: 1, cg: 0})
+        for _ in range(6):
+            c1_f, line = (DivisorClass(rng.randint(-5, 5),
+                                       tuple(rng.randint(-5, 5) for _ in range(4)))
+                          for _ in range(2))
+            f = BundleNumerics(rank, c1_f, rng.randint(-9, 9))
+            values = {s: rank, A: f.c1_sq, B: line.self_intersection,
+                      X: c1_f.dot(line), cf: f.c2}
+            twisted = tensor_line(f, line)
+            assert twisted.rank == rank
+            assert twisted.c1 == c1_f + rank * line
+            assert twisted.c2 == expr.subs(values)
 
 
 class TestDriftStep:
