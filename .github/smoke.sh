@@ -14,7 +14,9 @@
 # pair-table lookup of the last two parts; its count is checked from a file,
 # since `sh -e` does not see a failure inside a pipe.  roundtrip.py
 # pickles, copies and replaces every slotted value type, with the standard
-# library only.
+# library only; oracle_parity.py compares the Euler-pairing kernel of
+# chi_pair_oracle with its dual-tensor-euler_char composition on all 72^2
+# pairs of twisted cubics, so the job without pytest checks the kernel too.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)
@@ -45,3 +47,4 @@ ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json
 ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --unordered --out "$out_file"
 grep -qx 'count: 240' "$out_file"
 python3 "$(dirname "$0")/roundtrip.py"
+python3 "$(dirname "$0")/oracle_parity.py"

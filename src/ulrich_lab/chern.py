@@ -17,14 +17,25 @@ t = rk(G), at every rank:
     c2(F(x)G) = C(s,2) c1(G)^2 + s c2(G) + (st-1) c1(F).c1(G)
                 + t c2(F) + C(t,2) c1(F)^2.
 
-A rank-1 factor's c2 counts like any other.  :func:`tensor` and
-:func:`tensor_line` check their operands and share one body, ``_product``:
-a single pass over the coordinates accumulates c1(F)^2, c1(G)^2 and
-c1(F).c1(G) and builds c1 = t c1(F) + s c1(G), and the formula above gives
-c2.  :func:`tensor_line` is the line case t = 1, c2(G) = 0, where it reads
-C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).  C(s,2) is taken as
-s(s-1) >> 1, exact since s(s-1) is even, and cheaper than a call to
-``math.comb``.
+A rank-1 factor's c2 counts like any other.  The formula has one source
+in the code, ``_product_c2``, on the ranks, the three pairings and the two
+c2.  :func:`tensor` and :func:`tensor_line` check their operands and share
+one body, ``_product``: a single pass over the coordinates accumulates
+c1(F)^2, c1(G)^2 and c1(F).c1(G) and builds c1 = t c1(F) + s c1(G), and
+``_product_c2`` gives c2.  :func:`tensor_line` is the line case t = 1,
+c2(G) = 0, where it reads C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).
+C(s,2) is taken as s(s-1) >> 1, exact since s(s-1) is even, and cheaper
+than a call to ``math.comb``.
+
+The Euler pairing chi(F, G) = chi(F* (x) G), which controls the extensions
+of :mod:`ulrich_lab.cubic`, has its own kernel, ``_chi_dual_product``.  It
+returns the value of ``euler_char(tensor(dual(f), g), surface)`` from one
+pass over the coordinates, which accumulates c1(F)^2, c1(G)^2, c1(F).c1(G)
+and the degrees c1(F).H and c1(G).H, and it builds no class and no bundle.
+The dual is a sign flip on c1(F), so the product's c1^2 and c1.H are
+quadratic and linear in those five numbers, its c2 is ``_product_c2`` at
+the pairing -c1(F).c1(G), and ``_chi`` below finishes.
+:func:`ulrich_lab.cubic.chi_pair_oracle` calls it on one lattice.
 
 Riemann-Roch on a surface with chi(O) = 1 and K = -H reads
 
@@ -75,8 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
@@ -289,34 +299,79 @@ def _product(s: int, fc: DivisorClass, c2_f: int,
         gg -= v * v
         fg -= u * v
         b.append(t * u + s * v)
-    c2 = ((s * (s - 1) >> 1) * gg + s * c2_g + (s * t - 1) * fg
-          + t * c2_f + (t * (t - 1) >> 1) * ff)
-    return _trusted_bundle(s * t, _trusted(t * fa + s * ga, tuple(b)), c2)
+    return _trusted_bundle(s * t, _trusted(t * fa + s * ga, tuple(b)),
+                           _product_c2(s, ff, c2_f, t, gg, c2_g, fg))
+
+
+def _product_c2(s: int, ff: int, c2_f: int, t: int, gg: int, c2_g: int, fg: int) -> int:
+    """c2(F (x) G) by the all-ranks formula of the module docstring, from the
+    ranks s, t, the squares ff = c1(F)^2, gg = c1(G)^2, the pairing
+    fg = c1(F).c1(G) and the second Chern numbers; its one source."""
+    return ((s * (s - 1) >> 1) * gg + s * c2_g + (s * t - 1) * fg
+            + t * c2_f + (t * (t - 1) >> 1) * ff)
+
+
+def _chi_dual_product(f: BundleNumerics, g: BundleNumerics, chi_o: int) -> int:
+    """chi(F* (x) G) for F and G on one lattice, with chi(O) = chi_o.
+
+    The Euler pairing of F with G, the value of
+    ``euler_char(tensor(dual(f), g), surface)``, with no class and no bundle
+    built.  One pass over the coordinates accumulates c1(F)^2, c1(G)^2,
+    c1(F).c1(G) and the degrees c1(F).H, c1(G).H.  The dual flips the sign
+    of c1(F): its square stays, its pairing and its degree change sign.  The
+    product F* (x) G then has rank st, c1 = -t c1(F) + s c1(G) with
+
+        c1^2 = t^2 c1(F)^2 - 2st c1(F).c1(G) + s^2 c1(G)^2,
+        c1.H = s c1(G).H - t c1(F).H,
+
+    c2 from :func:`_product_c2` at the pairing -c1(F).c1(G), and
+    :func:`_chi` gives chi, refusing an odd c1^2 + c1.H as
+    :func:`euler_char` does.
+    """
+    fc, gc = f.c1, g.c1
+    fa, ga = fc.a, gc.a
+    ff, gg, fg = fa * fa, ga * ga, fa * ga
+    fh, gh = 3 * fa, 3 * ga
+    for u, v in zip(fc.b, gc.b):
+        ff -= u * u
+        gg -= v * v
+        fg -= u * v
+        fh -= u
+        gh -= v
+    s, t = f.rank, g.rank
+    st = s * t
+    return _chi(st, t * t * ff - 2 * st * fg + s * s * gg, s * gh - t * fh,
+                _product_c2(s, ff, f.c2, t, gg, g.c2, -fg), chi_o)
 
 
 def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) -> BundleNumerics:
-    """Numerics of a direct sum.  c2 picks up all pairwise c1 products."""
+    """Numerics of a direct sum.  c2 picks up all pairwise c1 products.
+
+    Every summand's type is tested first, then each later summand's
+    lattice, just before its c1 is paired with the running sum of the
+    earlier ones and added to it: sum_{i<j} c1_i.c1_j in one pass.
+    """
     items = list(summands)
     if not items:
         raise EmptySum("direct sum needs at least one summand")
-    rank = c2 = a = 0
-    classes, columns = [], []
     for position, item in enumerate(items):
         if type(item) is not BundleNumerics:
             _require_type(item, _BUNDLE, f"summands[{position}]")
+    first = items[0]
+    rank, c2, c1 = first.rank, first.c2, first.c1
+    a, b = c1.a, c1.b
+    arity = len(b)
+    for item in items[1:]:
         c1 = item.c1
-        rank += item.rank
-        c2 += item.c2
-        a += c1.a
-        classes.append(c1)
-        columns.append(c1.b)
-    arity = len(columns[0])
-    for b in columns:
-        if len(b) != arity:
+        ib = c1.b
+        if len(ib) != arity:
             raise LatticeMismatch("summands live on different lattices")
-    c2 += sum(starmap(DivisorClass.dot, combinations(classes, 2)))
-    # c1 summed column by column: a above, then each b_i.
-    return _trusted_bundle(rank, _trusted(a, tuple(map(sum, zip(*columns)))), c2)
+        ia = c1.a
+        rank += item.rank
+        c2 += item.c2 + a * ia - sum(map(mul, b, ib))
+        a += ia
+        b = tuple(map(add, b, ib))
+    return _trusted_bundle(rank, _trusted(a, b), c2)
 
 
 def dual(f: AnyNumerics) -> AnyNumerics:

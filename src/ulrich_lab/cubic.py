@@ -29,7 +29,15 @@ from functools import cache
 from itertools import permutations
 from operator import add, mul
 
-from .chern import BundleNumerics, _BUNDLE, dual, euler_char, tensor, tensor_line
+from .chern import (
+    BundleNumerics,
+    _BUNDLE,
+    _chi_dual_product,
+    dual,
+    euler_char,
+    tensor,
+    tensor_line,
+)
 from .errors import LatticeMismatch, NotUlrich
 from .picard import (
     DelPezzoSurface,
@@ -122,6 +130,8 @@ def _pair_table() -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
 
 def is_twisted_cubic(x: DivisorClass) -> bool:
     """Membership in the set of 72 twisted cubic classes."""
+    if type(x) is not DivisorClass:
+        _require_type(x, (DivisorClass,), "x")
     if x.num_exceptional != CUBIC_SURFACE.num_exceptional:
         raise LatticeMismatch(
             f"class {x} does not live on the cubic surface lattice"
@@ -298,6 +308,11 @@ def decompose_stable_sum(
 
 def decomposition_to_dict(target: DivisorClass, r: int,
                           decs: list[StableSumDecomposition]) -> dict:
+    """The JSON form of a search result; an element of ``decs`` that is no
+    :class:`StableSumDecomposition` raises ``TypeError`` naming its index."""
+    for position, dec in enumerate(decs):
+        if type(dec) is not StableSumDecomposition:
+            _require_type(dec, (StableSumDecomposition,), f"decs[{position}]")
     return {
         "target": str(target),
         "r": r,
@@ -311,8 +326,11 @@ def kernel_bundle_of_cubic(t: DivisorClass) -> BundleNumerics:
     """Numerics (2, -T, 1) of the kernel of evaluation on O(T).
 
     Memoised: only the 72 twisted cubics get an entry, since any other
-    class raises (and exceptions are not cached).
+    class raises (and exceptions are not cached).  The type test of ``t``
+    therefore runs once per cubic, not once per call.
     """
+    if type(t) is not DivisorClass:
+        _require_type(t, (DivisorClass,), "t")
     if not is_twisted_cubic(t):
         raise NotUlrich(f"{t} is not a twisted cubic class")
     line = BundleNumerics(1, t, 0)
@@ -334,14 +352,29 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
 
 
 def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSurface) -> int:
-    """chi(F* (x) M_T) computed through dual, tensor and Riemann-Roch only."""
+    """chi(F* (x) M_T) by Riemann-Roch on the numerics of F* (x) M_T.
+
+    The guards run in the order surface, fprev, t, then
+    :func:`kernel_bundle_of_cubic` refuses a class that is no twisted cubic.
+    On one lattice the value comes from the Euler-pairing kernel
+    ``chern._chi_dual_product``, one pass over the coordinates that builds no
+    class and no bundle.  Otherwise the composition
+    ``euler_char(tensor(dual(fprev), M_T), surface)`` runs, and raises its own
+    :class:`LatticeMismatch`.  That composition is still checked against the
+    kernel and the closed form on all 72**2 ordered pairs, by
+    :func:`ulrich_lab.checks.check_cubic_chi_oracle`.
+    """
     if type(surface) is not DelPezzoSurface:
         _require_type(surface, (DelPezzoSurface,), "surface")
     if type(fprev) is not BundleNumerics:
         _require_type(fprev, _BUNDLE, "fprev")
     if type(t) is not DivisorClass:
         _require_type(t, (DivisorClass,), "t")
-    return euler_char(tensor(dual(fprev), kernel_bundle_of_cubic(t)), surface)
+    kernel = kernel_bundle_of_cubic(t)
+    width = len(fprev.c1.b)
+    if width != len(kernel.c1.b) or width != surface.num_exceptional:
+        return euler_char(tensor(dual(fprev), kernel), surface)  # raises
+    return _chi_dual_product(fprev, kernel, surface.euler_char_structure_sheaf)
 
 
 def cubic_moduli_pair(f: BundleNumerics) -> tuple[BundleNumerics, int]:

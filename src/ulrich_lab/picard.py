@@ -325,9 +325,13 @@ def intersect(x: DivisorClass, y: DivisorClass, surface: DelPezzoSurface | None 
 
     When a surface is supplied, both classes are checked to live on it.
     """
+    if surface is not None and type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
+    if type(x) is not DivisorClass:
+        _require_type(x, (DivisorClass,), "x")
+    if type(y) is not DivisorClass:
+        _require_type(y, (DivisorClass,), "y")
     if surface is not None:
-        if type(surface) is not DelPezzoSurface:
-            _require_type(surface, (DelPezzoSurface,), "surface")
         surface.require(x)
         surface.require(y)
     return x.dot(y)
@@ -356,6 +360,8 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
 
 def format_divisor(x: DivisorClass) -> str:
     """Render ``(a;b_1,...,b_t)`` with no whitespace."""
+    if type(x) is not DivisorClass:
+        _require_type(x, (DivisorClass,), "x")
     return f"({x.a};{','.join(map(str, x.b))})"
 
 

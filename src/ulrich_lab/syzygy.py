@@ -474,6 +474,8 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     For an Ulrich seed this list is constant, equal to the expected
     moduli dimension of the seed.
     """
+    if type(trace) is not SyzygyTrace:
+        _require_type(trace, (SyzygyTrace,), "trace")
     return [entry.drift for entry in trace.entries]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import astuple
 from fractions import Fraction
 from math import comb
@@ -14,6 +15,7 @@ from ulrich_lab import (
     BundleNumerics,
     DivisorClass,
     EmptySum,
+    LatticeMismatch,
     NumericClassData,
     ParityViolation,
     TraceEntry,
@@ -204,6 +206,38 @@ class TestDirectSum:
         surface, f, g = data
         whole = euler_char(direct_sum([f, g]), surface)
         assert whole == euler_char(f, surface) + euler_char(g, surface)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_pairwise_formula(self, k):
+        # rank and c2 add, c1 adds, and c2 gains c1_i.c1_j for every i < j.
+        rng = random.Random(k)
+        for width in (0, 1, 5, 6):
+            for _ in range(25):
+                parts = [BundleNumerics(rng.randint(1, 6),
+                                        DivisorClass(rng.randint(-9, 9),
+                                                     tuple(rng.randint(-9, 9) for _ in range(width))),
+                                        rng.randint(-50, 50))
+                         for _ in range(k)]
+                c1s = [part.c1 for part in parts]
+                c2 = sum(part.c2 for part in parts)
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        c2 += c1s[i].a * c1s[j].a - sum(
+                            u * v for u, v in zip(c1s[i].b, c1s[j].b))
+                c1 = DivisorClass(sum(x.a for x in c1s),
+                                  tuple(sum(column) for column in zip(*(x.b for x in c1s))))
+                expected = BundleNumerics(sum(part.rank for part in parts), c1, c2)
+                assert direct_sum(parts) == expected
+                assert direct_sum(iter(parts)) == expected
+
+    def test_errors_keep_their_order(self):
+        # Every type test comes first, then the lattices; the messages are fixed.
+        six, five = BundleNumerics(2, T_A, 1), BundleNumerics(2, DivisorClass(1, (0,) * 5), 1)
+        with pytest.raises(TypeError, match=r"^summands\[2\] must be a BundleNumerics, got 3$"):
+            direct_sum([six, five, 3])
+        for parts in ([six, five], [five, six, six], [six, six, five]):
+            with pytest.raises(LatticeMismatch, match=r"^summands live on different lattices$"):
+                direct_sum(parts)
 
 
 class TestDual:

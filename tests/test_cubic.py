@@ -12,6 +12,7 @@ import pytest
 from ulrich_lab import (
     BundleNumerics,
     CUBIC_SURFACE,
+    DelPezzoSurface,
     DivisorClass,
     LatticeMismatch,
     NotUlrich,
@@ -23,17 +24,21 @@ from ulrich_lab import (
     decompose_stable_sum,
     decomposition_to_dict,
     direct_sum,
+    dual,
+    euler_char,
     expected_moduli_dim,
     is_twisted_cubic,
     kernel_bundle_of_cubic,
+    make_surface,
     syzygy_numerics,
+    tensor,
     twist_partner,
     twisted_cubic_representative,
     twisted_cubics,
     ulrich_c2,
 )
 from ulrich_lab import checks, chern, cubic
-from ulrich_lab.picard import sum_classes
+from ulrich_lab.picard import _require_type, sum_classes
 
 T_A = twisted_cubic_representative("A")
 T_B = twisted_cubic_representative("B")
@@ -483,6 +488,107 @@ class TestExtensionChi:
         fprev = direct_sum([kernel_bundle_of_cubic(T_A), kernel_bundle_of_cubic(T_C)])
         closed = chi_pair_closed_form(3, [T_A.dot(T_E), T_C.dot(T_E)])
         assert chi_pair_oracle(fprev, T_E, CUBIC_SURFACE) == closed == -4
+
+
+def composition(fprev, t, surface):
+    """chi_pair_oracle as dual, tensor and Riemann-Roch: the same guards in
+    the same order, then ``euler_char(tensor(dual(fprev), M_T), surface)``."""
+    if type(surface) is not DelPezzoSurface:
+        _require_type(surface, (DelPezzoSurface,), "surface")
+    if type(fprev) is not BundleNumerics:
+        _require_type(fprev, (BundleNumerics,), "fprev")
+    if type(t) is not DivisorClass:
+        _require_type(t, (DivisorClass,), "t")
+    return euler_char(tensor(dual(fprev), kernel_bundle_of_cubic(t)), surface)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as error:  # noqa: BLE001  (the class and message are compared)
+        return type(error), str(error)
+
+
+class TestEulerPairingKernel:
+    """chi_pair_oracle takes chern._chi_dual_product on one lattice."""
+
+    def test_all_ordered_pairs(self):
+        divisors = [t.divisor for t in twisted_cubics()]
+        kernels = [kernel_bundle_of_cubic(t) for t in divisors]
+        for m1 in kernels:
+            m1_dual = dual(m1)
+            for t2, m2 in zip(divisors, kernels):
+                assert chi_pair_oracle(m1, t2, CUBIC_SURFACE) == euler_char(
+                    tensor(m1_dual, m2), CUBIC_SURFACE)
+
+    def test_random_bundles(self):
+        rng = random.Random(20)
+        divisors = [t.divisor for t in twisted_cubics()]
+        for _ in range(600):
+            fprev = BundleNumerics(rng.randint(1, 6),
+                                   DivisorClass(rng.randint(-9, 9),
+                                                tuple(rng.randint(-9, 9) for _ in range(6))),
+                                   rng.randint(-50, 50))
+            t = rng.choice(divisors)
+            assert chi_pair_oracle(fprev, t, CUBIC_SURFACE) == composition(fprev, t, CUBIC_SURFACE)
+
+    def test_kernel_on_random_pairs(self):
+        # Both factors arbitrary, on every lattice width the surfaces have.
+        rng = random.Random(21)
+        for _ in range(600):
+            width = rng.randint(1, 6)
+            f, g = (BundleNumerics(rng.randint(1, 6),
+                                   DivisorClass(rng.randint(-9, 9),
+                                                tuple(rng.randint(-9, 9) for _ in range(width))),
+                                   rng.randint(-50, 50))
+                    for _ in range(2))
+            surface = make_surface(9 - width)
+            assert chern._chi_dual_product(f, g, 1) == euler_char(tensor(dual(f), g), surface)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_direct_sum_fprevs(self, k):
+        rng = random.Random(k)
+        divisors = [t.divisor for t in twisted_cubics()]
+        for _ in range(60):
+            parts = rng.sample(divisors, k + 1)
+            fprev = direct_sum([kernel_bundle_of_cubic(t) for t in parts[:k]])
+            t = parts[k]
+            oracle = chi_pair_oracle(fprev, t, CUBIC_SURFACE)
+            assert oracle == composition(fprev, t, CUBIC_SURFACE)
+            assert oracle == chi_pair_closed_form(k + 1, [x.dot(t) for x in parts[:k]])
+
+    @pytest.mark.parametrize("args", [
+        pytest.param((BundleNumerics(2, DivisorClass(1, (0,) * 5), 1), T_A, CUBIC_SURFACE),
+                     id="fprev-on-another-lattice"),
+        pytest.param((BundleNumerics(2, -T_C, 1), T_A, make_surface(4)),
+                     id="surface-of-another-degree"),
+        pytest.param((BundleNumerics(2, DivisorClass(1, (0,) * 5), 1), T_A, make_surface(4)),
+                     id="both-off-the-kernel-lattice"),
+        pytest.param((BundleNumerics(2, -T_C, 1), FOUR_H, CUBIC_SURFACE), id="non-cubic-t"),
+        pytest.param((BundleNumerics(2, -T_C, 1), DivisorClass(1, (0,) * 5), CUBIC_SURFACE),
+                     id="t-on-another-lattice"),
+        pytest.param((BundleNumerics(2, -T_C, 1), T_A, 3), id="surface-int"),
+        pytest.param((3, T_A, CUBIC_SURFACE), id="fprev-int"),
+        pytest.param((T_A, T_A, CUBIC_SURFACE), id="fprev-class"),
+        pytest.param((BundleNumerics(2, -T_C, 1), "x", CUBIC_SURFACE), id="t-str"),
+        pytest.param((BundleNumerics(2, -T_C, 1), None, CUBIC_SURFACE), id="t-none"),
+        pytest.param((None, None, None), id="all-none"),
+    ])
+    def test_errors_match_the_composition(self, args):
+        got = outcome(chi_pair_oracle, *args)
+        assert isinstance(got, tuple)
+        assert got == outcome(composition, *args)
+
+    def test_error_messages(self):
+        # The surface's refusal names the product class, as euler_char does.
+        fprev = BundleNumerics(2, -T_C, 1)
+        product = tensor(dual(fprev), kernel_bundle_of_cubic(T_A)).c1
+        with pytest.raises(LatticeMismatch) as info:
+            chi_pair_oracle(fprev, T_A, make_surface(4))
+        assert str(info.value) == (f"class {product} has 6 exceptional coordinates, "
+                                   "surface of degree 4 needs 5")
+        with pytest.raises(LatticeMismatch, match=r"^tensor factors live on different lattices$"):
+            chi_pair_oracle(BundleNumerics(1, DivisorClass(1, (0,) * 5), 0), T_A, CUBIC_SURFACE)
 
 
 class TestModuliPairs:

@@ -22,6 +22,8 @@ from ulrich_lab import (
     OutOfTheoremScope,
     PolarizedData,
     QuadraticNumber,
+    StableSumDecomposition,
+    SyzygyTrace,
     TraceEntry,
     butler_semistability_criterion,
     chi_pair_closed_form,
@@ -32,12 +34,17 @@ from ulrich_lab import (
     cubic_moduli_pair,
     curve_section_genus,
     decompose_stable_sum,
+    decomposition_to_dict,
     direct_sum,
+    discriminant_drift,
     dual,
     euler_char,
+    format_divisor,
     intersect,
+    is_twisted_cubic,
     is_ulrich_candidate,
     iterate_syzygy,
+    kernel_bundle_of_cubic,
     koszul_criterion,
     make_surface,
     parse_divisor,
@@ -151,6 +158,25 @@ F = BundleNumerics(2, parse_divisor("(4;2,1,1,1,1,0)"), 3)
 N = reduce_numerics(F)
 T_A = parse_divisor("(1;0,0,0,0,0,0)")
 PARTNER = cubic_moduli_pair(BundleNumerics(2, TWO_H, 5))[0]
+DECOMPOSITION = decompose_stable_sum(TWO_H, 2)[0]
+# The ten wrong-kind values of the public-API sweep.
+WRONG_KINDS = [("none", None), ("int", 3), ("str", "x"), ("float", 1.5), ("bool", True),
+               ("object", object()), ("list", []), ("surface", CUBIC_SURFACE),
+               ("class", T_A), ("bundle", F)]
+# (name, argument, call with the value under test, expected type).
+DIVISOR_ARGUMENTS = [
+    ("intersect-x", "x", lambda v: intersect(v, T_A), DivisorClass),
+    ("intersect-y", "y", lambda v: intersect(T_A, v), DivisorClass),
+    ("format_divisor", "x", format_divisor, DivisorClass),
+    ("is_twisted_cubic", "x", is_twisted_cubic, DivisorClass),
+    ("kernel_bundle_of_cubic", "t", kernel_bundle_of_cubic, DivisorClass),
+    ("discriminant_drift", "trace", discriminant_drift, SyzygyTrace),
+    ("decomposition_to_dict", "decs[0]", lambda v: decomposition_to_dict(TWO_H, 2, [v]),
+     StableSumDecomposition),
+]
+# The memo of kernel_bundle_of_cubic hashes its argument before the guard
+# runs, so an unhashable list is refused by the hash: "unhashable type".
+UNHASHABLE_MEMO_KEYS = {("kernel_bundle_of_cubic", "list")}
 WRONG_OPERANDS = [
     ("tensor-f-reduced", lambda: tensor(N, F), "f", N),
     ("tensor-g-reduced", lambda: tensor(F, N), "g", N),
@@ -206,6 +232,14 @@ WRONG_OPERANDS = [
     ("parse_divisor-surface-int", lambda: parse_divisor("(1;0,0,0,0,0,0)", 3), "surface", 3),
     ("from_dict-surface-str", lambda: BundleNumerics.from_dict(F.to_dict(), "x"),
      "surface", "x"),
+    # The divisor-argument group, with each of the ten wrong-kind values
+    # that is not of the expected type in place of one argument.
+    *((f"{name}-{label}", lambda call=call, v=v: call(v), arg, v)
+      for name, arg, call, expected in DIVISOR_ARGUMENTS
+      for label, v in WRONG_KINDS
+      if not isinstance(v, expected) and (name, label) not in UNHASHABLE_MEMO_KEYS),
+    ("decomposition_to_dict-later-element",
+     lambda: decomposition_to_dict(TWO_H, 2, [DECOMPOSITION, None]), "decs[1]", None),
     # So is a polarization argument, before any field of it is read.
     *((f"{name}-p-{label}", lambda call=call, v=v: call(v), "p", v)
       for name, call in (("curve_section_genus", curve_section_genus),

@@ -20,6 +20,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     DivisorClass,
     NumericClassData,
     discriminant,
+    dual,
     euler_char,
     expected_moduli_dim,
     iterate_syzygy,
@@ -31,6 +32,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     twist_by_h,
     ulrich_c2,
 )
+from ulrich_lab.chern import _chi_dual_product  # noqa: E402
 from ulrich_lab.syzygy import _closed_core  # noqa: E402
 
 d, r, k, n_prev, n_k = sp.symbols("d r k N_prev N_k")
@@ -151,6 +153,48 @@ class TestTensorC2:
             assert twisted.rank == rank
             assert twisted.c1 == c1_f + rank * line
             assert twisted.c2 == expr.subs(values)
+
+
+class TestChiDualProduct:
+    """chi(F* (x) G) of :func:`chern._chi_dual_product` from ch(F*) ch(G)."""
+
+    hf, hg = sp.symbols("h_F h_G")  # c1(F).H and c1(G).H
+
+    @classmethod
+    def kernel(cls):
+        # As the kernel evaluates it: c1^2 and c1.H of -t c1(F) + s c1(G),
+        # the all-ranks c2 at the pairing -X, Riemann-Roch with chi(O) = 1.
+        c1_sq = t * t * A - 2 * s * t * X + s * s * B
+        c1_h = s * cls.hg - t * cls.hf
+        c2_code = (sp.binomial(s, 2) * B + s * cg + (s * t - 1) * (-X)
+                   + t * cf + sp.binomial(t, 2) * A)
+        return s * t + (c1_sq + c1_h) / 2 - c2_code
+
+    @classmethod
+    def from_chern_character(cls):
+        # ch(F*) = (s, -c1(F), ch_2(F)) and ch(F* (x) G) = ch(F*) ch(G); on a
+        # surface with K = -H and chi(O) = 1, chi = rk + ch_2 + c1.H/2.
+        ch2 = s * (B - 2 * cg) / 2 - X + t * (A - 2 * cf) / 2
+        return s * t + ch2 + (s * cls.hg - t * cls.hf) / 2
+
+    def test_kernel_is_riemann_roch(self):
+        assert is_zero(sp.expand_func(self.kernel() - self.from_chern_character()))
+
+    @pytest.mark.parametrize("width", [1, 4, 6])
+    def test_matches_the_kernel(self, width):
+        rng = random.Random(width)
+        surface = make_surface(9 - width)
+        expr = sp.expand_func(self.kernel())
+        for _ in range(8):
+            f, g = (BundleNumerics(rng.randint(1, 6),
+                                   DivisorClass(rng.randint(-9, 9),
+                                                tuple(rng.randint(-9, 9) for _ in range(width))),
+                                   rng.randint(-50, 50))
+                    for _ in range(2))
+            values = {s: f.rank, t: g.rank, A: f.c1_sq, B: g.c1_sq, X: f.c1.dot(g.c1),
+                      cf: f.c2, cg: g.c2, self.hf: f.c1_dot_h, self.hg: g.c1_dot_h}
+            chi = _chi_dual_product(f, g, 1)
+            assert chi == expr.subs(values) == euler_char(tensor(dual(f), g), surface)
 
 
 class TestDriftStep:
