@@ -1,4 +1,4 @@
-"""The Euler-pairing kernel against its composition, without pytest.
+"""Two fused library kernels against their public compositions, without pytest.
 
 chi_pair_oracle(M_i, T_j, S) takes the one-pass kernel of ulrich_lab.chern
 on one lattice.  On each of the 72**2 ordered pairs of twisted cubics it must
@@ -6,6 +6,13 @@ equal euler_char(tensor(dual(M_i), M_j), S), the same chi built through a
 dual bundle, a product bundle and Riemann-Roch, and the closed form
 2 - T_i.T_j.  Fixed-seed random bundles of ranks 1-6 on the cubic lattice,
 in place of M_i, must give the composition's value too.
+
+iterate_syzygy runs chi, the kernel and the twist by H fused on local ints,
+and builds the exact c1 column after its loop.  On every seed of
+checks.default_seeds(), exact and reduced, each row to k = 40 (k = 0 on
+d = 3) must equal twist_by_h(syzygy_numerics(F, euler_char(F)), 1) of the
+row before, exact class included, and its drift must equal
+expected_moduli_dim of that row.
 
 Usage: python3 .github/oracle_parity.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
@@ -21,12 +28,19 @@ from ulrich_lab import (
     DivisorClass,
     chi_pair_closed_form,
     chi_pair_oracle,
+    discriminant_drift,
     dual,
     euler_char,
+    expected_moduli_dim,
+    iterate_syzygy,
     kernel_bundle_of_cubic,
+    reduce_numerics,
+    syzygy_numerics,
     tensor,
+    twist_by_h,
     twisted_cubics,
 )
+from ulrich_lab.checks import default_seeds
 
 
 def expect(ok, what):
@@ -57,5 +71,26 @@ for _ in range(2000):
     oracle = chi_pair_oracle(fprev, t2, CUBIC_SURFACE)
     composed = euler_char(tensor(dual(fprev), m2), CUBIC_SURFACE)
     expect(oracle == composed, f"chi({fprev}, {t2}): kernel {oracle}, composition {composed}")
-print(f"oracle_parity: {pairs} cubic pairs, 2000 random bundles, "
-      f"Python {sys.version.split()[0]}: ok")
+
+traces = rows = 0
+for surface, shipped in default_seeds():
+    k_max = 0 if surface.degree == 3 else 40
+    exact = isinstance(shipped, BundleNumerics)
+    for f in [shipped, reduce_numerics(shipped)] if exact else [shipped]:
+        trace = iterate_syzygy(f, surface, k_max)
+        drift = discriminant_drift(trace)
+        for entry, entry_drift in zip(trace.entries, drift):
+            if entry.k >= 0:
+                f = twist_by_h(syzygy_numerics(f, euler_char(f, surface)), 1, surface)
+            got = (entry.rank, entry.c1_sq, entry.c1_dot_h, entry.c2)
+            want = (f.rank, f.c1_sq, f.c1_dot_h, f.c2)
+            where = f"d={surface.degree} seed {shipped} k={entry.k}"
+            expect(got == want, f"{where}: iterate_syzygy {got}, composition {want}")
+            expect(entry.c1 == (f.c1 if isinstance(f, BundleNumerics) else None),
+                   f"{where}: exact c1 {entry.c1}, composition {getattr(f, 'c1', None)}")
+            expect(entry_drift == expected_moduli_dim(f),
+                   f"{where}: drift {entry_drift}, expected_moduli_dim {expected_moduli_dim(f)}")
+            rows += 1
+        traces += 1
+print(f"oracle_parity: {pairs} cubic pairs, 2000 random bundles, {traces} syzygy traces "
+      f"({rows} rows), Python {sys.version.split()[0]}: ok")

@@ -57,12 +57,14 @@ the halving is exact because (s-1) m u = 2(s-1) mp + s(s-1) m^2 d.  Likewise
 Riemann-Roch and the reduced twist have one body each, on plain ints:
 ``_chi`` (the parity refusal, then chi) and ``_twist`` (the step above).
 :func:`euler_char` and :func:`twist_by_h` check and unpack their arguments
-and call them; :func:`ulrich_lab.syzygy.iterate_syzygy` calls them once per
-step on the ints it carries, and :func:`ulrich_lab.ulrich.is_ulrich_candidate`
-once for each of its twists by -H and -2H.  The exact halvings are ``>> 1`` and the parity
-test is ``& 1``: for every Python int, negative ones included, they equal
-``// 2`` and ``% 2``, and on integers of thousands of bits they cost a
-fraction of the division.
+and call them, and :func:`ulrich_lab.ulrich.is_ulrich_candidate` calls them
+once for each of its twists by -H and -2H.
+:func:`ulrich_lab.syzygy.iterate_syzygy` makes no call per step: its loop
+writes chi, the kernel and the twist by H out once more on its locals, and
+reaches ``_chi`` only to raise the parity refusal.  The exact halvings are
+``>> 1`` and the parity test is ``& 1``: for every Python int, negative ones
+included, they equal ``// 2`` and ``% 2``, and on integers of thousands of
+bits they cost a fraction of the division.
 
 Results are built without re-checking their fields, by ``_trusted_bundle``
 and ``_trusted_numeric`` (the contract is in :mod:`ulrich_lab.picard`):
@@ -187,6 +189,8 @@ def _check_reduced(x: NumericClassData) -> None:
 AnyNumerics = Union[BundleNumerics, NumericClassData]
 _BUNDLE = (BundleNumerics,)
 _NUMERICS = (BundleNumerics, NumericClassData)
+# What discriminant and expected_moduli_dim accept: anything with rank, c1_sq and c2.
+_DUCK_NUMERICS = "BundleNumerics, NumericClassData or TraceEntry"
 
 _set_bundle_rank = BundleNumerics.rank.__set__
 _set_bundle_c1 = BundleNumerics.c1.__set__
@@ -425,10 +429,14 @@ def discriminant(f: AnyNumerics) -> int:
 
     Evaluated as rk (2 c2 - c1^2) + c1^2, one product.  Duck-typed: it reads
     only rank, c1_sq and c2, and :attr:`ulrich_lab.syzygy.TraceEntry.delta`
-    passes a trace row.
+    passes a trace row.  A value without those fields raises TypeError
+    naming ``f``.
     """
-    c1_sq = f.c1_sq
-    return f.rank * (2 * f.c2 - c1_sq) + c1_sq
+    try:
+        c1_sq = f.c1_sq
+        return f.rank * (2 * f.c2 - c1_sq) + c1_sq
+    except AttributeError:
+        raise TypeError(f"f must be a {_DUCK_NUMERICS}, got {f!r}") from None
 
 
 def expected_moduli_dim(f: AnyNumerics) -> int:
@@ -437,5 +445,8 @@ def expected_moduli_dim(f: AnyNumerics) -> int:
     Evaluated as rk (2 c2 - c1^2 - rk) + c1^2 + 1, one product.  Duck-typed
     like :func:`discriminant`, for :attr:`ulrich_lab.syzygy.TraceEntry.drift`.
     """
-    rank, c1_sq = f.rank, f.c1_sq
-    return rank * (2 * f.c2 - c1_sq - rank) + c1_sq + 1
+    try:
+        rank, c1_sq = f.rank, f.c1_sq
+        return rank * (2 * f.c2 - c1_sq - rank) + c1_sq + 1
+    except AttributeError:
+        raise TypeError(f"f must be a {_DUCK_NUMERICS}, got {f!r}") from None

@@ -321,16 +321,24 @@ def decomposition_to_dict(target: DivisorClass, r: int,
     }
 
 
-@cache
 def kernel_bundle_of_cubic(t: DivisorClass) -> BundleNumerics:
     """Numerics (2, -T, 1) of the kernel of evaluation on O(T).
 
-    Memoised: only the 72 twisted cubics get an entry, since any other
-    class raises (and exceptions are not cached).  The type test of ``t``
-    therefore runs once per cubic, not once per call.
+    The type test of ``t`` runs here, before the memo of the body hashes its
+    argument, so an unhashable value is refused by name like any other.
     """
     if type(t) is not DivisorClass:
         _require_type(t, (DivisorClass,), "t")
+    return _kernel_bundle_of_cubic(t)
+
+
+@cache
+def _kernel_bundle_of_cubic(t: DivisorClass) -> BundleNumerics:
+    """The memoised body of :func:`kernel_bundle_of_cubic`, for a checked ``t``.
+
+    Only the 72 twisted cubics get an entry, since any other class raises
+    (and exceptions are not cached).
+    """
     if not is_twisted_cubic(t):
         raise NotUlrich(f"{t} is not a twisted cubic class")
     line = BundleNumerics(1, t, 0)
@@ -354,7 +362,7 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
 def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSurface) -> int:
     """chi(F* (x) M_T) by Riemann-Roch on the numerics of F* (x) M_T.
 
-    The guards run in the order surface, fprev, t, then
+    The guards run in the order surface, fprev, t, then the memoised body of
     :func:`kernel_bundle_of_cubic` refuses a class that is no twisted cubic.
     On one lattice the value comes from the Euler-pairing kernel
     ``chern._chi_dual_product``, one pass over the coordinates that builds no
@@ -370,7 +378,7 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
         _require_type(fprev, _BUNDLE, "fprev")
     if type(t) is not DivisorClass:
         _require_type(t, (DivisorClass,), "t")
-    kernel = kernel_bundle_of_cubic(t)
+    kernel = _kernel_bundle_of_cubic(t)  # t is checked: skip the public wrapper
     width = len(fprev.c1.b)
     if width != len(kernel.c1.b) or width != surface.num_exceptional:
         return euler_char(tensor(dual(fprev), kernel), surface)  # raises

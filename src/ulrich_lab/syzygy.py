@@ -47,8 +47,10 @@ The sum telescopes, and the recurrence closes what is left (see
 ranks N_{k-1} and N_k: one recurrence pass for :func:`closed_syzygy_chern`
 and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
 :func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
-data (rank, c1^2, c1.H, c2) and carries an exact c1 beside it by
-c1(S_k) = -c1(S_{k-1}) + N_k H, so every route is linear in k or better.
+data (rank, c1^2, c1.H, c2) and, after the loop, builds the exact c1 of
+every row from the rank column by c1(S_k) = -c1(S_{k-1}) + N_k H
+= (-1)^{k+1} c1(E) + M_k H, with M_{-1} = 0 and M_k = N_k - M_{k-1}, so
+every route is linear in k or better.
 One step from (n, q, p, c2) of S_{k-1} is Riemann-Roch, the kernel and the
 twist by H:
 
@@ -57,19 +59,23 @@ twist by H:
 
 so N_k u is the one product of two big integers per step, and both
 halvings are exact (q + p is even on a lattice, (N_k - 1) u is even by the
-twist formula of :mod:`ulrich_lab.chern`).  The step runs on plain ints
-through ``chern._chi`` and ``chern._twist``, the cores of
+twist formula of :mod:`ulrich_lab.chern`).  :func:`iterate_syzygy` runs
+this step fused on local ints, with no call per step: it is a second copy of
+the formulas of ``chern._chi`` and ``chern._twist``, the cores of
 :func:`~ulrich_lab.chern.euler_char` and :func:`~ulrich_lab.chern.twist_by_h`,
-which halve with ``>> 1``; so do ``_ring_mul`` of the closed rank form and
-C(m, 2) in ``_closed_core``.  Every route refuses a seed that fails the
-numerical Ulrich conditions with :class:`NotUlrich`.
+and ``tests/test_proofs.py`` proves it equal to the kernel followed by the
+textbook twist.  It halves with ``>> 1``, as those cores, ``_ring_mul`` of
+the closed rank form and C(m, 2) in ``_closed_core`` do.  Every route
+refuses a seed that fails the numerical Ulrich conditions with
+:class:`NotUlrich`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, cycle, islice, repeat
+from operator import add, attrgetter, mul
 from typing import Iterator
 
 from . import ulrich
@@ -83,7 +89,6 @@ from .chern import (
     _chi,
     _trusted_bundle,
     _trusted_numeric,
-    _twist,
     discriminant,
     expected_moduli_dim,
     reduce_numerics,
@@ -411,13 +416,17 @@ class SyzygyTrace:
 def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> SyzygyTrace:
     """Run the syzygy-and-twist iteration from an Ulrich candidate seed.
 
-    Every step runs in the reduced resolution (rank, c1^2, c1.H, c2).  For
-    a :class:`BundleNumerics` seed the exact class rides along by
-    c1(S_k) = -c1(S_{k-1}) + N_k H, and the last one is checked once
-    against the reduced c1^2 and c1.H.  The rank of every computed S_k is
-    cross-checked against the three-term recurrence.  A mismatch in either
-    check would mean the transform formulas have fallen out of sync and
-    raises RuntimeError.
+    Every step runs in the reduced resolution (rank, c1^2, c1.H, c2), as the
+    module docstring writes it: Riemann-Roch with its parity refusal, the
+    kernel and the twist by H, on local ints, with one product of two big
+    integers.  The rank of every computed S_k is cross-checked against the
+    three-term recurrence, run beside the step.  Each field is collected in
+    its own column and the rows are built after the loop.  For a
+    :class:`BundleNumerics` seed the exact classes come from
+    c1(S_k) = (-1)^{k+1} c1(E) + M_k H, with M_{-1} = 0 and M_k = N_k - M_{k-1},
+    and the last one is checked once against the reduced c1^2 and c1.H.  A
+    mismatch in either check would mean the transform formulas have fallen
+    out of sync and raises RuntimeError.
 
     k_max has no upper bound.  The cost is O(k_max) steps on integers of
     about k_max log2(alpha) bits, as in :func:`rank_by_recurrence`, and the
@@ -435,48 +444,84 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
             "degree 3 supports the first syzygy step only (k_max <= 0); "
             "deeper iterations are not globally generated"
         )
-    c1 = seed.c1 if isinstance(seed, BundleNumerics) else None
     n, q, p, c2 = seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2
-    entries = [_trusted_entry(-1, n, c1, q, p, c2)]
+    ranks, c1_sqs, degrees, c2s = [n], [q], [p], [c2]
     # From here on every value is an int from int arithmetic on the checked
-    # seed: one step is Riemann-Roch, the kernel and the twist by H on locals,
-    # through the cores that euler_char and twist_by_h share (see chern).
-    chi_o = surface.euler_char_structure_sheaf
-    expected_ranks = islice(_recurrence_ranks(d, seed.rank), 1, k_max + 2)  # N_0 .. N_k_max
-    for k, expected_rank in enumerate(expected_ranks):
-        h0 = _chi(n, q, p, c2, chi_o)
-        if h0 <= n:
-            raise NoKernel(f"chi = {h0} does not exceed rank {n} at step {k}")
-        # The kernel (rank h0 - n, c1 -> -c1, c2 -> c1^2 - c2), then O(H).
-        n = h0 - n
-        q, p, c2 = _twist(n, q, -p, q - c2, 1, d)
+    # seed.  The recurrence runs from (N_{-1}, N_0) = (r, r(d-1)).
+    trace_coefficient = d - 2
+    prev, expected_rank = n, n * (d - 1)
+    for k in range(k_max + 1):
+        numerator = q + p
+        if numerator & 1:
+            _chi(n, q, p, c2, surface.euler_char_structure_sheaf)  # raises the parity refusal
+        # chi(O) = 1 on a del Pezzo surface, so the kernel has rank
+        # N = chi(S_{k-1}) - n = (q + p)/2 - c2, and no kernel unless N > 0.
+        rank = (numerator >> 1) - c2
+        if rank <= 0:
+            raise NoKernel(f"chi = {rank + n} does not exceed rank {n} at step {k}")
+        n = rank
         if n != expected_rank:
             raise RuntimeError(
                 f"internal inconsistency: rank {n} at step {k}, "
                 f"recurrence predicts {expected_rank}"
             )
-        if c1 is not None:
-            # c1(S_k) = N_k H - c1(S_{k-1}) with H = (3; 1, ..., 1); int
-            # arithmetic on checked coordinates, so no re-check (see picard).
-            c1 = _trusted(3 * n - c1.a, tuple(map(n.__sub__, c1.b)))
-        entries.append(_trusted_entry(k, n, c1, q, p, c2))
-    if c1 is not None and (c1.self_intersection, c1.degree) != (q, p):
-        raise RuntimeError(
-            f"internal inconsistency: exact c1 = {c1} at step {k_max} disagrees with "
-            f"the reduced (c1^2, c1.H) = ({q}, {p})"
-        )
-    return SyzygyTrace(surface, seed, tuple(entries))
+        prev, expected_rank = n, trace_coefficient * n - prev
+        # The kernel (c1.H -> -p, c2 -> q - c2), then O(H):
+        # p' = N d - p, u = p' - p, q' = q + N u, c2' = q - c2 + (N u - u)/2.
+        p_next = n * d - p
+        u = p_next - p
+        nu = n * u
+        q, p, c2 = q + nu, p_next, q - c2 + ((nu - u) >> 1)
+        ranks.append(n)
+        c1_sqs.append(q)
+        degrees.append(p)
+        c2s.append(c2)
+    if isinstance(seed, BundleNumerics):
+        c1s = _c1_column(seed.c1, ranks)
+        c1 = c1s[-1]
+        if (c1.self_intersection, c1.degree) != (q, p):
+            raise RuntimeError(
+                f"internal inconsistency: exact c1 = {c1} at step {k_max} disagrees with "
+                f"the reduced (c1^2, c1.H) = ({q}, {p})"
+            )
+    else:
+        c1s = repeat(None)
+    entries = tuple(map(_trusted_entry, range(-1, k_max + 1), ranks, c1s, c1_sqs, degrees, c2s))
+    return SyzygyTrace(surface, seed, entries)
+
+
+def _c1_column(c1: DivisorClass, ranks: list[int]) -> list[DivisorClass]:
+    """c1(S_k) for k = -1, ..., k_max from c1(E) and the ranks N_{-1}, ..., N_{k_max}.
+
+    c1(S_k) = -c1(S_{k-1}) + N_k H unrolls to (-1)^{k+1} c1(E) + M_k H, with
+    M_{-1} = 0 and M_k = N_k - M_{k-1}.  With H = (3; 1, ..., 1), row k has
+    the coordinates (+-a + 3 M_k; +-b_1 + M_k, ..., +-b_t + M_k), the sign
+    alternating from + at k = -1.  Each coordinate is one C-level map over
+    the M column, and ``zip`` makes the tuples; int arithmetic on checked
+    coordinates, so no re-check (see picard).
+    """
+    # int.__rsub__(m, n) is n - m, so this is M_{-1} = 0, M_k = N_k - M_{k-1}.
+    ms = list(accumulate(islice(ranks, 1, None), int.__rsub__, initial=0))
+    rows_a = map(add, cycle((c1.a, -c1.a)), map(mul, repeat(3), ms))
+    rows_b = zip(*[map(add, cycle((x, -x)), ms) for x in c1.b])
+    return list(map(_trusted, rows_a, rows_b))
+
+
+_DRIFT_FIELDS = attrgetter("rank", "c1_sq", "c2")
 
 
 def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     """Delta(S_k) - (N_k^2 - 1) for every trace entry.
 
     For an Ulrich seed this list is constant, equal to the expected
-    moduli dimension of the seed.
+    moduli dimension of the seed.  Each row's (rank, c1^2, c2) is read in
+    one ``attrgetter`` call and put into the one-product form of
+    :func:`~ulrich_lab.chern.expected_moduli_dim`, rk (2 c2 - c1^2 - rk) + c1^2 + 1.
     """
     if type(trace) is not SyzygyTrace:
         _require_type(trace, (SyzygyTrace,), "trace")
-    return [entry.drift for entry in trace.entries]
+    return [rank * (2 * c2 - c1_sq - rank) + c1_sq + 1
+            for rank, c1_sq, c2 in map(_DRIFT_FIELDS, trace.entries)]
 
 
 def _scope_check(d: int, k: int) -> None:

@@ -135,7 +135,7 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
     an exact c1 is checked against the lattice and then read once for its
     c1^2 and c1.H.  An operand of neither resolution raises TypeError.  The
     two chi values come from the int cores of :func:`~ulrich_lab.chern.twist_by_h`
-    and :func:`~ulrich_lab.chern.euler_char`, as in the syzygy iteration.
+    and :func:`~ulrich_lab.chern.euler_char`.
     """
     if type(surface) is not DelPezzoSurface:
         _require_type(surface, (DelPezzoSurface,), "surface")

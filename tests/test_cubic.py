@@ -188,12 +188,12 @@ class TestKernelBundle:
             return syzygy_numerics(f, h0)
 
         monkeypatch.setattr(cubic, "syzygy_numerics", counting)
-        kernel_bundle_of_cubic.cache_clear()
+        cubic._kernel_bundle_of_cubic.cache_clear()
         try:
             assert checks.check_cubic_chi_oracle().passed
             assert len(computed) == len(set(computed)) == 72
         finally:
-            kernel_bundle_of_cubic.cache_clear()
+            cubic._kernel_bundle_of_cubic.cache_clear()
 
     def test_memoised_values_are_fresh_values(self):
         for t in twisted_cubics():

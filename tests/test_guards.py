@@ -36,9 +36,11 @@ from ulrich_lab import (
     decompose_stable_sum,
     decomposition_to_dict,
     direct_sum,
+    discriminant,
     discriminant_drift,
     dual,
     euler_char,
+    expected_moduli_dim,
     format_divisor,
     intersect,
     is_twisted_cubic,
@@ -174,9 +176,12 @@ DIVISOR_ARGUMENTS = [
     ("decomposition_to_dict", "decs[0]", lambda v: decomposition_to_dict(TWO_H, 2, [v]),
      StableSumDecomposition),
 ]
-# The memo of kernel_bundle_of_cubic hashes its argument before the guard
-# runs, so an unhashable list is refused by the hash: "unhashable type".
-UNHASHABLE_MEMO_KEYS = {("kernel_bundle_of_cubic", "list")}
+# discriminant and expected_moduli_dim are duck-typed, since a TraceEntry
+# passes itself: a value without rank, c1_sq and c2 is refused by name.
+NUMERICS_ARGUMENTS = [
+    ("discriminant", "f", discriminant, (BundleNumerics, NumericClassData)),
+    ("expected_moduli_dim", "f", expected_moduli_dim, (BundleNumerics, NumericClassData)),
+]
 WRONG_OPERANDS = [
     ("tensor-f-reduced", lambda: tensor(N, F), "f", N),
     ("tensor-g-reduced", lambda: tensor(F, N), "g", N),
@@ -232,12 +237,12 @@ WRONG_OPERANDS = [
     ("parse_divisor-surface-int", lambda: parse_divisor("(1;0,0,0,0,0,0)", 3), "surface", 3),
     ("from_dict-surface-str", lambda: BundleNumerics.from_dict(F.to_dict(), "x"),
      "surface", "x"),
-    # The divisor-argument group, with each of the ten wrong-kind values
-    # that is not of the expected type in place of one argument.
+    # The divisor-argument and duck-typed groups, with each of the ten
+    # wrong-kind values that is not of the expected type in place of one argument.
     *((f"{name}-{label}", lambda call=call, v=v: call(v), arg, v)
-      for name, arg, call, expected in DIVISOR_ARGUMENTS
+      for name, arg, call, expected in (*DIVISOR_ARGUMENTS, *NUMERICS_ARGUMENTS)
       for label, v in WRONG_KINDS
-      if not isinstance(v, expected) and (name, label) not in UNHASHABLE_MEMO_KEYS),
+      if not isinstance(v, expected)),
     ("decomposition_to_dict-later-element",
      lambda: decomposition_to_dict(TWO_H, 2, [DECOMPOSITION, None]), "decs[1]", None),
     # So is a polarization argument, before any field of it is read.
@@ -260,6 +265,15 @@ def test_wrong_operand_type_is_refused(call, name, value):
     message = str(info.value)
     assert message.startswith(f"{name} must be a ")
     assert message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("function", [discriminant, expected_moduli_dim])
+def test_duck_typed_numerics_take_every_resolution(function):
+    # The tenth wrong-kind value, a bundle, is a valid operand, as are its
+    # reduced form and a trace row.
+    assert function(F) == function(N)
+    for row in iterate_syzygy(WITNESS, S4, 2).entries:
+        assert function(row) == function(row.as_numeric()) == function(row.as_bundle())
 
 
 class _Bundle(BundleNumerics):

@@ -290,6 +290,8 @@ class TestFactoredForms:
     Twist by m H with s = rk, p = c1.H and u = 2p + smd:
     c1^2' = c1^2 + sm u and c2' = c2 + (sm u - m u)/2;
     Delta = r (2 c2 - c1^2) + c1^2 and Delta - (r^2 - 1) = r (2 c2 - c1^2 - r) + c1^2 + 1.
+    The fused step of :func:`syzygy.iterate_syzygy`, a second copy of the
+    twist, equals the syzygy kernel followed by the textbook twist at m = 1.
     """
 
     m = sp.Symbol("m")
@@ -323,13 +325,16 @@ class TestFactoredForms:
             assert self.delta().subs(point) == discriminant(data)
             assert self.moduli_dim().subs(point) == expected_moduli_dim(data)
 
+    @staticmethod
+    def textbook_twist(rank, c1_sq, c1_h, second, mm):
+        return (rank, c1_sq + 2 * rank * mm * c1_h + rank * rank * mm * mm * d,
+                c1_h + rank * mm * d, second + sp.binomial(rank, 2) * mm * mm * d
+                + (rank - 1) * mm * c1_h)
+
     def test_twist_equals_textbook(self):
-        c1_sq, c1_h, second = self.twist()
-        mm = self.m
-        assert is_zero(c1_sq - (q + 2 * s * mm * p + s * s * mm * mm * d))
-        assert is_zero(c1_h - (p + s * mm * d))
-        textbook_c2 = c2 + sp.binomial(s, 2) * mm * mm * d + (s - 1) * mm * p
-        assert is_zero(sp.expand_func(second - textbook_c2))
+        _, *textbook = self.textbook_twist(s, q, p, c2, self.m)
+        for mine, theirs in zip(self.twist(), textbook, strict=True):
+            assert is_zero(sp.expand_func(mine - theirs))
 
     def test_halving_is_exact(self):
         # (s-1) m u is twice C(s,2) m^2 d + (s-1) m p, an integer polynomial.
@@ -341,6 +346,27 @@ class TestFactoredForms:
         textbook = 2 * r * c2 - (r - 1) * q
         assert is_zero(self.delta() - textbook)
         assert is_zero(self.moduli_dim() - (textbook - (r * r - 1)))
+
+    @staticmethod
+    def syzygy(rank, c1_sq, c1_h, second):
+        # Kernel of H^0 (x) O -> F with h^0 = chi(F) = rank + (c1^2 + c1.H)/2 - c2:
+        # rank h^0 - rank, c1 -> -c1, c2 -> c1^2 - c2.
+        h0 = rank + (c1_sq + c1_h) / 2 - second
+        return h0 - rank, c1_sq, -c1_h, c1_sq - second
+
+    @staticmethod
+    def inline_step(n, c1_sq, c1_h, second):
+        # N' = h0 - n, p' = N'd - p, u = p' - p, q' = q + N'u, c2' = q - c2 + (N'u - u)/2.
+        h0 = n + (c1_sq + c1_h) / 2 - second
+        rank = h0 - n
+        p_next = rank * d - c1_h
+        u = p_next - c1_h
+        return rank, c1_sq + rank * u, p_next, c1_sq - second + (rank * u - u) / 2
+
+    def test_inline_step_equals_twist_of_syzygy(self):
+        expected = self.textbook_twist(*self.syzygy(r, q, p, c2), 1)
+        for mine, theirs in zip(self.inline_step(r, q, p, c2), expected, strict=True):
+            assert is_zero(sp.expand_func(mine - theirs))
 
 
 class TestOnePassStep:
@@ -378,6 +404,8 @@ class TestOnePassStep:
                                                   before.c2)))
                     got = (after.rank, after.c1_sq, after.c1_dot_h, after.c2)
                     assert tuple(x.subs(d, dd) for x in self.one_pass(*data)) == got
+                    inline = TestFactoredForms.inline_step(*data)
+                    assert tuple(x.subs(d, dd) for x in inline) == got
                     # The public composition the step replaces gives the same row.
                     f = before.as_numeric()
                     twisted = twist_by_h(syzygy_numerics(f, euler_char(f, surface)), 1, surface)

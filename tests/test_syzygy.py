@@ -444,22 +444,27 @@ class TestIterateOracle:
 
     @pytest.mark.parametrize("k_max,corrupt_at", [(0, 1), (5, 6)])
     def test_corrupt_degree_trips_final_check(self, monkeypatch, k_max, corrupt_at):
-        # Shift c1.H by 2 (parity kept) on the last step only, so no rank check
-        # fires.  Each step twists through the int core chern._twist, which
+        # Shift the last exact class (row k_max + 1 of the column) by -2 E_1:
+        # its c1.H moves by 2 (parity kept), and no rank check sees it.  The
+        # exact classes are built after the loop by syzygy._c1_column, which
         # iterate_syzygy looks up in its own module.
-        calls, original = [], syzygy_module._twist
+        calls, original = [], syzygy_module._c1_column
 
-        def corrupt(s, c1_sq, p, c2, m, d):
-            calls.append(m)
-            q, p, c2 = original(s, c1_sq, p, c2, m, d)
-            return (q, p + 2, c2) if len(calls) == corrupt_at else (q, p, c2)
+        def corrupt(c1, ranks):
+            column = original(c1, ranks)
+            calls.append(len(column))
+            x = column[corrupt_at]
+            column[corrupt_at] = DivisorClass(x.a, (x.b[0] - 2, *x.b[1:]))
+            return column
 
-        monkeypatch.setattr(syzygy_module, "_twist", corrupt)
+        monkeypatch.setattr(syzygy_module, "_c1_column", corrupt)
         with pytest.raises(RuntimeError, match=r"\(c1\^2, c1\.H\)"):
             iterate_syzygy(WITNESS, S4, k_max)
+        assert calls == [corrupt_at + 1]  # the whole column, corrupted in its last row
         # Reduced seeds carry no exact class, so nothing is there to disagree.
         calls.clear()
         assert len(iterate_syzygy(reduce_numerics(WITNESS), S4, k_max).entries) == k_max + 2
+        assert calls == []
 
 
 def telescoped_loop(d, c1_sq, c1_dot_h, c2, ranks):
