@@ -8,11 +8,13 @@ dual bundle, a product bundle and Riemann-Roch, and the closed form
 in place of M_i, must give the composition's value too.
 
 iterate_syzygy runs chi, the kernel and the twist by H fused on local ints,
-and builds the exact c1 column after its loop.  On every seed of
-checks.default_seeds(), exact and reduced, each row to k = 40 (k = 0 on
-d = 3) must equal twist_by_h(syzygy_numerics(F, euler_char(F)), 1) of the
-row before, exact class included, and its drift must equal
-expected_moduli_dim of that row.
+and keeps the results as columns, building a row with its exact c1 only
+when it is read.  On every seed of checks.default_seeds(), exact and
+reduced, each row to k = 40 (k = 0 on d = 3) must equal
+twist_by_h(syzygy_numerics(F, euler_char(F)), 1) of the row before, exact
+class included.  discriminant_drift, which reads the columns without
+building rows, must give one value per row, equal to expected_moduli_dim
+both of the row and of the composition's bundle.
 
 Usage: python3 .github/oracle_parity.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
@@ -79,6 +81,9 @@ for surface, shipped in default_seeds():
     for f in [shipped, reduce_numerics(shipped)] if exact else [shipped]:
         trace = iterate_syzygy(f, surface, k_max)
         drift = discriminant_drift(trace)
+        expect(len(drift) == len(trace.entries) == k_max + 2,
+               f"d={surface.degree} seed {shipped}: {len(drift)} drift values, "
+               f"{len(trace.entries)} rows")
         for entry, entry_drift in zip(trace.entries, drift):
             if entry.k >= 0:
                 f = twist_by_h(syzygy_numerics(f, euler_char(f, surface)), 1, surface)
@@ -88,8 +93,9 @@ for surface, shipped in default_seeds():
             expect(got == want, f"{where}: iterate_syzygy {got}, composition {want}")
             expect(entry.c1 == (f.c1 if isinstance(f, BundleNumerics) else None),
                    f"{where}: exact c1 {entry.c1}, composition {getattr(f, 'c1', None)}")
-            expect(entry_drift == expected_moduli_dim(f),
-                   f"{where}: drift {entry_drift}, expected_moduli_dim {expected_moduli_dim(f)}")
+            expect(entry_drift == expected_moduli_dim(entry) == expected_moduli_dim(f),
+                   f"{where}: drift {entry_drift}, expected_moduli_dim of the row "
+                   f"{expected_moduli_dim(entry)}, of the composition {expected_moduli_dim(f)}")
             rows += 1
         traces += 1
 print(f"oracle_parity: {pairs} cubic pairs, 2000 random bundles, {traces} syzygy traces "

@@ -1,10 +1,13 @@
-"""Round trip of every slotted value type, without pytest.
+"""Round trip of every slotted value type and of a syzygy trace, without pytest.
 
 Each value, checked or built by the library without re-checking, goes
 through pickle at every protocol, copy.copy, copy.deepcopy and
 dataclasses.replace.  Every clone must be of the same type, equal, with the
 same hash and repr, with no instance __dict__ and its memo slots unset.
 Assigning to a field or to any other name must raise FrozenInstanceError.
+Two SyzygyTrace values, from an exact and a reduced seed, whose rows are
+built when read, go through the same clones: each must be equal, hash the
+same and print the same, and so must its rows.
 
 Usage: python3 .github/roundtrip.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
@@ -20,6 +23,7 @@ from ulrich_lab import (
     BundleNumerics,
     DivisorClass,
     NumericClassData,
+    SyzygyTrace,
     decompose_stable_sum,
     iterate_syzygy,
     make_surface,
@@ -77,4 +81,22 @@ for value in values:
         except dataclasses.FrozenInstanceError:
             continue
         sys.exit(f"roundtrip: {what}.{name} = 0 did not raise FrozenInstanceError")
-print(f"roundtrip: {len(values)} values, {clones} clones, Python {sys.version.split()[0]}: ok")
+
+traces = [iterate_syzygy(f, make_surface(4), 7), iterate_syzygy(reduce_numerics(f), make_surface(4), 7)]
+for trace in traces:
+    what = f"SyzygyTrace of {trace.seed!r}"
+    rows = tuple(trace.entries)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies = [pickle.loads(pickle.dumps(trace, protocol))]
+        if protocol == 0:
+            copies += [copy.copy(trace), copy.deepcopy(trace), dataclasses.replace(trace)]
+        for clone in copies:
+            expect(type(clone) is SyzygyTrace, f"{what}: a clone changed type")
+            expect(clone == trace and trace == clone, f"{what}: a clone is not equal")
+            expect(hash(clone) == hash(trace), f"{what}: a clone hashes differently")
+            expect(repr(clone) == repr(trace), f"{what}: a clone prints differently")
+            expect(clone.entries == rows and hash(clone.entries) == hash(rows)
+                   and repr(clone.entries) == repr(rows), f"{what}: clone rows differ from the tuple")
+            clones += 1
+print(f"roundtrip: {len(values)} values, {len(traces)} traces, {clones} clones, "
+      f"Python {sys.version.split()[0]}: ok")

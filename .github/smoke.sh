@@ -13,12 +13,13 @@
 # decompose run takes the search through its first-part scan and its
 # pair-table lookup of the last two parts; its count is checked from a file,
 # since `sh -e` does not see a failure inside a pipe.  roundtrip.py
-# pickles, copies and replaces every slotted value type, with the standard
-# library only; oracle_parity.py compares the Euler-pairing kernel of
-# chi_pair_oracle with its dual-tensor-euler_char composition on all 72^2
-# pairs of twisted cubics, and the fused step of iterate_syzygy with the
-# twist_by_h(syzygy_numerics(F, euler_char(F)), 1) composition on every
-# default seed, exact and reduced, to k = 40 (k = 0 on d = 3), so the job
+# pickles, copies and replaces every slotted value type and two syzygy
+# traces, with the standard library only; oracle_parity.py compares the
+# Euler-pairing kernel of chi_pair_oracle with its dual-tensor-euler_char
+# composition on all 72^2 pairs of twisted cubics, and the fused step of
+# iterate_syzygy with the twist_by_h(syzygy_numerics(F, euler_char(F)), 1)
+# composition on every default seed, exact and reduced, to k = 40 (k = 0 on
+# d = 3), its drift with expected_moduli_dim of every row, so the job
 # without pytest checks both kernels too.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the

@@ -95,6 +95,7 @@ from .errors import EmptySum, LatticeMismatch, ParityViolation
 from .picard import (
     DelPezzoSurface,
     DivisorClass,
+    _as_tuple,
     _fields_getstate,
     _fields_setstate,
     _is_int,
@@ -355,7 +356,7 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
     lattice, just before its c1 is paired with the running sum of the
     earlier ones and added to it: sum_{i<j} c1_i.c1_j in one pass.
     """
-    items = list(summands)
+    items = _as_tuple(summands, "summands")
     if not items:
         raise EmptySum("direct sum needs at least one summand")
     for position, item in enumerate(items):

@@ -42,6 +42,7 @@ from .errors import LatticeMismatch, NotUlrich
 from .picard import (
     DelPezzoSurface,
     DivisorClass,
+    _as_tuple,
     _fields_getstate,
     _fields_setstate,
     _new,
@@ -310,6 +311,7 @@ def decomposition_to_dict(target: DivisorClass, r: int,
                           decs: list[StableSumDecomposition]) -> dict:
     """The JSON form of a search result; an element of ``decs`` that is no
     :class:`StableSumDecomposition` raises ``TypeError`` naming its index."""
+    decs = _as_tuple(decs, "decs")
     for position, dec in enumerate(decs):
         if type(dec) is not StableSumDecomposition:
             _require_type(dec, (StableSumDecomposition,), f"decs[{position}]")
@@ -351,6 +353,8 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
     ``pairings`` lists T_i.T_j for i < j and must have j - 1 entries.
     """
     _require_int(j, "position j must be a positive integer", lo=1)
+    if type(pairings) is not list and type(pairings) is not tuple:
+        pairings = _as_tuple(pairings, "pairings")
     if len(pairings) != j - 1:
         raise ValueError(f"expected {j - 1} pairings for position {j}, got {len(pairings)}")
     for pairing in pairings:

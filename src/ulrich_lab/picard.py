@@ -73,6 +73,7 @@ differ between 32- and 64-bit builds).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -115,6 +116,16 @@ def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
     raise exc(f"{message}, got {value!r}")
 
 
+def _as_tuple(values: object, name: str) -> tuple:
+    """``tuple(values)``, or ``TypeError(f"{name} must be iterable, got ...")``
+    when values is not iterable at all."""
+    try:
+        iterator = iter(values)
+    except TypeError:
+        raise TypeError(f"{name} must be iterable, got {values!r}") from None
+    return tuple(iterator)
+
+
 def _require_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
     """Raise ``ValueError(f"{what} is missing key(s) ...")`` naming every key
     of ``keys`` that ``data`` lacks, in the order of ``keys``."""
@@ -149,7 +160,7 @@ class DivisorClass:
     def __post_init__(self) -> None:
         b = self.b
         if type(b) is not tuple:
-            b = tuple(b)
+            b = _as_tuple(b, "b")
             object.__setattr__(self, "b", b)
         _require_int(self.a, "coordinate a must be an integer", TypeError)
         for entry in b:
@@ -346,7 +357,7 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
     if type(x) is not DivisorClass:
         _require_type(x, (DivisorClass,), "x")
     t = len(x.b)
-    perm = tuple(p)
+    perm = _as_tuple(p, "p")
     for image in perm:
         if type(image) is not int:
             _require_int(image, "permutation images must be integers", BadPermutation)
@@ -365,6 +376,14 @@ def format_divisor(x: DivisorClass) -> str:
     return f"({x.a};{','.join(map(str, x.b))})"
 
 
+# The whole grammar of parse_divisor in one anchored pattern: \s is exactly
+# str.isspace on str patterns, and [0-9] the ASCII digits the scanner takes.
+# Group 1 is a, group 2 the comma-separated b_i; int() strips the same
+# whitespace around each of them.
+_INTEGER = r"\s*[+-]?[0-9]+\s*"
+_DIVISOR_TEXT = re.compile(rf"\s*\(({_INTEGER});({_INTEGER}(?:,{_INTEGER})*)\)\s*")
+
+
 def parse_divisor(text: str, surface: DelPezzoSurface | None = None) -> DivisorClass:
     """Parse ``(a;b_1,...,b_t)``.
 
@@ -372,9 +391,31 @@ def parse_divisor(text: str, surface: DelPezzoSurface | None = None) -> DivisorC
     is permitted around every token.  Malformed input raises
     :class:`ParseError` carrying the offending character position.  When a
     surface is supplied the number of exceptional coordinates must match.
+
+    Well-formed text is read by one ``re.fullmatch`` of the whole grammar.
+    Everything else (text the pattern refuses, an integer longer than the
+    interpreter's int-string limit, a coordinate count that does not match
+    the surface) goes to the character scanner, the only code that raises
+    :class:`ParseError`, so every message and position comes from it.
     """
+    if type(text) is not str:
+        _require_type(text, (str,), "text")
     if surface is not None and type(surface) is not DelPezzoSurface:
         _require_type(surface, (DelPezzoSurface,), "surface")
+    match = _DIVISOR_TEXT.fullmatch(text)
+    if match is not None:
+        try:
+            result = _trusted(int(match[1]), tuple(map(int, match[2].split(","))))
+        except ValueError:  # longer than the interpreter's int-string limit
+            pass
+        else:
+            if surface is None or surface.contains(result):
+                return result
+    return _scan_divisor(text, surface)
+
+
+def _scan_divisor(text: str, surface: DelPezzoSurface | None) -> DivisorClass:
+    """The character scanner of :func:`parse_divisor`, on checked arguments."""
     pos = 0
     n = len(text)
 

@@ -47,10 +47,12 @@ The sum telescopes, and the recurrence closes what is left (see
 ranks N_{k-1} and N_k: one recurrence pass for :func:`closed_syzygy_chern`
 and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
 :func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
-data (rank, c1^2, c1.H, c2) and, after the loop, builds the exact c1 of
-every row from the rank column by c1(S_k) = -c1(S_{k-1}) + N_k H
-= (-1)^{k+1} c1(E) + M_k H, with M_{-1} = 0 and M_k = N_k - M_{k-1}, so
-every route is linear in k or better.
+data (rank, c1^2, c1.H, c2) and keeps them as columns of k + 2 ints; for an
+exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
+c1(S_k) = -c1(S_{k-1}) + N_k H = (-1)^{k+1} c1(E) + M_k H gives the exact
+c1 of any row from it.  A row of the trace is built only when it is read, so
+every route is linear in k or better, and reading the last row and the
+drift costs no row in between.
 One step from (n, q, p, c2) of S_{k-1} is Riemann-Roch, the kernel and the
 twist by H:
 
@@ -72,6 +74,7 @@ refuses a seed that fails the numerical Ulrich conditions with
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, islice, repeat
@@ -391,13 +394,115 @@ def _trusted_entry(k: int, rank: int, c1: DivisorClass | None,
     return entry
 
 
+class _TraceRows(Sequence):
+    """The rows of a :class:`SyzygyTrace`, kept as columns and built when read.
+
+    Row i is the numerics of S_k with k = i - 1.  The columns are the ranks,
+    c1^2, c1.H and c2 of S_{-1}, ..., S_{k_max}, one int each per row.  For an
+    exact seed c1(E) and the column M_{-1}, ..., M_{k_max} come with them, and
+    row i has the class c1(S_k) = (-1)^{k+1} c1(E) + M_k H.  With
+    H = (3; 1, ..., 1) that is (+-a + 3 M; +-b_1 + M, ..., +-b_t + M), the
+    sign + on even i: int arithmetic on checked coordinates, so no re-check
+    (see picard).
+
+    A row and its class are built the first time the row is read, and kept,
+    so ``rows[i] is rows[i]``.  The first full iteration builds every row in
+    one C-level ``map`` per coordinate and one over ``_trusted_entry``, and
+    keeps the rows read before.  As a value this is the tuple of its rows:
+    ``==`` with that tuple holds, ``hash`` and ``repr`` are the tuple's, a
+    slice is a tuple, and an index out of range raises IndexError.  Pickles
+    and copies carry the columns only.
+    """
+
+    __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_c2s", "_c1", "_ms", "_read", "_rows")
+
+    def __init__(self, ranks: list[int], c1_sqs: list[int], degrees: list[int], c2s: list[int],
+                 c1: DivisorClass | None = None, ms: list[int] | None = None) -> None:
+        self._ranks, self._c1_sqs, self._degrees, self._c2s = ranks, c1_sqs, degrees, c2s
+        self._c1, self._ms = c1, ms
+        self._read: dict[int, TraceEntry] = {}  # the rows read one by one
+        self._rows: tuple[TraceEntry, ...] | None = None  # every row, once iterated
+
+    def _all(self) -> tuple[TraceEntry, ...]:
+        rows = self._rows
+        if rows is None:
+            ms = self._ms
+            if ms is None:
+                c1s = repeat(None)
+            else:
+                a, b = self._c1.a, self._c1.b
+                rows_a = map(add, cycle((a, -a)), map(mul, repeat(3), ms))
+                rows_b = zip(*[map(add, cycle((x, -x)), ms) for x in b])
+                c1s = list(map(_trusted, rows_a, rows_b))
+            ranks = self._ranks
+            rows = tuple(map(_trusted_entry, range(-1, len(ranks) - 1), ranks, c1s,
+                             self._c1_sqs, self._degrees, self._c2s))
+            if self._read:  # a row read before stays that object
+                built = list(rows)
+                for i, row in self._read.items():
+                    built[i] = row
+                rows = tuple(built)
+            self._rows = rows
+        return rows
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def __getitem__(self, index):
+        if self._rows is not None:
+            return self._rows[index]
+        # range() reads index as a tuple does: negative indexes, slices,
+        # IndexError out of range and TypeError for a non-integer.
+        position = range(len(self._ranks))[index]
+        if type(position) is range:
+            return tuple(map(self.__getitem__, position))
+        row = self._read.get(position)
+        if row is None:
+            c1 = self._c1
+            if c1 is not None:  # m - x is m.__sub__(x), on odd rows
+                m = self._ms[position]
+                if position & 1:
+                    c1 = _trusted(3 * m - c1.a, tuple(map(m.__sub__, c1.b)))
+                else:
+                    c1 = _trusted(3 * m + c1.a, tuple(map(m.__add__, c1.b)))
+            row = self._read[position] = _trusted_entry(
+                position - 1, self._ranks[position], c1,
+                self._c1_sqs[position], self._degrees[position], self._c2s[position])
+        return row
+
+    def __iter__(self) -> Iterator[TraceEntry]:
+        return iter(self._all())
+
+    def __reversed__(self) -> Iterator[TraceEntry]:
+        return reversed(self._all())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _TraceRows):
+            other = other._all()
+        return self._all() == other
+
+    def __hash__(self) -> int:
+        return hash(self._all())
+
+    def __repr__(self) -> str:
+        return repr(self._all())
+
+    def __reduce__(self):
+        return _TraceRows, (self._ranks, self._c1_sqs, self._degrees, self._c2s, self._c1, self._ms)
+
+
 @dataclass(frozen=True)
 class SyzygyTrace:
-    """The numerics of E = S_{-1}, S_0, ..., S_{k_max} on one surface."""
+    """The numerics of E = S_{-1}, S_0, ..., S_{k_max} on one surface.
+
+    ``entries`` is a read-only sequence of :class:`TraceEntry` rows.  The one
+    :func:`iterate_syzygy` returns builds each row when it is first read, and
+    compares, hashes, prints and pickles as the tuple of its rows.
+    """
 
     surface: DelPezzoSurface
     seed: AnyNumerics
-    entries: tuple[TraceEntry, ...]
+    entries: Sequence[TraceEntry]
 
     def entry(self, k: int) -> TraceEntry:
         # Entries run contiguously from k = -1.
@@ -421,17 +526,19 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     kernel and the twist by H, on local ints, with one product of two big
     integers.  The rank of every computed S_k is cross-checked against the
     three-term recurrence, run beside the step.  Each field is collected in
-    its own column and the rows are built after the loop.  For a
-    :class:`BundleNumerics` seed the exact classes come from
-    c1(S_k) = (-1)^{k+1} c1(E) + M_k H, with M_{-1} = 0 and M_k = N_k - M_{k-1},
-    and the last one is checked once against the reduced c1^2 and c1.H.  A
-    mismatch in either check would mean the transform formulas have fallen
-    out of sync and raises RuntimeError.
+    its own column, and the trace keeps the columns: a row is built only
+    when it is read.  For a :class:`BundleNumerics` seed the exact classes
+    come from c1(S_k) = (-1)^{k+1} c1(E) + M_k H, with M_{-1} = 0 and
+    M_k = N_k - M_{k-1}, kept as one more column; the last row is built here,
+    and its class is checked against the reduced c1^2 and c1.H.  A mismatch
+    in either check would mean the transform formulas have fallen out of
+    sync and raises RuntimeError.
 
     k_max has no upper bound.  The cost is O(k_max) steps on integers of
-    about k_max log2(alpha) bits, as in :func:`rank_by_recurrence`, and the
-    trace keeps all k_max + 2 rows, so memory grows about as k_max^2 bits;
-    the CLI caps k at 200.
+    about k_max log2(alpha) bits, as in :func:`rank_by_recurrence`.  The
+    trace keeps k_max + 2 ints per column, so memory grows about as
+    k_max^2 bits, and a row read costs one row, not the trace; the CLI caps
+    k at 200.
     """
     _require_int(k_max, "k_max must be an integer >= -1", lo=-1)
     _require_type(seed, _NUMERICS, "seed")
@@ -477,34 +584,18 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
         degrees.append(p)
         c2s.append(c2)
     if isinstance(seed, BundleNumerics):
-        c1s = _c1_column(seed.c1, ranks)
-        c1 = c1s[-1]
+        # int.__rsub__(m, n) is n - m, so this is M_{-1} = 0, M_k = N_k - M_{k-1}.
+        ms = list(accumulate(islice(ranks, 1, None), int.__rsub__, initial=0))
+        entries = _TraceRows(ranks, c1_sqs, degrees, c2s, seed.c1, ms)
+        c1 = entries[-1].c1
         if (c1.self_intersection, c1.degree) != (q, p):
             raise RuntimeError(
                 f"internal inconsistency: exact c1 = {c1} at step {k_max} disagrees with "
                 f"the reduced (c1^2, c1.H) = ({q}, {p})"
             )
     else:
-        c1s = repeat(None)
-    entries = tuple(map(_trusted_entry, range(-1, k_max + 1), ranks, c1s, c1_sqs, degrees, c2s))
+        entries = _TraceRows(ranks, c1_sqs, degrees, c2s)
     return SyzygyTrace(surface, seed, entries)
-
-
-def _c1_column(c1: DivisorClass, ranks: list[int]) -> list[DivisorClass]:
-    """c1(S_k) for k = -1, ..., k_max from c1(E) and the ranks N_{-1}, ..., N_{k_max}.
-
-    c1(S_k) = -c1(S_{k-1}) + N_k H unrolls to (-1)^{k+1} c1(E) + M_k H, with
-    M_{-1} = 0 and M_k = N_k - M_{k-1}.  With H = (3; 1, ..., 1), row k has
-    the coordinates (+-a + 3 M_k; +-b_1 + M_k, ..., +-b_t + M_k), the sign
-    alternating from + at k = -1.  Each coordinate is one C-level map over
-    the M column, and ``zip`` makes the tuples; int arithmetic on checked
-    coordinates, so no re-check (see picard).
-    """
-    # int.__rsub__(m, n) is n - m, so this is M_{-1} = 0, M_k = N_k - M_{k-1}.
-    ms = list(accumulate(islice(ranks, 1, None), int.__rsub__, initial=0))
-    rows_a = map(add, cycle((c1.a, -c1.a)), map(mul, repeat(3), ms))
-    rows_b = zip(*[map(add, cycle((x, -x)), ms) for x in c1.b])
-    return list(map(_trusted, rows_a, rows_b))
 
 
 _DRIFT_FIELDS = attrgetter("rank", "c1_sq", "c2")
@@ -514,14 +605,20 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     """Delta(S_k) - (N_k^2 - 1) for every trace entry.
 
     For an Ulrich seed this list is constant, equal to the expected
-    moduli dimension of the seed.  Each row's (rank, c1^2, c2) is read in
-    one ``attrgetter`` call and put into the one-product form of
-    :func:`~ulrich_lab.chern.expected_moduli_dim`, rk (2 c2 - c1^2 - rk) + c1^2 + 1.
+    moduli dimension of the seed.  Each row's (rank, c1^2, c2) is put into
+    the one-product form of :func:`~ulrich_lab.chern.expected_moduli_dim`,
+    rk (2 c2 - c1^2 - rk) + c1^2 + 1.  A trace from :func:`iterate_syzygy`
+    gives them straight from its columns, without building a row; any other
+    sequence of rows is read in one ``attrgetter`` call per row.
     """
     if type(trace) is not SyzygyTrace:
         _require_type(trace, (SyzygyTrace,), "trace")
-    return [rank * (2 * c2 - c1_sq - rank) + c1_sq + 1
-            for rank, c1_sq, c2 in map(_DRIFT_FIELDS, trace.entries)]
+    entries = trace.entries
+    if type(entries) is _TraceRows:
+        fields = zip(entries._ranks, entries._c1_sqs, entries._c2s)
+    else:
+        fields = map(_DRIFT_FIELDS, entries)
+    return [rank * (2 * c2 - c1_sq - rank) + c1_sq + 1 for rank, c1_sq, c2 in fields]
 
 
 def _scope_check(d: int, k: int) -> None:

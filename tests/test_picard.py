@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from ulrich_lab import (
     parse_divisor,
     permute_exceptionals,
 )
+from ulrich_lab import picard as picard_module
 
 
 @st.composite
@@ -273,6 +276,35 @@ class TestPermutations:
         assert moved_x.dot(moved_y) == x.dot(y)
 
 
+# Whitespace that str.isspace accepts, ASCII and not, and characters the
+# grammar refuses: non-ASCII digits, '_' (int() would take it), letters.
+SPACES = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2003\u2028\u3000"
+TEXT_ALPHABET = SPACES + "();,+-0123456789_x\u00b2\u0661"
+
+
+@st.composite
+def well_formed_divisor_text(draw):
+    """(a;b_1,...,b_t) with whitespace around every token, signs and leading zeros."""
+    def space():
+        return draw(st.text(SPACES, max_size=2))
+
+    def integer():
+        value = draw(st.integers(-10**30, 10**30))
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        return f"{space()}{sign}{draw(st.sampled_from(['', '0', '00']))}{abs(value)}{space()}"
+
+    coordinates = ",".join(integer() for _ in range(draw(st.integers(1, 7))))
+    return f"{space()}({integer()};{coordinates}){space()}"
+
+
+def parse_outcome(parse, text, surface):
+    """The class parse returns, or the message and position of its ParseError."""
+    try:
+        return parse(text, surface)
+    except ParseError as error:
+        return str(error), error.position
+
+
 class TestTextFormat:
     def test_format(self):
         assert format_divisor(DivisorClass(3, (2, 1, 1, 1, 1, 0))) == "(3;2,1,1,1,1,0)"
@@ -312,6 +344,44 @@ class TestTextFormat:
     @settings(max_examples=300)
     def test_round_trip(self, x):
         assert parse_divisor(format_divisor(x)) == x
+
+    def test_pattern_whitespace_is_str_isspace(self):
+        # The fast path's \s and the scanner's str.isspace agree on every code point.
+        space = re.compile(r"\s")
+        mismatches = [code for code in range(sys.maxunicode + 1)
+                      if (space.fullmatch(chr(code)) is not None) != chr(code).isspace()]
+        assert mismatches == []
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_fast_path_matches_scanner(self, data):
+        text = data.draw(well_formed_divisor_text())
+        surface = data.draw(st.none() | st.builds(make_surface, st.integers(3, 8)))
+        assert picard_module._DIVISOR_TEXT.fullmatch(text) is not None
+        assert parse_outcome(parse_divisor, text, surface) == parse_outcome(
+            picard_module._scan_divisor, text, surface)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_fast_path_matches_scanner_on_malformed_text(self, data):
+        text = data.draw(well_formed_divisor_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            position = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 2))
+            text = text[:position] + data.draw(st.text(TEXT_ALPHABET, max_size=2)) + text[position + cut:]
+        surface = data.draw(st.none() | st.builds(make_surface, st.integers(3, 8)))
+        assert parse_outcome(parse_divisor, text, surface) == parse_outcome(
+            picard_module._scan_divisor, text, surface)
+
+    @pytest.mark.parametrize("text", [
+        "(1" + "0" * 4300 + ";0,0,0,0,0,0)",
+        "(1;0,0,0,0,0," + "9" * 4301 + ")",
+        "(1;0,0)", "(1;0,0,0,0,0,0,0)", "(1;0_0)", "(1;\u0663)", "(1;0)\n\u3000", "(1;0\u200b)",
+    ])
+    @pytest.mark.parametrize("surface", [None, make_surface(3)], ids=["no-surface", "d3"])
+    def test_scanner_answers_what_the_fast_path_leaves(self, text, surface):
+        assert parse_outcome(parse_divisor, text, surface) == parse_outcome(
+            picard_module._scan_divisor, text, surface)
 
     @given(st.text() | st.text(alphabet="()+-;, 019\u00b2\u0661\t").map("(".__add__))
     @settings(max_examples=300)

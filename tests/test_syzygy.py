@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +22,8 @@ from ulrich_lab import (
     NumericClassData,
     OutOfTheoremScope,
     QuadraticNumber,
+    SyzygyTrace,
+    TraceEntry,
     closed_syzygy_chern,
     closed_syzygy_chern_numeric,
     discriminant_drift,
@@ -444,27 +450,153 @@ class TestIterateOracle:
 
     @pytest.mark.parametrize("k_max,corrupt_at", [(0, 1), (5, 6)])
     def test_corrupt_degree_trips_final_check(self, monkeypatch, k_max, corrupt_at):
-        # Shift the last exact class (row k_max + 1 of the column) by -2 E_1:
-        # its c1.H moves by 2 (parity kept), and no rank check sees it.  The
-        # exact classes are built after the loop by syzygy._c1_column, which
-        # iterate_syzygy looks up in its own module.
-        calls, original = [], syzygy_module._c1_column
+        # Shift the last exact class (row k_max + 1) by -2 E_1: its c1.H moves
+        # by 2 (parity kept), and no rank check sees it.  iterate_syzygy builds
+        # that one class for its final check, through syzygy._trusted, which
+        # it looks up in its own module.
+        calls, original = [], syzygy_module._trusted
+        want = tuple(iterate_syzygy(WITNESS, S4, k_max).entries)[corrupt_at].c1
 
-        def corrupt(c1, ranks):
-            column = original(c1, ranks)
-            calls.append(len(column))
-            x = column[corrupt_at]
-            column[corrupt_at] = DivisorClass(x.a, (x.b[0] - 2, *x.b[1:]))
-            return column
+        def corrupt(a, b):
+            calls.append((a, b))
+            return original(a, (b[0] - 2, *b[1:]))
 
-        monkeypatch.setattr(syzygy_module, "_c1_column", corrupt)
+        monkeypatch.setattr(syzygy_module, "_trusted", corrupt)
         with pytest.raises(RuntimeError, match=r"\(c1\^2, c1\.H\)"):
             iterate_syzygy(WITNESS, S4, k_max)
-        assert calls == [corrupt_at + 1]  # the whole column, corrupted in its last row
+        assert calls == [(want.a, want.b)]  # the last row's class, and no other
         # Reduced seeds carry no exact class, so nothing is there to disagree.
         calls.clear()
         assert len(iterate_syzygy(reduce_numerics(WITNESS), S4, k_max).entries) == k_max + 2
         assert calls == []
+
+
+def reference_rows(seed, surface, k_max):
+    """The rows of the public composition, each built by the checked constructor."""
+    return tuple(TraceEntry(k, f.rank, f.c1 if isinstance(f, BundleNumerics) else None,
+                            f.c1_sq, f.c1_dot_h, f.c2)
+                 for k, f in reference_trace(seed, surface, k_max))
+
+
+ROW_SEEDS = [
+    pytest.param(S4, WITNESS, id="exact-d4"),
+    pytest.param(S4, reduce_numerics(WITNESS), id="reduced-d4"),
+    pytest.param(make_surface(7), BundleNumerics(2, 2 * make_surface(7).anticanonical_class, 9),
+                 id="exact-d7"),
+]
+
+
+@pytest.mark.parametrize("surface,seed", ROW_SEEDS)
+class TestTraceRows:
+    """entries is a read-only sequence that builds each row when it is read."""
+
+    @pytest.mark.parametrize("k_max", [-1, 0, 1, 7, 200])
+    def test_rows_match_composition(self, surface, seed, k_max):
+        reference = reference_rows(seed, surface, k_max)
+        # All rows at once, and one by one from the last, on fresh traces.
+        assert tuple(iterate_syzygy(seed, surface, k_max).entries) == reference
+        rows = iterate_syzygy(seed, surface, k_max).entries
+        assert [rows[i] for i in reversed(range(len(rows)))] == list(reversed(reference))
+        assert tuple(rows) == reference
+
+    def test_indexing(self, surface, seed):
+        rows = iterate_syzygy(seed, surface, 7).entries
+        reference = reference_rows(seed, surface, 7)
+        assert isinstance(rows, Sequence) and not isinstance(rows, tuple)
+        assert len(rows) == 9
+        assert rows[0] == reference[0] and rows[8] == reference[8]
+        assert rows[-1] == reference[-1] and rows[-9] == reference[0]
+        for part in (slice(2, 5), slice(None, None, -2), slice(5, 100), slice(-3, None),
+                     slice(4, 2), slice(None)):
+            assert type(rows[part]) is tuple
+            assert rows[part] == reference[part]
+        for outside in (9, -10, 100, -100):
+            with pytest.raises(IndexError):
+                rows[outside]
+        for not_an_index in ("1", 1.0, None):
+            with pytest.raises(TypeError):
+                rows[not_an_index]
+        assert list(reversed(rows)) == list(reversed(reference))
+        assert reference[4] in rows and rows.index(reference[4]) == 4
+        assert rows.count(reference[4]) == 1
+
+    def test_a_row_read_again_is_the_same_object(self, surface, seed):
+        rows = iterate_syzygy(seed, surface, 7).entries
+        third, last = rows[3], rows[-1]
+        assert rows[3] is third and rows[3 - 9] is third
+        assert rows[8] is last and rows[2:4][1] is third
+        every = list(rows)  # the full build keeps the rows read before
+        assert every[3] is third and every[8] is last
+        assert all(rows[i] is row for i, row in enumerate(every))
+        assert list(rows)[5] is every[5]
+
+    def test_read_only(self, surface, seed):
+        rows = iterate_syzygy(seed, surface, 3).entries
+        with pytest.raises(TypeError):
+            rows[0] = rows[1]
+        with pytest.raises(TypeError):
+            del rows[0]
+        assert not hasattr(rows, "append")
+
+    def test_compares_hashes_and_prints_as_the_tuple(self, surface, seed):
+        reference = reference_rows(seed, surface, 7)
+        rows = iterate_syzygy(seed, surface, 7).entries
+        assert rows == reference and reference == rows and not rows != reference
+        assert hash(rows) == hash(reference) and repr(rows) == repr(reference)
+        assert rows == iterate_syzygy(seed, surface, 7).entries
+        assert rows != iterate_syzygy(seed, surface, 6).entries
+        assert rows != reference[:-1] and rows != list(reference) and rows != 0
+        trace = iterate_syzygy(seed, surface, 7)
+        as_tuple = SyzygyTrace(surface, seed, reference)
+        assert trace == as_tuple and as_tuple == trace
+        assert hash(trace) == hash(as_tuple) and repr(trace) == repr(as_tuple)
+        assert trace.to_dict() == as_tuple.to_dict()
+
+    @pytest.mark.parametrize("read", ["none", "last", "all"])
+    def test_pickles_and_copies_are_equal(self, surface, seed, read):
+        trace = iterate_syzygy(seed, surface, 7)
+        if read == "last":
+            trace.entries[-1]
+        elif read == "all":
+            tuple(trace.entries)
+        clones = [pickle.loads(pickle.dumps(trace, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        clones += [copy.copy(trace), copy.deepcopy(trace), dataclasses.replace(trace)]
+        reference = reference_rows(seed, surface, 7)
+        for clone in clones:
+            assert type(clone.entries) is type(trace.entries)
+            assert clone == trace and trace == clone
+            assert hash(clone) == hash(trace) and repr(clone) == repr(trace)
+            assert clone.entries == reference
+            assert discriminant_drift(clone) == discriminant_drift(trace)
+
+    def test_last_row_and_drift_build_one_row(self, monkeypatch, surface, seed):
+        built, original = [], syzygy_module._trusted_entry
+
+        def counting(k, *fields):
+            built.append(k)
+            return original(k, *fields)
+
+        monkeypatch.setattr(syzygy_module, "_trusted_entry", counting)
+        trace = iterate_syzygy(seed, surface, 1000)
+        last = trace.entries[-1]
+        drift = discriminant_drift(trace)
+        assert built == [1000]
+        assert trace.entries[-1] is last and last.k == 1000
+        assert drift == [expected_moduli_dim(seed)] * 1002
+        assert built == [1000]
+
+    def test_drift_of_any_rows(self, surface, seed):
+        # A trace may hold rows passed to the constructor, or rows unpickled
+        # from a pickle that holds the tuple: the drift reads them row by row.
+        trace = iterate_syzygy(seed, surface, 12)
+        reference = reference_rows(seed, surface, 12)
+        expected = [expected_moduli_dim(row) for row in reference]
+        assert discriminant_drift(trace) == expected
+        for entries in (reference, list(reference), trace.entries, reference[:0]):
+            other = SyzygyTrace(surface, seed, entries)
+            assert discriminant_drift(other) == expected[:len(entries)]
+        assert discriminant_drift(SyzygyTrace(surface, seed, reference[5:])) == expected[5:]
 
 
 def telescoped_loop(d, c1_sq, c1_dot_h, c2, ranks):
