@@ -5,9 +5,11 @@ through pickle at every protocol, copy.copy, copy.deepcopy and
 dataclasses.replace.  Every clone must be of the same type, equal, with the
 same hash and repr, with no instance __dict__ and its memo slots unset.
 Assigning to a field or to any other name must raise FrozenInstanceError.
-Two SyzygyTrace values, from an exact and a reduced seed, whose rows are
-built when read, go through the same clones: each must be equal, hash the
-same and print the same, and so must its rows.
+Four SyzygyTrace values, whose rows are built when read, go through the
+same clones: from an exact and a reduced seed with every row read, one
+with no row read and one with only its last row read.  Each clone must be
+equal, hash the same and print the same, and so must its rows; each
+trace's pickles must keep their size once every row is read.
 
 Usage: python3 .github/roundtrip.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
@@ -82,21 +84,33 @@ for value in values:
             continue
         sys.exit(f"roundtrip: {what}.{name} = 0 did not raise FrozenInstanceError")
 
-traces = [iterate_syzygy(f, make_surface(4), 7), iterate_syzygy(reduce_numerics(f), make_surface(4), 7)]
-for trace in traces:
-    what = f"SyzygyTrace of {trace.seed!r}"
+# Traces with every row, no row and only the last row read before cloning:
+# pickles carry the columns, not the rows built so far, so reading every row
+# leaves their size as it was.
+traces = []
+for seed, read in ((f, "every row"), (reduce_numerics(f), "every row"),
+                   (reduce_numerics(f), "no row"), (f, "the last row")):
+    trace = iterate_syzygy(seed, make_surface(4), 7)
+    if read == "every row":
+        tuple(trace.entries)
+    elif read == "the last row":
+        trace.entries[-1]
+    what = f"SyzygyTrace of {trace.seed!r} with {read} read"
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    sizes = [len(pickle.dumps(trace, protocol)) for protocol in protocols]
+    copies = [pickle.loads(pickle.dumps(trace, protocol)) for protocol in protocols]
+    copies += [copy.copy(trace), copy.deepcopy(trace), dataclasses.replace(trace)]
     rows = tuple(trace.entries)
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        copies = [pickle.loads(pickle.dumps(trace, protocol))]
-        if protocol == 0:
-            copies += [copy.copy(trace), copy.deepcopy(trace), dataclasses.replace(trace)]
-        for clone in copies:
-            expect(type(clone) is SyzygyTrace, f"{what}: a clone changed type")
-            expect(clone == trace and trace == clone, f"{what}: a clone is not equal")
-            expect(hash(clone) == hash(trace), f"{what}: a clone hashes differently")
-            expect(repr(clone) == repr(trace), f"{what}: a clone prints differently")
-            expect(clone.entries == rows and hash(clone.entries) == hash(rows)
-                   and repr(clone.entries) == repr(rows), f"{what}: clone rows differ from the tuple")
-            clones += 1
+    for clone in copies:
+        expect(type(clone) is SyzygyTrace, f"{what}: a clone changed type")
+        expect(clone == trace and trace == clone, f"{what}: a clone is not equal")
+        expect(hash(clone) == hash(trace), f"{what}: a clone hashes differently")
+        expect(repr(clone) == repr(trace), f"{what}: a clone prints differently")
+        expect(clone.entries == rows and hash(clone.entries) == hash(rows)
+               and repr(clone.entries) == repr(rows), f"{what}: clone rows differ from the tuple")
+        clones += 1
+    after = [len(pickle.dumps(trace, protocol)) for protocol in protocols]
+    expect(after == sizes, f"{what}: pickle sizes {sizes} became {after} once every row was read")
+    traces.append(trace)
 print(f"roundtrip: {len(values)} values, {len(traces)} traces, {clones} clones, "
       f"Python {sys.version.split()[0]}: ok")

@@ -13,8 +13,9 @@
 # decompose run takes the search through its first-part scan and its
 # pair-table lookup of the last two parts; its count is checked from a file,
 # since `sh -e` does not see a failure inside a pipe.  roundtrip.py
-# pickles, copies and replaces every slotted value type and two syzygy
-# traces, with the standard library only; oracle_parity.py compares the
+# pickles, copies and replaces every slotted value type and four syzygy
+# traces, two of them before their rows are read, with the standard library
+# only; oracle_parity.py compares the
 # Euler-pairing kernel of chi_pair_oracle with its dual-tensor-euler_char
 # composition on all 72^2 pairs of twisted cubics, and the fused step of
 # iterate_syzygy with the twist_by_h(syzygy_numerics(F, euler_char(F)), 1)

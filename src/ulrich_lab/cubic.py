@@ -160,8 +160,8 @@ class StableSumDecomposition:
         are those of ``+``, :meth:`~ulrich_lab.picard.DivisorClass.dot` and
         ``==`` on classes:
 
-        * empty parts raise :class:`LatticeMismatch` with the message of
-          :func:`~ulrich_lab.picard.sum_classes`;
+        * empty parts raise :class:`LatticeMismatch`, "cannot sum an empty
+          family of divisor classes";
         * a part on another lattice than the first raises
           :class:`LatticeMismatch` with the message of ``+``, and a part
           that is no :class:`DivisorClass` raises the ``TypeError`` of

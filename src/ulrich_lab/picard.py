@@ -76,7 +76,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BadPermutation, DegreeOutOfRange, LatticeMismatch, ParseError
 
@@ -467,14 +467,3 @@ def _scan_divisor(text: str, surface: DelPezzoSurface | None) -> DivisorClass:
             len(text),
         )
     return result
-
-
-def sum_classes(classes: Iterable[DivisorClass]) -> DivisorClass:
-    """Sum a non-empty iterable of classes on a common lattice."""
-    items = list(classes)
-    if not items:
-        raise LatticeMismatch("cannot sum an empty family of divisor classes")
-    total = items[0]
-    for item in items[1:]:
-        total = total + item
-    return total

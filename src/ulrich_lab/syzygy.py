@@ -50,8 +50,9 @@ and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
 data (rank, c1^2, c1.H, c2) and keeps them as columns of k + 2 ints; for an
 exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
 c1(S_k) = -c1(S_{k-1}) + N_k H = (-1)^{k+1} c1(E) + M_k H gives the exact
-c1 of any row from it.  A row of the trace is built only when it is read, so
-every route is linear in k or better, and reading the last row and the
+c1 of any row from it.  One builder makes a row of the trace, and its exact
+c1, the first time the row is read, by index or by iteration, and keeps it;
+so every route is linear in k or better, and reading the last row and the
 drift costs no row in between.
 One step from (n, q, p, c2) of S_{k-1} is Riemann-Roch, the kernel and the
 twist by H:
@@ -77,8 +78,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, cycle, islice, repeat
-from operator import add, attrgetter, mul
+from itertools import accumulate, islice
+from operator import attrgetter
 from typing import Iterator
 
 from . import ulrich
@@ -405,87 +406,60 @@ class _TraceRows(Sequence):
     sign + on even i: int arithmetic on checked coordinates, so no re-check
     (see picard).
 
-    A row and its class are built the first time the row is read, and kept,
-    so ``rows[i] is rows[i]``.  The first full iteration builds every row in
-    one C-level ``map`` per coordinate and one over ``_trusted_entry``, and
-    keeps the rows read before.  As a value this is the tuple of its rows:
-    ``==`` with that tuple holds, ``hash`` and ``repr`` are the tuple's, a
-    slice is a tuple, and an index out of range raises IndexError.  Pickles
-    and copies carry the columns only.
+    :meth:`_row` is the one builder: it builds a row and its class the first
+    time the row is read, by index, slice or iteration, and keeps it, so
+    ``rows[i] is rows[i]`` and a second full iteration builds nothing.  As a
+    value this is the tuple of its rows: ``==`` with that tuple holds,
+    ``hash`` and ``repr`` are the tuple's, a slice is a tuple, and an index
+    out of range raises IndexError.  Pickles and copies carry the columns
+    only.
     """
 
-    __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_c2s", "_c1", "_ms", "_read", "_rows")
+    __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_c2s", "_c1", "_ms", "_rows")
 
     def __init__(self, ranks: list[int], c1_sqs: list[int], degrees: list[int], c2s: list[int],
                  c1: DivisorClass | None = None, ms: list[int] | None = None) -> None:
         self._ranks, self._c1_sqs, self._degrees, self._c2s = ranks, c1_sqs, degrees, c2s
         self._c1, self._ms = c1, ms
-        self._read: dict[int, TraceEntry] = {}  # the rows read one by one
-        self._rows: tuple[TraceEntry, ...] | None = None  # every row, once iterated
+        self._rows: list[TraceEntry | None] = [None] * len(ranks)
 
-    def _all(self) -> tuple[TraceEntry, ...]:
-        rows = self._rows
-        if rows is None:
-            ms = self._ms
-            if ms is None:
-                c1s = repeat(None)
-            else:
-                a, b = self._c1.a, self._c1.b
-                rows_a = map(add, cycle((a, -a)), map(mul, repeat(3), ms))
-                rows_b = zip(*[map(add, cycle((x, -x)), ms) for x in b])
-                c1s = list(map(_trusted, rows_a, rows_b))
-            ranks = self._ranks
-            rows = tuple(map(_trusted_entry, range(-1, len(ranks) - 1), ranks, c1s,
-                             self._c1_sqs, self._degrees, self._c2s))
-            if self._read:  # a row read before stays that object
-                built = list(rows)
-                for i, row in self._read.items():
-                    built[i] = row
-                rows = tuple(built)
-            self._rows = rows
-        return rows
+    def _row(self, i: int) -> TraceEntry:
+        row = self._rows[i]
+        if row is None:
+            c1 = self._c1
+            if c1 is not None:  # m - x is m.__sub__(x), on odd rows
+                m = self._ms[i]
+                if i & 1:
+                    c1 = _trusted(3 * m - c1.a, tuple(map(m.__sub__, c1.b)))
+                else:
+                    c1 = _trusted(3 * m + c1.a, tuple(map(m.__add__, c1.b)))
+            row = self._rows[i] = _trusted_entry(
+                i - 1, self._ranks[i], c1, self._c1_sqs[i], self._degrees[i], self._c2s[i])
+        return row
 
     def __len__(self) -> int:
         return len(self._ranks)
 
     def __getitem__(self, index):
-        if self._rows is not None:
-            return self._rows[index]
         # range() reads index as a tuple does: negative indexes, slices,
         # IndexError out of range and TypeError for a non-integer.
         position = range(len(self._ranks))[index]
         if type(position) is range:
-            return tuple(map(self.__getitem__, position))
-        row = self._read.get(position)
-        if row is None:
-            c1 = self._c1
-            if c1 is not None:  # m - x is m.__sub__(x), on odd rows
-                m = self._ms[position]
-                if position & 1:
-                    c1 = _trusted(3 * m - c1.a, tuple(map(m.__sub__, c1.b)))
-                else:
-                    c1 = _trusted(3 * m + c1.a, tuple(map(m.__add__, c1.b)))
-            row = self._read[position] = _trusted_entry(
-                position - 1, self._ranks[position], c1,
-                self._c1_sqs[position], self._degrees[position], self._c2s[position])
-        return row
+            return tuple(map(self._row, position))
+        return self._row(position)
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self._all())
-
-    def __reversed__(self) -> Iterator[TraceEntry]:
-        return reversed(self._all())
+        return map(self._row, range(len(self._ranks)))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _TraceRows):
-            other = other._all()
-        return self._all() == other
+        # Against another _TraceRows, tuple == rows falls back to rows.__eq__.
+        return tuple(self) == other
 
     def __hash__(self) -> int:
-        return hash(self._all())
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(self._all())
+        return repr(tuple(self))
 
     def __reduce__(self):
         return _TraceRows, (self._ranks, self._c1_sqs, self._degrees, self._c2s, self._c1, self._ms)

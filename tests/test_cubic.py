@@ -38,7 +38,7 @@ from ulrich_lab import (
     ulrich_c2,
 )
 from ulrich_lab import checks, chern, cubic
-from ulrich_lab.picard import _require_type, sum_classes
+from ulrich_lab.picard import _require_type
 
 T_A = twisted_cubic_representative("A")
 T_B = twisted_cubic_representative("B")
@@ -111,6 +111,17 @@ def pair_sum_orbit_targets():
 
 
 QUARTIC_A = DivisorClass(1, (0, 0, 0, 0, 0))
+
+
+def sum_classes(classes):
+    """Sum a non-empty iterable of classes on a common lattice."""
+    items = list(classes)
+    if not items:
+        raise LatticeMismatch("cannot sum an empty family of divisor classes")
+    total = items[0]
+    for item in items[1:]:
+        total = total + item
+    return total
 
 
 def decomposition(target, *divisors):

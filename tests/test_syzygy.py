@@ -586,6 +586,23 @@ class TestTraceRows:
         assert drift == [expected_moduli_dim(seed)] * 1002
         assert built == [1000]
 
+    def test_full_iteration_builds_only_the_unread_rows(self, monkeypatch, surface, seed):
+        built, original = [], syzygy_module._trusted_entry
+
+        def counting(k, *fields):
+            built.append(k)
+            return original(k, *fields)
+
+        monkeypatch.setattr(syzygy_module, "_trusted_entry", counting)
+        rows = iterate_syzygy(seed, surface, 12).entries
+        rows[3], rows[-1]
+        built.clear()
+        assert tuple(rows) == reference_rows(seed, surface, 12)
+        assert built == [k for k in range(-1, 13) if k not in (2, 12)]  # len(rows) - 2 rows
+        built.clear()
+        assert tuple(rows) == reference_rows(seed, surface, 12)
+        assert built == []
+
     def test_drift_of_any_rows(self, surface, seed):
         # A trace may hold rows passed to the constructor, or rows unpickled
         # from a pickle that holds the tuple: the drift reads them row by row.
