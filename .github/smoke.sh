@@ -9,7 +9,9 @@
 # BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
 # the library's internal results, which skip re-validation; a second one
 # reads a seed file without c2 and must fail, naming the key on stderr (a
-# file again, since `sh -eu` has no pipefail).  The r = 3
+# file again, since `sh -eu` has no pipefail); a third reads a seed that is
+# not an Ulrich candidate and must exit 1 with three `raised NotUlrich` rows,
+# so the runner's exception path runs as well.  The r = 3
 # decompose run takes the search through its first-part scan and its
 # pair-table lookup of the last two parts; its count is checked from a file,
 # since `sh -e` does not see a failure inside a pipe.  roundtrip.py
@@ -44,6 +46,13 @@ if ULRICH_LAB_SEED_FILE="$seed_file" ulrich-lab check > "$out_file" 2> "$err_fil
     exit 1
 fi
 grep -qF 'missing key(s) c2' "$err_file"
+printf '%s\n' '[{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 5}]' > "$seed_file"
+status=0
+ULRICH_LAB_SEED_FILE="$seed_file" ulrich-lab check > "$out_file" || status=$?
+if [ "$status" -ne 1 ] || [ "$(grep -c 'raised NotUlrich' "$out_file")" -ne 3 ]; then
+    echo "smoke: check with a non-Ulrich seed exited $status, wanted 1 and 3 raised rows" >&2
+    exit 1
+fi
 ulrich-lab table-pairs
 ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
 ulrich-lab sequence --d 8 --k-max 200

@@ -1,8 +1,11 @@
 """Self-check suite: every module invariant as a named, reportable check.
 
 The CLI ``check`` subcommand runs these and prints one pass/fail line
-per property.  Randomized checks draw from a fixed-seed generator, so
-two runs over the same configuration produce identical output.
+per property.  Each ``check_*`` returns ``(passed, detail)``; its name is
+written once, in the plan of :func:`run_all_checks`, so a check reports
+under the same name whether it passes, fails or raises.  Randomized checks
+draw from a fixed-seed generator, so two runs over the same configuration
+produce identical output.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def _random_permutation(rng: random.Random, t: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def check_picard_signature() -> CheckResult:
+def check_picard_signature() -> tuple[bool, str]:
     ok = True
     details = []
     for d in range(3, 9):
@@ -163,78 +166,78 @@ def check_picard_signature() -> CheckResult:
         ok &= k.dot(k) == d and h.dot(h) == d and h.dot(k) == -d
         ok &= f.dot(f) == 0 and k.dot(f) == -2
         details.append(f"d={d}")
-    return CheckResult("picard.signature", ok, "L^2=1, E_i.E_j=-delta, K^2=H^2=d on " + ", ".join(details))
+    return ok, "L^2=1, E_i.E_j=-delta, K^2=H^2=d on " + ", ".join(details)
 
 
-def check_picard_bilinearity(rng: random.Random, cases: int) -> CheckResult:
+def check_picard_bilinearity(rng: random.Random, cases: int) -> tuple[bool, str]:
     for _ in range(cases):
         t = 1 + _below(rng, 6)
         x, y, z = _random_class(rng, t), _random_class(rng, t), _random_class(rng, t)
         m = _below(rng, 9) - 4
         if (x + y).dot(z) != x.dot(z) + y.dot(z):
-            return CheckResult("picard.bilinearity", False, f"additivity fails on {x},{y},{z}")
+            return False, f"additivity fails on {x},{y},{z}"
         if (m * x).dot(z) != m * x.dot(z):
-            return CheckResult("picard.bilinearity", False, f"homogeneity fails on {x},{z}")
+            return False, f"homogeneity fails on {x},{z}"
         if x.dot(y) != y.dot(x):
-            return CheckResult("picard.bilinearity", False, f"symmetry fails on {x},{y}")
-    return CheckResult("picard.bilinearity", True, f"{cases} random triples")
+            return False, f"symmetry fails on {x},{y}"
+    return True, f"{cases} random triples"
 
 
-def check_picard_permutation(rng: random.Random, cases: int) -> CheckResult:
+def check_picard_permutation(rng: random.Random, cases: int) -> tuple[bool, str]:
     for _ in range(cases):
         t = 1 + _below(rng, 6)
         x, y = _random_class(rng, t), _random_class(rng, t)
         p = _random_permutation(rng, t)
         px, py = picard.permute_exceptionals(x, p), picard.permute_exceptionals(y, p)
         if px.dot(py) != x.dot(y):
-            return CheckResult("picard.permutation-pairing", False, f"pairing moved under {p}")
+            return False, f"pairing moved under {p}"
         identity = tuple(range(1, t + 1))
         if picard.permute_exceptionals(x, identity) != x:
-            return CheckResult("picard.permutation-pairing", False, "identity acted nontrivially")
-    return CheckResult("picard.permutation-pairing", True, f"{cases} random cases")
+            return False, "identity acted nontrivially"
+    return True, f"{cases} random cases"
 
 
-def check_picard_parser(rng: random.Random, cases: int) -> CheckResult:
+def check_picard_parser(rng: random.Random, cases: int) -> tuple[bool, str]:
     for _ in range(cases):
         t = 1 + _below(rng, 6)
         x = _random_class(rng, t, 99)
         if picard.parse_divisor(picard.format_divisor(x)) != x:
-            return CheckResult("picard.parser-roundtrip", False, f"round trip moved {x}")
-    return CheckResult("picard.parser-roundtrip", True, f"{cases} random classes")
+            return False, f"round trip moved {x}"
+    return True, f"{cases} random classes"
 
 
-def check_chern_tensor_symmetry(rng: random.Random, cases: int) -> CheckResult:
+def check_chern_tensor_symmetry(rng: random.Random, cases: int) -> tuple[bool, str]:
     for _ in range(cases):
         t = 1 + _below(rng, 6)
         f, g = _random_bundle(rng, t), _random_bundle(rng, t)
         if chern.tensor(f, g) != chern.tensor(g, f):
-            return CheckResult("chern.tensor-commutative", False, f"{f} (x) {g}")
-    return CheckResult("chern.tensor-commutative", True, f"{cases} random pairs")
+            return False, f"{f} (x) {g}"
+    return True, f"{cases} random pairs"
 
 
-def check_chern_tensor_associativity(rng: random.Random, cases: int) -> CheckResult:
+def check_chern_tensor_associativity(rng: random.Random, cases: int) -> tuple[bool, str]:
     for _ in range(cases):
         t = 1 + _below(rng, 6)
         f, g, h = _random_bundle(rng, t), _random_bundle(rng, t), _random_bundle(rng, t)
         left = chern.tensor(chern.tensor(f, g), h)
         right = chern.tensor(f, chern.tensor(g, h))
         if left != right:
-            return CheckResult("chern.tensor-associative", False, f"{f}, {g}, {h}")
-    return CheckResult("chern.tensor-associative", True, f"{cases} random triples")
+            return False, f"{f}, {g}, {h}"
+    return True, f"{cases} random triples"
 
 
-def check_chern_sum_permutation(rng: random.Random, cases: int) -> CheckResult:
+def check_chern_sum_permutation(rng: random.Random, cases: int) -> tuple[bool, str]:
     for _ in range(cases):
         t = 1 + _below(rng, 6)
         summands = [_random_bundle(rng, t) for _ in range(1 + _below(rng, 4))]
         shuffled = summands[:]
         _shuffle(rng, shuffled)
         if chern.direct_sum(summands) != chern.direct_sum(shuffled):
-            return CheckResult("chern.sum-permutation-invariant", False, f"{summands}")
-    return CheckResult("chern.sum-permutation-invariant", True, f"{cases} random families")
+            return False, f"{summands}"
+    return True, f"{cases} random families"
 
 
-def check_chern_chi_additive(rng: random.Random, cases: int) -> CheckResult:
+def check_chern_chi_additive(rng: random.Random, cases: int) -> tuple[bool, str]:
     surfaces = [make_surface(d) for d in range(3, 9)]
     for _ in range(cases):
         surface = surfaces[_below(rng, 6)]  # make_surface(rng.randint(3, 8))
@@ -243,27 +246,26 @@ def check_chern_chi_additive(rng: random.Random, cases: int) -> CheckResult:
         whole = chern.euler_char(chern.direct_sum([f, g]), surface)
         parts = chern.euler_char(f, surface) + chern.euler_char(g, surface)
         if whole != parts:
-            return CheckResult("chern.chi-additive", False, f"{f} + {g} on d={surface.degree}")
-    return CheckResult("chern.chi-additive", True, f"{cases} random pairs")
+            return False, f"{f} + {g} on d={surface.degree}"
+    return True, f"{cases} random pairs"
 
 
-def check_chern_twist_invariants(rng: random.Random, cases: int) -> CheckResult:
+def check_chern_twist_invariants(rng: random.Random, cases: int) -> tuple[bool, str]:
     for _ in range(cases):
         t = 1 + _below(rng, 6)
         f = _random_bundle(rng, t)
         line = _random_class(rng, t, 4)
         twisted = chern.tensor_line(f, line)
         if chern.discriminant(twisted) != chern.discriminant(f):
-            return CheckResult("chern.discriminant-twist-invariant", False, f"{f} by {line}")
+            return False, f"{f} by {line}"
         if chern.expected_moduli_dim(twisted) != chern.expected_moduli_dim(f):
-            return CheckResult("chern.discriminant-twist-invariant", False,
-                               f"moduli dim moved for {f} by {line}")
+            return False, f"moduli dim moved for {f} by {line}"
         if chern.discriminant(chern.dual(f)) != chern.discriminant(f):
-            return CheckResult("chern.discriminant-twist-invariant", False, f"dual of {f}")
-    return CheckResult("chern.discriminant-twist-invariant", True, f"{cases} random twists")
+            return False, f"dual of {f}"
+    return True, f"{cases} random twists"
 
 
-def check_rank_triangle() -> CheckResult:
+def check_rank_triangle() -> tuple[bool, str]:
     for d in range(4, 9):
         surface = make_surface(d)
         for r in range(1, 6):
@@ -275,49 +277,44 @@ def check_rank_triangle() -> CheckResult:
                 by_closed = syzygy.rank_closed_form(d, r, k)
                 by_iter = trace.entry(k).rank
                 if not by_rec == by_closed == by_iter:
-                    return CheckResult(
-                        "syzygy.rank-triangle", False,
-                        f"d={d} r={r} k={k}: {by_rec}, {by_closed}, {by_iter}")
+                    return False, f"d={d} r={r} k={k}: {by_rec}, {by_closed}, {by_iter}"
                 if d == 4 and by_rec != (2 * k + 3) * r:
-                    return CheckResult("syzygy.rank-triangle", False,
-                                       f"d=4 linear form fails at r={r} k={k}")
-    return CheckResult("syzygy.rank-triangle", True,
-                       "recurrence = closed form = iteration, d=4..8, r=1..5, k=-1..50")
+                    return False, f"d=4 linear form fails at r={r} k={k}"
+    return True, "recurrence = closed form = iteration, d=4..8, r=1..5, k=-1..50"
 
 
-def check_rank_monotone() -> CheckResult:
+def check_rank_monotone() -> tuple[bool, str]:
     for d in range(4, 9):
         for r in range(1, 6):
             values = list(islice(syzygy._recurrence_ranks(d, r), 41))  # N_-1 .. N_39
             if any(b <= a for a, b in zip(values, values[1:])):
-                return CheckResult("syzygy.rank-monotone", False, f"d={d} r={r}")
-    return CheckResult("syzygy.rank-monotone", True, "strictly increasing, d=4..8, r=1..5, k<=39")
+                return False, f"d={d} r={r}"
+    return True, "strictly increasing, d=4..8, r=1..5, k<=39"
 
 
-def check_drift_constant(seeds: Sequence[Seed]) -> CheckResult:
+def check_drift_constant(seeds: Sequence[Seed]) -> tuple[bool, str]:
     for surface, seed in seeds:
         k_max = 0 if surface.degree == 3 else 12
         trace = syzygy.iterate_syzygy(seed, surface, k_max)
         drift = syzygy.discriminant_drift(trace)
         expected = chern.expected_moduli_dim(seed)
         if any(value != expected for value in drift):
-            return CheckResult("syzygy.drift-constant", False,
-                               f"seed {seed} on d={surface.degree}: {drift}")
-    return CheckResult("syzygy.drift-constant", True, f"{len(seeds)} seeds")
+            return False, f"seed {seed} on d={surface.degree}: {drift}"
+    return True, f"{len(seeds)} seeds"
 
 
-def check_delta_growth(seeds: Sequence[Seed]) -> CheckResult:
+def check_delta_growth(seeds: Sequence[Seed]) -> tuple[bool, str]:
     for surface, seed in seeds:
         if surface.degree == 3:
             continue
         trace = syzygy.iterate_syzygy(seed, surface, 12)
         deltas = [entry.delta for entry in trace.entries if entry.k >= 0]
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
-            return CheckResult("syzygy.delta-growth", False, f"seed {seed} on d={surface.degree}")
-    return CheckResult("syzygy.delta-growth", True, "Delta(S_k) strictly increasing for k >= 0")
+            return False, f"seed {seed} on d={surface.degree}"
+    return True, "Delta(S_k) strictly increasing for k >= 0"
 
 
-def check_closed_vs_iterate(seeds: Sequence[Seed]) -> CheckResult:
+def check_closed_vs_iterate(seeds: Sequence[Seed]) -> tuple[bool, str]:
     for surface, seed in seeds:
         k_max = 0 if surface.degree == 3 else 12
         trace = syzygy.iterate_syzygy(seed, surface, k_max)
@@ -327,19 +324,17 @@ def check_closed_vs_iterate(seeds: Sequence[Seed]) -> CheckResult:
             twisted = chern.twist_by_h(trace.entry(k).as_numeric(), -1, surface)
             closed = syzygy.closed_syzygy_chern_numeric(reduced, surface, k)
             if closed != twisted:
-                return CheckResult("syzygy.closed-vs-iterate", False,
-                                   f"seed {seed} d={surface.degree} k={k}")
+                return False, f"seed {seed} d={surface.degree} k={k}"
             if isinstance(seed, BundleNumerics):
                 c1, c2 = syzygy.closed_syzygy_chern(seed, surface, k)
                 bundle = trace.entry(k).as_bundle()
                 exact = chern.tensor_line(bundle, minus_h)
                 if c1 != exact.c1 or c2 != exact.c2:
-                    return CheckResult("syzygy.closed-vs-iterate", False,
-                                       f"exact mode: seed {seed} d={surface.degree} k={k}")
-    return CheckResult("syzygy.closed-vs-iterate", True, f"{len(seeds)} seeds, k <= 12")
+                    return False, f"exact mode: seed {seed} d={surface.degree} k={k}"
+    return True, f"{len(seeds)} seeds, k <= 12"
 
 
-def check_table_vs_closed() -> CheckResult:
+def check_table_vs_closed() -> tuple[bool, str]:
     for row in tables.MODULI_DIM_ROWS:
         surface = make_surface(row.degree)
         seed = NumericClassData(2, row.c1_sq, 2 * row.degree, row.c2)
@@ -347,39 +342,36 @@ def check_table_vs_closed() -> CheckResult:
             table_form = syzygy.rank_two_table_chern(row.degree, row.c1_sq, row.c2, k)
             closed = syzygy.closed_syzygy_chern_numeric(seed, surface, k)
             if table_form != closed:
-                return CheckResult("syzygy.table-vs-closed", False,
-                                   f"d={row.degree} c1^2={row.c1_sq} k={k}")
-    return CheckResult("syzygy.table-vs-closed", True, "all table rows, k = -1..20")
+                return False, f"d={row.degree} c1^2={row.c1_sq} k={k}"
+    return True, "all table rows, k = -1..20"
 
 
-def check_ulrich_thresholds() -> CheckResult:
+def check_ulrich_thresholds() -> tuple[bool, str]:
     for d in range(3, 9):
         p = ulrich.polarized_data_for(make_surface(d))
         if ulrich.curve_section_genus(p) != 1:
-            return CheckResult("ulrich.thresholds", False, f"genus at d={d}")
+            return False, f"genus at d={d}"
         if not ulrich.butler_semistability_criterion(p):
-            return CheckResult("ulrich.thresholds", False, f"Butler bound fails at d={d}")
+            return False, f"Butler bound fails at d={d}"
         if ulrich.koszul_criterion(p) != (d >= 4):
-            return CheckResult("ulrich.thresholds", False, f"Koszul threshold at d={d}")
+            return False, f"Koszul threshold at d={d}"
         if not ulrich.coprime_stability_criterion(p):
-            return CheckResult("ulrich.thresholds", False, f"coprime criterion at d={d}")
+            return False, f"coprime criterion at d={d}"
         if ulrich.prioritary_polarization_check(make_surface(d)) >= 0:
-            return CheckResult("ulrich.thresholds", False, f"H.(K+F) not negative at d={d}")
-    return CheckResult("ulrich.thresholds", True,
-                       "genus 1, Butler, coprime, Koszul iff d>=4, H.(K+F)<0")
+            return False, f"H.(K+F) not negative at d={d}"
+    return True, "genus 1, Butler, coprime, Koszul iff d>=4, H.(K+F)<0"
 
 
-def check_ulrich_candidates(seeds: Sequence[Seed]) -> CheckResult:
+def check_ulrich_candidates(seeds: Sequence[Seed]) -> tuple[bool, str]:
     for surface, seed in seeds:
         if not ulrich.is_ulrich_candidate(seed, surface):
-            return CheckResult("ulrich.candidates", False, f"{seed} on d={surface.degree}")
+            return False, f"{seed} on d={surface.degree}"
         if chern.euler_char(seed, surface) != seed.rank * surface.degree:
-            return CheckResult("ulrich.candidates", False,
-                               f"h^0 != rank*d for {seed} on d={surface.degree}")
-    return CheckResult("ulrich.candidates", True, f"{len(seeds)} seeds")
+            return False, f"h^0 != rank*d for {seed} on d={surface.degree}"
+    return True, f"{len(seeds)} seeds"
 
 
-def check_candidate_permutation_invariance(rng: random.Random, cases: int) -> CheckResult:
+def check_candidate_permutation_invariance(rng: random.Random, cases: int) -> tuple[bool, str]:
     pool = [
         (surface, numerics)
         for surface, numerics in default_seeds()
@@ -392,28 +384,27 @@ def check_candidate_permutation_invariance(rng: random.Random, cases: int) -> Ch
             numerics.rank, picard.permute_exceptionals(numerics.c1, p), numerics.c2
         )
         if not ulrich.is_ulrich_candidate(moved, surface):
-            return CheckResult("ulrich.candidate-permutation-invariant", False,
-                               f"{numerics} under {p}")
-    return CheckResult("ulrich.candidate-permutation-invariant", True, f"{cases} random cases")
+            return False, f"{numerics} under {p}"
+    return True, f"{cases} random cases"
 
 
-def check_cubic_census() -> CheckResult:
+def check_cubic_census() -> tuple[bool, str]:
     cubics = cubic.twisted_cubics()
     if len(cubics) != 72 or len({t.divisor for t in cubics}) != 72:
-        return CheckResult("cubic.census", False, f"{len(cubics)} classes")
+        return False, f"{len(cubics)} classes"
     sizes = {tag: 0 for tag in "ABCDE"}
     h = cubic.CUBIC_SURFACE.anticanonical_class
     k = cubic.CUBIC_SURFACE.canonical_class
     for t in cubics:
         sizes[t.type_tag] += 1
         if t.divisor.self_intersection != 1 or t.divisor.dot(h) != 3 or t.divisor.dot(k) != -3:
-            return CheckResult("cubic.census", False, f"bad numerics for {t.divisor}")
+            return False, f"bad numerics for {t.divisor}"
     if sizes != {"A": 1, "B": 20, "C": 30, "D": 20, "E": 1}:
-        return CheckResult("cubic.census", False, f"orbit sizes {sizes}")
-    return CheckResult("cubic.census", True, "72 classes, orbits 1/20/30/20/1, T^2=1, T.H=3")
+        return False, f"orbit sizes {sizes}"
+    return True, "72 classes, orbits 1/20/30/20/1, T^2=1, T.H=3"
 
 
-def check_cubic_chi_oracle() -> CheckResult:
+def check_cubic_chi_oracle() -> tuple[bool, str]:
     """The closed chi form against Riemann-Roch on every ordered pair of cubics.
 
     The oracle of the pair (T_1, T_2) is euler_char(tensor(dual(M_1), M_2))
@@ -430,27 +421,27 @@ def check_cubic_chi_oracle() -> CheckResult:
         m1_dual = chern.dual(m1)
         row = [euler_char(tensor(m1_dual, m2), surface) for m2 in kernels]
         if cubic.chi_pair_oracle(m1, t1, surface) != row[i]:
-            return CheckResult("cubic.chi-closed-vs-oracle", False, f"{t1}, {t1}")
+            return False, f"{t1}, {t1}"
         for t2, oracle in zip(divisors, row):
             if closed_form(2, [t1.dot(t2)]) != oracle:
-                return CheckResult("cubic.chi-closed-vs-oracle", False, f"{t1}, {t2}")
-    return CheckResult("cubic.chi-closed-vs-oracle", True, "all 72^2 ordered pairs")
+                return False, f"{t1}, {t2}"
+    return True, "all 72^2 ordered pairs"
 
 
-def check_cubic_decompositions() -> CheckResult:
+def check_cubic_decompositions() -> tuple[bool, str]:
     rep = cubic.twisted_cubic_representative
     for row in tables.CUBIC_PAIR_ROWS:
         t1, t2 = row.part_divisors()
         target = t1 + t2
         decs = cubic.decompose_stable_sum(target, 2)
         if not any((p.divisor, q.divisor) == (t1, t2) for p, q in (d.parts for d in decs)):
-            return CheckResult("cubic.decompositions", False, f"missing pair for {target}")
+            return False, f"missing pair for {target}"
         if any(not dec.validate() for dec in decs):
-            return CheckResult("cubic.decompositions", False, f"invalid tuple for {target}")
+            return False, f"invalid tuple for {target}"
     doubled = cubic.decompose_stable_sum(2 * rep("A"), 2)
     if any(p.divisor == q.divisor == rep("A") for p, q in (d.parts for d in doubled)):
-        return CheckResult("cubic.decompositions", False, "2*T_A should not decompose through itself")
-    return CheckResult("cubic.decompositions", True, "table pairs found, all tuples revalidate")
+        return False, "2*T_A should not decompose through itself"
+    return True, "table pairs found, all tuples revalidate"
 
 
 def cubic_pair_rows() -> list[dict]:
@@ -484,16 +475,14 @@ def cubic_pair_rows() -> list[dict]:
     return records
 
 
-def check_cubic_moduli_pairs() -> CheckResult:
+def check_cubic_moduli_pairs() -> tuple[bool, str]:
     records = cubic_pair_rows()
     for rec in records:
         if not rec["match"]:
-            return CheckResult(
-                "cubic.moduli-pairs", False,
+            return False, (
                 f"row {rec['parts']}: got seed c2={rec['seed_c2']} partner c2={rec['partner_c2']} "
                 f"dim={rec['dim']}, twists {'ok' if rec['twists_match'] else 'FAIL'}")
-    return CheckResult("cubic.moduli-pairs", True,
-                       f"{len(records)} rows, partners, 5 random twists each")
+    return True, f"{len(records)} rows, partners, 5 random twists each"
 
 
 def moduli_table_rows() -> list[dict]:
@@ -508,14 +497,12 @@ def moduli_table_rows() -> list[dict]:
     return records
 
 
-def check_moduli_table() -> CheckResult:
+def check_moduli_table() -> tuple[bool, str]:
     records = moduli_table_rows()
     for rec in records:
         if not rec["match"]:
-            return CheckResult(
-                "ulrich.moduli-table", False,
-                f"d={rec['d']} c1^2={rec['c1_sq']}: got c2={rec['c2']} dim={rec['dim']}")
-    return CheckResult("ulrich.moduli-table", True, f"all {len(records)} rows recomputed")
+            return False, f"d={rec['d']} c1^2={rec['c1_sq']}: got c2={rec['c2']} dim={rec['dim']}"
+    return True, f"all {len(records)} rows recomputed"
 
 
 def run_all_checks(extra_seeds: Iterable[Seed] = ()) -> list[CheckResult]:
@@ -527,7 +514,7 @@ def run_all_checks(extra_seeds: Iterable[Seed] = ()) -> list[CheckResult]:
     """
     seeds = default_seeds() + list(extra_seeds)
     rng, cases = random.Random(DEFAULT_RNG_SEED), DEFAULT_CASES
-    plan: list[tuple[str, Callable[[], CheckResult]]] = [
+    plan: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("picard.signature", check_picard_signature),
         ("picard.bilinearity", lambda: check_picard_bilinearity(rng, cases)),
         ("picard.permutation-pairing", lambda: check_picard_permutation(rng, cases)),
@@ -556,7 +543,8 @@ def run_all_checks(extra_seeds: Iterable[Seed] = ()) -> list[CheckResult]:
     results: list[CheckResult] = []
     for name, fn in plan:
         try:
-            results.append(fn())
+            passed, detail = fn()
         except Exception as exc:  # surface the failure, keep the suite going
-            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
     return results

@@ -233,18 +233,6 @@ class QuadraticNumber:
         return f"{self.a} + {self.b}*sqrt({self.radicand})"
 
 
-def alpha_pair(d: int) -> tuple[QuadraticNumber, QuadraticNumber]:
-    """The characteristic roots ((d-2) +- sqrt(d(d-4)))/2, d >= 5.
-
-    They are units: alpha_1 * alpha_2 = 1 and alpha_1 + alpha_2 = d - 2.
-    """
-    _require_int(d, "distinct characteristic roots need d >= 5", DegreeOutOfRange, 5)
-    radicand = d * (d - 4)
-    half = Fraction(1, 2)
-    alpha = QuadraticNumber(Fraction(d - 2, 2), half, radicand)
-    return alpha, alpha.conjugate()
-
-
 _RECURRENCE_DEGREE = f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]"
 
 

@@ -21,7 +21,7 @@ class ModuliRow:
     dim: int
 
 
-# Rank-2 Ulrich moduli spaces with 0 < expected dimension <= 5.
+# The rank-2 Ulrich moduli rows as the source publishes them (not a census).
 MODULI_DIM_ROWS: tuple[ModuliRow, ...] = (
     ModuliRow(4, 12, 4, 1),
     ModuliRow(4, 16, 6, 5),

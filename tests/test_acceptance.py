@@ -247,15 +247,16 @@ def test_criterion_9_randomized_properties(capsys):
         cases = 1000
         rng = random.Random(RNG_SEED)
         families = [
-            checks.check_picard_bilinearity(rng, cases),
-            checks.check_picard_permutation(rng, cases),
-            checks.check_picard_parser(rng, cases),
-            checks.check_chern_tensor_symmetry(rng, cases),
-            checks.check_chern_tensor_associativity(rng, cases),
-            checks.check_chern_sum_permutation(rng, cases),
-            checks.check_chern_chi_additive(rng, cases),
-            checks.check_chern_twist_invariants(rng, cases),
-            checks.check_candidate_permutation_invariance(rng, cases),
+            checks.check_picard_bilinearity,
+            checks.check_picard_permutation,
+            checks.check_picard_parser,
+            checks.check_chern_tensor_symmetry,
+            checks.check_chern_tensor_associativity,
+            checks.check_chern_sum_permutation,
+            checks.check_chern_chi_additive,
+            checks.check_chern_twist_invariants,
+            checks.check_candidate_permutation_invariance,
         ]
-        for result in families:
-            assert result.passed, f"{result.name}: {result.detail}"
+        for family in families:
+            passed, detail = family(rng, cases)
+            assert passed, f"{family.__name__}: {detail}"

@@ -80,5 +80,5 @@ def test_property_checks_consume_the_pinned_stream():
         checks.check_chern_twist_invariants(rng, cases),
         checks.check_candidate_permutation_invariance(rng, min(cases, 500)),
     ]
-    assert all(result.passed for result in results)
+    assert all(passed for passed, _ in results)
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == CASE_STREAM_DIGEST

@@ -186,6 +186,34 @@ class TestCubicsAndDecompose:
         assert result.exit_code == 1
 
 
+# The self-check's plan in run order: each check's name and its function.
+CHECK_PLAN = [
+    ("picard.signature", "check_picard_signature"),
+    ("picard.bilinearity", "check_picard_bilinearity"),
+    ("picard.permutation-pairing", "check_picard_permutation"),
+    ("picard.parser-roundtrip", "check_picard_parser"),
+    ("chern.tensor-commutative", "check_chern_tensor_symmetry"),
+    ("chern.tensor-associative", "check_chern_tensor_associativity"),
+    ("chern.sum-permutation-invariant", "check_chern_sum_permutation"),
+    ("chern.chi-additive", "check_chern_chi_additive"),
+    ("chern.discriminant-twist-invariant", "check_chern_twist_invariants"),
+    ("ulrich.candidate-permutation-invariant", "check_candidate_permutation_invariance"),
+    ("syzygy.rank-triangle", "check_rank_triangle"),
+    ("syzygy.rank-monotone", "check_rank_monotone"),
+    ("syzygy.drift-constant", "check_drift_constant"),
+    ("syzygy.delta-growth", "check_delta_growth"),
+    ("syzygy.closed-vs-iterate", "check_closed_vs_iterate"),
+    ("syzygy.table-vs-closed", "check_table_vs_closed"),
+    ("ulrich.thresholds", "check_ulrich_thresholds"),
+    ("ulrich.candidates", "check_ulrich_candidates"),
+    ("ulrich.moduli-table", "check_moduli_table"),
+    ("cubic.census", "check_cubic_census"),
+    ("cubic.chi-closed-vs-oracle", "check_cubic_chi_oracle"),
+    ("cubic.decompositions", "check_cubic_decompositions"),
+    ("cubic.moduli-pairs", "check_cubic_moduli_pairs"),
+]
+
+
 class TestCheck:
     def test_all_checks_pass(self, runner):
         result = runner.invoke(main, ["check"])
@@ -214,6 +242,22 @@ class TestCheck:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    @pytest.mark.parametrize("name,function", CHECK_PLAN, ids=[name for name, _ in CHECK_PLAN])
+    def test_raising_check_is_reported_under_its_plan_name(self, monkeypatch, name, function):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(checks, function, boom)
+        # The runner is under test here, not the properties: fewer random cases.
+        monkeypatch.setattr(checks, "DEFAULT_CASES", 10)
+        results = checks.run_all_checks()
+        assert [result.name for result in results] == [plan_name for plan_name, _ in CHECK_PLAN]
+        for result in results:
+            if result.name == name:
+                assert (result.name, result.passed, result.detail) == (
+                    name, False, "raised RuntimeError: boom")
+            else:
+                assert result.passed, result
 
     @pytest.mark.parametrize(
         "content,message",
@@ -740,6 +784,26 @@ class TestExactBytes:
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (
             "a2122ab695d43f4e0c89a0d21d18be3ed536e8af46eb1a6aff46ce20ea97b6ec", 2871)
 
+    @pytest.mark.parametrize("args,row,digest", [
+        (["check"], "| {} | FAIL | {}",
+         ("7991d12d36b5f1a12690f4fe8261641650c07ff330ed609413540d106d0ef8ea", 1940)),
+        (["check", "--format", "json"], '"name": "{}",\n      "passed": false,\n      "detail": "{}',
+         ("07857d1642286317bec5e51593312a70c6dc4c22a133cae1d11c3c072c3022b0", 3268)),
+    ], ids=["markdown", "json"])
+    def test_check_with_failing_seed_file_digest(self, runner, tmp_path, args, row, digest):
+        # c2 = 5 is not this class's Ulrich c2 (4): the three syzygy checks
+        # that iterate the seed raise NotUlrich, and ulrich.candidates fails.
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps([{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 5}]))
+        result = runner.invoke(main, args, env={"ULRICH_LAB_SEED_FILE": str(path)})
+        assert result.exit_code == 1
+        assert result.output.count("raised NotUlrich: ") == 3
+        for name in ("syzygy.drift-constant", "syzygy.delta-growth", "syzygy.closed-vs-iterate"):
+            assert row.format(name, "raised NotUlrich: ") in result.output
+        assert row.format("ulrich.candidates", "BundleNumerics(rank=2, ") in result.output
+        data = result.output.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
+
     @pytest.mark.parametrize("name", list(HELP), ids=[name or "group" for name in HELP])
     def test_help_bytes(self, runner, name):
         args = [name, "--help"] if name else ["--help"]
@@ -773,10 +837,9 @@ class TestTableMismatch:
         assert '"all_match": false' in result.output
 
     def test_moduli_check(self, wrong_dim):
-        result = checks.check_moduli_table()
-        assert result.name == "ulrich.moduli-table"
-        assert result.passed is False
-        assert "d=5 c1^2=20" in result.detail
+        passed, detail = checks.check_moduli_table()
+        assert passed is False
+        assert "d=5 c1^2=20" in detail
 
     def test_pairs_command(self, runner, wrong_partner_c2):
         result = runner.invoke(main, ["table-pairs"])
@@ -788,10 +851,9 @@ class TestTableMismatch:
         assert '"all_match": false' in result.output
 
     def test_pairs_check(self, wrong_partner_c2):
-        result = checks.check_cubic_moduli_pairs()
-        assert result.name == "cubic.moduli-pairs"
-        assert result.passed is False
-        assert "B+B" in result.detail
+        passed, detail = checks.check_cubic_moduli_pairs()
+        assert passed is False
+        assert "B+B" in detail
 
 
 class TestCheckReachesClosedRoutes:
@@ -827,18 +889,17 @@ class TestTableCounts:
 
     def test_full_tables(self):
         assert len(tables.MODULI_DIM_ROWS) == 9 and len(tables.CUBIC_PAIR_ROWS) == 3
-        assert checks.check_moduli_table().detail == "all 9 rows recomputed"
-        assert checks.check_cubic_moduli_pairs().detail == "3 rows, partners, 5 random twists each"
+        assert checks.check_moduli_table() == (True, "all 9 rows recomputed")
+        assert checks.check_cubic_moduli_pairs() == (
+            True, "3 rows, partners, 5 random twists each")
 
     def test_moduli_check(self, cut_tables):
-        result = checks.check_moduli_table()
-        assert (result.passed, result.detail) == (True, "all 4 rows recomputed")
+        assert checks.check_moduli_table() == (True, "all 4 rows recomputed")
 
     def test_pairs_check(self, cut_tables):
-        result = checks.check_cubic_moduli_pairs()
-        assert (result.passed, result.detail) == (True, "2 rows, partners, 5 random twists each")
+        assert checks.check_cubic_moduli_pairs() == (
+            True, "2 rows, partners, 5 random twists each")
 
     def test_table_vs_closed(self, cut_tables):
         # The detail names no count; it covers whatever rows the table holds.
-        result = checks.check_table_vs_closed()
-        assert (result.passed, result.detail) == (True, "all table rows, k = -1..20")
+        assert checks.check_table_vs_closed() == (True, "all table rows, k = -1..20")

@@ -67,7 +67,6 @@ from ulrich_lab import (
     ulrich_c2,
     ulrich_profile,
 )
-from ulrich_lab.syzygy import alpha_pair
 
 S4 = make_surface(4)
 S5 = make_surface(5)
@@ -88,7 +87,6 @@ ROWS = [
     ("QuadraticNumber-radicand", lambda v: QuadraticNumber(1, 1, v), ValueError, False),
     ("QuadraticNumber-a", lambda v: QuadraticNumber(v, 1, 5), TypeError, True),
     ("QuadraticNumber-b", lambda v: QuadraticNumber(1, v, 5), TypeError, True),
-    ("alpha_pair-d", alpha_pair, DegreeOutOfRange, False),
     ("rank_by_recurrence-d", lambda v: rank_by_recurrence(v, 2, 3), DegreeOutOfRange, False),
     ("rank_by_recurrence-r", lambda v: rank_by_recurrence(5, v, 3), ValueError, False),
     ("rank_by_recurrence-k", lambda v: rank_by_recurrence(5, 2, v), ValueError, True),

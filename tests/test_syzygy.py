@@ -41,7 +41,7 @@ from ulrich_lab import (
 )
 from ulrich_lab import checks, discriminant, euler_char, tables
 from ulrich_lab import syzygy as syzygy_module
-from ulrich_lab.syzygy import _closed_core, _ring_mul, alpha_pair
+from ulrich_lab.syzygy import _closed_core, _ring_mul
 
 S3 = make_surface(3)
 S4 = make_surface(4)
@@ -102,17 +102,19 @@ class TestQuadraticNumber:
 
 
 class TestCharacteristicRoots:
+    """alpha = ((d-2) + sqrt(D))/2, D = d(d-4), as the Z[alpha] pair (d-2, 1).
+
+    A pair (x, y) stands for (x + y sqrt(D))/2, as in ``_ring_mul``.
+    """
+
     @pytest.mark.parametrize("d", range(5, 9))
     def test_unit_roots(self, d):
-        a1, a2 = alpha_pair(d)
-        one = QuadraticNumber(Fraction(1), Fraction(0), d * (d - 4))
-        assert a1 + a2 == one * (d - 2)
-        assert a1 * a2 == one
-        assert a2 == a1.conjugate()
-
-    def test_needs_distinct_roots(self):
-        with pytest.raises(DegreeOutOfRange):
-            alpha_pair(4)
+        radicand = d * (d - 4)
+        alpha, alpha_bar = (d - 2, 1), (d - 2, -1)
+        assert _ring_mul(alpha, alpha_bar, radicand) == (2, 0)  # alpha * alpha_bar = 1
+        assert (alpha[0] + alpha_bar[0], alpha[1] + alpha_bar[1]) == (2 * (d - 2), 0)  # sum d-2
+        # alpha^2 = (d-2) alpha - 1: the characteristic equation of the rank recurrence.
+        assert _ring_mul(alpha, alpha, radicand) == ((d - 2) ** 2 - 2, d - 2)
 
 
 class TestRankFormulas:
