@@ -1,11 +1,10 @@
 """Self-check suite: every module invariant as a named, reportable check.
 
-The CLI ``check`` subcommand runs these and prints one pass/fail line
-per property.  Each ``check_*`` returns ``(passed, detail)``; its name is
-written once, in the plan of :func:`run_all_checks`, so a check reports
-under the same name whether it passes, fails or raises.  Randomized checks
-draw from a fixed-seed generator, so two runs over the same configuration
-produce identical output.
+The CLI ``check`` subcommand prints one pass/fail line per property.  Each
+check body returns ``(passed, detail)``; the plan of :func:`run_all_checks`
+names it once, and :func:`check_one` reports it under that name whether it
+passes, fails or raises.  Randomized checks draw from a fixed-seed
+generator, so two runs over the same configuration produce identical output.
 """
 
 from __future__ import annotations
@@ -505,13 +504,21 @@ def check_moduli_table() -> tuple[bool, str]:
     return True, f"all {len(records)} rows recomputed"
 
 
-def run_all_checks(extra_seeds: Iterable[Seed] = ()) -> list[CheckResult]:
-    """Run every invariant check; extra seeds join the seed-driven ones.
+def check_one(name: str, run: Callable[[], tuple[bool, str]]) -> CheckResult:
+    """Run one planned check; its verdict, or a raise, is reported under ``name``.
 
-    A check that raises (for example on a user seed that is not an
-    Ulrich candidate) is reported as a failure rather than aborting the
-    rest of the suite.
+    Public and named ``check_*``, so a tracer that wraps this module's
+    ``check_*`` functions (``perfbench/tracing.py``) labels the check's span.
     """
+    try:
+        passed, detail = run()
+    except Exception as exc:  # surface the failure, keep the suite going
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(name, passed, detail)
+
+
+def run_all_checks(extra_seeds: Iterable[Seed] = ()) -> list[CheckResult]:
+    """Run every check in plan order; extra seeds join the seed-driven ones."""
     seeds = default_seeds() + list(extra_seeds)
     rng, cases = random.Random(DEFAULT_RNG_SEED), DEFAULT_CASES
     plan: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
@@ -540,11 +547,4 @@ def run_all_checks(extra_seeds: Iterable[Seed] = ()) -> list[CheckResult]:
         ("cubic.decompositions", check_cubic_decompositions),
         ("cubic.moduli-pairs", check_cubic_moduli_pairs),
     ]
-    results: list[CheckResult] = []
-    for name, fn in plan:
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # surface the failure, keep the suite going
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail))
-    return results
+    return [check_one(name, run) for name, run in plan]

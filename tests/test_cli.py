@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -242,22 +244,37 @@ class TestCheck:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
-    @pytest.mark.parametrize("name,function", CHECK_PLAN, ids=[name for name, _ in CHECK_PLAN])
-    def test_raising_check_is_reported_under_its_plan_name(self, monkeypatch, name, function):
-        def boom(*args):
-            raise RuntimeError("boom")
+    def test_raising_checks_are_reported_under_their_plan_names(self, monkeypatch):
+        # Every check raises, each with its own function's name: one run shows
+        # the plan order, each check's name, the raised detail, and that the
+        # suite goes on after every failure.
+        for _, function in CHECK_PLAN:
+            def boom(*args, function=function):
+                raise RuntimeError(function)
 
-        monkeypatch.setattr(checks, function, boom)
-        # The runner is under test here, not the properties: fewer random cases.
-        monkeypatch.setattr(checks, "DEFAULT_CASES", 10)
+            monkeypatch.setattr(checks, function, boom)
         results = checks.run_all_checks()
-        assert [result.name for result in results] == [plan_name for plan_name, _ in CHECK_PLAN]
-        for result in results:
-            if result.name == name:
-                assert (result.name, result.passed, result.detail) == (
-                    name, False, "raised RuntimeError: boom")
-            else:
-                assert result.passed, result
+        assert [(r.name, r.passed, r.detail) for r in results] == [
+            (name, False, f"raised RuntimeError: {function}") for name, function in CHECK_PLAN]
+
+    def test_traced_run_times_every_check_under_its_name(self, monkeypatch):
+        # perfbench/tracing.py labels a checks.check_* span with the .name of
+        # its result; the cli-session metric checks.<name>.ms reads 0 for a
+        # check whose span carries no label.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracing
+
+        monkeypatch.setattr(checks, "DEFAULT_CASES", 10)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            results = checks.run_all_checks()
+        finally:
+            tracer.uninstall()
+        names = [name for name, _ in CHECK_PLAN]
+        assert [result.name for result in results] == names == list(tracing.CHECK_NAMES)
+        metrics = tracing.aggregate(tracer, {}, Counter())
+        assert [name for name in names if metrics[f"checks.{name}.ms"]["value"] <= 0] == []
 
     @pytest.mark.parametrize(
         "content,message",
