@@ -3,8 +3,10 @@
 # the [project.scripts] declaration is exercised (the CliRunner tests call
 # main in process).  Subcommands are registered at import time, so --help of
 # each one fails on a broken declaration.  The deep syzygy and sequence runs
-# take the integer syzygy step and the closed rank form to k = 200; the
-# cubics and decompose runs print divisor classes through their str() memo.
+# take the integer syzygy step and the closed rank form to k = 200, and the
+# syzygy JSON is read back: 202 rows, each with drift 1 and the rank of the
+# three-term recurrence, written out here; the cubics and decompose runs
+# print divisor classes through their str() memo.
 # One check run reads a seed file, so the validating path from JSON to
 # BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
 # the library's internal results, which skip re-validation; a second one
@@ -54,7 +56,17 @@ if [ "$status" -ne 1 ] || [ "$(grep -c 'raised NotUlrich' "$out_file")" -ne 3 ];
     exit 1
 fi
 ulrich-lab table-pairs
-ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json
+ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json > "$out_file"
+python3 -c '
+import json, sys
+entries = json.load(open(sys.argv[1]))["entries"]
+assert len(entries) == 202, f"{len(entries)} rows, wanted 202"
+assert all(row["drift"] == 1 for row in entries), "a drift is not 1"
+ranks = [2, 12]  # N_{-1} = r, N_0 = r (d - 1), N_k = (d - 2) N_{k-1} - N_{k-2}
+while len(ranks) < 202:
+    ranks.append(5 * ranks[-1] - ranks[-2])
+assert [row["rank"] for row in entries] == ranks, "a rank is off the recurrence"
+' "$out_file"
 ulrich-lab sequence --d 8 --k-max 200
 ulrich-lab cubics --format csv
 ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json

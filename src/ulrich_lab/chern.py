@@ -60,8 +60,9 @@ Riemann-Roch and the reduced twist have one body each, on plain ints:
 and call them, and :func:`ulrich_lab.ulrich.is_ulrich_candidate` calls them
 once for each of its twists by -H and -2H.
 :func:`ulrich_lab.syzygy.iterate_syzygy` makes no call per step: its loop
-writes chi, the kernel and the twist by H out once more on its locals, and
-reaches ``_chi`` only to raise the parity refusal.  The exact halvings are
+writes chi, the kernel and the twist by H out once more on its locals, in
+w = 2 c2 - c1^2 for c2, and reaches ``_chi`` only to raise the parity refusal
+of its seed.  The exact halvings are
 ``>> 1`` and the parity test is ``& 1``: for every Python int, negative ones
 included, they equal ``// 2`` and ``% 2``, and on integers of thousands of
 bits they cost a fraction of the division.

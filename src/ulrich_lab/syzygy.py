@@ -47,28 +47,26 @@ The sum telescopes, and the recurrence closes what is left (see
 ranks N_{k-1} and N_k: one recurrence pass for :func:`closed_syzygy_chern`
 and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
 :func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
-data (rank, c1^2, c1.H, c2) and keeps them as columns of k + 2 ints; for an
-exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
+data (rank, c1^2, c1.H, 2 c2 - c1^2) and keeps them as columns of k + 2 ints;
+for an exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
 c1(S_k) = -c1(S_{k-1}) + N_k H = (-1)^{k+1} c1(E) + M_k H gives the exact
 c1 of any row from it.  One builder makes a row of the trace, and its exact
 c1, the first time the row is read, by index or by iteration, and keeps it;
 so every route is linear in k or better, and reading the last row and the
 drift costs no row in between.
-One step from (n, q, p, c2) of S_{k-1} is Riemann-Roch, the kernel and the
-twist by H:
+One step from (n, q, p, w) of S_{k-1}, q = c1^2, p = c1.H, w = 2 c2 - c1^2,
+is Riemann-Roch, the kernel and the twist by H:
 
-    N_k = chi(S_{k-1}) - n = (q + p)/2 - c2,   p' = N_k d - p,
-    q' = q + N_k u,   c2' = q - c2 + (N_k - 1) u / 2,   u = p' - p,
+    N_k = chi(S_{k-1}) - n = (p - w)/2,   u = N_k d - 2p,
+    q' = q + N_k u,   p' = p + u,   w' = -(w + u),
 
-so N_k u is the one product of two big integers per step, and both
-halvings are exact (q + p is even on a lattice, (N_k - 1) u is even by the
-twist formula of :mod:`ulrich_lab.chern`).  :func:`iterate_syzygy` runs
-this step fused on local ints, with no call per step: it is a second copy of
-the formulas of ``chern._chi`` and ``chern._twist``, the cores of
-:func:`~ulrich_lab.chern.euler_char` and :func:`~ulrich_lab.chern.twist_by_h`,
-and ``tests/test_proofs.py`` proves it equal to the kernel followed by the
-textbook twist.  It halves with ``>> 1``, as those cores, ``_ring_mul`` of
-the closed rank form and C(m, 2) in ``_closed_core`` do.  Every route
+so the rank check runs on ints of the size of N_k, and N_k u is the one
+product of two big integers per step.  p - w = q + p (mod 2), even on a
+lattice, and the step keeps it, so the parity refusal runs once, on the
+seed, and a row's c2 = (w + q)/2 is exact.  :func:`iterate_syzygy` runs
+this step on local ints, with no call per step; ``tests/test_proofs.py``
+proves it equal to the (c1^2, c1.H, c2) step of ``chern._chi`` and
+``chern._twist``, the kernel followed by the textbook twist.  Every route
 refuses a seed that fails the numerical Ulrich conditions with
 :class:`NotUlrich`.
 """
@@ -387,9 +385,10 @@ class _TraceRows(Sequence):
     """The rows of a :class:`SyzygyTrace`, kept as columns and built when read.
 
     Row i is the numerics of S_k with k = i - 1.  The columns are the ranks,
-    c1^2, c1.H and c2 of S_{-1}, ..., S_{k_max}, one int each per row.  For an
-    exact seed c1(E) and the column M_{-1}, ..., M_{k_max} come with them, and
-    row i has the class c1(S_k) = (-1)^{k+1} c1(E) + M_k H.  With
+    c1^2, c1.H and w = 2 c2 - c1^2 of S_{-1}, ..., S_{k_max}, one int each per
+    row; a row's c2 is (w + c1^2)/2.  For an exact seed c1(E) and the column
+    M_{-1}, ..., M_{k_max} come with them, and row i has the class
+    c1(S_k) = (-1)^{k+1} c1(E) + M_k H.  With
     H = (3; 1, ..., 1) that is (+-a + 3 M; +-b_1 + M, ..., +-b_t + M), the
     sign + on even i: int arithmetic on checked coordinates, so no re-check
     (see picard).
@@ -400,16 +399,20 @@ class _TraceRows(Sequence):
     value this is the tuple of its rows: ``==`` with that tuple holds,
     ``hash`` and ``repr`` are the tuple's, a slice is a tuple, and an index
     out of range raises IndexError.  Pickles and copies carry the columns
-    only.
+    only, with c2 for w, so they load where the rows keep either.
     """
 
-    __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_c2s", "_c1", "_ms", "_rows")
+    __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_ws", "_c1", "_ms", "_rows")
 
     def __init__(self, ranks: list[int], c1_sqs: list[int], degrees: list[int], c2s: list[int],
                  c1: DivisorClass | None = None, ms: list[int] | None = None) -> None:
-        self._ranks, self._c1_sqs, self._degrees, self._c2s = ranks, c1_sqs, degrees, c2s
-        self._c1, self._ms = c1, ms
-        self._rows: list[TraceEntry | None] = [None] * len(ranks)
+        # The layout of a pickle (see __reduce__), with c2 where the rows keep w.
+        self._fill(ranks, c1_sqs, degrees, [2 * c2 - q for q, c2 in zip(c1_sqs, c2s)], c1, ms)
+
+    def _fill(self, ranks, c1_sqs, degrees, ws, c1, ms) -> _TraceRows:
+        self._ranks, self._c1_sqs, self._degrees, self._ws = ranks, c1_sqs, degrees, ws
+        self._c1, self._ms, self._rows = c1, ms, [None] * len(ranks)
+        return self
 
     def _row(self, i: int) -> TraceEntry:
         row = self._rows[i]
@@ -421,8 +424,9 @@ class _TraceRows(Sequence):
                     c1 = _trusted(3 * m - c1.a, tuple(map(m.__sub__, c1.b)))
                 else:
                     c1 = _trusted(3 * m + c1.a, tuple(map(m.__add__, c1.b)))
+            q = self._c1_sqs[i]  # w = 2 c2 - q, so the halving is exact
             row = self._rows[i] = _trusted_entry(
-                i - 1, self._ranks[i], c1, self._c1_sqs[i], self._degrees[i], self._c2s[i])
+                i - 1, self._ranks[i], c1, q, self._degrees[i], (self._ws[i] + q) >> 1)
         return row
 
     def __len__(self) -> int:
@@ -450,7 +454,8 @@ class _TraceRows(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return _TraceRows, (self._ranks, self._c1_sqs, self._degrees, self._c2s, self._c1, self._ms)
+        c2s = [(w + q) >> 1 for q, w in zip(self._c1_sqs, self._ws)]
+        return _TraceRows, (self._ranks, self._c1_sqs, self._degrees, c2s, self._c1, self._ms)
 
 
 @dataclass(frozen=True)
@@ -483,14 +488,15 @@ class SyzygyTrace:
 def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> SyzygyTrace:
     """Run the syzygy-and-twist iteration from an Ulrich candidate seed.
 
-    Every step runs in the reduced resolution (rank, c1^2, c1.H, c2), as the
-    module docstring writes it: Riemann-Roch with its parity refusal, the
-    kernel and the twist by H, on local ints, with one product of two big
-    integers.  The rank of every computed S_k is cross-checked against the
-    three-term recurrence, run beside the step.  Each field is collected in
-    its own column, and the trace keeps the columns: a row is built only
-    when it is read.  For a :class:`BundleNumerics` seed the exact classes
-    come from c1(S_k) = (-1)^{k+1} c1(E) + M_k H, with M_{-1} = 0 and
+    Every step runs on (rank, c1^2, c1.H, w = 2 c2 - c1^2), as the module
+    docstring writes it: Riemann-Roch, the kernel and the twist by H, on
+    local ints, with one product of two big integers; the parity refusal of
+    Riemann-Roch runs once, on the seed, when k_max >= 0.  The rank of every
+    computed S_k is cross-checked against the three-term recurrence, run
+    beside the step.  Each field is collected in its own column, and the
+    trace keeps the columns: a row is built only when it is read.  For a
+    :class:`BundleNumerics` seed the exact classes come from
+    c1(S_k) = (-1)^{k+1} c1(E) + M_k H, with M_{-1} = 0 and
     M_k = N_k - M_{k-1}, kept as one more column; the last row is built here,
     and its class is checked against the reduced c1^2 and c1.H.  A mismatch
     in either check would mean the transform formulas have fallen out of
@@ -513,42 +519,36 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
             "degree 3 supports the first syzygy step only (k_max <= 0); "
             "deeper iterations are not globally generated"
         )
-    n, q, p, c2 = seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2
-    ranks, c1_sqs, degrees, c2s = [n], [q], [p], [c2]
-    # From here on every value is an int from int arithmetic on the checked
-    # seed.  The recurrence runs from (N_{-1}, N_0) = (r, r(d-1)).
+    n, q, p, w = seed.rank, seed.c1_sq, seed.c1_dot_h, 2 * seed.c2 - seed.c1_sq
+    if k_max >= 0 and (q + p) & 1:  # p - w has the parity of q + p, and keeps it
+        _chi(n, q, p, seed.c2, surface.euler_char_structure_sheaf)  # the parity refusal
+    ranks, c1_sqs, degrees, ws = [n], [q], [p], [w]
+    # From here on every value is int arithmetic on the checked seed.  The
+    # recurrence runs from (N_{-1}, N_0) = (r, r(d-1)); prev is N_{k-1}.
     trace_coefficient = d - 2
     prev, expected_rank = n, n * (d - 1)
     for k in range(k_max + 1):
-        numerator = q + p
-        if numerator & 1:
-            _chi(n, q, p, c2, surface.euler_char_structure_sheaf)  # raises the parity refusal
-        # chi(O) = 1 on a del Pezzo surface, so the kernel has rank
-        # N = chi(S_{k-1}) - n = (q + p)/2 - c2, and no kernel unless N > 0.
-        rank = (numerator >> 1) - c2
-        if rank <= 0:
-            raise NoKernel(f"chi = {rank + n} does not exceed rank {n} at step {k}")
-        n = rank
-        if n != expected_rank:
-            raise RuntimeError(
-                f"internal inconsistency: rank {n} at step {k}, "
-                f"recurrence predicts {expected_rank}"
-            )
+        # chi(O) = 1, so the kernel has rank N = chi(S_{k-1}) - prev = (p - w)/2.
+        n = (p - w) >> 1
+        if n != expected_rank:  # every rank of the recurrence is positive
+            if n <= 0:
+                raise NoKernel(f"chi = {n + prev} does not exceed rank {prev} at step {k}")
+            raise RuntimeError(f"internal inconsistency: rank {n} at step {k}, "
+                               f"recurrence predicts {expected_rank}")
         prev, expected_rank = n, trace_coefficient * n - prev
-        # The kernel (c1.H -> -p, c2 -> q - c2), then O(H):
-        # p' = N d - p, u = p' - p, q' = q + N u, c2' = q - c2 + (N u - u)/2.
-        p_next = n * d - p
-        u = p_next - p
-        nu = n * u
-        q, p, c2 = q + nu, p_next, q - c2 + ((nu - u) >> 1)
+        # The kernel, then O(H): u = N d - 2p, q' = q + N u, p' = p + u, w' = -(w + u).
+        u = n * d - p - p
+        q += n * u
+        p += u
+        w = -(w + u)
         ranks.append(n)
         c1_sqs.append(q)
         degrees.append(p)
-        c2s.append(c2)
+        ws.append(w)
     if isinstance(seed, BundleNumerics):
         # int.__rsub__(m, n) is n - m, so this is M_{-1} = 0, M_k = N_k - M_{k-1}.
         ms = list(accumulate(islice(ranks, 1, None), int.__rsub__, initial=0))
-        entries = _TraceRows(ranks, c1_sqs, degrees, c2s, seed.c1, ms)
+        entries = _new(_TraceRows)._fill(ranks, c1_sqs, degrees, ws, seed.c1, ms)
         c1 = entries[-1].c1
         if (c1.self_intersection, c1.degree) != (q, p):
             raise RuntimeError(
@@ -556,7 +556,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
                 f"the reduced (c1^2, c1.H) = ({q}, {p})"
             )
     else:
-        entries = _TraceRows(ranks, c1_sqs, degrees, c2s)
+        entries = _new(_TraceRows)._fill(ranks, c1_sqs, degrees, ws, None, None)
     return SyzygyTrace(surface, seed, entries)
 
 
@@ -567,20 +567,20 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     """Delta(S_k) - (N_k^2 - 1) for every trace entry.
 
     For an Ulrich seed this list is constant, equal to the expected
-    moduli dimension of the seed.  Each row's (rank, c1^2, c2) is put into
-    the one-product form of :func:`~ulrich_lab.chern.expected_moduli_dim`,
-    rk (2 c2 - c1^2 - rk) + c1^2 + 1.  A trace from :func:`iterate_syzygy`
-    gives them straight from its columns, without building a row; any other
-    sequence of rows is read in one ``attrgetter`` call per row.
+    moduli dimension of the seed.  It is the one-product form of
+    :func:`~ulrich_lab.chern.expected_moduli_dim`, rk (w - rk) + c1^2 + 1
+    with w = 2 c2 - c1^2.  A trace from :func:`iterate_syzygy` gives
+    (rk, c1^2, w) straight from its columns, without building a row; any
+    other sequence of rows is read in one ``attrgetter`` call per row.
     """
     if type(trace) is not SyzygyTrace:
         _require_type(trace, (SyzygyTrace,), "trace")
     entries = trace.entries
     if type(entries) is _TraceRows:
-        fields = zip(entries._ranks, entries._c1_sqs, entries._c2s)
-    else:
-        fields = map(_DRIFT_FIELDS, entries)
-    return [rank * (2 * c2 - c1_sq - rank) + c1_sq + 1 for rank, c1_sq, c2 in fields]
+        return [rank * (w - rank) + c1_sq + 1
+                for rank, c1_sq, w in zip(entries._ranks, entries._c1_sqs, entries._ws)]
+    return [rank * (2 * c2 - c1_sq - rank) + c1_sq + 1
+            for rank, c1_sq, c2 in map(_DRIFT_FIELDS, entries)]
 
 
 def _scope_check(d: int, k: int) -> None:

@@ -658,8 +658,9 @@ Options:
 }
 
 # sha256 and length of outputs too long to inline: `syzygy` on every
-# moduli-table row (its c2 given) and `sequence` at r = 2, both at k_max = 200,
-# and the JSON report of `check`.
+# moduli-table row (its c2 given), on the rH seeds of degree 8 (r = 1, 2, 3)
+# and on 3H of degree 5 (the Ulrich c2 by default), and `sequence` at r = 2,
+# all at k_max = 200, and the JSON report of `check`.
 DIGESTS = {
     "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format markdown":
         ("2498eb553d053926769cf3a69938efb7742cf54383d637183ac29bb220b58e75", 9937),
@@ -715,6 +716,30 @@ DIGESTS = {
         ("666da12a833b6752824d61fa5a4dc9cf4be3805a78afde6f1f0d649afe84cdbb", 114182),
     "syzygy --d 7 --c1-sq 28 --c2 9 --k-max 200 --format json":
         ("5916d4e6f0ddf1b7591ee845bf3174ac2649770d36abfe429ceff2b3c63f3690", 138321),
+    "syzygy --d 8 --r 1 --c1-sq 8 --k-max 200 --format markdown":
+        ("4a9d8c05fffb08e3ada5ecc6d2871f9fa04df57cee37482f68754b1ddd80b200", 130918),
+    "syzygy --d 8 --r 1 --c1-sq 8 --k-max 200 --format csv":
+        ("afc0a807194cf5fc1b163d504b993cbab9a30909d561ee7dcc9d83995e5b5327", 127534),
+    "syzygy --d 8 --r 1 --c1-sq 8 --k-max 200 --format json":
+        ("06282740229f43bf34a0486f65b4d7e35e5547417466b01130623478afe162b0", 151670),
+    "syzygy --d 8 --r 2 --c1-sq 32 --k-max 200 --format markdown":
+        ("2ac6c2adcfc9190b8d1bd20302aa2841fd63ee9d26fb5b56b138182a57966dd2", 131405),
+    "syzygy --d 8 --r 2 --c1-sq 32 --k-max 200 --format csv":
+        ("1da1f5ad500c877402fd431f55575ad9d2c9e48e6abb27e18a3f0f1a34b4f811", 128021),
+    "syzygy --d 8 --r 2 --c1-sq 32 --k-max 200 --format json":
+        ("d7e99a6cb6396fbb83daf963bfc08e091ab3d1fc69324389121d2106f259d6cb", 152160),
+    "syzygy --d 8 --r 3 --c1-sq 72 --k-max 200 --format markdown":
+        ("b763df38c9e5941308761a4a8deaa1bb90ee6c5b21a6aaec5be9ec3e9efda345", 131891),
+    "syzygy --d 8 --r 3 --c1-sq 72 --k-max 200 --format csv":
+        ("d8cb85611c0b6129b30c00b1c1a47df29b3348a9d1da2c5abc6d13204068fb90", 128507),
+    "syzygy --d 8 --r 3 --c1-sq 72 --k-max 200 --format json":
+        ("419e764799bab2d37d651bf88c402d2d9255feb39192eef6d7a996487f18d6d0", 152646),
+    "syzygy --d 5 --r 3 --c1-sq 45 --k-max 200 --format markdown":
+        ("ff782f4ffe3eb5d5e93a323bc042fa8c72cd452429ca3b1071ca54f0cf5431a0", 75359),
+    "syzygy --d 5 --r 3 --c1-sq 45 --k-max 200 --format csv":
+        ("ed8e8d24b111921a494223e7187fe9eecc98f8e8a370ec87641918ab3d415219", 72067),
+    "syzygy --d 5 --r 3 --c1-sq 45 --k-max 200 --format json":
+        ("bc18ff3a7c5d286997c46f1b9ee6f09519c70d46be7e2bfcaebc3cd6b029f616", 96207),
     "sequence --d 5 --k-max 200":
         ("62662119f5cf337ee61045bae91c50309f785ff602017baf6b69c17784587260", 21152),
     "sequence --d 6 --k-max 200":

@@ -20,6 +20,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     DivisorClass,
     NumericClassData,
     discriminant,
+    discriminant_drift,
     dual,
     euler_char,
     expected_moduli_dim,
@@ -372,9 +373,9 @@ class TestFactoredForms:
 class TestOnePassStep:
     """One step of :func:`syzygy.iterate_syzygy` is the kernel, then O(H).
 
-    From (n, q, p, c2) of S_{k-1}, the syzygy module docstring's step is
-    N = (q + p)/2 - c2, p' = N d - p, u = p' - p, q' = q + N u and
-    c2' = q - c2 + (N - 1) u / 2.
+    In (n, q, p, c2) of S_{k-1} the step is N = (q + p)/2 - c2,
+    p' = N d - p, u = p' - p, q' = q + N u and c2' = q - c2 + (N - 1) u / 2;
+    :class:`TestWidthStep` shows that the loop's step on w = 2 c2 - q is this one.
     """
 
     @staticmethod
@@ -426,3 +427,62 @@ class TestOnePassStep:
         assert is_zero(sp.expand_func(
             (q_next + p_next) - (q + p) - 2 * (sp.binomial(nn + 1, 2) * d - p - nn * p)))
 
+
+
+class TestWidthStep:
+    """The step :func:`syzygy.iterate_syzygy` runs, on w = 2 c2 - c1^2.
+
+    From (n, q, p, w) of S_{k-1}, the syzygy module docstring's step is
+    N = (p - w)/2, u = N d - 2p, q' = q + N u, p' = p + u and w' = -(w + u);
+    a row's c2 is (w + q)/2 and its drift rk (w - rk) + q + 1.
+    """
+
+    w = sp.Symbol("w")
+
+    @staticmethod
+    def step(rank, c1_sq, c1_h, w):
+        n = (c1_h - w) / 2
+        u = n * d - 2 * c1_h
+        return n, c1_sq + n * u, c1_h + u, -(w + u)
+
+    @staticmethod
+    def drift(rank, c1_sq, w):
+        return rank * (w - rank) + c1_sq + 1
+
+    def test_step_matches_the_library(self):
+        for dd in range(4, 9):
+            surface = make_surface(dd)
+            for rank, c1_sq in ((1, dd - 2), (2, 4 * dd - 4), (3, 9 * dd)):
+                seed = NumericClassData(rank, c1_sq, rank * dd, ulrich_c2(rank, c1_sq, surface))
+                trace = iterate_syzygy(seed, surface, 6)
+                rows = trace.entries
+                widths = [2 * row.c2 - row.c1_sq for row in rows]
+                assert rows._ws == widths  # the column the trace keeps
+                for before, after, w_before, w_after in zip(rows, rows[1:], widths, widths[1:]):
+                    data = tuple(map(sp.Integer, (before.rank, before.c1_sq, before.c1_dot_h,
+                                                  w_before)))
+                    got = (after.rank, after.c1_sq, after.c1_dot_h, w_after)
+                    assert tuple(x.subs(d, dd) for x in self.step(*data)) == got
+                assert [self.drift(row.rank, row.c1_sq, w)
+                        for row, w in zip(rows, widths)] == discriminant_drift(trace)
+
+    def test_step_equals_the_c2_step(self):
+        # Substitute w = 2 c2 - c1^2 and compare with the (c1^2, c1.H, c2) step.
+        n, q_next, p_next, w_next = (x.subs(self.w, 2 * c2 - q) for x in self.step(r, q, p, self.w))
+        m, q_old, p_old, c2_old = TestOnePassStep.one_pass(r, q, p, c2)
+        for mine, theirs in ((n, m), (q_next, q_old), (p_next, p_old),
+                             (w_next, 2 * c2_old - q_old)):
+            assert is_zero(sp.expand_func(mine - theirs))
+
+    def test_parity_is_that_of_riemann_roch_and_is_kept(self):
+        # p - w and q + p differ by 2 c2; one step moves p - w by 2 (w + u),
+        # an even integer for integers N, d, p and w.
+        assert is_zero((p - self.w).subs(self.w, 2 * c2 - q) - (q + p) + 2 * c2)
+        nn = sp.Symbol("N")
+        width = p - 2 * nn  # w with N = (p - w)/2 an integer
+        _, _, p_next, w_next = (x.subs(self.w, width) for x in self.step(r, q, p, self.w))
+        assert is_zero((p_next - w_next) - (p - width) - 2 * (width + nn * d - 2 * p))
+
+    def test_drift_and_c2_of_a_row(self):
+        assert is_zero(self.drift(r, q, 2 * c2 - q) - TestFactoredForms.moduli_dim())
+        assert is_zero((2 * c2 - q + q) / 2 - c2)

@@ -21,6 +21,7 @@ from ulrich_lab import (
     NotUlrich,
     NumericClassData,
     OutOfTheoremScope,
+    ParityViolation,
     QuadraticNumber,
     SyzygyTrace,
     TraceEntry,
@@ -243,6 +244,34 @@ class TestIteration:
         for missing in (-2, 4, 100, True, False, 1.0):
             with pytest.raises(KeyError):
                 trace.entry(missing)
+
+
+class TestLoopRefusals:
+    """The step's own refusals, on seeds that only a skipped Ulrich test lets in."""
+
+    S5 = make_surface(5)
+
+    @pytest.fixture(autouse=True)
+    def no_ulrich_test(self, monkeypatch):
+        monkeypatch.setattr(syzygy_module, "_require_ulrich", lambda seed, surface: None)
+
+    def test_rank_off_the_recurrence(self):
+        with pytest.raises(RuntimeError, match=r"^internal inconsistency: rank 7 at step 0, "
+                                               r"recurrence predicts 8$"):
+            iterate_syzygy(NumericClassData(2, 16, 10, 6), self.S5, 3)
+
+    def test_no_kernel(self):
+        with pytest.raises(NoKernel, match=r"^chi = -25 does not exceed rank 2 at step 0$"):
+            iterate_syzygy(NumericClassData(2, 16, 10, 40), self.S5, 3)
+
+    def test_odd_riemann_roch_numerator(self):
+        with pytest.raises(ParityViolation, match=r"^c1\^2 \+ c1\.H = 27 is odd; "):
+            iterate_syzygy(NumericClassData(2, 17, 10, 5), self.S5, 3)
+
+    def test_odd_seed_without_a_step(self):
+        seed = NumericClassData(2, 17, 10, 5)
+        trace = iterate_syzygy(seed, self.S5, -1)
+        assert tuple(trace.entries) == (TraceEntry(-1, 2, None, 17, 10, 5),)
 
 
 class TestDrift:
@@ -572,6 +601,20 @@ class TestTraceRows:
             assert clone.entries == reference
             assert discriminant_drift(clone) == discriminant_drift(trace)
 
+    def test_pickle_layout(self, surface, seed):
+        # Pickles carry (ranks, c1_sqs, degrees, c2s, c1, ms), whatever the
+        # columns the rows are kept in, so they load across that change.
+        rows = iterate_syzygy(seed, surface, 7).entries
+        reference = reference_rows(seed, surface, 7)
+        exact = isinstance(seed, BundleNumerics)
+        ms = [0]
+        for row in reference[1:]:
+            ms.append(row.rank - ms[-1])
+        columns = [list(column) for column in zip(*(
+            (row.rank, row.c1_sq, row.c1_dot_h, row.c2) for row in reference))]
+        assert rows.__reduce__() == (type(rows), (*columns, seed.c1 if exact else None,
+                                                  ms if exact else None))
+
     def test_last_row_and_drift_build_one_row(self, monkeypatch, surface, seed):
         built, original = [], syzygy_module._trusted_entry
 
@@ -616,6 +659,33 @@ class TestTraceRows:
             other = SyzygyTrace(surface, seed, entries)
             assert discriminant_drift(other) == expected[:len(entries)]
         assert discriminant_drift(SyzygyTrace(surface, seed, reference[5:])) == expected[5:]
+
+
+# pickle.dumps(iterate_syzygy(WITNESS, S4, 7), 2) when the trace kept a c2
+# column: the rows must load from it unchanged, and a fresh trace must pickle
+# to the same bytes, so that code loads today's pickles too.
+C2_COLUMN_PICKLE = (
+    b'\x80\x02culrich_lab.syzygy\nSyzygyTrace\nq\x00)\x81q\x01}q\x02(X\x07\x00\x00\x00surf'
+    b'aceq\x03culrich_lab.picard\nDelPezzoSurface\nq\x04)\x81q\x05}q\x06X\x06\x00\x00\x00d'
+    b'egreeq\x07K\x04sbX\x04\x00\x00\x00seedq\x08culrich_lab.chern\nBundleNumerics\nq\t)'
+    b'\x81q\n}q\x0b(X\x04\x00\x00\x00rankq\x0cK\x02X\x02\x00\x00\x00c1q\rculrich_lab.picar'
+    b'd\nDivisorClass\nq\x0e)\x81q\x0f}q\x10(X\x01\x00\x00\x00aq\x11K\x04X\x01\x00\x00\x00'
+    b'bq\x12(K\x01K\x01K\x01K\x01K\x00tq\x13ubX\x02\x00\x00\x00c2q\x14K\x04ubX\x07\x00\x00'
+    b'\x00entriesq\x15culrich_lab.syzygy\n_TraceRows\nq\x16(]q\x17(K\x02K\x06K\nK\x0eK\x12'
+    b'K\x16K\x1aK\x1eK"e]q\x18(K\x0cK<K\x8cK\xfcM\x8c\x01M<\x02M\x0c\x03M\xfc\x03M\x0c\x05'
+    b'e]q\x19(K\x08K\x10K\x18K K(K0K8K@KHe]q\x1a(K\x04K\x1cKDK|K\xc4M\x1c\x01M\x84\x01M'
+    b'\xfc\x01M\x84\x02eh\x0f]q\x1b(K\x00K\x06K\x04K\nK\x08K\x0eK\x0cK\x12K\x10etq\x1cRq'
+    b'\x1dub.'
+)
+
+
+def test_a_c2_column_pickle_loads():
+    trace = iterate_syzygy(WITNESS, S4, 7)
+    clone = pickle.loads(C2_COLUMN_PICKLE)
+    assert type(clone.entries) is type(trace.entries)
+    assert clone == trace and tuple(clone.entries) == reference_rows(WITNESS, S4, 7)
+    assert discriminant_drift(clone) == [expected_moduli_dim(WITNESS)] * 9
+    assert pickle.dumps(trace, 2) == C2_COLUMN_PICKLE
 
 
 def telescoped_loop(d, c1_sq, c1_dot_h, c2, ranks):
