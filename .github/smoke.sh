@@ -6,7 +6,9 @@
 # take the integer syzygy step and the closed rank form to k = 200, and the
 # syzygy JSON is read back: 202 rows, each with drift 1 and the rank of the
 # three-term recurrence, written out here; the cubics and decompose runs
-# print divisor classes through their str() memo.
+# print divisor classes through their str() memo.  The same syzygy request
+# in each format must write the same bytes to stdout, a real file
+# descriptor here, as it writes with --out.
 # One check run reads a seed file, so the validating path from JSON to
 # BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
 # the library's internal results, which skip re-validation; a second one
@@ -39,7 +41,8 @@ ulrich-lab check --format json
 seed_file=$(mktemp)
 out_file=$(mktemp)
 err_file=$(mktemp)
-trap 'rm -f "$seed_file" "$out_file" "$err_file"' EXIT
+stdout_file=$(mktemp)
+trap 'rm -f "$seed_file" "$out_file" "$err_file" "$stdout_file"' EXIT
 printf '%s\n' '[{"rank": 2, "c1": "(6;2,2,2,2,2)", "c2": 6}]' > "$seed_file"
 ULRICH_LAB_SEED_FILE="$seed_file" ulrich-lab check
 printf '%s\n' '[{"rank": 2, "c1": "(6;2,2,2,2,2)"}]' > "$seed_file"
@@ -67,6 +70,11 @@ while len(ranks) < 202:
     ranks.append(5 * ranks[-1] - ranks[-2])
 assert [row["rank"] for row in entries] == ranks, "a rank is off the recurrence"
 ' "$out_file"
+for fmt in markdown csv json; do
+    ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format "$fmt" > "$stdout_file"
+    ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format "$fmt" --out "$out_file"
+    cmp "$stdout_file" "$out_file"
+done
 ulrich-lab sequence --d 8 --k-max 200
 ulrich-lab cubics --format csv
 ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json

@@ -91,7 +91,12 @@ def _subcommand(name: str, *params: click.Parameter):
                 raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
             text = _render(out, output_format)
             if output_path is None:
-                click.echo(text, nl=False)
+                # Name the stream: echo's default looks sys.stdout up in a
+                # cache that never evicts a stream it need not rewrap (a
+                # StringIO under redirect_stdout), so each in-process call's
+                # buffer would live until exit.  errors=None is the default
+                # path's own argument, so the bytes are the same.
+                click.echo(text, file=click.get_text_stream("stdout", errors=None), nl=False)
             else:
                 try:
                     with open(output_path, "w", encoding="utf-8") as handle:

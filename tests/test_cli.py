@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import json
+import tracemalloc
+import weakref
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -23,6 +29,7 @@ from ulrich_lab import (
 )
 from ulrich_lab.chern import NumericClassData
 from ulrich_lab.cli import main
+from ulrich_lab.errors import OutOfTheoremScope, ParseError
 
 
 @pytest.fixture()
@@ -341,6 +348,139 @@ class TestOutputPlumbing:
         for name in ("sequence", "syzygy", "table-moduli", "table-pairs",
                      "cubics", "decompose", "check"):
             assert name in result.output
+
+
+def _run_in_process(args: list[str]) -> tuple[weakref.ref, int]:
+    """Run ``ulrich-lab ARGS`` in process under a redirected stdout.
+
+    Returns a weak reference to the buffer that took the output, and the
+    exit code; the buffer itself is dropped on return.
+    """
+    buffer = io.StringIO()
+    code = 0
+    with redirect_stdout(buffer):
+        try:
+            main.main(args, prog_name="ulrich-lab", standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    assert buffer.getvalue()
+    return weakref.ref(buffer), code
+
+
+class TestInProcessOutputIsReleased:
+    """An in-process invocation keeps no reference to the stdout it wrote to."""
+
+    def test_every_subcommand_releases_its_buffer(self, tmp_path, monkeypatch):
+        # Each subcommand on a small input in every format, then check once,
+        # and once more with a failing seed file: that report is written
+        # before its SystemExit(1).  One collection for all the calls.
+        monkeypatch.setattr(checks, "DEFAULT_CASES", 10)  # check's random cases
+        calls = [[*command, "--format", fmt]
+                 for command in (["sequence", "--d", "5", "--k-max", "2"],
+                                 ["syzygy", "--d", "4", "--c1-sq", "12", "--k-max", "2"],
+                                 ["table-moduli"], ["table-pairs"], ["cubics"],
+                                 ["decompose", "(4;2,1,1,1,1,0)"])
+                 for fmt in ("markdown", "csv", "json")]
+        calls.append(["check", "--format", "json"])
+        buffers = []
+        for args in calls:
+            buffer, exit_code = _run_in_process(args)
+            assert exit_code == 0, args
+            buffers.append((args, buffer))
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps([{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 5}]))
+        monkeypatch.setenv("ULRICH_LAB_SEED_FILE", str(path))
+        buffer, exit_code = _run_in_process(["check"])
+        assert exit_code == 1
+        buffers.append((["check", "(failing seed file)"], buffer))
+        gc.collect()
+        assert [" ".join(args) for args, buffer in buffers if buffer() is not None] == []
+
+    def test_repeated_calls_do_not_accumulate_output(self):
+        # The largest syzygy request of the cli-session benchmark workload.
+        args = ["syzygy", "--d", "8", "--r", "3", "--c1-sq", "72", "--k-max", "194",
+                "--format", "json"]
+        # One warm-up call, outside the trace, fills click's and the
+        # library's own caches and gives the size of one output.
+        output = io.StringIO()
+        with redirect_stdout(output):
+            main.main(args, prog_name="ulrich-lab", standalone_mode=False)
+        size = len(output.getvalue())
+        del output
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                _run_in_process(args)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < size
+
+
+# Each invalid request class of the benchmark's cli-session workload: the
+# exit code, the error line on stderr, the click exception raised with
+# standalone_mode=False and the library error behind it (its __cause__).
+REFUSALS = {
+    "degree-sequence": (
+        ["sequence", "--d", "9"], 2,
+        "Error: Invalid value for '--d': 9 is not in the range 4<=x<=8.",
+        click.BadParameter, None),
+    "degree-syzygy": (
+        ["syzygy", "--d", "2", "--c1-sq", "8", "--format", "csv"], 2,
+        "Error: Invalid value for '--d': 2 is not in the range 3<=x<=8.",
+        click.BadParameter, None),
+    "k-max-sequence": (
+        ["sequence", "--d", "5", "--k-max", "201", "--format", "json"], 2,
+        "Error: Invalid value for '--k-max': 201 is not in the range 0<=x<=200.",
+        click.BadParameter, None),
+    "k-max-syzygy": (
+        ["syzygy", "--d", "5", "--c1-sq", "16", "--k-max", "201"], 2,
+        "Error: Invalid value for '--k-max': 201 is not in the range -1<=x<=200.",
+        click.BadParameter, None),
+    "syzygy-d3-k": (
+        ["syzygy", "--d", "3", "--c1-sq", "8", "--k-max", "1", "--format", "csv"], 1,
+        "Error: OutOfTheoremScope: degree 3 supports the first syzygy step only "
+        "(k_max <= 0); deeper iterations are not globally generated",
+        click.ClickException, OutOfTheoremScope),
+    "divisor-malformed": (
+        ["decompose", "(4;2,1,1,1,1", "--format", "json"], 1,
+        "Error: ParseError: expected ')' at position 12",
+        click.ClickException, ParseError),
+    "divisor-superscript": (
+        ["decompose", "(\u00b2;1,0,0,0,0,0)"], 1,
+        "Error: ParseError: expected an integer at position 1",
+        click.ClickException, ParseError),
+    "divisor-4301-digits": (
+        ["decompose", "(1" + "0" * 4300 + ";0,0,0,0,0,0)", "--format", "csv"], 1,
+        "Error: ParseError: integer too long at position 1",
+        click.ClickException, ParseError),
+    "divisor-non-ascii-digit": (
+        ["decompose", "(2;\u0661,0,0,0,0,0)", "--format", "json"], 1,
+        "Error: ParseError: expected an integer at position 3",
+        click.ClickException, ParseError),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", list(REFUSALS))
+    def test_refusal(self, runner, name):
+        args, code, error, _, _ = REFUSALS[name]
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [error]
+
+    @pytest.mark.parametrize("name", list(REFUSALS))
+    def test_refusal_class(self, name):
+        args, _, error, click_class, cause = REFUSALS[name]
+        stdout = io.StringIO()
+        with redirect_stdout(stdout), pytest.raises(click.ClickException) as info:
+            main.main(args, prog_name="ulrich-lab", standalone_mode=False)
+        assert stdout.getvalue() == ""
+        assert type(info.value) is click_class
+        assert type(info.value.__cause__) is (type(None) if cause is None else cause)
+        assert f"Error: {info.value.format_message()}" == error
 
 
 # Exact bytes of the published tables and of the self-check report, captured
