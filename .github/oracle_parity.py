@@ -1,4 +1,4 @@
-"""Two fused library kernels against their public compositions, without pytest.
+"""Three fused library kernels against their public compositions, without pytest.
 
 chi_pair_oracle(M_i, T_j, S) takes the one-pass kernel of ulrich_lab.chern
 on one lattice.  On each of the 72**2 ordered pairs of twisted cubics it must
@@ -16,6 +16,11 @@ class included.  discriminant_drift, which reads the columns without
 building rows, must give one value per row, equal to expected_moduli_dim
 both of the row and of the composition's bundle.
 
+is_ulrich_candidate runs Riemann-Roch and the twist on ints.  On the random
+bundles and on every default seed, exact and reduced, its answer must equal
+the composition c1.H = rd, c2 = ulrich_c2(r, c1^2) and
+euler_char(twist_by_h(F, m)) = 0 for m = -1, -2.
+
 Usage: python3 .github/oracle_parity.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
 library; exits non-zero on the first mismatch)
@@ -28,12 +33,14 @@ from ulrich_lab import (
     CUBIC_SURFACE,
     BundleNumerics,
     DivisorClass,
+    NotUlrichCompatible,
     chi_pair_closed_form,
     chi_pair_oracle,
     discriminant_drift,
     dual,
     euler_char,
     expected_moduli_dim,
+    is_ulrich_candidate,
     iterate_syzygy,
     kernel_bundle_of_cubic,
     reduce_numerics,
@@ -41,6 +48,7 @@ from ulrich_lab import (
     tensor,
     twist_by_h,
     twisted_cubics,
+    ulrich_c2,
 )
 from ulrich_lab.checks import default_seeds
 
@@ -48,6 +56,24 @@ from ulrich_lab.checks import default_seeds
 def expect(ok, what):
     if not ok:
         sys.exit(f"oracle_parity: {what}")
+
+
+def composed_candidate(f, surface):
+    r = f.rank
+    if f.c1_dot_h != r * surface.degree:
+        return False
+    try:
+        c2 = ulrich_c2(r, f.c1_sq, surface)
+    except NotUlrichCompatible:  # c1^2 - rd is odd
+        return False
+    return f.c2 == c2 and all(euler_char(twist_by_h(f, m, surface), surface) == 0
+                              for m in (-1, -2))
+
+
+def expect_candidate(f, surface):
+    fused, composed = is_ulrich_candidate(f, surface), composed_candidate(f, surface)
+    expect(fused == composed, f"d={surface.degree} {f}: is_ulrich_candidate {fused}, "
+                              f"composition {composed}")
 
 
 divisors = [t.divisor for t in twisted_cubics()]
@@ -73,12 +99,14 @@ for _ in range(2000):
     oracle = chi_pair_oracle(fprev, t2, CUBIC_SURFACE)
     composed = euler_char(tensor(dual(fprev), m2), CUBIC_SURFACE)
     expect(oracle == composed, f"chi({fprev}, {t2}): kernel {oracle}, composition {composed}")
+    expect_candidate(fprev, CUBIC_SURFACE)
 
 traces = rows = 0
 for surface, shipped in default_seeds():
     k_max = 0 if surface.degree == 3 else 40
     exact = isinstance(shipped, BundleNumerics)
     for f in [shipped, reduce_numerics(shipped)] if exact else [shipped]:
+        expect_candidate(f, surface)
         trace = iterate_syzygy(f, surface, k_max)
         drift = discriminant_drift(trace)
         expect(len(drift) == len(trace.entries) == k_max + 2,

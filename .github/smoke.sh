@@ -26,8 +26,10 @@
 # composition on all 72^2 pairs of twisted cubics, and the fused step of
 # iterate_syzygy with the twist_by_h(syzygy_numerics(F, euler_char(F)), 1)
 # composition on every default seed, exact and reduced, to k = 40 (k = 0 on
-# d = 3), its drift with expected_moduli_dim of every row, so the job
-# without pytest checks both kernels too.
+# d = 3), its drift with expected_moduli_dim of every row, and
+# is_ulrich_candidate with its c1.H, ulrich_c2 and euler_char(twist_by_h)
+# composition on the random bundles and the seeds, so the job without pytest
+# checks all three kernels too.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)

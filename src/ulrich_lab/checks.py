@@ -23,6 +23,7 @@ from .picard import DelPezzoSurface, DivisorClass, _require_int, _trusted, make_
 
 DEFAULT_RNG_SEED = 0x5EED
 DEFAULT_CASES = 1000
+SEED_DEPTH = 12
 
 Seed = tuple[DelPezzoSurface, AnyNumerics]
 
@@ -293,7 +294,7 @@ def check_rank_monotone() -> tuple[bool, str]:
 
 def check_drift_constant(seeds: Sequence[Seed]) -> tuple[bool, str]:
     for surface, seed in seeds:
-        k_max = 0 if surface.degree == 3 else 12
+        k_max = 0 if surface.degree == 3 else SEED_DEPTH
         trace = syzygy.iterate_syzygy(seed, surface, k_max)
         drift = syzygy.discriminant_drift(trace)
         expected = chern.expected_moduli_dim(seed)
@@ -306,7 +307,7 @@ def check_delta_growth(seeds: Sequence[Seed]) -> tuple[bool, str]:
     for surface, seed in seeds:
         if surface.degree == 3:
             continue
-        trace = syzygy.iterate_syzygy(seed, surface, 12)
+        trace = syzygy.iterate_syzygy(seed, surface, SEED_DEPTH)
         deltas = [entry.delta for entry in trace.entries if entry.k >= 0]
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             return False, f"seed {seed} on d={surface.degree}"
@@ -315,7 +316,7 @@ def check_delta_growth(seeds: Sequence[Seed]) -> tuple[bool, str]:
 
 def check_closed_vs_iterate(seeds: Sequence[Seed]) -> tuple[bool, str]:
     for surface, seed in seeds:
-        k_max = 0 if surface.degree == 3 else 12
+        k_max = 0 if surface.degree == 3 else SEED_DEPTH
         trace = syzygy.iterate_syzygy(seed, surface, k_max)
         reduced = chern.reduce_numerics(seed)
         minus_h = -surface.anticanonical_class
@@ -330,7 +331,7 @@ def check_closed_vs_iterate(seeds: Sequence[Seed]) -> tuple[bool, str]:
                 exact = chern.tensor_line(bundle, minus_h)
                 if c1 != exact.c1 or c2 != exact.c2:
                     return False, f"exact mode: seed {seed} d={surface.degree} k={k}"
-    return True, f"{len(seeds)} seeds, k <= 12"
+    return True, f"{len(seeds)} seeds, k <= {SEED_DEPTH}"
 
 
 def check_table_vs_closed() -> tuple[bool, str]:

@@ -37,7 +37,8 @@ quadratic and linear in those five numbers, its c2 is ``_product_c2`` at
 the pairing -c1(F).c1(G), and ``_chi`` below finishes.
 :func:`ulrich_lab.cubic.chi_pair_oracle` calls it on one lattice.
 
-Riemann-Roch on a surface with chi(O) = 1 and K = -H reads
+A del Pezzo surface is rational, so chi(O) = 1, and it is polarized by
+H = -K.  With both built into ``_chi``, Riemann-Roch reads
 
     chi(F) = rk(F) + (c1^2 + c1.H)/2 - c2.
 
@@ -232,8 +233,7 @@ def reduce_numerics(f: BundleNumerics) -> NumericClassData:
 
     Reduced data passes through as an equal copy.
     """
-    if type(f) is not BundleNumerics:
-        _require_type(f, _NUMERICS, "f")
+    _require_type(f, _NUMERICS, "f")
     return _trusted_numeric(f.rank, f.c1_sq, f.c1_dot_h, f.c2)
 
 
@@ -317,8 +317,8 @@ def _product_c2(s: int, ff: int, c2_f: int, t: int, gg: int, c2_g: int, fg: int)
             + t * c2_f + (t * (t - 1) >> 1) * ff)
 
 
-def _chi_dual_product(f: BundleNumerics, g: BundleNumerics, chi_o: int) -> int:
-    """chi(F* (x) G) for F and G on one lattice, with chi(O) = chi_o.
+def _chi_dual_product(f: BundleNumerics, g: BundleNumerics) -> int:
+    """chi(F* (x) G) for F and G on one lattice.
 
     The Euler pairing of F with G, the value of
     ``euler_char(tensor(dual(f), g), surface)``, with no class and no bundle
@@ -347,7 +347,7 @@ def _chi_dual_product(f: BundleNumerics, g: BundleNumerics, chi_o: int) -> int:
     s, t = f.rank, g.rank
     st = s * t
     return _chi(st, t * t * ff - 2 * st * fg + s * s * gg, s * gh - t * fh,
-                _product_c2(s, ff, f.c2, t, gg, g.c2, -fg), chi_o)
+                _product_c2(s, ff, f.c2, t, gg, g.c2, -fg))
 
 
 def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) -> BundleNumerics:
@@ -403,17 +403,17 @@ def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
         if type(f) is not NumericClassData:
             _require_type(f, _NUMERICS, "f")
         c1_sq, c1_dot_h = f.c1_sq, f.c1_dot_h
-    return _chi(f.rank, c1_sq, c1_dot_h, f.c2, surface.euler_char_structure_sheaf)
+    return _chi(f.rank, c1_sq, c1_dot_h, f.c2)
 
 
-def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int, chi_o: int) -> int:
-    """Riemann-Roch on ints, chi(O) = chi_o; an odd c1^2 + c1.H is refused."""
+def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> int:
+    """Riemann-Roch of the module docstring on ints; an odd c1^2 + c1.H is refused."""
     numerator = c1_sq + c1_dot_h
     if numerator & 1:
         raise ParityViolation(
             f"c1^2 + c1.H = {numerator} is odd; not realizable on a surface lattice"
         )
-    return rank * chi_o + (numerator >> 1) - c2
+    return rank + (numerator >> 1) - c2
 
 
 def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:

@@ -85,8 +85,7 @@ def twisted_cubic_representative(tag: str) -> DivisorClass:
     A tag that is not a ``str`` raises ``TypeError``; any other string
     raises ``ValueError``.
     """
-    if type(tag) is not str:
-        _require_type(tag, (str,), "tag")
+    _require_type(tag, (str,), "tag")
     coords = _REPRESENTATIVE_COORDS.get(tag)
     if coords is None:
         raise ValueError(f"tag must be one of {', '.join(_REPRESENTATIVE_COORDS)}, got {tag!r}")
@@ -131,8 +130,7 @@ def _pair_table() -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
 
 def is_twisted_cubic(x: DivisorClass) -> bool:
     """Membership in the set of 72 twisted cubic classes."""
-    if type(x) is not DivisorClass:
-        _require_type(x, (DivisorClass,), "x")
+    _require_type(x, (DivisorClass,), "x")
     if x.num_exceptional != CUBIC_SURFACE.num_exceptional:
         raise LatticeMismatch(
             f"class {x} does not live on the cubic surface lattice"
@@ -386,7 +384,7 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
     width = len(fprev.c1.b)
     if width != len(kernel.c1.b) or width != surface.num_exceptional:
         return euler_char(tensor(dual(fprev), kernel), surface)  # raises
-    return _chi_dual_product(fprev, kernel, surface.euler_char_structure_sheaf)
+    return _chi_dual_product(fprev, kernel)
 
 
 def cubic_moduli_pair(f: BundleNumerics) -> tuple[BundleNumerics, int]:

@@ -40,7 +40,9 @@ themselves checked or trusted.  That is safe because each public function
 that builds its result this way first tests the type of its operands:
 ``type(x) is Cls`` on the hot path, with ``isinstance`` as the fallback for
 subclasses (:func:`_require_type`), raising ``TypeError`` that names the
-argument.  So an operand's fields are known to have passed a constructor.
+argument; a function called a few times per request calls
+:func:`_require_type` alone.  So an operand's fields are known to have
+passed a constructor.
 
 Slots.  The hot value types (:class:`DivisorClass`, ``BundleNumerics``,
 ``NumericClassData``, ``TraceEntry``, ``TwistedCubicClass`` and
@@ -94,8 +96,8 @@ def _require_type(value: object, types: tuple[type, ...], name: str) -> None:
     """Raise ``TypeError(f"{name} must be a <type>, got {value!r}")`` unless
     value is an instance of one of ``types``.
 
-    The fallback of the inline ``type(x) is Cls`` operand tests: subclasses
-    pass here, anything else is refused before a field of it is read.
+    Cold calls call it alone; hot ones test ``type(x) is Cls`` inline first.
+    Subclasses pass, anything else is refused before a field of it is read.
     """
     if not isinstance(value, types):
         expected = " or ".join(cls.__name__ for cls in types)
@@ -257,14 +259,6 @@ def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:
     return x
 
 
-def _combine(m: int, x: DivisorClass, n: int, y: DivisorClass) -> DivisorClass:
-    """m*x + n*y in one pass, for ints m, n and classes on one lattice."""
-    b = []  # a loop, not a comprehension, which is a call of its own before 3.12
-    for u, v in zip(x.b, y.b):
-        b.append(m * u + n * v)
-    return _trusted(m * x.a + n * y.a, tuple(b))
-
-
 @dataclass(frozen=True)
 class DelPezzoSurface:
     """Del Pezzo surface of degree d, polarized by the anticanonical class."""
@@ -336,12 +330,10 @@ def intersect(x: DivisorClass, y: DivisorClass, surface: DelPezzoSurface | None 
 
     When a surface is supplied, both classes are checked to live on it.
     """
-    if surface is not None and type(surface) is not DelPezzoSurface:
+    if surface is not None:
         _require_type(surface, (DelPezzoSurface,), "surface")
-    if type(x) is not DivisorClass:
-        _require_type(x, (DivisorClass,), "x")
-    if type(y) is not DivisorClass:
-        _require_type(y, (DivisorClass,), "y")
+    _require_type(x, (DivisorClass,), "x")
+    _require_type(y, (DivisorClass,), "y")
     if surface is not None:
         surface.require(x)
         surface.require(y)

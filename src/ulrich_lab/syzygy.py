@@ -77,7 +77,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from operator import attrgetter
 from typing import Iterator
 
 from . import ulrich
@@ -107,7 +106,6 @@ from .picard import (
     MIN_DEGREE,
     DelPezzoSurface,
     DivisorClass,
-    _combine,
     _fields_getstate,
     _fields_setstate,
     _is_int,
@@ -510,8 +508,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     """
     _require_int(k_max, "k_max must be an integer >= -1", lo=-1)
     _require_type(seed, _NUMERICS, "seed")
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     _require_ulrich(seed, surface)
     d = surface.degree
     if d == 3 and k_max > 0:
@@ -521,7 +518,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
         )
     n, q, p, w = seed.rank, seed.c1_sq, seed.c1_dot_h, 2 * seed.c2 - seed.c1_sq
     if k_max >= 0 and (q + p) & 1:  # p - w has the parity of q + p, and keeps it
-        _chi(n, q, p, seed.c2, surface.euler_char_structure_sheaf)  # the parity refusal
+        _chi(n, q, p, seed.c2)  # the parity refusal
     ranks, c1_sqs, degrees, ws = [n], [q], [p], [w]
     # From here on every value is int arithmetic on the checked seed.  The
     # recurrence runs from (N_{-1}, N_0) = (r, r(d-1)); prev is N_{k-1}.
@@ -560,9 +557,6 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     return SyzygyTrace(surface, seed, entries)
 
 
-_DRIFT_FIELDS = attrgetter("rank", "c1_sq", "c2")
-
-
 def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     """Delta(S_k) - (N_k^2 - 1) for every trace entry.
 
@@ -571,16 +565,15 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     :func:`~ulrich_lab.chern.expected_moduli_dim`, rk (w - rk) + c1^2 + 1
     with w = 2 c2 - c1^2.  A trace from :func:`iterate_syzygy` gives
     (rk, c1^2, w) straight from its columns, without building a row; any
-    other sequence of rows is read in one ``attrgetter`` call per row.
+    other sequence of rows goes through ``expected_moduli_dim`` row by row,
+    which raises TypeError naming a row that is no numerics.
     """
-    if type(trace) is not SyzygyTrace:
-        _require_type(trace, (SyzygyTrace,), "trace")
+    _require_type(trace, (SyzygyTrace,), "trace")
     entries = trace.entries
     if type(entries) is _TraceRows:
         return [rank * (w - rank) + c1_sq + 1
                 for rank, c1_sq, w in zip(entries._ranks, entries._c1_sqs, entries._ws)]
-    return [rank * (2 * c2 - c1_sq - rank) + c1_sq + 1
-            for rank, c1_sq, c2 in map(_DRIFT_FIELDS, entries)]
+    return [expected_moduli_dim(row) for row in entries]
 
 
 def _scope_check(d: int, k: int) -> None:
@@ -636,8 +629,7 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     :func:`rank_by_recurrence`.  The CLI caps k at 200.
     """
     _require_type(seed, _BUNDLE, "seed")
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     surface.require(seed.c1)
     d = surface.degree
     _scope_check(d, k)
@@ -647,7 +639,7 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
         return seed.c1, seed.c2
     sign, m, _, _, c2 = _closed_core(d, seed.rank, reduced.c1_sq, reduced.c1_dot_h, seed.c2,
                                      k, *islice(_recurrence_ranks(d, seed.rank), k, k + 2))
-    return _combine(sign, seed.c1, m, surface.anticanonical_class), c2
+    return sign * seed.c1 + m * surface.anticanonical_class, c2
 
 
 def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface, k: int) -> NumericClassData:
@@ -659,8 +651,7 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
     about k log2(alpha) bits, with no upper bound on k.
     """
     _require_type(seed, _NUMERICS, "seed")
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     d = surface.degree
     _scope_check(d, k)
     _require_ulrich(seed, surface)

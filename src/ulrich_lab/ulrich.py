@@ -62,8 +62,7 @@ class PolarizedData:
 
 def polarized_data_for(surface: DelPezzoSurface) -> PolarizedData:
     """The (n, H^n, H.K) = (2, d, -d) data of an anticanonical surface."""
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     return PolarizedData(2, surface.degree, -surface.degree)
 
 
@@ -73,8 +72,7 @@ def curve_section_genus(p: PolarizedData) -> int:
     A negative result is returned as computed but flagged with a
     RuntimeWarning, since it signals degenerate input data.
     """
-    if type(p) is not PolarizedData:
-        _require_type(p, (PolarizedData,), "p")
+    _require_type(p, (PolarizedData,), "p")
     g = ((p.n - 1) * p.hn + p.hk) // 2 + 1
     if g < 0:
         warnings.warn(f"negative sectional genus {g}", RuntimeWarning, stacklevel=2)
@@ -90,15 +88,13 @@ def ulrich_profile(rank: int, p: PolarizedData) -> tuple[int, Fraction]:
 
 def butler_semistability_criterion(p: PolarizedData) -> bool:
     """(3 - n) H^n > H^{n-1}.K + 2, strict."""
-    if type(p) is not PolarizedData:
-        _require_type(p, (PolarizedData,), "p")
+    _require_type(p, (PolarizedData,), "p")
     return (3 - p.n) * p.hn > p.hk + 2
 
 
 def koszul_criterion(p: PolarizedData) -> bool:
     """(2 - n) H^n >= H^{n-1}.K + 4."""
-    if type(p) is not PolarizedData:
-        _require_type(p, (PolarizedData,), "p")
+    _require_type(p, (PolarizedData,), "p")
     return (2 - p.n) * p.hn >= p.hk + 4
 
 
@@ -116,8 +112,7 @@ def ulrich_c2(rank: int, c1_sq: int, surface: DelPezzoSurface) -> int:
     """
     _require_int(rank, "rank must be a positive integer", lo=1)
     _require_int(c1_sq, "c1^2 must be an integer", TypeError)
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     d = surface.degree
     if (c1_sq - rank * d) % 2:
         raise NotUlrichCompatible(
@@ -151,9 +146,8 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
         return False
     if c2 != r + (c1_sq - r * d) // 2:
         return False
-    chi_o = surface.euler_char_structure_sheaf
     for m in (-1, -2):
-        if _chi(r, *_twist(r, c1_sq, c1_dot_h, c2, m, d), chi_o):
+        if _chi(r, *_twist(r, c1_sq, c1_dot_h, c2, m, d)):
             return False
     return True
 
@@ -164,8 +158,7 @@ def prioritary_polarization_check(surface: DelPezzoSurface) -> int:
     The caller only needs this to be negative; the exact value on the
     degree-d surface is 2 - d.
     """
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     k = surface.canonical_class
     f = surface.fiber_class
     return intersect(surface.anticanonical_class, k + f, surface)

@@ -552,7 +552,7 @@ class TestEulerPairingKernel:
                                    rng.randint(-50, 50))
                     for _ in range(2))
             surface = make_surface(9 - width)
-            assert chern._chi_dual_product(f, g, 1) == euler_char(tensor(dual(f), g), surface)
+            assert chern._chi_dual_product(f, g) == euler_char(tensor(dual(f), g), surface)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_direct_sum_fprevs(self, k):

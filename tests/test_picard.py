@@ -115,6 +115,9 @@ class TestSurface:
         s = make_surface(d)
         assert s.num_exceptional == 9 - d
         assert s.euler_char_structure_sheaf == 1
+        h = s.hyperplane_class
+        assert h == s.anticanonical_class
+        assert intersect(h, h, s) == d
 
     @pytest.mark.parametrize("bad", [2, 9, 0, -1, "4", 4.0, True, 1.0, "1"])
     def test_degree_out_of_range(self, bad):

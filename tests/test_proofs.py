@@ -194,7 +194,7 @@ class TestChiDualProduct:
                     for _ in range(2))
             values = {s: f.rank, t: g.rank, A: f.c1_sq, B: g.c1_sq, X: f.c1.dot(g.c1),
                       cf: f.c2, cg: g.c2, self.hf: f.c1_dot_h, self.hg: g.c1_dot_h}
-            chi = _chi_dual_product(f, g, 1)
+            chi = _chi_dual_product(f, g)
             assert chi == expr.subs(values) == euler_char(tensor(dual(f), g), surface)
 
 

@@ -659,6 +659,10 @@ class TestTraceRows:
             other = SyzygyTrace(surface, seed, entries)
             assert discriminant_drift(other) == expected[:len(entries)]
         assert discriminant_drift(SyzygyTrace(surface, seed, reference[5:])) == expected[5:]
+        # A row that is no numerics is refused by expected_moduli_dim, naming it.
+        with pytest.raises(TypeError, match="^f must be a BundleNumerics, NumericClassData or "
+                                            "TraceEntry, got <object object at"):
+            discriminant_drift(SyzygyTrace(surface, seed, [object()]))
 
 
 # pickle.dumps(iterate_syzygy(WITNESS, S4, 7), 2) when the trace kept a c2
