@@ -16,10 +16,17 @@ class included.  discriminant_drift, which reads the columns without
 building rows, must give one value per row, equal to expected_moduli_dim
 both of the row and of the composition's bundle.
 
-is_ulrich_candidate runs Riemann-Roch and the twist on ints.  On the random
-bundles and on every default seed, exact and reduced, its answer must equal
-the composition c1.H = rd, c2 = ulrich_c2(r, c1^2) and
-euler_char(twist_by_h(F, m)) = 0 for m = -1, -2.
+is_ulrich_candidate tests c1.H = rd and c2 = r + (c1^2 - rd)/2 and runs no
+Riemann-Roch.  Its answer must equal the definition it stands for,
+euler_char(twist_by_h(F, m)) = 0 for m = -1, -2 (an odd c1^2 + c1.H, which
+no bundle has, counting as no candidate), and a candidate's c2 must be
+ulrich_c2(r, c1^2).  This runs on the random bundles, on every default seed,
+exact and reduced, and on near misses of each seed: c2 - 1 and c2 + 1, and
+for reduced data also c1^2 + 1 (an odd c1^2 - rd, which an exact class with
+c1.H = rd cannot have) and c1.H +- 1 and +- 2 (the odd shifts make
+c1^2 + c1.H odd, the even ones keep it even and move the chi values), so
+the predicate's False branches are compared with the chi composition as
+well as its True ones.
 
 Usage: python3 .github/oracle_parity.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
@@ -33,7 +40,8 @@ from ulrich_lab import (
     CUBIC_SURFACE,
     BundleNumerics,
     DivisorClass,
-    NotUlrichCompatible,
+    NumericClassData,
+    ParityViolation,
     chi_pair_closed_form,
     chi_pair_oracle,
     discriminant_drift,
@@ -59,21 +67,27 @@ def expect(ok, what):
 
 
 def composed_candidate(f, surface):
-    r = f.rank
-    if f.c1_dot_h != r * surface.degree:
-        return False
     try:
-        c2 = ulrich_c2(r, f.c1_sq, surface)
-    except NotUlrichCompatible:  # c1^2 - rd is odd
+        return all(euler_char(twist_by_h(f, m, surface), surface) == 0 for m in (-1, -2))
+    except ParityViolation:  # c1^2 + c1.H is odd
         return False
-    return f.c2 == c2 and all(euler_char(twist_by_h(f, m, surface), surface) == 0
-                              for m in (-1, -2))
 
 
 def expect_candidate(f, surface):
     fused, composed = is_ulrich_candidate(f, surface), composed_candidate(f, surface)
     expect(fused == composed, f"d={surface.degree} {f}: is_ulrich_candidate {fused}, "
                               f"composition {composed}")
+    if composed:
+        c2 = ulrich_c2(f.rank, f.c1_sq, surface)
+        expect(f.c2 == c2, f"d={surface.degree} {f}: a candidate, but ulrich_c2 is {c2}")
+
+
+def near_misses(f):
+    if isinstance(f, BundleNumerics):
+        return [BundleNumerics(f.rank, f.c1, f.c2 + e) for e in (-1, 1)]
+    r, q, p, c2 = f.rank, f.c1_sq, f.c1_dot_h, f.c2
+    return ([NumericClassData(r, q, p, c2 + e) for e in (-1, 1)] + [NumericClassData(r, q + 1, p, c2)]
+            + [NumericClassData(r, q, p + e, c2) for e in (-2, -1, 1, 2)])
 
 
 divisors = [t.divisor for t in twisted_cubics()]
@@ -101,12 +115,18 @@ for _ in range(2000):
     expect(oracle == composed, f"chi({fprev}, {t2}): kernel {oracle}, composition {composed}")
     expect_candidate(fprev, CUBIC_SURFACE)
 
-traces = rows = 0
+traces = rows = misses = 0
 for surface, shipped in default_seeds():
     k_max = 0 if surface.degree == 3 else 40
     exact = isinstance(shipped, BundleNumerics)
     for f in [shipped, reduce_numerics(shipped)] if exact else [shipped]:
+        expect(is_ulrich_candidate(f, surface), f"d={surface.degree} seed {f}: no candidate")
         expect_candidate(f, surface)
+        for miss in near_misses(f):
+            expect(not is_ulrich_candidate(miss, surface),
+                   f"d={surface.degree} near miss {miss}: a candidate")
+            expect_candidate(miss, surface)
+            misses += 1
         trace = iterate_syzygy(f, surface, k_max)
         drift = discriminant_drift(trace)
         expect(len(drift) == len(trace.entries) == k_max + 2,
@@ -127,4 +147,4 @@ for surface, shipped in default_seeds():
             rows += 1
         traces += 1
 print(f"oracle_parity: {pairs} cubic pairs, 2000 random bundles, {traces} syzygy traces "
-      f"({rows} rows), Python {sys.version.split()[0]}: ok")
+      f"({rows} rows), {misses} near misses, Python {sys.version.split()[0]}: ok")

@@ -27,9 +27,10 @@
 # iterate_syzygy with the twist_by_h(syzygy_numerics(F, euler_char(F)), 1)
 # composition on every default seed, exact and reduced, to k = 40 (k = 0 on
 # d = 3), its drift with expected_moduli_dim of every row, and
-# is_ulrich_candidate with its c1.H, ulrich_c2 and euler_char(twist_by_h)
-# composition on the random bundles and the seeds, so the job without pytest
-# checks all three kernels too.
+# is_ulrich_candidate with the euler_char(twist_by_h(F, -1 and -2))
+# composition on the random bundles, the seeds and their near misses (c2 +- 1,
+# an odd c1^2 - rd, c1.H +- 1 and +- 2), so the job without pytest checks
+# all three kernels too.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)

@@ -116,9 +116,8 @@ def _below(rng: random.Random, n: int) -> int:
 
     The body of ``Random._randbelow_with_getrandbits`` on the public
     ``getrandbits``: the same values, and the same generator state after, as
-    ``randint(lo, lo + n - 1) - lo``, ``randrange(n)`` and each swap index of
-    ``shuffle`` (``_below(rng, i + 1)`` for i = len - 1 down to 1), in one
-    frame instead of three.
+    ``randint(lo, lo + n - 1) - lo`` and ``randrange(n)``, in one frame
+    instead of three.
     """
     getrandbits = rng.getrandbits
     k = n.bit_length()
@@ -126,13 +125,6 @@ def _below(rng: random.Random, n: int) -> int:
     while r >= n:
         r = getrandbits(k)
     return r
-
-
-def _shuffle(rng: random.Random, items: list) -> None:
-    """``rng.shuffle(items)``: the same swaps from the same draws."""
-    for i in range(len(items) - 1, 0, -1):
-        j = _below(rng, i + 1)
-        items[i], items[j] = items[j], items[i]
 
 
 def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
@@ -143,7 +135,7 @@ def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
 
 def _random_permutation(rng: random.Random, t: int) -> tuple[int, ...]:
     perm = list(range(1, t + 1))
-    _shuffle(rng, perm)
+    rng.shuffle(perm)
     return tuple(perm)
 
 
@@ -231,7 +223,7 @@ def check_chern_sum_permutation(rng: random.Random, cases: int) -> tuple[bool, s
         t = 1 + _below(rng, 6)
         summands = [_random_bundle(rng, t) for _ in range(1 + _below(rng, 4))]
         shuffled = summands[:]
-        _shuffle(rng, shuffled)
+        rng.shuffle(shuffled)
         if chern.direct_sum(summands) != chern.direct_sum(shuffled):
             return False, f"{summands}"
     return True, f"{cases} random families"

@@ -58,8 +58,8 @@ the halving is exact because (s-1) m u = 2(s-1) mp + s(s-1) m^2 d.  Likewise
 Riemann-Roch and the reduced twist have one body each, on plain ints:
 ``_chi`` (the parity refusal, then chi) and ``_twist`` (the step above).
 :func:`euler_char` and :func:`twist_by_h` check and unpack their arguments
-and call them, and :func:`ulrich_lab.ulrich.is_ulrich_candidate` calls them
-once for each of its twists by -H and -2H.
+and call them.  :func:`ulrich_lab.ulrich.is_ulrich_candidate` calls neither:
+its two chi conditions reduce to equations on c1.H and c2.
 :func:`ulrich_lab.syzygy.iterate_syzygy` makes no call per step: its loop
 writes chi, the kernel and the twist by H out once more on its locals, in
 w = 2 c2 - c1^2 for c2, and reaches ``_chi`` only to raise the parity refusal

@@ -633,11 +633,10 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     surface.require(seed.c1)
     d = surface.degree
     _scope_check(d, k)
-    reduced = reduce_numerics(seed)
-    _require_ulrich(reduced, surface)
+    _require_ulrich(seed, surface)
     if k == -1:
         return seed.c1, seed.c2
-    sign, m, _, _, c2 = _closed_core(d, seed.rank, reduced.c1_sq, reduced.c1_dot_h, seed.c2,
+    sign, m, _, _, c2 = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2,
                                      k, *islice(_recurrence_ranks(d, seed.rank), k, k + 2))
     return sign * seed.c1 + m * surface.anticanonical_class, c2
 

@@ -3,9 +3,15 @@
 An Ulrich bundle E of rank r on an n-dimensional polarized variety
 (X, H) has h^0 = r * H^n, slope H^n + g - 1 where g is the sectional
 genus, and vanishing cohomology after one and two hyperplane twists
-down.  On a del Pezzo surface polarized by H = -K this pins down c2 in
-terms of the rank and c1^2, which is what :func:`ulrich_c2` computes and
-:func:`is_ulrich_candidate` verifies.
+down.  On a del Pezzo surface polarized by H = -K, with d = H^2,
+Riemann-Roch gives chi(E(mH)) = chi(E) + m c1.H + r d m(m+1)/2, so
+chi(E(-H)) - chi(E(-2H)) = c1.H - r d, and once c1.H = r d both equal
+r + (c1^2 - r d)/2 - c2.  The numerical Ulrich conditions
+chi(E(-H)) = chi(E(-2H)) = 0 are thus exactly c1.H = r d and
+c2 = r + (c1^2 - r d)/2, and they force chi(E) = r d (proved as polynomial
+identities by ``TestUlrichConditions`` in ``tests/test_proofs.py``).
+:func:`ulrich_c2` computes that c2 and :func:`is_ulrich_candidate` tests
+both equations.
 
 The three criteria below are purely numerical sufficient conditions:
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .chern import _NUMERICS, AnyNumerics, BundleNumerics, NumericClassData, _chi, _twist
+from .chern import _NUMERICS, AnyNumerics, BundleNumerics, NumericClassData
 from .errors import NotUlrichCompatible, ParityViolation
 from .picard import DelPezzoSurface, _require_int, _require_keys, _require_type, intersect
 
@@ -124,13 +130,12 @@ def ulrich_c2(rank: int, c1_sq: int, surface: DelPezzoSurface) -> int:
 def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
     """Check the numerical Ulrich conditions.
 
-    Requires c1.H = rank*d, the c2 value of :func:`ulrich_c2`, and
-    chi(E(-H)) = chi(E(-2H)) = 0.  Never raises on honest numeric input;
+    Requires c1.H = rank*d and the c2 value of :func:`ulrich_c2`, which
+    together are chi(E(-H)) = chi(E(-2H)) = 0 (see the module docstring), so
+    no Riemann-Roch is evaluated.  Never raises on honest numeric input;
     it simply answers False.  These read only (rank, c1^2, c1.H, c2), so
     an exact c1 is checked against the lattice and then read once for its
-    c1^2 and c1.H.  An operand of neither resolution raises TypeError.  The
-    two chi values come from the int cores of :func:`~ulrich_lab.chern.twist_by_h`
-    and :func:`~ulrich_lab.chern.euler_char`.
+    c1^2 and c1.H.  An operand of neither resolution raises TypeError.
     """
     if type(surface) is not DelPezzoSurface:
         _require_type(surface, (DelPezzoSurface,), "surface")
@@ -144,12 +149,7 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
         return False
     if (c1_sq - r * d) % 2:
         return False
-    if c2 != r + (c1_sq - r * d) // 2:
-        return False
-    for m in (-1, -2):
-        if _chi(r, *_twist(r, c1_sq, c1_dot_h, c2, m, d)):
-            return False
-    return True
+    return c2 == r + (c1_sq - r * d) // 2
 
 
 def prioritary_polarization_check(surface: DelPezzoSurface) -> int:

@@ -1,12 +1,12 @@
 """The self-check's random cases: the same draws, in the same order, on every Python.
 
 ``checks._random_class`` draws its coordinates straight from
-``rng.random()``, and ``checks._below`` and ``checks._shuffle`` draw integers
-from ``rng.getrandbits``; these tests pin, against a twin generator, that
-they take exactly the values, and leave the generator in exactly the state,
-that ``rng.choices(range(-span, span + 1), k=t + 1)``, ``randint``,
-``randrange`` and ``shuffle`` do.  The digest pins the whole case stream of
-the nine property checks.
+``rng.random()``, and ``checks._below`` draws integers from
+``rng.getrandbits``; these tests pin, against a twin generator, that they
+take exactly the values, and leave the generator in exactly the state, that
+``rng.choices(range(-span, span + 1), k=t + 1)``, ``randint`` and
+``randrange`` do, and that ``checks._random_permutation`` is a ``shuffle``
+of 1..t.  The digest pins the whole case stream of the nine property checks.
 """
 
 from __future__ import annotations
@@ -56,14 +56,13 @@ def test_below_draws_what_randrange_draws_from_the_seed_pool():
     assert rng.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("length", range(1, 7))
-def test_shuffle_makes_the_swaps_of_random_shuffle(length):
-    rng, twin = random.Random(length), random.Random(length)
+@pytest.mark.parametrize("t", range(1, 7))
+def test_random_permutation_is_a_shuffle_of_one_to_t(t):
+    rng, twin = random.Random(t), random.Random(t)
     for _ in range(500):
-        items, twin_items = list(range(length)), list(range(length))
-        checks._shuffle(rng, items)
-        twin.shuffle(twin_items)
-        assert items == twin_items
+        items = list(range(1, t + 1))
+        twin.shuffle(items)
+        assert checks._random_permutation(rng, t) == tuple(items)
     assert rng.getstate() == twin.getstate()
 
 

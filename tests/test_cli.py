@@ -29,7 +29,13 @@ from ulrich_lab import (
 )
 from ulrich_lab.chern import NumericClassData
 from ulrich_lab.cli import main
-from ulrich_lab.errors import OutOfTheoremScope, ParseError
+from ulrich_lab.errors import (
+    BadSeedFile,
+    NotUlrich,
+    NotUlrichCompatible,
+    OutOfTheoremScope,
+    ParseError,
+)
 
 
 @pytest.fixture()
@@ -419,9 +425,12 @@ class TestInProcessOutputIsReleased:
         assert growth < size
 
 
-# Each invalid request class of the benchmark's cli-session workload: the
-# exit code, the error line on stderr, the click exception raised with
-# standalone_mode=False and the library error behind it (its __cause__).
+MISSING_SEED_FILE = "no-such-seeds.json"
+
+# Each invalid request class of the benchmark's cli-session workload, and
+# three library refusals outside it (the last three): the exit code, the
+# error line on stderr, the click exception raised with standalone_mode=False
+# and the library error behind it (its __cause__).
 REFUSALS = {
     "degree-sequence": (
         ["sequence", "--d", "9"], 2,
@@ -460,10 +469,30 @@ REFUSALS = {
         ["decompose", "(2;\u0661,0,0,0,0,0)", "--format", "json"], 1,
         "Error: ParseError: expected an integer at position 3",
         click.ClickException, ParseError),
+    "not-ulrich": (
+        ["syzygy", "--d", "5", "--c1-sq", "16", "--c2", "6"], 1,
+        "Error: NotUlrich: seed NumericClassData(rank=2, c1_sq=16, c1_dot_h=10, c2=6) "
+        "fails the numerical Ulrich conditions",
+        click.ClickException, NotUlrich),
+    "not-ulrich-compatible": (
+        ["syzygy", "--d", "5", "--c1-sq", "17"], 1,
+        "Error: NotUlrichCompatible: c1^2 = 17 and rank*d = 10 differ by an odd number",
+        click.ClickException, NotUlrichCompatible),
+    "seed-file-missing": (
+        ["check"], 1,
+        f"Error: BadSeedFile: cannot read seed file {MISSING_SEED_FILE}: "
+        "No such file or directory",
+        click.ClickException, BadSeedFile),
 }
 
 
 class TestRefusals:
+    @pytest.fixture(autouse=True)
+    def missing_seed_file(self, tmp_path, monkeypatch):
+        # Only check reads it, and it is absent from the empty working directory.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ULRICH_LAB_SEED_FILE", MISSING_SEED_FILE)
+
     @pytest.mark.parametrize("name", list(REFUSALS))
     def test_refusal(self, runner, name):
         args, code, error, _, _ = REFUSALS[name]

@@ -24,6 +24,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     dual,
     euler_char,
     expected_moduli_dim,
+    is_ulrich_candidate,
     iterate_syzygy,
     make_surface,
     rank_by_recurrence,
@@ -33,7 +34,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     twist_by_h,
     ulrich_c2,
 )
-from ulrich_lab.chern import _chi_dual_product  # noqa: E402
+from ulrich_lab.chern import _chi, _chi_dual_product, _twist  # noqa: E402
 from ulrich_lab.syzygy import _closed_core  # noqa: E402
 
 d, r, k, n_prev, n_k = sp.symbols("d r k N_prev N_k")
@@ -486,3 +487,52 @@ class TestWidthStep:
     def test_drift_and_c2_of_a_row(self):
         assert is_zero(self.drift(r, q, 2 * c2 - q) - TestFactoredForms.moduli_dim())
         assert is_zero((2 * c2 - q + q) / 2 - c2)
+
+
+class TestUlrichConditions:
+    """Why :func:`ulrich.is_ulrich_candidate` tests c1.H and c2 and no chi.
+
+    ``_twist`` by m H with s = rk, p = c1.H and u = 2p + smd gives
+    (c1^2 + sm u, p + smd, c2 + (s-1) m u / 2), and ``_chi`` reads
+    rk + (c1^2 + c1.H)/2 - c2.  chi(E(-H)) - chi(E(-2H)) = c1.H - r d, and
+    once c1.H = r d both equal r + (c1^2 - r d)/2 - c2; so the two chi
+    conditions are c1.H = r d and the Ulrich c2, at which chi(E) = r d.
+    """
+
+    @staticmethod
+    def twisted_chi(rank, c1_sq, c1_h, second, mm):
+        u = 2 * c1_h + rank * mm * d
+        return (rank + (c1_sq + rank * mm * u + c1_h + rank * mm * d) / 2
+                - (second + (rank - 1) * mm * u / 2))
+
+    @staticmethod
+    def c2_gap(rank, c1_sq, second):
+        # What the c2 test of is_ulrich_candidate sets to zero.
+        return rank + (c1_sq - rank * d) / 2 - second
+
+    def test_formula_matches_the_library(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            dd, rank = rng.randint(3, 8), rng.randint(1, 6)
+            surface = make_surface(dd)
+            c1_h = rank * dd + rng.choice((0, 0, -1, 1))
+            c1_sq = 2 * rng.randint(-30, 30) + c1_h % 2  # c1^2 + c1.H even
+            second = ulrich_c2(rank, c1_sq, surface) if c1_h == rank * dd else 0
+            second += rng.choice((0, 0, -1, 1))
+            point = {r: rank, q: c1_sq, p: c1_h, c2: second, d: dd}
+            chis = [_chi(rank, *_twist(rank, c1_sq, c1_h, second, mm, dd)) for mm in (-1, -2)]
+            assert chis == [self.twisted_chi(r, q, p, c2, mm).subs(point) for mm in (-1, -2)]
+            data = NumericClassData(rank, c1_sq, c1_h, second)
+            assert is_ulrich_candidate(data, surface) == (chis == [0, 0])
+
+    def test_the_two_twists_differ_by_the_degree_condition(self):
+        assert is_zero(self.twisted_chi(r, q, p, c2, -1) - self.twisted_chi(r, q, p, c2, -2)
+                       - (p - r * d))
+
+    @pytest.mark.parametrize("mm", [-1, -2])
+    def test_both_twists_are_the_c2_equation(self, mm):
+        assert is_zero(self.twisted_chi(r, q, r * d, c2, mm) - self.c2_gap(r, q, c2))
+
+    def test_chi_at_the_ulrich_c2_is_rank_times_degree(self):
+        ulrich = r + (q - r * d) / 2
+        assert is_zero(self.twisted_chi(r, q, r * d, ulrich, 0) - r * d)

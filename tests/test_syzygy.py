@@ -379,6 +379,14 @@ class TestClosedRoutesRefuseNonUlrich:
         with pytest.raises(NotUlrich):
             route(k)
 
+    def test_exact_refusal_names_the_seed_as_given(self):
+        # As iterate_syzygy's refusal does: the exact seed, not its reduced data.
+        seed = BundleNumerics(2, WITNESS_C1, 5)
+        for route in (iterate_syzygy, closed_syzygy_chern):
+            with pytest.raises(NotUlrich) as info:
+                route(seed, S4, 0)
+            assert str(info.value) == f"seed {seed!r} fails the numerical Ulrich conditions"
+
     def test_earlier_guards_keep_their_class(self):
         bad = NumericClassData(2, 8, 6, 4)  # c2 = 3 is the Ulrich value on S3
         with pytest.raises(OutOfTheoremScope):
