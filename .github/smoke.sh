@@ -6,9 +6,10 @@
 # take the integer syzygy step and the closed rank form to k = 200, and the
 # syzygy JSON is read back: 202 rows, each with drift 1 and the rank of the
 # three-term recurrence, written out here; the cubics and decompose runs
-# print divisor classes through their str() memo.  The same syzygy request
-# in each format must write the same bytes to stdout, a real file
-# descriptor here, as it writes with --out.
+# print divisor classes through their str() memo.  The same syzygy request,
+# and the same r = 3 decompose request (1,440 rows), in each format must
+# write the same bytes to stdout, a real file descriptor here, as it writes
+# with --out: both are streamed into their destination as they are rendered.
 # One check run reads a seed file, so the validating path from JSON to
 # BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
 # the library's internal results, which skip re-validation; a second one
@@ -76,6 +77,9 @@ assert [row["rank"] for row in entries] == ranks, "a rank is off the recurrence"
 for fmt in markdown csv json; do
     ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format "$fmt" > "$stdout_file"
     ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format "$fmt" --out "$out_file"
+    cmp "$stdout_file" "$out_file"
+    ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --format "$fmt" > "$stdout_file"
+    ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --format "$fmt" --out "$out_file"
     cmp "$stdout_file" "$out_file"
 done
 ulrich-lab sequence --d 8 --k-max 200

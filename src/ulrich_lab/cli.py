@@ -9,7 +9,8 @@ emitted check passed.
 Each subcommand is one ``cmd_*`` function, declared by ``@_subcommand``
 with its click parameters and with its docstring as help text.  The
 decorator adds ``--format`` (``markdown``, ``csv`` or ``json``) and
-``--out PATH``, which writes to a file instead of stdout.  The ``check``
+``--out PATH``, which writes to a file instead of stdout; either way the
+output is written as it is rendered, not built first.  The ``check``
 subcommand honors the ``ULRICH_LAB_SEED_FILE`` environment variable, a
 JSON array of bundle numerics objects to add to the seed-driven checks.
 """
@@ -17,12 +18,11 @@ JSON array of bundle numerics objects to add to the seed-driven checks.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterable, TextIO
 
 import click
 
@@ -41,12 +41,14 @@ class CommandOutput:
     """A command's JSON payload and its text rows.
 
     A text row is a list of cells or a record whose values are the cells;
-    a ``bool`` cell is shown as ``ok``/``FAIL``.
+    a ``bool`` cell is shown as ``ok``/``FAIL``.  The rows are iterated
+    once, by the text formats only, so they may be an iterator that builds
+    each row as it is written.
     """
 
     payload: dict
     headers: list[str]
-    rows: list
+    rows: Iterable
     notes: list[str]
     ok: bool
 
@@ -56,21 +58,33 @@ def _cells(row) -> list[str]:
     return [("ok" if v else "FAIL") if isinstance(v, bool) else str(v) for v in values]
 
 
-def _render(out: CommandOutput, fmt: str) -> str:
+# One encoder for every JSON payload: its pieces are joined in batches of
+# this many, which runs at json.dumps speed without holding the whole text
+# (json.dump writes each piece on its own, about a quarter slower).
+_JSON = json.JSONEncoder(indent=2)
+_JSON_BATCH = 1024
+
+
+def _write(out: CommandOutput, fmt: str, stream: TextIO) -> None:
+    """Write ``out`` in format ``fmt`` to ``stream`` as it is rendered."""
     if fmt == "json":
-        return json.dumps(out.payload, indent=2) + "\n"
-    rows = [_cells(row) for row in out.rows]
+        pieces = _JSON.iterencode(out.payload)
+        while batch := "".join(islice(pieces, _JSON_BATCH)):
+            stream.write(batch)
+        stream.write("\n")
+        return
+    rows = map(_cells, out.rows)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(out.headers)
         writer.writerows(rows)
-        return buffer.getvalue()
-    lines = ["| " + " | ".join(out.headers) + " |",
-             "| " + " | ".join("---" for _ in out.headers) + " |"]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    lines.extend(out.notes)
-    return "\n".join(lines) + "\n"
+        return
+    stream.write("| " + " | ".join(out.headers) + " |\n")
+    stream.write("| " + " | ".join("---" for _ in out.headers) + " |\n")
+    for row in rows:
+        stream.write("| " + " | ".join(row) + " |\n")
+    for note in out.notes:
+        stream.write(note + "\n")
 
 
 @click.group()
@@ -89,18 +103,20 @@ def _subcommand(name: str, *params: click.Parameter):
                 out = command(**arguments)
             except UlrichLabError as exc:
                 raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-            text = _render(out, output_format)
             if output_path is None:
-                # Name the stream: echo's default looks sys.stdout up in a
-                # cache that never evicts a stream it need not rewrap (a
+                # Name the stream: click.echo's default looks sys.stdout up
+                # in a cache that never evicts a stream it need not rewrap (a
                 # StringIO under redirect_stdout), so each in-process call's
-                # buffer would live until exit.  errors=None is the default
-                # path's own argument, so the bytes are the same.
-                click.echo(text, file=click.get_text_stream("stdout", errors=None), nl=False)
+                # buffer would live until exit.  errors=None is that default
+                # path's own argument, so the bytes are the same, and the
+                # stream is flushed after the last row as echo flushed it.
+                stream = click.get_text_stream("stdout", errors=None)
+                _write(out, output_format, stream)
+                stream.flush()
             else:
                 try:
                     with open(output_path, "w", encoding="utf-8") as handle:
-                        handle.write(text)
+                        _write(out, output_format, handle)
                 except OSError as exc:
                     raise click.ClickException(
                         f"cannot write {output_path}: {exc.strerror}") from exc
@@ -209,7 +225,7 @@ def cmd_decompose(target: str, r: int, unordered: bool) -> CommandOutput:
     divisor = parse_divisor(target, cubic.CUBIC_SURFACE)
     decs = cubic.decompose_stable_sum(divisor, r, unordered=unordered)
     payload = cubic.decomposition_to_dict(divisor, r, decs)
-    rows = [[i, ", ".join(parts)] for i, parts in enumerate(payload["tuples"])]
+    rows = ([i, ", ".join(parts)] for i, parts in enumerate(payload["tuples"]))
     return CommandOutput(payload, ["index", "parts"], rows, [f"count: {len(decs)}"], True)
 
 

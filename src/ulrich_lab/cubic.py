@@ -112,20 +112,22 @@ def _cubic_coord_index() -> dict[tuple[int, ...], int]:
 
 
 @cache
-def _pair_table() -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _pair_table() -> dict[tuple[int, ...], tuple[int, ...]]:
     """Census-index pairs (i, j) with T_i + T_j equal to each sum.
 
     Keys are the tuples (a, b_1, ..., b_6) of the 1,135 sums of two cubics;
     the 72**2 = 5,184 ordered pairs are listed under their sum in ascending
-    (i, j) order.
+    (i, j) order, as one flat run (i0, j0, i1, j1, ...), which holds about
+    half the memory of a tuple of pairs.  Read it as ``zip(run, run)`` over
+    one iterator ``run``.
     """
     coords = list(_cubic_coord_index())
-    table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    table: dict[tuple[int, ...], list[int]] = {}
     for i, (s0, s1, s2, s3, s4, s5, s6) in enumerate(coords):
         for j, (t0, t1, t2, t3, t4, t5, t6) in enumerate(coords):
             key = (s0 + t0, s1 + t1, s2 + t2, s3 + t3, s4 + t4, s5 + t5, s6 + t6)
-            table.setdefault(key, []).append((i, j))
-    return {key: tuple(pairs) for key, pairs in table.items()}
+            table.setdefault(key, []).extend((i, j))
+    return {key: tuple(run) for key, run in table.items()}
 
 
 def is_twisted_cubic(x: DivisorClass) -> bool:
@@ -265,7 +267,8 @@ def decompose_stable_sum(
         p0, p1, p2, p3, p4, p5, p6 = partial
         if slots == 1:
             last_need = need + 2
-            for i, j in pair_table.get(rem, ()):
+            run = iter(pair_table.get(rem, ()))
+            for i, j in zip(run, run):
                 t0, t1, t2, t3, t4, t5, t6 = coords[i]
                 if depth and p0 * t0 - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5 - p6 * t6 < need:
                     continue
@@ -294,6 +297,9 @@ def decompose_stable_sum(
             chosen.pop()
 
     extend((0,) * 7, (target.a, *target.b))
+    # extend refers to itself through its closure: drop that cycle, so found,
+    # coords and chosen are freed on return rather than at the next collection.
+    extend = None
     if unordered:
         # Census order is sort_key order, so sorted indices name the multiset
         # and index order is the lexicographic order of the part sequences.

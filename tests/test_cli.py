@@ -425,6 +425,48 @@ class TestInProcessOutputIsReleased:
         assert growth < size
 
 
+# An r = 3 decompose (1,440 tuples) and the largest syzygy request of the
+# cli-session benchmark workload (202 rows).
+STREAMED = {
+    "decompose-3H-r3": ["decompose", "(9;3,3,3,3,3,3)", "--r", "3"],
+    "syzygy-d8-k194": ["syzygy", "--d", "8", "--r", "3", "--c1-sq", "72", "--k-max", "194"],
+}
+
+
+class TestStreamedOutput:
+    """Each format is written to its destination as it is rendered."""
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    @pytest.mark.parametrize("name", STREAMED)
+    def test_stdout_equals_out_file(self, runner, tmp_path, name, fmt):
+        args = [*STREAMED[name], "--format", fmt]
+        shown = runner.invoke(main, args)
+        assert shown.exit_code == 0
+        path = tmp_path / "out.txt"
+        written = runner.invoke(main, [*args, "--out", str(path)])
+        assert written.exit_code == 0
+        assert written.output == ""
+        assert path.read_bytes() == shown.stdout_bytes
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_decompose_peak_stays_under_0_6_mib(self, fmt):
+        # Streamed, one call peaks near its search and payload (about 0.4
+        # MiB); a text built whole before the write adds itself and its
+        # pieces, about 1 MiB in all.  One warm-up call, outside the trace,
+        # fills the census, the pair table and the divisor-text memo.
+        args = [*STREAMED["decompose-3H-r3"], "--format", fmt]
+        _run_in_process(args)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()):
+                main.main(args, prog_name="ulrich-lab", standalone_mode=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
+
+
 MISSING_SEED_FILE = "no-such-seeds.json"
 
 # Each invalid request class of the benchmark's cli-session workload, and

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -421,22 +423,58 @@ class TestDecompositions:
 
 class TestPairTable:
     def test_every_ordered_pair_under_its_sum(self):
+        # Each sum's pairs are one flat run (i0, j0, i1, j1, ...).
         table = cubic._pair_table()
         vectors = [(t.divisor.a, *t.divisor.b) for t in twisted_cubics()]
         assert len(table) == 1135
-        assert sum(map(len, table.values())) == 5184
-        listed = sorted(pair for pairs in table.values() for pair in pairs)
+        runs = {}
+        for key, run in table.items():
+            assert type(run) is tuple and len(run) % 2 == 0
+            pairs = iter(run)
+            runs[key] = list(zip(pairs, pairs))
+        assert sum(map(len, runs.values())) == 5184
+        listed = sorted(pair for pairs in runs.values() for pair in pairs)
         assert listed == list(itertools.product(range(72), repeat=2))
-        for key, pairs in table.items():
-            assert list(pairs) == sorted(pairs)
+        for key, pairs in runs.items():
+            assert pairs == sorted(pairs)
             for i, j in pairs:
                 assert key == tuple(x + y for x, y in zip(vectors[i], vectors[j]))
+
+    def test_built_table_retains_under_300_kib(self):
+        # 490 KiB as a tuple of (i, j) pairs per sum; the census is built
+        # first, outside the trace, since the table does not own it.
+        cubic._cubic_coord_index()
+        tracemalloc.start()
+        try:
+            table = cubic._pair_table.__wrapped__()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 1135
+        assert retained < 300 * 1024
 
     def test_built_once_per_process(self):
         decompose_stable_sum(T_A + T_C, 2)
         decompose_stable_sum(T_A + T_C + T_E, 3, unordered=True)
         assert cubic._pair_table() is cubic._pair_table()
         assert cubic._pair_table.cache_info().misses == 1
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # The search's recursive closure is dropped on return, so what it
+        # built is freed by reference counting, not left for the collector.
+        target = DivisorClass(9, (3, 3, 3, 3, 3, 3))
+        decompose_stable_sum(target, 3)  # fills the census and table caches
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            decs = decompose_stable_sum(target, 3)
+            garbage = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(decs) == 1440
+        assert garbage == 0
 
 
 class TestExtensionChi:
