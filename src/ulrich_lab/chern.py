@@ -239,10 +239,8 @@ def reduce_numerics(f: BundleNumerics) -> NumericClassData:
 
 def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     """Twist by the line bundle with first Chern class ``line``."""
-    if type(f) is not BundleNumerics:
-        _require_type(f, _BUNDLE, "f")
-    if type(line) is not DivisorClass:
-        _require_type(line, (DivisorClass,), "line")
+    _require_type(f, _BUNDLE, "f")
+    _require_type(line, (DivisorClass,), "line")
     c1 = f.c1
     if len(c1.b) != len(line.b):
         raise LatticeMismatch("twist class lives on a different lattice")
@@ -251,14 +249,12 @@ def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
 
 def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
     """Twist by m copies of the hyperplane class, in either resolution."""
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     _require_int(m, "twist multiple m must be an integer", TypeError)
-    if type(f) is not NumericClassData:
-        _require_type(f, _NUMERICS, "f")
-        if isinstance(f, BundleNumerics):
-            surface.require(f.c1)
-            return tensor_line(f, m * surface.anticanonical_class)
+    _require_type(f, _NUMERICS, "f")
+    if isinstance(f, BundleNumerics):
+        surface.require(f.c1)
+        return tensor_line(f, m * surface.anticanonical_class)
     s = f.rank
     return _trusted_numeric(s, *_twist(s, f.c1_sq, f.c1_dot_h, f.c2, m, surface.degree))
 
@@ -382,10 +378,9 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
 
 def dual(f: AnyNumerics) -> AnyNumerics:
     """Numerics of the dual bundle: c1 flips sign, c2 is unchanged."""
-    if type(f) is not BundleNumerics:
-        _require_type(f, _NUMERICS, "f")
-        if isinstance(f, NumericClassData):
-            return _trusted_numeric(f.rank, f.c1_sq, -f.c1_dot_h, f.c2)
+    _require_type(f, _NUMERICS, "f")
+    if isinstance(f, NumericClassData):
+        return _trusted_numeric(f.rank, f.c1_sq, -f.c1_dot_h, f.c2)
     return _trusted_bundle(f.rank, -f.c1, f.c2)
 
 
@@ -400,8 +395,7 @@ def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
             surface.require(c1)  # raises, naming both lattices
         c1_sq, c1_dot_h = a * a - sum(map(mul, b, b)), 3 * a - sum(b)
     else:
-        if type(f) is not NumericClassData:
-            _require_type(f, _NUMERICS, "f")
+        _require_type(f, _NUMERICS, "f")
         c1_sq, c1_dot_h = f.c1_sq, f.c1_dot_h
     return _chi(f.rank, c1_sq, c1_dot_h, f.c2)
 
@@ -418,8 +412,7 @@ def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> int:
 
 def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:
     """H-slope c1.H / rank as an exact rational."""
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(surface, (DelPezzoSurface,), "surface")
     _require_type(f, _NUMERICS, "f")
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)

@@ -317,8 +317,7 @@ def decomposition_to_dict(target: DivisorClass, r: int,
     :class:`StableSumDecomposition` raises ``TypeError`` naming its index."""
     decs = _as_tuple(decs, "decs")
     for position, dec in enumerate(decs):
-        if type(dec) is not StableSumDecomposition:
-            _require_type(dec, (StableSumDecomposition,), f"decs[{position}]")
+        _require_type(dec, (StableSumDecomposition,), f"decs[{position}]")
     return {
         "target": str(target),
         "r": r,
@@ -376,9 +375,10 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
     ``chern._chi_dual_product``, one pass over the coordinates that builds no
     class and no bundle.  Otherwise the composition
     ``euler_char(tensor(dual(fprev), M_T), surface)`` runs, and raises its own
-    :class:`LatticeMismatch`.  That composition is still checked against the
-    kernel and the closed form on all 72**2 ordered pairs, by
-    :func:`ulrich_lab.checks.check_cubic_chi_oracle`.
+    :class:`LatticeMismatch`.  :func:`ulrich_lab.checks.check_cubic_chi_oracle`
+    compares the composition with the closed form on all 72**2 ordered pairs
+    and with this function on the 72 diagonal ones; ``.github/oracle_parity.py``
+    compares it with this function on every pair.
     """
     if type(surface) is not DelPezzoSurface:
         _require_type(surface, (DelPezzoSurface,), "surface")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .chern import _NUMERICS, AnyNumerics, BundleNumerics, NumericClassData
+from .chern import _NUMERICS, AnyNumerics, BundleNumerics
 from .errors import NotUlrichCompatible, ParityViolation
 from .picard import DelPezzoSurface, _require_int, _require_keys, _require_type, intersect
 
@@ -137,12 +137,10 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
     an exact c1 is checked against the lattice and then read once for its
     c1^2 and c1.H.  An operand of neither resolution raises TypeError.
     """
-    if type(surface) is not DelPezzoSurface:
-        _require_type(surface, (DelPezzoSurface,), "surface")
-    if type(f) is not NumericClassData:
-        _require_type(f, _NUMERICS, "f")
-        if isinstance(f, BundleNumerics):
-            surface.require(f.c1)
+    _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_type(f, _NUMERICS, "f")
+    if isinstance(f, BundleNumerics):
+        surface.require(f.c1)
     r, d = f.rank, surface.degree
     c1_sq, c1_dot_h, c2 = f.c1_sq, f.c1_dot_h, f.c2
     if c1_dot_h != r * d:

@@ -469,10 +469,22 @@ class TestStreamedOutput:
 
 MISSING_SEED_FILE = "no-such-seeds.json"
 
-# Each invalid request class of the benchmark's cli-session workload, and
-# three library refusals outside it (the last three): the exit code, the
-# error line on stderr, the click exception raised with standalone_mode=False
-# and the library error behind it (its __cause__).
+# The malformed seed files of the seed-file-* refusals below, each written as
+# bad-seeds.json in the working directory.
+BAD_SEED_FILES = {
+    "seed-file-not-json": "not json",
+    "seed-file-not-array": '{"rank": 2}',
+    "seed-file-not-object": "[7]",
+    "seed-file-missing-c2": '[{"rank": 2, "c1": "(4;1,1,1,1,0)"}]',
+    "seed-file-bool-rank": '[{"rank": true, "c1": "(4;1,1,1,1,0)", "c2": 4}]',
+    "seed-file-numeric-c1": '[{"rank": 2, "c1": 5, "c2": 4}]',
+}
+BAD_SEED_ENTRY = "Error: BadSeedFile: seed file bad-seeds.json, entry 0: "
+
+# Each invalid request class of the benchmark's cli-session workload, then
+# library refusals and usage errors outside it (from not-ulrich on): the exit
+# code, the error line on stderr, the click exception raised with
+# standalone_mode=False and the library error behind it (its __cause__).
 REFUSALS = {
     "degree-sequence": (
         ["sequence", "--d", "9"], 2,
@@ -525,15 +537,58 @@ REFUSALS = {
         f"Error: BadSeedFile: cannot read seed file {MISSING_SEED_FILE}: "
         "No such file or directory",
         click.ClickException, BadSeedFile),
+    "syzygy-missing-c1-sq": (
+        ["syzygy", "--d", "5"], 2,
+        "Error: Missing option '--c1-sq'.",
+        click.MissingParameter, None),
+    "format-xml": (
+        ["sequence", "--d", "5", "--format", "xml"], 2,
+        "Error: Invalid value for '--format': 'xml' is not one of 'markdown', 'csv', 'json'.",
+        click.BadParameter, None),
+    "decompose-r-7": (
+        ["decompose", "(4;2,1,1,1,1,0)", "--r", "7"], 2,
+        "Error: Invalid value for '--r': 7 is not in the range 2<=x<=6.",
+        click.BadParameter, None),
+    "divisor-wrong-lattice": (
+        ["decompose", "(1;0,0)"], 1,
+        "Error: ParseError: expected 6 exceptional coordinates, got 2 at position 7",
+        click.ClickException, ParseError),
+    "seed-file-not-json": (
+        ["check"], 1,
+        "Error: BadSeedFile: seed file bad-seeds.json is not valid JSON: "
+        "Expecting value: line 1 column 1 (char 0)",
+        click.ClickException, BadSeedFile),
+    "seed-file-not-array": (
+        ["check"], 1,
+        "Error: BadSeedFile: seed file must contain a JSON array of bundle numerics",
+        click.ClickException, BadSeedFile),
+    "seed-file-not-object": (
+        ["check"], 1, BAD_SEED_ENTRY + "expected an object with keys rank, c1, c2",
+        click.ClickException, BadSeedFile),
+    "seed-file-missing-c2": (
+        ["check"], 1, BAD_SEED_ENTRY + "missing key(s) c2",
+        click.ClickException, BadSeedFile),
+    "seed-file-bool-rank": (
+        ["check"], 1, BAD_SEED_ENTRY + "rank must be an integer, got True",
+        click.ClickException, BadSeedFile),
+    "seed-file-numeric-c1": (
+        ["check"], 1, BAD_SEED_ENTRY + "c1 must be divisor text, got 5",
+        click.ClickException, BadSeedFile),
 }
 
 
 class TestRefusals:
     @pytest.fixture(autouse=True)
-    def missing_seed_file(self, tmp_path, monkeypatch):
-        # Only check reads it, and it is absent from the empty working directory.
+    def seed_file(self, request, tmp_path, monkeypatch):
+        # Only check reads it: the row's malformed bad-seeds.json, or a file
+        # absent from the empty working directory.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("ULRICH_LAB_SEED_FILE", MISSING_SEED_FILE)
+        content = BAD_SEED_FILES.get(request.node.callspec.params["name"])
+        if content is None:
+            monkeypatch.setenv("ULRICH_LAB_SEED_FILE", MISSING_SEED_FILE)
+        else:
+            (tmp_path / "bad-seeds.json").write_text(content)
+            monkeypatch.setenv("ULRICH_LAB_SEED_FILE", "bad-seeds.json")
 
     @pytest.mark.parametrize("name", list(REFUSALS))
     def test_refusal(self, runner, name):

@@ -286,6 +286,18 @@ class _Class(DivisorClass):
     pass
 
 
+class _Decomposition(StableSumDecomposition):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 def test_subclass_operands_are_accepted():
     f = _Bundle(2, _Class(4, (2, 1, 1, 1, 1, 0)), 3)
     n = _Reduced(2, 8, 6, 3)
@@ -300,6 +312,16 @@ def test_subclass_operands_are_accepted():
     assert is_ulrich_candidate(f, CUBIC_SURFACE) == is_ulrich_candidate(F, CUBIC_SURFACE)
     assert chi_pair_oracle(f, T_A, CUBIC_SURFACE) == chi_pair_oracle(F, T_A, CUBIC_SURFACE)
     assert permute_exceptionals(f.c1, (2, 1, 3, 4, 5, 6)) == DivisorClass(4, (1, 2, 1, 1, 1, 0))
+    assert format_divisor(f.c1) == format_divisor(F.c1) == "(4;2,1,1,1,1,0)"
+    assert kernel_bundle_of_cubic(_Class(1, (0,) * 6)) == kernel_bundle_of_cubic(T_A)
+    target = DivisorClass(6, (2,) * 6)
+    decs = decompose_stable_sum(target, 2)
+    subclassed = [_Decomposition(dec.target, dec.parts) for dec in decs]
+    assert decomposition_to_dict(target, 2, subclassed) == decomposition_to_dict(target, 2, decs)
+    assert decomposition_to_dict(target, 2, decs)["count"] == len(decs) > 0
+    assert _Class(1, (0,) * 6) * _Int(3) == T_A * 3 == DivisorClass(3, (0,) * 6)
+    assert parse_divisor(_Str("(1;0,0,0,0,0,0)")) == parse_divisor("(1;0,0,0,0,0,0)") == T_A
+    assert twist_by_h(f, 1, CUBIC_SURFACE) == twist_by_h(F, 1, CUBIC_SURFACE)
 
 
 def test_trace_entry_checks_its_fields():
