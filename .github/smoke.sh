@@ -31,7 +31,9 @@
 # is_ulrich_candidate with the euler_char(twist_by_h(F, -1 and -2))
 # composition on the random bundles, the seeds and their near misses (c2 +- 1,
 # an odd c1^2 - rd, c1.H +- 1 and +- 2), so the job without pytest checks
-# all three kernels too.
+# all three kernels too.  Both scripts run under `python3 -W error`, so a
+# warning (a deprecation in the standard library, a stray RuntimeWarning)
+# fails the runtime-only job, which has no pytest, as it fails the Tier-1 step.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)
@@ -87,5 +89,5 @@ ulrich-lab cubics --format csv
 ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json
 ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --unordered --out "$out_file"
 grep -qx 'count: 240' "$out_file"
-python3 "$(dirname "$0")/roundtrip.py"
-python3 "$(dirname "$0")/oracle_parity.py"
+python3 -W error "$(dirname "$0")/roundtrip.py"
+python3 -W error "$(dirname "$0")/oracle_parity.py"

@@ -80,10 +80,9 @@ reading a field of it, and every function that takes a surface refuses a
 non-surface the same way.  A rank-s, rank-t product has rank st >= 1, a sum
 or a dual keeps a positive rank, so the rank stays positive as well.  Both
 value types keep their fields in ``__slots__``, with no instance
-``__dict__``.  The two builders make the instance with ``object.__new__``
-and set each field, in field order, through its slot's member-descriptor
-``__set__``, bound once below the classes; pickling and copying use the
-shared field-state pair of :mod:`ulrich_lab.picard`.
+``__dict__``; ``picard._trusted_builder`` makes both builders from the
+fields, and pickling and copying use the shared field-state pair of
+:mod:`ulrich_lab.picard`.
 """
 
 from __future__ import annotations
@@ -101,11 +100,11 @@ from .picard import (
     _fields_getstate,
     _fields_setstate,
     _is_int,
-    _new,
     _require_int,
     _require_keys,
     _require_type,
     _trusted,
+    _trusted_builder,
     format_divisor,
     parse_divisor,
 )
@@ -195,37 +194,8 @@ _NUMERICS = (BundleNumerics, NumericClassData)
 # What discriminant and expected_moduli_dim accept: anything with rank, c1_sq and c2.
 _DUCK_NUMERICS = "BundleNumerics, NumericClassData or TraceEntry"
 
-_set_bundle_rank = BundleNumerics.rank.__set__
-_set_bundle_c1 = BundleNumerics.c1.__set__
-_set_bundle_c2 = BundleNumerics.c2.__set__
-_set_numeric_rank = NumericClassData.rank.__set__
-_set_numeric_c1_sq = NumericClassData.c1_sq.__set__
-_set_numeric_c1_dot_h = NumericClassData.c1_dot_h.__set__
-_set_numeric_c2 = NumericClassData.c2.__set__
-
-
-def _trusted_bundle(rank: int, c1: DivisorClass, c2: int) -> BundleNumerics:
-    """``BundleNumerics(rank, c1, c2)`` without the field checks.
-
-    Only for a positive int rank, a checked or trusted class and an int c2
-    computed from checked values; see the contract in :mod:`ulrich_lab.picard`.
-    """
-    x = _new(BundleNumerics)
-    _set_bundle_rank(x, rank)
-    _set_bundle_c1(x, c1)
-    _set_bundle_c2(x, c2)
-    return x
-
-
-def _trusted_numeric(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> NumericClassData:
-    """``NumericClassData(rank, c1_sq, c1_dot_h, c2)`` without the field checks,
-    under the same contract as :func:`_trusted_bundle`."""
-    x = _new(NumericClassData)
-    _set_numeric_rank(x, rank)
-    _set_numeric_c1_sq(x, c1_sq)
-    _set_numeric_c1_dot_h(x, c1_dot_h)
-    _set_numeric_c2(x, c2)
-    return x
+_trusted_bundle = _trusted_builder(BundleNumerics)
+_trusted_numeric = _trusted_builder(NumericClassData)
 
 
 def reduce_numerics(f: BundleNumerics) -> NumericClassData:

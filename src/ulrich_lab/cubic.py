@@ -45,9 +45,9 @@ from .picard import (
     _as_tuple,
     _fields_getstate,
     _fields_setstate,
-    _new,
     _require_int,
     _require_type,
+    _trusted_builder,
     make_surface,
 )
 from .syzygy import syzygy_numerics
@@ -206,18 +206,7 @@ def _refuse_addend(left: type, right: type) -> None:
     raise TypeError(f"unsupported operand type(s) for +: '{left.__name__}' and '{right.__name__}'")
 
 
-_set_target = StableSumDecomposition.target.__set__
-_set_parts = StableSumDecomposition.parts.__set__
-
-
-def _trusted_decomposition(target: DivisorClass,
-                           parts: tuple[TwistedCubicClass, ...]) -> StableSumDecomposition:
-    """``StableSumDecomposition(target, parts)`` without the dataclass
-    ``__init__``; see the contract in :mod:`ulrich_lab.picard`."""
-    x = _new(StableSumDecomposition)
-    _set_target(x, target)
-    _set_parts(x, parts)
-    return x
+_trusted_decomposition = _trusted_builder(StableSumDecomposition)
 
 
 def decompose_stable_sum(

@@ -25,49 +25,49 @@ Trusted construction.  Each value type of the package checks its fields in
 its constructor, and that is the path every user value takes.  A value
 formed by int arithmetic on fields that were already checked is an int
 again, so checking it a second time proves nothing.  Such results are built
-by private constructors that skip the checks:
+by private builders that skip the checks: ``_trusted`` here for
+:class:`DivisorClass`, and ``_trusted_bundle``, ``_trusted_numeric``,
+``_trusted_entry`` and ``_trusted_decomposition`` beside their types in
+``chern``, ``syzygy`` and ``cubic``.  :func:`_trusted_builder` makes each one
+from its class, taking the fields by name and in field order.
 
-* ``picard._trusted`` for :class:`DivisorClass`;
-* ``chern._trusted_bundle`` and ``chern._trusted_numeric`` for the two
-  Chern resolutions;
-* ``syzygy._trusted_entry`` for a syzygy trace row;
-* ``cubic._trusted_decomposition`` for a stable-sum decomposition.
-
-Only library code calls them, and only with ints computed from checked
-values (coordinates, ranks, Chern numbers, counts) or drawn as ints by the
-self-check's random generator, and with classes and numerics that are
-themselves checked or trusted.  That is safe because each public function
-that builds its result this way first tests the type of its operands with
-:func:`_require_type`, which accepts subclasses and raises ``TypeError``
-naming the argument, so an operand's fields are known to have passed a
-constructor.  An inline ``type(x) is Cls`` test runs first only where the
-~150 ns it saves per hit (at the benchmark's reference speed) comes to at
-least 0.1 % of some ``perfbench`` workload's request time: at both operands
-of ``chern.tensor``, the summands of ``direct_sum`` and the surface of
-``euler_char``; at the pairings of ``cubic.chi_pair_closed_form``, the
-operands of ``chi_pair_oracle``, the class of ``kernel_bundle_of_cubic``
-and the parts in ``StableSumDecomposition.validate``; and at the class and
-images of :func:`permute_exceptionals`.
+The contract of every builder: only library code calls it, only with ints
+computed from checked values (coordinates, positive ranks, Chern numbers,
+counts) or drawn as ints by the self-check's random generator, and only
+with classes, numerics and cubics that are themselves checked or trusted.
+That is safe because each public function that builds its result this way
+first tests the type of its operands with :func:`_require_type`, which
+accepts subclasses and raises ``TypeError`` naming the argument, so an
+operand's fields are known to have passed a constructor.  An inline
+``type(x) is Cls`` test runs first only where the ~150 ns it saves per hit
+(at the benchmark's reference speed) comes to at least 0.1 % of some
+``perfbench`` workload's request time: at both operands of ``chern.tensor``,
+the summands of ``direct_sum`` and the surface of ``euler_char``; at the
+pairings of ``cubic.chi_pair_closed_form``, the operands of
+``chi_pair_oracle``, the class of ``kernel_bundle_of_cubic`` and the parts
+in ``StableSumDecomposition.validate``; and at the class and images of
+:func:`permute_exceptionals`.
 
 Slots.  The hot value types (:class:`DivisorClass`, ``BundleNumerics``,
 ``NumericClassData``, ``TraceEntry``, ``TwistedCubicClass`` and
 ``StableSumDecomposition``) declare ``__slots__`` in the class body, one
 slot per field, so their instances have no ``__dict__``: a field read is
-a fixed-offset load, and an instance is smaller.  The private constructors
-make the instance with ``object.__new__`` and set each field through its
-slot's member descriptor, whose ``__set__`` is bound once at module level
-(``_set_a(x, a); _set_b(x, b)``), in field order.  That skips only the
-dataclass ``__init__`` and its checks, and leaves the instance the checked
-constructor leaves.  The frozen ``__setattr__`` guards attribute
-assignment, not the descriptors, so assigning to a field, or to any other
-name, still raises ``FrozenInstanceError``.  Pickling and copying go
-through one shared pair, :func:`_fields_getstate` and
-:func:`_fields_setstate`: the state is the dict of fields in field order,
-the form pickles of these types have always had, and it is written back
-past the frozen ``__setattr__``.  A trusted result is therefore an ordinary
-instance, the same under ``==``, ``hash``, ``repr``, ``fields()``,
-``asdict``, pickling (every protocol), copying and ``dataclasses.replace``
-(which runs the checks).  Instances take no weak references.
+a fixed-offset load, and an instance is smaller.  A trusted builder makes
+the instance with ``object.__new__`` and sets each field through its slot's
+member-descriptor ``__set__``, in field order: :func:`_trusted_builder` binds
+the setters once and generates the body unrolled, one call per field, as
+``dataclasses`` generates ``__init__``.  That skips only the dataclass
+``__init__`` and its checks, and leaves the instance the checked constructor
+leaves.  The frozen ``__setattr__`` guards attribute assignment, not the
+descriptors, so assigning to a field, or to any other name, still raises
+``FrozenInstanceError``.  Pickling and copying go through one shared pair,
+:func:`_fields_getstate` and :func:`_fields_setstate`: the state is the
+dict of fields in field order, the form pickles of these types have always
+had, and it is written back past the frozen ``__setattr__``.  A trusted
+result is therefore an ordinary instance, the same under ``==``, ``hash``,
+``repr``, ``fields()``, ``asdict``, pickling (every protocol), copying and
+``dataclasses.replace`` (which runs the checks).  Instances take no weak
+references.
 
 A class is immutable: only ``__post_init__`` and ``_trusted`` write ``a``
 and ``b``, and both do so before the instance is shared.  That is what lets
@@ -83,7 +83,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import add, mul, neg, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BadPermutation, DegreeOutOfRange, LatticeMismatch, ParseError
 
@@ -246,22 +246,28 @@ class DivisorClass:
 
 
 _new = object.__new__
-_set_a = DivisorClass.a.__set__
-_set_b = DivisorClass.b.__set__
 _set_hash_memo = DivisorClass._hash_memo.__set__
 _set_text_memo = DivisorClass._text_memo.__set__
 
 
-def _trusted(a: int, b: tuple[int, ...]) -> DivisorClass:
-    """``DivisorClass(a, b)`` without the coordinate checks.
+def _trusted_builder(cls: type) -> Callable:
+    """The trusted builder of the slotted dataclass ``cls``, taking its fields
+    by name and in field order; see the module docstring.
 
-    Only for an int ``a`` and a tuple ``b`` of ints computed from checked
-    values; see the module docstring.
+    The body is generated once, as ``dataclasses`` generates ``__init__``,
+    and unrolled: no loop runs per call.
     """
-    x = _new(DivisorClass)
-    _set_a(x, a)
-    _set_b(x, b)
-    return x
+    names = list(cls.__dataclass_fields__)
+    namespace = {"__name__": cls.__module__, "_new": _new, "_cls": cls}
+    namespace.update((f"_set_{name}", getattr(cls, name).__set__) for name in names)
+    builder = f"_trusted_{cls.__name__}"
+    sets = "".join(f"    _set_{name}(x, {name})\n" for name in names)
+    params = ", ".join(names)
+    exec(f"def {builder}({params}):\n    x = _new(_cls)\n{sets}    return x\n", namespace)
+    return namespace[builder]
+
+
+_trusted = _trusted_builder(DivisorClass)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,7 @@ from .picard import (
     _require_int,
     _require_type,
     _trusted,
+    _trusted_builder,
 )
 
 
@@ -357,26 +358,7 @@ class TraceEntry:
         }
 
 
-_set_k = TraceEntry.k.__set__
-_set_rank = TraceEntry.rank.__set__
-_set_c1 = TraceEntry.c1.__set__
-_set_c1_sq = TraceEntry.c1_sq.__set__
-_set_c1_dot_h = TraceEntry.c1_dot_h.__set__
-_set_c2 = TraceEntry.c2.__set__
-
-
-def _trusted_entry(k: int, rank: int, c1: DivisorClass | None,
-                   c1_sq: int, c1_dot_h: int, c2: int) -> TraceEntry:
-    """``TraceEntry(...)`` without the checks, for int fields from int
-    arithmetic on a checked seed; see the contract in :mod:`ulrich_lab.picard`."""
-    entry = _new(TraceEntry)
-    _set_k(entry, k)
-    _set_rank(entry, rank)
-    _set_c1(entry, c1)
-    _set_c1_sq(entry, c1_sq)
-    _set_c1_dot_h(entry, c1_dot_h)
-    _set_c2(entry, c2)
-    return entry
+_trusted_entry = _trusted_builder(TraceEntry)
 
 
 class _TraceRows(Sequence):

@@ -34,6 +34,7 @@ from ulrich_lab import (
     make_surface,
     syzygy_numerics,
     tensor,
+    tensor_line,
     twist_partner,
     twisted_cubic_representative,
     twisted_cubics,
@@ -636,6 +637,14 @@ class TestEulerPairingKernel:
                                    "surface of degree 4 needs 5")
         with pytest.raises(LatticeMismatch, match=r"^tensor factors live on different lattices$"):
             chi_pair_oracle(BundleNumerics(1, DivisorClass(1, (0,) * 5), 0), T_A, CUBIC_SURFACE)
+        # A twist of a cubic bundle by a quartic class, alone and inside twist_partner.
+        partner = BundleNumerics(4, -(T_A + T_C), 5)
+        for twist in (lambda: tensor_line(partner, QUARTIC_A),
+                      lambda: twist_partner(partner, QUARTIC_A)):
+            with pytest.raises(LatticeMismatch) as info:
+                twist()
+            assert type(info.value) is LatticeMismatch
+            assert str(info.value) == "twist class lives on a different lattice"
 
 
 class TestModuliPairs:

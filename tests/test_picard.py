@@ -24,6 +24,7 @@ from ulrich_lab import (
     parse_divisor,
     permute_exceptionals,
 )
+from ulrich_lab import cubic as cubic_module
 from ulrich_lab import picard as picard_module
 
 
@@ -180,6 +181,23 @@ class TestIntersection:
         assert -x == DivisorClass(-2, (-1, 0))
         assert 3 * x == DivisorClass(6, (3, 0))
         assert x * 3 == 3 * x
+
+    def test_operators_refuse_a_non_class(self):
+        # __add__ and __sub__ return NotImplemented, so Python raises its own
+        # TypeError; StableSumDecomposition.validate raises the same text for +.
+        x = DivisorClass(2, (1, 0))
+        with pytest.raises(TypeError) as info:
+            x + 1
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: "
+                                            r"'DivisorClass' and 'NoneType'$"):
+            x - None
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: "
+                                            r"'int' and 'DivisorClass'$"):
+            1 - x
+        with pytest.raises(TypeError) as refused:
+            cubic_module._refuse_addend(DivisorClass, int)
+        assert str(info.value) == str(refused.value) == (
+            "unsupported operand type(s) for +: 'DivisorClass' and 'int'")
 
     @given(divisor_pairs())
     def test_symmetry(self, pair):

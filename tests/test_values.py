@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 
@@ -207,31 +208,34 @@ def test_trusted_results_are_ordinary_values(results):
 
 T1, T2 = twisted_cubics()[0], twisted_cubics()[1]
 
-# (trusted build, checked build, a replace() its field checks refuse or None
-# where the type has no field checks, the exception).
+# (trusted builder, its class, positional field values, a replace() its field
+# checks refuse or None where the type has no field checks, the exception).
 BUILDERS = [
-    pytest.param(lambda: _trusted(4, (1, 1, 1, 1, 0)), lambda: DivisorClass(4, (1, 1, 1, 1, 0)),
-                 {"a": True}, TypeError, id="_trusted"),
-    pytest.param(lambda: _trusted_bundle(2, X, 4), lambda: BundleNumerics(2, X, 4),
-                 {"rank": 0}, ValueError, id="_trusted_bundle"),
-    pytest.param(lambda: _trusted_numeric(2, 16, 10, 5), lambda: NumericClassData(2, 16, 10, 5),
-                 {"c2": 5.0}, TypeError, id="_trusted_numeric"),
-    pytest.param(lambda: _trusted_entry(0, 6, -X, 12, -8, 8),
-                 lambda: TraceEntry(0, 6, -X, 12, -8, 8), {"k": -2}, ValueError,
+    pytest.param(_trusted, DivisorClass, (4, (1, 1, 1, 1, 0)), {"a": True}, TypeError,
+                 id="_trusted"),
+    pytest.param(_trusted_bundle, BundleNumerics, (2, X, 4), {"rank": 0}, ValueError,
+                 id="_trusted_bundle"),
+    pytest.param(_trusted_numeric, NumericClassData, (2, 16, 10, 5), {"c2": 5.0}, TypeError,
+                 id="_trusted_numeric"),
+    pytest.param(_trusted_entry, TraceEntry, (0, 6, -X, 12, -8, 8), {"k": -2}, ValueError,
                  id="_trusted_entry"),
-    pytest.param(lambda: _trusted_decomposition(T1.divisor + T2.divisor, (T1, T2)),
-                 lambda: StableSumDecomposition(T1.divisor + T2.divisor, (T1, T2)),
-                 None, None, id="_trusted_decomposition"),
+    pytest.param(_trusted_decomposition, StableSumDecomposition,
+                 (T1.divisor + T2.divisor, (T1, T2)), None, None, id="_trusted_decomposition"),
 ]
 
 
-@pytest.mark.parametrize("trusted,checked,bad,error", BUILDERS)
-def test_builder_sets_the_constructor_slots(trusted, checked, bad, error):
-    value, twin = trusted(), checked()
+@pytest.mark.parametrize("builder,cls,args,bad,error", BUILDERS)
+def test_builder_sets_the_constructor_slots(builder, cls, args, bad, error):
+    value, twin = builder(*args), cls(*args)
     assert type(value) is type(twin)
     _assert_slotted(value)
     _assert_slotted(twin)
     assert _field_items(value) == _field_items(twin)  # field by field, in field order
+    # The builder takes the fields by name too, in field order.
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(builder).parameters) == names
+    by_name = builder(**dict(zip(names, args)))
+    assert type(by_name) is cls and _field_items(by_name) == _field_items(value)
     for name, field_value in _field_items(value):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, field_value)
