@@ -16,7 +16,10 @@
 # reads a seed file without c2 and must fail, naming the key on stderr (a
 # file again, since `sh -eu` has no pipefail); a third reads a seed that is
 # not an Ulrich candidate and must exit 1 with three `raised NotUlrich` rows,
-# so the runner's exception path runs as well.  The r = 3
+# so the runner's exception path runs as well.  Two requests must be refused
+# with exit 1, one `Error:` line and no traceback on stderr: a seed file
+# nested 100,000 arrays deep, and a sequence whose N_1 is longer than the
+# interpreter's int-string limit.  The r = 3
 # decompose run takes the search through its first-part scan and its
 # pair-table lookup of the last two parts; its count is checked from a file,
 # since `sh -e` does not see a failure inside a pipe.  roundtrip.py
@@ -64,6 +67,23 @@ if [ "$status" -ne 1 ] || [ "$(grep -c 'raised NotUlrich' "$out_file")" -ne 3 ];
     echo "smoke: check with a non-Ulrich seed exited $status, wanted 1 and 3 raised rows" >&2
     exit 1
 fi
+# ulrich-lab ARGS must exit 1 with one `Error:` line and no traceback.
+expect_refusal() {
+    status=0
+    ulrich-lab "$@" > "$out_file" 2> "$err_file" || status=$?
+    if [ "$status" -ne 1 ] || [ "$(grep -c '^Error: ' "$err_file")" -ne 1 ] \
+            || grep -q Traceback "$err_file"; then
+        echo "smoke: ulrich-lab $1 exited $status; wanted 1, one Error: line, no traceback" >&2
+        cat "$err_file" >&2
+        exit 1
+    fi
+}
+python3 -c 'print("[" * 100000 + "]" * 100000)' > "$seed_file"
+export ULRICH_LAB_SEED_FILE="$seed_file"
+expect_refusal check
+unset ULRICH_LAB_SEED_FILE
+expect_refusal sequence --d 8 --k-max 1 \
+    --r "$(python3 -c 'import sys; print(10 ** (sys.get_int_max_str_digits() - 1))')"
 ulrich-lab table-pairs
 ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json > "$out_file"
 python3 -c '

@@ -71,6 +71,8 @@ def load_seed_file(path: str) -> list[Seed]:
         raise BadSeedFile(f"cannot read seed file {path}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise BadSeedFile(f"seed file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise BadSeedFile(f"seed file {path} is nested too deeply to read") from exc
     if not isinstance(raw, list):
         raise BadSeedFile("seed file must contain a JSON array of bundle numerics")
     seeds: list[Seed] = []

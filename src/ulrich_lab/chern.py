@@ -81,8 +81,8 @@ non-surface the same way.  A rank-s, rank-t product has rank st >= 1, a sum
 or a dual keeps a positive rank, so the rank stays positive as well.  Both
 value types keep their fields in ``__slots__``, with no instance
 ``__dict__``; ``picard._trusted_builder`` makes both builders from the
-fields, and pickling and copying use the shared field-state pair of
-:mod:`ulrich_lab.picard`.
+fields, and both subclass ``picard._Value``, the one place their pickle and
+copy state is decided.
 """
 
 from __future__ import annotations
@@ -97,26 +97,23 @@ from .picard import (
     DelPezzoSurface,
     DivisorClass,
     _as_tuple,
-    _fields_getstate,
-    _fields_setstate,
     _is_int,
     _require_int,
     _require_keys,
     _require_type,
     _trusted,
     _trusted_builder,
+    _Value,
     format_divisor,
     parse_divisor,
 )
 
 
 @dataclass(frozen=True)
-class BundleNumerics:
+class BundleNumerics(_Value):
     """(rank, c1, c2) with the exact first Chern class."""
 
     __slots__ = ("rank", "c1", "c2")
-    __getstate__ = _fields_getstate
-    __setstate__ = _fields_setstate
 
     rank: int
     c1: DivisorClass
@@ -148,12 +145,10 @@ class BundleNumerics:
 
 
 @dataclass(frozen=True)
-class NumericClassData:
+class NumericClassData(_Value):
     """Reduced invariants (rank, c1^2, c1.H, c2) of a bundle."""
 
     __slots__ = ("rank", "c1_sq", "c1_dot_h", "c2")
-    __getstate__ = _fields_getstate
-    __setstate__ = _fields_setstate
 
     rank: int
     c1_sq: int

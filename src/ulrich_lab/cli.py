@@ -95,7 +95,9 @@ def main() -> None:
 def _subcommand(name: str, *params: click.Parameter):
     """Register the decorated ``cmd_*`` function as subcommand NAME of :func:`main`.
 
-    Library errors become click errors; a failed check exits with status 1.
+    Library errors, and a ``ValueError`` raised while the output is written
+    (a number longer than the interpreter's int-string limit), become click
+    errors; rows already written stay.  A failed check exits with status 1.
     """
     def register(command: Callable[..., CommandOutput]) -> Callable[..., CommandOutput]:
         def callback(output_format: str, output_path: str | None, **arguments) -> None:
@@ -103,23 +105,26 @@ def _subcommand(name: str, *params: click.Parameter):
                 out = command(**arguments)
             except UlrichLabError as exc:
                 raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-            if output_path is None:
-                # Name the stream: click.echo's default looks sys.stdout up
-                # in a cache that never evicts a stream it need not rewrap (a
-                # StringIO under redirect_stdout), so each in-process call's
-                # buffer would live until exit.  errors=None is that default
-                # path's own argument, so the bytes are the same, and the
-                # stream is flushed after the last row as echo flushed it.
-                stream = click.get_text_stream("stdout", errors=None)
-                _write(out, output_format, stream)
-                stream.flush()
-            else:
-                try:
-                    with open(output_path, "w", encoding="utf-8") as handle:
-                        _write(out, output_format, handle)
-                except OSError as exc:
-                    raise click.ClickException(
-                        f"cannot write {output_path}: {exc.strerror}") from exc
+            try:
+                if output_path is None:
+                    # Name the stream: click.echo's default looks sys.stdout up
+                    # in a cache that never evicts a stream it need not rewrap (a
+                    # StringIO under redirect_stdout), so each in-process call's
+                    # buffer would live until exit.  errors=None is that default
+                    # path's own argument, so the bytes are the same, and the
+                    # stream is flushed after the last row as echo flushed it.
+                    stream = click.get_text_stream("stdout", errors=None)
+                    _write(out, output_format, stream)
+                    stream.flush()
+                else:
+                    try:
+                        with open(output_path, "w", encoding="utf-8") as handle:
+                            _write(out, output_format, handle)
+                    except OSError as exc:
+                        raise click.ClickException(
+                            f"cannot write {output_path}: {exc.strerror}") from exc
+            except ValueError as exc:  # a number past the int-string limit
+                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
             if not out.ok:
                 raise SystemExit(1)
 

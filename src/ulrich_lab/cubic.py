@@ -43,11 +43,10 @@ from .picard import (
     DelPezzoSurface,
     DivisorClass,
     _as_tuple,
-    _fields_getstate,
-    _fields_setstate,
     _require_int,
     _require_type,
     _trusted_builder,
+    _Value,
     make_surface,
 )
 from .syzygy import syzygy_numerics
@@ -65,12 +64,10 @@ _REPRESENTATIVE_COORDS: dict[str, tuple[int, tuple[int, ...]]] = {
 
 
 @dataclass(frozen=True)
-class TwistedCubicClass:
+class TwistedCubicClass(_Value):
     """A twisted cubic class together with its orbit tag."""
 
     __slots__ = ("type_tag", "divisor")
-    __getstate__ = _fields_getstate
-    __setstate__ = _fields_setstate
 
     type_tag: str
     divisor: DivisorClass
@@ -141,12 +138,10 @@ def is_twisted_cubic(x: DivisorClass) -> bool:
 
 
 @dataclass(frozen=True)
-class StableSumDecomposition:
+class StableSumDecomposition(_Value):
     """An ordered tuple of twisted cubics summing to the target class."""
 
     __slots__ = ("target", "parts")
-    __getstate__ = _fields_getstate
-    __setstate__ = _fields_setstate
 
     target: DivisorClass
     parts: tuple[TwistedCubicClass, ...]
@@ -156,17 +151,17 @@ class StableSumDecomposition:
 
         One pass, on any lattice, on coordinates: the partial sum is carried
         as an int ``a`` and a tuple ``b``, each part's pairing with it is
-        tested, and it is compared with the target at the end.  The answers
-        are those of ``+``, :meth:`~ulrich_lab.picard.DivisorClass.dot` and
-        ``==`` on classes:
+        tested, and it is compared with the target at the end.  The sum is
+        carried through every part even after a pairing fails, so each
+        refusal below holds for every order of the parts:
 
         * empty parts raise :class:`LatticeMismatch`, "cannot sum an empty
           family of divisor classes";
+        * a part whose divisor is no :class:`DivisorClass` raises the
+          ``TypeError`` of :func:`~ulrich_lab.picard._require_type`, naming
+          ``parts[i].divisor``;
         * a part on another lattice than the first raises
-          :class:`LatticeMismatch` with the message of ``+``, and a part
-          that is no :class:`DivisorClass` raises the ``TypeError`` of
-          ``+``; the sum is carried through every part even after a
-          pairing fails, so both hold for every order of the parts;
+          :class:`LatticeMismatch` with the message of ``+``;
         * one part is compared with the target by ``==``; a target that is
           not exactly a :class:`DivisorClass` is never the sum of two or
           more parts, as under ``==``.
@@ -177,16 +172,16 @@ class StableSumDecomposition:
         first = parts[0].divisor
         if len(parts) == 1:
             return first == self.target
-        if not isinstance(first, DivisorClass):
-            _refuse_addend(type(first), type(parts[1].divisor))
+        if type(first) is not DivisorClass:
+            _require_type(first, (DivisorClass,), "parts[0].divisor")
         pa, pb = first.a, first.b
         width = len(pb)
         need = 3  # 2j - 1 at j = 2
         stable = True
         for part in parts[1:]:
             t = part.divisor
-            if type(t) is not DivisorClass and not isinstance(t, DivisorClass):
-                _refuse_addend(DivisorClass, type(t))
+            if type(t) is not DivisorClass:  # need = 2i + 1 at parts[i]
+                _require_type(t, (DivisorClass,), f"parts[{need >> 1}].divisor")
             tb = t.b
             if len(tb) != width:
                 raise LatticeMismatch("cannot add classes from different lattices")
@@ -198,12 +193,6 @@ class StableSumDecomposition:
             pb = tuple(map(add, pb, tb))
         target = self.target
         return stable and type(target) is DivisorClass and pa == target.a and pb == target.b
-
-
-def _refuse_addend(left: type, right: type) -> None:
-    """Raise the ``TypeError`` of ``x + y`` for an ``x`` of type ``left`` and
-    a ``y`` of type ``right`` that do not add."""
-    raise TypeError(f"unsupported operand type(s) for +: '{left.__name__}' and '{right.__name__}'")
 
 
 _trusted_decomposition = _trusted_builder(StableSumDecomposition)
@@ -292,10 +281,12 @@ def decompose_stable_sum(
     if unordered:
         # Census order is sort_key order, so sorted indices name the multiset
         # and index order is the lexicographic order of the part sequences.
+        # found is already in that order: setdefault keeps each multiset's
+        # least ordering, and the kept orderings stay in order.
         best: dict[tuple[int, ...], tuple[int, ...]] = {}
         for parts in found:
             best.setdefault(tuple(sorted(parts)), parts)
-        found = sorted(best.values())
+        found = list(best.values())
     part = twisted_cubics().__getitem__
     return [_trusted_decomposition(target, tuple(map(part, parts))) for parts in found]
 

@@ -60,14 +60,13 @@ the setters once and generates the body unrolled, one call per field, as
 ``__init__`` and its checks, and leaves the instance the checked constructor
 leaves.  The frozen ``__setattr__`` guards attribute assignment, not the
 descriptors, so assigning to a field, or to any other name, still raises
-``FrozenInstanceError``.  Pickling and copying go through one shared pair,
-:func:`_fields_getstate` and :func:`_fields_setstate`: the state is the
-dict of fields in field order, the form pickles of these types have always
-had, and it is written back past the frozen ``__setattr__``.  A trusted
-result is therefore an ordinary instance, the same under ``==``, ``hash``,
-``repr``, ``fields()``, ``asdict``, pickling (every protocol), copying and
-``dataclasses.replace`` (which runs the checks).  Instances take no weak
-references.
+``FrozenInstanceError``.  All six subclass :class:`_Value`, the one place
+their pickle and copy state is decided: the dict of fields in field order,
+the form pickles of these types have always had, written back past the
+frozen ``__setattr__``.  A trusted result is therefore an ordinary
+instance, the same under ``==``, ``hash``, ``repr``, ``fields()``,
+``asdict``, pickling (every protocol), copying and ``dataclasses.replace``
+(which runs the checks).  Instances take no weak references.
 
 A class is immutable: only ``__post_init__`` and ``_trusted`` write ``a``
 and ``b``, and both do so before the instance is shared.  That is what lets
@@ -141,25 +140,28 @@ def _require_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} is missing key(s) {', '.join(missing)}")
 
 
-def _fields_getstate(self) -> dict:
-    """The pickle and copy state of a slotted value: its fields, in field order."""
-    return {name: getattr(self, name) for name in self.__dataclass_fields__}
+class _Value:
+    """Base of the slotted frozen value types: the one place their pickle and
+    copy state is decided."""
 
+    __slots__ = ()
 
-def _fields_setstate(self, state: dict) -> None:
-    """Restore a state of :func:`_fields_getstate`, past the frozen ``__setattr__``."""
-    for name, value in state.items():
-        object.__setattr__(self, name, value)
+    def __getstate__(self) -> dict:
+        """The state: the fields, in field order."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a state of :meth:`__getstate__`, past the frozen ``__setattr__``."""
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Value):
     """Coordinates (a; b_1, ..., b_t) of the class a*L - sum(b_i * E_i)."""
 
     # The fields, then the hash and text memos (not fields: not annotated).
     __slots__ = ("a", "b", "_hash_memo", "_text_memo")
-    __getstate__ = _fields_getstate
-    __setstate__ = _fields_setstate
 
     a: int
     b: tuple[int, ...]

@@ -106,14 +106,13 @@ from .picard import (
     MIN_DEGREE,
     DelPezzoSurface,
     DivisorClass,
-    _fields_getstate,
-    _fields_setstate,
     _is_int,
     _new,
     _require_int,
     _require_type,
     _trusted,
     _trusted_builder,
+    _Value,
 )
 
 
@@ -305,7 +304,7 @@ def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(_Value):
     """One row of a syzygy trace: the numerics of S_k, k = -1 being the seed.
 
     The constructor checks the fields as :class:`NumericClassData` and
@@ -314,8 +313,6 @@ class TraceEntry:
     """
 
     __slots__ = ("k", "rank", "c1", "c1_sq", "c1_dot_h", "c2")
-    __getstate__ = _fields_getstate
-    __setstate__ = _fields_setstate
 
     k: int
     rank: int

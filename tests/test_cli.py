@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -467,6 +468,55 @@ class TestStreamedOutput:
         assert peak < 0.6 * 2**20
 
 
+# The interpreter's int-string limit in digits; 0 (or no such limit) turns it off.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="no int-string limit")
+class TestIntStringLimit:
+    """An output number longer than the int-string limit is one error line;
+    the rows written before it stay."""
+
+    # r = 10**(limit - 1) gives N_0 = 7r with the limit's digits and
+    # N_1 = 6 N_0 - r = 41 * 10**(limit - 1) with one more.
+    ARGS = ["sequence", "--d", "8", "--r", str(10 ** (INT_DIGITS - 1)), "--k-max", "1"]
+
+    @staticmethod
+    def expected() -> tuple[dict[str, str], str]:
+        """The output streamed before the refusal in each format, and the error line."""
+        n0 = str(7 * 10 ** (INT_DIGITS - 1))
+        streamed = {
+            "markdown": ("| k | recurrence | closed_form | match |\n| --- | --- | --- | --- |\n"
+                         f"| 0 | {n0} | {n0} | ok |\n"),
+            "csv": f"k,recurrence,closed_form,match\n0,{n0},{n0},ok\n",
+            "json": "",
+        }
+        with pytest.raises(ValueError) as info:
+            str(10 ** INT_DIGITS)
+        return streamed, f"Error: ValueError: {info.value}\n"
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_stdout(self, runner, fmt):
+        streamed, error = self.expected()
+        result = runner.invoke(main, [*self.ARGS, "--format", fmt])
+        assert result.exit_code == 1
+        assert (result.stdout, result.stderr) == (streamed[fmt], error)
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_out_file(self, runner, tmp_path, fmt):
+        streamed, error = self.expected()
+        path = tmp_path / "out.txt"
+        result = runner.invoke(main, [*self.ARGS, "--format", fmt, "--out", str(path)])
+        assert result.exit_code == 1
+        assert (result.stdout, result.stderr) == ("", error)
+        assert path.read_text() == streamed[fmt]
+
+    def test_cause(self):
+        with redirect_stdout(io.StringIO()), pytest.raises(click.ClickException) as info:
+            main.main(self.ARGS, prog_name="ulrich-lab", standalone_mode=False)
+        assert type(info.value.__cause__) is ValueError
+
+
 MISSING_SEED_FILE = "no-such-seeds.json"
 
 # The malformed seed files of the seed-file-* refusals below, each written as
@@ -478,6 +528,8 @@ BAD_SEED_FILES = {
     "seed-file-missing-c2": '[{"rank": 2, "c1": "(4;1,1,1,1,0)"}]',
     "seed-file-bool-rank": '[{"rank": true, "c1": "(4;1,1,1,1,0)", "c2": 4}]',
     "seed-file-numeric-c1": '[{"rank": 2, "c1": 5, "c2": 4}]',
+    # Past the recursion limit of the JSON decoder on every supported Python.
+    "seed-file-too-deep": "[" * 100_000 + "]" * 100_000,
 }
 BAD_SEED_ENTRY = "Error: BadSeedFile: seed file bad-seeds.json, entry 0: "
 
@@ -573,6 +625,9 @@ REFUSALS = {
         click.ClickException, BadSeedFile),
     "seed-file-numeric-c1": (
         ["check"], 1, BAD_SEED_ENTRY + "c1 must be divisor text, got 5",
+        click.ClickException, BadSeedFile),
+    "seed-file-too-deep": (
+        ["check"], 1, "Error: BadSeedFile: seed file bad-seeds.json is nested too deeply to read",
         click.ClickException, BadSeedFile),
 }
 

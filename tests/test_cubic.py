@@ -295,21 +295,23 @@ class TestDecompositions:
             dec.validate()
 
     @pytest.mark.parametrize(
-        "divisors,left,right",
+        "divisors,message",
         [
-            ((T_A, (1, (0,) * 6)), "DivisorClass", "tuple"),
-            ((T_A, T_C, "(5;2,2,2,2,2,2)"), "DivisorClass", "str"),
+            ((T_A, (1, (0,) * 6)),
+             "parts[1].divisor must be a DivisorClass, got (1, (0, 0, 0, 0, 0, 0))"),
+            ((T_A, T_C, "(5;2,2,2,2,2,2)"),
+             "parts[2].divisor must be a DivisorClass, got '(5;2,2,2,2,2,2)'"),
             # T_A.T_A = 1 < 3 fails the pairing before the bad part is met.
-            ((T_A, T_A, None), "DivisorClass", "NoneType"),
-            ((3, T_C), "int", "DivisorClass"),
+            ((T_A, T_A, None), "parts[2].divisor must be a DivisorClass, got None"),
+            ((3, T_C), "parts[0].divisor must be a DivisorClass, got 3"),
         ],
         ids=["tuple-second", "str-third", "none-after-unstable", "int-first"],
     )
-    def test_validate_refuses_a_part_that_is_no_class(self, divisors, left, right):
+    def test_validate_refuses_a_part_that_is_no_class(self, divisors, message):
         dec = decomposition(T_A + T_C + T_E, *divisors)
-        with pytest.raises(TypeError,
-                           match=rf"^unsupported operand type\(s\) for \+: '{left}' and '{right}'$"):
+        with pytest.raises(TypeError) as info:
             dec.validate()
+        assert str(info.value) == message
 
     def test_validate_against_a_target_that_is_no_class(self):
         class Subclass(DivisorClass):

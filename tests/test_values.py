@@ -257,7 +257,8 @@ def test_builder_sets_the_constructor_slots(builder, cls, args, bad, error):
 # pickle.dumps((X, BundleNumerics(2, X, 4), NumericClassData(2, 16, 10, 5), a trace
 # row, a twisted cubic, a decomposition), protocol) from the code that kept each
 # value's fields in an instance dict (X was hashed and printed first; the memos
-# did not travel).  The state is the same dict of fields, so these still load.
+# did not travel).  The state is the same dict of fields, so these still load,
+# and the same values still dump to these bytes.
 DICT_LAYOUT_PICKLES = {
     0: (
         b'(ccopy_reg\n_reconstructor\np0\n(culrich_lab.picard\nDivisorClass\np1\nc__builti'
@@ -299,11 +300,11 @@ DICT_LAYOUT_PICKLES = {
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(DICT_LAYOUT_PICKLES))
-def test_pickles_of_the_dict_layout_load(protocol):
+def _dict_layout_values():
+    """The six values pickled in ``DICT_LAYOUT_PICKLES``."""
     cubics = {t.divisor: t for t in twisted_cubics()}
     a, e = cubics[DivisorClass(1, (0,) * 6)], cubics[DivisorClass(5, (2,) * 6)]
-    expected = (
+    return (
         X,
         BundleNumerics(2, X, 4),
         NumericClassData(2, 16, 10, 5),
@@ -311,6 +312,16 @@ def test_pickles_of_the_dict_layout_load(protocol):
         TwistedCubicClass("B", DivisorClass(2, (0, 1, 0, 0, 1, 1))),
         StableSumDecomposition(DivisorClass(6, (2,) * 6), (a, e)),
     )
+
+
+@pytest.mark.parametrize("protocol", sorted(DICT_LAYOUT_PICKLES))
+def test_pickling_writes_the_dict_layout(protocol):
+    assert pickle.dumps(_dict_layout_values(), protocol) == DICT_LAYOUT_PICKLES[protocol]
+
+
+@pytest.mark.parametrize("protocol", sorted(DICT_LAYOUT_PICKLES))
+def test_pickles_of_the_dict_layout_load(protocol):
+    expected = _dict_layout_values()
     loaded = pickle.loads(DICT_LAYOUT_PICKLES[protocol])
     assert loaded == expected
     for value, twin in zip(loaded, expected):
