@@ -101,6 +101,7 @@ from .picard import (
     _require_int,
     _require_keys,
     _require_type,
+    _shown,
     _trusted,
     _trusted_builder,
     _Value,
@@ -121,8 +122,7 @@ class BundleNumerics(_Value):
 
     def __post_init__(self) -> None:
         _require_int(self.rank, "rank must be a positive integer", lo=1)
-        if not isinstance(self.c1, DivisorClass):
-            raise TypeError(f"c1 must be a DivisorClass, got {self.c1!r}")
+        _require_type(self.c1, (DivisorClass,), "c1")
         _require_int(self.c2, "c2 must be an integer", TypeError)
 
     @property
@@ -369,9 +369,8 @@ def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> int:
     """Riemann-Roch of the module docstring on ints; an odd c1^2 + c1.H is refused."""
     numerator = c1_sq + c1_dot_h
     if numerator & 1:
-        raise ParityViolation(
-            f"c1^2 + c1.H = {numerator} is odd; not realizable on a surface lattice"
-        )
+        raise ParityViolation(f"c1^2 + c1.H = {_shown(numerator)} is odd; "
+                              "not realizable on a surface lattice")
     return rank + (numerator >> 1) - c2
 
 
@@ -396,7 +395,7 @@ def discriminant(f: AnyNumerics) -> int:
         c1_sq = f.c1_sq
         return f.rank * (2 * f.c2 - c1_sq) + c1_sq
     except AttributeError:
-        raise TypeError(f"f must be a {_DUCK_NUMERICS}, got {f!r}") from None
+        raise TypeError(f"f must be a {_DUCK_NUMERICS}, got {_shown(f)}") from None
 
 
 def expected_moduli_dim(f: AnyNumerics) -> int:
@@ -409,4 +408,4 @@ def expected_moduli_dim(f: AnyNumerics) -> int:
         rank, c1_sq = f.rank, f.c1_sq
         return rank * (2 * f.c2 - c1_sq - rank) + c1_sq + 1
     except AttributeError:
-        raise TypeError(f"f must be a {_DUCK_NUMERICS}, got {f!r}") from None
+        raise TypeError(f"f must be a {_DUCK_NUMERICS}, got {_shown(f)}") from None

@@ -95,17 +95,15 @@ def main() -> None:
 def _subcommand(name: str, *params: click.Parameter):
     """Register the decorated ``cmd_*`` function as subcommand NAME of :func:`main`.
 
-    Library errors, and a ``ValueError`` raised while the output is written
-    (a number longer than the interpreter's int-string limit), become click
-    errors; rows already written stay.  A failed check exits with status 1.
+    A library error or a ``ValueError`` (a number longer than the
+    interpreter's int-string limit), raised while the command computes or
+    while its output is written, becomes one click error; rows already
+    written stay.  A failed check exits with status 1.
     """
     def register(command: Callable[..., CommandOutput]) -> Callable[..., CommandOutput]:
         def callback(output_format: str, output_path: str | None, **arguments) -> None:
             try:
                 out = command(**arguments)
-            except UlrichLabError as exc:
-                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-            try:
                 if output_path is None:
                     # Name the stream: click.echo's default looks sys.stdout up
                     # in a cache that never evicts a stream it need not rewrap (a
@@ -123,7 +121,7 @@ def _subcommand(name: str, *params: click.Parameter):
                     except OSError as exc:
                         raise click.ClickException(
                             f"cannot write {output_path}: {exc.strerror}") from exc
-            except ValueError as exc:  # a number past the int-string limit
+            except (UlrichLabError, ValueError) as exc:
                 raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
             if not out.ok:
                 raise SystemExit(1)

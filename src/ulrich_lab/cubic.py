@@ -45,6 +45,7 @@ from .picard import (
     _as_tuple,
     _require_int,
     _require_type,
+    _shown,
     _trusted_builder,
     _Value,
     make_surface,
@@ -85,7 +86,8 @@ def twisted_cubic_representative(tag: str) -> DivisorClass:
     _require_type(tag, (str,), "tag")
     coords = _REPRESENTATIVE_COORDS.get(tag)
     if coords is None:
-        raise ValueError(f"tag must be one of {', '.join(_REPRESENTATIVE_COORDS)}, got {tag!r}")
+        raise ValueError(f"tag must be one of {', '.join(_REPRESENTATIVE_COORDS)}, "
+                         f"got {_shown(tag)}")
     return DivisorClass(*coords)
 
 
@@ -130,10 +132,7 @@ def _pair_table() -> dict[tuple[int, ...], tuple[int, ...]]:
 def is_twisted_cubic(x: DivisorClass) -> bool:
     """Membership in the set of 72 twisted cubic classes."""
     _require_type(x, (DivisorClass,), "x")
-    if x.num_exceptional != CUBIC_SURFACE.num_exceptional:
-        raise LatticeMismatch(
-            f"class {x} does not live on the cubic surface lattice"
-        )
+    CUBIC_SURFACE.require(x)
     return (x.a, *x.b) in _cubic_coord_index()
 
 
@@ -206,7 +205,8 @@ def decompose_stable_sum(
     The j-th entry must pair at least 2j - 1 with the sum of its
     predecessors.  Results come back in lexicographic order of the part
     sequences; ``unordered=True`` keeps only the lexicographically least
-    valid ordering of each multiset.
+    valid ordering of each multiset.  ``CUBIC_SURFACE.require`` refuses a
+    target on another lattice, and r must be an int in 2..6 (``ValueError``).
 
     The backtracking runs on plain integer tuples (a, b_1, ..., b_6) and
     census indices, never on :class:`DivisorClass`.  Each of the first
@@ -223,11 +223,8 @@ def decompose_stable_sum(
     shares no code with the unrolled loops here.
     """
     _require_type(target, (DivisorClass,), "target")
-    if target.num_exceptional != 6:
-        raise LatticeMismatch(f"target {target} does not live on the cubic surface lattice")
-    _require_int(r, "need r >= 2 parts", lo=2)
-    if r > 6:
-        raise ValueError(f"search capped at r = 6 parts, got {r}")
+    CUBIC_SURFACE.require(target)
+    _require_int(r, "number of parts r must be an integer in [2, 6]", lo=2, hi=6)
     if target.degree != 3 * r:
         return []
     coords = list(_cubic_coord_index())
@@ -325,7 +322,7 @@ def _kernel_bundle_of_cubic(t: DivisorClass) -> BundleNumerics:
     (and exceptions are not cached).
     """
     if not is_twisted_cubic(t):
-        raise NotUlrich(f"{t} is not a twisted cubic class")
+        raise NotUlrich(f"{_shown(t, str)} is not a twisted cubic class")
     line = BundleNumerics(1, t, 0)
     return syzygy_numerics(line, euler_char(line, CUBIC_SURFACE))
 
@@ -339,7 +336,8 @@ def chi_pair_closed_form(j: int, pairings: list[int] | tuple[int, ...]) -> int:
     if type(pairings) is not list and type(pairings) is not tuple:
         pairings = _as_tuple(pairings, "pairings")
     if len(pairings) != j - 1:
-        raise ValueError(f"expected {j - 1} pairings for position {j}, got {len(pairings)}")
+        raise ValueError(f"expected {_shown(j - 1)} pairings for position {_shown(j)}, "
+                         f"got {len(pairings)}")
     for pairing in pairings:
         if type(pairing) is not int:
             _require_int(pairing, "pairings must be integers", TypeError)
@@ -381,7 +379,7 @@ def cubic_moduli_pair(f: BundleNumerics) -> tuple[BundleNumerics, int]:
     """
     _require_type(f, _BUNDLE, "f")
     if f.rank < 2 or not is_ulrich_candidate(f, CUBIC_SURFACE):
-        raise NotUlrich(f"{f!r} is not an Ulrich candidate of rank >= 2 on the cubic surface")
+        raise NotUlrich(f"{_shown(f)} is not an Ulrich candidate of rank >= 2 on the cubic surface")
     r = f.rank
     partner = BundleNumerics(2 * r, -f.c1, f.c2 + r)
     if f.c2 + r != f.c1_sq - f.c2:
@@ -399,7 +397,7 @@ def twist_partner(base: BundleNumerics, twist: DivisorClass) -> BundleNumerics:
     _require_type(base, _BUNDLE, "base")
     _require_type(twist, (DivisorClass,), "twist")
     if base.rank != 4:
-        raise ValueError(f"expected a rank-4 partner bundle, got rank {base.rank}")
+        raise ValueError(f"expected a rank-4 partner bundle, got rank {_shown(base.rank)}")
     result = tensor_line(base, twist)
     expected_c2 = 6 * twist.self_intersection + 3 * base.c1.dot(twist) + base.c2
     if result.c2 != expected_c2:

@@ -96,21 +96,31 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _shown(value: object, show: Callable[[object], str] = repr) -> str:
+    """``show(value)`` for a refusal text, cut after 200 characters, or its type
+    when ``show`` raises ``ValueError`` (an int past the int-string limit)."""
+    try:
+        text = show(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def _require_type(value: object, types: tuple[type, ...], name: str) -> None:
-    """Raise ``TypeError(f"{name} must be a <type>, got {value!r}")`` unless
-    value is an instance of one of ``types``.
+    """Raise ``TypeError(f"{name} must be a <type>, got {_shown(value)}")``
+    unless value is an instance of one of ``types``.
 
     Subclasses pass, anything else is refused before a field of it is read;
     the module docstring names the calls that test ``type(x) is Cls`` first.
     """
     if not isinstance(value, types):
         expected = " or ".join(cls.__name__ for cls in types)
-        raise TypeError(f"{name} must be a {expected}, got {value!r}")
+        raise TypeError(f"{name} must be a {expected}, got {_shown(value)}")
 
 
 def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
                  lo: int | None = None, hi: int | None = None) -> None:
-    """Raise ``exc(f"{message}, got {value!r}")`` unless value is an int in [lo, hi].
+    """Raise ``exc(f"{message}, got {_shown(value)}")`` unless value is an int in [lo, hi].
 
     The one guard for integer arguments: ``bool``, floats and strings are
     refused like out-of-range integers, with the caller's exception class.
@@ -119,7 +129,7 @@ def _require_int(value: object, message: str, exc: type[Exception] = ValueError,
     if ((type(value) is int or _is_int(value))
             and (lo is None or value >= lo) and (hi is None or value <= hi)):
         return
-    raise exc(f"{message}, got {value!r}")
+    raise exc(f"{message}, got {_shown(value)}")
 
 
 def _as_tuple(values: object, name: str) -> tuple:
@@ -128,7 +138,7 @@ def _as_tuple(values: object, name: str) -> tuple:
     try:
         iterator = iter(values)
     except TypeError:
-        raise TypeError(f"{name} must be iterable, got {values!r}") from None
+        raise TypeError(f"{name} must be iterable, got {_shown(values)}") from None
     return tuple(iterator)
 
 
@@ -174,7 +184,7 @@ class DivisorClass(_Value):
         _require_int(self.a, "coordinate a must be an integer", TypeError)
         for entry in b:
             if not _is_int(entry):
-                raise TypeError(f"coordinate {entry!r} is not an integer")
+                raise TypeError(f"coordinate {_shown(entry)} is not an integer")
 
     @classmethod
     def zero(cls, num_exceptional: int) -> DivisorClass:
@@ -327,7 +337,7 @@ class DelPezzoSurface:
     def require(self, x: DivisorClass) -> DivisorClass:
         if not self.contains(x):
             raise LatticeMismatch(
-                f"class {x} has {x.num_exceptional} exceptional coordinates, "
+                f"class {_shown(x, str)} has {x.num_exceptional} exceptional coordinates, "
                 f"surface of degree {self.degree} needs {self.num_exceptional}"
             )
         return x
@@ -367,7 +377,7 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
         if type(image) is not int:
             _require_int(image, "permutation images must be integers", BadPermutation)
     if sorted(perm) != list(range(1, t + 1)):
-        raise BadPermutation(f"{perm!r} is not a bijection of 1..{t}")
+        raise BadPermutation(f"{_shown(perm)} is not a bijection of 1..{t}")
     coords = [0] * t
     for image, value in zip(perm, x.b):
         coords[image - 1] = value

@@ -102,6 +102,7 @@ from .errors import (
     OutOfTheoremScope,
 )
 from .picard import (
+    _DEGREE_RANGE,
     MAX_DEGREE,
     MIN_DEGREE,
     DelPezzoSurface,
@@ -110,6 +111,7 @@ from .picard import (
     _new,
     _require_int,
     _require_type,
+    _shown,
     _trusted,
     _trusted_builder,
     _Value,
@@ -229,9 +231,6 @@ class QuadraticNumber:
         return f"{self.a} + {self.b}*sqrt({self.radicand})"
 
 
-_RECURRENCE_DEGREE = f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]"
-
-
 def rank_by_recurrence(d: int, r: int, k: int) -> int:
     """N_k via N_{-1} = r, N_0 = r(d-1), N_k = (d-2)N_{k-1} - N_{k-2}.
 
@@ -240,7 +239,7 @@ def rank_by_recurrence(d: int, r: int, k: int) -> int:
     and linear growth at d = 4), so k = 10**30 never finishes; the CLI caps
     k at 200.
     """
-    _require_int(d, _RECURRENCE_DEGREE, DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
+    _require_int(d, _DEGREE_RANGE, DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
     _require_int(r, "rank must be a positive integer", lo=1)
     _require_int(k, "index k must be an integer >= -1", lo=-1)
     return next(islice(_recurrence_ranks(d, r), k + 1, None))
@@ -297,7 +296,7 @@ def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
     _require_int(h0, "h0 must be an integer", TypeError)
     _require_type(f, _NUMERICS, "f")
     if h0 <= f.rank:
-        raise NoKernel(f"h^0 = {h0} does not exceed the rank {f.rank}")
+        raise NoKernel(f"h^0 = {_shown(h0)} does not exceed the rank {_shown(f.rank)}")
     if isinstance(f, BundleNumerics):
         return _trusted_bundle(h0 - f.rank, -f.c1, f.c1_sq - f.c2)
     return _trusted_numeric(h0 - f.rank, f.c1_sq, -f.c1_dot_h, f.c1_sq - f.c2)
@@ -325,7 +324,7 @@ class TraceEntry(_Value):
         _require_int(self.k, "index k must be an integer >= -1", lo=-1)
         _check_reduced(self)
         if self.c1 is not None and not isinstance(self.c1, DivisorClass):
-            raise TypeError(f"c1 must be a DivisorClass or None, got {self.c1!r}")
+            raise TypeError(f"c1 must be a DivisorClass or None, got {_shown(self.c1)}")
 
     def as_numeric(self) -> NumericClassData:
         return _trusted_numeric(self.rank, self.c1_sq, self.c1_dot_h, self.c2)
@@ -382,7 +381,7 @@ class _TraceRows(Sequence):
     __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_ws", "_c1", "_ms", "_rows")
 
     def __init__(self, ranks: list[int], c1_sqs: list[int], degrees: list[int], c2s: list[int],
-                 c1: DivisorClass | None = None, ms: list[int] | None = None) -> None:
+                 c1: DivisorClass | None, ms: list[int] | None) -> None:
         # The layout of a pickle (see __reduce__), with c2 where the rows keep w.
         self._fill(ranks, c1_sqs, degrees, [2 * c2 - q for q, c2 in zip(c1_sqs, c2s)], c1, ms)
 
@@ -452,7 +451,7 @@ class SyzygyTrace:
         # Entries run contiguously from k = -1.
         if _is_int(k) and -1 <= k < len(self.entries) - 1:
             return self.entries[k + 1]
-        raise KeyError(f"no trace entry for k = {k}")
+        raise KeyError(f"no trace entry for k = {_shown(k, str)}")
 
     def to_dict(self) -> dict:
         return {
@@ -564,7 +563,7 @@ def _scope_check(d: int, k: int) -> None:
 def _require_ulrich(seed: AnyNumerics, surface: DelPezzoSurface) -> None:
     """Refuse a seed that fails the numerical Ulrich conditions."""
     if not ulrich.is_ulrich_candidate(seed, surface):
-        raise NotUlrich(f"seed {seed!r} fails the numerical Ulrich conditions")
+        raise NotUlrich(f"seed {_shown(seed)} fails the numerical Ulrich conditions")
 
 
 def _closed_core(d: int, r: int, c1_sq: int, c1_dot_h: int, c2: int,

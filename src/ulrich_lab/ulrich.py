@@ -31,7 +31,7 @@ from math import gcd
 
 from .chern import _NUMERICS, AnyNumerics, BundleNumerics
 from .errors import NotUlrichCompatible, ParityViolation
-from .picard import DelPezzoSurface, _require_int, _require_keys, _require_type, intersect
+from .picard import DelPezzoSurface, _require_int, _require_keys, _require_type, _shown, intersect
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,8 @@ class PolarizedData:
         _require_int(self.hn, "H^n must be a positive integer", lo=1)
         _require_int(self.hk, "H^(n-1).K must be an integer", TypeError)
         if ((self.n - 1) * self.hn + self.hk) % 2:
-            raise ParityViolation(
-                f"(n-1)*H^n + H^(n-1).K = {(self.n - 1) * self.hn + self.hk} is odd"
-            )
+            raise ParityViolation("(n-1)*H^n + H^(n-1).K = "
+                                  f"{_shown((self.n - 1) * self.hn + self.hk)} is odd")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "Hn": self.hn, "HK": self.hk}
@@ -121,9 +120,8 @@ def ulrich_c2(rank: int, c1_sq: int, surface: DelPezzoSurface) -> int:
     _require_type(surface, (DelPezzoSurface,), "surface")
     d = surface.degree
     if (c1_sq - rank * d) % 2:
-        raise NotUlrichCompatible(
-            f"c1^2 = {c1_sq} and rank*d = {rank * d} differ by an odd number"
-        )
+        raise NotUlrichCompatible(f"c1^2 = {_shown(c1_sq)} and rank*d = {_shown(rank * d)} "
+                                  "differ by an odd number")
     return rank + (c1_sq - rank * d) // 2
 
 

@@ -530,6 +530,7 @@ BAD_SEED_FILES = {
     "seed-file-numeric-c1": '[{"rank": 2, "c1": 5, "c2": 4}]',
     # Past the recursion limit of the JSON decoder on every supported Python.
     "seed-file-too-deep": "[" * 100_000 + "]" * 100_000,
+    "seed-file-huge-rank": '[{"rank": "' + "9" * 10**6 + '", "c1": "(4;1,1,1,1,0)", "c2": 4}]',
 }
 BAD_SEED_ENTRY = "Error: BadSeedFile: seed file bad-seeds.json, entry 0: "
 
@@ -584,6 +585,20 @@ REFUSALS = {
         ["syzygy", "--d", "5", "--c1-sq", "17"], 1,
         "Error: NotUlrichCompatible: c1^2 = 17 and rank*d = 10 differ by an odd number",
         click.ClickException, NotUlrichCompatible),
+    # r has as many digits as the int-string limit allows, so rank*d and the
+    # seed's repr are past it; the refusal names them by their type.
+    **({
+        "not-ulrich-compatible-huge-r": (
+            ["syzygy", "--d", "8", "--r", "9" * INT_DIGITS, "--c1-sq", "1"], 1,
+            "Error: NotUlrichCompatible: c1^2 = 1 and rank*d = <int too long to show> "
+            "differ by an odd number",
+            click.ClickException, NotUlrichCompatible),
+        "not-ulrich-huge-r": (
+            ["syzygy", "--d", "8", "--r", "9" * INT_DIGITS, "--c1-sq", "0", "--c2", "0"], 1,
+            "Error: NotUlrich: seed <NumericClassData too long to show> "
+            "fails the numerical Ulrich conditions",
+            click.ClickException, NotUlrich),
+    } if INT_DIGITS else {}),
     "seed-file-missing": (
         ["check"], 1,
         f"Error: BadSeedFile: cannot read seed file {MISSING_SEED_FILE}: "
@@ -628,6 +643,10 @@ REFUSALS = {
         click.ClickException, BadSeedFile),
     "seed-file-too-deep": (
         ["check"], 1, "Error: BadSeedFile: seed file bad-seeds.json is nested too deeply to read",
+        click.ClickException, BadSeedFile),
+    # A rank of 10**6 characters is shown by the first 200 of its repr.
+    "seed-file-huge-rank": (
+        ["check"], 1, BAD_SEED_ENTRY + "rank must be an integer, got '" + "9" * 199 + "...",
         click.ClickException, BadSeedFile),
 }
 

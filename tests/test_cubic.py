@@ -179,7 +179,9 @@ class TestCensus:
         assert is_twisted_cubic(T_B_PRIME)
         assert not is_twisted_cubic(CUBIC_SURFACE.anticanonical_class)
         assert not is_twisted_cubic(DivisorClass(1, (1, 0, 0, 0, 0, 0)))
-        with pytest.raises(LatticeMismatch):
+        with pytest.raises(LatticeMismatch, match=(
+                r"^class \(1;0,0,0,0,0\) has 5 exceptional coordinates, "
+                r"surface of degree 3 needs 6$")):
             is_twisted_cubic(DivisorClass(1, (0, 0, 0, 0, 0)))
 
 
@@ -252,11 +254,13 @@ class TestDecompositions:
         assert decompose_stable_sum(CUBIC_SURFACE.anticanonical_class, 2) == []
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            decompose_stable_sum(T_A + T_C, 1)
-        with pytest.raises(ValueError):
-            decompose_stable_sum(T_A + T_C, 7)
-        with pytest.raises(LatticeMismatch):
+        for r in (1, 7):
+            with pytest.raises(ValueError, match=(
+                    rf"^number of parts r must be an integer in \[2, 6\], got {r}$")):
+                decompose_stable_sum(T_A + T_C, r)
+        with pytest.raises(LatticeMismatch, match=(
+                r"^class \(6;2,2,2,2,2\) has 5 exceptional coordinates, "
+                r"surface of degree 3 needs 6$")):
             decompose_stable_sum(DivisorClass(6, (2, 2, 2, 2, 2)), 2)
 
     def test_validate_rejects_weak_pairing(self):

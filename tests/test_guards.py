@@ -18,6 +18,8 @@ from ulrich_lab import (
     DelPezzoSurface,
     DivisorClass,
     LatticeMismatch,
+    NoKernel,
+    NotUlrich,
     NumericClassData,
     OutOfTheoremScope,
     PolarizedData,
@@ -128,6 +130,32 @@ def test_non_integer_is_refused(call, value, error):
         call(value)
     # The guard itself raised, naming the rejected value.
     assert str(info.value).endswith(f", got {value!r}")
+
+
+# An int past the interpreter's int-string limit (4300 digits by default)
+# cannot be formatted; each refusal below names it by its type and keeps its
+# own class.  Huge ints are fed only where they are refused: a valid request
+# such as iterate_syzygy(seed, surface, 10**5000) never returns.
+HUGE = 10**5000
+HUGE_VALUE_CALLS = [
+    ("make_surface", lambda: make_surface(HUGE), DegreeOutOfRange),
+    ("tensor", lambda: tensor(HUGE, WITNESS), TypeError),
+    ("permute_exceptionals", lambda: permute_exceptionals(TWO_H, (HUGE,)), BadPermutation),
+    ("exceptional_class", lambda: S4.exceptional_class(HUGE), LatticeMismatch),
+    ("syzygy_numerics", lambda: syzygy_numerics(NumericClassData(2, 0, 0, 0), -HUGE), NoKernel),
+    ("closed_syzygy_chern_numeric",
+     lambda: closed_syzygy_chern_numeric(NumericClassData(HUGE, 0, 0, 0), S5, 1), NotUlrich),
+]
+
+
+@pytest.mark.parametrize("call,error", [pytest.param(call, error, id=name)
+                                        for name, call, error in HUGE_VALUE_CALLS])
+def test_huge_value_keeps_the_refusal_class(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    # The value is shown in at most about 200 characters, limit or not.
+    assert len(str(info.value)) < 300
 
 
 # A bool operand is refused by the operator itself, so Python raises TypeError.

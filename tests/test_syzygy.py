@@ -148,10 +148,14 @@ class TestRankFormulas:
             _ring_mul((3, 1), (2, 1), 5)
 
     def test_domain_errors(self):
-        with pytest.raises(DegreeOutOfRange):
-            rank_by_recurrence(2, 1, 0)
-        with pytest.raises(DegreeOutOfRange):
-            rank_by_recurrence(9, 1, 0)
+        # The degree is refused by the surface's own rule, text and class.
+        for d in (2, 9, "5"):
+            with pytest.raises(DegreeOutOfRange) as surface_info:
+                make_surface(d)
+            with pytest.raises(DegreeOutOfRange) as info:
+                rank_by_recurrence(d, 1, 0)
+            assert str(info.value) == str(surface_info.value)
+        assert str(info.value) == "degree must be an integer in [3, 8], got '5'"
         with pytest.raises(DegreeOutOfRange):
             rank_closed_form(3, 1, 0)
         with pytest.raises(ValueError):
