@@ -28,6 +28,14 @@ c1^2 + c1.H odd, the even ones keep it even and move the chi values), so
 the predicate's False branches are compared with the chi composition as
 well as its True ones.
 
+Every syzygy route that takes a seed asks is_ulrich_candidate before it
+computes.  On every default seed and near miss, at k = 0 and k = 1, each
+route that accepts it (iterate_syzygy, closed_syzygy_chern_numeric,
+closed_syzygy_chern for exact data, rank_two_table_chern for its rank-2
+seeds on degrees 4..7) must raise NotUlrich exactly when is_ulrich_candidate
+is False; the one other refusal allowed is the degree-3 rule, for a
+candidate at k = 1.
+
 Usage: python3 .github/oracle_parity.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
 library; exits non-zero on the first mismatch)
@@ -40,10 +48,14 @@ from ulrich_lab import (
     CUBIC_SURFACE,
     BundleNumerics,
     DivisorClass,
+    NotUlrich,
     NumericClassData,
+    OutOfTheoremScope,
     ParityViolation,
     chi_pair_closed_form,
     chi_pair_oracle,
+    closed_syzygy_chern,
+    closed_syzygy_chern_numeric,
     discriminant_drift,
     dual,
     euler_char,
@@ -51,6 +63,7 @@ from ulrich_lab import (
     is_ulrich_candidate,
     iterate_syzygy,
     kernel_bundle_of_cubic,
+    rank_two_table_chern,
     reduce_numerics,
     syzygy_numerics,
     tensor,
@@ -80,6 +93,38 @@ def expect_candidate(f, surface):
     if composed:
         c2 = ulrich_c2(f.rank, f.c1_sq, surface)
         expect(f.c2 == c2, f"d={surface.degree} {f}: a candidate, but ulrich_c2 is {c2}")
+
+
+def seed_routes(f, surface):
+    d = surface.degree
+    routes = [("iterate_syzygy", lambda k: iterate_syzygy(f, surface, k)),
+              ("closed_syzygy_chern_numeric", lambda k: closed_syzygy_chern_numeric(f, surface, k))]
+    if isinstance(f, BundleNumerics):
+        routes.append(("closed_syzygy_chern", lambda k: closed_syzygy_chern(f, surface, k)))
+    if f.rank == 2 and f.c1_dot_h == 2 * d and 4 <= d <= 7:
+        routes.append(("rank_two_table_chern", lambda k: rank_two_table_chern(d, f.c1_sq, f.c2, k)))
+    return routes
+
+
+def expect_routes(f, surface):
+    """Each seed route refuses f with NotUlrich exactly when it is no candidate."""
+    candidate = is_ulrich_candidate(f, surface)
+    checked = 0
+    for name, route in seed_routes(f, surface):
+        for k in (0, 1):
+            where = f"d={surface.degree} k={k} {f}: {name}"
+            try:
+                route(k)
+                refused = False
+            except NotUlrich:
+                refused = True
+            except OutOfTheoremScope:
+                expect(candidate and surface.degree == 3 and k == 1,
+                       f"{where} raised OutOfTheoremScope, is_ulrich_candidate {candidate}")
+                refused = False
+            expect(refused != candidate, f"{where} refused {refused}, is_ulrich_candidate {candidate}")
+            checked += 1
+    return checked
 
 
 def near_misses(f):
@@ -115,17 +160,19 @@ for _ in range(2000):
     expect(oracle == composed, f"chi({fprev}, {t2}): kernel {oracle}, composition {composed}")
     expect_candidate(fprev, CUBIC_SURFACE)
 
-traces = rows = misses = 0
+traces = rows = misses = route_calls = 0
 for surface, shipped in default_seeds():
     k_max = 0 if surface.degree == 3 else 40
     exact = isinstance(shipped, BundleNumerics)
     for f in [shipped, reduce_numerics(shipped)] if exact else [shipped]:
         expect(is_ulrich_candidate(f, surface), f"d={surface.degree} seed {f}: no candidate")
         expect_candidate(f, surface)
+        route_calls += expect_routes(f, surface)
         for miss in near_misses(f):
             expect(not is_ulrich_candidate(miss, surface),
                    f"d={surface.degree} near miss {miss}: a candidate")
             expect_candidate(miss, surface)
+            route_calls += expect_routes(miss, surface)
             misses += 1
         trace = iterate_syzygy(f, surface, k_max)
         drift = discriminant_drift(trace)
@@ -147,4 +194,5 @@ for surface, shipped in default_seeds():
             rows += 1
         traces += 1
 print(f"oracle_parity: {pairs} cubic pairs, 2000 random bundles, {traces} syzygy traces "
-      f"({rows} rows), {misses} near misses, Python {sys.version.split()[0]}: ok")
+      f"({rows} rows), {misses} near misses, {route_calls} seed-route calls, "
+      f"Python {sys.version.split()[0]}: ok")

@@ -16,12 +16,14 @@
 # reads a seed file without c2 and must fail, naming the key on stderr (a
 # file again, since `sh -eu` has no pipefail); a third reads a seed that is
 # not an Ulrich candidate and must exit 1 with three `raised NotUlrich` rows,
-# so the runner's exception path runs as well.  Three requests must be refused
+# so the runner's exception path runs as well.  Four requests must be refused
 # with exit 1, one `Error:` line and no traceback on stderr: a seed file
 # nested 100,000 arrays deep, a sequence whose N_1 is longer than the
-# interpreter's int-string limit, and a syzygy seed whose r has as many digits
+# interpreter's int-string limit, a syzygy seed whose r has as many digits
 # as that limit allows, so the refusal raised while computing (rank*d is odd
-# against c1^2) must name the number past the limit by its type.  The r = 3
+# against c1^2) must name the number past the limit by its type, and a
+# second syzygy step on the cubic surface, which must print the one degree-3
+# rule of the syzygy routes word for word.  The r = 3
 # decompose run takes the search through its first-part scan and its
 # pair-table lookup of the last two parts; its count is checked from a file,
 # since `sh -e` does not see a failure inside a pipe.  roundtrip.py
@@ -89,6 +91,8 @@ expect_refusal sequence --d 8 --k-max 1 \
 expect_refusal syzygy --d 8 --c1-sq 1 \
     --r "$(python3 -c 'import sys; print("9" * sys.get_int_max_str_digits())')"
 grep -qF 'Error: NotUlrichCompatible: ' "$err_file"
+expect_refusal syzygy --d 3 --c1-sq 8 --k-max 1
+grep -qxF 'Error: OutOfTheoremScope: degree 3 supports the first syzygy step only (k_max <= 0); deeper iterations are not globally generated' "$err_file"
 ulrich-lab table-pairs
 ulrich-lab syzygy --d 7 --c1-sq 24 --k-max 200 --format json > "$out_file"
 python3 -c '

@@ -94,6 +94,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
 from .picard import (
+    _RANK_RULE,
     DelPezzoSurface,
     DivisorClass,
     _as_tuple,
@@ -121,7 +122,7 @@ class BundleNumerics(_Value):
     c2: int
 
     def __post_init__(self) -> None:
-        _require_int(self.rank, "rank must be a positive integer", lo=1)
+        _require_int(self.rank, _RANK_RULE, lo=1)
         _require_type(self.c1, (DivisorClass,), "c1")
         _require_int(self.c2, "c2 must be an integer", TypeError)
 
@@ -177,7 +178,7 @@ class NumericClassData(_Value):
 def _check_reduced(x: NumericClassData) -> None:
     """The field checks of reduced data (rank, c1_sq, c1_dot_h, c2), for any
     value type that carries them."""
-    _require_int(x.rank, "rank must be a positive integer", lo=1)
+    _require_int(x.rank, _RANK_RULE, lo=1)
     for name in ("c1_sq", "c1_dot_h", "c2"):
         if not _is_int(getattr(x, name)):
             raise TypeError(f"{name} must be an integer")

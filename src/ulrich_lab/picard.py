@@ -89,6 +89,7 @@ from .errors import BadPermutation, DegreeOutOfRange, LatticeMismatch, ParseErro
 MIN_DEGREE = 3
 MAX_DEGREE = 8
 _DEGREE_RANGE = f"degree must be an integer in [{MIN_DEGREE}, {MAX_DEGREE}]"
+_RANK_RULE = "rank must be a positive integer"
 
 
 def _is_int(value: object) -> bool:

@@ -24,9 +24,16 @@ The powers are formed in integers: every product halves its numerators
 exactly, and an odd numerator (a value outside the ring) raises
 :class:`NonIntegerResult` rather than rounding.
 
-The degree-3 surface supports the k = 0 step only; deeper iterations
-are refused with :class:`OutOfTheoremScope` because global generation
-of the syzygy bundles fails there.
+S_k(E) is defined for an Ulrich seed E only, and on the degree-3 surface
+for k <= 0 only, as deeper syzygy bundles are not globally generated there.
+Every route from a seed runs that contract as one preamble, ``_require_seed``,
+which refuses in this order: an index that is not an int >= -1
+(``ValueError``, in ``_INDEX_RULE`` naming the route's argument), a seed or
+surface of the wrong type (``TypeError``), an exact c1 on another lattice
+(``LatticeMismatch``) or a seed failing the numerical Ulrich conditions
+(:class:`NotUlrich`), both by :func:`ulrich_lab.ulrich.is_ulrich_candidate`,
+and k > 0 on degree 3 (:class:`OutOfTheoremScope`).
+:func:`rank_two_table_chern` runs it after its own degree rule.
 
 :func:`closed_syzygy_chern` evaluates the closed alternating recursion for the
 Chern data of the twisted bundles S_k(E)(-H) without running the
@@ -66,9 +73,7 @@ lattice, and the step keeps it, so the parity refusal runs once, on the
 seed, and a row's c2 = (w + q)/2 is exact.  :func:`iterate_syzygy` runs
 this step on local ints, with no call per step; ``tests/test_proofs.py``
 proves it equal to the (c1^2, c1.H, c2) step of ``chern._chi`` and
-``chern._twist``, the kernel followed by the textbook twist.  Every route
-refuses a seed that fails the numerical Ulrich conditions with
-:class:`NotUlrich`.
+``chern._twist``, the kernel followed by the textbook twist.
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ from .errors import (
 )
 from .picard import (
     _DEGREE_RANGE,
+    _RANK_RULE,
     MAX_DEGREE,
     MIN_DEGREE,
     DelPezzoSurface,
@@ -116,6 +122,8 @@ from .picard import (
     _trusted_builder,
     _Value,
 )
+
+_INDEX_RULE = "{} must be an integer >= -1"
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,7 @@ class QuadraticNumber:
         for name in ("a", "b"):
             value = getattr(self, name)
             if not (_is_int(value) or isinstance(value, Fraction)):
-                raise TypeError(f"coefficient {name} must be an int or a Fraction, got {value!r}")
+                raise TypeError(f"coefficient {name} must be an int or a Fraction, got {_shown(value)}")
             object.__setattr__(self, name, Fraction(value))
         _require_int(self.radicand, "radicand must be a positive integer", lo=1)
 
@@ -240,8 +248,8 @@ def rank_by_recurrence(d: int, r: int, k: int) -> int:
     k at 200.
     """
     _require_int(d, _DEGREE_RANGE, DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
-    _require_int(r, "rank must be a positive integer", lo=1)
-    _require_int(k, "index k must be an integer >= -1", lo=-1)
+    _require_int(r, _RANK_RULE, lo=1)
+    _require_int(k, _INDEX_RULE.format("index k"), lo=-1)
     return next(islice(_recurrence_ranks(d, r), k + 1, None))
 
 
@@ -272,8 +280,8 @@ def rank_closed_form(d: int, r: int, k: int) -> int:
     Never uses the recurrence.  d = 4 has a double root at 1: N_k = (2k+3) r.
     """
     _require_int(d, "closed form needs degree in [4, 8]", DegreeOutOfRange, 4, 8)
-    _require_int(r, "rank must be a positive integer", lo=1)
-    _require_int(k, "index k must be an integer >= -1", lo=-1)
+    _require_int(r, _RANK_RULE, lo=1)
+    _require_int(k, _INDEX_RULE.format("index k"), lo=-1)
     if d == 4:
         return (2 * k + 3) * r
     radicand, alpha = d * (d - 4), (d - 2, 1)
@@ -321,7 +329,7 @@ class TraceEntry(_Value):
     c2: int
 
     def __post_init__(self) -> None:
-        _require_int(self.k, "index k must be an integer >= -1", lo=-1)
+        _require_int(self.k, _INDEX_RULE.format("index k"), lo=-1)
         _check_reduced(self)
         if self.c1 is not None and not isinstance(self.c1, DivisorClass):
             raise TypeError(f"c1 must be a DivisorClass or None, got {_shown(self.c1)}")
@@ -461,6 +469,19 @@ class SyzygyTrace:
         }
 
 
+def _require_seed(seed: AnyNumerics, types: tuple[type, ...], surface: DelPezzoSurface,
+                  k: int, name: str) -> None:
+    """The seed contract, in the order of the module docstring; k is named ``name``."""
+    _require_int(k, _INDEX_RULE.format(name), lo=-1)
+    _require_type(seed, types, "seed")
+    _require_type(surface, (DelPezzoSurface,), "surface")
+    if not ulrich.is_ulrich_candidate(seed, surface):
+        raise NotUlrich(f"seed {_shown(seed)} fails the numerical Ulrich conditions")
+    if surface.degree == 3 and k > 0:
+        raise OutOfTheoremScope(f"degree 3 supports the first syzygy step only ({name} <= 0); "
+                                "deeper iterations are not globally generated")
+
+
 def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> SyzygyTrace:
     """Run the syzygy-and-twist iteration from an Ulrich candidate seed.
 
@@ -484,16 +505,8 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     k_max^2 bits, and a row read costs one row, not the trace; the CLI caps
     k at 200.
     """
-    _require_int(k_max, "k_max must be an integer >= -1", lo=-1)
-    _require_type(seed, _NUMERICS, "seed")
-    _require_type(surface, (DelPezzoSurface,), "surface")
-    _require_ulrich(seed, surface)
+    _require_seed(seed, _NUMERICS, surface, k_max, "k_max")
     d = surface.degree
-    if d == 3 and k_max > 0:
-        raise OutOfTheoremScope(
-            "degree 3 supports the first syzygy step only (k_max <= 0); "
-            "deeper iterations are not globally generated"
-        )
     n, q, p, w = seed.rank, seed.c1_sq, seed.c1_dot_h, 2 * seed.c2 - seed.c1_sq
     if k_max >= 0 and (q + p) & 1:  # p - w has the parity of q + p, and keeps it
         _chi(n, q, p, seed.c2)  # the parity refusal
@@ -554,18 +567,6 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     return [expected_moduli_dim(row) for row in entries]
 
 
-def _scope_check(d: int, k: int) -> None:
-    _require_int(k, "index k must be an integer >= -1", lo=-1)
-    if d == 3 and k > 0:
-        raise OutOfTheoremScope("degree 3 supports k <= 0 only")
-
-
-def _require_ulrich(seed: AnyNumerics, surface: DelPezzoSurface) -> None:
-    """Refuse a seed that fails the numerical Ulrich conditions."""
-    if not ulrich.is_ulrich_candidate(seed, surface):
-        raise NotUlrich(f"seed {_shown(seed)} fails the numerical Ulrich conditions")
-
-
 def _closed_core(d: int, r: int, c1_sq: int, c1_dot_h: int, c2: int,
                  k: int, n_prev: int, n_k: int) -> tuple[int, int, int, int, int]:
     """(sign_k, m_k, c1^2, c1.H, c2) of S_k(E)(-H) from N_{k-1} and N_k, in O(1).
@@ -599,19 +600,14 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
 
     Never calls the step-by-step iteration, so it serves as an
     independent oracle for it.  k = -1 returns the untwisted seed data,
-    matching the base row of the rank-2 table form.  A seed that fails the
-    numerical Ulrich conditions raises NotUlrich, as in the iteration.
+    matching the base row of the rank-2 table form.
 
     k has no upper bound: the ranks N_{k-1}, N_k come from one recurrence
     pass, O(k) steps on integers of about k log2(alpha) bits, as in
     :func:`rank_by_recurrence`.  The CLI caps k at 200.
     """
-    _require_type(seed, _BUNDLE, "seed")
-    _require_type(surface, (DelPezzoSurface,), "surface")
-    surface.require(seed.c1)
+    _require_seed(seed, _BUNDLE, surface, k, "index k")
     d = surface.degree
-    _scope_check(d, k)
-    _require_ulrich(seed, surface)
     if k == -1:
         return seed.c1, seed.c2
     sign, m, _, _, c2 = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2,
@@ -627,11 +623,8 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
     of :func:`closed_syzygy_chern`: O(k) recurrence steps on integers of
     about k log2(alpha) bits, with no upper bound on k.
     """
-    _require_type(seed, _NUMERICS, "seed")
-    _require_type(surface, (DelPezzoSurface,), "surface")
+    _require_seed(seed, _NUMERICS, surface, k, "index k")
     d = surface.degree
-    _scope_check(d, k)
-    _require_ulrich(seed, surface)
     if k == -1:
         return reduce_numerics(seed)
     n_prev, n_k = islice(_recurrence_ranks(d, seed.rank), k, k + 2)
@@ -651,9 +644,8 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
     k log2(alpha) bits, with no upper bound on k.
     """
     _require_int(d, "rank-2 tables cover degrees 4..7", OutOfTheoremScope, 4, 7)
-    _scope_check(d, k)
     seed = NumericClassData(2, c1_sq, 2 * d, c2)
-    _require_ulrich(seed, DelPezzoSurface(d))
+    _require_seed(seed, _NUMERICS, DelPezzoSurface(d), k, "index k")
     if k == -1:
         return seed
     n_prev, n_k = rank_closed_form(d, 2, k - 1), rank_closed_form(d, 2, k)

@@ -10,8 +10,10 @@ r + (c1^2 - r d)/2 - c2.  The numerical Ulrich conditions
 chi(E(-H)) = chi(E(-2H)) = 0 are thus exactly c1.H = r d and
 c2 = r + (c1^2 - r d)/2, and they force chi(E) = r d (proved as polynomial
 identities by ``TestUlrichConditions`` in ``tests/test_proofs.py``).
-:func:`ulrich_c2` computes that c2 and :func:`is_ulrich_candidate` tests
-both equations.
+One private body, ``_ulrich_c2``, holds the parity test and that c2:
+:func:`ulrich_c2` refuses an odd c1^2 - r d with :class:`NotUlrichCompatible`,
+and :func:`is_ulrich_candidate`, the Ulrich test of every syzygy route,
+answers False for it.
 
 The three criteria below are purely numerical sufficient conditions:
 
@@ -31,7 +33,7 @@ from math import gcd
 
 from .chern import _NUMERICS, AnyNumerics, BundleNumerics
 from .errors import NotUlrichCompatible, ParityViolation
-from .picard import DelPezzoSurface, _require_int, _require_keys, _require_type, _shown, intersect
+from .picard import _RANK_RULE, DelPezzoSurface, _require_int, _require_keys, _require_type, _shown, intersect
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def curve_section_genus(p: PolarizedData) -> int:
 
 def ulrich_profile(rank: int, p: PolarizedData) -> tuple[int, Fraction]:
     """(h^0, slope) = (rank * H^n, H^n + g - 1) of a rank-r Ulrich bundle."""
-    _require_int(rank, "rank must be a positive integer", lo=1)
+    _require_int(rank, _RANK_RULE, lo=1)
     g = curve_section_genus(p)
     return rank * p.hn, Fraction(p.hn + g - 1)
 
@@ -115,14 +117,21 @@ def ulrich_c2(rank: int, c1_sq: int, surface: DelPezzoSurface) -> int:
     Combining chi(E(-H)) = 0 with c1.H = rank*d gives
     c2 = rank + (c1^2 - rank*d)/2; the difference must be even.
     """
-    _require_int(rank, "rank must be a positive integer", lo=1)
+    _require_int(rank, _RANK_RULE, lo=1)
     _require_int(c1_sq, "c1^2 must be an integer", TypeError)
     _require_type(surface, (DelPezzoSurface,), "surface")
     d = surface.degree
-    if (c1_sq - rank * d) % 2:
+    c2 = _ulrich_c2(rank, c1_sq, d)
+    if c2 is None:
         raise NotUlrichCompatible(f"c1^2 = {_shown(c1_sq)} and rank*d = {_shown(rank * d)} "
                                   "differ by an odd number")
-    return rank + (c1_sq - rank * d) // 2
+    return c2
+
+
+def _ulrich_c2(rank: int, c1_sq: int, d: int) -> int | None:
+    """c2 = rank + (c1^2 - rank*d)/2, or None when c1^2 - rank*d is odd."""
+    excess = c1_sq - rank * d
+    return None if excess % 2 else rank + excess // 2
 
 
 def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
@@ -132,20 +141,15 @@ def is_ulrich_candidate(f: AnyNumerics, surface: DelPezzoSurface) -> bool:
     together are chi(E(-H)) = chi(E(-2H)) = 0 (see the module docstring), so
     no Riemann-Roch is evaluated.  Never raises on honest numeric input;
     it simply answers False.  These read only (rank, c1^2, c1.H, c2), so
-    an exact c1 is checked against the lattice and then read once for its
-    c1^2 and c1.H.  An operand of neither resolution raises TypeError.
+    an exact c1 is checked against the lattice and then read at most once
+    for each.  An operand of neither resolution raises TypeError.
     """
     _require_type(surface, (DelPezzoSurface,), "surface")
     _require_type(f, _NUMERICS, "f")
     if isinstance(f, BundleNumerics):
         surface.require(f.c1)
     r, d = f.rank, surface.degree
-    c1_sq, c1_dot_h, c2 = f.c1_sq, f.c1_dot_h, f.c2
-    if c1_dot_h != r * d:
-        return False
-    if (c1_sq - r * d) % 2:
-        return False
-    return c2 == r + (c1_sq - r * d) // 2
+    return f.c1_dot_h == r * d and f.c2 == _ulrich_c2(r, f.c1_sq, d)
 
 
 def prioritary_polarization_check(surface: DelPezzoSurface) -> int:

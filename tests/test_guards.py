@@ -145,6 +145,8 @@ HUGE_VALUE_CALLS = [
     ("syzygy_numerics", lambda: syzygy_numerics(NumericClassData(2, 0, 0, 0), -HUGE), NoKernel),
     ("closed_syzygy_chern_numeric",
      lambda: closed_syzygy_chern_numeric(NumericClassData(HUGE, 0, 0, 0), S5, 1), NotUlrich),
+    # A string of a million digits, refused by type: shown cut, not whole.
+    ("QuadraticNumber", lambda: QuadraticNumber("9" * 10**6, 0, 5), TypeError),
 ]
 
 

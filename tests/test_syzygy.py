@@ -257,7 +257,7 @@ class TestLoopRefusals:
 
     @pytest.fixture(autouse=True)
     def no_ulrich_test(self, monkeypatch):
-        monkeypatch.setattr(syzygy_module, "_require_ulrich", lambda seed, surface: None)
+        monkeypatch.setattr(syzygy_module.ulrich, "is_ulrich_candidate", lambda f, surface: True)
 
     def test_rank_off_the_recurrence(self):
         with pytest.raises(RuntimeError, match=r"^internal inconsistency: rank 7 at step 0, "
@@ -362,7 +362,7 @@ class TestRankTwoTableForm:
 
 
 class TestClosedRoutesRefuseNonUlrich:
-    """The closed routes refuse what iterate_syzygy refuses, after their own guards."""
+    """The closed routes refuse what iterate_syzygy refuses, in the same order."""
 
     @pytest.mark.parametrize("k", [-1, 0, 2, 200])
     @pytest.mark.parametrize("route", [
@@ -393,8 +393,6 @@ class TestClosedRoutesRefuseNonUlrich:
 
     def test_earlier_guards_keep_their_class(self):
         bad = NumericClassData(2, 8, 6, 4)  # c2 = 3 is the Ulrich value on S3
-        with pytest.raises(OutOfTheoremScope):
-            closed_syzygy_chern_numeric(bad, S3, 1)
         with pytest.raises(ValueError, match="index k"):
             closed_syzygy_chern_numeric(bad, S3, -2)
         with pytest.raises(LatticeMismatch):
@@ -403,6 +401,38 @@ class TestClosedRoutesRefuseNonUlrich:
             rank_two_table_chern(8, 17, 5, 0)
         with pytest.raises(ValueError, match="index k"):
             rank_two_table_chern(5, 17, 5, -2)
+
+
+CUBIC_SEED = BundleNumerics(2, parse_divisor("(4;2,1,1,1,1,0)"), 3)
+
+
+class TestRefusalParity:
+    """One input, one refusal: every seed route raises the same class with the
+    same text, up to the route's index name and the seed types it accepts."""
+
+    ROUTES = [(iterate_syzygy, "k_max", "BundleNumerics or NumericClassData"),
+              (closed_syzygy_chern, "index k", "BundleNumerics"),
+              (closed_syzygy_chern_numeric, "index k", "BundleNumerics or NumericClassData")]
+
+    @pytest.mark.parametrize("seed,surface,k,error", [
+        pytest.param("(4;2,1,1,1,1,0)", S3, 0, TypeError, id="seed-type"),
+        pytest.param(CUBIC_SEED, 3, 0, TypeError, id="surface-type"),
+        pytest.param(BundleNumerics(2, parse_divisor("(4;1,1,1,1,0,0)"), 5), S4, 0,
+                     LatticeMismatch, id="other-lattice"),
+        pytest.param(WITNESS, S4, -2, ValueError, id="k-below-minus-one"),
+        pytest.param(CUBIC_SEED, S3, 1, OutOfTheoremScope, id="d3-ulrich-k1"),
+        pytest.param(dataclasses.replace(CUBIC_SEED, c2=4), S3, 1, NotUlrich, id="d3-non-ulrich-k1"),
+        pytest.param(BundleNumerics(2, parse_divisor("(5;2,1,1,1)"), 7), make_surface(5), 1,
+                     NotUlrich, id="d5-non-ulrich"),
+    ])
+    def test_routes_agree(self, seed, surface, k, error):
+        texts = set()
+        for route, index, types in self.ROUTES:
+            with pytest.raises(error) as info:
+                route(seed, surface, k)
+            assert type(info.value) is error
+            texts.add(str(info.value).replace(index, "<k>").replace(f"a {types}, got", "a <types>, got"))
+        assert len(texts) == 1, texts
 
 
 def reference_trace(seed, surface, k_max):
