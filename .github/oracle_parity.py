@@ -36,6 +36,13 @@ seeds on degrees 4..7) must raise NotUlrich exactly when is_ulrich_candidate
 is False; the one other refusal allowed is the degree-3 rule, for a
 candidate at k = 1.
 
+cubic_moduli_pair builds its rank-2r partner as the first syzygy bundle
+S_0 and twist_partner is a tensor_line; neither rechecks its result.  On
+every sum of two twisted cubics and on 200 fixed-seed random sums of three,
+with the Ulrich c2, the partner must be (2r, -c1, c2 + r) at dimension
+c1^2 - 2r^2 + 1; each rank-4 partner twisted by 5 random classes x must
+have c1 + 4x and c2 = 6x^2 + 3 c1.x + c2, with c1 and c2 the partner's.
+
 Usage: python3 .github/oracle_parity.py   (with ulrich_lab importable, e.g.
 after `pip install .` or with PYTHONPATH=src; needs only the standard
 library; exits non-zero on the first mismatch)
@@ -56,6 +63,7 @@ from ulrich_lab import (
     chi_pair_oracle,
     closed_syzygy_chern,
     closed_syzygy_chern_numeric,
+    cubic_moduli_pair,
     discriminant_drift,
     dual,
     euler_char,
@@ -68,6 +76,7 @@ from ulrich_lab import (
     syzygy_numerics,
     tensor,
     twist_by_h,
+    twist_partner,
     twisted_cubics,
     ulrich_c2,
 )
@@ -93,6 +102,20 @@ def expect_candidate(f, surface):
     if composed:
         c2 = ulrich_c2(f.rank, f.c1_sq, surface)
         expect(f.c2 == c2, f"d={surface.degree} {f}: a candidate, but ulrich_c2 is {c2}")
+
+
+def expect_partner(parts):
+    """The partner of the Ulrich bundle with c1 the sum of parts is (2r, -c1, c2 + r)."""
+    r, c1 = len(parts), sum(parts[1:], parts[0])
+    c2 = ulrich_c2(r, c1.self_intersection, CUBIC_SURFACE)
+    partner, dim = cubic_moduli_pair(BundleNumerics(r, c1, c2))
+    want = BundleNumerics(2 * r, -c1, c2 + r), c1.self_intersection - 2 * r * r + 1
+    expect((partner, dim) == want, f"cubic_moduli_pair at {c1}: {(partner, dim)}, want {want}")
+    return partner
+
+
+def random_class(rng):
+    return DivisorClass(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(6)))
 
 
 def seed_routes(f, surface):
@@ -151,14 +174,31 @@ for t1, m1 in zip(divisors, kernels):
 
 rng = random.Random(0x0C1)
 for _ in range(2000):
-    fprev = BundleNumerics(rng.randint(1, 6),
-                           DivisorClass(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(6))),
-                           rng.randint(-50, 50))
+    fprev = BundleNumerics(rng.randint(1, 6), random_class(rng), rng.randint(-50, 50))
     t2, m2 = rng.choice(list(zip(divisors, kernels)))
     oracle = chi_pair_oracle(fprev, t2, CUBIC_SURFACE)
     composed = euler_char(tensor(dual(fprev), m2), CUBIC_SURFACE)
     expect(oracle == composed, f"chi({fprev}, {t2}): kernel {oracle}, composition {composed}")
     expect_candidate(fprev, CUBIC_SURFACE)
+
+rng = random.Random(0x0C3)
+pair_sums = {}
+for t1 in divisors:
+    for t2 in divisors:
+        pair_sums.setdefault(t1 + t2, (t1, t2))
+twists = 0
+for parts in pair_sums.values():
+    partner = expect_partner(parts)
+    for _ in range(5):
+        x = random_class(rng)
+        moved = twist_partner(partner, x)
+        want = BundleNumerics(4, partner.c1 + 4 * x,
+                              6 * x.self_intersection + 3 * partner.c1.dot(x) + partner.c2)
+        expect(moved == want, f"twist_partner({partner}, {x}): {moved}, want {want}")
+        twists += 1
+for _ in range(200):
+    expect_partner(rng.choices(divisors, k=3))
+partners = len(pair_sums) + 200
 
 traces = rows = misses = route_calls = 0
 for surface, shipped in default_seeds():
@@ -193,6 +233,7 @@ for surface, shipped in default_seeds():
                    f"{expected_moduli_dim(entry)}, of the composition {expected_moduli_dim(f)}")
             rows += 1
         traces += 1
-print(f"oracle_parity: {pairs} cubic pairs, 2000 random bundles, {traces} syzygy traces "
+print(f"oracle_parity: {pairs} cubic pairs, 2000 random bundles, {partners} cubic partners "
+      f"({twists} twists), {traces} syzygy traces "
       f"({rows} rows), {misses} near misses, {route_calls} seed-route calls, "
       f"Python {sys.version.split()[0]}: ok")

@@ -37,8 +37,10 @@
 # d = 3), its drift with expected_moduli_dim of every row, and
 # is_ulrich_candidate with the euler_char(twist_by_h(F, -1 and -2))
 # composition on the random bundles, the seeds and their near misses (c2 +- 1,
-# an odd c1^2 - rd, c1.H +- 1 and +- 2), so the job without pytest checks
-# all three kernels too.  Both scripts run under `python3 -W error`, so a
+# an odd c1^2 - rd, c1.H +- 1 and +- 2), and cubic_moduli_pair and
+# twist_partner with their closed forms on every sum of two twisted cubics and
+# 200 sums of three, so the job without pytest checks all three kernels and
+# the cubic partner too.  Both scripts run under `python3 -W error`, so a
 # warning (a deprecation in the standard library, a stray RuntimeWarning)
 # fails the runtime-only job, which has no pytest, as it fails the Tier-1 step.
 #

@@ -1,9 +1,10 @@
 """Twisted cubic classes on the cubic surface and stable-sum decompositions.
 
-The degree-3 del Pezzo surface carries exactly 72 classes of twisted
-cubics: divisor classes T with T.T = 1 and T.H = 3.  Under permutations
-of the six exceptional coordinates they form five orbits with
-representatives
+A twisted cubic on the cubic surface is a class T = (a;b) with T.H = 3 and
+T.T = 1.  All lie in the box 1 <= a <= 5, 0 <= b_i <= 2, where
+:func:`twisted_cubics` finds 72.  The tag is "ABCDE"[a - 1], and a tag's
+representative is its member with b descending.  So the tags are the orbits
+under permutations of the six exceptional coordinates:
 
     A: (1;0,0,0,0,0,0)      orbit size  1
     B: (2;1,1,1,0,0,0)      orbit size 20
@@ -20,13 +21,16 @@ iterated extensions; :func:`decompose_stable_sum` searches for all such
 ordered tuples.  The Euler characteristic controlling the extension
 spaces has the closed form chi = 2(j-1) - sum of the pairings, checked
 against a Riemann-Roch computation in :func:`chi_pair_oracle`.
+
+The rank-2r partner of an Ulrich F and the kernel bundle M_T of a cubic are
+both the first syzygy bundle S_0 = ker(H^0(F) (x) O -> F).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import product
 from operator import add, mul
 
 from .chern import (
@@ -55,13 +59,10 @@ from .ulrich import is_ulrich_candidate
 
 CUBIC_SURFACE = make_surface(3)
 
-_REPRESENTATIVE_COORDS: dict[str, tuple[int, tuple[int, ...]]] = {
-    "A": (1, (0, 0, 0, 0, 0, 0)),
-    "B": (2, (1, 1, 1, 0, 0, 0)),
-    "C": (3, (2, 1, 1, 1, 1, 0)),
-    "D": (4, (2, 2, 2, 1, 1, 1)),
-    "E": (5, (2, 2, 2, 2, 2, 2)),
-}
+# The box of the cubics, by Cauchy-Schwarz on T.H = 3 and T.T = 1: (3a - 3)^2 <=
+# 6(a^2 - 1) bounds a to 1.._A_MAX, and (3a - 3 - b_i)^2 <= 5(a^2 - 1 - b_i^2),
+# on the five other b_j, bounds each b_i to 0.._B_MAX.
+_A_MAX, _B_MAX = 5, 2
 
 
 @dataclass(frozen=True)
@@ -78,35 +79,29 @@ class TwistedCubicClass(_Value):
 
 
 def twisted_cubic_representative(tag: str) -> DivisorClass:
-    """The standard representative of orbit A, B, C, D or E.
-
-    A tag that is not a ``str`` raises ``TypeError``; any other string
-    raises ``ValueError``.
-    """
+    """The representative of tag A, B, C, D or E, its last member in census
+    order: the one with b in descending order.  A tag that is not a ``str``
+    raises ``TypeError``; any other string raises ``ValueError``."""
     _require_type(tag, (str,), "tag")
-    coords = _REPRESENTATIVE_COORDS.get(tag)
-    if coords is None:
-        raise ValueError(f"tag must be one of {', '.join(_REPRESENTATIVE_COORDS)}, "
+    representatives = {t.type_tag: t.divisor for t in twisted_cubics()}
+    if tag not in representatives:
+        raise ValueError(f"tag must be one of {', '.join(representatives)}, "
                          f"got {_shown(tag)}")
-    return DivisorClass(*coords)
+    return representatives[tag]
 
 
 @cache
 def twisted_cubics() -> tuple[TwistedCubicClass, ...]:
     """All 72 twisted cubic classes, sorted by (type_tag, coordinates)."""
-    out: list[TwistedCubicClass] = []
-    for tag, (a, b) in _REPRESENTATIVE_COORDS.items():
-        for coords in sorted(set(permutations(b))):
-            out.append(TwistedCubicClass(tag, DivisorClass(a, coords)))
-    return tuple(out)  # tags in order, each tag's coordinates sorted: sort_key order
+    found = sorted((a, b) for b in product(range(_B_MAX + 1), repeat=6)
+                   for a, rest in [divmod(3 + sum(b), 3)]  # T.H = 3 fixes a, in 1.._A_MAX
+                   if not rest and a * a - sum(map(mul, b, b)) == 1)
+    return tuple(TwistedCubicClass("ABCDE"[a - 1], DivisorClass(a, b)) for a, b in found)
 
 
 @cache
 def _cubic_coord_index() -> dict[tuple[int, ...], int]:
-    """Census index of each cubic, keyed by its tuple (a, b_1, ..., b_6).
-
-    The keys iterate in census order.
-    """
+    """Census index of each cubic, keyed by (a, b_1, ..., b_6) in census order."""
     return {(t.divisor.a, *t.divisor.b): i for i, t in enumerate(twisted_cubics())}
 
 
@@ -154,11 +149,12 @@ class StableSumDecomposition(_Value):
         carried through every part even after a pairing fails, so each
         refusal below holds for every order of the parts:
 
+        * parts that are not iterable, a part that is no
+          :class:`TwistedCubicClass` and a part whose divisor is no
+          :class:`DivisorClass` raise ``TypeError`` naming ``parts``,
+          ``parts[i]`` or ``parts[i].divisor``;
         * empty parts raise :class:`LatticeMismatch`, "cannot sum an empty
           family of divisor classes";
-        * a part whose divisor is no :class:`DivisorClass` raises the
-          ``TypeError`` of :func:`~ulrich_lab.picard._require_type`, naming
-          ``parts[i].divisor``;
         * a part on another lattice than the first raises
           :class:`LatticeMismatch` with the message of ``+``;
         * one part is compared with the target by ``==``; a target that is
@@ -166,8 +162,12 @@ class StableSumDecomposition(_Value):
           more parts, as under ``==``.
         """
         parts = self.parts
+        if type(parts) is not tuple:
+            parts = _as_tuple(parts, "parts")
         if not parts:
             raise LatticeMismatch("cannot sum an empty family of divisor classes")
+        if type(parts[0]) is not TwistedCubicClass:
+            _require_type(parts[0], (TwistedCubicClass,), "parts[0]")
         first = parts[0].divisor
         if len(parts) == 1:
             return first == self.target
@@ -177,9 +177,11 @@ class StableSumDecomposition(_Value):
         width = len(pb)
         need = 3  # 2j - 1 at j = 2
         stable = True
-        for part in parts[1:]:
+        for part in parts[1:]:  # need = 2i + 1 at parts[i]
+            if type(part) is not TwistedCubicClass:
+                _require_type(part, (TwistedCubicClass,), f"parts[{need >> 1}]")
             t = part.divisor
-            if type(t) is not DivisorClass:  # need = 2i + 1 at parts[i]
+            if type(t) is not DivisorClass:
                 _require_type(t, (DivisorClass,), f"parts[{need >> 1}].divisor")
             tb = t.b
             if len(tb) != width:
@@ -229,6 +231,7 @@ def decompose_stable_sum(
         return []
     coords = list(_cubic_coord_index())
     pair_table = _pair_table()
+    a_max, b_max = _A_MAX, _B_MAX
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -252,11 +255,11 @@ def decompose_stable_sum(
                         - (p4 + t4) * u4 - (p5 + t5) * u5 - (p6 + t6) * u6 >= last_need):
                     found.append((*chosen, i, j))
             return
-        # Every twisted cubic has a in 1..5 and each b_i in 0..2, so the
-        # remainder rem - t is fillable by `slots` of them only inside
-        # slots <= a <= 5*slots, 0 <= b_i <= 2*slots.
+        # Every twisted cubic lies in the box 1 <= a <= a_max, 0 <= b_i <= b_max,
+        # so the remainder rem - t is fillable by `slots` of them only inside
+        # slots <= a <= a_max*slots, 0 <= b_i <= b_max*slots.
         m0, m1, m2, m3, m4, m5, m6 = rem
-        a_lo, a_hi, w = m0 - 5 * slots, m0 - slots, 2 * slots
+        a_lo, a_hi, w = m0 - a_max * slots, m0 - slots, b_max * slots
         for i, (t0, t1, t2, t3, t4, t5, t6) in enumerate(coords):
             if not (a_lo <= t0 <= a_hi and m1 - w <= t1 <= m1 and m2 - w <= t2 <= m2
                     and m3 - w <= t3 <= m3 and m4 - w <= t4 <= m4
@@ -374,32 +377,25 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
 def cubic_moduli_pair(f: BundleNumerics) -> tuple[BundleNumerics, int]:
     """Partner moduli numerics (2r, -c1, c2 + r) and the shared dimension.
 
+    The partner is S_0 of f, ``syzygy_numerics(f, chi(f))``: chi = 3r and
+    c1^2 = 2 c2 + r on Ulrich data, so S_0 has rank 2r and c2 = c1^2 - c2 = c2 + r.
     Both the rank-r space at (c1, c2) and the rank-2r space at
     (-c1, c2 + r) have expected dimension c1^2 - 2 r^2 + 1.
     """
     _require_type(f, _BUNDLE, "f")
     if f.rank < 2 or not is_ulrich_candidate(f, CUBIC_SURFACE):
         raise NotUlrich(f"{_shown(f)} is not an Ulrich candidate of rank >= 2 on the cubic surface")
-    r = f.rank
-    partner = BundleNumerics(2 * r, -f.c1, f.c2 + r)
-    if f.c2 + r != f.c1_sq - f.c2:
-        raise RuntimeError("internal inconsistency: partner c2 should equal c1^2 - c2")
-    dim = f.c1_sq - 2 * r * r + 1
-    return partner, dim
+    return syzygy_numerics(f, euler_char(f, CUBIC_SURFACE)), f.c1_sq - 2 * f.rank ** 2 + 1
 
 
 def twist_partner(base: BundleNumerics, twist: DivisorClass) -> BundleNumerics:
-    """Twist a rank-4 partner bundle and recheck its c2 polynomial.
+    """Twist a rank-4 partner bundle by the line bundle of ``twist``.
 
-    c2 of the twist is quadratic in the twist class with leading
-    coefficient C(4,2) = 6 and cross term 3 c1(base).twist.
+    c2 of the twist is quadratic in the twist class with leading coefficient
+    C(4,2) = 6 and cross term 3 c1(base).twist, as ``checks.cubic_pair_rows`` tests.
     """
     _require_type(base, _BUNDLE, "base")
     _require_type(twist, (DivisorClass,), "twist")
     if base.rank != 4:
         raise ValueError(f"expected a rank-4 partner bundle, got rank {_shown(base.rank)}")
-    result = tensor_line(base, twist)
-    expected_c2 = 6 * twist.self_intersection + 3 * base.c1.dot(twist) + base.c2
-    if result.c2 != expected_c2:
-        raise RuntimeError("internal inconsistency: twist c2 is not the expected quadratic")
-    return result
+    return tensor_line(base, twist)

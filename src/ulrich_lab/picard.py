@@ -21,15 +21,17 @@ coordinates are exact and safe.
 Every coordinate is an ``int`` (never a ``bool``): the constructor checks
 each one.
 
-Trusted construction.  Each value type of the package checks its fields in
-its constructor, and that is the path every user value takes.  A value
-formed by int arithmetic on fields that were already checked is an int
-again, so checking it a second time proves nothing.  Such results are built
-by private builders that skip the checks: ``_trusted`` here for
-:class:`DivisorClass`, and ``_trusted_bundle``, ``_trusted_numeric``,
-``_trusted_entry`` and ``_trusted_decomposition`` beside their types in
-``chern``, ``syzygy`` and ``cubic``.  :func:`_trusted_builder` makes each one
-from its class, taking the fields by name and in field order.
+Trusted construction.  Each value type but ``TwistedCubicClass`` and
+``StableSumDecomposition`` checks its fields in its constructor, the path of
+every user value; for those two, ``StableSumDecomposition.validate`` refuses
+bad fields as it reads them.  A value formed by int arithmetic on fields
+that were already checked is an int again, so checking it a second time
+proves nothing.  Such results are built by private builders that skip the
+checks: ``_trusted`` here for :class:`DivisorClass`, and
+``_trusted_bundle``, ``_trusted_numeric``, ``_trusted_entry`` and
+``_trusted_decomposition`` beside their types in ``chern``, ``syzygy`` and
+``cubic``.  :func:`_trusted_builder` makes each one from its class, taking
+the fields by name and in field order.
 
 The contract of every builder: only library code calls it, only with ints
 computed from checked values (coordinates, positive ranks, Chern numbers,

@@ -20,6 +20,7 @@ from click.testing import CliRunner
 
 from ulrich_lab import (
     checks,
+    cubic,
     decompose_stable_sum,
     decomposition_to_dict,
     iterate_syzygy,
@@ -1236,6 +1237,25 @@ class TestTableMismatch:
         passed, detail = checks.check_cubic_moduli_pairs()
         assert passed is False
         assert "B+B" in detail
+
+    @pytest.fixture()
+    def wrong_twist(self, monkeypatch):
+        # twist_partner does not recheck its quadratic: the table's twists cell does.
+        real = cubic.tensor_line
+
+        def off_by_one(f, line):
+            moved = real(f, line)
+            return replace(moved, c2=moved.c2 + 1)
+
+        monkeypatch.setattr(cubic, "tensor_line", off_by_one)
+
+    def test_wrong_twist_fails_the_twists_cells(self, runner, wrong_twist):
+        result = runner.invoke(main, ["table-pairs"])
+        assert result.exit_code == 1
+        assert "| A+C | (4;2,1,1,1,1,0) | 3 | 5 | 1 | FAIL | FAIL |" in result.output
+        assert result.output.count("| FAIL | FAIL |") == 3
+        assert checks.check_cubic_moduli_pairs() == (
+            False, "row A+C: got seed c2=3 partner c2=5 dim=1, twists FAIL")
 
 
 class TestCheckReachesClosedRoutes:

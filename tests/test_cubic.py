@@ -170,6 +170,36 @@ class TestCensus:
         assert T_D == DivisorClass(4, (2, 2, 2, 1, 1, 1))
         assert T_E == DivisorClass(5, (2, 2, 2, 2, 2, 2))
 
+    def test_representatives_are_the_last_of_their_tag_with_b_descending(self):
+        for tag in "ABCDE":
+            rep = twisted_cubic_representative(tag)
+            assert list(rep.b) == sorted(rep.b, reverse=True)
+            assert rep == [t.divisor for t in twisted_cubics() if t.type_tag == tag][-1]
+
+    def test_equals_the_permutation_construction(self):
+        # A route that shares nothing with the box: five pinned
+        # representatives, each expanded by the permutations of its b and
+        # sorted within its tag.
+        pinned = {
+            "A": (1, (0, 0, 0, 0, 0, 0)),
+            "B": (2, (1, 1, 1, 0, 0, 0)),
+            "C": (3, (2, 1, 1, 1, 1, 0)),
+            "D": (4, (2, 2, 2, 1, 1, 1)),
+            "E": (5, (2, 2, 2, 2, 2, 2)),
+        }
+        expanded = tuple(TwistedCubicClass(tag, DivisorClass(a, b))
+                         for tag, (a, rep) in pinned.items()
+                         for b in sorted(set(itertools.permutations(rep))))
+        assert twisted_cubics() == expanded
+
+    def test_brute_force_over_a_wider_box(self):
+        # 7 * 5**6 = 109,375 candidates, one step past the census's box on
+        # every side, so the box is checked rather than assumed.
+        found = [(a, b) for a in range(0, 7) for b in itertools.product(range(-1, 4), repeat=6)
+                 if 3 * a - sum(b) == 3 and a * a - sum(x * x for x in b) == 1]
+        assert len(found) == 72
+        assert found == [(t.divisor.a, t.divisor.b) for t in twisted_cubics()]
+
     def test_sorted_deterministically(self):
         cubics = twisted_cubics()
         assert list(cubics) == sorted(cubics, key=TwistedCubicClass.sort_key)
@@ -316,6 +346,28 @@ class TestDecompositions:
         with pytest.raises(TypeError) as info:
             dec.validate()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "parts,message",
+        [
+            ((3,), "parts[0] must be a TwistedCubicClass, got 3"),
+            ((TwistedCubicClass("A", T_A), 3), "parts[1] must be a TwistedCubicClass, got 3"),
+            ((TwistedCubicClass("A", T_A), TwistedCubicClass("C", T_C), "E"),
+             "parts[2] must be a TwistedCubicClass, got 'E'"),
+            (3, "parts must be iterable, got 3"),
+            (None, "parts must be iterable, got None"),
+        ],
+        ids=["int-only", "int-second", "str-third", "int-parts", "none-parts"],
+    )
+    def test_validate_refuses_parts_that_are_no_cubics(self, parts, message):
+        with pytest.raises(TypeError) as info:
+            StableSumDecomposition(T_A + T_C + T_E, parts).validate()
+        assert str(info.value) == message
+
+    def test_validate_reads_any_iterable_of_parts(self):
+        parts = [TwistedCubicClass("A", T_A), TwistedCubicClass("C", T_C)]
+        assert StableSumDecomposition(T_A + T_C, parts).validate()
+        assert StableSumDecomposition(T_A + T_C, iter(parts)).validate()
 
     def test_validate_against_a_target_that_is_no_class(self):
         class Subclass(DivisorClass):
@@ -671,6 +723,18 @@ class TestModuliPairs:
         assert got_dim == dim
         assert expected_moduli_dim(seed) == dim
         assert expected_moduli_dim(partner) == dim
+
+    def test_every_sum_of_two_cubics(self):
+        # The partner is S_0: rank 2r, c1 = -c1 and c2 + r, at dimension c1^2 - 2r^2 + 1.
+        divisors = [t.divisor for t in twisted_cubics()]
+        sums = {s + t for s in divisors for t in divisors}
+        assert len(sums) == 1135
+        r = 2
+        for c1 in sums:
+            c2 = (c1.self_intersection - r) // 2  # r + (c1^2 - 3r)/2, the Ulrich c2 on d = 3
+            assert c2 == ulrich_c2(r, c1.self_intersection, CUBIC_SURFACE)
+            assert cubic_moduli_pair(BundleNumerics(r, c1, c2)) == (
+                BundleNumerics(2 * r, -c1, c2 + r), c1.self_intersection - 2 * r * r + 1)
 
     def test_rejects_non_candidates(self):
         with pytest.raises(NotUlrich):

@@ -16,9 +16,11 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from ulrich_lab import (  # noqa: E402  (after the importorskip)
+    CUBIC_SURFACE,
     BundleNumerics,
     DivisorClass,
     NumericClassData,
+    cubic_moduli_pair,
     discriminant,
     discriminant_drift,
     dual,
@@ -32,6 +34,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     tensor,
     tensor_line,
     twist_by_h,
+    twisted_cubics,
     ulrich_c2,
 )
 from ulrich_lab.chern import _chi, _chi_dual_product, _twist  # noqa: E402
@@ -536,3 +539,49 @@ class TestUlrichConditions:
     def test_chi_at_the_ulrich_c2_is_rank_times_degree(self):
         ulrich = r + (q - r * d) / 2
         assert is_zero(self.twisted_chi(r, q, r * d, ulrich, 0) - r * d)
+
+
+class TestCubicPartner:
+    """Why :func:`cubic.cubic_moduli_pair` is the first syzygy step on d = 3.
+
+    A d = 3 Ulrich F of rank r has c1.H = 3r and c2 = r + (c1^2 - 3r)/2.  Its
+    first syzygy bundle S_0 = ker(H^0(F) (x) O -> F), with h^0 = chi(F)
+    (:meth:`TestDriftStep.syzygy`), has rank 2r and c2(S_0) = c2 + r, and
+    F and S_0 both have expected dimension c1^2 - 2r^2 + 1.
+    """
+
+    ulrich = {p: 3 * r, c2: r + (q - 3 * r) / 2}
+
+    @staticmethod
+    def moduli_dim(rank, c1_sq, second):
+        # Delta - (rk^2 - 1), with Delta = 2 rk c2 - (rk - 1) c1^2.
+        return 2 * rank * second - (rank - 1) * c1_sq - (rank * rank - 1)
+
+    def partner(self):
+        return [sp.sympify(x).subs(self.ulrich) for x in TestDriftStep().syzygy(r, q, p, c2)]
+
+    def test_formulas_match_the_library(self):
+        rng = random.Random(23)
+        divisors = [t.divisor for t in twisted_cubics()]
+        for rank in (2, 3, 4):
+            for _ in range(10):
+                c1 = sum(rng.choices(divisors, k=rank), CUBIC_SURFACE.zero_class())
+                second = ulrich_c2(rank, c1.self_intersection, CUBIC_SURFACE)
+                partner, dim = cubic_moduli_pair(BundleNumerics(rank, c1, second))
+                point = {r: rank, q: c1.self_intersection}
+                assert self.ulrich[c2].subs(point) == second
+                assert [x.subs(point) for x in self.partner()] == [
+                    partner.rank, partner.c1_sq, partner.c1_dot_h, partner.c2]
+                assert self.moduli_dim(r, q, self.ulrich[c2]).subs(point) == dim
+
+    def test_partner_has_rank_2r_and_c2_plus_r(self):
+        rank, _, c1_h, second = self.partner()
+        assert is_zero(rank - 2 * r)
+        assert is_zero(c1_h + 3 * r)
+        assert is_zero(second - (self.ulrich[c2] + r))
+
+    def test_both_have_the_shared_dimension(self):
+        rank, c1_sq, _, second = self.partner()
+        shared = q - 2 * r * r + 1
+        assert is_zero(self.moduli_dim(r, q, self.ulrich[c2]) - shared)
+        assert is_zero(self.moduli_dim(rank, c1_sq, second) - shared)
