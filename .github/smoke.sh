@@ -43,6 +43,8 @@
 # the cubic partner too.  Both scripts run under `python3 -W error`, so a
 # warning (a deprecation in the standard library, a stray RuntimeWarning)
 # fails the runtime-only job, which has no pytest, as it fails the Tier-1 step.
+# tests/golden/corpus.py replays the golden corpus, every pinned CLI output,
+# under `python3 -W error` too, so the job without pytest pins every byte.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)
@@ -122,3 +124,4 @@ ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --unordered --out "$out_file"
 grep -qx 'count: 240' "$out_file"
 python3 -W error "$(dirname "$0")/roundtrip.py"
 python3 -W error "$(dirname "$0")/oracle_parity.py"
+python3 -W error "$(dirname "$0")/../tests/golden/corpus.py"

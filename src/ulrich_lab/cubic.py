@@ -293,17 +293,34 @@ def decompose_stable_sum(
 
 def decomposition_to_dict(target: DivisorClass, r: int,
                           decs: list[StableSumDecomposition]) -> dict:
-    """The JSON form of a search result; an element of ``decs`` that is no
-    :class:`StableSumDecomposition` raises ``TypeError`` naming its index."""
+    """The JSON form of a search result.
+
+    An element of ``decs`` that is no :class:`StableSumDecomposition`, its
+    parts when they are not iterable and a part that is no
+    :class:`TwistedCubicClass` raise ``TypeError`` naming ``decs[i]``,
+    ``decs[i].parts`` or ``decs[i].parts[j]``, as ``validate`` names them.
+    """
     decs = _as_tuple(decs, "decs")
-    for position, dec in enumerate(decs):
-        _require_type(dec, (StableSumDecomposition,), f"decs[{position}]")
-    return {
-        "target": str(target),
-        "r": r,
-        "tuples": [[str(p.divisor) for p in dec.parts] for dec in decs],
-        "count": len(decs),
-    }
+    tuples = []
+    for i, dec in enumerate(decs):
+        if type(dec) is not StableSumDecomposition:
+            _require_type(dec, (StableSumDecomposition,), f"decs[{i}]")
+        parts = dec.parts
+        if type(parts) is not tuple:
+            parts = _as_tuple(parts, f"decs[{i}].parts")
+        tuples.append([str(p.divisor) if type(p) is TwistedCubicClass else _part_text(p, i, parts)
+                       for p in parts])
+    return {"target": str(target), "r": r, "tuples": tuples, "count": len(decs)}
+
+
+def _part_text(part: object, i: int, parts: tuple) -> str:
+    """The text of a part of ``decs[i]`` that failed the inline type test:
+    a subclass of :class:`TwistedCubicClass` passes, anything else is
+    refused naming ``decs[i].parts[j]``.  The loop carries no j: the first
+    part that is ``part`` is the one that failed."""
+    j = next(j for j, q in enumerate(parts) if q is part)
+    _require_type(part, (TwistedCubicClass,), f"decs[{i}].parts[{j}]")
+    return str(part.divisor)
 
 
 def kernel_bundle_of_cubic(t: DivisorClass) -> BundleNumerics:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import hashlib
 import io
 import json
 import sys
@@ -250,14 +249,21 @@ class TestCheck:
         assert payload["extra_seeds"] == 1
         assert payload["passed"] is True
 
-    def test_bad_extra_seed_fails_cleanly(self, runner, tmp_path):
+    @pytest.mark.parametrize("args,row", [
+        (["check"], "| {} | FAIL | {}"),
+        (["check", "--format", "json"], '"name": "{}",\n      "passed": false,\n      "detail": "{}'),
+    ], ids=["markdown", "json"])
+    def test_check_with_failing_seed_file(self, runner, tmp_path, args, row):
+        # c2 = 5 is not this class's Ulrich c2 (4): the three syzygy checks
+        # that iterate the seed raise NotUlrich, and ulrich.candidates fails.
         path = tmp_path / "seeds.json"
         path.write_text(json.dumps([{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 5}]))
-        result = runner.invoke(
-            main, ["check"], env={"ULRICH_LAB_SEED_FILE": str(path)}
-        )
+        result = runner.invoke(main, args, env={"ULRICH_LAB_SEED_FILE": str(path)})
         assert result.exit_code == 1
-        assert "FAIL" in result.output
+        assert result.output.count("raised NotUlrich: ") == 3
+        for name in ("syzygy.drift-constant", "syzygy.delta-growth", "syzygy.closed-vs-iterate"):
+            assert row.format(name, "raised NotUlrich: ") in result.output
+        assert row.format("ulrich.candidates", "BundleNumerics(rank=2, ") in result.output
 
     def test_raising_checks_are_reported_under_their_plan_names(self, monkeypatch):
         # Every check raises, each with its own function's name: one run shows
@@ -682,517 +688,6 @@ class TestRefusals:
         assert type(info.value) is click_class
         assert type(info.value.__cause__) is (type(None) if cause is None else cause)
         assert f"Error: {info.value.format_message()}" == error
-
-
-# Exact bytes of the published tables and of the self-check report, captured
-# from a known-good build.  Any change to a row, a cell or the rendering shows
-# up here.
-TABLE_MODULI_MARKDOWN = """\
-| d | c1_sq | c2 | dim | match |
-| --- | --- | --- | --- | --- |
-| 4 | 12 | 4 | 1 | ok |
-| 4 | 16 | 6 | 5 | ok |
-| 5 | 16 | 5 | 1 | ok |
-| 5 | 20 | 7 | 5 | ok |
-| 6 | 20 | 6 | 1 | ok |
-| 6 | 24 | 8 | 5 | ok |
-| 7 | 24 | 7 | 1 | ok |
-| 7 | 26 | 8 | 3 | ok |
-| 7 | 28 | 9 | 5 | ok |
-"""
-
-TABLE_MODULI_CSV = """\
-d,c1_sq,c2,dim,match
-4,12,4,1,ok
-4,16,6,5,ok
-5,16,5,1,ok
-5,20,7,5,ok
-6,20,6,1,ok
-6,24,8,5,ok
-7,24,7,1,ok
-7,26,8,3,ok
-7,28,9,5,ok
-"""
-
-TABLE_MODULI_JSON = """\
-{
-  "rows": [
-    {
-      "d": 4,
-      "c1_sq": 12,
-      "c2": 4,
-      "dim": 1,
-      "match": true
-    },
-    {
-      "d": 4,
-      "c1_sq": 16,
-      "c2": 6,
-      "dim": 5,
-      "match": true
-    },
-    {
-      "d": 5,
-      "c1_sq": 16,
-      "c2": 5,
-      "dim": 1,
-      "match": true
-    },
-    {
-      "d": 5,
-      "c1_sq": 20,
-      "c2": 7,
-      "dim": 5,
-      "match": true
-    },
-    {
-      "d": 6,
-      "c1_sq": 20,
-      "c2": 6,
-      "dim": 1,
-      "match": true
-    },
-    {
-      "d": 6,
-      "c1_sq": 24,
-      "c2": 8,
-      "dim": 5,
-      "match": true
-    },
-    {
-      "d": 7,
-      "c1_sq": 24,
-      "c2": 7,
-      "dim": 1,
-      "match": true
-    },
-    {
-      "d": 7,
-      "c1_sq": 26,
-      "c2": 8,
-      "dim": 3,
-      "match": true
-    },
-    {
-      "d": 7,
-      "c1_sq": 28,
-      "c2": 9,
-      "dim": 5,
-      "match": true
-    }
-  ],
-  "all_match": true
-}
-"""
-
-TABLE_PAIRS_MARKDOWN = """\
-| parts | seed_c1 | seed_c2 | partner_c2 | dim | twists | match |
-| --- | --- | --- | --- | --- | --- | --- |
-| A+C | (4;2,1,1,1,1,0) | 3 | 5 | 1 | ok | ok |
-| B+B | (4;1,1,1,1,1,1) | 4 | 6 | 3 | ok | ok |
-| A+E | (6;2,2,2,2,2,2) | 5 | 7 | 5 | ok | ok |
-"""
-
-TABLE_PAIRS_CSV = """\
-parts,seed_c1,seed_c2,partner_c2,dim,twists,match
-A+C,"(4;2,1,1,1,1,0)",3,5,1,ok,ok
-B+B,"(4;1,1,1,1,1,1)",4,6,3,ok,ok
-A+E,"(6;2,2,2,2,2,2)",5,7,5,ok,ok
-"""
-
-TABLE_PAIRS_JSON = """\
-{
-  "rows": [
-    {
-      "parts": "A+C",
-      "seed_c1": "(4;2,1,1,1,1,0)",
-      "seed_c2": 3,
-      "partner_c2": 5,
-      "dim": 1,
-      "twists_match": true,
-      "match": true
-    },
-    {
-      "parts": "B+B",
-      "seed_c1": "(4;1,1,1,1,1,1)",
-      "seed_c2": 4,
-      "partner_c2": 6,
-      "dim": 3,
-      "twists_match": true,
-      "match": true
-    },
-    {
-      "parts": "A+E",
-      "seed_c1": "(6;2,2,2,2,2,2)",
-      "seed_c2": 5,
-      "partner_c2": 7,
-      "dim": 5,
-      "twists_match": true,
-      "match": true
-    }
-  ],
-  "all_match": true
-}
-"""
-
-CHECK_CSV = """\
-check,status,detail
-picard.signature,PASS,"L^2=1, E_i.E_j=-delta, K^2=H^2=d on d=3, d=4, d=5, d=6, d=7, d=8"
-picard.bilinearity,PASS,1000 random triples
-picard.permutation-pairing,PASS,1000 random cases
-picard.parser-roundtrip,PASS,1000 random classes
-chern.tensor-commutative,PASS,1000 random pairs
-chern.tensor-associative,PASS,1000 random triples
-chern.sum-permutation-invariant,PASS,1000 random families
-chern.chi-additive,PASS,1000 random pairs
-chern.discriminant-twist-invariant,PASS,1000 random twists
-ulrich.candidate-permutation-invariant,PASS,500 random cases
-syzygy.rank-triangle,PASS,"recurrence = closed form = iteration, d=4..8, r=1..5, k=-1..50"
-syzygy.rank-monotone,PASS,"strictly increasing, d=4..8, r=1..5, k<=39"
-syzygy.drift-constant,PASS,32 seeds
-syzygy.delta-growth,PASS,Delta(S_k) strictly increasing for k >= 0
-syzygy.closed-vs-iterate,PASS,"32 seeds, k <= 12"
-syzygy.table-vs-closed,PASS,"all table rows, k = -1..20"
-ulrich.thresholds,PASS,"genus 1, Butler, coprime, Koszul iff d>=4, H.(K+F)<0"
-ulrich.candidates,PASS,32 seeds
-ulrich.moduli-table,PASS,all 9 rows recomputed
-cubic.census,PASS,"72 classes, orbits 1/20/30/20/1, T^2=1, T.H=3"
-cubic.chi-closed-vs-oracle,PASS,all 72^2 ordered pairs
-cubic.decompositions,PASS,"table pairs found, all tuples revalidate"
-cubic.moduli-pairs,PASS,"3 rows, partners, 5 random twists each"
-"""
-
-CHECK_MARKDOWN = """\
-| check | status | detail |
-| --- | --- | --- |
-| picard.signature | PASS | L^2=1, E_i.E_j=-delta, K^2=H^2=d on d=3, d=4, d=5, d=6, d=7, d=8 |
-| picard.bilinearity | PASS | 1000 random triples |
-| picard.permutation-pairing | PASS | 1000 random cases |
-| picard.parser-roundtrip | PASS | 1000 random classes |
-| chern.tensor-commutative | PASS | 1000 random pairs |
-| chern.tensor-associative | PASS | 1000 random triples |
-| chern.sum-permutation-invariant | PASS | 1000 random families |
-| chern.chi-additive | PASS | 1000 random pairs |
-| chern.discriminant-twist-invariant | PASS | 1000 random twists |
-| ulrich.candidate-permutation-invariant | PASS | 500 random cases |
-| syzygy.rank-triangle | PASS | recurrence = closed form = iteration, d=4..8, r=1..5, k=-1..50 |
-| syzygy.rank-monotone | PASS | strictly increasing, d=4..8, r=1..5, k<=39 |
-| syzygy.drift-constant | PASS | 32 seeds |
-| syzygy.delta-growth | PASS | Delta(S_k) strictly increasing for k >= 0 |
-| syzygy.closed-vs-iterate | PASS | 32 seeds, k <= 12 |
-| syzygy.table-vs-closed | PASS | all table rows, k = -1..20 |
-| ulrich.thresholds | PASS | genus 1, Butler, coprime, Koszul iff d>=4, H.(K+F)<0 |
-| ulrich.candidates | PASS | 32 seeds |
-| ulrich.moduli-table | PASS | all 9 rows recomputed |
-| cubic.census | PASS | 72 classes, orbits 1/20/30/20/1, T^2=1, T.H=3 |
-| cubic.chi-closed-vs-oracle | PASS | all 72^2 ordered pairs |
-| cubic.decompositions | PASS | table pairs found, all tuples revalidate |
-| cubic.moduli-pairs | PASS | 3 rows, partners, 5 random twists each |
-"""
-
-
-# The --help page of the group and of each subcommand, at a fixed width.
-# These pin the option order, the help texts and the defaults of every
-# declaration.
-HELP = {
-    "": """\
-Usage: main [OPTIONS] COMMAND [ARGS]...
-
-  Exact Ulrich-bundle and syzygy-bundle numerics on del Pezzo surfaces.
-
-Options:
-  --help  Show this message and exit.
-
-Commands:
-  check         Run every module invariant and report one pass/fail line each.
-  cubics        List the 72 twisted cubic classes with their orbit tags.
-  decompose     Stable-sum decompositions of TARGET, e.g.
-  sequence      Syzygy ranks N_k by recurrence and by closed form, with a...
-  syzygy        Trace of the syzygy-and-twist iteration from an Ulrich seed.
-  table-moduli  Rank-2 moduli-dimension table on degrees 4..7, recomputed...
-  table-pairs   Cubic-surface pair table: rank-2 seeds, rank-4 partners,...
-""",
-    "sequence": """\
-Usage: main sequence [OPTIONS]
-
-  Syzygy ranks N_k by recurrence and by closed form, with a diff.
-
-Options:
-  --d INTEGER RANGE             Surface degree (closed rank form needs d >= 4).
-                                [4<=x<=8; required]
-  --r INTEGER RANGE             Seed rank.  [default: 2; x>=1]
-  --k-max INTEGER RANGE         [default: 10; 0<=x<=200]
-  --out FILE                    Write output to a file instead of stdout.
-  --format [markdown|csv|json]  Output format.  [default: markdown]
-  --help                        Show this message and exit.
-""",
-    "syzygy": """\
-Usage: main syzygy [OPTIONS]
-
-  Trace of the syzygy-and-twist iteration from an Ulrich seed.
-
-Options:
-  --d INTEGER RANGE             Surface degree.  [3<=x<=8; required]
-  --r INTEGER RANGE             Seed rank.  [default: 2; x>=1]
-  --c1-sq INTEGER               c1^2 of the seed.  [required]
-  --c2 INTEGER                  c2 of the seed; defaults to the unique Ulrich-
-                                compatible value.
-  --k-max INTEGER RANGE         [default: 5; -1<=x<=200]
-  --out FILE                    Write output to a file instead of stdout.
-  --format [markdown|csv|json]  Output format.  [default: markdown]
-  --help                        Show this message and exit.
-""",
-    "table-moduli": """\
-Usage: main table-moduli [OPTIONS]
-
-  Rank-2 moduli-dimension table on degrees 4..7, recomputed and diffed.
-
-Options:
-  --out FILE                    Write output to a file instead of stdout.
-  --format [markdown|csv|json]  Output format.  [default: markdown]
-  --help                        Show this message and exit.
-""",
-    "table-pairs": """\
-Usage: main table-pairs [OPTIONS]
-
-  Cubic-surface pair table: rank-2 seeds, rank-4 partners, twist checks.
-
-Options:
-  --out FILE                    Write output to a file instead of stdout.
-  --format [markdown|csv|json]  Output format.  [default: markdown]
-  --help                        Show this message and exit.
-""",
-    "cubics": """\
-Usage: main cubics [OPTIONS]
-
-  List the 72 twisted cubic classes with their orbit tags.
-
-Options:
-  --out FILE                    Write output to a file instead of stdout.
-  --format [markdown|csv|json]  Output format.  [default: markdown]
-  --help                        Show this message and exit.
-""",
-    "decompose": """\
-Usage: main decompose [OPTIONS] TARGET
-
-  Stable-sum decompositions of TARGET, e.g. "(4;2,1,1,1,1,0)".
-
-Options:
-  --r INTEGER RANGE             Number of twisted cubic parts.  [default: 2;
-                                2<=x<=6]
-  --unordered                   Collapse to one representative ordering per
-                                multiset.
-  --out FILE                    Write output to a file instead of stdout.
-  --format [markdown|csv|json]  Output format.  [default: markdown]
-  --help                        Show this message and exit.
-""",
-    "check": """\
-Usage: main check [OPTIONS]
-
-  Run every module invariant and report one pass/fail line each.
-
-Options:
-  --out FILE                    Write output to a file instead of stdout.
-  --format [markdown|csv|json]  Output format.  [default: markdown]
-  --help                        Show this message and exit.
-""",
-}
-
-# sha256 and length of outputs too long to inline: `syzygy` on every
-# moduli-table row (its c2 given), on the rH seeds of degree 8 (r = 1, 2, 3)
-# and on 3H of degree 5 (the Ulrich c2 by default), and `sequence` at r = 2,
-# all at k_max = 200, and the JSON report of `check`.
-DIGESTS = {
-    "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format markdown":
-        ("2498eb553d053926769cf3a69938efb7742cf54383d637183ac29bb220b58e75", 9937),
-    "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format csv":
-        ("5c9d992f3f8d259f12eea870c1869938f17aa979f93dc8ca26a64959dcad5d88", 6645),
-    "syzygy --d 4 --c1-sq 12 --c2 4 --k-max 200 --format json":
-        ("c50ca92eb3d8fcb07c56fcfa2f0275d67eff8d639cc9fdf53dca74fdcb7d06ae", 30783),
-    "syzygy --d 4 --c1-sq 16 --c2 6 --k-max 200 --format markdown":
-        ("a3aed3b9ef9f834017a9b2fd45c3db3efa581c72a4c0235eee46c7662190b745", 9938),
-    "syzygy --d 4 --c1-sq 16 --c2 6 --k-max 200 --format csv":
-        ("8f4cda1a79757755760be35eb43a17094f9da30d47f499eb9da46f2c72ee1d0c", 6646),
-    "syzygy --d 4 --c1-sq 16 --c2 6 --k-max 200 --format json":
-        ("14fcb2408a8fe8386db0ce8c1b2631ec1c596a9a1919eeac91952f76b8c96c9b", 30784),
-    "syzygy --d 5 --c1-sq 16 --c2 5 --k-max 200 --format markdown":
-        ("e2f5773bc9eb76a60864fc0f2b3d2c50b52477ebd925c18d5f201e23cfeffe17", 74870),
-    "syzygy --d 5 --c1-sq 16 --c2 5 --k-max 200 --format csv":
-        ("7499959065a995f0218a08c9307f3fc06345cb08d392797ce5d60e57915644e4", 71578),
-    "syzygy --d 5 --c1-sq 16 --c2 5 --k-max 200 --format json":
-        ("c7f81119ac2552dfb8841a5b907a734ecbda9427b7ebd463d2509bd607a008d3", 95717),
-    "syzygy --d 5 --c1-sq 20 --c2 7 --k-max 200 --format markdown":
-        ("a67015b8852827ba2d11d64e5b336d5b30281da30933f35bfa64d58e8156290a", 74870),
-    "syzygy --d 5 --c1-sq 20 --c2 7 --k-max 200 --format csv":
-        ("351df2dda0bbe56dd32addcd200f5d066f0ecd47579a8cd8887c947386083440", 71578),
-    "syzygy --d 5 --c1-sq 20 --c2 7 --k-max 200 --format json":
-        ("2a9b62d8bc395020b917349be2e6f1adb3b3e0ae7691d99cbe32f1cb2e6dbda3", 95717),
-    "syzygy --d 6 --c1-sq 20 --c2 6 --k-max 200 --format markdown":
-        ("3d8428ec4258e9817f0ad4dbe79ecc38347d0f718e3610cb8d53376545759b7b", 99856),
-    "syzygy --d 6 --c1-sq 20 --c2 6 --k-max 200 --format csv":
-        ("d07378c21a5a10f25f54ee20201341179b4a8bd668b8b6711e4a92d0e2f22644", 96564),
-    "syzygy --d 6 --c1-sq 20 --c2 6 --k-max 200 --format json":
-        ("bd7182b544343b08bcb9903adacd936220db9fb49149e9094cb4e1fcd5e9536b", 120703),
-    "syzygy --d 6 --c1-sq 24 --c2 8 --k-max 200 --format markdown":
-        ("f07421c7d7ec274a2a2a2cc45f47e32dea4e10eda9fd224fc5b745c6fcf1b2f3", 99856),
-    "syzygy --d 6 --c1-sq 24 --c2 8 --k-max 200 --format csv":
-        ("cf5e87bd479320b7b637b0636724ac0fc614eab5d34eb8b58b281090507961d5", 96564),
-    "syzygy --d 6 --c1-sq 24 --c2 8 --k-max 200 --format json":
-        ("0c80462dd640a2ba8579baa21be213c997170ba419735e43ab421cd74ced5c5c", 120703),
-    "syzygy --d 7 --c1-sq 24 --c2 7 --k-max 200 --format markdown":
-        ("721eb70ed7eb9fe74fe3932802edb0d2620f42b883238fc41234ef9f480a19a2", 117474),
-    "syzygy --d 7 --c1-sq 24 --c2 7 --k-max 200 --format csv":
-        ("7e691882ac2710a28b48902806f906a8f1b442626141d618ae33f96b4738c4b2", 114182),
-    "syzygy --d 7 --c1-sq 24 --c2 7 --k-max 200 --format json":
-        ("28cf757a4e723b111c9e73a670c48fb2098694c1236a38e0f24078b340bdd9a4", 138321),
-    "syzygy --d 7 --c1-sq 26 --c2 8 --k-max 200 --format markdown":
-        ("a235d17b5d395182998194653333769a2090799167c0e9262247231b3bf66eed", 117474),
-    "syzygy --d 7 --c1-sq 26 --c2 8 --k-max 200 --format csv":
-        ("ccc027e7af1d7d91e7b08840abc7d23eeacdc0e7080a068a97a8c2b4cde51b7f", 114182),
-    "syzygy --d 7 --c1-sq 26 --c2 8 --k-max 200 --format json":
-        ("c1d7b40fb892d861427ac49efd94cbe8fadc26c0a42b33525be534b781bdfef7", 138321),
-    "syzygy --d 7 --c1-sq 28 --c2 9 --k-max 200 --format markdown":
-        ("9acef832e32440b1225f5a8bc9dcccc43d35614d66c31ce459f7f29141863a35", 117474),
-    "syzygy --d 7 --c1-sq 28 --c2 9 --k-max 200 --format csv":
-        ("666da12a833b6752824d61fa5a4dc9cf4be3805a78afde6f1f0d649afe84cdbb", 114182),
-    "syzygy --d 7 --c1-sq 28 --c2 9 --k-max 200 --format json":
-        ("5916d4e6f0ddf1b7591ee845bf3174ac2649770d36abfe429ceff2b3c63f3690", 138321),
-    "syzygy --d 8 --r 1 --c1-sq 8 --k-max 200 --format markdown":
-        ("4a9d8c05fffb08e3ada5ecc6d2871f9fa04df57cee37482f68754b1ddd80b200", 130918),
-    "syzygy --d 8 --r 1 --c1-sq 8 --k-max 200 --format csv":
-        ("afc0a807194cf5fc1b163d504b993cbab9a30909d561ee7dcc9d83995e5b5327", 127534),
-    "syzygy --d 8 --r 1 --c1-sq 8 --k-max 200 --format json":
-        ("06282740229f43bf34a0486f65b4d7e35e5547417466b01130623478afe162b0", 151670),
-    "syzygy --d 8 --r 2 --c1-sq 32 --k-max 200 --format markdown":
-        ("2ac6c2adcfc9190b8d1bd20302aa2841fd63ee9d26fb5b56b138182a57966dd2", 131405),
-    "syzygy --d 8 --r 2 --c1-sq 32 --k-max 200 --format csv":
-        ("1da1f5ad500c877402fd431f55575ad9d2c9e48e6abb27e18a3f0f1a34b4f811", 128021),
-    "syzygy --d 8 --r 2 --c1-sq 32 --k-max 200 --format json":
-        ("d7e99a6cb6396fbb83daf963bfc08e091ab3d1fc69324389121d2106f259d6cb", 152160),
-    "syzygy --d 8 --r 3 --c1-sq 72 --k-max 200 --format markdown":
-        ("b763df38c9e5941308761a4a8deaa1bb90ee6c5b21a6aaec5be9ec3e9efda345", 131891),
-    "syzygy --d 8 --r 3 --c1-sq 72 --k-max 200 --format csv":
-        ("d8cb85611c0b6129b30c00b1c1a47df29b3348a9d1da2c5abc6d13204068fb90", 128507),
-    "syzygy --d 8 --r 3 --c1-sq 72 --k-max 200 --format json":
-        ("419e764799bab2d37d651bf88c402d2d9255feb39192eef6d7a996487f18d6d0", 152646),
-    "syzygy --d 5 --r 3 --c1-sq 45 --k-max 200 --format markdown":
-        ("ff782f4ffe3eb5d5e93a323bc042fa8c72cd452429ca3b1071ca54f0cf5431a0", 75359),
-    "syzygy --d 5 --r 3 --c1-sq 45 --k-max 200 --format csv":
-        ("ed8e8d24b111921a494223e7187fe9eecc98f8e8a370ec87641918ab3d415219", 72067),
-    "syzygy --d 5 --r 3 --c1-sq 45 --k-max 200 --format json":
-        ("bc18ff3a7c5d286997c46f1b9ee6f09519c70d46be7e2bfcaebc3cd6b029f616", 96207),
-    "sequence --d 5 --k-max 200":
-        ("62662119f5cf337ee61045bae91c50309f785ff602017baf6b69c17784587260", 21152),
-    "sequence --d 6 --k-max 200":
-        ("a48e9a934dc95b1bb28edaf57db5af3a9fd84603c27807166fbe40a85ed91802", 27380),
-    "sequence --d 7 --k-max 200":
-        ("637cd1d1b7b87dded7e8ec82ca46b4a3ac891c5a63b78aaa9f819b6fa7589b0b", 31768),
-    "sequence --d 8 --k-max 200":
-        ("5b4a42126c5de8b12556ac3d7ff393da3a4ff1d13f5aaa9a1ee42ed4d6cded6b", 35306),
-    "check --format json":
-        ("53289fd4596b5de63bf9d46f6619db7a2eb755fcdef96f2e0d4aca6861a450e3", 2871),
-    "cubics --format markdown":
-        ("2593ab17688ec0290ca5f4f214b4966e278b3b19607746d4203f1b40c7db27a0", 1769),
-    "cubics --format csv":
-        ("ee952b2aa2e748d809707880e384d22b856115f2da57e0a1b951276fc730fc91", 1451),
-    "cubics --format json":
-        ("08af86d1029723a7efef1695d256b9fb024f88d45b6eb26de77e14787a39e9cd", 4717),
-    "decompose (4;2,1,1,1,1,0) --format markdown":
-        ("e617af6ef4a9e0ed8255ee10905715539072f0cce0194206fb5ffbcf5edeaf73", 369),
-    "decompose (4;2,1,1,1,1,0) --format csv":
-        ("8a23a003010699d4b162af79af1501551ac1ae69771e46e18eb7723e8fea7eb8", 308),
-    "decompose (4;2,1,1,1,1,0) --format json":
-        ("aea148f8846d877a03bc46d36dbca2b1bb4ed8aacfc7970625157b917ac5009c", 572),
-    "decompose (4;2,1,1,1,1,0) --unordered --format markdown":
-        ("1a1cb0e314a3f3094d0715b9ad7a1da4026eb8d5d2921071ac49eaf88908c2b8", 205),
-    "decompose (4;2,1,1,1,1,0) --unordered --format csv":
-        ("3d063dcb1711bf434917f2771532e916079764224551a5c2658009d7df30b5ea", 160),
-    "decompose (4;2,1,1,1,1,0) --unordered --format json":
-        ("9e25b428fa060db8526a91321165aaced5520fbcd0f5fa7ac5b7a47d373ac949", 324),
-    "decompose (9;4,3,3,3,3,2) --r 3 --format markdown":
-        ("8f849ffaf87f81b5cafd9740ae1a05fb0beeeb5d2d4629f1cbe2f97a800deba3", 42653),
-    "decompose (9;4,3,3,3,3,2) --r 3 --format csv":
-        ("7367a5a093230ce81839da0301be3ea20e17014beddc11aa4e330c46a3a24aa3", 39774),
-    "decompose (9;4,3,3,3,3,2) --r 3 --format json":
-        ("b0cf2da55b7f5143fcd908200a90d81c48c325e3f4b65fde6942c91ee5aa6c1c", 62022),
-    "decompose (9;4,3,3,3,3,2) --r 3 --unordered --format markdown":
-        ("c16ec1aba977dfc2337ba1f6e72e1be5e7e52c95e0033a6e7a73a970a24f4625", 7493),
-    "decompose (9;4,3,3,3,3,2) --r 3 --unordered --format csv":
-        ("4029b554ea1dce7d353e62ff4057c69b4734461c7e3155b45ec79edbbb63741a", 6958),
-    "decompose (9;4,3,3,3,3,2) --r 3 --unordered --format json":
-        ("0a1708493fba2e269ceefee8a9a73fc8860f1e42ea1ea980e421f4ec5002b1fc", 11040),
-    "decompose (2;0,0,0,0,0,0)":
-        ("eb0dd986a6706694ac7ef306a3a1cfe3ac31399c088e14d5eecbd3607e5e2749", 41),
-    "decompose (12;4,4,4,4,4,4) --r 4 --format markdown":
-        ("1c024be724669378b470f061a45b6bf0be015c15dcffc2674129adade63dbd4e", 4038791),
-}
-
-
-class TestExactBytes:
-    @pytest.mark.parametrize(
-        "args,expected",
-        [
-            (["table-moduli"], TABLE_MODULI_MARKDOWN),
-            (["table-moduli", "--format", "csv"], TABLE_MODULI_CSV),
-            (["table-moduli", "--format", "json"], TABLE_MODULI_JSON),
-            (["table-pairs"], TABLE_PAIRS_MARKDOWN),
-            (["table-pairs", "--format", "csv"], TABLE_PAIRS_CSV),
-            (["table-pairs", "--format", "json"], TABLE_PAIRS_JSON),
-            (["check", "--format", "csv"], CHECK_CSV),
-            (["check"], CHECK_MARKDOWN),
-        ],
-        ids=["moduli-markdown", "moduli-csv", "moduli-json", "pairs-markdown",
-             "pairs-csv", "pairs-json", "check-csv", "check-markdown"],
-    )
-    def test_output_bytes(self, runner, args, expected):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        assert result.output == expected
-
-    @pytest.mark.parametrize("args", list(DIGESTS))
-    def test_output_digest(self, runner, args):
-        result = runner.invoke(main, args.split())
-        assert result.exit_code == 0
-        data = result.output.encode()
-        assert (hashlib.sha256(data).hexdigest(), len(data)) == DIGESTS[args]
-
-    def test_check_with_seed_file_digest(self, runner, tmp_path):
-        # One good extra seed: three details count 33 seeds, extra_seeds is 1.
-        path = tmp_path / "seeds.json"
-        path.write_text(json.dumps([{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 4}]))
-        result = runner.invoke(main, ["check", "--format", "json"],
-                               env={"ULRICH_LAB_SEED_FILE": str(path)})
-        assert result.exit_code == 0
-        data = result.output.encode()
-        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
-            "a2122ab695d43f4e0c89a0d21d18be3ed536e8af46eb1a6aff46ce20ea97b6ec", 2871)
-
-    @pytest.mark.parametrize("args,row,digest", [
-        (["check"], "| {} | FAIL | {}",
-         ("7991d12d36b5f1a12690f4fe8261641650c07ff330ed609413540d106d0ef8ea", 1940)),
-        (["check", "--format", "json"], '"name": "{}",\n      "passed": false,\n      "detail": "{}',
-         ("07857d1642286317bec5e51593312a70c6dc4c22a133cae1d11c3c072c3022b0", 3268)),
-    ], ids=["markdown", "json"])
-    def test_check_with_failing_seed_file_digest(self, runner, tmp_path, args, row, digest):
-        # c2 = 5 is not this class's Ulrich c2 (4): the three syzygy checks
-        # that iterate the seed raise NotUlrich, and ulrich.candidates fails.
-        path = tmp_path / "seeds.json"
-        path.write_text(json.dumps([{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 5}]))
-        result = runner.invoke(main, args, env={"ULRICH_LAB_SEED_FILE": str(path)})
-        assert result.exit_code == 1
-        assert result.output.count("raised NotUlrich: ") == 3
-        for name in ("syzygy.drift-constant", "syzygy.delta-growth", "syzygy.closed-vs-iterate"):
-            assert row.format(name, "raised NotUlrich: ") in result.output
-        assert row.format("ulrich.candidates", "BundleNumerics(rank=2, ") in result.output
-        data = result.output.encode()
-        assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
-
-    @pytest.mark.parametrize("name", list(HELP), ids=[name or "group" for name in HELP])
-    def test_help_bytes(self, runner, name):
-        args = [name, "--help"] if name else ["--help"]
-        result = runner.invoke(main, args, terminal_width=80)
-        assert result.exit_code == 0
-        assert result.output == HELP[name]
 
 
 class TestTableMismatch:

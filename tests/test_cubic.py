@@ -479,6 +479,38 @@ class TestDecompositions:
         assert payload["count"] == 8
         assert ["(1;0,0,0,0,0,0)", "(3;2,1,1,1,1,0)"] in payload["tuples"]
 
+    @pytest.mark.parametrize(
+        "parts,message",
+        [
+            ([(3,)], "decs[0].parts[0] must be a TwistedCubicClass, got 3"),
+            ([3], "decs[0].parts must be iterable, got 3"),
+            ([None], "decs[0].parts must be iterable, got None"),
+            ([(TwistedCubicClass("A", T_A), TwistedCubicClass("C", T_C)),
+              [TwistedCubicClass("A", T_A), "C"]],
+             "decs[1].parts[1] must be a TwistedCubicClass, got 'C'"),
+            # The same object twice: the first of them is named.
+            ([(TwistedCubicClass("A", T_A), T_A, T_A)],
+             "decs[0].parts[1] must be a TwistedCubicClass, got DivisorClass(a=1, b=(0, 0, 0, 0, 0, 0))"),
+        ],
+        ids=["int-part", "int-parts", "none-parts", "str-part-of-later-list", "repeated-bad-part"],
+    )
+    def test_dict_refuses_parts_that_are_no_cubics(self, parts, message):
+        # One decomposition per entry of parts.
+        decs = [StableSumDecomposition(T_A + T_C, p) for p in parts]
+        with pytest.raises(TypeError) as info:
+            decomposition_to_dict(T_A + T_C, 2, decs)
+        assert str(info.value) == message
+
+    def test_dict_reads_any_iterable_of_parts_and_subclassed_parts(self):
+        class Subclass(TwistedCubicClass):
+            __slots__ = ()
+
+        parts = (TwistedCubicClass("A", T_A), TwistedCubicClass("C", T_C))
+        expected = decomposition_to_dict(T_A + T_C, 2, [StableSumDecomposition(T_A + T_C, parts)])
+        for same in (list(parts), iter(parts), (parts[0], Subclass("C", T_C))):
+            assert decomposition_to_dict(
+                T_A + T_C, 2, [StableSumDecomposition(T_A + T_C, same)]) == expected
+
 
 class TestPairTable:
     def test_every_ordered_pair_under_its_sum(self):
