@@ -1,50 +1,33 @@
 #!/bin/sh
-# Console-script smoke test: run the installed `ulrich-lab` entry point, so
-# the [project.scripts] declaration is exercised (the CliRunner tests call
-# main in process).  Subcommands are registered at import time, so --help of
-# each one fails on a broken declaration.  The deep syzygy and sequence runs
-# take the integer syzygy step and the closed rank form to k = 200, and the
-# syzygy JSON is read back: 202 rows, each with drift 1 and the rank of the
-# three-term recurrence, written out here; the cubics and decompose runs
-# print divisor classes through their str() memo.  The same syzygy request,
-# and the same r = 3 decompose request (1,440 rows), in each format must
-# write the same bytes to stdout, a real file descriptor here, as it writes
-# with --out: both are streamed into their destination as they are rendered.
-# One check run reads a seed file, so the validating path from JSON to
-# BundleNumerics (load_seed_file, BundleNumerics.from_dict) runs as well as
-# the library's internal results, which skip re-validation; a second one
-# reads a seed file without c2 and must fail, naming the key on stderr (a
-# file again, since `sh -eu` has no pipefail); a third reads a seed that is
-# not an Ulrich candidate and must exit 1 with three `raised NotUlrich` rows,
-# so the runner's exception path runs as well.  Four requests must be refused
-# with exit 1, one `Error:` line and no traceback on stderr: a seed file
-# nested 100,000 arrays deep, a sequence whose N_1 is longer than the
-# interpreter's int-string limit, a syzygy seed whose r has as many digits
-# as that limit allows, so the refusal raised while computing (rank*d is odd
-# against c1^2) must name the number past the limit by its type, and a
-# second syzygy step on the cubic surface, which must print the one degree-3
-# rule of the syzygy routes word for word.  The r = 3
-# decompose run takes the search through its first-part scan and its
-# pair-table lookup of the last two parts; its count is checked from a file,
-# since `sh -e` does not see a failure inside a pipe.  roundtrip.py
-# pickles, copies and replaces every slotted value type and four syzygy
-# traces, two of them before their rows are read, with the standard library
-# only; oracle_parity.py compares the
-# Euler-pairing kernel of chi_pair_oracle with its dual-tensor-euler_char
-# composition on all 72^2 pairs of twisted cubics, and the fused step of
-# iterate_syzygy with the twist_by_h(syzygy_numerics(F, euler_char(F)), 1)
-# composition on every default seed, exact and reduced, to k = 40 (k = 0 on
-# d = 3), its drift with expected_moduli_dim of every row, and
-# is_ulrich_candidate with the euler_char(twist_by_h(F, -1 and -2))
-# composition on the random bundles, the seeds and their near misses (c2 +- 1,
-# an odd c1^2 - rd, c1.H +- 1 and +- 2), and cubic_moduli_pair and
-# twist_partner with their closed forms on every sum of two twisted cubics and
-# 200 sums of three, so the job without pytest checks all three kernels and
-# the cubic partner too.  Both scripts run under `python3 -W error`, so a
-# warning (a deprecation in the standard library, a stray RuntimeWarning)
-# fails the runtime-only job, which has no pytest, as it fails the Tier-1 step.
-# tests/golden/corpus.py replays the golden corpus, every pinned CLI output,
-# under `python3 -W error` too, so the job without pytest pins every byte.
+# Console-script smoke test, the one check list of the job without pytest.
+# That job installs the package with its runtime dependency (click) only,
+# so it checks what an installed run alone can show: the [project.scripts]
+# entry point (the CliRunner tests call main in process), refusals and
+# output on real file descriptors, and every pinned CLI byte.  Every
+# cross-route and round-trip check of the library lives in the Tier-1 tests.
+#
+# Subcommands are registered at import time, so --help of each one fails on
+# a broken declaration.  `ulrich-lab check` runs the self-check suite, among
+# it the chi oracle on all 72^2 pairs of twisted cubics and the closed Chern
+# routes against iterate_syzygy.  One check run reads a seed file, so the
+# validating path from JSON to BundleNumerics runs; a second one reads a
+# seed file without c2 and must fail, naming the key on stderr (a file,
+# since `sh -eu` has no pipefail); a third reads a seed that is not an
+# Ulrich candidate and must exit 1 with three `raised NotUlrich` rows.  Four
+# requests must be refused with exit 1, one `Error:` line and no traceback
+# on stderr: a seed file nested 100,000 arrays deep, a sequence whose N_1 is
+# longer than the interpreter's int-string limit, a syzygy seed whose r has
+# as many digits as that limit allows (the refusal must name that number by
+# its type), and a second syzygy step on the cubic surface, which must print
+# the degree-3 rule of the syzygy routes word for word.  The deep syzygy and
+# sequence runs go to k = 200, and the syzygy JSON is read back: 202 rows,
+# each with drift 1 and the rank of the three-term recurrence.  The same
+# syzygy request, and the same r = 3 decompose request (1,440 rows), in
+# each format must write the same bytes to stdout as with --out; the r = 3
+# unordered count is checked from a file, since `sh -e` does not see a
+# failure inside a pipe.  Last, tests/golden/corpus.py replays the golden
+# corpus, every pinned CLI output, under `python3 -W error`, so a warning
+# fails this job as it fails the Tier-1 step.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)
@@ -122,6 +105,4 @@ ulrich-lab cubics --format csv
 ulrich-lab decompose "(4;2,1,1,1,1,0)" --unordered --format json
 ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --unordered --out "$out_file"
 grep -qx 'count: 240' "$out_file"
-python3 -W error "$(dirname "$0")/roundtrip.py"
-python3 -W error "$(dirname "$0")/oracle_parity.py"
 python3 -W error "$(dirname "$0")/../tests/golden/corpus.py"

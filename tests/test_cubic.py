@@ -653,16 +653,17 @@ class TestEulerPairingKernel:
     def test_all_ordered_pairs(self):
         divisors = [t.divisor for t in twisted_cubics()]
         kernels = [kernel_bundle_of_cubic(t) for t in divisors]
-        for m1 in kernels:
+        for t1, m1 in zip(divisors, kernels):
             m1_dual = dual(m1)
             for t2, m2 in zip(divisors, kernels):
-                assert chi_pair_oracle(m1, t2, CUBIC_SURFACE) == euler_char(
-                    tensor(m1_dual, m2), CUBIC_SURFACE)
+                chi = chi_pair_oracle(m1, t2, CUBIC_SURFACE)
+                assert chi == euler_char(tensor(m1_dual, m2), CUBIC_SURFACE)
+                assert chi == chi_pair_closed_form(2, [t1.dot(t2)])
 
     def test_random_bundles(self):
-        rng = random.Random(20)
+        rng = random.Random(0x0C1)
         divisors = [t.divisor for t in twisted_cubics()]
-        for _ in range(600):
+        for _ in range(2000):
             fprev = BundleNumerics(rng.randint(1, 6),
                                    DivisorClass(rng.randint(-9, 9),
                                                 tuple(rng.randint(-9, 9) for _ in range(6))),
@@ -756,17 +757,33 @@ class TestModuliPairs:
         assert expected_moduli_dim(seed) == dim
         assert expected_moduli_dim(partner) == dim
 
-    def test_every_sum_of_two_cubics(self):
+    @staticmethod
+    def partner(r, c1):
         # The partner is S_0: rank 2r, c1 = -c1 and c2 + r, at dimension c1^2 - 2r^2 + 1.
+        c2 = (c1.self_intersection - r) // 2  # r + (c1^2 - 3r)/2, the Ulrich c2 on d = 3
+        assert c2 == ulrich_c2(r, c1.self_intersection, CUBIC_SURFACE)
+        partner, dim = cubic_moduli_pair(BundleNumerics(r, c1, c2))
+        assert (partner, dim) == (BundleNumerics(2 * r, -c1, c2 + r),
+                                  c1.self_intersection - 2 * r * r + 1)
+        return partner
+
+    def test_every_sum_of_two_cubics(self):
+        # Each rank-4 partner is twisted by 5 random classes x, to c1 + 4x and
+        # 6x^2 + 3 c1.x + c2; then 200 random sums of three, from the same stream.
         divisors = [t.divisor for t in twisted_cubics()]
-        sums = {s + t for s in divisors for t in divisors}
+        sums = dict.fromkeys(s + t for s in divisors for t in divisors)
         assert len(sums) == 1135
-        r = 2
+        rng = random.Random(0x0C3)
         for c1 in sums:
-            c2 = (c1.self_intersection - r) // 2  # r + (c1^2 - 3r)/2, the Ulrich c2 on d = 3
-            assert c2 == ulrich_c2(r, c1.self_intersection, CUBIC_SURFACE)
-            assert cubic_moduli_pair(BundleNumerics(r, c1, c2)) == (
-                BundleNumerics(2 * r, -c1, c2 + r), c1.self_intersection - 2 * r * r + 1)
+            partner = self.partner(2, c1)
+            for _ in range(5):
+                x = DivisorClass(rng.randint(-9, 9), tuple(rng.randint(-9, 9) for _ in range(6)))
+                assert twist_partner(partner, x) == BundleNumerics(
+                    4, partner.c1 + 4 * x,
+                    6 * x.self_intersection + 3 * partner.c1.dot(x) + partner.c2)
+        for _ in range(200):
+            parts = rng.choices(divisors, k=3)
+            self.partner(3, sum(parts[1:], parts[0]))
 
     def test_rejects_non_candidates(self):
         with pytest.raises(NotUlrich):

@@ -508,18 +508,22 @@ class TestIterateOracle:
             assert (last_c1.self_intersection, last_c1.degree) == reference[-1][3:5]
         assert discriminant_drift(trace) == [dim] * 1002
 
-    @pytest.mark.parametrize("surface,seed", checks.default_seeds() + list(_rH_seeds()))
+    @pytest.mark.parametrize("surface,seed", checks.default_seeds() + list(_rH_seeds()) + [
+        (surface, reduce_numerics(seed)) for surface, seed in checks.default_seeds()
+        if isinstance(seed, BundleNumerics)])
     def test_matches_exact_composition(self, surface, seed):
         k_max = 0 if surface.degree == 3 else 40
         trace = iterate_syzygy(seed, surface, k_max)
+        drift = discriminant_drift(trace)  # from the columns, before any row is built
         reference = reference_trace(seed, surface, k_max)
-        assert len(trace.entries) == len(reference)
-        for entry, (k, f) in zip(trace.entries, reference):
+        assert len(trace.entries) == len(drift) == len(reference)
+        for entry, entry_drift, (k, f) in zip(trace.entries, drift, reference):
             c1 = f.c1 if isinstance(f, BundleNumerics) else None
             assert (entry.k, entry.rank, entry.c1, entry.c1_sq, entry.c1_dot_h, entry.c2) == (
                 k, f.rank, c1, f.c1_sq, f.c1_dot_h, f.c2)
             assert entry.delta == discriminant(f)
-            assert entry.drift == expected_moduli_dim(f)
+            assert entry_drift == entry.drift == expected_moduli_dim(entry)
+            assert entry_drift == expected_moduli_dim(f)
 
     @pytest.mark.parametrize("k_max,corrupt_at", [(0, 1), (5, 6)])
     def test_corrupt_degree_trips_final_check(self, monkeypatch, k_max, corrupt_at):
@@ -632,8 +636,9 @@ class TestTraceRows:
             trace.entries[-1]
         elif read == "all":
             tuple(trace.entries)
-        clones = [pickle.loads(pickle.dumps(trace, protocol))
-                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        sizes = [len(pickle.dumps(trace, protocol)) for protocol in protocols]
+        clones = [pickle.loads(pickle.dumps(trace, protocol)) for protocol in protocols]
         clones += [copy.copy(trace), copy.deepcopy(trace), dataclasses.replace(trace)]
         reference = reference_rows(seed, surface, 7)
         for clone in clones:
@@ -642,6 +647,9 @@ class TestTraceRows:
             assert hash(clone) == hash(trace) and repr(clone) == repr(trace)
             assert clone.entries == reference
             assert discriminant_drift(clone) == discriminant_drift(trace)
+        # Pickles carry the columns, not the rows built so far.
+        tuple(trace.entries)
+        assert [len(pickle.dumps(trace, protocol)) for protocol in protocols] == sizes
 
     def test_pickle_layout(self, surface, seed):
         # Pickles carry (ranks, c1_sqs, degrees, c2s, c1, ms), whatever the

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,22 +13,30 @@ from ulrich_lab import (
     BundleNumerics,
     DivisorClass,
     LatticeMismatch,
+    NotUlrich,
     NotUlrichCompatible,
     NumericClassData,
+    OutOfTheoremScope,
     ParityViolation,
     PolarizedData,
     butler_semistability_criterion,
+    closed_syzygy_chern,
+    closed_syzygy_chern_numeric,
     coprime_stability_criterion,
     curve_section_genus,
     euler_char,
     is_ulrich_candidate,
+    iterate_syzygy,
     koszul_criterion,
     make_surface,
     parse_divisor,
     polarized_data_for,
     prioritary_polarization_check,
+    rank_two_table_chern,
     reduce_numerics,
     tensor_line,
+    twist_by_h,
+    twisted_cubics,
     ulrich_c2,
     ulrich_profile,
 )
@@ -53,6 +63,56 @@ def random_bundles(d: int, count: int = 200) -> list[BundleNumerics]:
         c2 = rank + (c1.self_intersection - rank * d) // 2 + rng.choice((-1, 0, 0, 1))
         bundles.append(BundleNumerics(rank, c1, c2))
     return bundles
+
+
+def cubic_lattice_bundles() -> list[BundleNumerics]:
+    """The bundles of ranks 1-6 that test_cubic's Euler-pairing test pairs
+    with a twisted cubic: seed 0x0C1, the cubic drawn after each bundle."""
+    rng, cubics = random.Random(0x0C1), twisted_cubics()
+    bundles = []
+    for _ in range(2000):
+        bundles.append(BundleNumerics(rng.randint(1, 6),
+                                      DivisorClass(rng.randint(-9, 9),
+                                                   tuple(rng.randint(-9, 9) for _ in range(6))),
+                                      rng.randint(-50, 50)))
+        rng.choice(cubics)
+    return bundles
+
+
+def near_misses(f):
+    """c2 -+ 1; for reduced data also c1^2 + 1 (an odd c1^2 - rd, which no
+    exact class with c1.H = rd has) and c1.H -+ 1, -+ 2 (the odd shifts make
+    c1^2 + c1.H odd, the even ones keep it even and move the chi values)."""
+    misses = [replace(f, c2=f.c2 + e) for e in (-1, 1)]
+    if isinstance(f, NumericClassData):
+        misses.append(replace(f, c1_sq=f.c1_sq + 1))
+        misses += [replace(f, c1_dot_h=f.c1_dot_h + e) for e in (-2, -1, 1, 2)]
+    return misses
+
+
+# Every default seed, exact and reduced, and its near misses.
+SEEDS = [(surface, g) for surface, f in default_seeds()
+         for g in ([f, reduce_numerics(f)] if isinstance(f, BundleNumerics) else [f])]
+NEAR_MISSES = [(surface, miss) for surface, f in SEEDS for miss in near_misses(f)]
+
+
+def seed_routes(f, surface):
+    """Each syzygy route that takes f as its seed, as a function of k."""
+    d = surface.degree
+    routes = [partial(iterate_syzygy, f, surface), partial(closed_syzygy_chern_numeric, f, surface)]
+    if isinstance(f, BundleNumerics):
+        routes.append(partial(closed_syzygy_chern, f, surface))
+    if f.rank == 2 and f.c1_dot_h == 2 * d and 4 <= d <= 7:
+        routes.append(partial(rank_two_table_chern, d, f.c1_sq, f.c2))
+    return routes
+
+
+def refusal(route, k):
+    try:
+        route(k)
+    except (NotUlrich, OutOfTheoremScope) as error:
+        return type(error)
+    return None
 
 
 NON_CANDIDATES = [
@@ -216,6 +276,40 @@ class TestCandidates:
         exact = [is_ulrich_candidate(f, surface) for surface, f in cases]
         assert exact == [is_ulrich_candidate(reduce_numerics(f), surface) for surface, f in cases]
         assert set(exact) == answers
+
+    @pytest.mark.parametrize("cases,answers", [
+        pytest.param([(S3, f) for f in cubic_lattice_bundles()], {False}, id="random-cubic"),
+        pytest.param(SEEDS, {True}, id="default-seeds"),
+        pytest.param(NEAR_MISSES, {False}, id="near-misses"),
+    ])
+    def test_matches_the_twisted_chi_definition(self, cases, answers):
+        # chi(F(-H)) = chi(F(-2H)) = 0, with an odd c1^2 + c1.H, which no
+        # bundle has, counting as no candidate; a candidate has the Ulrich c2.
+        def defined(f, surface):
+            try:
+                return all(euler_char(twist_by_h(f, m, surface), surface) == 0 for m in (-1, -2))
+            except ParityViolation:
+                return False
+
+        got = [is_ulrich_candidate(f, surface) for surface, f in cases]
+        assert got == [defined(f, surface) for surface, f in cases]
+        assert set(got) == answers
+        assert all(f.c2 == ulrich_c2(f.rank, f.c1_sq, surface)
+                   for (surface, f), candidate in zip(cases, got) if candidate)
+
+    def test_seed_routes_refuse_exactly_the_non_candidates(self):
+        # NotUlrich exactly when f is no candidate, at k = 0 and k = 1; the one
+        # other refusal is the degree-3 rule, for a candidate at k = 1.
+        wrong = []
+        for surface, f in SEEDS + NEAR_MISSES:
+            candidate = is_ulrich_candidate(f, surface)
+            for route in seed_routes(f, surface):
+                for k in (0, 1):
+                    want = (NotUlrich if not candidate else
+                            OutOfTheoremScope if (surface.degree, k) == (3, 1) else None)
+                    if refusal(route, k) is not want:
+                        wrong.append((route.func.__name__, k, surface.degree, f))
+        assert wrong == []
 
     @pytest.mark.parametrize("surface,f", [
         (make_surface(5), WITNESS),

@@ -48,6 +48,7 @@ from ulrich_lab.syzygy import _trusted_entry
 
 X = DivisorClass(4, (1, 1, 1, 1, 0))
 Y = DivisorClass(2, (1, 0, 1, 0, 0))
+F = BundleNumerics(2, X, 4)
 
 VALUES = [
     pytest.param(X, id="DivisorClass"),
@@ -55,9 +56,12 @@ VALUES = [
     pytest.param(X - Y, id="DivisorClass-difference"),
     pytest.param(-X, id="DivisorClass-negative"),
     pytest.param(3 * X, id="DivisorClass-multiple"),
-    pytest.param(BundleNumerics(2, X, 4), id="BundleNumerics"),
+    pytest.param(F, id="BundleNumerics"),
+    pytest.param(tensor(F, F), id="BundleNumerics-tensor"),
     pytest.param(NumericClassData(2, 16, 10, 5), id="NumericClassData"),
+    pytest.param(reduce_numerics(F), id="NumericClassData-reduced"),
     pytest.param(TraceEntry(0, 6, -X, 12, -8, 8), id="TraceEntry"),
+    pytest.param(iterate_syzygy(F, make_surface(4), 2).entries[-1], id="TraceEntry-read"),
     pytest.param(twisted_cubics()[5], id="TwistedCubicClass"),
     pytest.param(decompose_stable_sum(DivisorClass(6, (2,) * 6), 2)[0],
                  id="StableSumDecomposition"),
