@@ -74,6 +74,10 @@ class TwistedCubicClass(_Value):
     type_tag: str
     divisor: DivisorClass
 
+    def __post_init__(self) -> None:
+        _require_type(self.type_tag, (str,), "type_tag")
+        _require_type(self.divisor, (DivisorClass,), "divisor")
+
     def sort_key(self) -> tuple[str, int, tuple[int, ...]]:
         return (self.type_tag, self.divisor.a, self.divisor.b)
 
@@ -140,6 +144,15 @@ class StableSumDecomposition(_Value):
     target: DivisorClass
     parts: tuple[TwistedCubicClass, ...]
 
+    def __post_init__(self) -> None:
+        _require_type(self.target, (DivisorClass,), "target")
+        parts = self.parts
+        if type(parts) is not tuple:
+            parts = _as_tuple(parts, "parts")
+            object.__setattr__(self, "parts", parts)
+        for i, part in enumerate(parts):
+            _require_type(part, (TwistedCubicClass,), f"parts[{i}]")
+
     def validate(self) -> bool:
         """Recheck the defining sum and partial-pairing inequalities.
 
@@ -149,40 +162,26 @@ class StableSumDecomposition(_Value):
         carried through every part even after a pairing fails, so each
         refusal below holds for every order of the parts:
 
-        * parts that are not iterable, a part that is no
-          :class:`TwistedCubicClass` and a part whose divisor is no
-          :class:`DivisorClass` raise ``TypeError`` naming ``parts``,
-          ``parts[i]`` or ``parts[i].divisor``;
         * empty parts raise :class:`LatticeMismatch`, "cannot sum an empty
           family of divisor classes";
         * a part on another lattice than the first raises
           :class:`LatticeMismatch` with the message of ``+``;
-        * one part is compared with the target by ``==``; a target that is
-          not exactly a :class:`DivisorClass` is never the sum of two or
-          more parts, as under ``==``.
+        * one part is compared with the target by ``==``; a target whose
+          type is a subclass of :class:`DivisorClass` is never the sum of
+          two or more parts, as under ``==``.
         """
         parts = self.parts
-        if type(parts) is not tuple:
-            parts = _as_tuple(parts, "parts")
         if not parts:
             raise LatticeMismatch("cannot sum an empty family of divisor classes")
-        if type(parts[0]) is not TwistedCubicClass:
-            _require_type(parts[0], (TwistedCubicClass,), "parts[0]")
         first = parts[0].divisor
         if len(parts) == 1:
             return first == self.target
-        if type(first) is not DivisorClass:
-            _require_type(first, (DivisorClass,), "parts[0].divisor")
         pa, pb = first.a, first.b
         width = len(pb)
         need = 3  # 2j - 1 at j = 2
         stable = True
-        for part in parts[1:]:  # need = 2i + 1 at parts[i]
-            if type(part) is not TwistedCubicClass:
-                _require_type(part, (TwistedCubicClass,), f"parts[{need >> 1}]")
+        for part in parts[1:]:
             t = part.divisor
-            if type(t) is not DivisorClass:
-                _require_type(t, (DivisorClass,), f"parts[{need >> 1}].divisor")
             tb = t.b
             if len(tb) != width:
                 raise LatticeMismatch("cannot add classes from different lattices")
@@ -295,32 +294,16 @@ def decomposition_to_dict(target: DivisorClass, r: int,
                           decs: list[StableSumDecomposition]) -> dict:
     """The JSON form of a search result.
 
-    An element of ``decs`` that is no :class:`StableSumDecomposition`, its
-    parts when they are not iterable and a part that is no
-    :class:`TwistedCubicClass` raise ``TypeError`` naming ``decs[i]``,
-    ``decs[i].parts`` or ``decs[i].parts[j]``, as ``validate`` names them.
+    An element of ``decs`` that is no :class:`StableSumDecomposition` raises
+    ``TypeError`` naming ``decs[i]``; its constructor has checked its parts.
     """
     decs = _as_tuple(decs, "decs")
     tuples = []
     for i, dec in enumerate(decs):
         if type(dec) is not StableSumDecomposition:
             _require_type(dec, (StableSumDecomposition,), f"decs[{i}]")
-        parts = dec.parts
-        if type(parts) is not tuple:
-            parts = _as_tuple(parts, f"decs[{i}].parts")
-        tuples.append([str(p.divisor) if type(p) is TwistedCubicClass else _part_text(p, i, parts)
-                       for p in parts])
+        tuples.append([str(p.divisor) for p in dec.parts])
     return {"target": str(target), "r": r, "tuples": tuples, "count": len(decs)}
-
-
-def _part_text(part: object, i: int, parts: tuple) -> str:
-    """The text of a part of ``decs[i]`` that failed the inline type test:
-    a subclass of :class:`TwistedCubicClass` passes, anything else is
-    refused naming ``decs[i].parts[j]``.  The loop carries no j: the first
-    part that is ``part`` is the one that failed."""
-    j = next(j for j, q in enumerate(parts) if q is part)
-    _require_type(part, (TwistedCubicClass,), f"decs[{i}].parts[{j}]")
-    return str(part.divisor)
 
 
 def kernel_bundle_of_cubic(t: DivisorClass) -> BundleNumerics:
@@ -375,7 +358,8 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
     ``euler_char(tensor(dual(fprev), M_T), surface)`` runs, and raises its own
     :class:`LatticeMismatch`.  :func:`ulrich_lab.checks.check_cubic_chi_oracle`
     compares the composition with the closed form on all 72**2 ordered pairs
-    and with this function on the 72 diagonal ones; ``.github/oracle_parity.py``
+    and with this function on the 72 diagonal ones;
+    ``tests/test_cubic.py::TestEulerPairingKernel::test_all_ordered_pairs``
     compares it with this function on every pair.
     """
     if type(surface) is not DelPezzoSurface:

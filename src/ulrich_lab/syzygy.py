@@ -113,6 +113,7 @@ from .picard import (
     MIN_DEGREE,
     DelPezzoSurface,
     DivisorClass,
+    _as_tuple,
     _is_int,
     _new,
     _require_int,
@@ -448,12 +449,23 @@ class SyzygyTrace:
 
     ``entries`` is a read-only sequence of :class:`TraceEntry` rows.  The one
     :func:`iterate_syzygy` returns builds each row when it is first read, and
-    compares, hashes, prints and pickles as the tuple of its rows.
+    compares, hashes, prints and pickles as the tuple of its rows; it comes
+    from checked columns and passes unread.  Other ``entries`` are read as a
+    tuple of :class:`TraceEntry`, a bad row refused as ``entries[i]``.
     """
 
     surface: DelPezzoSurface
     seed: AnyNumerics
     entries: Sequence[TraceEntry]
+
+    def __post_init__(self) -> None:
+        _require_type(self.surface, (DelPezzoSurface,), "surface")
+        _require_type(self.seed, _NUMERICS, "seed")
+        if type(self.entries) is not _TraceRows:
+            entries = _as_tuple(self.entries, "entries")
+            for i, row in enumerate(entries):
+                _require_type(row, (TraceEntry,), f"entries[{i}]")
+            object.__setattr__(self, "entries", entries)
 
     def entry(self, k: int) -> TraceEntry:
         # Entries run contiguously from k = -1.
@@ -555,9 +567,8 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     moduli dimension of the seed.  It is the one-product form of
     :func:`~ulrich_lab.chern.expected_moduli_dim`, rk (w - rk) + c1^2 + 1
     with w = 2 c2 - c1^2.  A trace from :func:`iterate_syzygy` gives
-    (rk, c1^2, w) straight from its columns, without building a row; any
-    other sequence of rows goes through ``expected_moduli_dim`` row by row,
-    which raises TypeError naming a row that is no numerics.
+    (rk, c1^2, w) straight from its columns, without building a row; the
+    rows of any other trace go through ``expected_moduli_dim`` row by row.
     """
     _require_type(trace, (SyzygyTrace,), "trace")
     entries = trace.entries

@@ -5,11 +5,14 @@
 each call is then replaced, in turn, by each of ten values of the wrong kind.
 The call may accept the value, or refuse it with an ``UlrichLabError``, a
 ``ValueError`` or a ``TypeError``; a ``TypeError`` must name the argument.
-Any other exception is a raw error, and there must be none.
+Any other exception is a raw error, and there must be none.  Every value
+type checks its fields when built: ``None`` in any one field of its call is
+refused, but in the fields of ``TAKES_NONE``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 
@@ -115,6 +118,9 @@ ALSO_NAMED = {
     ("PolarizedData", "hk"): "H^(n-1).K",
     ("ulrich_c2", "c1_sq"): "c1^2",
 }
+# The one field that may be empty: the exact c1 of a row of a reduced seed.
+TAKES_NONE = {("TraceEntry", "c1")}
+VALUE_TYPES = sorted(name for name in CALLS if dataclasses.is_dataclass(getattr(ulrich_lab, name)))
 
 
 def parameter_names(function, count: int) -> list[str]:
@@ -151,6 +157,23 @@ def test_wrong_kinds_are_refused_cleanly(name):
             except Exception as error:  # noqa: BLE001 - a raw error is the finding
                 faults.append(f"{parameter}={label}: raw {type(error).__name__}: {error}")
     assert faults == []
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_every_field_is_checked_when_built(name):
+    cls, arguments = getattr(ulrich_lab, name), CALLS[name]
+    fields = [field.name for field in dataclasses.fields(cls)]
+    assert len(fields) == len(arguments)
+    accepted = set()
+    for position, field in enumerate(fields):
+        call = list(arguments)
+        call[position] = None
+        try:
+            cls(*call)
+        except (UlrichLabError, ValueError, TypeError):
+            continue
+        accepted.add((name, field))
+    assert accepted == {key for key in TAKES_NONE if key[0] == name}
 
 
 @pytest.mark.parametrize("call,name", [

@@ -205,6 +205,21 @@ class TestCensus:
         assert list(cubics) == sorted(cubics, key=TwistedCubicClass.sort_key)
         assert cubics[0].divisor == T_A
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (("A", "(1;0,0,0,0,0,0)"), "divisor must be a DivisorClass, got '(1;0,0,0,0,0,0)'"),
+            (("A", None), "divisor must be a DivisorClass, got None"),
+            ((1, T_A), "type_tag must be a str, got 1"),
+            ((None, T_A), "type_tag must be a str, got None"),
+        ],
+        ids=["str-divisor", "none-divisor", "int-tag", "none-tag"],
+    )
+    def test_a_cubic_checks_its_fields(self, fields, message):
+        with pytest.raises(TypeError) as info:
+            TwistedCubicClass(*fields)
+        assert str(info.value) == message
+
     def test_membership(self):
         assert is_twisted_cubic(T_B_PRIME)
         assert not is_twisted_cubic(CUBIC_SURFACE.anticanonical_class)
@@ -332,19 +347,18 @@ class TestDecompositions:
         "divisors,message",
         [
             ((T_A, (1, (0,) * 6)),
-             "parts[1].divisor must be a DivisorClass, got (1, (0, 0, 0, 0, 0, 0))"),
+             "divisor must be a DivisorClass, got (1, (0, 0, 0, 0, 0, 0))"),
             ((T_A, T_C, "(5;2,2,2,2,2,2)"),
-             "parts[2].divisor must be a DivisorClass, got '(5;2,2,2,2,2,2)'"),
-            # T_A.T_A = 1 < 3 fails the pairing before the bad part is met.
-            ((T_A, T_A, None), "parts[2].divisor must be a DivisorClass, got None"),
-            ((3, T_C), "parts[0].divisor must be a DivisorClass, got 3"),
+             "divisor must be a DivisorClass, got '(5;2,2,2,2,2,2)'"),
+            ((T_A, T_A, None), "divisor must be a DivisorClass, got None"),
+            ((3, T_C), "divisor must be a DivisorClass, got 3"),
         ],
         ids=["tuple-second", "str-third", "none-after-unstable", "int-first"],
     )
     def test_validate_refuses_a_part_that_is_no_class(self, divisors, message):
-        dec = decomposition(T_A + T_C + T_E, *divisors)
+        # The part is refused when it is built, so validate never reads it.
         with pytest.raises(TypeError) as info:
-            dec.validate()
+            decomposition(T_A + T_C + T_E, *divisors)
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -360,14 +374,20 @@ class TestDecompositions:
         ids=["int-only", "int-second", "str-third", "int-parts", "none-parts"],
     )
     def test_validate_refuses_parts_that_are_no_cubics(self, parts, message):
+        # Refused when built, so validate never reads them.
         with pytest.raises(TypeError) as info:
-            StableSumDecomposition(T_A + T_C + T_E, parts).validate()
+            StableSumDecomposition(T_A + T_C + T_E, parts)
         assert str(info.value) == message
 
     def test_validate_reads_any_iterable_of_parts(self):
         parts = [TwistedCubicClass("A", T_A), TwistedCubicClass("C", T_C)]
-        assert StableSumDecomposition(T_A + T_C, parts).validate()
-        assert StableSumDecomposition(T_A + T_C, iter(parts)).validate()
+        expected = StableSumDecomposition(T_A + T_C, tuple(parts))
+        for same in (parts, iter(parts)):
+            dec = StableSumDecomposition(T_A + T_C, same)
+            assert type(dec.parts) is tuple and dec == expected
+            assert hash(dec) == hash(expected)
+            # An iterator is read once, when the decomposition is built.
+            assert dec.validate() and dec.validate()
 
     def test_validate_against_a_target_that_is_no_class(self):
         class Subclass(DivisorClass):
@@ -376,9 +396,13 @@ class TestDecompositions:
         parts = (T_A, T_C, T_E)
         total = sum_classes(parts)
         assert decomposition(total, *parts).validate()
-        # Equal coordinates in another type are never the sum, as under ==.
-        for goal in ((total.a, total.b), str(total), None, Subclass(total.a, total.b)):
-            assert not decomposition(goal, *parts).validate()
+        # Equal coordinates in a subclass are never the sum, as under ==.
+        assert not decomposition(Subclass(total.a, total.b), *parts).validate()
+        # A target of another type is refused when the decomposition is built.
+        for goal in ((total.a, total.b), str(total), None):
+            with pytest.raises(TypeError) as info:
+                decomposition(goal, *parts)
+            assert str(info.value) == f"target must be a DivisorClass, got {goal!r}"
 
     def test_validate_on_the_quartic_lattice(self):
         # Quartic classes with the pairings of a cubic stable pair, and one without.
@@ -482,23 +506,22 @@ class TestDecompositions:
     @pytest.mark.parametrize(
         "parts,message",
         [
-            ([(3,)], "decs[0].parts[0] must be a TwistedCubicClass, got 3"),
-            ([3], "decs[0].parts must be iterable, got 3"),
-            ([None], "decs[0].parts must be iterable, got None"),
+            ([(3,)], "parts[0] must be a TwistedCubicClass, got 3"),
+            ([3], "parts must be iterable, got 3"),
+            ([None], "parts must be iterable, got None"),
             ([(TwistedCubicClass("A", T_A), TwistedCubicClass("C", T_C)),
               [TwistedCubicClass("A", T_A), "C"]],
-             "decs[1].parts[1] must be a TwistedCubicClass, got 'C'"),
-            # The same object twice: the first of them is named.
+             "parts[1] must be a TwistedCubicClass, got 'C'"),
             ([(TwistedCubicClass("A", T_A), T_A, T_A)],
-             "decs[0].parts[1] must be a TwistedCubicClass, got DivisorClass(a=1, b=(0, 0, 0, 0, 0, 0))"),
+             "parts[1] must be a TwistedCubicClass, got DivisorClass(a=1, b=(0, 0, 0, 0, 0, 0))"),
         ],
         ids=["int-part", "int-parts", "none-parts", "str-part-of-later-list", "repeated-bad-part"],
     )
     def test_dict_refuses_parts_that_are_no_cubics(self, parts, message):
-        # One decomposition per entry of parts.
-        decs = [StableSumDecomposition(T_A + T_C, p) for p in parts]
+        # One decomposition per entry of parts: the bad one is refused when it
+        # is built, so no such decomposition reaches decomposition_to_dict.
         with pytest.raises(TypeError) as info:
-            decomposition_to_dict(T_A + T_C, 2, decs)
+            decomposition_to_dict(T_A + T_C, 2, [StableSumDecomposition(T_A + T_C, p) for p in parts])
         assert str(info.value) == message
 
     def test_dict_reads_any_iterable_of_parts_and_subclassed_parts(self):

@@ -709,10 +709,28 @@ class TestTraceRows:
             other = SyzygyTrace(surface, seed, entries)
             assert discriminant_drift(other) == expected[:len(entries)]
         assert discriminant_drift(SyzygyTrace(surface, seed, reference[5:])) == expected[5:]
-        # A row that is no numerics is refused by expected_moduli_dim, naming it.
-        with pytest.raises(TypeError, match="^f must be a BundleNumerics, NumericClassData or "
-                                            "TraceEntry, got <object object at"):
-            discriminant_drift(SyzygyTrace(surface, seed, [object()]))
+        # A row that is no TraceEntry is refused when the trace is built, naming it.
+        with pytest.raises(TypeError, match=r"^entries\[0\] must be a TraceEntry, "
+                                            "got <object object at"):
+            SyzygyTrace(surface, seed, [object()])
+
+    def test_the_constructor_checks_every_field(self, surface, seed):
+        reference = reference_rows(seed, surface, 3)
+        for fields, message in (
+            ((None, None, []), "surface must be a DelPezzoSurface, got None"),
+            ((surface, None, []), "seed must be a BundleNumerics or NumericClassData, got None"),
+            ((surface, seed, None), "entries must be iterable, got None"),
+            ((surface, seed, [*reference, 3]), "entries[5] must be a TraceEntry, got 3"),
+        ):
+            with pytest.raises(TypeError) as info:
+                SyzygyTrace(*fields)
+            assert str(info.value) == message
+        # Rows in any iterable are kept as the tuple, which hashes and compares.
+        expected = SyzygyTrace(surface, seed, reference)
+        for same in (list(reference), iter(reference)):
+            trace = SyzygyTrace(surface, seed, same)
+            assert type(trace.entries) is tuple and trace == expected
+            assert hash(trace) == hash(expected) and trace.to_dict() == expected.to_dict()
 
 
 # pickle.dumps(iterate_syzygy(WITNESS, S4, 7), 2) when the trace kept a c2

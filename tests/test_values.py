@@ -213,7 +213,7 @@ def test_trusted_results_are_ordinary_values(results):
 T1, T2 = twisted_cubics()[0], twisted_cubics()[1]
 
 # (trusted builder, its class, positional field values, a replace() its field
-# checks refuse or None where the type has no field checks, the exception).
+# checks refuse, the exception).
 BUILDERS = [
     pytest.param(_trusted, DivisorClass, (4, (1, 1, 1, 1, 0)), {"a": True}, TypeError,
                  id="_trusted"),
@@ -224,7 +224,8 @@ BUILDERS = [
     pytest.param(_trusted_entry, TraceEntry, (0, 6, -X, 12, -8, 8), {"k": -2}, ValueError,
                  id="_trusted_entry"),
     pytest.param(_trusted_decomposition, StableSumDecomposition,
-                 (T1.divisor + T2.divisor, (T1, T2)), None, None, id="_trusted_decomposition"),
+                 (T1.divisor + T2.divisor, (T1, T2)), {"parts": (3,)}, TypeError,
+                 id="_trusted_decomposition"),
 ]
 
 
@@ -253,9 +254,8 @@ def test_builder_sets_the_constructor_slots(builder, cls, args, bad, error):
         assert type(clone) is type(value) and clone == value == twin
         _assert_slotted(clone)
         assert _field_items(clone) == _field_items(twin)
-    if bad is not None:
-        with pytest.raises(error):
-            dataclasses.replace(value, **bad)
+    with pytest.raises(error):
+        dataclasses.replace(value, **bad)
 
 
 # pickle.dumps((X, BundleNumerics(2, X, 4), NumericClassData(2, 16, 10, 5), a trace
