@@ -52,7 +52,12 @@ def built_classes(draw):
     return (x, x + y, x - y, -x, m * x)[route]
 
 
-MEMO_SLOTS = ("_hash_memo", "_text_memo")
+MEMO_SLOTS = ("_hash_memo", "_text_memo", "_repr_memo")
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class PlainSubclass(DivisorClass):
+    """A subclass that adds nothing; it keeps a ``__dict__``."""
 
 
 def memos_set(x):
@@ -63,22 +68,23 @@ def memos_set(x):
 
 
 class TestMemo:
-    """``hash`` and ``str`` are memoised per instance; nothing else sees the memo."""
+    """``hash``, ``str`` and ``repr`` are memoised per instance, each in its own
+    slot; nothing else sees the memos."""
 
     @given(built_classes(), st.booleans())
     @settings(max_examples=300)
     def test_memo_contract(self, x, text_first):
-        assert memos_set(x) == [False, False]
+        assert memos_set(x) == [False, False, False]
         plain = hash((x.a, x.b))
         if text_first:
             assert str(x) == format_divisor(x)
-            assert memos_set(x) == [False, True]
+            assert memos_set(x) == [False, True, False]
         assert hash(x) == plain
-        assert memos_set(x) == [True, text_first]
+        assert memos_set(x) == [True, text_first, False]
         assert str(x) == format_divisor(x)
         assert hash(x) == hash(x) == plain
         assert str(x) == str(x) == format_divisor(x)
-        assert memos_set(x) == [True, True]
+        assert memos_set(x) == [True, True, False]
         assert (x._hash_memo, x._text_memo) == (plain, format_divisor(x))
 
         twin = DivisorClass(x.a, x.b)
@@ -86,27 +92,55 @@ class TestMemo:
         assert x != DivisorClass(x.a + 1, x.b)
         assert dataclasses.asdict(x) == {"a": x.a, "b": x.b}
         assert [f.name for f in dataclasses.fields(x)] == ["a", "b"]
-        assert repr(x) == f"DivisorClass(a={x.a!r}, b={x.b!r})"
+        assert memos_set(x) == [True, True, False]
+        assert repr(x) == repr(x) == f"DivisorClass(a={x.a!r}, b={x.b!r})"
+        assert memos_set(x) == [True, True, True]
 
         copies = [pickle.loads(pickle.dumps(x, protocol))
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in copies + [copy.copy(x), copy.deepcopy(x)]:
             assert twin == x
-            assert memos_set(twin) == [False, False]
+            assert memos_set(twin) == [False, False, False]
             assert (twin.a, twin.b) == (x.a, x.b)
-            assert hash(twin) == plain and str(twin) == str(x)
+            assert hash(twin) == plain and str(twin) == str(x) and repr(twin) == repr(x)
 
         moved = dataclasses.replace(x, a=x.a + 1)
-        assert memos_set(moved) == [False, False]
-        assert memos_set(dataclasses.replace(x)) == [False, False]
+        assert memos_set(moved) == [False, False, False]
+        assert memos_set(dataclasses.replace(x)) == [False, False, False]
         assert hash(moved) == hash((x.a + 1, x.b))
         assert str(moved) == format_divisor(moved) == format_divisor(DivisorClass(x.a + 1, x.b))
         assert str(x) == format_divisor(x)
 
+    @given(built_classes())
+    @settings(max_examples=100)
+    def test_repr_sets_only_its_memo(self, x):
+        text = repr(x)
+        assert memos_set(x) == [False, False, True]
+        assert x._repr_memo is text and repr(x) is text
+        assert text == f"DivisorClass(a={x.a!r}, b={x.b!r})"
+
     def test_memo_is_per_instance(self):
         x, y = DivisorClass(1, (2, 3)), DivisorClass(4, (5,))
         assert (str(x), str(y), str(x)) == ("(1;2,3)", "(4;5)", "(1;2,3)")
+        assert (repr(x), repr(y)) == ("DivisorClass(a=1, b=(2, 3))", "DivisorClass(a=4, b=(5,))")
         assert {x: 1, y: 2}[DivisorClass(1, (2, 3))] == 1
+
+    def test_subclass_repr_names_the_subclass(self):
+        x = PlainSubclass(1, [2, -3])
+        assert repr(x) == repr(x) == "PlainSubclass(a=1, b=(2, -3))"
+        assert x._repr_memo == repr(x) and vars(x) == {}
+        moved = dataclasses.replace(x, a=-1)
+        assert type(moved) is PlainSubclass and not hasattr(moved, "_repr_memo")
+        assert repr(moved) == "PlainSubclass(a=-1, b=(2, -3))"
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="the interpreter has no int-string limit")
+    def test_repr_past_the_int_string_limit(self):
+        for x in (DivisorClass(10 ** INT_DIGITS, (1,)), DivisorClass(1, (0, -10 ** INT_DIGITS))):
+            with pytest.raises(ValueError):
+                repr(x)
+            assert memos_set(x) == [False, False, False]
+            assert picard_module._shown(x) == "<DivisorClass too long to show>"
+            assert memos_set(x) == [False, False, False]
 
 
 class TestSurface:

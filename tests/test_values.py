@@ -75,7 +75,7 @@ def _field_items(value):
 
 def _assert_slotted(value):
     """No instance dict, the fields first among the slots and all set, and
-    every other slot (a class's hash and text memos) unset."""
+    every other slot (a class's hash, text and repr memos) unset."""
     assert not hasattr(value, "__dict__")
     names = [f.name for f in dataclasses.fields(value)]
     slots = type(value).__slots__
@@ -192,7 +192,7 @@ def trusted_results(draw):
 @settings(max_examples=60, deadline=None)
 def test_trusted_results_are_ordinary_values(results):
     for value in results:
-        _assert_slotted(value)  # before hash() or str() fill in a memo
+        _assert_slotted(value)  # before hash(), str() or repr() fill in a memo
         twin = _twin(value)
         assert type(twin) is type(value)
         assert _field_items(value) == _field_items(twin)
