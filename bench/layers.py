@@ -51,8 +51,10 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+# perfbench's calibration loop and machine record, imported without leaving a
+# __pycache__ under perfbench/.
 _dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-from run import machine  # noqa: E402  (no __pycache__ is left under perfbench/)
+from run import machine  # noqa: E402
 from worker import REFERENCE_CAL_S, calibrate  # noqa: E402
 
 sys.dont_write_bytecode = _dont_write_bytecode
