@@ -28,11 +28,12 @@ S_k(E) is defined for an Ulrich seed E only, and on the degree-3 surface
 for k <= 0 only, as deeper syzygy bundles are not globally generated there.
 Every route from a seed runs that contract as one preamble, ``_require_seed``,
 which refuses in this order: an index that is not an int >= -1
-(``ValueError``, in ``_INDEX_RULE`` naming the route's argument), a seed or
-surface of the wrong type (``TypeError``), an exact c1 on another lattice
-(``LatticeMismatch``) or a seed failing the numerical Ulrich conditions
-(:class:`NotUlrich`), both by :func:`ulrich_lab.ulrich.is_ulrich_candidate`,
-and k > 0 on degree 3 (:class:`OutOfTheoremScope`).
+(``ValueError``, in ``_INDEX_RULE`` naming the route's argument), a seed of
+the wrong type (``TypeError``, naming ``seed``), then, by
+:func:`ulrich_lab.ulrich.is_ulrich_candidate`, a surface of the wrong type
+(``TypeError``), an exact c1 on another lattice (``LatticeMismatch``) or a
+seed failing the numerical Ulrich conditions (:class:`NotUlrich`), and last
+k > 0 on degree 3 (:class:`OutOfTheoremScope`).
 :func:`rank_two_table_chern` runs it after its own degree rule.
 
 :func:`closed_syzygy_chern` evaluates the closed alternating recursion for the
@@ -486,7 +487,6 @@ def _require_seed(seed: AnyNumerics, types: tuple[type, ...], surface: DelPezzoS
     """The seed contract, in the order of the module docstring; k is named ``name``."""
     _require_int(k, _INDEX_RULE.format(name), lo=-1)
     _require_type(seed, types, "seed")
-    _require_type(surface, (DelPezzoSurface,), "surface")
     if not ulrich.is_ulrich_candidate(seed, surface):
         raise NotUlrich(f"seed {_shown(seed)} fails the numerical Ulrich conditions")
     if surface.degree == 3 and k > 0:

@@ -87,16 +87,26 @@ class TestSyzygy:
         assert "| k | rank | c1_sq | c1_dot_H | c2 | delta | drift |" in result.output
         assert "| 3 | 18 | 396 | 40 | 196 | 324 | 1 |" in result.output
 
-    def test_json_matches_library(self, runner):
-        result = runner.invoke(
-            main, ["syzygy", "--d", "5", "--c1-sq", "16", "--k-max", "2", "--format", "json"]
-        )
+    @pytest.mark.parametrize("d, c1_sq, c2, k_max", [(5, 16, 5, 2), (7, 24, 7, 200)],
+                             ids=["d5-k2", "d7-k200"])
+    def test_json_matches_library(self, runner, d, c1_sq, c2, k_max):
+        # Rank 2, default c2.  The library and the CLI move together, so the
+        # rows are also checked against values computed here: the ranks of the
+        # three-term recurrence and the drift, 1 for these seeds.
+        result = runner.invoke(main, ["syzygy", "--d", str(d), "--c1-sq", str(c1_sq),
+                                      "--k-max", str(k_max), "--format", "json"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["extrapolated"] is False
-        trace = iterate_syzygy(NumericClassData(2, 16, 10, 5), make_surface(5), 2)
-        assert payload["entries"] == trace.to_dict()["entries"]
-        assert len(payload["entries"]) == 4
+        entries = payload["entries"]
+        trace = iterate_syzygy(NumericClassData(2, c1_sq, 2 * d, c2), make_surface(d), k_max)
+        assert entries == trace.to_dict()["entries"]
+        assert len(entries) == k_max + 2
+        ranks = [2, 2 * (d - 1)]  # N_{-1} = r, N_0 = r (d - 1), N_k = (d - 2) N_{k-1} - N_{k-2}
+        while len(ranks) < k_max + 2:
+            ranks.append((d - 2) * ranks[-1] - ranks[-2])
+        assert [row["rank"] for row in entries] == ranks
+        assert [row["drift"] for row in entries] == [1] * (k_max + 2)
 
     def test_default_c2_is_ulrich_compatible(self, runner):
         result = runner.invoke(

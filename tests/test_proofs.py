@@ -4,7 +4,9 @@ The other tests check these formulas on finitely many integer points; here
 sympy proves them as identities in all variables.  Each formula is written
 out from its docstring and first checked against the library on integer
 points, so a proof is about the code and not about a transcription of it.
-Needs sympy, which is not a dependency; the module skips without it.
+Needs sympy, which the ``test`` extra installs, so Tier-1 runs these proofs
+locally and in CI; sympy is no runtime dependency, and the module skips
+without it.
 """
 
 from __future__ import annotations
