@@ -87,7 +87,45 @@ def _write(out: CommandOutput, fmt: str, stream: TextIO) -> None:
         stream.write(note + "\n")
 
 
-@click.group()
+def _stdout() -> TextIO:
+    """The stream that is ``sys.stdout`` now, as click.echo would write to it.
+
+    Named rather than left to click.echo's default, which looks sys.stdout up
+    in a cache that never evicts a stream it need not rewrap (a StringIO under
+    redirect_stdout), so each in-process call's buffer would live until exit.
+    errors=None is that default path's own argument, so the bytes are the same.
+    """
+    return click.get_text_stream("stdout", errors=None)
+
+
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's own ``--help`` callback, writing to :func:`_stdout` as echo would."""
+    if value and not ctx.resilient_parsing:
+        stream = _stdout()
+        stream.write(ctx.get_help() + "\n")
+        stream.flush()
+        ctx.exit()
+
+
+class _HelpOnStdout:
+    """Gives a click command's ``--help`` option the callback :func:`_show_help`."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpOnStdout, click.Command):
+    pass
+
+
+class _Group(_HelpOnStdout, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact Ulrich-bundle and syzygy-bundle numerics on del Pezzo surfaces."""
 
@@ -105,13 +143,8 @@ def _subcommand(name: str, *params: click.Parameter):
             try:
                 out = command(**arguments)
                 if output_path is None:
-                    # Name the stream: click.echo's default looks sys.stdout up
-                    # in a cache that never evicts a stream it need not rewrap (a
-                    # StringIO under redirect_stdout), so each in-process call's
-                    # buffer would live until exit.  errors=None is that default
-                    # path's own argument, so the bytes are the same, and the
-                    # stream is flushed after the last row as echo flushed it.
-                    stream = click.get_text_stream("stdout", errors=None)
+                    # Flushed after the last row, as click.echo flushed it.
+                    stream = _stdout()
                     _write(out, output_format, stream)
                     stream.flush()
                 else:
@@ -154,12 +187,13 @@ def _extrapolation_notes(d: int) -> list[str]:
 )
 def cmd_sequence(d: int, r: int, k_max: int) -> CommandOutput:
     """Syzygy ranks N_k by recurrence and by closed form, with a diff."""
-    # The closed forms are computed first, so their guards refuse a bad d or r
-    # before the recurrence runs; the recurrence is then walked once for all rows.
-    closed = [syzygy.rank_closed_form(d, r, k) for k in range(k_max + 1)]
+    # The closed-form walk is made first, so its guards refuse a bad d or r
+    # before the recurrence runs; each walk then runs once for all rows, the
+    # closed one at one product in Z[alpha] per row.
+    closed = syzygy._closed_form_ranks(d, r)  # N_0, N_1, ...
     by_recurrence = islice(syzygy._recurrence_ranks(d, r), 1, None)  # N_0, N_1, ...
     rows = [{"k": k, "recurrence": by_rec, "closed_form": by_closed, "match": by_rec == by_closed}
-            for k, (by_closed, by_rec) in enumerate(zip(closed, by_recurrence))]
+            for k, by_rec, by_closed in zip(range(k_max + 1), by_recurrence, closed)]
     payload = {"d": d, "r": r, "extrapolated": d == 8, "rows": rows}
     return CommandOutput(payload, ["k", "recurrence", "closed_form", "match"], rows,
                          _extrapolation_notes(d), all(row["match"] for row in rows))

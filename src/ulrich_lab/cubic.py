@@ -357,10 +357,10 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
     class and no bundle.  Otherwise the composition
     ``euler_char(tensor(dual(fprev), M_T), surface)`` runs, and raises its own
     :class:`LatticeMismatch`.  :func:`ulrich_lab.checks.check_cubic_chi_oracle`
-    compares the composition with the closed form on all 72**2 ordered pairs
-    and with this function on the 72 diagonal ones;
+    compares this function with the closed form on all 72**2 ordered pairs of
+    cubics, and both with the composition on T_A's row;
     ``tests/test_cubic.py::TestEulerPairingKernel::test_all_ordered_pairs``
-    compares it with this function on every pair.
+    compares the three on every pair.
     """
     if type(surface) is not DelPezzoSurface:
         _require_type(surface, (DelPezzoSurface,), "surface")

@@ -24,6 +24,14 @@ The powers are formed in integers: every product halves its numerators
 exactly, and an odd numerator (a value outside the ring) raises
 :class:`NonIntegerResult` rather than rounding.
 
+The ranks have three routes.  :func:`rank_by_recurrence` reads N_k off
+``_recurrence_ranks``, the one walk of the recurrence.
+:func:`rank_closed_form` powers alpha to alpha^{k+1} by binary powering, the
+route for a single k.  ``_closed_form_ranks`` walks the closed form,
+N_0, N_1, ... from successive powers, one product in Z[alpha] per row: the
+closed column of the CLI's ``sequence``.  :func:`iterate_syzygy` checks its
+rank column against the recurrence.
+
 S_k(E) is defined for an Ulrich seed E only, and on the degree-3 surface
 for k <= 0 only, as deeper syzygy bundles are not globally generated there.
 Every route from a seed runs that contract as one preamble, ``_require_seed``,
@@ -276,13 +284,18 @@ def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[in
     return x >> 1, y >> 1
 
 
+def _require_closed_form(d: int, r: int) -> None:
+    """The degree and rank guards of the closed form, in that order."""
+    _require_int(d, "closed form needs degree in [4, 8]", DegreeOutOfRange, 4, 8)
+    _require_int(r, _RANK_RULE, lo=1)
+
+
 def rank_closed_form(d: int, r: int, k: int) -> int:
     """N_k = r (y_{k+2} + y_{k+1}) by binary powering of alpha in Z[alpha].
 
     Never uses the recurrence.  d = 4 has a double root at 1: N_k = (2k+3) r.
     """
-    _require_int(d, "closed form needs degree in [4, 8]", DegreeOutOfRange, 4, 8)
-    _require_int(r, _RANK_RULE, lo=1)
+    _require_closed_form(d, r)
     _require_int(k, _INDEX_RULE.format("index k"), lo=-1)
     if d == 4:
         return (2 * k + 3) * r
@@ -296,6 +309,27 @@ def rank_closed_form(d: int, r: int, k: int) -> int:
             base = _ring_mul(base, base, radicand)
     _, y_next = _ring_mul(power, alpha, radicand)
     return r * (y_next + power[1])
+
+
+def _closed_form_ranks(d: int, r: int) -> Iterator[int]:
+    """N_0, N_1, ... without end, as r (y_{k+2} + y_{k+1}) from alpha^{k+1}.
+
+    The guards of :func:`rank_closed_form` run on the call, before the first
+    row.  Each row takes one product, alpha^{k+2} = alpha^{k+1} alpha, d = 4
+    included: there the radicand is 0, alpha = (2 + 0 sqrt(0))/2 = 1 and
+    y_n = n, so N_k = (2k+3) r.
+    """
+    _require_closed_form(d, r)
+    radicand, alpha = d * (d - 4), (d - 2, 1)
+
+    def ranks() -> Iterator[int]:
+        power = alpha
+        while True:
+            following = _ring_mul(power, alpha, radicand)
+            yield r * (following[1] + power[1])
+            power = following
+
+    return ranks()
 
 
 def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:

@@ -366,8 +366,9 @@ class TestInProcessOutputIsReleased:
 
     def test_every_subcommand_releases_its_buffer(self, tmp_path, monkeypatch):
         # Each subcommand on a small input in every format, then check once,
-        # and once more with a failing seed file: that report is written
-        # before its SystemExit(1).  One collection for all the calls.
+        # the help pages of the group and of the seven subcommands, and check
+        # once more with a failing seed file: that report is written before
+        # its SystemExit(1).  One collection for all the calls.
         monkeypatch.setattr(checks, "DEFAULT_CASES", 10)  # check's random cases
         calls = [[*command, "--format", fmt]
                  for command in (["sequence", "--d", "5", "--k-max", "2"],
@@ -376,6 +377,8 @@ class TestInProcessOutputIsReleased:
                                  ["decompose", "(4;2,1,1,1,1,0)"])
                  for fmt in ("markdown", "csv", "json")]
         calls.append(["check", "--format", "json"])
+        assert len(main.commands) == 7
+        calls += [["--help"], *([name, "--help"] for name in main.commands)]
         buffers = []
         for args in calls:
             buffer, exit_code = _run_in_process(args)

@@ -620,9 +620,11 @@ class TestExtensionChi:
             assert closed == oracle
 
     def test_chi_check_forms_each_dual_once(self, monkeypatch):
-        # The pair loop tensors the hoisted dual of each row's kernel bundle
-        # with every kernel bundle: 72 duals and 72^2 products through chern.
-        # The public chi_pair_oracle of each row calls cubic's own references.
+        # The composition runs on T_A's row only, whose pairings reach every
+        # value 1..5: one dual of M_A, tensored with each of the 72 kernel
+        # bundles through chern.  The other 71 rows compare the public
+        # chi_pair_oracle, which calls cubic's own references, with the closed
+        # values of that row.
         calls = Counter()
         for name in ("dual", "tensor"):
             def counting(*args, _name=name, _real=getattr(chern, name)):
@@ -630,7 +632,7 @@ class TestExtensionChi:
                 return _real(*args)
             monkeypatch.setattr(chern, name, counting)
         assert checks.check_cubic_chi_oracle() == (True, "all 72^2 ordered pairs")
-        assert calls == {"dual": 72, "tensor": 72 * 72}
+        assert calls == {"dual": 1, "tensor": 72}
 
     def test_chi_check_names_the_first_failing_pair(self, monkeypatch):
         # A closed form that is off by one on pairing 2 only: T_A.T_A = 1, and
@@ -644,6 +646,15 @@ class TestExtensionChi:
     def test_chi_check_compares_the_public_oracle(self, monkeypatch):
         monkeypatch.setattr(cubic, "chi_pair_oracle", lambda fprev, t, surface: 99)
         assert checks.check_cubic_chi_oracle() == (False, f"{T_A}, {T_A}")
+
+    def test_chi_check_sweeps_the_public_oracle(self, monkeypatch):
+        # An oracle off by one on a single off-diagonal pair outside T_A's row.
+        cubics = [t.divisor for t in twisted_cubics()]
+        t1, t2 = cubics[40], cubics[17]
+        real = cubic.chi_pair_oracle
+        monkeypatch.setattr(cubic, "chi_pair_oracle", lambda fprev, t, surface: (
+            real(fprev, t, surface) + (fprev == kernel_bundle_of_cubic(t1) and t == t2)))
+        assert checks.check_cubic_chi_oracle() == (False, f"{t1}, {t2}")
 
     def test_three_step_extension(self):
         fprev = direct_sum([kernel_bundle_of_cubic(T_A), kernel_bundle_of_cubic(T_C)])

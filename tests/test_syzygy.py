@@ -7,6 +7,7 @@ import dataclasses
 import pickle
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
@@ -42,7 +43,7 @@ from ulrich_lab import (
 )
 from ulrich_lab import checks, discriminant, euler_char, tables
 from ulrich_lab import syzygy as syzygy_module
-from ulrich_lab.syzygy import _closed_core, _ring_mul
+from ulrich_lab.syzygy import _closed_core, _closed_form_ranks, _ring_mul
 
 S3 = make_surface(3)
 S4 = make_surface(4)
@@ -137,6 +138,22 @@ class TestRankFormulas:
         for r in (1, 2, 3):
             for k in range(-1, 300):
                 assert rank_closed_form(d, r, k) == rank_by_recurrence(d, r, k)
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_closed_form_walk_matches_binary_powering(self, d):
+        for r in (1, 2, 3):
+            walk = list(islice(_closed_form_ranks(d, r), 301))  # N_0 .. N_300
+            assert walk == [rank_closed_form(d, r, k) for k in range(301)]
+
+    @pytest.mark.parametrize("d, r", [(3, 1), (9, 1), ("5", 1), (True, 1), (5, 0), (5, -2),
+                                      (5, 1.0), (5, "2")])
+    def test_closed_form_walk_refuses_as_rank_closed_form(self, d, r):
+        # Refused on the call, before any row is asked for.
+        with pytest.raises(Exception) as single:
+            rank_closed_form(d, r, 0)
+        with pytest.raises(single.type) as walk:
+            _closed_form_ranks(d, r)
+        assert (type(walk.value), str(walk.value)) == (single.type, str(single.value))
 
     def test_ring_parity_guard(self):
         # alpha^2 for d = 5: ((3 + sqrt 5)/2)^2 = (7 + 3 sqrt 5)/2.
