@@ -134,6 +134,7 @@ from .picard import (
 )
 
 _INDEX_RULE = "{} must be an integer >= -1"
+_CLOSED_DEGREE_RULE = "closed form needs degree in [4, 8]"
 
 
 @dataclass(frozen=True)
@@ -284,18 +285,13 @@ def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[in
     return x >> 1, y >> 1
 
 
-def _require_closed_form(d: int, r: int) -> None:
-    """The degree and rank guards of the closed form, in that order."""
-    _require_int(d, "closed form needs degree in [4, 8]", DegreeOutOfRange, 4, 8)
-    _require_int(r, _RANK_RULE, lo=1)
-
-
 def rank_closed_form(d: int, r: int, k: int) -> int:
     """N_k = r (y_{k+2} + y_{k+1}) by binary powering of alpha in Z[alpha].
 
     Never uses the recurrence.  d = 4 has a double root at 1: N_k = (2k+3) r.
     """
-    _require_closed_form(d, r)
+    _require_int(d, _CLOSED_DEGREE_RULE, DegreeOutOfRange, 4, 8)
+    _require_int(r, _RANK_RULE, lo=1)
     _require_int(k, _INDEX_RULE.format("index k"), lo=-1)
     if d == 4:
         return (2 * k + 3) * r
@@ -319,7 +315,8 @@ def _closed_form_ranks(d: int, r: int) -> Iterator[int]:
     included: there the radicand is 0, alpha = (2 + 0 sqrt(0))/2 = 1 and
     y_n = n, so N_k = (2k+3) r.
     """
-    _require_closed_form(d, r)
+    _require_int(d, _CLOSED_DEGREE_RULE, DegreeOutOfRange, 4, 8)
+    _require_int(r, _RANK_RULE, lo=1)
     radicand, alpha = d * (d - 4), (d - 2, 1)
 
     def ranks() -> Iterator[int]:
