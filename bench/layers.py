@@ -30,8 +30,10 @@ warm-up, and rescaled like a ``perfbench`` request: by the mean speed of
 repetition, to a host on which that loop takes ``REFERENCE_CAL_S``.  A row
 gives the median and quartiles of its repetitions, rescaled and raw.  The
 file records the commit, the machine, the Python version and
-``PYTHONDONTWRITEBYTECODE``.  A check that fails or a subcommand that exits
-non-zero stops the run.
+``PYTHONDONTWRITEBYTECODE``; the commit is ``"unknown"`` unless the checkout
+is the root of its own git work tree, so an archive unpacked inside another
+work tree does not record that tree's HEAD.  A check that fails or a
+subcommand that exits non-zero stops the run.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 from collections import deque
 from itertools import repeat
@@ -206,6 +209,19 @@ def _cli_rows() -> list[Group]:
             for command, args in CLI_ARGS.items() for fmt in FORMATS]
 
 
+def _machine() -> dict:
+    """perfbench's machine record, its commit kept only if ROOT is a work tree's root."""
+    record = machine()
+    try:
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=ROOT,
+                             capture_output=True, text=True, timeout=10).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        top = ""
+    if not top or Path(top).resolve() != ROOT:
+        record["git_commit"] = "unknown"
+    return record
+
+
 def _quartiles(values: list[float]) -> dict[str, float]:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
@@ -243,7 +259,7 @@ def main() -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     rows = measure(args.repeat)
-    record = {"machine": machine(), "PYTHONDONTWRITEBYTECODE":
+    record = {"machine": _machine(), "PYTHONDONTWRITEBYTECODE":
               os.environ.get("PYTHONDONTWRITEBYTECODE"), "repeat": args.repeat,
               "reference_cal_s": REFERENCE_CAL_S, "unit": "microseconds per operation",
               "rows": rows}

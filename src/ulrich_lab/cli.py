@@ -187,10 +187,10 @@ def _extrapolation_notes(d: int) -> list[str]:
 )
 def cmd_sequence(d: int, r: int, k_max: int) -> CommandOutput:
     """Syzygy ranks N_k by recurrence and by closed form, with a diff."""
-    # The closed-form walk is made first, so its guards refuse a bad d or r
-    # before the recurrence runs; each walk then runs once for all rows, the
-    # closed one at one product in Z[alpha] per row.
-    closed = syzygy._closed_form_ranks(d, r)  # N_0, N_1, ...
+    # The closed-form walk from k = 0 is made first, so its guards refuse a
+    # bad d or r before the recurrence runs; each walk then runs once for all
+    # rows, the closed one at one product in Z[alpha] per row.
+    closed = syzygy._closed_form_ranks(d, r, 0)  # N_0, N_1, ...
     by_recurrence = islice(syzygy._recurrence_ranks(d, r), 1, None)  # N_0, N_1, ...
     rows = [{"k": k, "recurrence": by_rec, "closed_form": by_closed, "match": by_rec == by_closed}
             for k, by_rec, by_closed in zip(range(k_max + 1), by_recurrence, closed)]

@@ -25,12 +25,11 @@ exactly, and an odd numerator (a value outside the ring) raises
 :class:`NonIntegerResult` rather than rounding.
 
 The ranks have three routes.  :func:`rank_by_recurrence` reads N_k off
-``_recurrence_ranks``, the one walk of the recurrence.
-:func:`rank_closed_form` powers alpha to alpha^{k+1} by binary powering, the
-route for a single k.  ``_closed_form_ranks`` walks the closed form,
-N_0, N_1, ... from successive powers, one product in Z[alpha] per row: the
-closed column of the CLI's ``sequence``.  :func:`iterate_syzygy` checks its
-rank column against the recurrence.
+``_recurrence_ranks``.  ``_closed_form_ranks(d, r, k)``, the one closed-form
+body, powers alpha to alpha^{k+1} and yields N_k, N_{k+1}, ... at one product
+in Z[alpha] per row: :func:`rank_closed_form` reads one row,
+:func:`rank_two_table_chern` two, and the CLI's ``sequence`` one per k.
+:func:`iterate_syzygy` checks its rank column against the recurrence.
 
 S_k(E) is defined for an Ulrich seed E only, and on the degree-3 surface
 for k <= 0 only, as deeper syzygy bundles are not globally generated there.
@@ -61,7 +60,7 @@ with v_0 = c1(E)^2 - c2(E), which unrolls to
 The sum telescopes, and the recurrence closes what is left (see
 :func:`_closed_core`), so the closed Chern data of S_k need only the two
 ranks N_{k-1} and N_k: one recurrence pass for :func:`closed_syzygy_chern`
-and :func:`closed_syzygy_chern_numeric`, two closed-form ranks for
+and :func:`closed_syzygy_chern_numeric`, one closed-form walk for
 :func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
 data (rank, c1^2, c1.H, 2 c2 - c1^2) and keeps them as columns of k + 2 ints;
 for an exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
@@ -265,7 +264,11 @@ def rank_by_recurrence(d: int, r: int, k: int) -> int:
 
 
 def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
-    """N_{-1}, N_0, N_1, ... without end: the one reader of the three-term recurrence."""
+    """N_{-1}, N_0, N_1, ... without end, by the three-term recurrence.
+
+    :func:`iterate_syzygy` runs an inline copy beside its step instead: fed
+    from here, its rank cross-check costs 5-16 % more at k <= 200.
+    """
     prev, cur = r, r * (d - 1)
     yield prev
     while True:
@@ -285,16 +288,16 @@ def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[in
     return x >> 1, y >> 1
 
 
-def rank_closed_form(d: int, r: int, k: int) -> int:
-    """N_k = r (y_{k+2} + y_{k+1}) by binary powering of alpha in Z[alpha].
+def _closed_form_ranks(d: int, r: int, k: int) -> Iterator[int]:
+    """N_k, N_{k+1}, ... without end, as r (y_{n+2} + y_{n+1}): the one closed-form body.
 
-    Never uses the recurrence.  d = 4 has a double root at 1: N_k = (2k+3) r.
+    The guards run on the call, before any row.  Binary powering reaches
+    alpha^{k+1}, then each row takes one product, alpha^{n+2} = alpha^{n+1} alpha.
+    At d = 4 the radicand is 0, alpha = 1 and y_n = n, so N_k = (2k+3) r.
     """
     _require_int(d, _CLOSED_DEGREE_RULE, DegreeOutOfRange, 4, 8)
     _require_int(r, _RANK_RULE, lo=1)
     _require_int(k, _INDEX_RULE.format("index k"), lo=-1)
-    if d == 4:
-        return (2 * k + 3) * r
     radicand, alpha = d * (d - 4), (d - 2, 1)
     power, base, n = (2, 0), alpha, k + 1
     while n:
@@ -303,30 +306,23 @@ def rank_closed_form(d: int, r: int, k: int) -> int:
         n >>= 1
         if n:
             base = _ring_mul(base, base, radicand)
-    _, y_next = _ring_mul(power, alpha, radicand)
-    return r * (y_next + power[1])
+    return _ring_ranks(power, alpha, radicand, r)
 
 
-def _closed_form_ranks(d: int, r: int) -> Iterator[int]:
-    """N_0, N_1, ... without end, as r (y_{k+2} + y_{k+1}) from alpha^{k+1}.
+def _ring_ranks(power: tuple[int, int], alpha: tuple[int, int], radicand: int, r: int) -> Iterator[int]:
+    """The rows of ``_closed_form_ranks`` from power = alpha^{k+1} (a closure costs more per call)."""
+    while True:
+        following = _ring_mul(power, alpha, radicand)
+        yield r * (following[1] + power[1])
+        power = following
 
-    The guards of :func:`rank_closed_form` run on the call, before the first
-    row.  Each row takes one product, alpha^{k+2} = alpha^{k+1} alpha, d = 4
-    included: there the radicand is 0, alpha = (2 + 0 sqrt(0))/2 = 1 and
-    y_n = n, so N_k = (2k+3) r.
+
+def rank_closed_form(d: int, r: int, k: int) -> int:
+    """N_k = r (y_{k+2} + y_{k+1}), the first row of ``_closed_form_ranks``.
+
+    Never uses the recurrence: O(log k) products in Z[alpha], d = 4 included.
     """
-    _require_int(d, _CLOSED_DEGREE_RULE, DegreeOutOfRange, 4, 8)
-    _require_int(r, _RANK_RULE, lo=1)
-    radicand, alpha = d * (d - 4), (d - 2, 1)
-
-    def ranks() -> Iterator[int]:
-        power = alpha
-        while True:
-            following = _ring_mul(power, alpha, radicand)
-            yield r * (following[1] + power[1])
-            power = following
-
-    return ranks()
+    return next(_closed_form_ranks(d, r, k))
 
 
 def syzygy_numerics(f: AnyNumerics, h0: int) -> AnyNumerics:
@@ -679,17 +675,17 @@ def rank_two_table_chern(d: int, c1_sq: int, c2: int, k: int) -> NumericClassDat
 
     Hardwired to rank-2 Ulrich seeds on degrees 4..7, the range the
     tables cover; any other seed raises NotUlrich.  k = -1 returns the
-    seed row.  The ranks N_{d,k-1} and N_{d,k} come from the closed form
-    rather than the recurrence, so comparing with
-    :func:`closed_syzygy_chern_numeric` cross-checks both routes.  Those
-    powerings take O(log k) products in Z[alpha] on integers of about
-    k log2(alpha) bits, with no upper bound on k.
+    seed row.  The ranks N_{d,k-1} and N_{d,k} are the first two rows of
+    one closed-form walk from k - 1, rather than the recurrence, so
+    comparing with :func:`closed_syzygy_chern_numeric` cross-checks both
+    routes.  Its one powering takes O(log k) products in Z[alpha] on
+    integers of about k log2(alpha) bits, with no upper bound on k.
     """
     _require_int(d, "rank-2 tables cover degrees 4..7", OutOfTheoremScope, 4, 7)
     seed = NumericClassData(2, c1_sq, 2 * d, c2)
     _require_seed(seed, _NUMERICS, DelPezzoSurface(d), k, "index k")
     if k == -1:
         return seed
-    n_prev, n_k = rank_closed_form(d, 2, k - 1), rank_closed_form(d, 2, k)
+    n_prev, n_k = islice(_closed_form_ranks(d, 2, k - 1), 2)
     _, _, *data = _closed_core(d, 2, c1_sq, 2 * d, c2, k, n_prev, n_k)
     return _trusted_numeric(n_k, *data)

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ulrich_lab import checks, cli
 
-HARNESS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+REPO = Path(__file__).resolve().parent.parent
+HARNESS = REPO / "bench" / "layers.py"
 ROUTES = ("rank_by_recurrence", "rank_closed_form", "iterate_syzygy",
           "closed_syzygy_chern_numeric", "closed_syzygy_chern", "rank_two_table_chern")
 
@@ -47,3 +51,38 @@ def test_one_repetition_writes_every_row(tmp_path):
             quartiles = row[form]
             assert quartiles["median"] > 0, name
             assert quartiles["q1"] == quartiles["median"] == quartiles["q3"], name
+
+
+def _git(cwd: Path, *args: str) -> str:
+    config = ("user.name=bench", "user.email=bench@localhost", "commit.gpgsign=false")
+    return subprocess.run(["git", *(f for c in config for f in ("-c", c)), *args], cwd=cwd,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.parametrize("nested", [True, False])
+def test_commit_is_the_checkouts_own(tmp_path, nested):
+    """A copy inside another work tree records "unknown", not that tree's HEAD;
+    a copy that is its own work tree's root records its HEAD."""
+    outer = tmp_path / "outer"
+    copy = outer / "checkout" if nested else outer
+    for part in ("bench", "src", "perfbench"):
+        shutil.copytree(REPO / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench"))
+    _git(outer, "init", "-q")
+    _git(outer, "add", "-A")
+    _git(outer, "commit", "-q", "-m", "tree")
+    head = _git(outer, "rev-parse", "HEAD")
+    out = tmp_path / "bench.json"
+    # The real main() with the timing rows stubbed out, so only the record is built.
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(copy / 'bench')!r})\n"
+              f"sys.argv = ['layers.py', '--out', {str(out)!r}]\n"
+              "import layers\n"
+              "quartiles = {'median': 1.0, 'q1': 1.0, 'q3': 1.0}\n"
+              "layers.measure = lambda repeats: {'row': {'ops': 1, 'rescaled_us': quartiles,"
+              " 'raw_us': quartiles}}\n"
+              "sys.exit(layers.main())\n")
+    subprocess.run([sys.executable, "-W", "error", "-c", script], cwd=copy, check=True,
+                   capture_output=True)
+    commit = json.loads(out.read_text(encoding="utf-8"))["machine"]["git_commit"]
+    assert commit == ("unknown" if nested else head)

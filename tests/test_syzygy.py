@@ -129,8 +129,9 @@ class TestRankFormulas:
         assert [rank_closed_form(4, 3, k) for k in range(-1, 4)] == [3, 9, 15, 21, 27]
 
     def test_d4_is_linear(self):
+        # The ring path at radicand 0, where alpha = 1 and y_n = n.
         for r in range(1, 5):
-            for k in range(-1, 30):
+            for k in range(-1, 10**4 + 1):
                 assert rank_closed_form(4, r, k) == (2 * k + 3) * r
 
     @pytest.mark.parametrize("d", range(4, 9))
@@ -142,8 +143,16 @@ class TestRankFormulas:
     @pytest.mark.parametrize("d", range(4, 9))
     def test_closed_form_walk_matches_binary_powering(self, d):
         for r in (1, 2, 3):
-            walk = list(islice(_closed_form_ranks(d, r), 301))  # N_0 .. N_300
+            walk = list(islice(_closed_form_ranks(d, r, 0), 301))  # N_0 .. N_300
             assert walk == [rank_closed_form(d, r, k) for k in range(301)]
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_closed_form_walk_from_any_start(self, d):
+        for r in (1, 2, 3):
+            by_recurrence = [rank_by_recurrence(d, r, k) for k in range(-1, 305)]  # N_-1 .. N_303
+            for start in range(-1, 300):
+                walk = list(islice(_closed_form_ranks(d, r, start), 5))
+                assert walk == by_recurrence[start + 1:start + 6], (r, start)
 
     @pytest.mark.parametrize("d, r", [(3, 1), (9, 1), ("5", 1), (True, 1), (5, 0), (5, -2),
                                       (5, 1.0), (5, "2")])
@@ -152,7 +161,15 @@ class TestRankFormulas:
         with pytest.raises(Exception) as single:
             rank_closed_form(d, r, 0)
         with pytest.raises(single.type) as walk:
-            _closed_form_ranks(d, r)
+            _closed_form_ranks(d, r, 0)
+        assert (type(walk.value), str(walk.value)) == (single.type, str(single.value))
+
+    @pytest.mark.parametrize("k", [-2, -10**30, 1.0, "3", True, None])
+    def test_closed_form_walk_refuses_bad_k_as_rank_closed_form(self, k):
+        with pytest.raises(Exception) as single:
+            rank_closed_form(5, 2, k)
+        with pytest.raises(single.type) as walk:
+            _closed_form_ranks(5, 2, k)
         assert (type(walk.value), str(walk.value)) == (single.type, str(single.value))
 
     def test_ring_parity_guard(self):
