@@ -149,8 +149,8 @@ class TestRankFormulas:
     @pytest.mark.parametrize("d", range(4, 9))
     def test_closed_form_walk_from_any_start(self, d):
         for r in (1, 2, 3):
-            by_recurrence = [rank_by_recurrence(d, r, k) for k in range(-1, 305)]  # N_-1 .. N_303
-            for start in range(-1, 300):
+            by_recurrence = [rank_by_recurrence(d, r, k) for k in range(-1, 305)]  # N_-1 .. N_304
+            for start in range(-1, 301):
                 walk = list(islice(_closed_form_ranks(d, r, start), 5))
                 assert walk == by_recurrence[start + 1:start + 6], (r, start)
 
