@@ -15,7 +15,9 @@ operation on fixed inputs and reports microseconds per operation:
   ``twist_by_h`` and ``euler_char`` on the kernel bundles of the cubics;
 - ``syzygy.<route>.k<k>``: the six syzygy routes at k = 20, 200 and 1000 on
   the rank-2 Ulrich seed c1 = (5;1,0), c2 = 7 of degree 7
-  (``iterate_syzygy`` reads the trace's last row);
+  (``iterate_syzygy`` reads the trace's last row), and
+  ``syzygy.trace_to_dict.k<k>``: ``SyzygyTrace.to_dict`` of a fresh
+  ``iterate_syzygy`` trace of that seed, the trace made untimed;
 - ``cubic.chi_pair_oracle.all_pairs``: one pass of ``chi_pair_oracle`` over
   the 72² ordered pairs of cubics;
 - ``cubic.decompose_stable_sum.r<r>``: the ordered decompositions of rH,
@@ -152,9 +154,15 @@ def _syzygy_rows() -> list[Group]:
         "closed_syzygy_chern": lambda k: U.closed_syzygy_chern(seed, surface, k),
         "rank_two_table_chern": lambda k: U.rank_two_table_chern(7, 24, 7, k),
     }
-    return [_row(f"syzygy.{name}.k{k}", ops, lambda _, f=f, k=k, ops=ops: _consume(
+    rows = [_row(f"syzygy.{name}.k{k}", ops, lambda _, f=f, k=k, ops=ops: _consume(
                  f(k) for _ in range(ops)))
             for name, f in routes.items() for k, ops in SYZYGY_OPS.items()]
+    # Fresh traces, made untimed: a trace keeps the rows it has built.
+    rows += [_row(f"syzygy.trace_to_dict.k{k}", ops,
+                  lambda traces: _consume(map(U.SyzygyTrace.to_dict, traces)),
+                  lambda k=k, ops=ops: [U.iterate_syzygy(seed, surface, k) for _ in range(ops)])
+             for k, ops in SYZYGY_OPS.items()]
+    return rows
 
 
 def _cubic_rows() -> list[Group]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import floor
 from typing import Callable, Iterable, Sequence
 
@@ -104,6 +104,7 @@ def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
     stream and every case are unchanged; the coordinates are ints by
     construction (``math.floor`` of a float is an int, and a cheaper call than
     ``int``), so the class is built without the constructor's checks.
+    ``_random_bundle`` repeats this body inline with span 6.
     """
     draw, n = rng.random, 2 * span + 1
     a = floor(draw() * n) - span
@@ -130,14 +131,51 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
-    rank = 1 + _below(rng, 5)  # rng.randint(1, 5)
-    c2 = 0 if rank == 1 else _below(rng, 41) - 20  # rng.randint(-20, 20)
-    return _trusted_bundle(rank, _random_class(rng, t, 6), c2)
+    """A rank in 1..5, then c2 in [-20, 20] (0 at rank 1), then c1 as ``_random_class(rng, t, 6)``.
+
+    The bodies of ``_below`` and ``_random_class`` unrolled into one frame:
+    the draws are those of ``rng.randint(1, 5)``, of ``rng.randint(-20, 20)``
+    when the rank is above 1, and of ``rng.choices(range(-6, 7), k=t + 1)``,
+    in that order, so the values and the generator state after are theirs.
+    """
+    getrandbits = rng.getrandbits
+    rank = getrandbits(3)  # 1 + _below(rng, 5); 5 has 3 bits
+    while rank >= 5:
+        rank = getrandbits(3)
+    rank += 1
+    c2 = 0
+    if rank > 1:
+        c2 = getrandbits(6)  # _below(rng, 41) - 20; 41 has 6 bits
+        while c2 >= 41:
+            c2 = getrandbits(6)
+        c2 -= 20
+    draw = rng.random
+    a = floor(draw() * 13) - 6
+    b = []
+    for _ in range(t):
+        b.append(floor(draw() * 13) - 6)
+    return _trusted_bundle(rank, _trusted(a, tuple(b)), c2)
+
+
+def _shuffle(rng: random.Random, items: list) -> None:
+    """Shuffle ``items`` in place as ``rng.shuffle(items)`` does.
+
+    The body of ``Random.shuffle`` with its ``_randbelow(i + 1)`` calls
+    unrolled as ``_below`` draws them: the same swaps, and the same generator
+    state after, in one frame instead of one call per item.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def _random_permutation(rng: random.Random, t: int) -> tuple[int, ...]:
     perm = list(range(1, t + 1))
-    rng.shuffle(perm)
+    _shuffle(rng, perm)
     return tuple(perm)
 
 
@@ -226,7 +264,7 @@ def check_chern_sum_permutation(rng: random.Random, cases: int) -> tuple[bool, s
         t = 1 + _below(rng, 6)
         summands = [_random_bundle(rng, t) for _ in range(1 + _below(rng, 4))]
         shuffled = summands[:]
-        rng.shuffle(shuffled)
+        _shuffle(rng, shuffled)
         if chern.direct_sum(summands) != chern.direct_sum(shuffled):
             return False, f"{summands}"
     return True, f"{cases} random families"
@@ -262,18 +300,25 @@ def check_chern_twist_invariants(rng: random.Random, cases: int) -> tuple[bool, 
 
 
 def check_rank_triangle() -> tuple[bool, str]:
+    """N_k by the recurrence, the closed form and the iteration, k = -1..50.
+
+    Each route runs once per (d, r).  The closed form gives N_-1..N_49 by one
+    walk from k = -1, at one product in Z[alpha] per row, and N_50 by
+    ``rank_closed_form``, the binary powering of the public route; Tier-1
+    runs that route at every k.
+    """
     for d in range(4, 9):
         surface = make_surface(d)
         for r in range(1, 6):
             c1_sq = r * r * d
             seed = NumericClassData(r, c1_sq, r * d, ulrich.ulrich_c2(r, c1_sq, surface))
-            trace = syzygy.iterate_syzygy(seed, surface, 50)
-            by_recurrence = islice(syzygy._recurrence_ranks(d, r), 52)  # N_-1 .. N_50
-            for k, by_rec in enumerate(by_recurrence, start=-1):
-                by_closed = syzygy.rank_closed_form(d, r, k)
-                by_iter = trace.entry(k).rank
-                if not by_rec == by_closed == by_iter:
-                    return False, f"d={d} r={r} k={k}: {by_rec}, {by_closed}, {by_iter}"
+            by_closed = chain(islice(syzygy._closed_form_ranks(d, r, -1), 51),
+                              (syzygy.rank_closed_form(d, r, 50),))
+            rows = zip(range(-1, 51), syzygy._recurrence_ranks(d, r), by_closed,
+                       syzygy.iterate_syzygy(seed, surface, 50).entries)
+            for k, by_rec, closed, entry in rows:
+                if not by_rec == closed == entry.rank:
+                    return False, f"d={d} r={r} k={k}: {by_rec}, {closed}, {entry.rank}"
     return True, "recurrence = closed form = iteration, d=4..8, r=1..5, k=-1..50"
 
 

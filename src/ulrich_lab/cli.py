@@ -10,7 +10,10 @@ Each subcommand is one ``cmd_*`` function, declared by ``@_subcommand``
 with its click parameters and with its docstring as help text.  The
 decorator adds ``--format`` (``markdown``, ``csv`` or ``json``) and
 ``--out PATH``, which writes to a file instead of stdout; either way the
-output is written as it is rendered, not built first.  The ``check``
+output is written as it is rendered, not built first.  CSV is what
+``csv.writer(lineterminator="\n")`` writes: rows are joined by commas as long
+as no cell needs quoting, and from the first row that does, a ``csv.writer``
+writes the rest, so a table of numbers makes no writer.  The ``check``
 subcommand honors the ``ULRICH_LAB_SEED_FILE`` environment variable, a
 JSON array of bundle numerics objects to add to the seed-driven checks.
 """
@@ -21,7 +24,7 @@ import csv
 import json
 import os
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, TextIO
 
 import click
@@ -75,9 +78,15 @@ def _write(out: CommandOutput, fmt: str, stream: TextIO) -> None:
         return
     rows = map(_cells, out.rows)
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(out.headers)
-        writer.writerows(rows)
+        for cells in chain((out.headers,), rows):
+            line = ",".join(cells)
+            # No cell holds a comma, a quote or a line break, and the row is
+            # not one empty cell (written ""): csv.writer would add nothing.
+            if not line or line.count(",") >= len(cells) or '"' in line or "\r" in line \
+                    or "\n" in line:
+                csv.writer(stream, lineterminator="\n").writerows(chain((cells,), rows))
+                return
+            stream.write(line + "\n")
         return
     stream.write("| " + " | ".join(out.headers) + " |\n")
     stream.write("| " + " | ".join("---" for _ in out.headers) + " |\n")

@@ -89,7 +89,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from typing import Iterator
 
 from . import ulrich
@@ -413,6 +413,8 @@ class _TraceRows(Sequence):
     ``hash`` and ``repr`` are the tuple's, a slice is a tuple, and an index
     out of range raises IndexError.  Pickles and copies carry the columns
     only, with c2 for w, so they load where the rows keep either.
+    :meth:`SyzygyTrace.to_dict` and :func:`discriminant_drift` read the
+    columns, and build no row.
     """
 
     __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_ws", "_c1", "_ms", "_rows")
@@ -502,11 +504,24 @@ class SyzygyTrace:
         raise KeyError(f"no trace entry for k = {_shown(k, str)}")
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.surface.degree,
-            "seed": self.seed.to_dict(),
-            "entries": [item.to_dict() for item in self.entries],
-        }
+        """The degree, the seed and one :meth:`TraceEntry.to_dict` record per row.
+
+        A trace from :func:`iterate_syzygy` writes the records from its
+        columns, without building a row: with w = 2 c2 - c1^2, c2 = (w + c1^2)/2,
+        delta = rk w + c1^2 and drift = rk (w - rk) + c1^2 + 1, as
+        :func:`~ulrich_lab.chern.discriminant` and
+        :func:`~ulrich_lab.chern.expected_moduli_dim` evaluate them.  The
+        rows of any other trace give their own records.
+        """
+        entries = self.entries
+        if type(entries) is _TraceRows:
+            records = [{"k": k, "rank": n, "c1_sq": q, "c1_dot_H": p, "c2": (w + q) >> 1,
+                        "delta": n * w + q, "drift": n * (w - n) + q + 1}
+                       for k, n, q, p, w in zip(count(-1), entries._ranks, entries._c1_sqs,
+                                                entries._degrees, entries._ws)]
+        else:
+            records = [item.to_dict() for item in entries]
+        return {"d": self.surface.degree, "seed": self.seed.to_dict(), "entries": records}
 
 
 def _require_seed(seed: AnyNumerics, types: tuple[type, ...], surface: DelPezzoSurface,

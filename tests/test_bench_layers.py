@@ -25,6 +25,7 @@ def expected_rows() -> list[str]:
              for kind in ("fresh", "census")]
     rows += ["chern.tensor", "chern.tensor_line", "chern.twist_by_h", "chern.euler_char"]
     rows += [f"syzygy.{route}.k{k}" for route in ROUTES for k in (20, 200, 1000)]
+    rows += [f"syzygy.trace_to_dict.k{k}" for k in (20, 200, 1000)]
     rows += ["cubic.chi_pair_oracle.all_pairs"]
     rows += [f"cubic.decompose_stable_sum.r{r}" for r in (2, 3, 4)]
     rows += [f"checks.{result.name}" for result in checks.run_all_checks()]
@@ -44,7 +45,7 @@ def test_one_repetition_writes_every_row(tmp_path):
     assert record["reference_cal_s"] > 0
     rows = record["rows"]
     assert sorted(rows) == sorted(expected_rows())
-    assert len(rows) == 80
+    assert len(rows) == 83
     for name, row in rows.items():
         assert type(row["ops"]) is int and row["ops"] > 0, name
         for form in ("rescaled_us", "raw_us"):

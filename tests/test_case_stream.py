@@ -1,12 +1,14 @@
 """The self-check's random cases: the same draws, in the same order, on every Python.
 
 ``checks._random_class`` draws its coordinates straight from
-``rng.random()``, and ``checks._below`` draws integers from
-``rng.getrandbits``; these tests pin, against a twin generator, that they
+``rng.random()``, ``checks._below`` and ``checks._shuffle`` draw integers
+from ``rng.getrandbits``, and ``checks._random_bundle`` unrolls both kinds
+of draw into one body; these tests pin, against a twin generator, that they
 take exactly the values, and leave the generator in exactly the state, that
-``rng.choices(range(-span, span + 1), k=t + 1)``, ``randint`` and
-``randrange`` do, and that ``checks._random_permutation`` is a ``shuffle``
-of 1..t.  The digest pins the whole case stream of the nine property checks.
+``rng.choices(range(-span, span + 1), k=t + 1)``, ``randint``,
+``randrange`` and ``shuffle`` do, and that ``checks._random_permutation`` is
+a ``shuffle`` of 1..t.  The digest pins the whole case stream of the nine
+property checks.
 """
 
 from __future__ import annotations
@@ -53,6 +55,31 @@ def test_below_draws_what_randrange_draws_from_the_seed_pool():
     rng, twin = random.Random(len(pool)), random.Random(len(pool))
     for _ in range(2000):
         assert checks._below(rng, len(pool)) == twin.randrange(len(pool))
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_random_bundle_draws_what_randint_and_choices_draw(t):
+    rng, twin = random.Random(t), random.Random(t)
+    ranks = set()
+    for _ in range(500):
+        rank = twin.randint(1, 5)
+        c2 = 0 if rank == 1 else twin.randint(-20, 20)
+        a, *b = twin.choices(range(-6, 7), k=t + 1)
+        assert checks._random_bundle(rng, t) == BundleNumerics(rank, DivisorClass(a, tuple(b)), c2)
+        ranks.add(rank)
+    assert ranks == {1, 2, 3, 4, 5}
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_shuffle_is_random_shuffle(n):
+    rng, twin = random.Random(n), random.Random(n)
+    for _ in range(300):
+        items, expected = list(range(n)), list(range(n))
+        checks._shuffle(rng, items)
+        twin.shuffle(expected)
+        assert items == expected
     assert rng.getstate() == twin.getstate()
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import io
 import json
+import random
 import sys
 import tracemalloc
 import weakref
@@ -29,6 +31,7 @@ from ulrich_lab import (
     tables,
 )
 from ulrich_lab.chern import NumericClassData
+from ulrich_lab import cli
 from ulrich_lab.cli import main
 from ulrich_lab.errors import (
     BadSeedFile,
@@ -458,6 +461,76 @@ class TestStreamedOutput:
         assert peak < 0.6 * 2**20
 
 
+# Cells for the CSV fuzz: what csv.writer quotes (a comma, a quote, CR and
+# LF) among what it writes as it is.
+CSV_PLAIN = "a;()1 "
+CSV_ANY = CSV_PLAIN + ',"\r\n'
+
+
+def _random_csv_row(rng: random.Random) -> list[str]:
+    alphabet = CSV_PLAIN if rng.random() < 0.6 else CSV_ANY
+    return ["".join(rng.choices(alphabet, k=rng.randint(0, 3)))
+            for _ in range(rng.randint(0, 4))]
+
+
+def _csv_bytes(headers: list[str], rows: list[list[str]]) -> tuple[str, str]:
+    """``rows`` under ``headers`` written by ``--format csv`` and by csv.writer."""
+    got, want = io.StringIO(), io.StringIO()
+    cli._write(cli.CommandOutput({}, headers, iter(rows), [], True), "csv", got)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return got.getvalue(), want.getvalue()
+
+
+class TestCsvRows:
+    """``--format csv`` writes what ``csv.writer(lineterminator="\\n")`` writes."""
+
+    def test_random_rows_match_csv_writer(self):
+        rng = random.Random(45)
+        for _ in range(10_000):
+            headers = _random_csv_row(rng)
+            rows = [_random_csv_row(rng) for _ in range(rng.randint(0, 5))]
+            got, want = _csv_bytes(headers, rows)
+            assert got == want, (headers, rows)
+
+    @pytest.mark.parametrize("headers,rows", [
+        (["k", "n"], [["0", "1"], [""], ["2", "3"]]),
+        ([""], [["1"]]),
+        ([], [["1"], []]),
+        (["a,b"], [["1"]]),
+        (["k"], [["1"], ['"'], ["2"]]),
+        (["k", "n"], [["1", "a\r"], ["2", "b\n"]]),
+        (["k", "n"], [["", ""], [" ", "1"]]),
+    ], ids=["one-empty-cell", "empty-header", "no-cells", "comma-header", "quote",
+            "line-breaks", "empty-and-space-cells"])
+    def test_rows_that_need_quoting(self, headers, rows):
+        got, want = _csv_bytes(headers, rows)
+        assert got == want
+
+    @pytest.mark.parametrize("args,writers", [
+        (["sequence", "--d", "7", "--k-max", "50"], 0),
+        (["syzygy", "--d", "7", "--c1-sq", "24", "--k-max", "50"], 0),
+        (["table-moduli"], 0),
+        (["cubics"], 1),
+        (["decompose", "(4;2,1,1,1,1,0)"], 1),
+    ], ids=["sequence", "syzygy", "table-moduli", "cubics", "decompose"])
+    def test_a_table_of_numbers_makes_no_writer(self, runner, monkeypatch, args, writers):
+        # Every cell of sequence, syzygy and table-moduli is a number or
+        # ok/FAIL; the divisor cells of cubics and decompose hold commas.
+        made, writer = [], csv.writer
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return writer(*args, **kwargs)
+
+        expected = runner.invoke(main, [*args, "--format", "csv"]).output
+        monkeypatch.setattr(cli.csv, "writer", counting)
+        result = runner.invoke(main, [*args, "--format", "csv"])
+        assert result.exit_code == 0 and result.output == expected
+        assert len(made) == writers
+
+
 # The interpreter's int-string limit in digits; 0 (or no such limit) turns it off.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -757,6 +830,33 @@ class TestCheckReachesClosedRoutes:
         failed = {r.name: r.detail for r in checks.run_all_checks() if not r.passed}
         assert set(failed) == failing
         assert all(detail.endswith("k=5") for detail in failed.values())
+
+
+class TestRankTriangle:
+    """``syzygy.rank-triangle`` compares three rank routes at every k = -1..50."""
+
+    def test_closed_walk_wrong_at_one_row_fails(self, monkeypatch):
+        walk = syzygy._closed_form_ranks
+
+        def wrong_at_17(d, r, k):
+            for n, rank in enumerate(walk(d, r, k), start=k):
+                yield rank + ((d, r, n) == (6, 2, 17))
+
+        monkeypatch.setattr(syzygy, "_closed_form_ranks", wrong_at_17)
+        rank = syzygy.rank_by_recurrence(6, 2, 17)
+        assert checks.check_rank_triangle() == (
+            False, f"d=6 r=2 k=17: {rank}, {rank + 1}, {rank}")
+
+    def test_rank_closed_form_wrong_at_k50_fails(self, monkeypatch):
+        route = syzygy.rank_closed_form
+
+        def wrong_at_50(d, r, k):
+            return route(d, r, k) + ((d, r, k) == (6, 2, 50))
+
+        monkeypatch.setattr(syzygy, "rank_closed_form", wrong_at_50)
+        rank = syzygy.rank_by_recurrence(6, 2, 50)
+        assert checks.check_rank_triangle() == (
+            False, f"d=6 r=2 k=50: {rank}, {rank + 1}, {rank}")
 
 
 class TestTableCounts:

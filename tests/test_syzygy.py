@@ -40,6 +40,7 @@ from ulrich_lab import (
     syzygy_numerics,
     tensor_line,
     twist_by_h,
+    ulrich_c2,
 )
 from ulrich_lab import checks, discriminant, euler_char, tables
 from ulrich_lab import syzygy as syzygy_module
@@ -765,6 +766,54 @@ class TestTraceRows:
             trace = SyzygyTrace(surface, seed, same)
             assert type(trace.entries) is tuple and trace == expected
             assert hash(trace) == hash(expected) and trace.to_dict() == expected.to_dict()
+
+
+def _to_dict_cases():
+    for d in range(3, 9):
+        surface = make_surface(d)
+        exact = BundleNumerics(2, 2 * surface.anticanonical_class, ulrich_c2(2, 4 * d, surface))
+        for kind, seed in (("exact", exact), ("reduced", reduce_numerics(exact))):
+            for k_max in (-1, 0, 50, 200) if d > 3 else (-1, 0):
+                yield pytest.param(surface, seed, k_max, id=f"{kind}-d{d}-k{k_max}")
+
+
+class TestTraceToDict:
+    """``SyzygyTrace.to_dict`` writes an iterated trace's records from its columns."""
+
+    @pytest.mark.parametrize("surface,seed,k_max", _to_dict_cases())
+    def test_records_equal_the_rows_and_build_none(self, monkeypatch, surface, seed, k_max):
+        calls, row_to_dict = [], TraceEntry.to_dict
+
+        def counting(row):
+            calls.append(row.k)
+            return row_to_dict(row)
+
+        trace = iterate_syzygy(seed, surface, k_max)
+        rows = trace.entries
+        exact = isinstance(seed, BundleNumerics)  # the iteration built the last row
+        assert [row is not None for row in rows._rows] == [False] * (k_max + 1) + [exact]
+        monkeypatch.setattr(TraceEntry, "to_dict", counting)
+        payload = trace.to_dict()
+        assert calls == []
+        assert [row is not None for row in rows._rows] == [False] * (k_max + 1) + [exact]
+        monkeypatch.undo()
+        assert payload == {"d": surface.degree, "seed": seed.to_dict(),
+                           "entries": [row.to_dict() for row in rows]}
+        assert [type(value) for record in payload["entries"] for value in record.values()] \
+            == [int] * 7 * (k_max + 2)
+
+    def test_rows_given_by_hand_give_their_own_records(self, monkeypatch):
+        calls, row_to_dict = [], TraceEntry.to_dict
+
+        def counting(row):
+            calls.append(row.k)
+            return row_to_dict(row)
+
+        trace = iterate_syzygy(WITNESS, S4, 7)
+        by_hand = SyzygyTrace(S4, WITNESS, tuple(trace.entries))
+        monkeypatch.setattr(TraceEntry, "to_dict", counting)
+        assert by_hand.to_dict() == trace.to_dict()
+        assert calls == list(range(-1, 8))
 
 
 # pickle.dumps(iterate_syzygy(WITNESS, S4, 7), 2) when the trace kept a c2
