@@ -80,8 +80,8 @@ def _write(out: CommandOutput, fmt: str, stream: TextIO) -> None:
     if fmt == "csv":
         for cells in chain((out.headers,), rows):
             line = ",".join(cells)
-            # No cell holds a comma, a quote or a line break, and the row is
-            # not one empty cell (written ""): csv.writer would add nothing.
+            # A cell holding a comma, a quote or a line break is quoted, and a
+            # row of one empty cell is written "": csv.writer writes from here.
             if not line or line.count(",") >= len(cells) or '"' in line or "\r" in line \
                     or "\n" in line:
                 csv.writer(stream, lineterminator="\n").writerows(chain((cells,), rows))
