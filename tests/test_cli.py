@@ -21,6 +21,7 @@ from click.testing import CliRunner
 
 from ulrich_lab import (
     checks,
+    cli,
     cubic,
     decompose_stable_sum,
     decomposition_to_dict,
@@ -31,7 +32,6 @@ from ulrich_lab import (
     tables,
 )
 from ulrich_lab.chern import NumericClassData
-from ulrich_lab import cli
 from ulrich_lab.cli import main
 from ulrich_lab.errors import (
     BadSeedFile,
@@ -520,9 +520,9 @@ class TestCsvRows:
         # ok/FAIL; the divisor cells of cubics and decompose hold commas.
         made, writer = [], csv.writer
 
-        def counting(*args, **kwargs):
-            made.append(args)
-            return writer(*args, **kwargs)
+        def counting(stream, **options):
+            made.append(stream)
+            return writer(stream, **options)
 
         expected = runner.invoke(main, [*args, "--format", "csv"]).output
         monkeypatch.setattr(cli.csv, "writer", counting)
