@@ -82,8 +82,7 @@ def _write(out: CommandOutput, fmt: str, stream: TextIO) -> None:
             line = ",".join(cells)
             # A cell holding a comma, a quote or a line break is quoted, and a
             # row of one empty cell is written "": csv.writer writes from here.
-            if not line or "," in "".join(cells) or '"' in line or "\r" in line \
-                    or "\n" in line:
+            if not line or "," in "".join(cells) or '"' in line or "\r" in line or "\n" in line:
                 csv.writer(stream, lineterminator="\n").writerows(chain((cells,), rows))
                 return
             stream.write(line + "\n")
