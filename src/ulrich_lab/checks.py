@@ -100,11 +100,10 @@ def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
     """Coordinates uniform in [-span, span], a first, then b_1..b_t.
 
     The draws are those of ``rng.choices(range(-span, span + 1), k=t + 1)``,
-    which picks ``floor(rng.random() * n)`` from a population of n, so the
-    stream and every case are unchanged; the coordinates are ints by
-    construction (``math.floor`` of a float is an int, and a cheaper call than
-    ``int``), so the class is built without the constructor's checks.
-    ``_random_bundle`` repeats this body inline with span 6.
+    which picks ``floor(rng.random() * n)`` from a population of n; the
+    coordinates are ints by construction (``math.floor`` of a float is an
+    int, and a cheaper call than ``int``), so the class is built without the
+    constructor's checks.
     """
     draw, n = rng.random, 2 * span + 1
     a = floor(draw() * n) - span
@@ -115,61 +114,23 @@ def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
 
 
 def _below(rng: random.Random, n: int) -> int:
-    """A uniform int in [0, n), n >= 1, drawn as ``rng.randrange(n)`` draws it.
-
-    The body of ``Random._randbelow_with_getrandbits`` on the public
-    ``getrandbits``: the same values, and the same generator state after, as
-    ``randint(lo, lo + n - 1) - lo`` and ``randrange(n)``, in one frame
-    instead of three.
-    """
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+    """A uniform int in [0, n), n >= 1: ``floor(rng.random() * n)``, the one draw of every case."""
+    return floor(rng.random() * n)
 
 
 def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
-    """A rank in 1..5, then c2 in [-20, 20] (0 at rank 1), then c1 as ``_random_class(rng, t, 6)``.
-
-    The bodies of ``_below`` and ``_random_class`` unrolled into one frame:
-    the draws are those of ``rng.randint(1, 5)``, of ``rng.randint(-20, 20)``
-    when the rank is above 1, and of ``rng.choices(range(-6, 7), k=t + 1)``,
-    in that order, so the values and the generator state after are theirs.
-    """
-    getrandbits = rng.getrandbits
-    rank = getrandbits(3)  # 1 + _below(rng, 5); 5 has 3 bits
-    while rank >= 5:
-        rank = getrandbits(3)
-    rank += 1
-    c2 = 0
-    if rank > 1:
-        c2 = getrandbits(6)  # _below(rng, 41) - 20; 41 has 6 bits
-        while c2 >= 41:
-            c2 = getrandbits(6)
-        c2 -= 20
+    """A rank in 1..5, then c2 in [-20, 20] (0 at rank 1), then c1 as ``_random_class(rng, t, 6)``."""
     draw = rng.random
-    a = floor(draw() * 13) - 6
-    b = []
-    for _ in range(t):
-        b.append(floor(draw() * 13) - 6)
-    return _trusted_bundle(rank, _trusted(a, tuple(b)), c2)
+    rank = 1 + floor(draw() * 5)
+    c2 = floor(draw() * 41) - 20 if rank > 1 else 0
+    return _trusted_bundle(rank, _random_class(rng, t, 6), c2)
 
 
 def _shuffle(rng: random.Random, items: list) -> None:
-    """Shuffle ``items`` in place as ``rng.shuffle(items)`` does.
-
-    The body of ``Random.shuffle`` with its ``_randbelow(i + 1)`` calls
-    unrolled as ``_below`` draws them: the same swaps, and the same generator
-    state after, in one frame instead of one call per item.
-    """
-    getrandbits = rng.getrandbits
+    """Shuffle ``items`` in place by Fisher-Yates on ``floor(rng.random() * (i + 1))``."""
+    draw = rng.random
     for i in range(len(items) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
+        j = floor(draw() * (i + 1))
         items[i], items[j] = items[j], items[i]
 
 
@@ -273,7 +234,7 @@ def check_chern_sum_permutation(rng: random.Random, cases: int) -> tuple[bool, s
 def check_chern_chi_additive(rng: random.Random, cases: int) -> tuple[bool, str]:
     surfaces = [make_surface(d) for d in range(3, 9)]
     for _ in range(cases):
-        surface = surfaces[_below(rng, 6)]  # make_surface(rng.randint(3, 8))
+        surface = surfaces[_below(rng, 6)]
         t = surface.num_exceptional
         f, g = _random_bundle(rng, t), _random_bundle(rng, t)
         whole = chern.euler_char(chern.direct_sum([f, g]), surface)

@@ -1,20 +1,22 @@
 """The self-check's random cases: the same draws, in the same order, on every Python.
 
-``checks._random_class`` draws its coordinates straight from
-``rng.random()``, ``checks._below`` and ``checks._shuffle`` draw integers
-from ``rng.getrandbits``, and ``checks._random_bundle`` unrolls both kinds
-of draw into one body; these tests pin, against a twin generator, that they
-take exactly the values, and leave the generator in exactly the state, that
-``rng.choices(range(-span, span + 1), k=t + 1)``, ``randint``,
-``randrange`` and ``shuffle`` do, and that ``checks._random_permutation`` is
-a ``shuffle`` of 1..t.  The digest pins the whole case stream of the nine
-property checks.
+Every integer of a case is one draw ``floor(rng.random() * n)``:
+``checks._random_class`` takes its coordinates so, which are what
+``rng.choices(range(-span, span + 1), k=t + 1)`` draws; ``checks._below``
+is that draw; ``checks._random_bundle`` draws its rank and c2 so, then c1 by
+``_random_class``; and ``checks._shuffle`` is Fisher-Yates on it.  These
+tests pin, against a twin generator that makes the same draws written out
+here, that they take exactly those values, reach every value of their
+range, and leave the generator in exactly the twin's state, and that
+``checks._random_permutation`` is such a shuffle of 1..t.  The digest pins
+the whole case stream of the nine property checks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from math import factorial, floor
 
 import pytest
 
@@ -22,7 +24,7 @@ from ulrich_lab import BundleNumerics, DivisorClass, checks
 
 # sha256 of repr(rng.getstate()) after the nine property checks of
 # run_all_checks, in its order, from random.Random(DEFAULT_RNG_SEED).
-CASE_STREAM_DIGEST = "6080f7bc559d63c8f278f4522d0329578da89ccdb559caaf7bcebfda571fcd21"
+CASE_STREAM_DIGEST = "0f1e5df59a0e047c1502afedfed44dcc9ada5940452e01e14a14dc59e6615d86"
 
 
 @pytest.mark.parametrize("span", [3, 4, 6, 9, 99])
@@ -37,49 +39,69 @@ def test_random_class_draws_what_choices_draws(t, span):
     assert rng.getstate() == twin.getstate()
 
 
-# Every randint range the property checks draw from: the lattice rank t, the
-# bundle rank and c2, the scalar m, the degree d and the family size.
+def _twin_shuffle(twin: random.Random, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = floor(twin.random() * (i + 1))
+        items[i], items[j] = items[j], items[i]
+
+
+# Every integer range [lo, hi] the property checks draw from: the lattice
+# rank t, the bundle rank and c2, the scalar m, the degree d and the family size.
 RANDINT_RANGES = [(1, 6), (1, 5), (-20, 20), (-4, 4), (3, 8), (1, 4)]
 
 
 @pytest.mark.parametrize("lo,hi", RANDINT_RANGES, ids=lambda v: str(v))
 def test_below_draws_what_randint_draws(lo, hi):
     rng, twin = random.Random(hi - lo), random.Random(hi - lo)
+    seen = set()
     for _ in range(2000):
-        assert lo + checks._below(rng, hi - lo + 1) == twin.randint(lo, hi)
+        value = lo + checks._below(rng, hi - lo + 1)
+        assert value == lo + floor(twin.random() * (hi - lo + 1))
+        seen.add(value)
+    assert seen == set(range(lo, hi + 1))
     assert rng.getstate() == twin.getstate()
 
 
 def test_below_draws_what_randrange_draws_from_the_seed_pool():
     pool = [seed for seed in checks.default_seeds() if isinstance(seed[1], BundleNumerics)]
     rng, twin = random.Random(len(pool)), random.Random(len(pool))
+    seen = set()
     for _ in range(2000):
-        assert checks._below(rng, len(pool)) == twin.randrange(len(pool))
+        index = checks._below(rng, len(pool))
+        assert index == floor(twin.random() * len(pool))
+        seen.add(index)
+    assert seen == set(range(len(pool)))
     assert rng.getstate() == twin.getstate()
 
 
 @pytest.mark.parametrize("t", range(1, 7))
 def test_random_bundle_draws_what_randint_and_choices_draw(t):
     rng, twin = random.Random(t), random.Random(t)
-    ranks = set()
+    ranks, c2s = set(), set()
     for _ in range(500):
-        rank = twin.randint(1, 5)
-        c2 = 0 if rank == 1 else twin.randint(-20, 20)
+        rank = 1 + floor(twin.random() * 5)
+        c2 = 0 if rank == 1 else floor(twin.random() * 41) - 20
         a, *b = twin.choices(range(-6, 7), k=t + 1)
         assert checks._random_bundle(rng, t) == BundleNumerics(rank, DivisorClass(a, tuple(b)), c2)
         ranks.add(rank)
+        c2s.add(c2)
     assert ranks == {1, 2, 3, 4, 5}
+    assert {-20, 20} <= c2s
     assert rng.getstate() == twin.getstate()
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_shuffle_is_random_shuffle(n):
     rng, twin = random.Random(n), random.Random(n)
+    orders = set()
     for _ in range(300):
         items, expected = list(range(n)), list(range(n))
         checks._shuffle(rng, items)
-        twin.shuffle(expected)
+        _twin_shuffle(twin, expected)
         assert items == expected
+        orders.add(tuple(items))
+    if n <= 4:
+        assert len(orders) == factorial(n)
     assert rng.getstate() == twin.getstate()
 
 
@@ -88,7 +110,7 @@ def test_random_permutation_is_a_shuffle_of_one_to_t(t):
     rng, twin = random.Random(t), random.Random(t)
     for _ in range(500):
         items = list(range(1, t + 1))
-        twin.shuffle(items)
+        _twin_shuffle(twin, items)
         assert checks._random_permutation(rng, t) == tuple(items)
     assert rng.getstate() == twin.getstate()
 

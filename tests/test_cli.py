@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -291,6 +292,18 @@ class TestCheck:
         assert [result.name for result in results] == names == list(tracing.CHECK_NAMES)
         metrics = tracing.aggregate(tracer, {}, Counter())
         assert [name for name in names if metrics[f"checks.{name}.ms"]["value"] <= 0] == []
+
+    def test_check_count_is_the_one_the_benchmark_oracle_requires(self, monkeypatch):
+        # cli-session's oracle accepts a `check` answer only with exactly this
+        # many results, so a new check line fails there as outputs_incorrect.
+        oracle = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        counts = re.findall(r'len\(data\["results"\]\) == (\d+)', oracle.read_text())
+        assert len(counts) == 1, "perfbench/workloads.py: no single check result count found"
+        monkeypatch.setattr(checks, "DEFAULT_CASES", 10)
+        got = len(checks.run_all_checks())
+        assert got == int(counts[0]), (
+            f"run_all_checks() gives {got} results; the cli-session oracle in "
+            f"perfbench/workloads.py requires {counts[0]}")
 
     @pytest.mark.parametrize(
         "content,message",

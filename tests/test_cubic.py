@@ -718,7 +718,8 @@ class TestEulerPairingKernel:
             surface = make_surface(9 - width)
             assert chern._chi_dual_product(f, g) == euler_char(tensor(dual(f), g), surface)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    # k = 1..5 gives j = 2..6, every part count decompose allows (r <= 6).
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_direct_sum_fprevs(self, k):
         rng = random.Random(k)
         divisors = [t.divisor for t in twisted_cubics()]

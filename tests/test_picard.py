@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
 import re
 import sys
 
@@ -191,6 +192,22 @@ class TestIntersection:
         t_b = DivisorClass(2, (1, 1, 1, 0, 0, 0))
         assert t_b.self_intersection == 1
         assert t_b.degree == 3
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_intersect_is_the_written_out_pairing(self, d):
+        # 200 fixed-seed pairs with coordinates in [-20, 20], and the corners
+        # where every coordinate is +-20, against a.a' - sum b_i b_i'.
+        surface = make_surface(d)
+        t = surface.num_exceptional
+        rng = random.Random(d)
+        pairs = [tuple((rng.randint(-20, 20), [rng.randint(-20, 20) for _ in range(t)])
+                       for _ in range(2))
+                 for _ in range(200)]
+        pairs += [((s, [s] * t), (u, [u] * t)) for s in (-20, 20) for u in (-20, 20)]
+        for (a, b), (a2, b2) in pairs:
+            x, y = DivisorClass(a, b), DivisorClass(a2, b2)
+            expected = a * a2 - sum(p * q for p, q in zip(b, b2))
+            assert intersect(x, y, surface) == x.dot(y) == expected, (x, y)
 
     def test_lattice_mismatch(self):
         with pytest.raises(LatticeMismatch):
