@@ -15,9 +15,13 @@ operation on fixed inputs and reports microseconds per operation:
   ``twist_by_h`` and ``euler_char`` on the kernel bundles of the cubics;
 - ``syzygy.<route>.k<k>``: the six syzygy routes at k = 20, 200 and 1000 on
   the rank-2 Ulrich seed c1 = (5;1,0), c2 = 7 of degree 7
-  (``iterate_syzygy`` reads the trace's last row), and
-  ``syzygy.trace_to_dict.k<k>``: ``SyzygyTrace.to_dict`` of a fresh
-  ``iterate_syzygy`` trace of that seed, the trace made untimed;
+  (``iterate_syzygy`` reads the trace's last row), where
+  ``rank_by_recurrence`` and the two closed Chern routes alternate it with
+  the rank-3 seed c1 = 3H, so that each operation walks the rank recurrence
+  from a cold start; ``syzygy.recurrence_triple.k<k>``: those three routes
+  at one (d, r, k), in syzygy-deep's order, alternating the seeds the same
+  way; and ``syzygy.trace_to_dict.k<k>``: ``SyzygyTrace.to_dict`` of a fresh
+  ``iterate_syzygy`` trace of the rank-2 seed, the trace made untimed;
 - ``cubic.chi_pair_oracle.all_pairs``: one pass of ``chi_pair_oracle`` over
   the 72² ordered pairs of cubics;
 - ``cubic.decompose_stable_sum.r<r>``: the ordered decompositions of rH,
@@ -47,7 +51,7 @@ import statistics
 import subprocess
 import sys
 from collections import deque
-from itertools import repeat
+from itertools import cycle, repeat
 from operator import add
 from pathlib import Path
 from time import perf_counter
@@ -144,15 +148,22 @@ def _chern_rows() -> list[Group]:
 def _syzygy_rows() -> list[Group]:
     surface = U.make_surface(7)
     seed = U.BundleNumerics(2, U.DivisorClass(5, (1, 0)), 7)
-    reduced = U.reduce_numerics(seed)
+    # rank_by_recurrence and the two closed Chern routes resume the last
+    # recurrence walk of the same (d, r).  Their operations alternate this seed
+    # with a rank-3 one, c1 = 3H, drawn from one cycle across every such row, so
+    # each operation walks from a cold start.
+    other = U.BundleNumerics(3, 3 * surface.anticanonical_class, U.ulrich_c2(3, 63, surface))
+    alternating = cycle([(seed, U.reduce_numerics(seed)), (other, U.reduce_numerics(other))])
     routes = {
-        "rank_by_recurrence": lambda k: U.rank_by_recurrence(7, 2, k),
+        "rank_by_recurrence": lambda k: U.rank_by_recurrence(7, next(alternating)[0].rank, k),
         "rank_closed_form": lambda k: U.rank_closed_form(7, 2, k),
         "iterate_syzygy": lambda k: U.iterate_syzygy(seed, surface, k).entries[-1],
         "closed_syzygy_chern_numeric":
-            lambda k: U.closed_syzygy_chern_numeric(reduced, surface, k),
-        "closed_syzygy_chern": lambda k: U.closed_syzygy_chern(seed, surface, k),
+            lambda k: U.closed_syzygy_chern_numeric(next(alternating)[1], surface, k),
+        "closed_syzygy_chern": lambda k: U.closed_syzygy_chern(next(alternating)[0], surface, k),
         "rank_two_table_chern": lambda k: U.rank_two_table_chern(7, 24, 7, k),
+        # syzygy-deep's three recurrence-fed calls at one (d, r, k), in its order.
+        "recurrence_triple": lambda k: _recurrence_triple(surface, *next(alternating), k),
     }
     rows = [_row(f"syzygy.{name}.k{k}", ops, lambda _, f=f, k=k, ops=ops: _consume(
                  f(k) for _ in range(ops)))
@@ -163,6 +174,12 @@ def _syzygy_rows() -> list[Group]:
                   lambda k=k, ops=ops: [U.iterate_syzygy(seed, surface, k) for _ in range(ops)])
              for k, ops in SYZYGY_OPS.items()]
     return rows
+
+
+def _recurrence_triple(surface, seed, reduced, k: int):
+    return (U.rank_by_recurrence(surface.degree, seed.rank, k),
+            U.closed_syzygy_chern_numeric(reduced, surface, k),
+            U.closed_syzygy_chern(seed, surface, k))
 
 
 def _cubic_rows() -> list[Group]:

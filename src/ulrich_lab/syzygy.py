@@ -25,6 +25,7 @@ exactly, and an odd numerator (a value outside the ring) raises
 :class:`NonIntegerResult` rather than rounding.
 
 The ranks have three routes.  :func:`rank_by_recurrence` reads N_k off
+``_recurrence_walk``, the one recurrence step, which also yields the stream
 ``_recurrence_ranks``.  ``_closed_form_ranks(d, r, k)``, the one closed-form
 body, powers alpha to alpha^{k+1} and yields N_k, N_{k+1}, ... at one product
 in Z[alpha] per row: :func:`rank_closed_form` reads one row,
@@ -59,9 +60,12 @@ with v_0 = c1(E)^2 - c2(E), which unrolls to
 
 The sum telescopes, and the recurrence closes what is left (see
 :func:`_closed_core`), so the closed Chern data of S_k need only the two
-ranks N_{k-1} and N_k: one recurrence pass for :func:`closed_syzygy_chern`
-and :func:`closed_syzygy_chern_numeric`, one closed-form walk for
-:func:`rank_two_table_chern`.  :func:`iterate_syzygy` steps in the reduced
+ranks N_{k-1} and N_k: one closed-form walk for :func:`rank_two_table_chern`,
+and for :func:`closed_syzygy_chern` and :func:`closed_syzygy_chern_numeric`
+the recurrence walk of :func:`rank_by_recurrence`, ``_rank_pair``.  It keeps
+its last walk, so it costs O(k) steps from a cold start, O(k - j) after a
+walk to j <= k with the same d and r, and the three routes checked at one k
+walk once.  :func:`iterate_syzygy` steps in the reduced
 data (rank, c1^2, c1.H, 2 c2 - c1^2) and keeps them as columns of k + 2 ints;
 for an exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
 c1(S_k) = -c1(S_{k-1}) + N_k H = (-1)^{k+1} c1(E) + M_k H gives the exact
@@ -252,15 +256,24 @@ class QuadraticNumber:
 def rank_by_recurrence(d: int, r: int, k: int) -> int:
     """N_k via N_{-1} = r, N_0 = r(d-1), N_k = (d-2)N_{k-1} - N_{k-2}.
 
-    k has no upper bound.  The cost is O(k) steps on integers of about
-    k log2(alpha) bits (about 1.4 bits per step at d = 5, 2.5 at d = 8,
-    and linear growth at d = 4), so k = 10**30 never finishes; the CLI caps
-    k at 200.
+    k has no upper bound.  The cost is O(k) steps from a cold start, O(k - j)
+    after a walk to j <= k with the same d and r (see ``_rank_pair``), on
+    integers of about k log2(alpha) bits (about 1.4 bits per step at d = 5,
+    2.5 at d = 8, and linear growth at d = 4), so k = 10**30 never finishes;
+    the CLI caps k at 200.
     """
     _require_int(d, _DEGREE_RANGE, DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
     _require_int(r, _RANK_RULE, lo=1)
     _require_int(k, _INDEX_RULE.format("index k"), lo=-1)
-    return next(islice(_recurrence_ranks(d, r), k + 1, None))
+    return _rank_pair(d, r, k)[1]
+
+
+def _recurrence_walk(d: int, prev: int, cur: int) -> Iterator[int]:
+    """prev, cur, then each next rank (d-2) cur - prev, without end: the one recurrence step."""
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, (d - 2) * cur - prev
 
 
 def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
@@ -269,11 +282,30 @@ def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
     :func:`iterate_syzygy` runs an inline copy beside its step instead: fed
     from here, its rank cross-check costs 5-16 % more at k <= 200.
     """
-    prev, cur = r, r * (d - 1)
-    yield prev
-    while True:
-        yield cur
-        prev, cur = cur, (d - 2) * cur - prev
+    return _recurrence_walk(d, r, r * (d - 1))
+
+
+# The last walk of _rank_pair, (d, r, k, N_{k-1}, N_k).  It is only ever
+# rebound as one whole tuple and read once per call, so a thread that reads it
+# sees one walk's values, never a mix of two.
+_last_walk: tuple = (None, None, -1, 0, 0)
+
+
+def _rank_pair(d: int, r: int, k: int) -> tuple[int, int]:
+    """(N_{k-1}, N_k) for checked d, r and k >= -1, walking from the last walk.
+
+    A caller that checks one k across routes, or sweeps k upwards, pays each
+    step once: the walk resumes from ``_last_walk`` when d and r match and its
+    k is at most this k, and from (N_{-2}, N_{-1}) = (-r, r) otherwise.
+    """
+    global _last_walk
+    last_d, last_r, j, prev, cur = _last_walk
+    if last_d != d or last_r != r or j > k:
+        j, prev, cur = -1, -r, r
+    if j != k:
+        prev, cur = islice(_recurrence_walk(d, prev, cur), k - j, k - j + 2)
+    _last_walk = (d, r, k, prev, cur)
+    return prev, cur
 
 
 def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[int, int]:
@@ -412,7 +444,8 @@ class _TraceRows(Sequence):
     value this is the tuple of its rows: ``==`` with that tuple holds,
     ``hash`` and ``repr`` are the tuple's, a slice is a tuple, and an index
     out of range raises IndexError.  Pickles and copies carry the columns
-    only, with c2 for w, so they load where the rows keep either.
+    only, w as kept, through ``_trace_rows``; a pickle of the former layout,
+    with c2 for w, loads through the constructor.
     :meth:`SyzygyTrace.to_dict` and :func:`discriminant_drift` read the
     columns, and build no row.
     """
@@ -421,7 +454,7 @@ class _TraceRows(Sequence):
 
     def __init__(self, ranks: list[int], c1_sqs: list[int], degrees: list[int], c2s: list[int],
                  c1: DivisorClass | None, ms: list[int] | None) -> None:
-        # The layout of a pickle (see __reduce__), with c2 where the rows keep w.
+        # The layout of pickles written before they carried w, with c2 for w.
         self._fill(ranks, c1_sqs, degrees, [2 * c2 - q for q, c2 in zip(c1_sqs, c2s)], c1, ms)
 
     def _fill(self, ranks, c1_sqs, degrees, ws, c1, ms) -> _TraceRows:
@@ -469,8 +502,14 @@ class _TraceRows(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        c2s = [(w + q) >> 1 for q, w in zip(self._c1_sqs, self._ws)]
-        return _TraceRows, (self._ranks, self._c1_sqs, self._degrees, c2s, self._c1, self._ms)
+        return _trace_rows, (self._ranks, self._c1_sqs, self._degrees, self._ws, self._c1, self._ms)
+
+
+def _trace_rows(ranks: list[int], c1_sqs: list[int], degrees: list[int], ws: list[int],
+                c1: DivisorClass | None, ms: list[int] | None) -> _TraceRows:
+    """The rows from checked columns, w as kept: :func:`iterate_syzygy` builds them
+    so, and a pickle loads so."""
+    return _new(_TraceRows)._fill(ranks, c1_sqs, degrees, ws, c1, ms)
 
 
 @dataclass(frozen=True)
@@ -590,7 +629,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
     if isinstance(seed, BundleNumerics):
         # int.__rsub__(m, n) is n - m, so this is M_{-1} = 0, M_k = N_k - M_{k-1}.
         ms = list(accumulate(islice(ranks, 1, None), int.__rsub__, initial=0))
-        entries = _new(_TraceRows)._fill(ranks, c1_sqs, degrees, ws, seed.c1, ms)
+        entries = _trace_rows(ranks, c1_sqs, degrees, ws, seed.c1, ms)
         c1 = entries[-1].c1
         if (c1.self_intersection, c1.degree) != (q, p):
             raise RuntimeError(
@@ -598,7 +637,7 @@ def iterate_syzygy(seed: AnyNumerics, surface: DelPezzoSurface, k_max: int) -> S
                 f"the reduced (c1^2, c1.H) = ({q}, {p})"
             )
     else:
-        entries = _new(_TraceRows)._fill(ranks, c1_sqs, degrees, ws, None, None)
+        entries = _trace_rows(ranks, c1_sqs, degrees, ws, None, None)
     return SyzygyTrace(surface, seed, entries)
 
 
@@ -655,16 +694,17 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     independent oracle for it.  k = -1 returns the untwisted seed data,
     matching the base row of the rank-2 table form.
 
-    k has no upper bound: the ranks N_{k-1}, N_k come from one recurrence
-    pass, O(k) steps on integers of about k log2(alpha) bits, as in
-    :func:`rank_by_recurrence`.  The CLI caps k at 200.
+    k has no upper bound: the ranks N_{k-1}, N_k come from the recurrence
+    walk of :func:`rank_by_recurrence`, O(k) steps from a cold start, O(k - j)
+    after a walk to j <= k with the same d and r, on integers of about
+    k log2(alpha) bits.  The CLI caps k at 200.
     """
     _require_seed(seed, _BUNDLE, surface, k, "index k")
     d = surface.degree
     if k == -1:
         return seed.c1, seed.c2
     sign, m, _, _, c2 = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2,
-                                     k, *islice(_recurrence_ranks(d, seed.rank), k, k + 2))
+                                     k, *_rank_pair(d, seed.rank, k))
     return sign * seed.c1 + m * surface.anticanonical_class, c2
 
 
@@ -673,14 +713,15 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
 
     An exact seed is read through its reduced data, so every k, the seed row
     k = -1 included, gives a :class:`NumericClassData`.  The cost in k is that
-    of :func:`closed_syzygy_chern`: O(k) recurrence steps on integers of
+    of :func:`closed_syzygy_chern`: O(k) recurrence steps from a cold start,
+    O(k - j) after a walk to j <= k with the same d and r, on integers of
     about k log2(alpha) bits, with no upper bound on k.
     """
     _require_seed(seed, _NUMERICS, surface, k, "index k")
     d = surface.degree
     if k == -1:
         return reduce_numerics(seed)
-    n_prev, n_k = islice(_recurrence_ranks(d, seed.rank), k, k + 2)
+    n_prev, n_k = _rank_pair(d, seed.rank, k)
     _, _, *data = _closed_core(d, seed.rank, seed.c1_sq, seed.c1_dot_h, seed.c2, k, n_prev, n_k)
     return _trusted_numeric(n_k, *data)
 

@@ -16,7 +16,8 @@ from ulrich_lab import checks, cli
 REPO = Path(__file__).resolve().parent.parent
 HARNESS = REPO / "bench" / "layers.py"
 ROUTES = ("rank_by_recurrence", "rank_closed_form", "iterate_syzygy",
-          "closed_syzygy_chern_numeric", "closed_syzygy_chern", "rank_two_table_chern")
+          "closed_syzygy_chern_numeric", "closed_syzygy_chern", "rank_two_table_chern",
+          "recurrence_triple")
 
 
 def expected_rows() -> list[str]:
@@ -45,7 +46,7 @@ def test_one_repetition_writes_every_row(tmp_path):
     assert record["reference_cal_s"] > 0
     rows = record["rows"]
     assert sorted(rows) == sorted(expected_rows())
-    assert len(rows) == 83
+    assert len(rows) == 86
     for name, row in rows.items():
         assert type(row["ops"]) is int and row["ops"] > 0, name
         for form in ("rescaled_us", "raw_us"):

@@ -47,11 +47,11 @@ def _twin_shuffle(twin: random.Random, items: list) -> None:
 
 # Every integer range [lo, hi] the property checks draw from: the lattice
 # rank t, the bundle rank and c2, the scalar m, the degree d and the family size.
-RANDINT_RANGES = [(1, 6), (1, 5), (-20, 20), (-4, 4), (3, 8), (1, 4)]
+DRAW_RANGES = [(1, 6), (1, 5), (-20, 20), (-4, 4), (3, 8), (1, 4)]
 
 
-@pytest.mark.parametrize("lo,hi", RANDINT_RANGES, ids=lambda v: str(v))
-def test_below_draws_what_randint_draws(lo, hi):
+@pytest.mark.parametrize("lo,hi", DRAW_RANGES, ids=lambda v: str(v))
+def test_below_is_one_floor_draw_on_each_check_range(lo, hi):
     rng, twin = random.Random(hi - lo), random.Random(hi - lo)
     seen = set()
     for _ in range(2000):
@@ -62,7 +62,7 @@ def test_below_draws_what_randint_draws(lo, hi):
     assert rng.getstate() == twin.getstate()
 
 
-def test_below_draws_what_randrange_draws_from_the_seed_pool():
+def test_below_is_one_floor_draw_on_the_seed_pool():
     pool = [seed for seed in checks.default_seeds() if isinstance(seed[1], BundleNumerics)]
     rng, twin = random.Random(len(pool)), random.Random(len(pool))
     seen = set()
@@ -75,7 +75,7 @@ def test_below_draws_what_randrange_draws_from_the_seed_pool():
 
 
 @pytest.mark.parametrize("t", range(1, 7))
-def test_random_bundle_draws_what_randint_and_choices_draw(t):
+def test_random_bundle_draws_rank_and_c2_by_floor_and_c1_by_choices(t):
     rng, twin = random.Random(t), random.Random(t)
     ranks, c2s = set(), set()
     for _ in range(500):
@@ -91,7 +91,7 @@ def test_random_bundle_draws_what_randint_and_choices_draw(t):
 
 
 @pytest.mark.parametrize("n", range(9))
-def test_shuffle_is_random_shuffle(n):
+def test_shuffle_is_fisher_yates_on_floor_draws(n):
     rng, twin = random.Random(n), random.Random(n)
     orders = set()
     for _ in range(300):
@@ -106,7 +106,7 @@ def test_shuffle_is_random_shuffle(n):
 
 
 @pytest.mark.parametrize("t", range(1, 7))
-def test_random_permutation_is_a_shuffle_of_one_to_t(t):
+def test_random_permutation_is_a_floor_draw_shuffle_of_one_to_t(t):
     rng, twin = random.Random(t), random.Random(t)
     for _ in range(500):
         items = list(range(1, t + 1))

@@ -5,6 +5,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
+import sys
+import threading
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
@@ -48,6 +51,7 @@ from ulrich_lab.syzygy import _closed_core, _closed_form_ranks, _ring_mul
 
 S3 = make_surface(3)
 S4 = make_surface(4)
+S7 = make_surface(7)
 WITNESS_C1 = parse_divisor("(4;1,1,1,1,0)")
 WITNESS = BundleNumerics(2, WITNESS_C1, 4)
 
@@ -687,8 +691,8 @@ class TestTraceRows:
         assert [len(pickle.dumps(trace, protocol)) for protocol in protocols] == sizes
 
     def test_pickle_layout(self, surface, seed):
-        # Pickles carry (ranks, c1_sqs, degrees, c2s, c1, ms), whatever the
-        # columns the rows are kept in, so they load across that change.
+        # Pickles carry the columns (ranks, c1_sqs, degrees, ws, c1, ms) the
+        # rows are kept in, w = 2 c2 - c1^2, with no conversion either way.
         rows = iterate_syzygy(seed, surface, 7).entries
         reference = reference_rows(seed, surface, 7)
         exact = isinstance(seed, BundleNumerics)
@@ -696,9 +700,9 @@ class TestTraceRows:
         for row in reference[1:]:
             ms.append(row.rank - ms[-1])
         columns = [list(column) for column in zip(*(
-            (row.rank, row.c1_sq, row.c1_dot_h, row.c2) for row in reference))]
-        assert rows.__reduce__() == (type(rows), (*columns, seed.c1 if exact else None,
-                                                  ms if exact else None))
+            (row.rank, row.c1_sq, row.c1_dot_h, 2 * row.c2 - row.c1_sq) for row in reference))]
+        assert rows.__reduce__() == (syzygy_module._trace_rows,
+                                     (*columns, seed.c1 if exact else None, ms if exact else None))
 
     def test_last_row_and_drift_build_one_row(self, monkeypatch, surface, seed):
         built, original = [], syzygy_module._trusted_entry
@@ -817,8 +821,8 @@ class TestTraceToDict:
 
 
 # pickle.dumps(iterate_syzygy(WITNESS, S4, 7), 2) when the trace kept a c2
-# column: the rows must load from it unchanged, and a fresh trace must pickle
-# to the same bytes, so that code loads today's pickles too.
+# column, and while pickles carried c2 after the rows kept w: the rows must
+# load from it unchanged.
 C2_COLUMN_PICKLE = (
     b'\x80\x02culrich_lab.syzygy\nSyzygyTrace\nq\x00)\x81q\x01}q\x02(X\x07\x00\x00\x00surf'
     b'aceq\x03culrich_lab.picard\nDelPezzoSurface\nq\x04)\x81q\x05}q\x06X\x06\x00\x00\x00d'
@@ -834,13 +838,31 @@ C2_COLUMN_PICKLE = (
 )
 
 
+# pickle.dumps(iterate_syzygy(WITNESS, S4, 7), 2) since pickles carry the w
+# column, through syzygy._trace_rows.
+W_COLUMN_PICKLE = (
+    b'\x80\x02culrich_lab.syzygy\nSyzygyTrace\nq\x00)\x81q\x01}q\x02(X\x07\x00\x00\x00surfa'
+    b'ceq\x03culrich_lab.picard\nDelPezzoSurface\nq\x04)\x81q\x05}q\x06X\x06\x00\x00\x00deg'
+    b'reeq\x07K\x04sbX\x04\x00\x00\x00seedq\x08culrich_lab.chern\nBundleNumerics\nq\t)\x81q'
+    b'\n}q\x0b(X\x04\x00\x00\x00rankq\x0cK\x02X\x02\x00\x00\x00c1q\rculrich_lab.picard\nDiv'
+    b'isorClass\nq\x0e)\x81q\x0f}q\x10(X\x01\x00\x00\x00aq\x11K\x04X\x01\x00\x00\x00bq\x12('
+    b'K\x01K\x01K\x01K\x01K\x00tq\x13ubX\x02\x00\x00\x00c2q\x14K\x04ubX\x07\x00\x00\x00entr'
+    b'iesq\x15culrich_lab.syzygy\n_trace_rows\nq\x16(]q\x17(K\x02K\x06K\nK\x0eK\x12K\x16K'
+    b'\x1aK\x1eK"e]q\x18(K\x0cK<K\x8cK\xfcM\x8c\x01M<\x02M\x0c\x03M\xfc\x03M\x0c\x05e]q\x19'
+    b'(K\x08K\x10K\x18K K(K0K8K@KHe]q\x1a(J\xfc\xff\xff\xffJ\xfc\xff\xff\xffJ\xfc\xff\xff'
+    b'\xffJ\xfc\xff\xff\xffJ\xfc\xff\xff\xffJ\xfc\xff\xff\xffJ\xfc\xff\xff\xffJ\xfc\xff\xff'
+    b'\xffJ\xfc\xff\xff\xffeh\x0f]q\x1b(K\x00K\x06K\x04K\nK\x08K\x0eK\x0cK\x12K\x10etq\x1cR'
+    b'q\x1dub.'
+)
+
+
 def test_a_c2_column_pickle_loads():
     trace = iterate_syzygy(WITNESS, S4, 7)
     clone = pickle.loads(C2_COLUMN_PICKLE)
     assert type(clone.entries) is type(trace.entries)
     assert clone == trace and tuple(clone.entries) == reference_rows(WITNESS, S4, 7)
     assert discriminant_drift(clone) == [expected_moduli_dim(WITNESS)] * 9
-    assert pickle.dumps(trace, 2) == C2_COLUMN_PICKLE
+    assert pickle.dumps(trace, 2) == W_COLUMN_PICKLE
 
 
 def telescoped_loop(d, c1_sq, c1_dot_h, c2, ranks):
@@ -910,3 +932,141 @@ class TestClosedCoreIdentity:
         for data in self.DATA:
             self.check_range(3, r, 0, data)
             assert _closed_core(3, r, *data, 0, r, 2 * r)[:2] == (-1, 0)
+
+
+def _walk_seeds(d, r):
+    """Ulrich seeds of rank r with c1 = r H on degree d, exact and reduced."""
+    surface = make_surface(d)
+    c1 = r * surface.anticanonical_class
+    c2 = ulrich_c2(r, c1.self_intersection, surface)
+    return surface, BundleNumerics(r, c1, c2), NumericClassData(r, r * r * d, r * d, c2)
+
+
+def _walk_orders(rng, calls):
+    """(d, r, k) calls for d = 3..8, r = 1..5 and k = -1..300, in runs of one
+    (d, r) whose k go up, go down, repeat or jump, the runs switching d, r or both."""
+    out, d, r = [], 5, 2
+    while len(out) < calls:
+        switch = rng.choice(("d", "r", "both"))
+        if switch != "r":
+            d = rng.randrange(3, 9)
+        if switch != "d":
+            r = rng.randrange(1, 6)
+        ks = rng.sample(range(-1, 301), rng.randrange(1, 12))
+        shape = rng.choice(("up", "down", "repeat", "jump"))
+        if shape == "up":
+            ks.sort()
+        elif shape == "down":
+            ks.sort(reverse=True)
+        elif shape == "repeat":
+            ks = [ks[0]] * len(ks)
+        out += [(d, r, k) for k in ks]
+    return out
+
+
+class TestRankWalk:
+    """``_rank_pair`` resumes the last walk: every order of calls gives the
+    recurrence's ranks, and the closed routes fed from it their cold values."""
+
+    REFERENCE = {(d, r): own_ranks(d, r, 300) for d in range(3, 9) for r in range(1, 6)}
+
+    def pair(self, d, r, k):
+        ranks = self.REFERENCE[d, r]  # ranks[k + 1] = N_k, and N_{-2} = -r
+        return (ranks[k] if k >= 0 else -r), ranks[k + 1]
+
+    @pytest.mark.parametrize("order_seed", range(6))
+    def test_interleaved_orders_give_the_recurrence(self, order_seed):
+        rng = random.Random(order_seed)
+        for d, r, k in _walk_orders(rng, 400):
+            pair = self.pair(d, r, k)
+            route = rng.choice(("pair", "rank", "numeric", "exact"))
+            if route in ("numeric", "exact") and d == 3 and k > 0:
+                route = "rank"
+            if route == "pair":
+                assert syzygy_module._rank_pair(d, r, k) == pair
+            elif route == "rank":
+                assert rank_by_recurrence(d, r, k) == pair[1] \
+                    == next(islice(syzygy_module._recurrence_ranks(d, r), k + 1, None))
+            else:
+                surface, exact, reduced = _walk_seeds(d, r)
+                if k == -1:
+                    continue  # the seed row, no rank read
+                data = _closed_core(d, r, reduced.c1_sq, reduced.c1_dot_h, reduced.c2, k, *pair)
+                if route == "numeric":
+                    assert closed_syzygy_chern_numeric(reduced, surface, k) \
+                        == NumericClassData(pair[1], *data[2:])
+                else:
+                    sign, m, *_, c2 = data
+                    assert closed_syzygy_chern(exact, surface, k) \
+                        == (sign * exact.c1 + m * surface.anticanonical_class, c2)
+            assert syzygy_module._last_walk == (d, r, k, *pair)
+
+    def test_resumes_from_the_last_walk(self, monkeypatch):
+        starts, walk = [], syzygy_module._recurrence_walk
+
+        def recording(d, prev, cur):
+            starts.append((d, prev, cur))
+            return walk(d, prev, cur)
+
+        monkeypatch.setattr(syzygy_module, "_recurrence_walk", recording)
+        rank_by_recurrence(7, 3, 200)
+        assert starts == [(7, -3, 3)]
+        for route in (lambda: rank_by_recurrence(7, 3, 200),
+                      lambda: closed_syzygy_chern_numeric(_walk_seeds(7, 3)[2], S7, 200),
+                      lambda: closed_syzygy_chern(_walk_seeds(7, 3)[1], S7, 200)):
+            route()
+        assert starts == [(7, -3, 3)]  # the same k walks no step
+        rank_by_recurrence(7, 3, 250)
+        assert starts[1:] == [(7, *self.pair(7, 3, 200))]
+        for d, r, k in ((7, 3, 249), (7, 2, 260), (6, 2, 260)):
+            rank_by_recurrence(d, r, k)
+            assert starts[-1] == (d, -r, r)
+
+    REFUSED = [
+        (DegreeOutOfRange, lambda: rank_by_recurrence(2, 1, 5)),
+        (DegreeOutOfRange, lambda: rank_by_recurrence(9, 1, 5)),
+        (ValueError, lambda: rank_by_recurrence(5, 0, 5)),
+        (ValueError, lambda: rank_by_recurrence(5, 2, -2)),
+        (ValueError, lambda: rank_by_recurrence(5, 2, 1.0)),
+        (ValueError, lambda: closed_syzygy_chern(_walk_seeds(5, 2)[1], make_surface(5), -2)),
+        (ValueError,
+         lambda: closed_syzygy_chern_numeric(_walk_seeds(5, 2)[2], make_surface(5), -2)),
+        (NotUlrich, lambda: closed_syzygy_chern(
+            BundleNumerics(2, parse_divisor("(5;1,1,1,1)"), 3), make_surface(5), 4)),
+        (NotUlrich, lambda: closed_syzygy_chern_numeric(
+            NumericClassData(2, 20, 10, 3), make_surface(5), 4)),
+        (OutOfTheoremScope, lambda: closed_syzygy_chern(_walk_seeds(3, 2)[1], S3, 1)),
+        (OutOfTheoremScope, lambda: closed_syzygy_chern_numeric(_walk_seeds(3, 2)[2], S3, 1)),
+    ]
+
+    @pytest.mark.parametrize("refused", range(len(REFUSED)))
+    def test_a_refused_call_leaves_the_walk(self, refused):
+        error, call = self.REFUSED[refused]
+        rank_by_recurrence(5, 2, 40)
+        before = syzygy_module._last_walk
+        with pytest.raises(error):
+            call()
+        assert syzygy_module._last_walk is before
+
+    def test_threads_sweeping_their_own_rank_get_the_recurrence(self):
+        sweeps = {(4, 1): [], (5, 2): [], (7, 3): [], (8, 5): []}
+        ks = [*range(-1, 301, 3), *range(300, -2, -7), *range(0, 301, 11)]
+
+        def sweep(d, r):
+            for k in ks:
+                sweeps[d, r].append((k, syzygy_module._rank_pair(d, r, k),
+                                     rank_by_recurrence(d, r, k)))
+
+        threads = [threading.Thread(target=sweep, args=key) for key in sweeps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (d, r), results in sweeps.items():
+            assert results == [(k, self.pair(d, r, k), self.pair(d, r, k)[1]) for k in ks]
