@@ -10,7 +10,9 @@ operation on fixed inputs and reports microseconds per operation:
 - ``picard.*``: ``dot``, ``+``, ``parse_divisor`` and ``format_divisor`` on
   the 72² sums of two twisted cubics, and ``hash``, ``str`` and ``repr`` of
   a fresh class (one such sum, its memos unset) and of a census class (one
-  of the 72 cubics, its memos set);
+  of the 72 cubics, its memos set), and ``picard.classes_with.<name>``: the
+  lattice search ``picard._classes_with`` for the cubic surface's twisted
+  cubics, (x.H, x^2) = (3, 1), and lines, (1, -1);
 - ``chern.*``: ``tensor`` (rank 2 by rank 3), ``tensor_line``,
   ``twist_by_h`` and ``euler_char`` on the kernel bundles of the cubics;
 - ``syzygy.<route>.k<k>``: the six syzygy routes at k = 20, 200 and 1000 on
@@ -51,7 +53,7 @@ import statistics
 import subprocess
 import sys
 from collections import deque
-from itertools import cycle, repeat
+from itertools import cycle, repeat, starmap
 from operator import add
 from pathlib import Path
 from time import perf_counter
@@ -72,6 +74,7 @@ import ulrich_lab as U  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 from ulrich_lab import checks  # noqa: E402
 from ulrich_lab.cli import FORMATS, SEED_FILE_ENV, main as cli_main  # noqa: E402
+from ulrich_lab.picard import _classes_with  # noqa: E402
 
 CLI_ARGS = {
     "sequence": ("--d", "7", "--k-max", "200"),
@@ -85,6 +88,8 @@ CLI_ARGS = {
 # Operations per timed interval: enough that one interval of a fast row takes
 # a millisecond or more.
 SYZYGY_OPS = {20: 50, 200: 10, 1000: 2}
+CLASSES_WITH = {"cubics": (6, 3, 1), "lines": (6, 1, -1)}
+CLASSES_WITH_OPS = 20
 DECOMPOSE_OPS = {2: 20, 3: 2, 4: 1}
 
 # A group runs once per repetition and returns {row: (wall seconds, ops)}.
@@ -125,6 +130,9 @@ def _picard_rows() -> list[Group]:
                          lambda classes, fn=fn: _consume(map(fn, classes)), fresh))
         rows.append(_row(f"picard.{name}.census", n,
                          lambda _, fn=fn: _consume(map(fn, ys))))
+    for name, query in CLASSES_WITH.items():
+        rows.append(_row(f"picard.classes_with.{name}", CLASSES_WITH_OPS, lambda _, query=query:
+                         _consume(starmap(_classes_with, repeat(query, CLASSES_WITH_OPS)))))
     return rows
 
 

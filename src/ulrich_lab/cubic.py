@@ -1,8 +1,8 @@
 """Twisted cubic classes on the cubic surface and stable-sum decompositions.
 
 A twisted cubic on the cubic surface is a class T = (a;b) with T.H = 3 and
-T.T = 1.  All lie in the box 1 <= a <= 5, 0 <= b_i <= 2, where
-:func:`twisted_cubics` finds 72.  The tag is "ABCDE"[a - 1], and a tag's
+T.T = 1.  :func:`twisted_cubics` lists the 72 by ``picard._classes_with``, a
+search bounded by those two equations.  The tag is "ABCDE"[a - 1], and a tag's
 representative is its member with b descending.  So the tags are the orbits
 under permutations of the six exceptional coordinates:
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from operator import add, mul
 
 from .chern import (
@@ -47,6 +46,7 @@ from .picard import (
     DelPezzoSurface,
     DivisorClass,
     _as_tuple,
+    _classes_with,
     _require_int,
     _require_type,
     _shown,
@@ -58,11 +58,6 @@ from .syzygy import syzygy_numerics
 from .ulrich import is_ulrich_candidate
 
 CUBIC_SURFACE = make_surface(3)
-
-# The box of the cubics, by Cauchy-Schwarz on T.H = 3 and T.T = 1: (3a - 3)^2 <=
-# 6(a^2 - 1) bounds a to 1.._A_MAX, and (3a - 3 - b_i)^2 <= 5(a^2 - 1 - b_i^2),
-# on the five other b_j, bounds each b_i to 0.._B_MAX.
-_A_MAX, _B_MAX = 5, 2
 
 
 @dataclass(frozen=True)
@@ -97,16 +92,22 @@ def twisted_cubic_representative(tag: str) -> DivisorClass:
 @cache
 def twisted_cubics() -> tuple[TwistedCubicClass, ...]:
     """All 72 twisted cubic classes, sorted by (type_tag, coordinates)."""
-    found = sorted((a, b) for b in product(range(_B_MAX + 1), repeat=6)
-                   for a, rest in [divmod(3 + sum(b), 3)]  # T.H = 3 fixes a, in 1.._A_MAX
-                   if not rest and a * a - sum(map(mul, b, b)) == 1)
-    return tuple(TwistedCubicClass("ABCDE"[a - 1], DivisorClass(a, b)) for a, b in found)
+    return tuple(TwistedCubicClass("ABCDE"[a - 1], DivisorClass(a, b))
+                 for a, b in _classes_with(6, 3, 1))  # ascending (a, b): tag order
 
 
 @cache
 def _cubic_coord_index() -> dict[tuple[int, ...], int]:
     """Census index of each cubic, keyed by (a, b_1, ..., b_6) in census order."""
     return {(t.divisor.a, *t.divisor.b): i for i, t in enumerate(twisted_cubics())}
+
+
+@cache
+def _census_box() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The census coordinates (a, b_1, ..., b_6) in census order, and their
+    least and greatest value on each coordinate: the box of every cubic."""
+    coords = tuple(_cubic_coord_index())
+    return coords, tuple(map(min, *coords)), tuple(map(max, *coords))
 
 
 @cache
@@ -119,7 +120,7 @@ def _pair_table() -> dict[tuple[int, ...], tuple[int, ...]]:
     half the memory of a tuple of pairs.  Read it as ``zip(run, run)`` over
     one iterator ``run``.
     """
-    coords = list(_cubic_coord_index())
+    coords = _census_box()[0]
     table: dict[tuple[int, ...], list[int]] = {}
     for i, (s0, s1, s2, s3, s4, s5, s6) in enumerate(coords):
         for j, (t0, t1, t2, t3, t4, t5, t6) in enumerate(coords):
@@ -228,9 +229,8 @@ def decompose_stable_sum(
     _require_int(r, "number of parts r must be an integer in [2, 6]", lo=2, hi=6)
     if target.degree != 3 * r:
         return []
-    coords = list(_cubic_coord_index())
+    coords, low, high = _census_box()
     pair_table = _pair_table()
-    a_max, b_max = _A_MAX, _B_MAX
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -254,15 +254,14 @@ def decompose_stable_sum(
                         - (p4 + t4) * u4 - (p5 + t5) * u5 - (p6 + t6) * u6 >= last_need):
                     found.append((*chosen, i, j))
             return
-        # Every twisted cubic lies in the box 1 <= a <= a_max, 0 <= b_i <= b_max,
-        # so the remainder rem - t is fillable by `slots` of them only inside
-        # slots <= a <= a_max*slots, 0 <= b_i <= b_max*slots.
+        # Every cubic lies in the census's box low <= T <= high, so `slots` of them
+        # fill the remainder rem - T only if slots*low <= rem - T <= slots*high.
         m0, m1, m2, m3, m4, m5, m6 = rem
-        a_lo, a_hi, w = m0 - a_max * slots, m0 - slots, b_max * slots
+        l0, l1, l2, l3, l4, l5, l6 = [m - slots * hi for m, hi in zip(rem, high)]
+        h0, h1, h2, h3, h4, h5, h6 = [m - slots * lo for m, lo in zip(rem, low)]
         for i, (t0, t1, t2, t3, t4, t5, t6) in enumerate(coords):
-            if not (a_lo <= t0 <= a_hi and m1 - w <= t1 <= m1 and m2 - w <= t2 <= m2
-                    and m3 - w <= t3 <= m3 and m4 - w <= t4 <= m4
-                    and m5 - w <= t5 <= m5 and m6 - w <= t6 <= m6):
+            if not (l0 <= t0 <= h0 and l1 <= t1 <= h1 and l2 <= t2 <= h2 and l3 <= t3 <= h3
+                    and l4 <= t4 <= h4 and l5 <= t5 <= h5 and l6 <= t6 <= h6):
                 continue
             if depth and p0 * t0 - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5 - p6 * t6 < need:
                 continue
@@ -274,8 +273,8 @@ def decompose_stable_sum(
             chosen.pop()
 
     extend((0,) * 7, (target.a, *target.b))
-    # extend refers to itself through its closure: drop that cycle, so found,
-    # coords and chosen are freed on return rather than at the next collection.
+    # extend refers to itself through its closure: drop that cycle, so found
+    # and chosen are freed on return rather than at the next collection.
     extend = None
     if unordered:
         # Census order is sort_key order, so sorted indices name the multiset

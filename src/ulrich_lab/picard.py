@@ -90,8 +90,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 from operator import add, mul, neg, sub
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BadPermutation, DegreeOutOfRange, LatticeMismatch, ParseError
 
@@ -403,6 +404,39 @@ def permute_exceptionals(x: DivisorClass, p: Sequence[int]) -> DivisorClass:
     for image, value in zip(perm, x.b):
         coords[image - 1] = value
     return _trusted(x.a, tuple(coords))
+
+
+def _classes_with(t: int, dot_h: int, square: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every (a, b) with t <= 8 exceptional coordinates, 3a - sum(b) = dot_h
+    and a^2 - sum(b_i^2) = square, as int tuples in ascending (a, b) order.
+
+    Cauchy-Schwarz bounds the search: n ints with sum m and sum of squares q
+    have m^2 <= n q, so on all of b, (3a - dot_h)^2 <= t(a^2 - square).
+    """
+    lead = 9 - t
+    return tuple((a, b) for a in _between_roots(lead, 3 * dot_h, t * (dot_h * dot_h - lead * square))
+                 for b in _fillings(t, 3 * a - dot_h, a * a - square))
+
+
+def _fillings(n: int, m: int, q: int) -> Iterator[tuple[int, ...]]:
+    """Every int n-tuple with sum m and sum of squares q, in ascending order;
+    a first entry x leaves n - 1 entries with (m - x)^2 <= (n - 1)(q - x^2)."""
+    if not n:
+        if not m and not q:
+            yield ()
+        return
+    for x in _between_roots(n, m, (n - 1) * (n * q - m * m)):
+        for rest in _fillings(n - 1, m - x, q - x * x):
+            yield (x, *rest)
+
+
+def _between_roots(lead: int, center: int, disc: int) -> range:
+    """The ints x with (lead x - center)^2 <= disc, ascending, for lead > 0:
+    lead x - center is an int, so isqrt(disc) bounds it, with no float."""
+    if disc < 0:
+        return range(0)
+    root = isqrt(disc)
+    return range(-((root - center) // lead), (center + root) // lead + 1)
 
 
 def format_divisor(x: DivisorClass) -> str:

@@ -24,6 +24,7 @@ def expected_rows() -> list[str]:
     rows = ["picard.dot", "picard.add", "picard.parse_divisor", "picard.format_divisor"]
     rows += [f"picard.{op}.{kind}" for op in ("hash", "str", "repr")
              for kind in ("fresh", "census")]
+    rows += ["picard.classes_with.cubics", "picard.classes_with.lines"]
     rows += ["chern.tensor", "chern.tensor_line", "chern.twist_by_h", "chern.euler_char"]
     rows += [f"syzygy.{route}.k{k}" for route in ROUTES for k in (20, 200, 1000)]
     rows += [f"syzygy.trace_to_dict.k{k}" for k in (20, 200, 1000)]
@@ -46,7 +47,7 @@ def test_one_repetition_writes_every_row(tmp_path):
     assert record["reference_cal_s"] > 0
     rows = record["rows"]
     assert sorted(rows) == sorted(expected_rows())
-    assert len(rows) == 86
+    assert len(rows) == 88
     for name, row in rows.items():
         assert type(row["ops"]) is int and row["ops"] > 0, name
         for form in ("rescaled_us", "raw_us"):

@@ -8,6 +8,7 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -41,7 +42,7 @@ from ulrich_lab import (
     ulrich_c2,
 )
 from ulrich_lab import checks, chern, cubic
-from ulrich_lab.picard import _require_type
+from ulrich_lab.picard import _classes_with, _require_type
 
 T_A = twisted_cubic_representative("A")
 T_B = twisted_cubic_representative("B")
@@ -193,8 +194,9 @@ class TestCensus:
         assert twisted_cubics() == expanded
 
     def test_brute_force_over_a_wider_box(self):
-        # 7 * 5**6 = 109,375 candidates, one step past the census's box on
-        # every side, so the box is checked rather than assumed.
+        # 7 * 5**6 = 109,375 candidates, one step past every cubic's
+        # coordinates on every side, a route that shares nothing with the
+        # bounds of the lattice search the census is listed by.
         found = [(a, b) for a in range(0, 7) for b in itertools.product(range(-1, 4), repeat=6)
                  if 3 * a - sum(b) == 3 and a * a - sum(x * x for x in b) == 1]
         assert len(found) == 72
@@ -228,6 +230,79 @@ class TestCensus:
                 r"^class \(1;0,0,0,0,0\) has 5 exceptional coordinates, "
                 r"surface of degree 3 needs 6$")):
             is_twisted_cubic(DivisorClass(1, (0, 0, 0, 0, 0)))
+
+
+# |W(E_t)| on t = 9 - d, as the product of the degrees of the Weyl group of
+# the roots orthogonal to H: E6, D5, A4, A2 x A1, A1 and none.
+WEYL_ORDERS = {3: prod((2, 5, 6, 8, 9, 12)), 4: prod((2, 4, 5, 6, 8)), 5: prod((2, 3, 4, 5)),
+               6: prod((2, 3, 2)), 7: 2, 8: 1}
+
+
+def pairing(x, y):
+    return x[0] * y[0] - sum(p * q for p, q in zip(x[1], y[1]))
+
+
+def blow_down_structures(d):
+    """Each set of t = 9 - d pairwise-disjoint (-1)-curves, with T = (H + sum)/3.
+
+    The sets are the t-cliques of the disjointness graph of the curves, found
+    by a plain clique search; they come back as (indices, T, remainders mod 3).
+    """
+    t = 9 - d
+    lines = _classes_with(t, 1, -1)
+    later = [{j for j in range(i + 1, len(lines)) if pairing(lines[i], lines[j]) == 0}
+             for i in range(len(lines))]
+
+    def cliques(clique, candidates):
+        if len(clique) == t:
+            yield clique
+            return
+        for j in sorted(candidates):
+            yield from cliques((*clique, j), candidates & later[j])
+
+    structures = []
+    for clique in cliques((), set(range(len(lines)))):
+        total = [3 + sum(lines[i][0] for i in clique)]
+        total += [1 + sum(lines[i][1][k] for i in clique) for k in range(t)]
+        quotients = [divmod(x, 3) for x in total]
+        t_class = (quotients[0][0], tuple(q for q, _ in quotients[1:]))
+        structures.append((clique, t_class, {rest for _, rest in quotients}))
+    return lines, structures
+
+
+class TestBlowDownStructures:
+    """A second route to the census that never solves T.H = 3, T.T = 1: the
+    classes pulled back from the plane by contracting t disjoint lines."""
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_every_structure_is_integral(self, d):
+        _, structures = blow_down_structures(d)
+        assert all(rests == {0} for _, _, rests in structures)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_counts_are_the_weyl_order_over_t_factorial(self, d):
+        _, structures = blow_down_structures(d)
+        assert len(structures) * factorial(9 - d) == WEYL_ORDERS[d]
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_the_classes_are_the_search_at_3_1(self, d):
+        _, structures = blow_down_structures(d)
+        classes = [t_class for _, t_class, _ in structures]
+        assert len(set(classes)) == len(classes)
+        assert set(classes) == set(_classes_with(9 - d, 3, 1))
+
+    def test_on_the_cubic_they_are_the_census(self):
+        _, structures = blow_down_structures(3)
+        census = {(t.divisor.a, t.divisor.b) for t in twisted_cubics()}
+        assert {t_class for _, t_class, _ in structures} == census
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_each_class_misses_exactly_its_own_lines_and_is_nef_on_all(self, d):
+        lines, structures = blow_down_structures(d)
+        for clique, t_class, _ in structures:
+            meets = [pairing(t_class, line) for line in lines]
+            assert {i for i, m in enumerate(meets) if m == 0} == set(clique)
+            assert min(meets) >= 0
 
 
 class TestKernelBundle:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import re
@@ -458,3 +459,63 @@ class TestTextFormat:
         except ParseError:
             return
         assert isinstance(result, DivisorClass)
+
+
+# (x.H, x^2) of each special class on degree d, and its counts on d = 3..8.
+SPECIAL_CLASSES = {
+    "roots": (lambda d: (0, -2), (72, 40, 20, 8, 2, 0)),
+    "lines": (lambda d: (1, -1), (27, 16, 10, 6, 3, 1)),
+    "rank-1-ulrich": (lambda d: (d, d - 2), (72, 40, 20, 8, 2, 0)),
+    "cubics": (lambda d: (3, 1), (72, 16, 5, 2, 1, 1)),
+}
+# The brute force's range of each b_i: one step past the solutions on both
+# sides, since every class above has -1 <= b_i <= 2.
+BRUTE_FORCE_B = range(-2, 4)
+
+
+def brute_force_classes(t, dot_h, square):
+    """The set of (a, b) with b in the box and a solved from x.H = dot_h."""
+    found = set()
+    for b in itertools.product(BRUTE_FORCE_B, repeat=t):
+        a, rest = divmod(dot_h + sum(b), 3)
+        if not rest and a * a - sum(x * x for x in b) == square:
+            found.add((a, b))
+    return found
+
+
+class TestClassesWith:
+    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("name", SPECIAL_CLASSES)
+    def test_counts_and_the_brute_force(self, name, d):
+        query, counts = SPECIAL_CLASSES[name]
+        found = picard_module._classes_with(9 - d, *query(d))
+        assert len(found) == counts[d - 3]
+        assert all(x < y for x, y in zip(found, found[1:]))
+        brute = brute_force_classes(9 - d, *query(d))
+        assert set(found) == brute
+        assert all(-1 <= x <= 2 for _, b in brute for x in b)  # inside the box
+
+    @pytest.mark.parametrize("t,dot_h,square,count", [
+        (7, 0, -2, 126), (8, 0, -2, 240), (7, 1, -1, 56), (8, 1, -1, 240)])
+    def test_e7_and_e8(self, t, dot_h, square, count):
+        found = picard_module._classes_with(t, dot_h, square)
+        assert len(found) == count
+        assert all(x < y for x, y in zip(found, found[1:]))
+        for a, b in found:
+            assert len(b) == t
+            assert (3 * a - sum(b), a * a - sum(x * x for x in b)) == (dot_h, square)
+
+    def test_output_is_int_tuples(self):
+        for a, b in picard_module._classes_with(6, 3, 1):
+            assert type(a) is int and type(b) is tuple and {type(x) for x in b} == {int}
+
+    def test_bounds_are_exact_past_float_precision(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            lead, center = rng.randint(1, 9), rng.randint(-10 ** 40, 10 ** 40)
+            root = rng.randint(1, 10 ** 30)
+            disc = root * root + rng.choice((-1, 0, 1, 2 * root))
+            span = picard_module._between_roots(lead, center, disc)
+            assert (lead * span[0] - center) ** 2 <= disc < (lead * (span[0] - 1) - center) ** 2
+            assert (lead * span[-1] - center) ** 2 <= disc < (lead * (span[-1] + 1) - center) ** 2
+        assert picard_module._between_roots(3, 7, -1) == range(0)

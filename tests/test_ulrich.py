@@ -41,6 +41,7 @@ from ulrich_lab import (
     ulrich_profile,
 )
 from ulrich_lab.checks import default_seeds
+from ulrich_lab.picard import _classes_with
 
 S3 = make_surface(3)
 S4 = make_surface(4)
@@ -318,3 +319,30 @@ class TestCandidates:
     def test_foreign_lattice_refused(self, surface, f):
         with pytest.raises(LatticeMismatch):
             is_ulrich_candidate(f, surface)
+
+
+class TestRankOneUlrichClasses:
+    """The lattice search at (x.H, x^2) = (d, d - 2): the c1 of the Ulrich
+    line bundles, which are H plus a root of H's orthogonal complement."""
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_they_are_h_plus_the_roots(self, d):
+        surface = make_surface(d)
+        h = surface.anticanonical_class
+        shifted = {h + DivisorClass(a, b) for a, b in _classes_with(9 - d, 0, -2)}
+        assert {DivisorClass(a, b) for a, b in _classes_with(9 - d, d, d - 2)} == shifted
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_each_is_an_ulrich_candidate(self, d):
+        surface = make_surface(d)
+        for a, b in _classes_with(9 - d, d, d - 2):
+            assert is_ulrich_candidate(BundleNumerics(1, DivisorClass(a, b), 0), surface)
+
+    def test_on_the_cubic_they_are_the_census(self):
+        assert list(_classes_with(6, 3, 1)) == [(t.divisor.a, t.divisor.b) for t in twisted_cubics()]
+
+    def test_the_quartic_seed_is_one(self):
+        seeds = [f.c1 for surface, f in default_seeds()
+                 if surface.degree == 4 and f.rank == 1 and isinstance(f, BundleNumerics)]
+        assert seeds == [DivisorClass(2, (1, 1, 0, 0, 0))]
+        assert (2, (1, 1, 0, 0, 0)) in _classes_with(5, 4, 2)
