@@ -19,10 +19,11 @@ operation on fixed inputs and reports microseconds per operation:
   the rank-2 Ulrich seed c1 = (5;1,0), c2 = 7 of degree 7
   (``iterate_syzygy`` reads the trace's last row), where
   ``rank_by_recurrence`` and the two closed Chern routes alternate it with
-  the rank-3 seed c1 = 3H, so that each operation walks the rank recurrence
-  from a cold start; ``syzygy.recurrence_triple.k<k>``: those three routes
-  at one (d, r, k), in syzygy-deep's order, alternating the seeds the same
-  way; and ``syzygy.trace_to_dict.k<k>``: ``SyzygyTrace.to_dict`` of a fresh
+  the rank-3 seed c1 = 3H, because those routes reuse the walk of the last
+  (d, r, k), so that each operation walks the rank recurrence from the start;
+  ``syzygy.recurrence_triple.k<k>``: those three routes at one (d, r, k), in
+  syzygy-deep's order, alternating the seeds the same way; and
+  ``syzygy.trace_to_dict.k<k>``: ``SyzygyTrace.to_dict`` of a fresh
   ``iterate_syzygy`` trace of the rank-2 seed, the trace made untimed;
 - ``cubic.chi_pair_oracle.all_pairs``: one pass of ``chi_pair_oracle`` over
   the 72² ordered pairs of cubics;
@@ -156,10 +157,10 @@ def _chern_rows() -> list[Group]:
 def _syzygy_rows() -> list[Group]:
     surface = U.make_surface(7)
     seed = U.BundleNumerics(2, U.DivisorClass(5, (1, 0)), 7)
-    # rank_by_recurrence and the two closed Chern routes resume the last
-    # recurrence walk of the same (d, r).  Their operations alternate this seed
-    # with a rank-3 one, c1 = 3H, drawn from one cycle across every such row, so
-    # each operation walks from a cold start.
+    # rank_by_recurrence and the two closed Chern routes reuse the recurrence
+    # walk of the last (d, r, k).  Their operations alternate this seed with a
+    # rank-3 one, c1 = 3H, drawn from one cycle across every such row, so each
+    # operation walks from the start.
     other = U.BundleNumerics(3, 3 * surface.anticanonical_class, U.ulrich_c2(3, 63, surface))
     alternating = cycle([(seed, U.reduce_numerics(seed)), (other, U.reduce_numerics(other))])
     routes = {

@@ -62,10 +62,10 @@ The sum telescopes, and the recurrence closes what is left (see
 :func:`_closed_core`), so the closed Chern data of S_k need only the two
 ranks N_{k-1} and N_k: one closed-form walk for :func:`rank_two_table_chern`,
 and for :func:`closed_syzygy_chern` and :func:`closed_syzygy_chern_numeric`
-the recurrence walk of :func:`rank_by_recurrence`, ``_rank_pair``.  It keeps
-its last walk, so it costs O(k) steps from a cold start, O(k - j) after a
-walk to j <= k with the same d and r, and the three routes checked at one k
-walk once.  :func:`iterate_syzygy` steps in the reduced
+the recurrence walk of :func:`rank_by_recurrence`, ``_rank_pair``.  Each
+route costs O(k) steps, and ``_rank_pair`` caches its last (d, r, k), so the
+three routes checked at one (d, r, k) share one walk.  :func:`iterate_syzygy`
+steps in the reduced
 data (rank, c1^2, c1.H, 2 c2 - c1^2) and keeps them as columns of k + 2 ints;
 for an exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
 c1(S_k) = -c1(S_{k-1}) + N_k H = (-1)^{k+1} c1(E) + M_k H gives the exact
@@ -93,6 +93,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, count, islice
 from typing import Iterator
 
@@ -256,11 +257,11 @@ class QuadraticNumber:
 def rank_by_recurrence(d: int, r: int, k: int) -> int:
     """N_k via N_{-1} = r, N_0 = r(d-1), N_k = (d-2)N_{k-1} - N_{k-2}.
 
-    k has no upper bound.  The cost is O(k) steps from a cold start, O(k - j)
-    after a walk to j <= k with the same d and r (see ``_rank_pair``), on
-    integers of about k log2(alpha) bits (about 1.4 bits per step at d = 5,
-    2.5 at d = 8, and linear growth at d = 4), so k = 10**30 never finishes;
-    the CLI caps k at 200.
+    k has no upper bound.  The cost is O(k) steps, shared with the closed Chern
+    routes checked at the same (d, r, k) (see ``_rank_pair``), on integers of
+    about k log2(alpha) bits (about 1.4 bits per step at d = 5, 2.5 at d = 8,
+    and linear growth at d = 4), so k = 10**30 never finishes; the CLI caps k
+    at 200.
     """
     _require_int(d, _DEGREE_RANGE, DegreeOutOfRange, MIN_DEGREE, MAX_DEGREE)
     _require_int(r, _RANK_RULE, lo=1)
@@ -285,27 +286,13 @@ def _recurrence_ranks(d: int, r: int) -> Iterator[int]:
     return _recurrence_walk(d, r, r * (d - 1))
 
 
-# The last walk of _rank_pair, (d, r, k, N_{k-1}, N_k).  It is only ever
-# rebound as one whole tuple and read once per call, so a thread that reads it
-# sees one walk's values, never a mix of two.
-_last_walk: tuple = (None, None, -1, 0, 0)
-
-
+@lru_cache(maxsize=1)
 def _rank_pair(d: int, r: int, k: int) -> tuple[int, int]:
-    """(N_{k-1}, N_k) for checked d, r and k >= -1, walking from the last walk.
+    """(N_{k-1}, N_k) for checked d, r and k >= -1, walked from (N_{-2}, N_{-1}) = (-r, r).
 
-    A caller that checks one k across routes, or sweeps k upwards, pays each
-    step once: the walk resumes from ``_last_walk`` when d and r match and its
-    k is at most this k, and from (N_{-2}, N_{-1}) = (-r, r) otherwise.
+    The cache keeps the last (d, r, k), so the routes checked at one k walk once.
     """
-    global _last_walk
-    last_d, last_r, j, prev, cur = _last_walk
-    if last_d != d or last_r != r or j > k:
-        j, prev, cur = -1, -r, r
-    if j != k:
-        prev, cur = islice(_recurrence_walk(d, prev, cur), k - j, k - j + 2)
-    _last_walk = (d, r, k, prev, cur)
-    return prev, cur
+    return tuple(islice(_recurrence_walk(d, -r, r), k + 1, k + 3))
 
 
 def _ring_mul(u: tuple[int, int], v: tuple[int, int], radicand: int) -> tuple[int, int]:
@@ -537,9 +524,19 @@ class SyzygyTrace:
             object.__setattr__(self, "entries", entries)
 
     def entry(self, k: int) -> TraceEntry:
-        # Entries run contiguously from k = -1.
-        if _is_int(k) and -1 <= k < len(self.entries) - 1:
-            return self.entries[k + 1]
+        """The first row whose ``k`` is k; KeyError if there is none.
+
+        The rows of an :func:`iterate_syzygy` trace run from k = -1, so row k
+        is ``entries[k + 1]``; any other rows are searched in order.
+        """
+        entries = self.entries
+        if _is_int(k):
+            if type(entries) is not _TraceRows:
+                for row in entries:
+                    if row.k == k:
+                        return row
+            elif -1 <= k < len(entries) - 1:
+                return entries[k + 1]
         raise KeyError(f"no trace entry for k = {_shown(k, str)}")
 
     def to_dict(self) -> dict:
@@ -695,9 +692,9 @@ def closed_syzygy_chern(seed: BundleNumerics, surface: DelPezzoSurface, k: int) 
     matching the base row of the rank-2 table form.
 
     k has no upper bound: the ranks N_{k-1}, N_k come from the recurrence
-    walk of :func:`rank_by_recurrence`, O(k) steps from a cold start, O(k - j)
-    after a walk to j <= k with the same d and r, on integers of about
-    k log2(alpha) bits.  The CLI caps k at 200.
+    walk of :func:`rank_by_recurrence`, O(k) steps on integers of about
+    k log2(alpha) bits, one walk for the routes checked at the same (d, r, k).
+    The CLI caps k at 200.
     """
     _require_seed(seed, _BUNDLE, surface, k, "index k")
     d = surface.degree
@@ -713,9 +710,9 @@ def closed_syzygy_chern_numeric(seed: NumericClassData, surface: DelPezzoSurface
 
     An exact seed is read through its reduced data, so every k, the seed row
     k = -1 included, gives a :class:`NumericClassData`.  The cost in k is that
-    of :func:`closed_syzygy_chern`: O(k) recurrence steps from a cold start,
-    O(k - j) after a walk to j <= k with the same d and r, on integers of
-    about k log2(alpha) bits, with no upper bound on k.
+    of :func:`closed_syzygy_chern`: O(k) recurrence steps, one walk for the
+    routes checked at the same (d, r, k), on integers of about k log2(alpha)
+    bits, with no upper bound on k.
     """
     _require_seed(seed, _NUMERICS, surface, k, "index k")
     d = surface.degree

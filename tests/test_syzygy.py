@@ -287,6 +287,21 @@ class TestIteration:
         for missing in (-2, 4, 100, True, False, 1.0):
             with pytest.raises(KeyError):
                 trace.entry(missing)
+        # Rows passed to the constructor are found by their own k, not by position.
+        surface, seed, _ = _walk_seeds(5, 2)
+        rows = iterate_syzygy(seed, surface, 12).entries
+        tail = SyzygyTrace(surface, seed, rows[5:])
+        assert [tail.entry(k) for k in range(4, 13)] == list(rows[5:])
+        assert tail.entry(4).k == 4 and tail.entry(12).k == 12
+        for missing in (-1, 3, 13, True, 4.0):
+            with pytest.raises(KeyError) as refused:
+                tail.entry(missing)
+            assert refused.value.args == (f"no trace entry for k = {missing}",)
+        backwards = SyzygyTrace(surface, seed, rows[::-1])
+        assert [backwards.entry(k) for k in range(-1, 13)] == list(rows)
+        copies = tuple(map(copy.copy, rows))
+        doubled = SyzygyTrace(surface, seed, (*copies, *rows))
+        assert all(doubled.entry(k) is copies[k + 1] for k in range(-1, 13))
 
 
 class TestLoopRefusals:
@@ -965,7 +980,7 @@ def _walk_orders(rng, calls):
 
 
 class TestRankWalk:
-    """``_rank_pair`` resumes the last walk: every order of calls gives the
+    """``_rank_pair`` caches its last (d, r, k): every order of calls gives the
     recurrence's ranks, and the closed routes fed from it their cold values."""
 
     REFERENCE = {(d, r): own_ranks(d, r, 300) for d in range(3, 9) for r in range(1, 6)}
@@ -999,9 +1014,8 @@ class TestRankWalk:
                     sign, m, *_, c2 = data
                     assert closed_syzygy_chern(exact, surface, k) \
                         == (sign * exact.c1 + m * surface.anticanonical_class, c2)
-            assert syzygy_module._last_walk == (d, r, k, *pair)
 
-    def test_resumes_from_the_last_walk(self, monkeypatch):
+    def test_walks_once_per_d_r_k(self, monkeypatch):
         starts, walk = [], syzygy_module._recurrence_walk
 
         def recording(d, prev, cur):
@@ -1009,18 +1023,18 @@ class TestRankWalk:
             return walk(d, prev, cur)
 
         monkeypatch.setattr(syzygy_module, "_recurrence_walk", recording)
+        syzygy_module._rank_pair.cache_clear()
         rank_by_recurrence(7, 3, 200)
         assert starts == [(7, -3, 3)]
         for route in (lambda: rank_by_recurrence(7, 3, 200),
                       lambda: closed_syzygy_chern_numeric(_walk_seeds(7, 3)[2], S7, 200),
                       lambda: closed_syzygy_chern(_walk_seeds(7, 3)[1], S7, 200)):
             route()
-        assert starts == [(7, -3, 3)]  # the same k walks no step
-        rank_by_recurrence(7, 3, 250)
-        assert starts[1:] == [(7, *self.pair(7, 3, 200))]
-        for d, r, k in ((7, 3, 249), (7, 2, 260), (6, 2, 260)):
-            rank_by_recurrence(d, r, k)
+        assert starts == [(7, -3, 3)]  # the same (d, r, k) walks no step
+        for d, r, k in ((7, 3, 250), (7, 3, 249), (7, 3, 250), (7, 2, 250), (6, 2, 250)):
+            assert rank_by_recurrence(d, r, k) == self.pair(d, r, k)[1]
             assert starts[-1] == (d, -r, r)
+        assert len(starts) == 6  # every other (d, r, k) walks from the start
 
     REFUSED = [
         (DegreeOutOfRange, lambda: rank_by_recurrence(2, 1, 5)),
@@ -1043,10 +1057,12 @@ class TestRankWalk:
     def test_a_refused_call_leaves_the_walk(self, refused):
         error, call = self.REFUSED[refused]
         rank_by_recurrence(5, 2, 40)
-        before = syzygy_module._last_walk
+        before = syzygy_module._rank_pair.cache_info()
         with pytest.raises(error):
             call()
-        assert syzygy_module._last_walk is before
+        assert syzygy_module._rank_pair.cache_info() == before
+        assert syzygy_module._rank_pair(5, 2, 40) == self.pair(5, 2, 40)
+        assert syzygy_module._rank_pair.cache_info().hits == before.hits + 1
 
     def test_threads_sweeping_their_own_rank_get_the_recurrence(self):
         sweeps = {(4, 1): [], (5, 2): [], (7, 3): [], (8, 5): []}
