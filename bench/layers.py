@@ -27,8 +27,12 @@ operation on fixed inputs and reports microseconds per operation:
   ``iterate_syzygy`` trace of the rank-2 seed, the trace made untimed;
 - ``cubic.chi_pair_oracle.all_pairs``: one pass of ``chi_pair_oracle`` over
   the 72² ordered pairs of cubics;
-- ``cubic.decompose_stable_sum.r<r>``: the ordered decompositions of rH,
-  r = 2, 3 and 4;
+- ``cubic.decompose_stable_sum.r<r>``: the ordered decompositions of rH
+  alternated with those of its neighbour rH - E_1 + E_2, r = 2, 3 and 4
+  (the search keeps its last (target, r), so each operation searches); and
+  ``cubic.decompose_pair.r<r>``: cubic-search's ordered-then-unordered pair
+  at one target, alternating the same two, r = 2 and 3.  A run stops
+  unless each of these operations made exactly one search;
 - ``checks.<name>``: each check of one ``run_all_checks()``;
 - ``cli.<subcommand>.<format>``: one in-process invocation of every
   subcommand in every format, on the fixed arguments of ``CLI_ARGS``.
@@ -75,6 +79,7 @@ import ulrich_lab as U  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 from ulrich_lab import checks  # noqa: E402
 from ulrich_lab.cli import FORMATS, SEED_FILE_ENV, main as cli_main  # noqa: E402
+from ulrich_lab.cubic import _stable_sums  # noqa: E402
 from ulrich_lab.picard import _classes_with  # noqa: E402
 
 CLI_ARGS = {
@@ -91,7 +96,8 @@ CLI_ARGS = {
 SYZYGY_OPS = {20: 50, 200: 10, 1000: 2}
 CLASSES_WITH = {"cubics": (6, 3, 1), "lines": (6, 1, -1)}
 CLASSES_WITH_OPS = 20
-DECOMPOSE_OPS = {2: 20, 3: 2, 4: 1}
+DECOMPOSE_OPS = {2: 20, 3: 2, 4: 2}
+DECOMPOSE_PAIR_OPS = {2: 20, 3: 2}
 
 # A group runs once per repetition and returns {row: (wall seconds, ops)}.
 Group = Callable[[], dict[str, tuple[float, int]]]
@@ -200,12 +206,35 @@ def _cubic_rows() -> list[Group]:
         for m in kernels:
             _consume(map(U.chi_pair_oracle, repeat(m), census, repeat(surface)))
 
-    h = surface.hyperplane_class
+    def pair(target, r):
+        U.decompose_stable_sum(target, r)
+        U.decompose_stable_sum(target, r, unordered=True)
+
     rows = [_row("cubic.chi_pair_oracle.all_pairs", 1, oracle_pass)]
-    rows += [_row(f"cubic.decompose_stable_sum.r{r}", ops, lambda _, r=r, ops=ops: _consume(
-                 U.decompose_stable_sum(r * h, r) for _ in range(ops)))
+    rows += [_searching(f"cubic.decompose_stable_sum.r{r}", ops, U.decompose_stable_sum, r)
              for r, ops in DECOMPOSE_OPS.items()]
+    rows += [_searching(f"cubic.decompose_pair.r{r}", ops, pair, r)
+             for r, ops in DECOMPOSE_PAIR_OPS.items()]
     return rows
+
+
+def _searching(name: str, ops: int, call: Callable, r: int) -> Group:
+    """A row of ``ops`` calls ``call(target, r)`` from an empty search cache,
+    the target alternating rH and rH - E_1 + E_2, that stops the run unless
+    each call searched once: ``_stable_sums`` keeps the last (target, r), so
+    one target would search only on its first call."""
+    d = U.DivisorClass
+    targets = cycle([d(3 * r, (r,) * 6), d(3 * r, (r + 1, r - 1) + (r,) * 4)])
+    timed = _row(name, ops, lambda _: _consume(call(next(targets), r) for _ in range(ops)))
+
+    def group():
+        _stable_sums.cache_clear()  # untimed, and zeroes the counts
+        walls = timed()
+        searches = _stable_sums.cache_info().misses
+        if searches != ops:
+            raise RuntimeError(f"{name}: {searches} searches in {ops} operations")
+        return walls
+    return group
 
 
 def _checks_group() -> dict[str, tuple[float, int]]:

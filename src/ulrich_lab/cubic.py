@@ -18,9 +18,14 @@ Sums T_1 + ... + T_r of twisted cubics whose partial sums satisfy
 
 are exactly the first Chern classes of rank-r Ulrich bundles built as
 iterated extensions; :func:`decompose_stable_sum` searches for all such
-ordered tuples.  The Euler characteristic controlling the extension
-spaces has the closed form chi = 2(j-1) - sum of the pairings, checked
-against a Riemann-Roch computation in :func:`chi_pair_oracle`.
+ordered tuples.  There is one search per (target, r): ``_stable_sums``, a
+one-entry cache, keeps the last one as r census-index bytes per tuple
+(9.6 MB at 5H, r = 5), so the ordered and the unordered call at one
+(target, r) share it.  The cache is consulted after the guards, so a
+refused call leaves it unchanged.  The Euler characteristic controlling
+the extension spaces has the closed form chi = 2(j-1) - sum of the
+pairings, checked against a Riemann-Roch computation in
+:func:`chi_pair_oracle`.
 
 The rank-2r partner of an Ulrich F and the kernel bundle M_T of a cubic are
 both the first syzygy bundle S_0 = ker(H^0(F) (x) O -> F).
@@ -29,7 +34,7 @@ both the first syzygy bundle S_0 = ker(H^0(F) (x) O -> F).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from operator import add, mul
 
 from .chern import (
@@ -210,35 +215,70 @@ def decompose_stable_sum(
     valid ordering of each multiset.  ``CUBIC_SURFACE.require`` refuses a
     target on another lattice, and r must be an int in 2..6 (``ValueError``).
 
-    The backtracking runs on plain integer tuples (a, b_1, ..., b_6) and
-    census indices, never on :class:`DivisorClass`.  Each of the first
-    r - 2 parts is scanned over the 72 cubics, kept only if its pairing
-    with the partial sum is large enough and the remainder still fits
-    the box that the remaining parts can fill.  The last two parts are
-    forced to sum to the remainder, so they come from one lookup in the
-    table of all ordered pairs of cubics keyed by their sum, and each
-    listed pair is then given its two pairing tests.  One level up, with
-    three parts left, a part whose remainder is no sum of two cubics is
-    skipped before the search descends.  Result objects are built only
-    for the tuples returned; :meth:`StableSumDecomposition.validate`
-    rechecks any of them with its own loop over the coordinates, which
-    shares no code with the unrolled loops here.
+    The search itself is :func:`_stable_sums`, a one-entry cache keyed on
+    the target's coordinates (a, b_1, ..., b_6) and r, so the ordered and
+    the unordered call at one (target, r) search once.  It is consulted
+    only after the guards and the degree test, so a refused call, or a
+    target whose degree is not 3r, leaves it unchanged.  It keeps r bytes
+    per tuple of the last search (9.6 MB at 5H, r = 5), and the result
+    objects are built fresh on each call, on the caller's ``target``.
+    :meth:`StableSumDecomposition.validate` rechecks any of them with its
+    own loop over the coordinates, which shares no code with the search.
     """
     _require_type(target, (DivisorClass,), "target")
     CUBIC_SURFACE.require(target)
     _require_int(r, "number of parts r must be an integer in [2, 6]", lo=2, hi=6)
     if target.degree != 3 * r:
         return []
+    run = _stable_sums((target.a, *target.b), r)
+    part = twisted_cubics().__getitem__
+    if unordered:
+        # Census order is sort_key order, so sorted indices name the multiset
+        # and index order is the lexicographic order of the part sequences.
+        # The run is already in that order: the first ordering met of each
+        # multiset is its least, and the kept orderings stay in order.
+        best: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for indices in zip(*[iter(run)] * r):
+            multiset = tuple(sorted(indices))
+            if multiset not in best:
+                best[multiset] = indices
+        return [_trusted_decomposition(target, tuple(map(part, indices)))
+                for indices in best.values()]
+    # zip over r references to one iterator reads the run r parts at a time.
+    return [_trusted_decomposition(target, parts) for parts in zip(*[map(part, run)] * r)]
+
+
+@lru_cache(maxsize=1)
+def _stable_sums(start: tuple[int, ...], r: int) -> bytes:
+    """The stable r-tuples of cubics summing to ``start`` = (a, b_1, ..., b_6).
+
+    One flat run of census indices, r per tuple, the tuples in
+    lexicographic order; each index is below 72, so a tuple costs r bytes.
+    :func:`decompose_stable_sum` calls it after its guards, with r an int
+    in 2..6 and a target of degree 3r.
+
+    The backtracking runs on plain integer tuples and census indices, never
+    on :class:`DivisorClass`.  Each of the first r - 2 parts is scanned over
+    the 72 cubics, kept only if its pairing with the partial sum is large
+    enough and the remainder still fits the box that the remaining parts can
+    fill.  The last two parts are forced to sum to the remainder, so they
+    come from one lookup in the table of all ordered pairs of cubics keyed
+    by their sum, and each listed pair is then given its two pairing tests.
+    One level up, with three parts left, a part whose remainder is no sum of
+    two cubics is skipped before the search descends.  Each node builds its
+    prefix of chosen indices once, and each found tuple is that prefix and
+    its last two indices, appended to one ``bytearray``.
+    """
     coords, low, high = _census_box()
     pair_table = _pair_table()
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    found = bytearray()
+    put_prefix, put = found.extend, found.append
 
     # The pairing (a;b).(a';b') = a*a' - sum(b_i*b_i') and the box test are
     # spelled out over the seven coordinates: these loops are the cost of
     # the search, and generic zip/sum versions of them run 5-9 times slower.
-    def extend(partial: tuple[int, ...], rem: tuple[int, ...]) -> None:
-        depth = len(chosen)
+    def extend(partial: tuple[int, ...], rem: tuple[int, ...], prefix: bytes) -> None:
+        depth = len(prefix)
         need = 2 * depth + 1
         slots = r - depth - 1
         p0, p1, p2, p3, p4, p5, p6 = partial
@@ -252,7 +292,9 @@ def decompose_stable_sum(
                 u0, u1, u2, u3, u4, u5, u6 = coords[j]
                 if ((p0 + t0) * u0 - (p1 + t1) * u1 - (p2 + t2) * u2 - (p3 + t3) * u3
                         - (p4 + t4) * u4 - (p5 + t5) * u5 - (p6 + t6) * u6 >= last_need):
-                    found.append((*chosen, i, j))
+                    put_prefix(prefix)
+                    put(i)
+                    put(j)
             return
         # Every cubic lies in the census's box low <= T <= high, so `slots` of them
         # fill the remainder rem - T only if slots*low <= rem - T <= slots*high.
@@ -268,25 +310,14 @@ def decompose_stable_sum(
             rest = (m0 - t0, m1 - t1, m2 - t2, m3 - t3, m4 - t4, m5 - t5, m6 - t6)
             if slots == 2 and rest not in pair_table:
                 continue
-            chosen.append(i)
-            extend((p0 + t0, p1 + t1, p2 + t2, p3 + t3, p4 + t4, p5 + t5, p6 + t6), rest)
-            chosen.pop()
+            extend((p0 + t0, p1 + t1, p2 + t2, p3 + t3, p4 + t4, p5 + t5, p6 + t6), rest,
+                   prefix + bytes((i,)))
 
-    extend((0,) * 7, (target.a, *target.b))
+    extend((0,) * 7, start, b"")
     # extend refers to itself through its closure: drop that cycle, so found
-    # and chosen are freed on return rather than at the next collection.
+    # is freed on return rather than at the next collection.
     extend = None
-    if unordered:
-        # Census order is sort_key order, so sorted indices name the multiset
-        # and index order is the lexicographic order of the part sequences.
-        # found is already in that order: setdefault keeps each multiset's
-        # least ordering, and the kept orderings stay in order.
-        best: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for parts in found:
-            best.setdefault(tuple(sorted(parts)), parts)
-        found = list(best.values())
-    part = twisted_cubics().__getitem__
-    return [_trusted_decomposition(target, tuple(map(part, parts))) for parts in found]
+    return bytes(found)
 
 
 def decomposition_to_dict(target: DivisorClass, r: int,

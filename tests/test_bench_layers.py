@@ -30,6 +30,7 @@ def expected_rows() -> list[str]:
     rows += [f"syzygy.trace_to_dict.k{k}" for k in (20, 200, 1000)]
     rows += ["cubic.chi_pair_oracle.all_pairs"]
     rows += [f"cubic.decompose_stable_sum.r{r}" for r in (2, 3, 4)]
+    rows += [f"cubic.decompose_pair.r{r}" for r in (2, 3)]
     rows += [f"checks.{result.name}" for result in checks.run_all_checks()]
     rows += [f"cli.{command}.{fmt}" for command in cli.main.commands for fmt in cli.FORMATS]
     return rows
@@ -47,7 +48,7 @@ def test_one_repetition_writes_every_row(tmp_path):
     assert record["reference_cal_s"] > 0
     rows = record["rows"]
     assert sorted(rows) == sorted(expected_rows())
-    assert len(rows) == 88
+    assert len(rows) == 90
     for name, row in rows.items():
         assert type(row["ops"]) is int and row["ops"] > 0, name
         for form in ("rescaled_us", "raw_us"):

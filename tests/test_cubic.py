@@ -5,10 +5,12 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,7 @@ T_D = twisted_cubic_representative("D")
 T_E = twisted_cubic_representative("E")
 T_B_PRIME = DivisorClass(2, (0, 0, 0, 1, 1, 1))
 FOUR_H = DivisorClass(12, (4, 4, 4, 4, 4, 4))
+REPO = Path(__file__).resolve().parent.parent
 
 
 @functools.cache
@@ -527,8 +530,11 @@ class TestDecompositions:
         assert all(dec.validate() for dec in sample)
 
     def test_four_h_rank_four_count(self):
-        # Regression count for the largest search the test suite runs.
-        assert len(decompose_stable_sum(FOUR_H, 4)) == 51264
+        # Regression counts for the largest search the test suite runs, in
+        # both call orders of cubic-search's pair.
+        first, second = both_orders(FOUR_H, 4)
+        assert first == second
+        assert (len(first[0]), len(first[1])) == (51264, 2286)
 
     @pytest.mark.parametrize("unordered", [False, True])
     @pytest.mark.parametrize(
@@ -650,9 +656,13 @@ class TestPairTable:
 
     def test_search_leaves_no_cyclic_garbage(self):
         # The search's recursive closure is dropped on return, so what it
-        # built is freed by reference counting, not left for the collector.
+        # built, its bytearray included, is freed by reference counting, not
+        # left for the collector.
         target = DivisorClass(9, (3, 3, 3, 3, 3, 3))
-        decompose_stable_sum(target, 3)  # fills the census and table caches
+        # Fills the census and table caches, and evicts any cached search of
+        # the target, so the measured call searches.
+        decompose_stable_sum(T_A + T_C + T_E, 3)
+        misses = cubic._stable_sums.cache_info().misses
         gc.collect()
         was_enabled = gc.isenabled()
         gc.disable()
@@ -662,8 +672,109 @@ class TestPairTable:
         finally:
             if was_enabled:
                 gc.enable()
+        assert cubic._stable_sums.cache_info().misses == misses + 1
         assert len(decs) == 1440
         assert garbage == 0
+
+
+def orbit_rows():
+    """(r, a random member of the orbit, ordered count, unordered count) for
+    every row of ``perfbench/cubic_orbits.json``, which is only read."""
+    table = json.loads((REPO / "perfbench" / "cubic_orbits.json").read_text(encoding="utf-8"))
+    rng = random.Random(50)
+    rows = []
+    for r, entries in table.items():
+        for entry in entries:
+            b = list(entry["b"])
+            rng.shuffle(b)
+            rows.append((int(r), DivisorClass(entry["a"], tuple(b)),
+                         entry["ordered"], entry["unordered"]))
+    return rows
+
+
+def both_orders(target, r):
+    """(ordered, unordered) results of the pair at (target, r), asked in each
+    order after a search at another target of degree 3r, (3r; 6r, 0, ..., 0),
+    which no r cubics reach: the first call of each order searches."""
+    other = DivisorClass(3 * r, (6 * r, 0, 0, 0, 0, 0))
+    assert decompose_stable_sum(other, r) == []
+    ordered = decompose_stable_sum(target, r)
+    first = (ordered, decompose_stable_sum(target, r, unordered=True))
+    assert decompose_stable_sum(other, r) == []
+    unordered = decompose_stable_sum(target, r, unordered=True)
+    return first, (decompose_stable_sum(target, r), unordered)
+
+
+class TestSharedSearch:
+    """One search per (target, r), shared by the ordered and the unordered call."""
+
+    def test_every_orbit_row_in_both_call_orders(self):
+        rows = orbit_rows()
+        assert Counter(r for r, *_ in rows) == {2: 27, 3: 96}
+        for r, target, ordered, unordered in rows:
+            first, second = both_orders(target, r)
+            assert first == second
+            assert (len(first[0]), len(first[1])) == (ordered, unordered), (target, r)
+
+    @pytest.mark.parametrize("unordered_first", [False, True])
+    def test_the_pair_searches_once(self, unordered_first):
+        class Subclass(DivisorClass):
+            __slots__ = ()
+
+        cubic._stable_sums.cache_clear()
+        target = T_A + T_C + T_E
+        modes = (True, False) if unordered_first else (False, True)
+        for mode in modes:
+            decs = decompose_stable_sum(target, 3, unordered=mode)
+            assert decs and all(dec.target is target for dec in decs)
+        assert cubic._stable_sums.cache_info()[:2] == (1, 1)  # (hits, misses)
+        # An equal fresh class and a subclass instance hit the same entry,
+        # and their results stand on the caller's object.
+        expected = decompose_stable_sum(target, 3)
+        for same in (DivisorClass(target.a, tuple(target.b)), Subclass(target.a, target.b)):
+            for mode in modes:
+                decs = decompose_stable_sum(same, 3, unordered=mode)
+                assert all(dec.target is same for dec in decs)
+            assert [dec.parts for dec in decompose_stable_sum(same, 3)] == [
+                dec.parts for dec in expected]
+        assert cubic._stable_sums.cache_info()[:2] == (8, 1)
+
+    @pytest.mark.parametrize(
+        "target,r,error",
+        [
+            ("x", 2, TypeError),
+            (DivisorClass(6, (2, 2, 2, 2, 2)), 2, LatticeMismatch),
+            (T_A + T_C, 1, ValueError),
+            (T_A + T_C, 7, ValueError),
+            (T_A + T_C, True, ValueError),
+            (T_A + T_C, "2", ValueError),
+        ],
+        ids=["str-target", "quartic-target", "r=1", "r=7", "r=True", "r='2'"],
+    )
+    def test_a_refused_call_leaves_the_cache(self, target, r, error):
+        decompose_stable_sum(T_A + T_C, 2)
+        before = cubic._stable_sums.cache_info()
+        for unordered in (False, True):
+            with pytest.raises(error):
+                decompose_stable_sum(target, r, unordered=unordered)
+        assert cubic._stable_sums.cache_info() == before
+
+    def test_a_target_of_another_degree_makes_no_search(self):
+        decompose_stable_sum(T_A + T_C, 2)
+        before = cubic._stable_sums.cache_info()
+        for target, r in ((CUBIC_SURFACE.anticanonical_class, 2), (FOUR_H, 3), (T_A, 2)):
+            assert target.degree != 3 * r
+            assert decompose_stable_sum(target, r) == []
+            assert decompose_stable_sum(target, r, unordered=True) == []
+        assert cubic._stable_sums.cache_info() == before
+
+    def test_the_run_is_r_census_indices_per_tuple(self):
+        target = T_A + T_C + T_E
+        run = cubic._stable_sums((target.a, *target.b), 3)
+        assert type(run) is bytes and len(run) == 3 * 712 and max(run) < 72
+        cubics = twisted_cubics()
+        assert [dec.parts for dec in decompose_stable_sum(target, 3)] == [
+            tuple(cubics[i] for i in run[k:k + 3]) for k in range(0, len(run), 3)]
 
 
 class TestExtensionChi:
