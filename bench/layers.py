@@ -7,6 +7,10 @@ Usage, from the root of a checkout:
 ``ulrich_lab`` is imported from this checkout's ``src``.  Each row times one
 operation on fixed inputs and reports microseconds per operation:
 
+- ``import.<module>``: ``import ulrich_lab`` and ``import ulrich_lab.cli``,
+  each timed by its own ``perf_counter`` in a fresh interpreter that puts
+  this checkout's ``src`` first on its path (the run stops if the module
+  comes from elsewhere), so the cost of the package's import structure shows;
 - ``picard.*``: ``dot``, ``+``, ``parse_divisor`` and ``format_divisor`` on
   the 72² sums of two twisted cubics, and ``hash``, ``str`` and ``repr`` of
   a fresh class (one such sum, its memos unset) and of a census class (one
@@ -98,6 +102,15 @@ CLASSES_WITH = {"cubics": (6, 3, 1), "lines": (6, 1, -1)}
 CLASSES_WITH_OPS = 20
 DECOMPOSE_OPS = {2: 20, 3: 2, 4: 2}
 DECOMPOSE_PAIR_OPS = {2: 20, 3: 2}
+IMPORTED = ("ulrich_lab", "ulrich_lab.cli")
+# Run in a fresh interpreter with argv [src, module]: prints the import's own
+# wall seconds, then on the next line the file the module came from.
+IMPORT_CHILD = ("import importlib, sys, time\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "start = time.perf_counter()\n"
+                "module = importlib.import_module(sys.argv[2])\n"
+                "print(time.perf_counter() - start)\n"
+                "print(module.__file__)\n")
 
 # A group runs once per repetition and returns {row: (wall seconds, ops)}.
 Group = Callable[[], dict[str, tuple[float, int]]]
@@ -114,6 +127,19 @@ def _row(name: str, ops: int, run: Callable, make: Callable = lambda: None) -> G
         start = perf_counter()
         run(args)
         return {name: (perf_counter() - start, ops)}
+    return group
+
+
+def _import_row(module: str) -> Group:
+    src = ROOT / "src"
+
+    def group():
+        out = subprocess.run([sys.executable, "-c", IMPORT_CHILD, str(src), module],
+                             check=True, capture_output=True, text=True).stdout
+        wall, origin = out.splitlines()
+        if not Path(origin).resolve().is_relative_to(src):
+            raise RuntimeError(f"{module} was imported from {origin}, not {src}")
+        return {f"import.{module}": (float(wall), 1)}
     return group
 
 
@@ -294,8 +320,8 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 def measure(repeats: int) -> dict[str, dict]:
     """Every row: its operations per interval, and the median and quartiles
     of its repetitions in microseconds per operation, rescaled and raw."""
-    groups = [*_picard_rows(), *_chern_rows(), *_syzygy_rows(), *_cubic_rows(),
-              _checks_group, *_cli_rows()]
+    groups = [*map(_import_row, IMPORTED), *_picard_rows(), *_chern_rows(), *_syzygy_rows(),
+              *_cubic_rows(), _checks_group, *_cli_rows()]
     rows = {}
     for group in groups:
         group()  # warm-up: census memos, caches, first imports

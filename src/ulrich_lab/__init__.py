@@ -5,156 +5,21 @@ The package computes only with numerical invariants: Picard-lattice
 divisor classes, ranks and Chern classes.  Everything is exact
 (integers and rationals; the closed rank formula powers in the integer
 ring Z[alpha] of a real quadratic field); nothing is floating point.
+
+Each layer module (``picard``, ``chern``, ``ulrich``, ``syzygy``,
+``cubic`` and ``errors``) lists the public names it defines in its own
+``__all__``, and the package re-exports exactly their union.
 """
 
-from __future__ import annotations
-
-from .chern import (
-    BundleNumerics,
-    NumericClassData,
-    direct_sum,
-    discriminant,
-    dual,
-    euler_char,
-    expected_moduli_dim,
-    reduce_numerics,
-    slope,
-    tensor,
-    tensor_line,
-    twist_by_h,
-)
-from .cubic import (
-    CUBIC_SURFACE,
-    StableSumDecomposition,
-    TwistedCubicClass,
-    chi_pair_closed_form,
-    chi_pair_oracle,
-    cubic_moduli_pair,
-    decompose_stable_sum,
-    decomposition_to_dict,
-    is_twisted_cubic,
-    kernel_bundle_of_cubic,
-    twist_partner,
-    twisted_cubic_representative,
-    twisted_cubics,
-)
-from .errors import (
-    BadPermutation,
-    BadSeedFile,
-    DegreeOutOfRange,
-    EmptySum,
-    LatticeMismatch,
-    NoKernel,
-    NonIntegerResult,
-    NotUlrich,
-    NotUlrichCompatible,
-    OutOfTheoremScope,
-    ParityViolation,
-    ParseError,
-    UlrichLabError,
-)
-from .picard import (
-    DelPezzoSurface,
-    DivisorClass,
-    format_divisor,
-    intersect,
-    make_surface,
-    parse_divisor,
-    permute_exceptionals,
-)
-from .syzygy import (
-    QuadraticNumber,
-    SyzygyTrace,
-    TraceEntry,
-    closed_syzygy_chern,
-    closed_syzygy_chern_numeric,
-    discriminant_drift,
-    iterate_syzygy,
-    rank_by_recurrence,
-    rank_closed_form,
-    rank_two_table_chern,
-    syzygy_numerics,
-)
-from .ulrich import (
-    PolarizedData,
-    butler_semistability_criterion,
-    coprime_stability_criterion,
-    curve_section_genus,
-    is_ulrich_candidate,
-    koszul_criterion,
-    polarized_data_for,
-    prioritary_polarization_check,
-    ulrich_c2,
-    ulrich_profile,
-)
+from . import chern, cubic, errors, picard, syzygy, ulrich
+from .chern import *
+from .cubic import *
+from .errors import *
+from .picard import *
+from .syzygy import *
+from .ulrich import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadPermutation",
-    "BadSeedFile",
-    "BundleNumerics",
-    "CUBIC_SURFACE",
-    "DegreeOutOfRange",
-    "DelPezzoSurface",
-    "DivisorClass",
-    "EmptySum",
-    "LatticeMismatch",
-    "NoKernel",
-    "NonIntegerResult",
-    "NotUlrich",
-    "NotUlrichCompatible",
-    "NumericClassData",
-    "OutOfTheoremScope",
-    "ParityViolation",
-    "ParseError",
-    "PolarizedData",
-    "QuadraticNumber",
-    "StableSumDecomposition",
-    "SyzygyTrace",
-    "TraceEntry",
-    "TwistedCubicClass",
-    "UlrichLabError",
-    "butler_semistability_criterion",
-    "chi_pair_closed_form",
-    "chi_pair_oracle",
-    "closed_syzygy_chern",
-    "closed_syzygy_chern_numeric",
-    "coprime_stability_criterion",
-    "cubic_moduli_pair",
-    "curve_section_genus",
-    "decompose_stable_sum",
-    "decomposition_to_dict",
-    "direct_sum",
-    "discriminant",
-    "discriminant_drift",
-    "dual",
-    "euler_char",
-    "expected_moduli_dim",
-    "format_divisor",
-    "intersect",
-    "is_twisted_cubic",
-    "is_ulrich_candidate",
-    "iterate_syzygy",
-    "kernel_bundle_of_cubic",
-    "koszul_criterion",
-    "make_surface",
-    "parse_divisor",
-    "permute_exceptionals",
-    "polarized_data_for",
-    "prioritary_polarization_check",
-    "rank_by_recurrence",
-    "rank_closed_form",
-    "rank_two_table_chern",
-    "reduce_numerics",
-    "slope",
-    "syzygy_numerics",
-    "tensor",
-    "tensor_line",
-    "twist_by_h",
-    "twist_partner",
-    "twisted_cubic_representative",
-    "twisted_cubics",
-    "ulrich_c2",
-    "ulrich_profile",
-]
+__all__ = sorted(chern.__all__ + cubic.__all__ + errors.__all__
+                 + picard.__all__ + syzygy.__all__ + ulrich.__all__)

@@ -87,6 +87,21 @@ copy state is decided.
 
 from __future__ import annotations
 
+__all__ = [
+    "BundleNumerics",
+    "NumericClassData",
+    "direct_sum",
+    "discriminant",
+    "dual",
+    "euler_char",
+    "expected_moduli_dim",
+    "reduce_numerics",
+    "slope",
+    "tensor",
+    "tensor_line",
+    "twist_by_h",
+]
+
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul

@@ -33,6 +33,22 @@ both the first syzygy bundle S_0 = ker(H^0(F) (x) O -> F).
 
 from __future__ import annotations
 
+__all__ = [
+    "CUBIC_SURFACE",
+    "StableSumDecomposition",
+    "TwistedCubicClass",
+    "chi_pair_closed_form",
+    "chi_pair_oracle",
+    "cubic_moduli_pair",
+    "decompose_stable_sum",
+    "decomposition_to_dict",
+    "is_twisted_cubic",
+    "kernel_bundle_of_cubic",
+    "twist_partner",
+    "twisted_cubic_representative",
+    "twisted_cubics",
+]
+
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import add, mul

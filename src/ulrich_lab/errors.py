@@ -7,6 +7,22 @@ the precise subclass.
 
 from __future__ import annotations
 
+__all__ = [
+    "BadPermutation",
+    "BadSeedFile",
+    "DegreeOutOfRange",
+    "EmptySum",
+    "LatticeMismatch",
+    "NoKernel",
+    "NonIntegerResult",
+    "NotUlrich",
+    "NotUlrichCompatible",
+    "OutOfTheoremScope",
+    "ParityViolation",
+    "ParseError",
+    "UlrichLabError",
+]
+
 
 class UlrichLabError(Exception):
     """Base class for all errors raised by this package."""

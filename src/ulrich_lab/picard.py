@@ -88,6 +88,16 @@ builds).
 
 from __future__ import annotations
 
+__all__ = [
+    "DelPezzoSurface",
+    "DivisorClass",
+    "format_divisor",
+    "intersect",
+    "make_surface",
+    "parse_divisor",
+    "permute_exceptionals",
+]
+
 import re
 from dataclasses import dataclass
 from math import isqrt

@@ -90,6 +90,20 @@ proves it equal to the (c1^2, c1.H, c2) step of ``chern._chi`` and
 
 from __future__ import annotations
 
+__all__ = [
+    "QuadraticNumber",
+    "SyzygyTrace",
+    "TraceEntry",
+    "closed_syzygy_chern",
+    "closed_syzygy_chern_numeric",
+    "discriminant_drift",
+    "iterate_syzygy",
+    "rank_by_recurrence",
+    "rank_closed_form",
+    "rank_two_table_chern",
+    "syzygy_numerics",
+]
+
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction

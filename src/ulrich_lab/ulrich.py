@@ -26,6 +26,19 @@ The three criteria below are purely numerical sufficient conditions:
 
 from __future__ import annotations
 
+__all__ = [
+    "PolarizedData",
+    "butler_semistability_criterion",
+    "coprime_stability_criterion",
+    "curve_section_genus",
+    "is_ulrich_candidate",
+    "koszul_criterion",
+    "polarized_data_for",
+    "prioritary_polarization_check",
+    "ulrich_c2",
+    "ulrich_profile",
+]
+
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction

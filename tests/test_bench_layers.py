@@ -21,7 +21,8 @@ ROUTES = ("rank_by_recurrence", "rank_closed_form", "iterate_syzygy",
 
 
 def expected_rows() -> list[str]:
-    rows = ["picard.dot", "picard.add", "picard.parse_divisor", "picard.format_divisor"]
+    rows = ["import.ulrich_lab", "import.ulrich_lab.cli"]
+    rows += ["picard.dot", "picard.add", "picard.parse_divisor", "picard.format_divisor"]
     rows += [f"picard.{op}.{kind}" for op in ("hash", "str", "repr")
              for kind in ("fresh", "census")]
     rows += ["picard.classes_with.cubics", "picard.classes_with.lines"]
@@ -48,7 +49,7 @@ def test_one_repetition_writes_every_row(tmp_path):
     assert record["reference_cal_s"] > 0
     rows = record["rows"]
     assert sorted(rows) == sorted(expected_rows())
-    assert len(rows) == 90
+    assert len(rows) == 92
     for name, row in rows.items():
         assert type(row["ops"]) is int and row["ops"] > 0, name
         for form in ("rescaled_us", "raw_us"):

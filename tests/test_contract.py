@@ -13,6 +13,7 @@ refused, but in the fields of ``TAKES_NONE``.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import re
 
@@ -134,6 +135,48 @@ def parameter_names(function, count: int) -> list[str]:
 def test_table_covers_all():
     assert not set(CALLS) & set(NOT_CALLED)
     assert sorted({**CALLS, **NOT_CALLED}) == sorted(ulrich_lab.__all__)
+
+
+# Each layer declares the public names it defines in its own __all__; the
+# package re-exports their union.  The one public name that is neither a
+# function nor a class is a module constant of the layer that builds it.
+LAYERS = ("picard", "chern", "ulrich", "syzygy", "cubic", "errors")
+LAYER_CONSTANTS = {"cubic": {"CUBIC_SURFACE"}}
+
+
+def defines(module, value) -> bool:
+    """Whether ``value`` is a function or class written in ``module``."""
+    value = inspect.unwrap(value) if callable(value) else value
+    return ((inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_each_layer_lists_exactly_the_public_names_it_defines(layer):
+    module = importlib.import_module(f"ulrich_lab.{layer}")
+    listed = module.__all__
+    assert len(set(listed)) == len(listed)
+    constants = LAYER_CONSTANTS.get(layer, set())
+    for name in listed:
+        value = getattr(module, name)
+        assert value is getattr(ulrich_lab, name)
+        assert defines(module, value) or name in constants, name
+    defined = {name for name, value in vars(module).items()
+               if not name.startswith("_") and defines(module, value)}
+    assert set(listed) == defined | constants
+
+
+def test_package_reexports_the_union_of_the_layer_lists():
+    lists = [importlib.import_module(f"ulrich_lab.{layer}").__all__ for layer in LAYERS]
+    union = [name for names in lists for name in names]
+    assert len(set(union)) == len(union), "a name is exported by two layers"
+    assert ulrich_lab.__all__ == sorted(union) == sorted({**CALLS, **NOT_CALLED})
+    assert len(ulrich_lab.__all__) == 66
+    namespace: dict = {}
+    exec("from ulrich_lab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == ulrich_lab.__all__
+    assert all(value is getattr(ulrich_lab, name) for name, value in namespace.items())
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

@@ -483,6 +483,18 @@ def brute_force_classes(t, dot_h, square):
     return found
 
 
+def sigma3(n):
+    return sum(e ** 3 for e in range(1, n + 1) if n % e == 0)
+
+
+# Shells of norm 2n, n = 1..5, of the root lattices H-perp on t = 6, 7, 8
+# blow-up points (E6, E7, E8), read from their theta series in Conway and
+# Sloane, *Sphere Packings, Lattices and Groups*, ch. 4 sec. 8; the E8 series
+# is 1 + 240 sum sigma3(n) q^n.
+SHELLS = {6: (72, 270, 720, 936, 2160), 7: (126, 756, 2072, 4158, 7560),
+          8: tuple(240 * sigma3(n) for n in range(1, 6))}
+
+
 class TestClassesWith:
     @pytest.mark.parametrize("d", range(3, 9))
     @pytest.mark.parametrize("name", SPECIAL_CLASSES)
@@ -496,7 +508,9 @@ class TestClassesWith:
         assert all(-1 <= x <= 2 for _, b in brute for x in b)  # inside the box
 
     @pytest.mark.parametrize("t,dot_h,square,count", [
-        (7, 0, -2, 126), (8, 0, -2, 240), (7, 1, -1, 56), (8, 1, -1, 240)])
+        *((t, 0, -2 * n, count) for t, counts in SHELLS.items()
+          for n, count in enumerate(counts, 1)),
+        (7, 1, -1, 56), (8, 1, -1, 240)])
     def test_e7_and_e8(self, t, dot_h, square, count):
         found = picard_module._classes_with(t, dot_h, square)
         assert len(found) == count

@@ -10,8 +10,8 @@ import sys
 import threading
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice
-from math import comb
+from itertools import count, islice
+from math import comb, isqrt
 
 import pytest
 
@@ -144,6 +144,37 @@ class TestRankFormulas:
         for r in (1, 2, 3):
             for k in range(-1, 300):
                 assert rank_closed_form(d, r, k) == rank_by_recurrence(d, r, k)
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_consecutive_ranks_lie_on_the_rank_conic(self, d):
+        # The step N_{k+1} = (d-2) N_k - N_{k-1} fixes Q(x, y) = x^2 - (d-2) x y
+        # + y^2, whose value at (N_-1, N_0) = (r, r(d-1)) is r^2 d.
+        for r in range(1, 6):
+            for route in (rank_by_recurrence, rank_closed_form):
+                ranks = [route(d, r, k) for k in range(-1, 300)]
+                for x, y in zip(ranks, ranks[1:]):
+                    assert x * x - (d - 2) * x * y + y * y == r * r * d, (route, r, x, y)
+                    assert 0 < x < y
+
+    @pytest.mark.parametrize("d", range(5, 9))
+    def test_every_small_point_of_the_rank_conic_is_on_the_tower(self, d):
+        # Solve Q(x, y) = r^2 d for y > x > 0, x < 3000, by the quadratic
+        # formula: y = ((d-2) x + sqrt(d(d-4) x^2 + 4 r^2 d)) / 2.
+        for r in (1, 2, 3):
+            points = set()
+            for x in range(1, 3000):
+                disc = d * (d - 4) * x * x + 4 * r * r * d
+                root = isqrt(disc)
+                for twice_y in ((d - 2) * x - root, (d - 2) * x + root):
+                    if root * root == disc and twice_y % 2 == 0 and twice_y > 2 * x:
+                        points.add((x, twice_y // 2))
+            tower = set()
+            for k in count():
+                x, y = rank_by_recurrence(d, r, k - 1), rank_by_recurrence(d, r, k)
+                if x >= 3000:
+                    break
+                tower.add((x, y))
+            assert points == tower
 
     @pytest.mark.parametrize("d", range(4, 9))
     def test_closed_form_walk_matches_binary_powering(self, d):
