@@ -7,7 +7,9 @@ The call may accept the value, or refuse it with an ``UlrichLabError``, a
 ``ValueError`` or a ``TypeError``; a ``TypeError`` must name the argument.
 Any other exception is a raw error, and there must be none.  Every value
 type checks its fields when built: ``None`` in any one field of its call is
-refused, but in the fields of ``TAKES_NONE``.
+refused, but in the fields of ``TAKES_NONE``.  Each name is declared once,
+in the ``__all__`` of the layer module that defines it, and the package
+re-exports exactly their union.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ LAYER_CONSTANTS = {"cubic": {"CUBIC_SURFACE"}}
 
 def defines(module, value) -> bool:
     """Whether ``value`` is a function or class written in ``module``."""
-    value = inspect.unwrap(value) if callable(value) else value
+    value = inspect.unwrap(value)  # a functools.cache wrapper names its function
     return ((inspect.isfunction(value) or inspect.isclass(value))
             and value.__module__ == module.__name__)
 
