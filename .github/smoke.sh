@@ -19,8 +19,10 @@
 # unordered count is read from a file, since `sh -e` does not see a failure
 # inside a pipe.  A bare run whose exit code and bytes the corpus pins is not
 # repeated here.  Last, tests/golden/corpus.py replays the golden corpus,
-# every pinned CLI output, without pytest and under `python3 -W error`, so
-# a warning fails this job as it fails the Tier-1 step.
+# every pinned CLI output in manifest.json and the public API pinned in
+# api.json (signatures, fields, slots, exception bases, the CLI constants),
+# without pytest and under `python3 -W error`, so API drift and a warning
+# fail this job as they fail the Tier-1 step.
 #
 # Usage: sh .github/smoke.sh   (after `pip install .`; exits non-zero on the
 # first failing command)

@@ -12,7 +12,9 @@ suffix.
 
 :func:`inputs` builds the corpus in code; ``regenerate.py`` renders it
 into ``manifest.json``, and ``test_corpus.py`` replays that file under
-pytest.  Run as a script, this module replays it without pytest:
+pytest.  The public API is pinned beside it, in ``api.json`` (see
+``api.py``), and replayed the same way.  Run as a script, this module
+replays both files without pytest:
 
     python3 -W error tests/golden/corpus.py
 
@@ -33,6 +35,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+import api
 from ulrich_lab.cli import SEED_FILE_ENV, main
 
 MANIFEST = Path(__file__).with_name("manifest.json")
@@ -186,14 +189,58 @@ def stale(manifest: dict[str, dict]) -> list[str]:
     return sorted(lines)
 
 
+def changes(old: dict, new: dict) -> dict[str, list[str]]:
+    """The names that ``new`` adds to ``old``, removes from it, and holds
+    with another value, each sorted."""
+    return {
+        "added": sorted(new.keys() - old.keys()),
+        "removed": sorted(old.keys() - new.keys()),
+        "changed": sorted(name for name in new.keys() & old.keys() if new[name] != old[name]),
+    }
+
+
+def report(old: dict, new: dict, filename: str) -> list[str]:
+    """One ``added:``, ``removed:`` or ``changed:`` line per name of
+    :func:`changes`, then a summary line for ``filename`` written as ``new``."""
+    moved = changes(old, new)
+    return [*(f"{kind}: {name}" for kind, names in moved.items() for name in names),
+            f"{filename}: {len(new)} entries; "
+            + ", ".join(f"{len(names)} {kind}" for kind, names in moved.items())]
+
+
+def api_problems(pinned: dict[str, dict]) -> list[str]:
+    """A report for each name whose description differs from ``api.json``:
+    the package's name as added, removed or changed, and a changed entry's
+    diff."""
+    described = api.describe()
+    problems = []
+    for kind, names in changes(pinned, described).items():
+        for name in names:
+            lines = [f"{api.PIN.name}: {kind}: {name}"]
+            if kind == "changed":
+                lines += difflib.unified_diff(
+                    json.dumps(pinned[name], indent=1, sort_keys=True).splitlines(),
+                    json.dumps(described[name], indent=1, sort_keys=True).splitlines(),
+                    "pinned", "described", lineterm="")
+            problems.append("\n".join(lines))
+    return problems
+
+
 def _main() -> None:
-    manifest = load()
-    problems = stale(manifest)
-    problems += filter(None, (replay(name, entry) for name, entry in manifest.items()))
+    manifest, pinned_api = load(), api.load()
+    # The API first, and shown at once: a changed signature or field can make
+    # a CLI entry raise, which ends the replay below with a traceback.
+    problems = api_problems(pinned_api)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    cli_problems = stale(manifest)
+    cli_problems += filter(None, (replay(name, entry) for name, entry in manifest.items()))
+    problems += cli_problems
+    files = (f"{len(manifest)} entries of {MANIFEST.name} and {len(pinned_api)} of "
+             f"{api.PIN.name}")
     if problems:
-        sys.exit("\n".join([*problems, f"golden: {len(problems)} problem(s) in "
-                                       f"{len(manifest)} entries of {MANIFEST.name}"]))
-    print(f"golden: {len(manifest)} entries of {MANIFEST.name} replayed, all match")
+        sys.exit("\n".join([*cli_problems, f"golden: {len(problems)} problem(s) in {files}"]))
+    print(f"golden: {files} replayed, all match")
 
 
 if __name__ == "__main__":

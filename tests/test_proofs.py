@@ -28,6 +28,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     dual,
     euler_char,
     expected_moduli_dim,
+    intersect,
     is_ulrich_candidate,
     iterate_syzygy,
     make_surface,
@@ -40,6 +41,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     ulrich_c2,
 )
 from ulrich_lab.chern import _chi, _chi_dual_product, _twist  # noqa: E402
+from ulrich_lab.picard import _classes_with  # noqa: E402
 from ulrich_lab.syzygy import _closed_core  # noqa: E402
 
 d, r, k, n_prev, n_k = sp.symbols("d r k N_prev N_k")
@@ -541,6 +543,39 @@ class TestUlrichConditions:
     def test_chi_at_the_ulrich_c2_is_rank_times_degree(self):
         ulrich = r + (q - r * d) / 2
         assert is_zero(self.twisted_chi(r, q, r * d, ulrich, 0) - r * d)
+
+
+class TestUlrichLinePairs:
+    """chi(O(A), O(B)) = (d - 1) - A.B for two rank-1 Ulrich classes.
+
+    Both have c.H = d and c^2 = d - 2.  chi(O(A), O(B)) = chi(O(B - A)), and
+    Riemann-Roch with K = -H and chi(O) = 1 reads chi(O(D)) = 1 + (D^2 +
+    D.H)/2, with D^2 = A^2 - 2 A.B + B^2 and D.H = B.H - A.H.
+    """
+
+    aa, bb, ab, ah, bh = sp.symbols("A2 B2 AB AH BH")  # A^2, B^2, A.B, A.H, B.H
+
+    @classmethod
+    def chi(cls):
+        return 1 + ((cls.aa - 2 * cls.ab + cls.bb) + (cls.bh - cls.ah)) / 2
+
+    def test_formula_matches_the_library(self):
+        rng = random.Random(29)
+        for dd in range(3, 8):
+            surface = make_surface(dd)
+            lines = [DivisorClass(a, b) for a, b in _classes_with(9 - dd, dd, dd - 2)]
+            others = [DivisorClass(a, b) for a, b in _classes_with(9 - dd, dd + 1, dd - 1)]
+            for x, y in zip(rng.choices(lines + others, k=12), rng.choices(lines + others, k=12)):
+                point = {self.aa: x.self_intersection, self.bb: y.self_intersection,
+                         self.ab: intersect(x, y, surface), self.ah: x.degree,
+                         self.bh: y.degree}
+                bundles = [BundleNumerics(1, c, 0) for c in (x, y)]
+                assert self.chi().subs(point) == euler_char(tensor(dual(bundles[0]), bundles[1]),
+                                                            surface)
+
+    def test_chi_is_d_minus_one_minus_the_pairing(self):
+        ulrich = {self.aa: d - 2, self.bb: d - 2, self.ah: d, self.bh: d}
+        assert is_zero(self.chi().subs(ulrich) - (d - 1 - self.ab))
 
 
 class TestCubicPartner:

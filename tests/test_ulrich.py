@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -24,7 +25,9 @@ from ulrich_lab import (
     closed_syzygy_chern_numeric,
     coprime_stability_criterion,
     curve_section_genus,
+    dual,
     euler_char,
+    intersect,
     is_ulrich_candidate,
     iterate_syzygy,
     koszul_criterion,
@@ -34,6 +37,7 @@ from ulrich_lab import (
     prioritary_polarization_check,
     rank_two_table_chern,
     reduce_numerics,
+    tensor,
     tensor_line,
     twist_by_h,
     twisted_cubics,
@@ -325,6 +329,17 @@ class TestRankOneUlrichClasses:
     """The lattice search at (x.H, x^2) = (d, d - 2): the c1 of the Ulrich
     line bundles, which are H plus a root of H's orthogonal complement."""
 
+    # Ordered pairs A != B by chi(O(A), O(B)), which is -3, -2, -1 or 0;
+    # -3 exactly when B = 2H - A (ROADMAP item 24).
+    PAIR_CHI_COUNTS = {
+        3: {-3: 72, -2: 1440, -1: 2160, 0: 1440},
+        4: {-3: 40, -2: 480, -1: 560, 0: 480},
+        5: {-3: 20, -2: 120, -1: 120, 0: 120},
+        6: {-3: 8, -2: 12, -1: 24, 0: 12},
+        7: {-3: 2},
+        8: {},
+    }
+
     @pytest.mark.parametrize("d", range(3, 9))
     def test_they_are_h_plus_the_roots(self, d):
         surface = make_surface(d)
@@ -337,6 +352,22 @@ class TestRankOneUlrichClasses:
         surface = make_surface(d)
         for a, b in _classes_with(9 - d, d, d - 2):
             assert is_ulrich_candidate(BundleNumerics(1, DivisorClass(a, b), 0), surface)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_pair_chi_is_d_minus_one_minus_the_pairing(self, d):
+        # chi(O(B - A)) = (d - 1) - A.B, proved in test_proofs.py's
+        # TestUlrichLinePairs; here against the Chern calculus on every
+        # ordered pair (7,252 over d = 3..8).
+        surface = make_surface(d)
+        lines = [BundleNumerics(1, DivisorClass(a, b), 0) for a, b in _classes_with(9 - d, d, d - 2)]
+        off_diagonal = Counter()
+        for f in lines:
+            for g in lines:
+                chi = euler_char(tensor(dual(f), g), surface)
+                assert chi == (d - 1) - intersect(f.c1, g.c1, surface), (f.c1, g.c1)
+                if f != g:
+                    off_diagonal[chi] += 1
+        assert dict(off_diagonal) == self.PAIR_CHI_COUNTS[d]
 
     def test_on_the_cubic_they_are_the_census(self):
         assert list(_classes_with(6, 3, 1)) == [(t.divisor.a, t.divisor.b) for t in twisted_cubics()]
