@@ -7,11 +7,13 @@
 # round-trip check of the library lives in the Tier-1 tests.
 #
 # Subcommands are registered at import time, so --help of each one fails on
-# a broken declaration.  The seed-file runs of `ulrich-lab check` take the
-# file from the environment of a real process: a good seed must pass, one
-# without c2 must fail naming the key on stderr (a file, since `sh -eu` has
-# no pipefail), and a non-Ulrich seed must exit 1 with three `raised
-# NotUlrich` rows.  The refusals (a seed file nested 100,000 arrays
+# a broken declaration; the list is the installed CLI's own, read in its own
+# assignment (`sh -e` does not stop on a failed substitution inside a `for`
+# list) and refused when empty.  The seed-file runs of `ulrich-lab check`
+# take the file from the environment of a real process: a good seed must
+# pass, one without c2 must fail naming the key on stderr (a file, since
+# `sh -eu` has no pipefail), and a non-Ulrich seed must exit 1 with three
+# `raised NotUlrich` rows.  The refusals (a seed file nested 100,000 arrays
 # deep, numbers at the interpreter's int-string limit, a second syzygy step
 # on the cubic surface) must exit 1 with one `Error:` line and no traceback
 # on the real stderr.  Writing to stdout and to --out takes two different
@@ -29,7 +31,12 @@
 set -eu
 
 ulrich-lab --help
-for sub in sequence syzygy table-moduli table-pairs cubics decompose check; do
+subcommands=$(python3 -c 'from ulrich_lab.cli import main; print(*main.commands)')
+if [ -z "$subcommands" ]; then
+    echo "smoke: the installed CLI lists no subcommands" >&2
+    exit 1
+fi
+for sub in $subcommands; do
     ulrich-lab "$sub" --help
 done
 seed_file=$(mktemp)

@@ -225,8 +225,8 @@ def cmd_syzygy(d: int, r: int, c1_sq: int, c2: int | None, k_max: int) -> Comman
     trace = syzygy.iterate_syzygy(NumericClassData(r, c1_sq, r * d, c2), surface, k_max)
     payload = trace.to_dict()
     payload["extrapolated"] = d == 8
-    headers = ["k", "rank", "c1_sq", "c1_dot_H", "c2", "delta", "drift"]
-    return CommandOutput(payload, headers, payload["entries"], _extrapolation_notes(d), True)
+    records = payload["entries"]  # from k = -1, so never empty
+    return CommandOutput(payload, list(records[0]), records, _extrapolation_notes(d), True)
 
 
 def _table(rows: list[dict], headers: list[str]) -> CommandOutput:

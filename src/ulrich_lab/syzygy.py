@@ -413,15 +413,8 @@ class TraceEntry(_Value):
         return expected_moduli_dim(self)  # Delta - (rank^2 - 1)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rank": self.rank,
-            "c1_sq": self.c1_sq,
-            "c1_dot_H": self.c1_dot_h,
-            "c2": self.c2,
-            "delta": self.delta,
-            "drift": self.drift,
-        }
+        return {"k": self.k, **self.as_numeric().to_dict(),
+                "delta": self.delta, "drift": self.drift}
 
 
 _trusted_entry = _trusted_builder(TraceEntry)

@@ -36,11 +36,11 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import api
-from ulrich_lab.cli import SEED_FILE_ENV, main
+from ulrich_lab.cli import FORMATS, SEED_FILE_ENV, main
+from ulrich_lab.tables import MODULI_DIM_ROWS
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 TEXT_LIMIT = 4096
-FORMATS = ("markdown", "csv", "json")
 
 # Seed files of the `check` entries, by the label in their names: one good
 # extra seed (three details count 33 seeds), and one whose c2 = 5 is not its
@@ -51,12 +51,11 @@ SEED_FILES = {
     "non-ulrich": '[{"rank": 2, "c1": "(4;1,1,1,1,0)", "c2": 5}]',
 }
 
-SUBCOMMANDS = ("sequence", "syzygy", "table-moduli", "table-pairs", "cubics", "decompose",
-               "check")
-
-# The rows (d, c1^2, c2) of the rank-2 moduli table.
-MODULI_SEEDS = ((4, 12, 4), (4, 16, 6), (5, 16, 5), (5, 20, 7), (6, 20, 6), (6, 24, 8),
-                (7, 24, 7), (7, 26, 8), (7, 28, 9))
+# FORMATS, the subcommands (in the order they are registered) and the rows
+# (d, c1^2, c2) of the rank-2 moduli table are read from the library, so a new
+# subcommand's --help pages fail the stale-manifest test until they are pinned.
+SUBCOMMANDS = tuple(main.commands)
+MODULI_SEEDS = tuple((row.degree, row.c1_sq, row.c2) for row in MODULI_DIM_ROWS)
 
 # Sums of twisted cubics by r, with the representatives A = (1;0,0,0,0,0,0),
 # B = (2;1,1,1,0,0,0), C = (3;2,1,1,1,1,0), D = (4;2,2,2,1,1,1) and

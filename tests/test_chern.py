@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import astuple
 from fractions import Fraction
@@ -315,6 +316,71 @@ class TestModuliInvariants:
         assert expected_moduli_dim(NumericClassData(2, 12, 8, 4)) == 1
         assert expected_moduli_dim(NumericClassData(2, 26, 14, 8)) == 3
         assert expected_moduli_dim(NumericClassData(2, 16, 8, 6)) == 5
+
+
+class TestExceptionalGramForm:
+    """The Euler form in an exceptional basis: a chi oracle that shares no
+    formula with Riemann-Roch (ROADMAP item 23).
+
+    On Bl_t P^2 the collection (O_{E_1}(-1), ..., O_{E_t}(-1), O, O(L), O(2L))
+    is full and exceptional, so chi(E, F) = v_E^T G v_F, with G the
+    upper-unitriangular Gram matrix chi(X_i, X_j) of the collection, written
+    out here from its geometric entries.
+    """
+
+    @staticmethod
+    def coordinates(f: BundleNumerics) -> list[int]:
+        # The class of (r, (a; b), c2) is (-b_1, ..., -b_t, n_0, n_1, n_2):
+        # c1 gives n_1 + 2 n_2 = a, and 2 ch_2 = a^2 - sum b^2 - 2 c2 =
+        # n_1 + 4 n_2 + sum b gives n_1 + 4 n_2 = R.
+        a, b = f.c1.a, f.c1.b
+        big_r = a * a - sum(x * x for x in b) - sum(b) - 2 * f.c2
+        n2, odd = divmod(big_r - a, 2)
+        assert not odd  # a^2 - a and b^2 + b are even
+        n1 = a - 2 * n2
+        return [-x for x in b] + [f.rank - n1 - n2, n1, n2]
+
+    @staticmethod
+    def gram(t: int) -> list[list[int]]:
+        # chi(O(aL), O(bL)) = C(b - a + 2, 2) for a <= b; -1 from each
+        # O_{E_i}(-1) to each O(aL); delta_ij between O_{E_i}(-1) and
+        # O_{E_j}(-1); 0 from a later object to an earlier one.
+        g = [[int(i == j) for j in range(t)] + [-1] * 3 for i in range(t)]
+        g += [[0] * (t + a) + [comb(b - a + 2, 2) for b in range(a, 3)] for a in range(3)]
+        return g
+
+    @staticmethod
+    def chi(v: list[int], g: list[list[int]], w: list[int]) -> int:
+        return sum(x * sum(map(operator.mul, row, w)) for x, row in zip(v, g))
+
+    @staticmethod
+    def random_bundles(rng: random.Random, t: int, count: int) -> list[BundleNumerics]:
+        return [BundleNumerics(rng.randint(1, 4),
+                               DivisorClass(rng.randint(-8, 8),
+                                            tuple(rng.randint(-8, 8) for _ in range(t))),
+                               rng.randint(-20, 20))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_pairing_is_the_euler_characteristic(self, d):
+        surface = make_surface(d)
+        t, rng = surface.num_exceptional, random.Random(d)
+        g = self.gram(t)
+        bundles = self.random_bundles(rng, t, 4000)
+        for f, h in zip(bundles[::2], bundles[1::2]):
+            assert self.chi(self.coordinates(f), g, self.coordinates(h)) == euler_char(
+                tensor(dual(f), h), surface), (f, h)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_moduli_dim_and_discriminant_are_the_self_pairing(self, d):
+        surface = make_surface(d)
+        t, rng = surface.num_exceptional, random.Random(10 + d)
+        g = self.gram(t)
+        for f in self.random_bundles(rng, t, 500):
+            v = self.coordinates(f)
+            self_chi = self.chi(v, g, v)
+            assert expected_moduli_dim(f) == 1 - self_chi, f
+            assert discriminant(f) == f.rank * f.rank - self_chi, f
 
 
 BIG = 2 ** 3000

@@ -40,6 +40,7 @@ from ulrich_lab import (  # noqa: E402  (after the importorskip)
     twisted_cubics,
     ulrich_c2,
 )
+from ulrich_lab.checks import default_seeds  # noqa: E402
 from ulrich_lab.chern import _chi, _chi_dual_product, _twist  # noqa: E402
 from ulrich_lab.picard import _classes_with  # noqa: E402
 from ulrich_lab.syzygy import _closed_core  # noqa: E402
@@ -284,6 +285,38 @@ class TestDriftStep:
         m = sp.Symbol("m")
         rank, c1_sq, _, second = self.twist(r, q, p, c2, m)
         assert is_zero(sp.expand_func(self.delta(rank, c1_sq, second) - self.delta(r, q, c2)))
+
+    def test_drift_jump_is_chi_times_chi_of_the_minus_h_twist(self):
+        # M = syzygy(E) at h^0 = chi(E) and S_0 = M(H): chi(M) = 0, and
+        # drift(S_0) - drift(E) = chi(E) chi(E(-H)), whatever E is.
+        kernel = self.syzygy(r, q, p, c2)
+        assert is_zero(self.chi(*kernel))
+        jump = self.drift(*self.twist(*kernel, 1)) - self.drift(r, q, p, c2)
+        product = self.chi(r, q, p, c2) * self.chi(*self.twist(r, q, p, c2, -1))
+        assert is_zero(sp.expand_func(jump - product))
+
+    def test_drift_jump_on_random_numerics(self):
+        # The jump above on the library, on reduced numerics of every degree
+        # with chi(E) > rank.  An Ulrich seed has chi(E(-H)) = 0, so its drift
+        # is constant from k = 0 (syzygy.drift-constant).
+        rng = random.Random(53)
+        checked = 0
+        while checked < 7000:
+            dd = rng.randint(3, 8)
+            surface = make_surface(dd)
+            rank, c1_sq = rng.randint(1, 6), rng.randint(-40, 40)
+            seed = NumericClassData(rank, c1_sq, rng.randint(-30, 30) * 2 + c1_sq % 2,
+                                    rng.randint(-40, 40))
+            h0 = euler_char(seed, surface)
+            if h0 <= rank:
+                continue
+            kernel = syzygy_numerics(seed, h0)
+            assert euler_char(kernel, surface) == 0
+            jump = expected_moduli_dim(twist_by_h(kernel, 1, surface)) - expected_moduli_dim(seed)
+            assert jump == h0 * euler_char(twist_by_h(seed, -1, surface), surface)
+            checked += 1
+        for surface, seed in default_seeds():
+            assert euler_char(twist_by_h(seed, -1, surface), surface) == 0
 
     def test_drift_is_constant_along_the_iteration(self):
         # The three facts above, chained: on data where lambda = 0, one

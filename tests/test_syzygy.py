@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 import random
 import sys
@@ -862,7 +863,8 @@ class TestTraceToDict:
         trace = iterate_syzygy(WITNESS, S4, 7)
         by_hand = SyzygyTrace(S4, WITNESS, tuple(trace.entries))
         monkeypatch.setattr(TraceEntry, "to_dict", counting)
-        assert by_hand.to_dict() == trace.to_dict()
+        # The same text, key order included, as the column records write.
+        assert json.dumps(by_hand.to_dict()) == json.dumps(trace.to_dict())
         assert calls == list(range(-1, 8))
 
 

@@ -25,6 +25,7 @@ from ulrich_lab import (
     closed_syzygy_chern_numeric,
     coprime_stability_criterion,
     curve_section_genus,
+    decompose_stable_sum,
     dual,
     euler_char,
     intersect,
@@ -330,7 +331,7 @@ class TestRankOneUlrichClasses:
     line bundles, which are H plus a root of H's orthogonal complement."""
 
     # Ordered pairs A != B by chi(O(A), O(B)), which is -3, -2, -1 or 0;
-    # -3 exactly when B = 2H - A (ROADMAP item 24).
+    # -3 exactly when B = 2H - A (ROADMAP item 24; tested below).
     PAIR_CHI_COUNTS = {
         3: {-3: 72, -2: 1440, -1: 2160, 0: 1440},
         4: {-3: 40, -2: 480, -1: 560, 0: 480},
@@ -368,6 +369,23 @@ class TestRankOneUlrichClasses:
                 if f != g:
                     off_diagonal[chi] += 1
         assert dict(off_diagonal) == self.PAIR_CHI_COUNTS[d]
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_chi_is_minus_three_exactly_on_the_pairs_summing_to_2h(self, d):
+        # The ordered pairs with chi(O(A), O(B)) = -3 are the (A, 2H - A):
+        # 72, 40, 20, 8, 2 and 0 on d = 3..8.  On the cubic they are the
+        # stable sums of 2H at r = 2.
+        surface = make_surface(d)
+        two_h = 2 * surface.anticanonical_class
+        classes = [DivisorClass(a, b) for a, b in _classes_with(9 - d, d, d - 2)]
+        lines = {c: BundleNumerics(1, c, 0) for c in classes}
+        pairs = {(x, y) for x in classes for y in classes
+                 if euler_char(tensor(dual(lines[x]), lines[y]), surface) == -3}
+        assert pairs == {(x, two_h - x) for x in classes}
+        assert len(pairs) == self.PAIR_CHI_COUNTS[d].get(-3, 0)
+        if d == 3:
+            sums = decompose_stable_sum(two_h, 2)
+            assert pairs == {tuple(part.divisor for part in dec.parts) for dec in sums}
 
     def test_on_the_cubic_they_are_the_census(self):
         assert list(_classes_with(6, 3, 1)) == [(t.divisor.a, t.divisor.b) for t in twisted_cubics()]
