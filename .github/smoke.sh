@@ -19,7 +19,11 @@
 # on the real stderr.  Writing to stdout and to --out takes two different
 # streams, so each format must give the same bytes through both; the r = 3
 # unordered count is read from a file, since `sh -e` does not see a failure
-# inside a pipe.  A bare run whose exit code and bytes the corpus pins is not
+# inside a pipe.  Each subcommand's --format json, written to a file (the
+# largest is the syzygy trace at d = 8, k = 194), must be what
+# json.dumps(json.loads(text), indent=2) writes, checked under
+# `python3 -W error`: beyond the pinned bytes, this is the job's one check that
+# the installed renderer writes canonical indent=2 JSON.  A bare run whose exit code and bytes the corpus pins is not
 # repeated here.  Last, tests/golden/corpus.py replays the golden corpus,
 # every pinned CLI output in manifest.json and the public API pinned in
 # api.json (signatures, fields, slots, exception bases, the CLI constants),
@@ -91,4 +95,18 @@ for fmt in markdown csv json; do
 done
 ulrich-lab decompose "(9;3,3,3,3,3,3)" --r 3 --unordered --out "$out_file"
 grep -qx 'count: 240' "$out_file"
+for sub in $subcommands; do
+    case $sub in
+        sequence) set -- --d 7 --k-max 190 ;;
+        syzygy) set -- --d 8 --r 3 --c1-sq 72 --k-max 194 ;;
+        decompose) set -- "(9;3,3,3,3,3,3)" --r 3 ;;
+        *) set -- ;;
+    esac
+    ulrich-lab "$sub" "$@" --format json > "$out_file"
+    python3 -W error -c 'import json, pathlib, sys
+text = pathlib.Path(sys.argv[1]).read_text(encoding="utf-8")
+if text != json.dumps(json.loads(text), indent=2) + "\n":
+    sys.exit(f"smoke: {sys.argv[2]} --format json is not json.dumps(..., indent=2)")' \
+        "$out_file" "$sub"
+done
 python3 -W error "$(dirname "$0")/../tests/golden/corpus.py"

@@ -10,7 +10,9 @@ Each subcommand is one ``cmd_*`` function, declared by ``@_subcommand``
 with its click parameters and with its docstring as help text.  The
 decorator adds ``--format`` (``markdown``, ``csv`` or ``json``) and
 ``--out PATH``, which writes to a file instead of stdout; either way the
-output is written as it is rendered, not built first.  CSV is what
+output is written as it is rendered, not built first.  JSON is what
+``json.dumps(payload, indent=2)`` writes, assembled from one call of the
+stdlib's C encoder per innermost container.  CSV is what
 ``csv.writer(lineterminator="\n")`` writes: rows are joined by commas as long
 as no cell needs quoting, and from the first row that does, a ``csv.writer``
 writes the rest, so a table of numbers makes no writer.  The ``check``
@@ -21,11 +23,12 @@ JSON array of bundle numerics objects to add to the seed-driven checks.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
-from typing import Callable, Iterable, TextIO
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Iterator, TextIO
 
 import click
 
@@ -61,17 +64,87 @@ def _cells(row) -> list[str]:
     return [("ok" if v else "FAIL") if isinstance(v, bool) else str(v) for v in values]
 
 
-# One encoder for every JSON payload: its pieces are joined in batches of
-# this many, which runs at json.dumps speed without holding the whole text
-# (json.dump writes each piece on its own, about a quarter slower).
-_JSON = json.JSONEncoder(indent=2)
-_JSON_BATCH = 1024
+# JSON is json.dumps(payload, indent=2), whose own indented encoder is pure
+# Python.  Here the stdlib's C encoder writes every scalar, escape and
+# separator: a container whose items all have exact types in _SCALARS is one
+# call, with indent=2's item separator for its depth, wrapped in the opening
+# line break and the closing line; any other container is laid out item by
+# item.  The pieces, whole innermost containers, are joined in batches of this
+# many, so the text is never held whole.
+_JSON_BATCH = 16
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _layout(depth: int) -> tuple[Callable[[object], str], str, str]:
+    """The encoder of a container at ``depth``, the line break and indent
+    before each of its items, and the line break and indent of its close.
+
+    The encoder writes json.dumps's text with the item separator of indent=2
+    at this depth; where the C encoder is missing, json's pure-Python one
+    lays it out the same.
+    """
+    indent = "\n" + "  " * (depth + 1)
+    if json.encoder.c_make_encoder is None:
+        encode = json.JSONEncoder(separators=("," + indent, ": ")).encode
+    else:
+        c_encode = json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ": ", "," + indent, False, False, True)
+
+        def encode(value) -> str:
+            return "".join(c_encode(value, 0))
+    return encode, indent, "\n" + "  " * depth
+
+
+def _flat_text(value, layout: tuple[Callable[[object], str], str, str]) -> str | None:
+    """``json.dumps(value, indent=2)`` at the depth of ``layout`` from one
+    encoder call, or None if ``value`` is a container to render item by item."""
+    encode, indent, close = layout
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return encode(value)
+    if not _SCALARS.issuperset(map(type, items)):
+        return None
+    text = encode(value)
+    # an empty container stays "{}" or "[]"
+    return text if len(text) == 2 else f"{text[0]}{indent}{text[1:-1]}{close}{text[-1]}"
+
+
+def _json_pieces(value, depth: int = 0) -> Iterator[str]:
+    """Yield ``json.dumps(value, indent=2)`` in pieces, ``value`` at ``depth``."""
+    layout = _layout(depth)
+    text = _flat_text(value, layout)
+    if text is not None:
+        yield text
+        return
+    encode, indent, close = layout
+    if isinstance(value, dict):
+        # '"key": ' as the encoder converts and escapes the key
+        brackets, heads, items = "{}", (encode({key: None})[1:-5] for key in value), value.values()
+    else:
+        brackets, heads, items = "[]", repeat(""), value
+    inner = _layout(depth + 1)
+    lead, between = brackets[0] + indent, "," + indent
+    for head, item in zip(heads, items):
+        text = _flat_text(item, inner)
+        if text is None:
+            yield lead + head
+            yield from _json_pieces(item, depth + 1)
+        else:
+            yield f"{lead}{head}{text}"
+        lead = between
+    yield close + brackets[1]
 
 
 def _write(out: CommandOutput, fmt: str, stream: TextIO) -> None:
     """Write ``out`` in format ``fmt`` to ``stream`` as it is rendered."""
     if fmt == "json":
-        pieces = _JSON.iterencode(out.payload)
+        # json.dumps(payload, indent=2) plus a line break, written in batches
+        pieces = _json_pieces(out.payload)
         while batch := "".join(islice(pieces, _JSON_BATCH)):
             stream.write(batch)
         stream.write("\n")

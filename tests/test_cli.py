@@ -473,6 +473,33 @@ class TestStreamedOutput:
             tracemalloc.stop()
         assert peak < 0.6 * 2**20
 
+    def test_json_rendering_peaks_below_its_text(self):
+        # The JSON of syzygy-d8-k194 is written in batches of whole records,
+        # so rendering it never holds as much as its own text.  The payload
+        # is built first, and one warm-up call, outside the trace, builds the
+        # per-depth encoders.
+        out = cli.cmd_syzygy(d=8, r=3, c1_sq=72, c2=None, k_max=194)
+        cli._write(out, "json", _CountingSink())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sink = _CountingSink()
+            cli._write(out, "json", sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.size
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.size += len(text)
+
 
 # Cells for the CSV fuzz: what csv.writer quotes (a comma, a quote, CR and
 # LF) among what it writes as it is.
@@ -542,6 +569,54 @@ class TestCsvRows:
         result = runner.invoke(main, [*args, "--format", "csv"])
         assert result.exit_code == 0 and result.output == expected
         assert len(made) == writers
+
+
+# Strings for the JSON fuzz: what json escapes (a quote, a backslash, control
+# characters), non-ASCII and an astral character among plain ones.
+JSON_CHARS = 'a "\\\x00\x1f\n\t\x7f\xe9\u20ac\U0001f600'
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choices(JSON_CHARS, k=rng.randint(0, 5)))
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A str-keyed JSON tree, 4 containers deep at most, any of them empty,
+    over ints of up to 400 digits of either sign, bools, None and strings."""
+    roll = rng.random()
+    if roll < 0.5:
+        size = rng.randint(0, 4) if depth < 4 else 0
+        if roll < 0.25:
+            return {_random_text(rng): _random_json(rng, depth + 1) for _ in range(size)}
+        return [_random_json(rng, depth + 1) for _ in range(size)]
+    if roll < 0.7:
+        return rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 400))
+    if roll < 0.85:
+        return _random_text(rng)
+    return rng.choice((True, False, None))
+
+
+class TestJsonRendering:
+    """``--format json`` writes what ``json.dumps(payload, indent=2)`` writes."""
+
+    @pytest.fixture(params=["c-encoder", "pure-python"])
+    def encoders(self, request, monkeypatch):
+        # The per-depth encoders are built after the patch and dropped after
+        # it is undone, so the pure-Python fallback runs on CPython too.
+        if request.param == "pure-python":
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        cli._layout.cache_clear()
+        yield
+        monkeypatch.undo()
+        cli._layout.cache_clear()
+
+    def test_random_payloads_match_json_dumps(self, encoders):
+        rng = random.Random(54)
+        for _ in range(10_000):
+            payload = _random_json(rng)
+            stream = io.StringIO()
+            cli._write(cli.CommandOutput(payload, [], [], [], True), "json", stream)
+            assert stream.getvalue() == json.dumps(payload, indent=2) + "\n", payload
 
 
 # The interpreter's int-string limit in digits; 0 (or no such limit) turns it off.
