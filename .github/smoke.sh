@@ -22,9 +22,9 @@
 # inside a pipe.  Each subcommand's --format json, written to a file (the
 # largest is the syzygy trace at d = 8, k = 194), must be what
 # json.dumps(json.loads(text), indent=2) writes, checked under
-# `python3 -W error`: beyond the pinned bytes, this is the job's one check that
-# the installed renderer writes canonical indent=2 JSON.  A bare run whose exit code and bytes the corpus pins is not
-# repeated here.  Last, tests/golden/corpus.py replays the golden corpus,
+# `python3 -W error`: beyond the pinned bytes, this is the job's one check
+# that the installed renderer writes canonical indent=2 JSON.  A bare run
+# whose exit code and bytes the corpus pins is not repeated here.  Last, tests/golden/corpus.py replays the golden corpus,
 # every pinned CLI output in manifest.json and the public API pinned in
 # api.json (signatures, fields, slots, exception bases, the CLI constants),
 # without pytest and under `python3 -W error`, so API drift and a warning

@@ -612,7 +612,7 @@ class TestJsonRendering:
 
     def test_random_payloads_match_json_dumps(self, encoders):
         rng = random.Random(54)
-        for _ in range(10_000):
+        for _ in range(4_000):
             payload = _random_json(rng)
             stream = io.StringIO()
             cli._write(cli.CommandOutput(payload, [], [], [], True), "json", stream)
