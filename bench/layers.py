@@ -27,7 +27,8 @@ operation on fixed inputs and reports microseconds per operation:
   (d, r, k), so that each operation walks the rank recurrence from the start;
   ``syzygy.recurrence_triple.k<k>``: those three routes at one (d, r, k), in
   syzygy-deep's order, alternating the seeds the same way; and
-  ``syzygy.trace_to_dict.k<k>``: ``SyzygyTrace.to_dict`` of a fresh
+  ``syzygy.trace_to_dict.k<k>`` and ``syzygy.discriminant_drift.k<k>``:
+  ``SyzygyTrace.to_dict`` and ``discriminant_drift`` of a fresh
   ``iterate_syzygy`` trace of the rank-2 seed, the trace made untimed;
 - ``cubic.chi_pair_oracle.all_pairs``: one pass of ``chi_pair_oracle`` over
   the 72² ordered pairs of cubics;
@@ -210,9 +211,11 @@ def _syzygy_rows() -> list[Group]:
                  f(k) for _ in range(ops)))
             for name, f in routes.items() for k, ops in SYZYGY_OPS.items()]
     # Fresh traces, made untimed: a trace keeps the rows it has built.
-    rows += [_row(f"syzygy.trace_to_dict.k{k}", ops,
-                  lambda traces: _consume(map(U.SyzygyTrace.to_dict, traces)),
+    rows += [_row(f"syzygy.{name}.k{k}", ops,
+                  lambda traces, read=read: _consume(map(read, traces)),
                   lambda k=k, ops=ops: [U.iterate_syzygy(seed, surface, k) for _ in range(ops)])
+             for name, read in (("trace_to_dict", U.SyzygyTrace.to_dict),
+                                ("discriminant_drift", U.discriminant_drift))
              for k, ops in SYZYGY_OPS.items()]
     return rows
 

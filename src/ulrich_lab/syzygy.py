@@ -71,8 +71,8 @@ for an exact seed the column M_{-1} = 0, M_k = N_k - M_{k-1} joins them, and
 c1(S_k) = -c1(S_{k-1}) + N_k H = (-1)^{k+1} c1(E) + M_k H gives the exact
 c1 of any row from it.  One builder makes a row of the trace, and its exact
 c1, the first time the row is read, by index or by iteration, and keeps it;
-so every route is linear in k or better, and reading the last row and the
-drift costs no row in between.
+so every route is linear in k or better, and the last row costs no row in
+between; ``_columns``, the one reader of records and drift, builds none.
 One step from (n, q, p, w) of S_{k-1}, q = c1^2, p = c1.H, w = 2 c2 - c1^2,
 is Riemann-Roch, the kernel and the twist by H:
 
@@ -441,7 +441,7 @@ class _TraceRows(Sequence):
     only, w as kept, through ``_trace_rows``; a pickle of the former layout,
     with c2 for w, loads through the constructor.
     :meth:`SyzygyTrace.to_dict` and :func:`discriminant_drift` read the
-    columns, and build no row.
+    columns through ``_columns``, and build no row.
     """
 
     __slots__ = ("_ranks", "_c1_sqs", "_degrees", "_ws", "_c1", "_ms", "_rows")
@@ -549,22 +549,23 @@ class SyzygyTrace:
     def to_dict(self) -> dict:
         """The degree, the seed and one :meth:`TraceEntry.to_dict` record per row.
 
-        A trace from :func:`iterate_syzygy` writes the records from its
-        columns, without building a row: with w = 2 c2 - c1^2, c2 = (w + c1^2)/2,
-        delta = rk w + c1^2 and drift = rk (w - rk) + c1^2 + 1, as
-        :func:`~ulrich_lab.chern.discriminant` and
-        :func:`~ulrich_lab.chern.expected_moduli_dim` evaluate them.  The
-        rows of any other trace give their own records.
+        Each record comes from ``_columns``, for rows passed in by hand too,
+        so an :func:`iterate_syzygy` trace builds no row: with w = 2 c2 - c1^2,
+        c2 = (w + c1^2)/2, delta = rk w + c1^2 and drift = rk (w - rk) + c1^2 + 1,
+        as ``chern.discriminant`` and ``chern.expected_moduli_dim`` evaluate them.
         """
-        entries = self.entries
-        if type(entries) is _TraceRows:
-            records = [{"k": k, "rank": n, "c1_sq": q, "c1_dot_H": p, "c2": (w + q) >> 1,
-                        "delta": n * w + q, "drift": n * (w - n) + q + 1}
-                       for k, n, q, p, w in zip(count(-1), entries._ranks, entries._c1_sqs,
-                                                entries._degrees, entries._ws)]
-        else:
-            records = [item.to_dict() for item in entries]
+        records = [{"k": k, "rank": n, "c1_sq": q, "c1_dot_H": p, "c2": (w + q) >> 1,
+                    "delta": n * w + q, "drift": n * (w - n) + q + 1}
+                   for k, n, q, p, w in _columns(self.entries)]
         return {"d": self.surface.degree, "seed": self.seed.to_dict(), "entries": records}
+
+
+def _columns(entries: Sequence[TraceEntry]) -> Iterator[tuple[int, int, int, int, int]]:
+    """(k, rank, c1^2, c1.H, w = 2 c2 - c1^2) per row, the one reader of a trace's
+    records: a :class:`_TraceRows`' columns, building no row, or else each row's fields."""
+    if type(entries) is _TraceRows:
+        return zip(count(-1), entries._ranks, entries._c1_sqs, entries._degrees, entries._ws)
+    return ((row.k, row.rank, row.c1_sq, row.c1_dot_h, 2 * row.c2 - row.c1_sq) for row in entries)
 
 
 def _require_seed(seed: AnyNumerics, types: tuple[type, ...], surface: DelPezzoSurface,
@@ -649,18 +650,12 @@ def discriminant_drift(trace: SyzygyTrace) -> list[int]:
     """Delta(S_k) - (N_k^2 - 1) for every trace entry.
 
     For an Ulrich seed this list is constant, equal to the expected
-    moduli dimension of the seed.  It is the one-product form of
-    :func:`~ulrich_lab.chern.expected_moduli_dim`, rk (w - rk) + c1^2 + 1
-    with w = 2 c2 - c1^2.  A trace from :func:`iterate_syzygy` gives
-    (rk, c1^2, w) straight from its columns, without building a row; the
-    rows of any other trace go through ``expected_moduli_dim`` row by row.
+    moduli dimension of the seed.  It is rk (w - rk) + c1^2 + 1, w = 2 c2 - c1^2,
+    the one-product form of :func:`~ulrich_lab.chern.expected_moduli_dim`, on
+    the rows of ``_columns``, so an :func:`iterate_syzygy` trace builds no row.
     """
     _require_type(trace, (SyzygyTrace,), "trace")
-    entries = trace.entries
-    if type(entries) is _TraceRows:
-        return [rank * (w - rank) + c1_sq + 1
-                for rank, c1_sq, w in zip(entries._ranks, entries._c1_sqs, entries._ws)]
-    return [expected_moduli_dim(row) for row in entries]
+    return [n * (w - n) + q + 1 for _, n, q, _, w in _columns(trace.entries)]
 
 
 def _closed_core(d: int, r: int, c1_sq: int, c1_dot_h: int, c2: int,

@@ -28,7 +28,8 @@ def expected_rows() -> list[str]:
     rows += ["picard.classes_with.cubics", "picard.classes_with.lines"]
     rows += ["chern.tensor", "chern.tensor_line", "chern.twist_by_h", "chern.euler_char"]
     rows += [f"syzygy.{route}.k{k}" for route in ROUTES for k in (20, 200, 1000)]
-    rows += [f"syzygy.trace_to_dict.k{k}" for k in (20, 200, 1000)]
+    rows += [f"syzygy.{reader}.k{k}" for reader in ("trace_to_dict", "discriminant_drift")
+             for k in (20, 200, 1000)]
     rows += ["cubic.chi_pair_oracle.all_pairs"]
     rows += [f"cubic.decompose_stable_sum.r{r}" for r in (2, 3, 4)]
     rows += [f"cubic.decompose_pair.r{r}" for r in (2, 3)]

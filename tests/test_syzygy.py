@@ -786,7 +786,7 @@ class TestTraceRows:
 
     def test_drift_of_any_rows(self, surface, seed):
         # A trace may hold rows passed to the constructor, or rows unpickled
-        # from a pickle that holds the tuple: the drift reads them row by row.
+        # from a pickle that holds the tuple: the drift reads their fields.
         trace = iterate_syzygy(seed, surface, 12)
         reference = reference_rows(seed, surface, 12)
         expected = [expected_moduli_dim(row) for row in reference]
@@ -853,19 +853,18 @@ class TestTraceToDict:
         assert [type(value) for record in payload["entries"] for value in record.values()] \
             == [int] * 7 * (k_max + 2)
 
-    def test_rows_given_by_hand_give_their_own_records(self, monkeypatch):
-        calls, row_to_dict = [], TraceEntry.to_dict
-
-        def counting(row):
-            calls.append(row.k)
-            return row_to_dict(row)
-
+    def test_rows_given_by_hand_give_their_own_records(self):
         trace = iterate_syzygy(WITNESS, S4, 7)
-        by_hand = SyzygyTrace(S4, WITNESS, tuple(trace.entries))
-        monkeypatch.setattr(TraceEntry, "to_dict", counting)
+        rows = tuple(trace.entries)
+        by_hand = SyzygyTrace(S4, WITNESS, rows)
         # The same text, key order included, as the column records write.
         assert json.dumps(by_hand.to_dict()) == json.dumps(trace.to_dict())
-        assert calls == list(range(-1, 8))
+        # Rows passed in by hand are read from their fields, in their order and
+        # with their own k; a row's to_dict and drift go through chern instead.
+        for given in (rows, rows[5:], rows[::-1], ()):
+            other = SyzygyTrace(S4, WITNESS, given)
+            assert other.to_dict()["entries"] == [row.to_dict() for row in given]
+            assert discriminant_drift(other) == [row.drift for row in given]
 
 
 # pickle.dumps(iterate_syzygy(WITNESS, S4, 7), 2) when the trace kept a c2
