@@ -32,6 +32,8 @@ operation on fixed inputs and reports microseconds per operation:
   ``iterate_syzygy`` trace of the rank-2 seed, the trace made untimed;
 - ``cubic.chi_pair_oracle.all_pairs``: one pass of ``chi_pair_oracle`` over
   the 72² ordered pairs of cubics;
+- ``cubic.validate.r3``: ``StableSumDecomposition.validate`` of each of the
+  1,440 decompositions of 3H, built untimed;
 - ``cubic.decompose_stable_sum.r<r>``: the ordered decompositions of rH
   alternated with those of its neighbour rH - E_1 + E_2, r = 2, 3 and 4
   (the search keeps its last (target, r), so each operation searches); and
@@ -239,7 +241,10 @@ def _cubic_rows() -> list[Group]:
         U.decompose_stable_sum(target, r)
         U.decompose_stable_sum(target, r, unordered=True)
 
-    rows = [_row("cubic.chi_pair_oracle.all_pairs", 1, oracle_pass)]
+    decs = U.decompose_stable_sum(U.DivisorClass(9, (3,) * 6), 3)
+    rows = [_row("cubic.chi_pair_oracle.all_pairs", 1, oracle_pass),
+            _row("cubic.validate.r3", len(decs),
+                 lambda _: _consume(map(U.StableSumDecomposition.validate, decs)))]
     rows += [_searching(f"cubic.decompose_stable_sum.r{r}", ops, U.decompose_stable_sum, r)
              for r, ops in DECOMPOSE_OPS.items()]
     rows += [_searching(f"cubic.decompose_pair.r{r}", ops, pair, r)

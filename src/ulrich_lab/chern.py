@@ -32,9 +32,12 @@ of :mod:`ulrich_lab.cubic`, has its own kernel, ``_chi_dual_product``.  It
 returns the value of ``euler_char(tensor(dual(f), g), surface)`` from one
 pass over the coordinates, which accumulates c1(F)^2, c1(G)^2, c1(F).c1(G)
 and the degrees c1(F).H and c1(G).H, and it builds no class and no bundle.
-The dual is a sign flip on c1(F), so the product's c1^2 and c1.H are
-quadratic and linear in those five numbers, its c2 is ``_product_c2`` at
-the pairing -c1(F).c1(G), and ``_chi`` below finishes.
+On the cubic lattice, the one the cubic search and its checks reach, the
+five accumulations are written out over the seven coordinates; on any
+other lattice a loop zips the two coordinate tuples.  The dual is a sign
+flip on c1(F), so the product's c1^2 and c1.H are quadratic and linear in
+those five numbers, its c2 is ``_product_c2`` at the pairing
+-c1(F).c1(G), and ``_chi`` below finishes.
 :func:`ulrich_lab.cubic.chi_pair_oracle` calls it on one lattice.
 
 A del Pezzo surface is rational, so chi(O) = 1, and it is polarized by
@@ -300,9 +303,11 @@ def _chi_dual_product(f: BundleNumerics, g: BundleNumerics) -> int:
     The Euler pairing of F with G, the value of
     ``euler_char(tensor(dual(f), g), surface)``, with no class and no bundle
     built.  One pass over the coordinates accumulates c1(F)^2, c1(G)^2,
-    c1(F).c1(G) and the degrees c1(F).H, c1(G).H.  The dual flips the sign
-    of c1(F): its square stays, its pairing and its degree change sign.  The
-    product F* (x) G then has rank st, c1 = -t c1(F) + s c1(G) with
+    c1(F).c1(G) and the degrees c1(F).H, c1(G).H: written out when both
+    classes have six exceptional coordinates, a loop otherwise.  The dual
+    flips the sign of c1(F): its square stays, its pairing and its degree
+    change sign.  The product F* (x) G then has rank st,
+    c1 = -t c1(F) + s c1(G) with
 
         c1^2 = t^2 c1(F)^2 - 2st c1(F).c1(G) + s^2 c1(G)^2,
         c1.H = s c1(G).H - t c1(F).H,
@@ -313,14 +318,25 @@ def _chi_dual_product(f: BundleNumerics, g: BundleNumerics) -> int:
     """
     fc, gc = f.c1, g.c1
     fa, ga = fc.a, gc.a
-    ff, gg, fg = fa * fa, ga * ga, fa * ga
-    fh, gh = 3 * fa, 3 * ga
-    for u, v in zip(fc.b, gc.b):
-        ff -= u * u
-        gg -= v * v
-        fg -= u * v
-        fh -= u
-        gh -= v
+    fb, gb = fc.b, gc.b
+    if len(fb) == 6 == len(gb):
+        # The cubic lattice, written out: the loop below without its zip.
+        u1, u2, u3, u4, u5, u6 = fb
+        v1, v2, v3, v4, v5, v6 = gb
+        ff = fa * fa - u1 * u1 - u2 * u2 - u3 * u3 - u4 * u4 - u5 * u5 - u6 * u6
+        gg = ga * ga - v1 * v1 - v2 * v2 - v3 * v3 - v4 * v4 - v5 * v5 - v6 * v6
+        fg = fa * ga - u1 * v1 - u2 * v2 - u3 * v3 - u4 * v4 - u5 * v5 - u6 * v6
+        fh = 3 * fa - u1 - u2 - u3 - u4 - u5 - u6
+        gh = 3 * ga - v1 - v2 - v3 - v4 - v5 - v6
+    else:
+        ff, gg, fg = fa * fa, ga * ga, fa * ga
+        fh, gh = 3 * fa, 3 * ga
+        for u, v in zip(fb, gb):
+            ff -= u * u
+            gg -= v * v
+            fg -= u * v
+            fh -= u
+            gh -= v
     s, t = f.rank, g.rank
     st = s * t
     return _chi(st, t * t * ff - 2 * st * fg + s * s * gg, s * gh - t * fh,

@@ -22,10 +22,14 @@ ordered tuples.  There is one search per (target, r): ``_stable_sums``, a
 one-entry cache, keeps the last one as r census-index bytes per tuple
 (9.6 MB at 5H, r = 5), so the ordered and the unordered call at one
 (target, r) share it.  The cache is consulted after the guards, so a
-refused call leaves it unchanged.  The Euler characteristic controlling
-the extension spaces has the closed form chi = 2(j-1) - sum of the
-pairings, checked against a Riemann-Roch computation in
-:func:`chi_pair_oracle`.
+refused call leaves it unchanged.  :meth:`StableSumDecomposition.validate`
+rechecks a tuple with its own pass over the coordinates, which shares no
+code with the search; on this lattice it is written out over the seven
+coordinates, as the search is.  The Euler characteristic controlling the
+extension spaces has the closed form chi = 2(j-1) - sum of the pairings,
+checked against a Riemann-Roch computation in :func:`chi_pair_oracle`,
+whose kernel ``chern._chi_dual_product`` is written out over the seven
+coordinates too.
 
 The rank-2r partner of an Ulrich F and the kernel bundle M_T of a cubic are
 both the first syzygy bundle S_0 = ker(H^0(F) (x) O -> F).
@@ -178,11 +182,14 @@ class StableSumDecomposition(_Value):
     def validate(self) -> bool:
         """Recheck the defining sum and partial-pairing inequalities.
 
-        One pass, on any lattice, on coordinates: the partial sum is carried
-        as an int ``a`` and a tuple ``b``, each part's pairing with it is
-        tested, and it is compared with the target at the end.  The sum is
-        carried through every part even after a pairing fails, so each
-        refusal below holds for every order of the parts:
+        One pass on coordinates: each part's pairing with the partial sum
+        is tested, the part is added to it, and the sum is compared with the
+        target at the end.  On the cubic lattice, six exceptional
+        coordinates, the partial sum is seven local ints and each pairing
+        is written out over them; on any other lattice it is an int ``a``
+        and a tuple ``b``, paired by a loop.  The sum is carried through
+        every part even after a pairing fails, so each refusal below holds
+        for every order of the parts:
 
         * empty parts raise :class:`LatticeMismatch`, "cannot sum an empty
           family of divisor classes";
@@ -202,6 +209,31 @@ class StableSumDecomposition(_Value):
         width = len(pb)
         need = 3  # 2j - 1 at j = 2
         stable = True
+        target = self.target
+        if width == 6:
+            # The cubic lattice, written out: the loop below, without the
+            # zip/map/tuple calls that cost most of it at seven coordinates.
+            p1, p2, p3, p4, p5, p6 = pb
+            for part in parts[1:]:
+                t = part.divisor
+                tb = t.b
+                if len(tb) != 6:
+                    raise LatticeMismatch("cannot add classes from different lattices")
+                ta = t.a
+                t1, t2, t3, t4, t5, t6 = tb
+                if stable:
+                    stable = (pa * ta - p1 * t1 - p2 * t2 - p3 * t3 - p4 * t4 - p5 * t5
+                              - p6 * t6 >= need)
+                need += 2
+                pa += ta
+                p1 += t1
+                p2 += t2
+                p3 += t3
+                p4 += t4
+                p5 += t5
+                p6 += t6
+            return (stable and type(target) is DivisorClass and pa == target.a
+                    and target.b == (p1, p2, p3, p4, p5, p6))
         for part in parts[1:]:
             t = part.divisor
             tb = t.b
@@ -213,7 +245,6 @@ class StableSumDecomposition(_Value):
             need += 2
             pa += ta
             pb = tuple(map(add, pb, tb))
-        target = self.target
         return stable and type(target) is DivisorClass and pa == target.a and pb == target.b
 
 
@@ -239,7 +270,7 @@ def decompose_stable_sum(
     per tuple of the last search (9.6 MB at 5H, r = 5), and the result
     objects are built fresh on each call, on the caller's ``target``.
     :meth:`StableSumDecomposition.validate` rechecks any of them with its
-    own loop over the coordinates, which shares no code with the search.
+    own pass over the coordinates, which shares no code with the search.
     """
     _require_type(target, (DivisorClass,), "target")
     CUBIC_SURFACE.require(target)

@@ -30,7 +30,7 @@ def expected_rows() -> list[str]:
     rows += [f"syzygy.{route}.k{k}" for route in ROUTES for k in (20, 200, 1000)]
     rows += [f"syzygy.{reader}.k{k}" for reader in ("trace_to_dict", "discriminant_drift")
              for k in (20, 200, 1000)]
-    rows += ["cubic.chi_pair_oracle.all_pairs"]
+    rows += ["cubic.chi_pair_oracle.all_pairs", "cubic.validate.r3"]
     rows += [f"cubic.decompose_stable_sum.r{r}" for r in (2, 3, 4)]
     rows += [f"cubic.decompose_pair.r{r}" for r in (2, 3)]
     rows += [f"checks.{result.name}" for result in checks.run_all_checks()]

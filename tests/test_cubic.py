@@ -136,6 +136,27 @@ def decomposition(target, *divisors):
     return StableSumDecomposition(target, tuple(TwistedCubicClass("?", x) for x in divisors))
 
 
+def random_class(rng, width, size=0):
+    """A class on the lattice with ``width`` exceptional coordinates: small
+    nonnegative coordinates, which meet both verdicts of ``validate``, or,
+    with ``size``, coordinates drawn from [-size, size]."""
+    if size:
+        return DivisorClass(rng.randint(-size, size),
+                            tuple(rng.randint(-size, size) for _ in range(width)))
+    return DivisorClass(rng.randint(0, 5), tuple(rng.randint(0, 2) for _ in range(width)))
+
+
+MIXED_LATTICES = (LatticeMismatch, "cannot add classes from different lattices")
+
+
+def mixed_orders(parts, other, failing):
+    """``parts`` with ``other``, a part on another lattice, inserted first,
+    in the middle right after ``failing``, a second part that pairs below 3
+    with the first, and last."""
+    first, *rest = parts
+    return ((other, *parts), (first, failing, other, *rest), (*parts, other))
+
+
 def two_pass_validate(dec):
     """The earlier body of ``StableSumDecomposition.validate``: the sum first,
     then the pairings, with the zero class taken on the parts' lattice
@@ -500,27 +521,78 @@ class TestDecompositions:
     def test_validate_matches_two_pass_body(self, target, count):
         decs = decompose_stable_sum(target, 3)
         assert len(decs) == count
+        # A class with every coordinate about 10**40 in size: a term dropped
+        # from a pairing with it, or from a sum with it, moves it that far.
+        huge = DivisorClass(10**40, (-10**40, 10**40 - 1, 3 * 10**39, -7 * 10**39,
+                                     10**39 + 7, 10**40))
+        far = TwistedCubicClass("?", huge)
+        quartic = TwistedCubicClass("?", QUARTIC_A)
         verdicts = Counter()
         for dec in decs:
-            for parts in (dec.parts, dec.parts[::-1]):
-                for goal in (target, target + T_A, target - DivisorClass(0, (0, 0, 0, 0, 0, 1))):
-                    case = StableSumDecomposition(goal, parts)
+            parts = dec.parts
+            for order in (parts, parts[::-1], (*parts, far), (far, *parts)):
+                for goal in (target, target + T_A, target - DivisorClass(0, (0, 0, 0, 0, 0, 1)),
+                             target + huge):
+                    case = StableSumDecomposition(goal, order)
                     verdict = case.validate()
                     assert verdict == two_pass_validate(case)
                     verdicts[verdict] += 1
-        # Reversed orders and shifted targets both fail: the comparison sees both answers.
-        assert verdicts[True] >= count and verdicts[False] >= 4 * count
+            # A cubic pairs 1 < 3 with itself, so a repeated first part fails.
+            for order in mixed_orders(parts, quartic, parts[0]):
+                case = StableSumDecomposition(target, order)
+                assert outcome(case.validate) == outcome(two_pass_validate, case) == MIXED_LATTICES
+        # Reversed orders and shifted targets fail, and the far class appended
+        # to the sum passes: the comparison sees both answers.
+        assert verdicts[True] >= 2 * count and verdicts[False] >= 8 * count
 
     def test_validate_matches_two_pass_body_on_every_degree(self):
         rng = random.Random(13)
-        for _ in range(600):
+        verdicts = Counter()
+        for _ in range(900):
             t = rng.randint(1, 6)
-            divisors = [DivisorClass(rng.randint(0, 5), tuple(rng.randint(0, 2) for _ in range(t)))
-                        for _ in range(rng.randint(1, 4))]
+            # The cubic lattice also with coordinates up to 10**40 in size.
+            size = rng.choice((0, 10**40)) if t == 6 else 0
+            divisors = [random_class(rng, t, size) for _ in range(rng.randint(1, 4))]
             total = sum_classes(divisors)
             for goal in (total, total + DivisorClass(1, (0,) * t)):
                 case = decomposition(goal, *divisors)
-                assert case.validate() == two_pass_validate(case)
+                verdict = case.validate()
+                assert verdict == two_pass_validate(case)
+                if len(divisors) > 1:
+                    verdicts[t == 6, size, verdict] += 1
+            # The zero class pairs 0 < 3 with any first part.
+            other = random_class(rng, rng.choice([w for w in range(1, 7) if w != t]))
+            for order in mixed_orders(divisors, other, DivisorClass.zero(t)):
+                case = decomposition(total, *order)
+                assert outcome(case.validate) == outcome(two_pass_validate, case) == MIXED_LATTICES
+        # Both verdicts on the written-out body, at both sizes, and on the loop.
+        assert all(verdicts[cubic_lattice, size, verdict]
+                   for cubic_lattice, size in ((True, 0), (True, 10**40), (False, 0))
+                   for verdict in (True, False)), verdicts
+
+    def test_validate_shares_no_code_with_the_search(self, monkeypatch):
+        target = T_A + T_C + T_E
+        decs = decompose_stable_sum(target, 3)
+        assert len(decs) == 712
+        # Built by hand, on the cubic and on the quartic lattice.
+        first, second = DivisorClass(1, (0,) * 5), DivisorClass(3, (2, 1, 1, 1, 1))
+        by_hand = [decomposition(T_A + T_C, T_A, T_C), decomposition(target + T_A, T_C, T_A, T_E),
+                   decomposition(2 * T_A, T_A, T_A), decomposition(first + second, first, second),
+                   decomposition(first + first, first, first)]
+        verdicts = [two_pass_validate(dec) for dec in by_hand]
+        assert verdicts == [True, False, False, True, False]
+        cases = [(dec, True) for dec in decs] + list(zip(by_hand, verdicts))
+        search = cubic._stable_sums
+        before = search.cache_info()
+
+        def refuse(*args):
+            raise AssertionError("validate reached the search")
+
+        for name in ("_stable_sums", "_pair_table", "_census_box"):
+            monkeypatch.setattr(cubic, name, refuse)
+        assert [dec.validate() for dec, _ in cases] == [verdict for _, verdict in cases]
+        monkeypatch.undo()
+        assert search.cache_info() == before
 
     def test_triple_target(self):
         decs = decompose_stable_sum(T_A + T_C + T_E, 3)
@@ -884,22 +956,21 @@ class TestEulerPairingKernel:
         rng = random.Random(0x0C1)
         divisors = [t.divisor for t in twisted_cubics()]
         for _ in range(2000):
-            fprev = BundleNumerics(rng.randint(1, 6),
-                                   DivisorClass(rng.randint(-9, 9),
-                                                tuple(rng.randint(-9, 9) for _ in range(6))),
-                                   rng.randint(-50, 50))
+            size = rng.choice((9, 10**40))
+            fprev = BundleNumerics(rng.randint(1, 6), random_class(rng, 6, size),
+                                   rng.randint(-5 * size, 5 * size))
             t = rng.choice(divisors)
             assert chi_pair_oracle(fprev, t, CUBIC_SURFACE) == composition(fprev, t, CUBIC_SURFACE)
 
     def test_kernel_on_random_pairs(self):
-        # Both factors arbitrary, on every lattice width the surfaces have.
+        # Both factors arbitrary, on every lattice width the surfaces have,
+        # with coordinates up to 9 or up to 10**40 in size.
         rng = random.Random(21)
-        for _ in range(600):
+        for _ in range(900):
             width = rng.randint(1, 6)
-            f, g = (BundleNumerics(rng.randint(1, 6),
-                                   DivisorClass(rng.randint(-9, 9),
-                                                tuple(rng.randint(-9, 9) for _ in range(width))),
-                                   rng.randint(-50, 50))
+            size = rng.choice((9, 10**40))
+            f, g = (BundleNumerics(rng.randint(1, 6), random_class(rng, width, size),
+                                   rng.randint(-5 * size, 5 * size))
                     for _ in range(2))
             surface = make_surface(9 - width)
             assert chern._chi_dual_product(f, g) == euler_char(tensor(dual(f), g), surface)
