@@ -40,6 +40,9 @@ operation on fixed inputs and reports microseconds per operation:
   ``cubic.decompose_pair.r<r>``: cubic-search's ordered-then-unordered pair
   at one target, alternating the same two, r = 2 and 3.  A run stops
   unless each of these operations made exactly one search;
+- ``checks.case_draws``: ``CASE_DRAWS`` self-check case draws
+  ``checks._random_bundle`` on lattice widths 1..6 in turn, from a fresh
+  generator of fixed seed;
 - ``checks.<name>``: each check of one ``run_all_checks()``;
 - ``cli.<subcommand>.<format>``: one in-process invocation of every
   subcommand in every format, on the fixed arguments of ``CLI_ARGS``.
@@ -61,6 +64,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -105,6 +109,8 @@ CLASSES_WITH = {"cubics": (6, 3, 1), "lines": (6, 1, -1)}
 CLASSES_WITH_OPS = 20
 DECOMPOSE_OPS = {2: 20, 3: 2, 4: 2}
 DECOMPOSE_PAIR_OPS = {2: 20, 3: 2}
+CASE_DRAWS = 10_000
+CASE_DRAW_WIDTHS = [1 + i % 6 for i in range(CASE_DRAWS)]
 IMPORTED = ("ulrich_lab", "ulrich_lab.cli")
 # Run in a fresh interpreter with argv [src, module]: prints the import's own
 # wall seconds, then on the next line the file the module came from.
@@ -271,6 +277,12 @@ def _searching(name: str, ops: int, call: Callable, r: int) -> Group:
     return group
 
 
+def _case_draws_row() -> Group:
+    return _row("checks.case_draws", CASE_DRAWS, lambda rng: _consume(
+        map(checks._random_bundle, repeat(rng), CASE_DRAW_WIDTHS)),
+        lambda: random.Random(checks.DEFAULT_RNG_SEED))
+
+
 def _checks_group() -> dict[str, tuple[float, int]]:
     """Every check of one ``run_all_checks()``, timed by wrapping ``checks.check_one``."""
     walls = {}
@@ -329,7 +341,7 @@ def measure(repeats: int) -> dict[str, dict]:
     """Every row: its operations per interval, and the median and quartiles
     of its repetitions in microseconds per operation, rescaled and raw."""
     groups = [*map(_import_row, IMPORTED), *_picard_rows(), *_chern_rows(), *_syzygy_rows(),
-              *_cubic_rows(), _checks_group, *_cli_rows()]
+              *_cubic_rows(), _case_draws_row(), _checks_group, *_cli_rows()]
     rows = {}
     for group in groups:
         group()  # warm-up: census memos, caches, first imports

@@ -19,7 +19,16 @@ from typing import Callable, Iterable, Sequence
 from . import chern, cubic, picard, syzygy, tables, ulrich
 from .chern import AnyNumerics, BundleNumerics, NumericClassData, _trusted_bundle
 from .errors import BadSeedFile, UlrichLabError
-from .picard import DelPezzoSurface, DivisorClass, _require_int, _shown, _trusted, make_surface
+from .picard import (
+    _KERNEL_WIDTHS,
+    DelPezzoSurface,
+    DivisorClass,
+    _kernel_table,
+    _require_int,
+    _shown,
+    _trusted,
+    make_surface,
+)
 
 DEFAULT_RNG_SEED = 0x5EED
 DEFAULT_CASES = 1000
@@ -103,14 +112,26 @@ def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
     which picks ``floor(rng.random() * n)`` from a population of n; the
     coordinates are ints by construction (``math.floor`` of a float is an
     int, and a cheaper call than ``int``), so the class is built without the
-    constructor's checks.
+    constructor's checks.  Up to eight coordinates the draws are the
+    straight-line body of ``_DRAW[t]``, built on first use by
+    ``picard._kernel_table``: one call whose argument list and tuple display
+    draw in the same left-to-right order as the loop below.
     """
     draw, n = rng.random, 2 * span + 1
+    if t < _KERNEL_WIDTHS:
+        return _DRAW[t](draw, n, span)
     a = floor(draw() * n) - span
     b = []  # a loop, not a comprehension, which is a call of its own before 3.12
     for _ in range(t):
         b.append(floor(draw() * n) - span)
     return _trusted(a, tuple(b))
+
+
+# _random_class's draws written out for t coordinates: a, then b_1..b_t.
+_DRAW = _kernel_table("draw", "def {name}(draw, n, span):\n"
+                              "    return _trusted(floor(draw() * n) - span,\n"
+                              "                    ({floor(draw() * n) - span, }))\n",
+                      {"__name__": __name__, "_trusted": _trusted, "floor": floor})
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -123,6 +144,8 @@ def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
     draw = rng.random
     rank = 1 + floor(draw() * 5)
     c2 = floor(draw() * 41) - 20 if rank > 1 else 0
+    if t < _KERNEL_WIDTHS:
+        return _trusted_bundle(rank, _DRAW[t](draw, 13, 6), c2)
     return _trusted_bundle(rank, _random_class(rng, t, 6), c2)
 
 
@@ -449,6 +472,15 @@ def check_cubic_decompositions() -> tuple[bool, str]:
     doubled = cubic.decompose_stable_sum(2 * rep("A"), 2)
     if any(p.divisor == q.divisor == rep("A") for p, q in (d.parts for d in doubled)):
         return False, "2*T_A should not decompose through itself"
+    # validate must also refuse: (T_E, T) and (T, T_E) are stable exactly when
+    # T_E.T >= 3, which fails for the 21 cubics of tags D and E.
+    t_e = cubic.TwistedCubicClass("E", rep("E"))
+    for t in cubic.twisted_cubics():
+        expected = t_e.divisor.dot(t.divisor) >= 3
+        target = t_e.divisor + t.divisor
+        for parts in ((t_e, t), (t, t_e)):
+            if cubic._trusted_decomposition(target, parts).validate() != expected:
+                return False, f"validate of {parts[0].divisor}, {parts[1].divisor} is not {expected}"
     return True, "table pairs found, all tuples revalidate"
 
 

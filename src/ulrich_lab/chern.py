@@ -22,7 +22,12 @@ in the code, ``_product_c2``, on the ranks, the three pairings and the two
 c2.  :func:`tensor` and :func:`tensor_line` check their operands and share
 one body, ``_product``: a single pass over the coordinates accumulates
 c1(F)^2, c1(G)^2 and c1(F).c1(G) and builds c1 = t c1(F) + s c1(G), and
-``_product_c2`` gives c2.  :func:`tensor_line` is the line case t = 1,
+``_product_c2`` gives c2.  Up to eight exceptional coordinates that pass is
+written out: ``_PRODUCT`` holds one straight-line body per width, built on
+first use by ``picard._kernel_table``, and a loop serves wider classes.
+:func:`direct_sum` pairs and adds through ``picard``'s pairing and sum
+tables, and :func:`euler_char` squares c1 through its square table, on the
+same widths.  :func:`tensor_line` is the line case t = 1,
 c2(G) = 0, where it reads C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).
 C(s,2) is taken as s(s-1) >> 1, exact since s(s-1) is even, and cheaper
 than a call to ``math.comb``.
@@ -112,11 +117,16 @@ from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
 from .picard import (
+    _KERNEL_WIDTHS,
+    _PAIRING,
     _RANK_RULE,
+    _SQUARE,
+    _SUM,
     DelPezzoSurface,
     DivisorClass,
     _as_tuple,
     _is_int,
+    _kernel_table,
     _require_int,
     _require_keys,
     _require_type,
@@ -275,8 +285,12 @@ def _product(s: int, fc: DivisorClass, c2_f: int,
 
     One pass over the coordinates accumulates the three pairings c1(F)^2,
     c1(G)^2 and c1(F).c1(G) and builds t c1(F) + s c1(G); the all-ranks
-    formula of the module docstring then gives c2.
+    formula of the module docstring then gives c2.  Up to eight coordinates
+    the pass is the written-out body of ``_PRODUCT[width]``.
     """
+    width = len(fc.b)
+    if width < _KERNEL_WIDTHS:
+        return _PRODUCT[width](s, fc, c2_f, t, gc, c2_g)
     fa, ga = fc.a, gc.a
     ff, gg, fg = fa * fa, ga * ga, fa * ga
     b = []  # a loop, not a comprehension, which is a call of its own before 3.12
@@ -295,6 +309,22 @@ def _product_c2(s: int, ff: int, c2_f: int, t: int, gg: int, c2_g: int, fg: int)
     fg = c1(F).c1(G) and the second Chern numbers; its one source."""
     return ((s * (s - 1) >> 1) * gg + s * c2_g + (s * t - 1) * fg
             + t * c2_f + (t * (t - 1) >> 1) * ff)
+
+
+# _product's pass written out for one width: the loop above without its zip,
+# append and tuple calls.
+_PRODUCT = _kernel_table(
+    "product", "def {name}(s, fc, c2_f, t, gc, c2_g):\n"
+               "    fa = fc.a\n"
+               "    ga = gc.a\n"
+               "    [{u#, }] = fc.b\n"
+               "    [{v#, }] = gc.b\n"
+               "    return _trusted_bundle(\n"
+               "        s * t, _trusted(t * fa + s * ga, ({t * u# + s * v#, })),\n"
+               "        _product_c2(s, fa * fa{ - u# * u#}, c2_f, t, ga * ga{ - v# * v#}, c2_g,\n"
+               "                    fa * ga{ - u# * v#}))\n",
+    {"__name__": __name__, "_trusted": _trusted, "_trusted_bundle": _trusted_bundle,
+     "_product_c2": _product_c2})
 
 
 def _chi_dual_product(f: BundleNumerics, g: BundleNumerics) -> int:
@@ -367,9 +397,13 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
             raise LatticeMismatch("summands live on different lattices")
         ia = c1.a
         rank += item.rank
-        c2 += item.c2 + a * ia - sum(map(mul, b, ib))
+        if arity < _KERNEL_WIDTHS:
+            c2 += item.c2 + _PAIRING[arity](a, b, ia, ib)
+            b = _SUM[arity](b, ib)
+        else:
+            c2 += item.c2 + a * ia - sum(map(mul, b, ib))
+            b = tuple(map(add, b, ib))
         a += ia
-        b = tuple(map(add, b, ib))
     return _trusted_bundle(rank, _trusted(a, b), c2)
 
 
@@ -388,9 +422,14 @@ def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
     if isinstance(f, BundleNumerics):
         c1 = f.c1
         a, b = c1.a, c1.b
-        if len(b) != surface.num_exceptional:
+        width = len(b)
+        if width != surface.num_exceptional:
             surface.require(c1)  # raises, naming both lattices
-        c1_sq, c1_dot_h = a * a - sum(map(mul, b, b)), 3 * a - sum(b)
+        if width < _KERNEL_WIDTHS:
+            c1_sq = _SQUARE[width](a, b)
+        else:  # a surface subclass that widens its lattice
+            c1_sq = a * a - sum(map(mul, b, b))
+        c1_dot_h = 3 * a - sum(b)
     else:
         _require_type(f, _NUMERICS, "f")
         c1_sq, c1_dot_h = f.c1_sq, f.c1_dot_h

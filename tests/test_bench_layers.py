@@ -33,6 +33,7 @@ def expected_rows() -> list[str]:
     rows += ["cubic.chi_pair_oracle.all_pairs", "cubic.validate.r3"]
     rows += [f"cubic.decompose_stable_sum.r{r}" for r in (2, 3, 4)]
     rows += [f"cubic.decompose_pair.r{r}" for r in (2, 3)]
+    rows += ["checks.case_draws"]
     rows += [f"checks.{result.name}" for result in checks.run_all_checks()]
     rows += [f"cli.{command}.{fmt}" for command in cli.main.commands for fmt in cli.FORMATS]
     return rows

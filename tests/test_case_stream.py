@@ -27,8 +27,13 @@ from ulrich_lab import BundleNumerics, DivisorClass, checks
 CASE_STREAM_DIGEST = "0f1e5df59a0e047c1502afedfed44dcc9ada5940452e01e14a14dc59e6615d86"
 
 
+# The lattice widths the draws are checked at: the kernels' widths 0..8 and
+# one wider, drawn by the loop.
+DRAW_WIDTHS = range(10)
+
+
 @pytest.mark.parametrize("span", [3, 4, 6, 9, 99])
-@pytest.mark.parametrize("t", range(1, 7))
+@pytest.mark.parametrize("t", DRAW_WIDTHS)
 def test_random_class_draws_what_choices_draws(t, span):
     rng, twin = random.Random(1000 * t + span), random.Random(1000 * t + span)
     for _ in range(50):
@@ -74,7 +79,7 @@ def test_below_is_one_floor_draw_on_the_seed_pool():
     assert rng.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("t", range(1, 7))
+@pytest.mark.parametrize("t", DRAW_WIDTHS)
 def test_random_bundle_draws_rank_and_c2_by_floor_and_c1_by_choices(t):
     rng, twin = random.Random(t), random.Random(t)
     ranks, c2s = set(), set()

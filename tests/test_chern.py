@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ulrich_lab import (
     BundleNumerics,
+    DelPezzoSurface,
     DivisorClass,
     EmptySum,
     LatticeMismatch,
@@ -33,9 +34,21 @@ from ulrich_lab import (
     tensor_line,
     twist_by_h,
 )
+from ulrich_lab import chern as chern_module
+from ulrich_lab import picard as picard_module
 
 S3 = make_surface(3)
 S4 = make_surface(4)
+# Widths 0..8 run the kernels of picard._kernel_table, wider ones the loops.
+WIDTHS = range(11)
+BIG = 10**40
+
+
+def _random_bundle(rng: random.Random, width: int, size: int) -> BundleNumerics:
+    """Rank 1..6, coordinates and c2 in [-size, size]."""
+    coordinate = lambda: rng.randint(-size, size)  # noqa: E731
+    return BundleNumerics(rng.randint(1, 6), DivisorClass(
+        coordinate(), tuple(coordinate() for _ in range(width))), coordinate())
 T_A = parse_divisor("(1;0,0,0,0,0,0)")
 T_C = parse_divisor("(3;2,1,1,1,1,0)")
 
@@ -176,6 +189,29 @@ class TestTensor:
         g = BundleNumerics(3, T_C, 2)
         assert tensor(f, g).rank == 6
 
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_kernels_match_the_loop_bodies(self, width, monkeypatch):
+        """tensor, tensor_line, direct_sum and euler_char give the same ints
+        through the kernel tables as through the loops they keep for wider
+        classes, here run at every width with the tables switched off."""
+        rng = random.Random(width)
+        # euler_char on a surface subclass whose lattice is this wide.
+        surface = type("Wide", (DelPezzoSurface,), {"num_exceptional": width})(3)
+        cases = [[_random_bundle(rng, width, size) for _ in range(3)]
+                 for size in (9, BIG) for _ in range(40)]
+
+        def values():
+            return [(tensor(f, g), tensor_line(f, g.c1), direct_sum([f, g, h]),
+                     euler_char(f, surface)) for f, g, h in cases]
+
+        with_kernels = values()
+        for bundle in (b for row in with_kernels for b in row[:3]):
+            assert all(type(v) is int for v in (bundle.rank, bundle.c2, bundle.c1.a, *bundle.c1.b))
+        assert all(type(row[3]) is int for row in with_kernels)
+        monkeypatch.setattr(chern_module, "_KERNEL_WIDTHS", 0)
+        monkeypatch.setattr(picard_module, "_KERNEL_WIDTHS", 0)
+        assert values() == with_kernels
+
     @given(surface_bundle_pairs())
     @settings(max_examples=150)
     def test_commutative(self, data):
@@ -212,13 +248,9 @@ class TestDirectSum:
     def test_pairwise_formula(self, k):
         # rank and c2 add, c1 adds, and c2 gains c1_i.c1_j for every i < j.
         rng = random.Random(k)
-        for width in (0, 1, 5, 6):
-            for _ in range(25):
-                parts = [BundleNumerics(rng.randint(1, 6),
-                                        DivisorClass(rng.randint(-9, 9),
-                                                     tuple(rng.randint(-9, 9) for _ in range(width))),
-                                        rng.randint(-50, 50))
-                         for _ in range(k)]
+        for width in WIDTHS:
+            for trial in range(25):
+                parts = [_random_bundle(rng, width, (9, BIG)[trial & 1]) for _ in range(k)]
                 c1s = [part.c1 for part in parts]
                 c2 = sum(part.c2 for part in parts)
                 for i in range(k):

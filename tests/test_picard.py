@@ -8,7 +8,9 @@ import itertools
 import pickle
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -261,7 +263,9 @@ class TestIntersection:
 
 
 # Coordinates well past 2**64: the lattice arithmetic must stay exact.
-BIG = 2**80
+BIG = 10**40
+# Widths 0..8 run the kernels of picard._kernel_table, wider ones the loops.
+WIDTHS = range(11)
 
 
 def _reference_dot(x: tuple[int, list[int]], y: tuple[int, list[int]]) -> int:
@@ -273,17 +277,21 @@ def _reference_dot(x: tuple[int, list[int]], y: tuple[int, list[int]]) -> int:
 
 
 @st.composite
-def coordinate_pairs(draw):
-    t = draw(st.integers(min_value=1, max_value=6))
+def coordinate_pairs(draw, t):
     coordinate = st.integers(min_value=-BIG, max_value=BIG)
     vector = st.tuples(coordinate, st.lists(coordinate, min_size=t, max_size=t))
     return draw(vector), draw(vector)
 
 
 class TestAgainstReference:
-    @given(coordinate_pairs(), st.integers(min_value=-BIG, max_value=BIG))
-    @settings(max_examples=300)
-    def test_operations(self, pair, m):
+    @given(st.data(), st.integers(min_value=-BIG, max_value=BIG))
+    @settings(max_examples=60)
+    def test_operations(self, data, m):
+        for t in WIDTHS:
+            self.check_operations(data.draw(coordinate_pairs(t)), m)
+
+    @staticmethod
+    def check_operations(pair, m):
         (a, b), (a2, b2) = pair
         x, y = DivisorClass(a, b), DivisorClass(a2, b2)
         assert x.dot(y) == _reference_dot((a, b), (a2, b2))
@@ -306,16 +314,69 @@ class TestAgainstReference:
             assert result == DivisorClass(ea, eb), name
             assert hash(result) == hash(DivisorClass(ea, eb)), name
 
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+    @given(st.sampled_from(WIDTHS), st.sampled_from(WIDTHS),
            st.integers(min_value=-BIG, max_value=BIG))
     def test_unequal_lengths_are_refused(self, t, u, a):
         if t == u:
-            u = t % 6 + 1
+            u = (t + 1) % len(WIDTHS)
         x, y = DivisorClass(a, (a,) * t), DivisorClass(a, (1,) * u)
-        for operation in (x.dot, x.__add__, x.__sub__, y.dot, y.__add__, y.__sub__):
-            other = y if operation.__self__ is x else x
-            with pytest.raises(LatticeMismatch):
-                operation(other)
+        for left, right in ((x, y), (y, x)):
+            widths = len(left.b), len(right.b)
+            refusals = (
+                (left.dot, "classes have {} and {} exceptional coordinates".format(*widths)),
+                (left.__add__, "cannot add classes from different lattices"),
+                (left.__sub__, "cannot subtract classes from different lattices"),
+            )
+            for operation, message in refusals:
+                with pytest.raises(LatticeMismatch, match=f"^{message}$"):
+                    operation(right)
+
+
+    def test_kernels_are_built_on_first_use_and_only_for_widths_0_to_8(self):
+        """In a fresh interpreter: importing builds no kernel, calls at widths 9
+        and 12 build none, and a width-6 pairing builds exactly its own."""
+        script = """if True:
+            import functools, sys
+            sys.path.insert(0, sys.argv[1])
+            import ulrich_lab
+            from ulrich_lab import chern, picard
+
+            def tables():
+                found = {id(value): value for module in list(sys.modules.values())
+                         if module is not None and module.__name__.startswith("ulrich_lab")
+                         for value in vars(module).values()
+                         if type(value) is list and value
+                         and any(type(entry) is functools.partial
+                                 and entry.func is picard._first_use for entry in value)}
+                assert all(len(table) == 9 for table in found.values()), found
+                return list(found.values())
+
+            def built():
+                return [entry.__name__ for table in tables() for entry in table
+                        if type(entry) is not functools.partial]
+
+            assert len(tables()) == 4 and built() == [], built()
+            from ulrich_lab import checks
+            assert len(tables()) == 5 and built() == [], built()
+
+            rng = checks.random.Random(1)
+            for width in (9, 12):
+                x = ulrich_lab.DivisorClass(2, tuple(range(width)))
+                f = ulrich_lab.BundleNumerics(2, x, 3)
+                # A surface subclass whose lattice is this wide.
+                surface = type("Wide", (ulrich_lab.DelPezzoSurface,),
+                               {"num_exceptional": width})(3)
+                x.dot(x), x.self_intersection, x + x
+                ulrich_lab.tensor(f, f), ulrich_lab.tensor_line(f, x)
+                ulrich_lab.direct_sum([f, f, f]), ulrich_lab.euler_char(f, surface)
+                checks._random_class(rng, width), checks._random_bundle(rng, width)
+            assert built() == [], built()
+            x.__class__(1, (2,) * 6).dot(x.__class__(3, (4,) * 6))
+            assert built() == ["_pairing_6"], built()
+        """
+        subprocess.run([sys.executable, "-W", "error", "-c", script,
+                        str(Path(picard_module.__file__).parent.parent)],
+                       check=True, capture_output=True)
 
 
 class TestPermutations:
