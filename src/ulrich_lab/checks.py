@@ -20,7 +20,6 @@ from . import chern, cubic, picard, syzygy, tables, ulrich
 from .chern import AnyNumerics, BundleNumerics, NumericClassData, _trusted_bundle
 from .errors import BadSeedFile, UlrichLabError
 from .picard import (
-    _KERNEL_WIDTHS,
     DelPezzoSurface,
     DivisorClass,
     _kernel_table,
@@ -106,25 +105,18 @@ def load_seed_file(path: str) -> list[Seed]:
 
 
 def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
-    """Coordinates uniform in [-span, span], a first, then b_1..b_t.
+    """Coordinates uniform in [-span, span], a first, then b_1..b_t, for t <= 8.
 
     The draws are those of ``rng.choices(range(-span, span + 1), k=t + 1)``,
     which picks ``floor(rng.random() * n)`` from a population of n; the
     coordinates are ints by construction (``math.floor`` of a float is an
     int, and a cheaper call than ``int``), so the class is built without the
-    constructor's checks.  Up to eight coordinates the draws are the
-    straight-line body of ``_DRAW[t]``, built on first use by
-    ``picard._kernel_table``: one call whose argument list and tuple display
-    draw in the same left-to-right order as the loop below.
+    constructor's checks.  The draws are the straight-line body of
+    ``_DRAW[t]``, built on first use by ``picard._kernel_table``: one call
+    whose argument list and tuple display draw a, then b_1..b_t, left to
+    right.  Every check draws t <= 6.
     """
-    draw, n = rng.random, 2 * span + 1
-    if t < _KERNEL_WIDTHS:
-        return _DRAW[t](draw, n, span)
-    a = floor(draw() * n) - span
-    b = []  # a loop, not a comprehension, which is a call of its own before 3.12
-    for _ in range(t):
-        b.append(floor(draw() * n) - span)
-    return _trusted(a, tuple(b))
+    return _DRAW[t](rng.random, 2 * span + 1, span)
 
 
 # _random_class's draws written out for t coordinates: a, then b_1..b_t.
@@ -144,9 +136,7 @@ def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
     draw = rng.random
     rank = 1 + floor(draw() * 5)
     c2 = floor(draw() * 41) - 20 if rank > 1 else 0
-    if t < _KERNEL_WIDTHS:
-        return _trusted_bundle(rank, _DRAW[t](draw, 13, 6), c2)
-    return _trusted_bundle(rank, _random_class(rng, t, 6), c2)
+    return _trusted_bundle(rank, _DRAW[t](draw, 13, 6), c2)
 
 
 def _shuffle(rng: random.Random, items: list) -> None:

@@ -33,17 +33,21 @@ C(s,2) is taken as s(s-1) >> 1, exact since s(s-1) is even, and cheaper
 than a call to ``math.comb``.
 
 The Euler pairing chi(F, G) = chi(F* (x) G), which controls the extensions
-of :mod:`ulrich_lab.cubic`, has its own kernel, ``_chi_dual_product``.  It
-returns the value of ``euler_char(tensor(dual(f), g), surface)`` from one
-pass over the coordinates, which accumulates c1(F)^2, c1(G)^2, c1(F).c1(G)
-and the degrees c1(F).H and c1(G).H, and it builds no class and no bundle.
-On the cubic lattice, the one the cubic search and its checks reach, the
-five accumulations are written out over the seven coordinates; on any
-other lattice a loop zips the two coordinate tuples.  The dual is a sign
-flip on c1(F), so the product's c1^2 and c1.H are quadratic and linear in
-those five numbers, its c2 is ``_product_c2`` at the pairing
--c1(F).c1(G), and ``_chi`` below finishes.
-:func:`ulrich_lab.cubic.chi_pair_oracle` calls it on one lattice.
+of :mod:`ulrich_lab.cubic`, has its own kernel table, ``_CHI_DUAL``, built
+like ``_PRODUCT``.  Its entry for a width returns the value of
+``euler_char(tensor(dual(f), g), surface)`` from one written-out pass over
+the coordinates, which accumulates c1(F)^2, c1(G)^2, c1(F).c1(G) and the
+degrees c1(F).H and c1(G).H, and it builds no class and no bundle.  The dual
+is a sign flip on c1(F), so F* (x) G has rank st and c1 = -t c1(F) + s c1(G),
+with
+
+    c1^2 = t^2 c1(F)^2 - 2st c1(F).c1(G) + s^2 c1(G)^2,
+    c1.H = s c1(G).H - t c1(F).H,
+
+its c2 is ``_product_c2`` at the pairing -c1(F).c1(G), and ``_chi`` finishes,
+refusing an odd c1^2 + c1.H as :func:`euler_char` does.  The one caller,
+:func:`ulrich_lab.cubic.chi_pair_oracle`, has matched the two widths with
+its surface's before it indexes the table, so no loop stands behind it.
 
 A del Pezzo surface is rational, so chi(O) = 1, and it is polarized by
 H = -K.  With both built into ``_chi``, Riemann-Roch reads
@@ -311,6 +315,15 @@ def _product_c2(s: int, ff: int, c2_f: int, t: int, gg: int, c2_g: int, fg: int)
             + t * c2_f + (t * (t - 1) >> 1) * ff)
 
 
+def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> int:
+    """Riemann-Roch of the module docstring on ints; an odd c1^2 + c1.H is refused."""
+    numerator = c1_sq + c1_dot_h
+    if numerator & 1:
+        raise ParityViolation(f"c1^2 + c1.H = {_shown(numerator)} is odd; "
+                              "not realizable on a surface lattice")
+    return rank + (numerator >> 1) - c2
+
+
 # _product's pass written out for one width: the loop above without its zip,
 # append and tuple calls.
 _PRODUCT = _kernel_table(
@@ -327,50 +340,26 @@ _PRODUCT = _kernel_table(
      "_product_c2": _product_c2})
 
 
-def _chi_dual_product(f: BundleNumerics, g: BundleNumerics) -> int:
-    """chi(F* (x) G) for F and G on one lattice.
-
-    The Euler pairing of F with G, the value of
-    ``euler_char(tensor(dual(f), g), surface)``, with no class and no bundle
-    built.  One pass over the coordinates accumulates c1(F)^2, c1(G)^2,
-    c1(F).c1(G) and the degrees c1(F).H, c1(G).H: written out when both
-    classes have six exceptional coordinates, a loop otherwise.  The dual
-    flips the sign of c1(F): its square stays, its pairing and its degree
-    change sign.  The product F* (x) G then has rank st,
-    c1 = -t c1(F) + s c1(G) with
-
-        c1^2 = t^2 c1(F)^2 - 2st c1(F).c1(G) + s^2 c1(G)^2,
-        c1.H = s c1(G).H - t c1(F).H,
-
-    c2 from :func:`_product_c2` at the pairing -c1(F).c1(G), and
-    :func:`_chi` gives chi, refusing an odd c1^2 + c1.H as
-    :func:`euler_char` does.
-    """
-    fc, gc = f.c1, g.c1
-    fa, ga = fc.a, gc.a
-    fb, gb = fc.b, gc.b
-    if len(fb) == 6 == len(gb):
-        # The cubic lattice, written out: the loop below without its zip.
-        u1, u2, u3, u4, u5, u6 = fb
-        v1, v2, v3, v4, v5, v6 = gb
-        ff = fa * fa - u1 * u1 - u2 * u2 - u3 * u3 - u4 * u4 - u5 * u5 - u6 * u6
-        gg = ga * ga - v1 * v1 - v2 * v2 - v3 * v3 - v4 * v4 - v5 * v5 - v6 * v6
-        fg = fa * ga - u1 * v1 - u2 * v2 - u3 * v3 - u4 * v4 - u5 * v5 - u6 * v6
-        fh = 3 * fa - u1 - u2 - u3 - u4 - u5 - u6
-        gh = 3 * ga - v1 - v2 - v3 - v4 - v5 - v6
-    else:
-        ff, gg, fg = fa * fa, ga * ga, fa * ga
-        fh, gh = 3 * fa, 3 * ga
-        for u, v in zip(fb, gb):
-            ff -= u * u
-            gg -= v * v
-            fg -= u * v
-            fh -= u
-            gh -= v
-    s, t = f.rank, g.rank
-    st = s * t
-    return _chi(st, t * t * ff - 2 * st * fg + s * s * gg, s * gh - t * fh,
-                _product_c2(s, ff, f.c2, t, gg, g.c2, -fg))
+# chi(F* (x) G), the Euler pairing of the module docstring, from one
+# written-out pass over the coordinates of F and G on one lattice.
+_CHI_DUAL = _kernel_table(
+    "chi_dual", "def {name}(f, g):\n"
+                "    fc = f.c1\n"
+                "    gc = g.c1\n"
+                "    fa = fc.a\n"
+                "    ga = gc.a\n"
+                "    [{u#, }] = fc.b\n"
+                "    [{v#, }] = gc.b\n"
+                "    ff = fa * fa{ - u# * u#}\n"
+                "    gg = ga * ga{ - v# * v#}\n"
+                "    fg = fa * ga{ - u# * v#}\n"
+                "    s = f.rank\n"
+                "    t = g.rank\n"
+                "    st = s * t\n"
+                "    return _chi(st, t * t * ff - 2 * st * fg + s * s * gg,\n"
+                "                s * (3 * ga{ - v#}) - t * (3 * fa{ - u#}),\n"
+                "                _product_c2(s, ff, f.c2, t, gg, g.c2, -fg))\n",
+    {"__name__": __name__, "_chi": _chi, "_product_c2": _product_c2})
 
 
 def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) -> BundleNumerics:
@@ -434,15 +423,6 @@ def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
         _require_type(f, _NUMERICS, "f")
         c1_sq, c1_dot_h = f.c1_sq, f.c1_dot_h
     return _chi(f.rank, c1_sq, c1_dot_h, f.c2)
-
-
-def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> int:
-    """Riemann-Roch of the module docstring on ints; an odd c1^2 + c1.H is refused."""
-    numerator = c1_sq + c1_dot_h
-    if numerator & 1:
-        raise ParityViolation(f"c1^2 + c1.H = {_shown(numerator)} is odd; "
-                              "not realizable on a surface lattice")
-    return rank + (numerator >> 1) - c2
 
 
 def slope(f: AnyNumerics, surface: DelPezzoSurface) -> Fraction:

@@ -28,8 +28,8 @@ code with the search; on this lattice it is written out over the seven
 coordinates, as the search is.  The Euler characteristic controlling the
 extension spaces has the closed form chi = 2(j-1) - sum of the pairings,
 checked against a Riemann-Roch computation in :func:`chi_pair_oracle`,
-whose kernel ``chern._chi_dual_product`` is written out over the seven
-coordinates too.
+whose kernel, the cubic lattice's entry of the generated table
+``chern._CHI_DUAL``, is written out over the seven coordinates too.
 
 The rank-2r partner of an Ulrich F and the kernel bundle M_T of a cubic are
 both the first syzygy bundle S_0 = ker(H^0(F) (x) O -> F).
@@ -60,7 +60,7 @@ from operator import add, mul
 from .chern import (
     BundleNumerics,
     _BUNDLE,
-    _chi_dual_product,
+    _CHI_DUAL,
     dual,
     euler_char,
     tensor,
@@ -430,8 +430,8 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
     The guards run in the order surface, fprev, t, then the memoised body of
     :func:`kernel_bundle_of_cubic` refuses a class that is no twisted cubic.
     On one lattice the value comes from the Euler-pairing kernel
-    ``chern._chi_dual_product``, one pass over the coordinates that builds no
-    class and no bundle.  Otherwise the composition
+    ``chern._CHI_DUAL[width]``, one written-out pass over the coordinates
+    that builds no class and no bundle.  Otherwise the composition
     ``euler_char(tensor(dual(fprev), M_T), surface)`` runs, and raises its own
     :class:`LatticeMismatch`.  :func:`ulrich_lab.checks.check_cubic_chi_oracle`
     compares this function with the closed form on all 72**2 ordered pairs of
@@ -449,7 +449,7 @@ def chi_pair_oracle(fprev: BundleNumerics, t: DivisorClass, surface: DelPezzoSur
     width = len(fprev.c1.b)
     if width != len(kernel.c1.b) or width != surface.num_exceptional:
         return euler_char(tensor(dual(fprev), kernel), surface)  # raises
-    return _chi_dual_product(fprev, kernel)
+    return _CHI_DUAL[width](fprev, kernel)
 
 
 def cubic_moduli_pair(f: BundleNumerics) -> tuple[BundleNumerics, int]:

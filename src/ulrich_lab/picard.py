@@ -56,18 +56,21 @@ generates from a template through the ``exec`` helper it shares with
 :func:`_trusted_builder`.  A table has a fixed entry for each width 0..8,
 which covers every del Pezzo lattice (t = 9 - d <= 6).  An entry is built
 the first time its width is used, not at import, so a process pays only for
-the widths it meets.  Wider classes keep the loops.  ``_PAIRING``,
-``_SQUARE`` and ``_SUM`` here serve :meth:`DivisorClass.dot`,
-``self_intersection`` and ``+``, and ``chern`` and ``checks`` build their
-own tables the same way.  Each public function and method keeps its guards,
-messages and signature, and dispatches only its int arithmetic, on widths
-it has already checked, into a table.  A kernel never raises: it unpacks
-tuples of the width it was built for and does int arithmetic, whose values
-equal the loops' values at every width.  In the self-check's draws and
-products, the loop, ``append``, ``zip``/``map`` and ``tuple()`` cost more
-than the arithmetic; the tables took ``run_all_checks()`` from 103 to 91 ms
-of process time (min of 9 runs, median of 7 alternating pairs, Python 3.11,
-shared 2-vCPU Xeon VM).
+the widths it meets.  ``_PAIRING``, ``_SQUARE`` and ``_SUM`` here serve
+:meth:`DivisorClass.dot`, ``self_intersection`` and ``+``; ``chern`` builds
+``_PRODUCT`` and ``_CHI_DUAL``, and ``checks`` builds ``_DRAW``.  Where the
+public API takes wider classes, the caller keeps a loop for them; the
+callers of ``_CHI_DUAL`` and ``_DRAW`` never pass more than six coordinates.
+Each public function and method keeps its guards, messages and signature,
+and dispatches only its int arithmetic, on widths it has already checked,
+into a table.  A kernel raises nothing of its own: it unpacks tuples of the
+width it was built for and does int arithmetic, whose values equal the
+loops' values at every width (``_CHI_DUAL`` ends in ``chern._chi``, whose
+parity refusal no class meets).
+In the self-check's draws and products, the loop, ``append``, ``zip``/``map``
+and ``tuple()`` cost more than the arithmetic; the tables took
+``run_all_checks()`` from 103 to 91 ms of process time (min of 9 runs,
+median of 7 alternating pairs, Python 3.11, shared 2-vCPU Xeon VM).
 
 Slots.  The hot value types (:class:`DivisorClass`, ``BundleNumerics``,
 ``NumericClassData``, ``TraceEntry``, ``TwistedCubicClass`` and
@@ -362,7 +365,7 @@ def _kernel_table(name: str, template: str, namespace: dict) -> list[Callable]:
     Entry ``t`` starts as a ``functools.partial`` of :func:`_first_use`; its
     first call generates the straight-line body for t coordinates, stores it
     in place of the partial and returns its value.  Callers index the table
-    on every call and keep their own loop for wider classes.
+    on every call.
     """
     table: list[Callable] = []
     table.extend(partial(_first_use, table, width, name, template, namespace)

@@ -27,9 +27,8 @@ from ulrich_lab import BundleNumerics, DivisorClass, checks
 CASE_STREAM_DIGEST = "0f1e5df59a0e047c1502afedfed44dcc9ada5940452e01e14a14dc59e6615d86"
 
 
-# The lattice widths the draws are checked at: the kernels' widths 0..8 and
-# one wider, drawn by the loop.
-DRAW_WIDTHS = range(10)
+# The lattice widths the draws are checked at: the drawer table's widths 0..8.
+DRAW_WIDTHS = range(9)
 
 
 @pytest.mark.parametrize("span", [3, 4, 6, 9, 99])

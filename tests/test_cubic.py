@@ -940,7 +940,7 @@ def outcome(call, *args):
 
 
 class TestEulerPairingKernel:
-    """chi_pair_oracle takes chern._chi_dual_product on one lattice."""
+    """chi_pair_oracle takes chern._CHI_DUAL's kernel on one lattice."""
 
     def test_all_ordered_pairs(self):
         divisors = [t.divisor for t in twisted_cubics()]
@@ -963,17 +963,18 @@ class TestEulerPairingKernel:
             assert chi_pair_oracle(fprev, t, CUBIC_SURFACE) == composition(fprev, t, CUBIC_SURFACE)
 
     def test_kernel_on_random_pairs(self):
-        # Both factors arbitrary, on every lattice width the surfaces have,
-        # with coordinates up to 9 or up to 10**40 in size.
+        # Both factors arbitrary, on every width of the kernel table (euler_char
+        # on a surface subclass that wide), with coordinates up to 9 or up to
+        # 10**40 in size.
         rng = random.Random(21)
         for _ in range(900):
-            width = rng.randint(1, 6)
+            width = rng.randint(0, 8)
             size = rng.choice((9, 10**40))
             f, g = (BundleNumerics(rng.randint(1, 6), random_class(rng, width, size),
                                    rng.randint(-5 * size, 5 * size))
                     for _ in range(2))
-            surface = make_surface(9 - width)
-            assert chern._chi_dual_product(f, g) == euler_char(tensor(dual(f), g), surface)
+            surface = type("Wide", (DelPezzoSurface,), {"num_exceptional": width})(3)
+            assert chern._CHI_DUAL[width](f, g) == euler_char(tensor(dual(f), g), surface)
 
     # k = 1..5 gives j = 2..6, every part count decompose allows (r <= 6).
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -334,7 +334,8 @@ class TestAgainstReference:
 
     def test_kernels_are_built_on_first_use_and_only_for_widths_0_to_8(self):
         """In a fresh interpreter: importing builds no kernel, calls at widths 9
-        and 12 build none, and a width-6 pairing builds exactly its own."""
+        and 12 build none, a width-6 pairing builds exactly its own, and one
+        chi_pair_oracle call builds the Euler-pairing kernel of width 6 alone."""
         script = """if True:
             import functools, sys
             sys.path.insert(0, sys.argv[1])
@@ -355,11 +356,10 @@ class TestAgainstReference:
                 return [entry.__name__ for table in tables() for entry in table
                         if type(entry) is not functools.partial]
 
-            assert len(tables()) == 4 and built() == [], built()
-            from ulrich_lab import checks
             assert len(tables()) == 5 and built() == [], built()
+            from ulrich_lab import checks
+            assert len(tables()) == 6 and built() == [], built()
 
-            rng = checks.random.Random(1)
             for width in (9, 12):
                 x = ulrich_lab.DivisorClass(2, tuple(range(width)))
                 f = ulrich_lab.BundleNumerics(2, x, 3)
@@ -369,10 +369,14 @@ class TestAgainstReference:
                 x.dot(x), x.self_intersection, x + x
                 ulrich_lab.tensor(f, f), ulrich_lab.tensor_line(f, x)
                 ulrich_lab.direct_sum([f, f, f]), ulrich_lab.euler_char(f, surface)
-                checks._random_class(rng, width), checks._random_bundle(rng, width)
             assert built() == [], built()
             x.__class__(1, (2,) * 6).dot(x.__class__(3, (4,) * 6))
             assert built() == ["_pairing_6"], built()
+            t_a = ulrich_lab.parse_divisor("(1;0,0,0,0,0,0)")
+            ulrich_lab.chi_pair_oracle(ulrich_lab.BundleNumerics(1, t_a, 0), t_a,
+                                       ulrich_lab.CUBIC_SURFACE)
+            chi_dual = [name for name in built() if name.startswith("_chi_dual_")]
+            assert chi_dual == ["_chi_dual_6"], built()
         """
         subprocess.run([sys.executable, "-W", "error", "-c", script,
                         str(Path(picard_module.__file__).parent.parent)],

@@ -522,10 +522,20 @@ class TestRefusalParity:
 
 
 def reference_trace(seed, surface, k_max):
-    """The step-by-step iteration in the seed's own resolution (exact c1 if any)."""
+    """The step-by-step iteration in the seed's own resolution (exact c1 if any).
+
+    Each row's rank must follow the rank recurrence of an Ulrich seed, worked
+    here with no library call: N_{-1} = r, N_0 = r(d-1) and
+    N_k = (d-2) N_{k-1} - N_{k-2}.  A wrong step then fails at its own row,
+    instead of iterating integers that grow without bound.
+    """
+    d = surface.degree
     current, rows = seed, [(-1, seed)]
+    before, rank = None, seed.rank  # N_{k-2}, N_{k-1}
     for k in range(k_max + 1):
         current = twist_by_h(syzygy_numerics(current, euler_char(current, surface)), 1, surface)
+        before, rank = rank, rank * (d - 1) if before is None else (d - 2) * rank - before
+        assert current.rank == rank, f"S_{k} has rank {current.rank}, the recurrence {rank}"
         rows.append((k, current))
     return rows
 
