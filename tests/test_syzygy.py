@@ -534,7 +534,7 @@ def reference_trace(seed, surface, k_max):
     before, rank = None, seed.rank  # N_{k-2}, N_{k-1}
     for k in range(k_max + 1):
         current = twist_by_h(syzygy_numerics(current, euler_char(current, surface)), 1, surface)
-        before, rank = rank, rank * (d - 1) if before is None else (d - 2) * rank - before
+        before, rank = rank, (rank * (d - 1) if before is None else (d - 2) * rank - before)
         assert current.rank == rank, f"S_{k} has rank {current.rank}, the recurrence {rank}"
         rows.append((k, current))
     return rows
