@@ -18,7 +18,8 @@ operation on fixed inputs and reports microseconds per operation:
   lattice search ``picard._classes_with`` for the cubic surface's twisted
   cubics, (x.H, x^2) = (3, 1), and lines, (1, -1);
 - ``chern.*``: ``tensor`` (rank 2 by rank 3), ``tensor_line``,
-  ``twist_by_h`` and ``euler_char`` on the kernel bundles of the cubics;
+  ``twist_by_h``, ``euler_char`` and 3-summand ``direct_sum`` on the kernel
+  bundles of the cubics;
 - ``syzygy.<route>.k<k>``: the six syzygy routes at k = 20, 200 and 1000 on
   the rank-2 Ulrich seed c1 = (5;1,0), c2 = 7 of degree 7
   (``iterate_syzygy`` reads the trace's last row), where
@@ -184,7 +185,8 @@ def _chern_rows() -> list[Group]:
     twos = [U.kernel_bundle_of_cubic(t) for t in census]
     threes = [U.direct_sum((m, U.BundleNumerics(1, t, 0)))
               for m, t in zip(twos, census[1:] + census[:1])]
-    twos, threes, lines = twos * 8, threes * 8, census[::-1] * 8
+    sums = list(zip(twos, twos[1:] + twos[:1], twos[2:] + twos[:2]))
+    twos, threes, lines, sums = twos * 8, threes * 8, census[::-1] * 8, sums * 8
     twists = [m % 7 - 3 for m in range(len(twos))]
     return [_row("chern.tensor", len(threes), lambda _: _consume(map(U.tensor, twos, threes))),
             _row("chern.tensor_line", len(twos),
@@ -192,7 +194,8 @@ def _chern_rows() -> list[Group]:
             _row("chern.twist_by_h", len(twos),
                  lambda _: _consume(map(U.twist_by_h, twos, twists, repeat(surface)))),
             _row("chern.euler_char", len(twos),
-                 lambda _: _consume(map(U.euler_char, twos, repeat(surface))))]
+                 lambda _: _consume(map(U.euler_char, twos, repeat(surface)))),
+            _row("chern.direct_sum", len(sums), lambda _: _consume(map(U.direct_sum, sums)))]
 
 
 def _syzygy_rows() -> list[Group]:

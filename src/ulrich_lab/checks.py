@@ -22,7 +22,7 @@ from .errors import BadSeedFile, UlrichLabError
 from .picard import (
     DelPezzoSurface,
     DivisorClass,
-    _kernel_table,
+    _KernelTable,
     _require_int,
     _shown,
     _trusted,
@@ -112,7 +112,7 @@ def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
     coordinates are ints by construction (``math.floor`` of a float is an
     int, and a cheaper call than ``int``), so the class is built without the
     constructor's checks.  The draws are the straight-line body of
-    ``_DRAW[t]``, built on first use by ``picard._kernel_table``: one call
+    ``_DRAW[t]``, built on first use by ``picard._KernelTable``: one call
     whose argument list and tuple display draw a, then b_1..b_t, left to
     right.  Every check draws t <= 6.
     """
@@ -120,10 +120,10 @@ def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
 
 
 # _random_class's draws written out for t coordinates: a, then b_1..b_t.
-_DRAW = _kernel_table("draw", "def {name}(draw, n, span):\n"
-                              "    return _trusted(floor(draw() * n) - span,\n"
-                              "                    ({floor(draw() * n) - span, }))\n",
-                      {"__name__": __name__, "_trusted": _trusted, "floor": floor})
+_DRAW = _KernelTable("draw", "def {name}(draw, n, span):\n"
+                             "    return _trusted(floor(draw() * n) - span,\n"
+                             "                    ({floor(draw() * n) - span, }))\n",
+                     {"__name__": __name__, "_trusted": _trusted, "floor": floor})
 
 
 def _below(rng: random.Random, n: int) -> int:

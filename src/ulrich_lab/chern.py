@@ -19,16 +19,15 @@ t = rk(G), at every rank:
 
 A rank-1 factor's c2 counts like any other.  The formula has one source
 in the code, ``_product_c2``, on the ranks, the three pairings and the two
-c2.  :func:`tensor` and :func:`tensor_line` check their operands and share
-one body, ``_product``: a single pass over the coordinates accumulates
+c2.  :func:`tensor` and :func:`tensor_line` check their operands and index
+one table, ``_PRODUCT``: a single pass over the coordinates accumulates
 c1(F)^2, c1(G)^2 and c1(F).c1(G) and builds c1 = t c1(F) + s c1(G), and
-``_product_c2`` gives c2.  Up to eight exceptional coordinates that pass is
-written out: ``_PRODUCT`` holds one straight-line body per width, built on
-first use by ``picard._kernel_table``, and a loop serves wider classes.
-:func:`direct_sum` pairs and adds through ``picard``'s pairing and sum
-tables, and :func:`euler_char` squares c1 through its square table, on the
-same widths.  :func:`tensor_line` is the line case t = 1,
-c2(G) = 0, where it reads C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).
+``_product_c2`` gives c2.  Like every ``picard._KernelTable``, it writes the
+pass out for each width up to eight, on first use, and answers wider classes
+with its loop, ``_product_loop``.  :func:`direct_sum` pairs and adds through
+``picard``'s pairing and sum tables, looked up once, and :func:`euler_char`
+squares c1 through its square table.  :func:`tensor_line` is the line case
+t = 1, c2(G) = 0, where it reads C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).
 C(s,2) is taken as s(s-1) >> 1, exact since s(s-1) is even, and cheaper
 than a call to ``math.comb``.
 
@@ -116,12 +115,10 @@ __all__ = [
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySum, LatticeMismatch, ParityViolation
 from .picard import (
-    _KERNEL_WIDTHS,
     _PAIRING,
     _RANK_RULE,
     _SQUARE,
@@ -130,7 +127,7 @@ from .picard import (
     DivisorClass,
     _as_tuple,
     _is_int,
-    _kernel_table,
+    _KernelTable,
     _require_int,
     _require_keys,
     _require_type,
@@ -240,9 +237,10 @@ def tensor_line(f: BundleNumerics, line: DivisorClass) -> BundleNumerics:
     _require_type(f, _BUNDLE, "f")
     _require_type(line, (DivisorClass,), "line")
     c1 = f.c1
-    if len(c1.b) != len(line.b):
+    width = len(c1.b)
+    if width != len(line.b):
         raise LatticeMismatch("twist class lives on a different lattice")
-    return _product(f.rank, c1, f.c2, 1, line, 0)
+    return _PRODUCT[width](f.rank, c1, f.c2, 1, line, 0)
 
 
 def twist_by_h(f: AnyNumerics, m: int, surface: DelPezzoSurface) -> AnyNumerics:
@@ -277,24 +275,17 @@ def tensor(f: BundleNumerics, g: BundleNumerics) -> BundleNumerics:
     if type(g) is not BundleNumerics:
         _require_type(g, _BUNDLE, "g")
     fc, gc = f.c1, g.c1
-    if len(fc.b) != len(gc.b):
-        raise LatticeMismatch("tensor factors live on different lattices")
-    return _product(f.rank, fc, f.c2, g.rank, gc, g.c2)
-
-
-def _product(s: int, fc: DivisorClass, c2_f: int,
-             t: int, gc: DivisorClass, c2_g: int) -> BundleNumerics:
-    """F (x) G for rank-s F and rank-t G with first Chern classes fc, gc on
-    one lattice and second Chern numbers c2_f, c2_g.
-
-    One pass over the coordinates accumulates the three pairings c1(F)^2,
-    c1(G)^2 and c1(F).c1(G) and builds t c1(F) + s c1(G); the all-ranks
-    formula of the module docstring then gives c2.  Up to eight coordinates
-    the pass is the written-out body of ``_PRODUCT[width]``.
-    """
     width = len(fc.b)
-    if width < _KERNEL_WIDTHS:
-        return _PRODUCT[width](s, fc, c2_f, t, gc, c2_g)
+    if width != len(gc.b):
+        raise LatticeMismatch("tensor factors live on different lattices")
+    return _PRODUCT[width](f.rank, fc, f.c2, g.rank, gc, g.c2)
+
+
+def _product_loop(s: int, fc: DivisorClass, c2_f: int,
+                  t: int, gc: DivisorClass, c2_g: int) -> BundleNumerics:
+    """F (x) G for rank-s F and rank-t G with first Chern classes fc, gc on
+    one lattice and second Chern numbers c2_f, c2_g: the pass of the module
+    docstring as a loop, ``_PRODUCT``'s entry past width 8."""
     fa, ga = fc.a, gc.a
     ff, gg, fg = fa * fa, ga * ga, fa * ga
     b = []  # a loop, not a comprehension, which is a call of its own before 3.12
@@ -324,9 +315,9 @@ def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> int:
     return rank + (numerator >> 1) - c2
 
 
-# _product's pass written out for one width: the loop above without its zip,
-# append and tuple calls.
-_PRODUCT = _kernel_table(
+# _product_loop's pass written out for one width, without its zip, append
+# and tuple calls.
+_PRODUCT = _KernelTable(
     "product", "def {name}(s, fc, c2_f, t, gc, c2_g):\n"
                "    fa = fc.a\n"
                "    ga = gc.a\n"
@@ -337,12 +328,12 @@ _PRODUCT = _kernel_table(
                "        _product_c2(s, fa * fa{ - u# * u#}, c2_f, t, ga * ga{ - v# * v#}, c2_g,\n"
                "                    fa * ga{ - u# * v#}))\n",
     {"__name__": __name__, "_trusted": _trusted, "_trusted_bundle": _trusted_bundle,
-     "_product_c2": _product_c2})
+     "_product_c2": _product_c2}, _product_loop)
 
 
 # chi(F* (x) G), the Euler pairing of the module docstring, from one
 # written-out pass over the coordinates of F and G on one lattice.
-_CHI_DUAL = _kernel_table(
+_CHI_DUAL = _KernelTable(
     "chi_dual", "def {name}(f, g):\n"
                 "    fc = f.c1\n"
                 "    gc = g.c1\n"
@@ -379,6 +370,7 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
     rank, c2, c1 = first.rank, first.c2, first.c1
     a, b = c1.a, c1.b
     arity = len(b)
+    pairing, plus = _PAIRING[arity], _SUM[arity]
     for item in items[1:]:
         c1 = item.c1
         ib = c1.b
@@ -386,12 +378,8 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
             raise LatticeMismatch("summands live on different lattices")
         ia = c1.a
         rank += item.rank
-        if arity < _KERNEL_WIDTHS:
-            c2 += item.c2 + _PAIRING[arity](a, b, ia, ib)
-            b = _SUM[arity](b, ib)
-        else:
-            c2 += item.c2 + a * ia - sum(map(mul, b, ib))
-            b = tuple(map(add, b, ib))
+        c2 += item.c2 + pairing(a, b, ia, ib)
+        b = plus(b, ib)
         a += ia
     return _trusted_bundle(rank, _trusted(a, b), c2)
 
@@ -414,10 +402,7 @@ def euler_char(f: AnyNumerics, surface: DelPezzoSurface) -> int:
         width = len(b)
         if width != surface.num_exceptional:
             surface.require(c1)  # raises, naming both lattices
-        if width < _KERNEL_WIDTHS:
-            c1_sq = _SQUARE[width](a, b)
-        else:  # a surface subclass that widens its lattice
-            c1_sq = a * a - sum(map(mul, b, b))
+        c1_sq = _SQUARE[width](a, b)
         c1_dot_h = 3 * a - sum(b)
     else:
         _require_type(f, _NUMERICS, "f")

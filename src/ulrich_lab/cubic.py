@@ -25,7 +25,8 @@ one-entry cache, keeps the last one as r census-index bytes per tuple
 refused call leaves it unchanged.  :meth:`StableSumDecomposition.validate`
 rechecks a tuple with its own pass over the coordinates, which shares no
 code with the search; on this lattice it is written out over the seven
-coordinates, as the search is.  The Euler characteristic controlling the
+coordinates, as the search is, and on any other it pairs and adds through
+``picard``'s kernel tables.  The Euler characteristic controlling the
 extension spaces has the closed form chi = 2(j-1) - sum of the pairings,
 checked against a Riemann-Roch computation in :func:`chi_pair_oracle`,
 whose kernel, the cubic lattice's entry of the generated table
@@ -55,7 +56,6 @@ __all__ = [
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from operator import add, mul
 
 from .chern import (
     BundleNumerics,
@@ -68,6 +68,8 @@ from .chern import (
 )
 from .errors import LatticeMismatch, NotUlrich
 from .picard import (
+    _PAIRING,
+    _SUM,
     DelPezzoSurface,
     DivisorClass,
     _as_tuple,
@@ -186,10 +188,10 @@ class StableSumDecomposition(_Value):
         is tested, the part is added to it, and the sum is compared with the
         target at the end.  On the cubic lattice, six exceptional
         coordinates, the partial sum is seven local ints and each pairing
-        is written out over them; on any other lattice it is an int ``a``
-        and a tuple ``b``, paired by a loop.  The sum is carried through
-        every part even after a pairing fails, so each refusal below holds
-        for every order of the parts:
+        is written out over them; on any other it is an int ``a`` and a
+        tuple ``b``, paired and added by ``picard``'s tables.  The sum is
+        carried through every part even after a pairing fails, so each
+        refusal below holds for every order of the parts:
 
         * empty parts raise :class:`LatticeMismatch`, "cannot sum an empty
           family of divisor classes";
@@ -234,6 +236,7 @@ class StableSumDecomposition(_Value):
                 p6 += t6
             return (stable and type(target) is DivisorClass and pa == target.a
                     and target.b == (p1, p2, p3, p4, p5, p6))
+        pairing, plus = _PAIRING[width], _SUM[width]
         for part in parts[1:]:
             t = part.divisor
             tb = t.b
@@ -241,10 +244,10 @@ class StableSumDecomposition(_Value):
                 raise LatticeMismatch("cannot add classes from different lattices")
             ta = t.a
             if stable:
-                stable = pa * ta - sum(map(mul, pb, tb)) >= need
+                stable = pairing(pa, pb, ta, tb) >= need
             need += 2
             pa += ta
-            pb = tuple(map(add, pb, tb))
+            pb = plus(pb, tb)
         return stable and type(target) is DivisorClass and pa == target.a and pb == target.b
 
 

@@ -51,22 +51,22 @@ name on the 51,264 results of ``decompose (12;4,4,4,4,4,4) --r 4``
 (min-median of 11 alternating runs, Python 3.11, shared 2-vCPU Xeon VM).
 
 Kernel tables.  The integer arithmetic of the lattice primitives runs in
-straight-line bodies, one per lattice width, that :func:`_kernel_table`
+straight-line bodies, one per lattice width, that a :class:`_KernelTable`
 generates from a template through the ``exec`` helper it shares with
-:func:`_trusted_builder`.  A table has a fixed entry for each width 0..8,
-which covers every del Pezzo lattice (t = 9 - d <= 6).  An entry is built
-the first time its width is used, not at import, so a process pays only for
-the widths it meets.  ``_PAIRING``, ``_SQUARE`` and ``_SUM`` here serve
-:meth:`DivisorClass.dot`, ``self_intersection`` and ``+``; ``chern`` builds
-``_PRODUCT`` and ``_CHI_DUAL``, and ``checks`` builds ``_DRAW``.  Where the
-public API takes wider classes, the caller keeps a loop for them; the
-callers of ``_CHI_DUAL`` and ``_DRAW`` never pass more than six coordinates.
-Each public function and method keeps its guards, messages and signature,
-and dispatches only its int arithmetic, on widths it has already checked,
-into a table.  A kernel raises nothing of its own: it unpacks tuples of the
-width it was built for and does int arithmetic, whose values equal the
-loops' values at every width (``_CHI_DUAL`` ends in ``chern._chi``, whose
-parity refusal no class meets).
+:func:`_trusted_builder`.  A table maps a width to its kernel.  Widths
+0..8 cover every del Pezzo lattice (t = 9 - d <= 6); each one's body is
+built and stored the first time it is used, not at import.  A wider width
+gets the table's ``loop``, that primitive's one loop, and stores nothing,
+so only this module knows the bound.  ``_PAIRING``, ``_SQUARE`` and
+``_SUM`` here serve :meth:`DivisorClass.dot`, ``self_intersection``, ``+``,
+``chern.direct_sum``, ``euler_char`` and ``cubic``'s ``validate``;
+``chern`` builds ``_PRODUCT`` and ``_CHI_DUAL``, and ``checks`` builds
+``_DRAW``.  The last two have no loop and raise ``IndexError`` past width
+8: their callers never pass more than six coordinates.  Callers keep their
+guards, messages and signatures, and index a table only for the int
+arithmetic on widths they have checked.  A kernel raises nothing of its
+own, and its values equal its table's loop's at every width (``_CHI_DUAL``
+ends in ``chern._chi``, whose parity refusal no class meets).
 In the self-check's draws and products, the loop, ``append``, ``zip``/``map``
 and ``tuple()`` cost more than the arithmetic; the tables took
 ``run_all_checks()`` from 103 to 91 ms of process time (min of 9 runs,
@@ -122,7 +122,6 @@ __all__ = [
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from math import isqrt
 from operator import add, mul, neg, sub
 from typing import Callable, Iterator, Sequence
@@ -246,17 +245,12 @@ class DivisorClass(_Value):
             raise LatticeMismatch(
                 f"classes have {width} and {len(other_b)} exceptional coordinates"
             )
-        if width < _KERNEL_WIDTHS:
-            return _PAIRING[width](self.a, b, other.a, other_b)
-        return self.a * other.a - sum(map(mul, b, other_b))
+        return _PAIRING[width](self.a, b, other.a, other_b)
 
     @property
     def self_intersection(self) -> int:
         b = self.b
-        width = len(b)
-        if width < _KERNEL_WIDTHS:
-            return _SQUARE[width](self.a, b)
-        return self.a * self.a - sum(map(mul, b, b))
+        return _SQUARE[len(b)](self.a, b)
 
     @property
     def degree(self) -> int:
@@ -270,9 +264,7 @@ class DivisorClass(_Value):
         width = len(b)
         if width != len(other_b):
             raise LatticeMismatch("cannot add classes from different lattices")
-        if width < _KERNEL_WIDTHS:
-            return _trusted(self.a + other.a, _SUM[width](b, other_b))
-        return _trusted(self.a + other.a, tuple(map(add, b, other_b)))
+        return _trusted(self.a + other.a, _SUM[width](b, other_b))
 
     def __sub__(self, other: DivisorClass) -> DivisorClass:
         if not isinstance(other, DivisorClass):
@@ -358,54 +350,53 @@ _trusted = _trusted_builder(DivisorClass)
 _KERNEL_WIDTHS = 9
 
 
-def _kernel_table(name: str, template: str, namespace: dict) -> list[Callable]:
-    """The kernels of ``template`` for widths 0..8, each built on first use;
-    see the module docstring.
+class _KernelTable(dict):
+    """The kernels of ``template`` by width; see the module docstring.
 
-    Entry ``t`` starts as a ``functools.partial`` of :func:`_first_use`; its
-    first call generates the straight-line body for t coordinates, stores it
-    in place of the partial and returns its value.  Callers index the table
-    on every call.
+    A missing width 0..8 builds, stores and returns its body: once
+    ``{name}`` is replaced, each braced fragment of the template is written
+    once per coordinate, with ``#`` read as its index 1..t.
     """
-    table: list[Callable] = []
-    table.extend(partial(_first_use, table, width, name, template, namespace)
-                 for width in range(_KERNEL_WIDTHS))
-    return table
 
+    __slots__ = ("name", "template", "namespace", "loop")
 
-def _first_use(table: list, width: int, name: str, template: str, namespace: dict,
-               *args: object) -> object:
-    """Build the width-``width`` kernel of ``template`` into ``table`` and call it.
+    def __init__(self, name: str, template: str, namespace: dict,
+                 loop: Callable | None = None) -> None:
+        self.name, self.template, self.namespace, self.loop = name, template, namespace, loop
 
-    Once ``{name}`` is replaced, each braced fragment of the template is
-    written once per coordinate, with ``#`` read as its index 1..t.  The
-    pattern is compiled on the first build, not at import.
-    """
-    kernel = f"_{name}_{width}"
-    source = re.sub(r"\{([^{}]*)\}", lambda fragment: "".join(
-        fragment[1].replace("#", str(i)) for i in range(1, width + 1)),
-        template.replace("{name}", kernel))
-    table[width] = _compiled(kernel, source, namespace)
-    return table[width](*args)
+    def __missing__(self, width: int) -> Callable:
+        if width >= _KERNEL_WIDTHS:
+            if self.loop is None:
+                raise IndexError(f"the {self.name} table has no entry for width {width}")
+            return self.loop
+        kernel = f"_{self.name}_{width}"
+        source = re.sub(r"\{([^{}]*)\}", lambda fragment: "".join(
+            fragment[1].replace("#", str(i)) for i in range(1, width + 1)),
+            self.template.replace("{name}", kernel))
+        built = self[width] = _compiled(kernel, source, self.namespace)
+        return built
 
 
 # The lattice kernels: int arithmetic on coordinates of one width, which the
 # caller has checked.  Unpacking into a list display accepts width 0.
 _KERNELS = {"__name__": __name__}
 # a*c - sum(b_i d_i), the pairing of (a; b) with (c; d).
-_PAIRING = _kernel_table("pairing", "def {name}(a, b, c, d):\n"
-                                    "    [{u#, }] = b\n"
-                                    "    [{v#, }] = d\n"
-                                    "    return a * c{ - u# * v#}\n", _KERNELS)
+_PAIRING = _KernelTable("pairing", "def {name}(a, b, c, d):\n"
+                                   "    [{u#, }] = b\n"
+                                   "    [{v#, }] = d\n"
+                                   "    return a * c{ - u# * v#}\n", _KERNELS,
+                        lambda a, b, c, d: a * c - sum(map(mul, b, d)))
 # a*a - sum(b_i^2), the square of (a; b).
-_SQUARE = _kernel_table("square", "def {name}(a, b):\n"
-                                  "    [{u#, }] = b\n"
-                                  "    return a * a{ - u# * u#}\n", _KERNELS)
+_SQUARE = _KernelTable("square", "def {name}(a, b):\n"
+                                 "    [{u#, }] = b\n"
+                                 "    return a * a{ - u# * u#}\n", _KERNELS,
+                       lambda a, b: a * a - sum(map(mul, b, b)))
 # The coordinatewise sum of two b tuples.
-_SUM = _kernel_table("sum", "def {name}(b, d):\n"
-                            "    [{u#, }] = b\n"
-                            "    [{v#, }] = d\n"
-                            "    return ({u# + v#, })\n", _KERNELS)
+_SUM = _KernelTable("sum", "def {name}(b, d):\n"
+                           "    [{u#, }] = b\n"
+                           "    [{v#, }] = d\n"
+                           "    return ({u# + v#, })\n", _KERNELS,
+                    lambda b, d: tuple(map(add, b, d)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ def expected_rows() -> list[str]:
     rows += [f"picard.{op}.{kind}" for op in ("hash", "str", "repr")
              for kind in ("fresh", "census")]
     rows += ["picard.classes_with.cubics", "picard.classes_with.lines"]
-    rows += ["chern.tensor", "chern.tensor_line", "chern.twist_by_h", "chern.euler_char"]
+    rows += ["chern.tensor", "chern.tensor_line", "chern.twist_by_h", "chern.euler_char",
+             "chern.direct_sum"]
     rows += [f"syzygy.{route}.k{k}" for route in ROUTES for k in (20, 200, 1000)]
     rows += [f"syzygy.{reader}.k{k}" for reader in ("trace_to_dict", "discriminant_drift")
              for k in (20, 200, 1000)]

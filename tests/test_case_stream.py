@@ -8,8 +8,10 @@ is that draw; ``checks._random_bundle`` draws its rank and c2 so, then c1 by
 tests pin, against a twin generator that makes the same draws written out
 here, that they take exactly those values, reach every value of their
 range, and leave the generator in exactly the twin's state, and that
-``checks._random_permutation`` is such a shuffle of 1..t.  The digest pins
-the whole case stream of the nine property checks.
+``checks._random_permutation`` is such a shuffle of 1..t.  One digest pins
+the generator's state after the nine property checks; it holds for any
+drawer that makes the same draws, whatever it builds from them.  The other
+pins the cases themselves: the bundles ``checks._random_bundle`` draws.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from ulrich_lab import BundleNumerics, DivisorClass, checks
 # sha256 of repr(rng.getstate()) after the nine property checks of
 # run_all_checks, in its order, from random.Random(DEFAULT_RNG_SEED).
 CASE_STREAM_DIGEST = "0f1e5df59a0e047c1502afedfed44dcc9ada5940452e01e14a14dc59e6615d86"
+# sha256 of the newline-joined reprs of the CASE_DRAWS bundles that
+# checks._random_bundle draws on widths 1..6 in turn from
+# random.Random(DEFAULT_RNG_SEED): the inputs of bench/layers.py's
+# checks.case_draws row.
+CASE_DRAWS_DIGEST = "18a4e0b1c6c9dc51f01a51804934b89b797803bdef2b199f683215fc746d26e7"
+CASE_DRAWS = 10_000
 
 
 # The lattice widths the draws are checked at: the drawer table's widths 0..8.
@@ -134,3 +142,10 @@ def test_property_checks_consume_the_pinned_stream():
     ]
     assert all(passed for passed, _ in results)
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == CASE_STREAM_DIGEST
+
+
+def test_random_bundles_are_the_pinned_cases():
+    rng = random.Random(checks.DEFAULT_RNG_SEED)
+    draws = [checks._random_bundle(rng, 1 + i % 6) for i in range(CASE_DRAWS)]
+    text = "\n".join(map(repr, draws))
+    assert hashlib.sha256(text.encode()).hexdigest() == CASE_DRAWS_DIGEST

@@ -39,7 +39,7 @@ from ulrich_lab import picard as picard_module
 
 S3 = make_surface(3)
 S4 = make_surface(4)
-# Widths 0..8 run the kernels of picard._kernel_table, wider ones the loops.
+# Widths 0..8 run the kernels of picard._KernelTable, wider ones its loops.
 WIDTHS = range(11)
 BIG = 10**40
 
@@ -190,27 +190,44 @@ class TestTensor:
         assert tensor(f, g).rank == 6
 
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_kernels_match_the_loop_bodies(self, width, monkeypatch):
-        """tensor, tensor_line, direct_sum and euler_char give the same ints
-        through the kernel tables as through the loops they keep for wider
-        classes, here run at every width with the tables switched off."""
+    def test_kernels_match_the_loop_bodies(self, width):
+        """Each kernel table's entry for this width gives the same ints as
+        the table's own loop, which is the entry past width 8; and tensor,
+        tensor_line, direct_sum and euler_char equal those loops composed."""
         rng = random.Random(width)
         # euler_char on a surface subclass whose lattice is this wide.
         surface = type("Wide", (DelPezzoSurface,), {"num_exceptional": width})(3)
         cases = [[_random_bundle(rng, width, size) for _ in range(3)]
                  for size in (9, BIG) for _ in range(40)]
-
-        def values():
-            return [(tensor(f, g), tensor_line(f, g.c1), direct_sum([f, g, h]),
-                     euler_char(f, surface)) for f, g, h in cases]
-
-        with_kernels = values()
-        for bundle in (b for row in with_kernels for b in row[:3]):
-            assert all(type(v) is int for v in (bundle.rank, bundle.c2, bundle.c1.a, *bundle.c1.b))
-        assert all(type(row[3]) is int for row in with_kernels)
-        monkeypatch.setattr(chern_module, "_KERNEL_WIDTHS", 0)
-        monkeypatch.setattr(picard_module, "_KERNEL_WIDTHS", 0)
-        assert values() == with_kernels
+        pairing, square, plus = (picard_module._PAIRING, picard_module._SQUARE,
+                                 picard_module._SUM)
+        product = chern_module._PRODUCT
+        tables = [
+            (pairing, lambda f, g: (f.c1.a, f.c1.b, g.c1.a, g.c1.b)),
+            (square, lambda f, g: (f.c1.a, f.c1.b)),
+            (plus, lambda f, g: (f.c1.b, g.c1.b)),
+            (product, lambda f, g: (f.rank, f.c1, f.c2, g.rank, g.c1, g.c2)),
+        ]
+        for table, operands in tables:
+            assert (table[width] is table.loop) == (width > 8), table.name
+            for f, g, _ in cases:
+                value = table[width](*operands(f, g))
+                assert value == table.loop(*operands(f, g)), table.name
+                if isinstance(value, BundleNumerics):
+                    value = (value.rank, value.c2, value.c1.a, *value.c1.b)
+                assert all(type(v) is int for v in (value if type(value) is tuple else [value]))
+        for f, g, h in cases:
+            assert tensor(f, g) == product.loop(f.rank, f.c1, f.c2, g.rank, g.c1, g.c2)
+            assert tensor_line(f, g.c1) == product.loop(f.rank, f.c1, f.c2, 1, g.c1, 0)
+            a, b, c2 = f.c1.a, f.c1.b, f.c2
+            for x in (g, h):
+                c2 += x.c2 + pairing.loop(a, b, x.c1.a, x.c1.b)
+                a, b = a + x.c1.a, plus.loop(b, x.c1.b)
+            assert direct_sum([f, g, h]) == BundleNumerics(f.rank + g.rank + h.rank,
+                                                           DivisorClass(a, b), c2)
+            a, b = f.c1.a, f.c1.b
+            chi = f.rank + (square.loop(a, b) + 3 * a - sum(b)) // 2 - f.c2
+            assert euler_char(f, surface) == chi and type(euler_char(f, surface)) is int
 
     @given(surface_bundle_pairs())
     @settings(max_examples=150)

@@ -264,7 +264,7 @@ class TestIntersection:
 
 # Coordinates well past 2**64: the lattice arithmetic must stay exact.
 BIG = 10**40
-# Widths 0..8 run the kernels of picard._kernel_table, wider ones the loops.
+# Widths 0..8 run the kernels of picard._KernelTable, wider ones its loops.
 WIDTHS = range(11)
 
 
@@ -334,10 +334,11 @@ class TestAgainstReference:
 
     def test_kernels_are_built_on_first_use_and_only_for_widths_0_to_8(self):
         """In a fresh interpreter: importing builds no kernel, calls at widths 9
-        and 12 build none, a width-6 pairing builds exactly its own, and one
-        chi_pair_oracle call builds the Euler-pairing kernel of width 6 alone."""
+        and 12 build none and the tables without a loop raise there, a width-6
+        pairing builds exactly its own, and one chi_pair_oracle call builds
+        the Euler-pairing kernel of width 6 alone."""
         script = """if True:
-            import functools, sys
+            import sys
             sys.path.insert(0, sys.argv[1])
             import ulrich_lab
             from ulrich_lab import chern, picard
@@ -346,15 +347,12 @@ class TestAgainstReference:
                 found = {id(value): value for module in list(sys.modules.values())
                          if module is not None and module.__name__.startswith("ulrich_lab")
                          for value in vars(module).values()
-                         if type(value) is list and value
-                         and any(type(entry) is functools.partial
-                                 and entry.func is picard._first_use for entry in value)}
-                assert all(len(table) == 9 for table in found.values()), found
+                         if type(value) is picard._KernelTable}
+                assert all(set(table) <= set(range(9)) for table in found.values()), found
                 return list(found.values())
 
             def built():
-                return [entry.__name__ for table in tables() for entry in table
-                        if type(entry) is not functools.partial]
+                return [entry.__name__ for table in tables() for entry in table.values()]
 
             assert len(tables()) == 5 and built() == [], built()
             from ulrich_lab import checks
@@ -369,6 +367,14 @@ class TestAgainstReference:
                 x.dot(x), x.self_intersection, x + x
                 ulrich_lab.tensor(f, f), ulrich_lab.tensor_line(f, x)
                 ulrich_lab.direct_sum([f, f, f]), ulrich_lab.euler_char(f, surface)
+                # The tables without a loop refuse a width past 8.
+                for table in (chern._CHI_DUAL, checks._DRAW):
+                    try:
+                        table[width]
+                    except IndexError:
+                        pass
+                    else:
+                        raise AssertionError(table.name)
             assert built() == [], built()
             x.__class__(1, (2,) * 6).dot(x.__class__(3, (4,) * 6))
             assert built() == ["_pairing_6"], built()
