@@ -12,7 +12,9 @@ operation on fixed inputs and reports microseconds per operation:
   this checkout's ``src`` first on its path (the run stops if the module
   comes from elsewhere), so the cost of the package's import structure shows;
 - ``picard.*``: ``dot``, ``+``, ``parse_divisor`` and ``format_divisor`` on
-  the 72² sums of two twisted cubics, and ``hash``, ``str`` and ``repr`` of
+  the 72² sums of two twisted cubics, ``permute_exceptionals`` of each sum by
+  a permutation of 1..6 drawn from a generator of fixed seed, and ``hash``,
+  ``str`` and ``repr`` of
   a fresh class (one such sum, its memos unset) and of a census class (one
   of the 72 cubics, its memos set), and ``picard.classes_with.<name>``: the
   lattice search ``picard._classes_with`` for the cubic surface's twisted
@@ -41,9 +43,10 @@ operation on fixed inputs and reports microseconds per operation:
   ``cubic.decompose_pair.r<r>``: cubic-search's ordered-then-unordered pair
   at one target, alternating the same two, r = 2 and 3.  A run stops
   unless each of these operations made exactly one search;
-- ``checks.case_draws``: ``CASE_DRAWS`` self-check case draws
-  ``checks._random_bundle`` on lattice widths 1..6 in turn, from a fresh
-  generator of fixed seed;
+- ``checks.case_draws`` and ``checks.class_draws``: ``CASE_DRAWS``
+  self-check case draws, ``checks._random_bundle`` and
+  ``checks._random_class`` respectively, on lattice widths 1..6 in turn,
+  from a fresh generator of fixed seed;
 - ``checks.<name>``: each check of one ``run_all_checks()``;
 - ``cli.<subcommand>.<format>``: one in-process invocation of every
   subcommand in every format, on the fixed arguments of ``CLI_ARGS``.
@@ -112,6 +115,7 @@ DECOMPOSE_OPS = {2: 20, 3: 2, 4: 2}
 DECOMPOSE_PAIR_OPS = {2: 20, 3: 2}
 CASE_DRAWS = 10_000
 CASE_DRAW_WIDTHS = [1 + i % 6 for i in range(CASE_DRAWS)]
+PERMUTATION_SEED = 6
 IMPORTED = ("ulrich_lab", "ulrich_lab.cli")
 # Run in a fresh interpreter with argv [src, module]: prints the import's own
 # wall seconds, then on the next line the file the module came from.
@@ -159,6 +163,8 @@ def _picard_rows() -> list[Group]:
     ys = census * len(census)
     sums = list(map(add, xs, ys))
     texts = list(map(U.format_divisor, sums))
+    shuffler = random.Random(PERMUTATION_SEED)
+    perms = [tuple(shuffler.sample(range(1, 7), 6)) for _ in sums]
 
     def fresh():
         return list(map(add, xs, ys))
@@ -167,7 +173,9 @@ def _picard_rows() -> list[Group]:
     rows = [_row("picard.dot", n, lambda _: _consume(map(U.DivisorClass.dot, xs, ys))),
             _row("picard.add", n, lambda _: _consume(map(add, xs, ys))),
             _row("picard.parse_divisor", n, lambda _: _consume(map(U.parse_divisor, texts))),
-            _row("picard.format_divisor", n, lambda _: _consume(map(U.format_divisor, sums)))]
+            _row("picard.format_divisor", n, lambda _: _consume(map(U.format_divisor, sums))),
+            _row("picard.permute_exceptionals", n,
+                 lambda _: _consume(map(U.permute_exceptionals, sums, perms)))]
     for name, fn in (("hash", hash), ("str", str), ("repr", repr)):
         rows.append(_row(f"picard.{name}.fresh", n,
                          lambda classes, fn=fn: _consume(map(fn, classes)), fresh))
@@ -280,10 +288,12 @@ def _searching(name: str, ops: int, call: Callable, r: int) -> Group:
     return group
 
 
-def _case_draws_row() -> Group:
-    return _row("checks.case_draws", CASE_DRAWS, lambda rng: _consume(
-        map(checks._random_bundle, repeat(rng), CASE_DRAW_WIDTHS)),
-        lambda: random.Random(checks.DEFAULT_RNG_SEED))
+def _case_draws_rows() -> list[Group]:
+    return [_row(f"checks.{name}", CASE_DRAWS, lambda rng, draw=draw: _consume(
+                 map(draw, repeat(rng), CASE_DRAW_WIDTHS)),
+                 lambda: random.Random(checks.DEFAULT_RNG_SEED))
+            for name, draw in (("case_draws", checks._random_bundle),
+                               ("class_draws", checks._random_class))]
 
 
 def _checks_group() -> dict[str, tuple[float, int]]:
@@ -344,7 +354,7 @@ def measure(repeats: int) -> dict[str, dict]:
     """Every row: its operations per interval, and the median and quartiles
     of its repetitions in microseconds per operation, rescaled and raw."""
     groups = [*map(_import_row, IMPORTED), *_picard_rows(), *_chern_rows(), *_syzygy_rows(),
-              *_cubic_rows(), _case_draws_row(), _checks_group, *_cli_rows()]
+              *_cubic_rows(), *_case_draws_rows(), _checks_group, *_cli_rows()]
     rows = {}
     for group in groups:
         group()  # warm-up: census memos, caches, first imports

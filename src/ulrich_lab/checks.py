@@ -22,10 +22,10 @@ from .errors import BadSeedFile, UlrichLabError
 from .picard import (
     DelPezzoSurface,
     DivisorClass,
+    _building,
     _KernelTable,
     _require_int,
     _shown,
-    _trusted,
     make_surface,
 )
 
@@ -112,18 +112,38 @@ def _random_class(rng: random.Random, t: int, span: int = 9) -> DivisorClass:
     coordinates are ints by construction (``math.floor`` of a float is an
     int, and a cheaper call than ``int``), so the class is built without the
     constructor's checks.  The draws are the straight-line body of
-    ``_DRAW[t]``, built on first use by ``picard._KernelTable``: one call
-    whose argument list and tuple display draw a, then b_1..b_t, left to
-    right.  Every check draws t <= 6.
+    ``_DRAW[t]``, built on first use by ``picard._KernelTable``, which draws
+    a, then b_1..b_t, left to right, and builds the class in its own frame.
+    The property checks call ``_DRAW[t](rng.random, span)`` themselves, the
+    kernel looked up once per case, so that each of their draws is one frame.
+    Every check draws t <= 6.
     """
-    return _DRAW[t](rng.random, 2 * span + 1, span)
+    return _DRAW[t](rng.random, span)
 
 
+# The names the draw kernels read: floor, and the types they build with
+# their slot setters.
+_DRAWING = {"__name__": __name__, **_building(DivisorClass, BundleNumerics), "floor": floor}
 # _random_class's draws written out for t coordinates: a, then b_1..b_t.
-_DRAW = _KernelTable("draw", "def {name}(draw, n, span):\n"
-                             "    return _trusted(floor(draw() * n) - span,\n"
-                             "                    ({floor(draw() * n) - span, }))\n",
-                     {"__name__": __name__, "_trusted": _trusted, "floor": floor})
+_DRAW = _KernelTable("draw", "def {name}(draw, span):\n"
+                             "    n = 2 * span + 1\n"
+                             "    x = _new(DivisorClass)\n"
+                             "    _set_a(x, floor(draw() * n) - span)\n"
+                             "    _set_b(x, ({floor(draw() * n) - span, }))\n"
+                             "    return x\n", _DRAWING)
+# _random_bundle's draws written out for t coordinates: the rank, c2 (none
+# at rank 1), then c1's a and b_1..b_t as _random_class(rng, t, 6) draws them.
+_BUNDLE_DRAW = _KernelTable("bundle_draw", "def {name}(draw):\n"
+                                           "    rank = 1 + floor(draw() * 5)\n"
+                                           "    c2 = floor(draw() * 41) - 20 if rank > 1 else 0\n"
+                                           "    c1 = _new(DivisorClass)\n"
+                                           "    _set_a(c1, floor(draw() * 13) - 6)\n"
+                                           "    _set_b(c1, ({floor(draw() * 13) - 6, }))\n"
+                                           "    x = _new(BundleNumerics)\n"
+                                           "    _set_rank(x, rank)\n"
+                                           "    _set_c1(x, c1)\n"
+                                           "    _set_c2(x, c2)\n"
+                                           "    return x\n", _DRAWING)
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -132,11 +152,13 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _random_bundle(rng: random.Random, t: int) -> BundleNumerics:
-    """A rank in 1..5, then c2 in [-20, 20] (0 at rank 1), then c1 as ``_random_class(rng, t, 6)``."""
-    draw = rng.random
-    rank = 1 + floor(draw() * 5)
-    c2 = floor(draw() * 41) - 20 if rank > 1 else 0
-    return _trusted_bundle(rank, _DRAW[t](draw, 13, 6), c2)
+    """A rank in 1..5, then c2 in [-20, 20] (0 at rank 1), then c1 as
+    ``_random_class(rng, t, 6)`` draws it, for t <= 8: one call of the
+    straight-line body ``_BUNDLE_DRAW[t]``, which makes all t + 3 draws (t + 2
+    at rank 1) in that order and builds the class and the bundle in its own
+    frame.  The property checks call ``_BUNDLE_DRAW[t](rng.random)``
+    themselves, the kernel looked up once per case."""
+    return _BUNDLE_DRAW[t](rng.random)
 
 
 def _shuffle(rng: random.Random, items: list) -> None:
@@ -147,10 +169,17 @@ def _shuffle(rng: random.Random, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def _random_permutation(rng: random.Random, t: int) -> tuple[int, ...]:
-    perm = list(range(1, t + 1))
-    _shuffle(rng, perm)
-    return tuple(perm)
+# A random permutation of 1..t, t <= 8, from draw = rng.random: 1..t
+# shuffled as _shuffle shuffles it, its t - 1 steps written out in the same
+# order.  The step for # swaps index t - #; the step # = t draws nothing.
+_PERMUTATION_DRAW = _KernelTable(
+    "permutation_draw", "def {name}(draw):\n"
+                        "    p = [{#, }]\n"
+                        "    t = len(p)\n"
+                        "{    if # < t:\n"
+                        "        j = floor(draw() * (t + 1 - #))\n"
+                        "        p[t - #], p[j] = p[j], p[t - #]\n}"
+                        "    return tuple(p)\n", _DRAWING)
 
 
 def check_picard_signature() -> tuple[bool, str]:
@@ -176,9 +205,10 @@ def check_picard_signature() -> tuple[bool, str]:
 
 
 def check_picard_bilinearity(rng: random.Random, cases: int) -> tuple[bool, str]:
+    draw = rng.random
     for _ in range(cases):
-        t = 1 + _below(rng, 6)
-        x, y, z = _random_class(rng, t), _random_class(rng, t), _random_class(rng, t)
+        draw_class = _DRAW[1 + _below(rng, 6)]
+        x, y, z = draw_class(draw, 9), draw_class(draw, 9), draw_class(draw, 9)
         m = _below(rng, 9) - 4
         xz = x.dot(z)
         if (x + y).dot(z) != xz + y.dot(z):
@@ -191,10 +221,12 @@ def check_picard_bilinearity(rng: random.Random, cases: int) -> tuple[bool, str]
 
 
 def check_picard_permutation(rng: random.Random, cases: int) -> tuple[bool, str]:
+    draw = rng.random
     for _ in range(cases):
         t = 1 + _below(rng, 6)
-        x, y = _random_class(rng, t), _random_class(rng, t)
-        p = _random_permutation(rng, t)
+        draw_class = _DRAW[t]
+        x, y = draw_class(draw, 9), draw_class(draw, 9)
+        p = _PERMUTATION_DRAW[t](draw)
         px, py = picard.permute_exceptionals(x, p), picard.permute_exceptionals(y, p)
         if px.dot(py) != x.dot(y):
             return False, f"pairing moved under {p}"
@@ -205,27 +237,29 @@ def check_picard_permutation(rng: random.Random, cases: int) -> tuple[bool, str]
 
 
 def check_picard_parser(rng: random.Random, cases: int) -> tuple[bool, str]:
+    draw = rng.random
     for _ in range(cases):
-        t = 1 + _below(rng, 6)
-        x = _random_class(rng, t, 99)
+        x = _DRAW[1 + _below(rng, 6)](draw, 99)
         if picard.parse_divisor(picard.format_divisor(x)) != x:
             return False, f"round trip moved {x}"
     return True, f"{cases} random classes"
 
 
 def check_chern_tensor_symmetry(rng: random.Random, cases: int) -> tuple[bool, str]:
+    draw = rng.random
     for _ in range(cases):
-        t = 1 + _below(rng, 6)
-        f, g = _random_bundle(rng, t), _random_bundle(rng, t)
+        draw_bundle = _BUNDLE_DRAW[1 + _below(rng, 6)]
+        f, g = draw_bundle(draw), draw_bundle(draw)
         if chern.tensor(f, g) != chern.tensor(g, f):
             return False, f"{f} (x) {g}"
     return True, f"{cases} random pairs"
 
 
 def check_chern_tensor_associativity(rng: random.Random, cases: int) -> tuple[bool, str]:
+    draw = rng.random
     for _ in range(cases):
-        t = 1 + _below(rng, 6)
-        f, g, h = _random_bundle(rng, t), _random_bundle(rng, t), _random_bundle(rng, t)
+        draw_bundle = _BUNDLE_DRAW[1 + _below(rng, 6)]
+        f, g, h = draw_bundle(draw), draw_bundle(draw), draw_bundle(draw)
         left = chern.tensor(chern.tensor(f, g), h)
         right = chern.tensor(f, chern.tensor(g, h))
         if left != right:
@@ -234,9 +268,10 @@ def check_chern_tensor_associativity(rng: random.Random, cases: int) -> tuple[bo
 
 
 def check_chern_sum_permutation(rng: random.Random, cases: int) -> tuple[bool, str]:
+    draw = rng.random
     for _ in range(cases):
-        t = 1 + _below(rng, 6)
-        summands = [_random_bundle(rng, t) for _ in range(1 + _below(rng, 4))]
+        draw_bundle = _BUNDLE_DRAW[1 + _below(rng, 6)]
+        summands = [draw_bundle(draw) for _ in range(1 + _below(rng, 4))]
         shuffled = summands[:]
         _shuffle(rng, shuffled)
         if chern.direct_sum(summands) != chern.direct_sum(shuffled):
@@ -246,10 +281,11 @@ def check_chern_sum_permutation(rng: random.Random, cases: int) -> tuple[bool, s
 
 def check_chern_chi_additive(rng: random.Random, cases: int) -> tuple[bool, str]:
     surfaces = [make_surface(d) for d in range(3, 9)]
+    draw = rng.random
     for _ in range(cases):
         surface = surfaces[_below(rng, 6)]
-        t = surface.num_exceptional
-        f, g = _random_bundle(rng, t), _random_bundle(rng, t)
+        draw_bundle = _BUNDLE_DRAW[surface.num_exceptional]
+        f, g = draw_bundle(draw), draw_bundle(draw)
         whole = chern.euler_char(chern.direct_sum([f, g]), surface)
         parts = chern.euler_char(f, surface) + chern.euler_char(g, surface)
         if whole != parts:
@@ -258,10 +294,11 @@ def check_chern_chi_additive(rng: random.Random, cases: int) -> tuple[bool, str]
 
 
 def check_chern_twist_invariants(rng: random.Random, cases: int) -> tuple[bool, str]:
+    draw = rng.random
     for _ in range(cases):
         t = 1 + _below(rng, 6)
-        f = _random_bundle(rng, t)
-        line = _random_class(rng, t, 4)
+        f = _BUNDLE_DRAW[t](draw)
+        line = _DRAW[t](draw, 4)
         twisted = chern.tensor_line(f, line)
         delta = chern.discriminant(f)
         if chern.discriminant(twisted) != delta:
@@ -391,7 +428,7 @@ def check_candidate_permutation_invariance(rng: random.Random, cases: int) -> tu
     ]
     for _ in range(cases):
         surface, numerics = pool[_below(rng, len(pool))]
-        p = _random_permutation(rng, surface.num_exceptional)
+        p = _PERMUTATION_DRAW[surface.num_exceptional](rng.random)
         moved = _trusted_bundle(
             numerics.rank, picard.permute_exceptionals(numerics.c1, p), numerics.c2
         )

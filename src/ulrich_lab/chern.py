@@ -24,9 +24,12 @@ one table, ``_PRODUCT``: a single pass over the coordinates accumulates
 c1(F)^2, c1(G)^2 and c1(F).c1(G) and builds c1 = t c1(F) + s c1(G), and
 ``_product_c2`` gives c2.  Like every ``picard._KernelTable``, it writes the
 pass out for each width up to eight, on first use, and answers wider classes
-with its loop, ``_product_loop``.  :func:`direct_sum` pairs and adds through
-``picard``'s pairing and sum tables, looked up once, and :func:`euler_char`
-squares c1 through its square table.  :func:`tensor_line` is the line case
+with its loop, ``_product_loop``.  A written-out pass builds the bundle and
+its c1 in its own frame, as the trusted builders would, with the names
+``picard._building`` gives it; the loop calls the builders.
+:func:`direct_sum` pairs and adds through ``picard``'s pairing and sum
+tables, looked up once, and builds its result in its own frame the same
+way; :func:`euler_char` squares c1 through its square table.  :func:`tensor_line` is the line case
 t = 1, c2(G) = 0, where it reads C(s,2) c1(G)^2 + (s-1) c1(F).c1(G) + c2(F).
 C(s,2) is taken as s(s-1) >> 1, exact since s(s-1) is even, and cheaper
 than a call to ``math.comb``.
@@ -80,7 +83,9 @@ included, they equal ``// 2`` and ``% 2``, and on integers of thousands of
 bits they cost a fraction of the division.
 
 Results are built without re-checking their fields, by ``_trusted_bundle``
-and ``_trusted_numeric`` (the contract is in :mod:`ulrich_lab.picard`):
+and ``_trusted_numeric`` or, in ``_PRODUCT``'s kernels and
+:func:`direct_sum`, by the same slot setters in the frame that computes
+them (the contract is in :mod:`ulrich_lab.picard`):
 every rank, Chern number and coordinate a function here returns is int
 arithmetic on the fields of its operands, which passed a constructor.  What
 keeps that sound is the operand test at the top of each public function:
@@ -126,8 +131,10 @@ from .picard import (
     DelPezzoSurface,
     DivisorClass,
     _as_tuple,
+    _building,
     _is_int,
     _KernelTable,
+    _new,
     _require_int,
     _require_keys,
     _require_type,
@@ -221,6 +228,11 @@ _DUCK_NUMERICS = "BundleNumerics, NumericClassData or TraceEntry"
 
 _trusted_bundle = _trusted_builder(BundleNumerics)
 _trusted_numeric = _trusted_builder(NumericClassData)
+# What the bodies here that build a bundle and its c1 in their own frame
+# read: _PRODUCT's kernels from their namespace, direct_sum as globals.
+_BUILD = _building(DivisorClass, BundleNumerics)
+_set_a, _set_b, _set_rank, _set_c1, _set_c2 = (
+    _BUILD[f"_set_{name}"] for name in ("a", "b", "rank", "c1", "c2"))
 
 
 def reduce_numerics(f: BundleNumerics) -> NumericClassData:
@@ -316,19 +328,23 @@ def _chi(rank: int, c1_sq: int, c1_dot_h: int, c2: int) -> int:
 
 
 # _product_loop's pass written out for one width, without its zip, append
-# and tuple calls.
+# and tuple calls, building the bundle and its c1 in the kernel's own frame.
 _PRODUCT = _KernelTable(
     "product", "def {name}(s, fc, c2_f, t, gc, c2_g):\n"
                "    fa = fc.a\n"
                "    ga = gc.a\n"
                "    [{u#, }] = fc.b\n"
                "    [{v#, }] = gc.b\n"
-               "    return _trusted_bundle(\n"
-               "        s * t, _trusted(t * fa + s * ga, ({t * u# + s * v#, })),\n"
-               "        _product_c2(s, fa * fa{ - u# * u#}, c2_f, t, ga * ga{ - v# * v#}, c2_g,\n"
-               "                    fa * ga{ - u# * v#}))\n",
-    {"__name__": __name__, "_trusted": _trusted, "_trusted_bundle": _trusted_bundle,
-     "_product_c2": _product_c2}, _product_loop)
+               "    c1 = _new(DivisorClass)\n"
+               "    _set_a(c1, t * fa + s * ga)\n"
+               "    _set_b(c1, ({t * u# + s * v#, }))\n"
+               "    x = _new(BundleNumerics)\n"
+               "    _set_rank(x, s * t)\n"
+               "    _set_c1(x, c1)\n"
+               "    _set_c2(x, _product_c2(s, fa * fa{ - u# * u#}, c2_f, t, ga * ga{ - v# * v#},\n"
+               "                           c2_g, fa * ga{ - u# * v#}))\n"
+               "    return x\n",
+    {"__name__": __name__, **_BUILD, "_product_c2": _product_c2}, _product_loop)
 
 
 # chi(F* (x) G), the Euler pairing of the module docstring, from one
@@ -381,7 +397,14 @@ def direct_sum(summands: Iterable[BundleNumerics] | Sequence[BundleNumerics]) ->
         c2 += item.c2 + pairing(a, b, ia, ib)
         b = plus(b, ib)
         a += ia
-    return _trusted_bundle(rank, _trusted(a, b), c2)
+    c1 = _new(DivisorClass)
+    _set_a(c1, a)
+    _set_b(c1, b)
+    x = _new(BundleNumerics)
+    _set_rank(x, rank)
+    _set_c1(x, c1)
+    _set_c2(x, c2)
+    return x
 
 
 def dual(f: AnyNumerics) -> AnyNumerics:

@@ -22,7 +22,8 @@ ROUTES = ("rank_by_recurrence", "rank_closed_form", "iterate_syzygy",
 
 def expected_rows() -> list[str]:
     rows = ["import.ulrich_lab", "import.ulrich_lab.cli"]
-    rows += ["picard.dot", "picard.add", "picard.parse_divisor", "picard.format_divisor"]
+    rows += ["picard.dot", "picard.add", "picard.parse_divisor", "picard.format_divisor",
+             "picard.permute_exceptionals"]
     rows += [f"picard.{op}.{kind}" for op in ("hash", "str", "repr")
              for kind in ("fresh", "census")]
     rows += ["picard.classes_with.cubics", "picard.classes_with.lines"]
@@ -34,7 +35,7 @@ def expected_rows() -> list[str]:
     rows += ["cubic.chi_pair_oracle.all_pairs", "cubic.validate.r3"]
     rows += [f"cubic.decompose_stable_sum.r{r}" for r in (2, 3, 4)]
     rows += [f"cubic.decompose_pair.r{r}" for r in (2, 3)]
-    rows += ["checks.case_draws"]
+    rows += ["checks.case_draws", "checks.class_draws"]
     rows += [f"checks.{result.name}" for result in checks.run_all_checks()]
     rows += [f"cli.{command}.{fmt}" for command in cli.main.commands for fmt in cli.FORMATS]
     return rows

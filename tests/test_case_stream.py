@@ -8,7 +8,7 @@ is that draw; ``checks._random_bundle`` draws its rank and c2 so, then c1 by
 tests pin, against a twin generator that makes the same draws written out
 here, that they take exactly those values, reach every value of their
 range, and leave the generator in exactly the twin's state, and that
-``checks._random_permutation`` is such a shuffle of 1..t.  One digest pins
+``checks._PERMUTATION_DRAW[t]`` is such a shuffle of 1..t.  One digest pins
 the generator's state after the nine property checks; it holds for any
 drawer that makes the same draws, whatever it builds from them.  The other
 pins the cases themselves: the bundles ``checks._random_bundle`` draws.
@@ -117,13 +117,13 @@ def test_shuffle_is_fisher_yates_on_floor_draws(n):
     assert rng.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("t", range(1, 7))
+@pytest.mark.parametrize("t", DRAW_WIDTHS)
 def test_random_permutation_is_a_floor_draw_shuffle_of_one_to_t(t):
     rng, twin = random.Random(t), random.Random(t)
     for _ in range(500):
         items = list(range(1, t + 1))
         _twin_shuffle(twin, items)
-        assert checks._random_permutation(rng, t) == tuple(items)
+        assert checks._PERMUTATION_DRAW[t](rng.random) == tuple(items)
     assert rng.getstate() == twin.getstate()
 
 

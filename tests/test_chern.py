@@ -6,7 +6,7 @@ import operator
 import random
 from dataclasses import astuple
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +34,7 @@ from ulrich_lab import (
     tensor_line,
     twist_by_h,
 )
+from ulrich_lab import checks as checks_module
 from ulrich_lab import chern as chern_module
 from ulrich_lab import picard as picard_module
 
@@ -192,31 +193,37 @@ class TestTensor:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_kernels_match_the_loop_bodies(self, width):
         """Each kernel table's entry for this width gives the same ints as
-        the table's own loop, which is the entry past width 8; and tensor,
-        tensor_line, direct_sum and euler_char equal those loops composed."""
+        the table's own loop, which is the entry past width 8; tensor,
+        tensor_line, direct_sum and euler_char equal those loops composed; and
+        the bundle-draw and permutation-draw tables make a twin generator's
+        draws up to width 8 and have no entry past it."""
         rng = random.Random(width)
         # euler_char on a surface subclass whose lattice is this wide.
         surface = type("Wide", (DelPezzoSurface,), {"num_exceptional": width})(3)
-        cases = [[_random_bundle(rng, width, size) for _ in range(3)]
+        cases = [(*(_random_bundle(rng, width, size) for _ in range(3)),
+                  tuple(rng.sample(range(1, width + 1), width)))
                  for size in (9, BIG) for _ in range(40)]
-        pairing, square, plus = (picard_module._PAIRING, picard_module._SQUARE,
-                                 picard_module._SUM)
+        pairing, square, plus, permute = (picard_module._PAIRING, picard_module._SQUARE,
+                                          picard_module._SUM, picard_module._PERMUTE)
         product = chern_module._PRODUCT
         tables = [
-            (pairing, lambda f, g: (f.c1.a, f.c1.b, g.c1.a, g.c1.b)),
-            (square, lambda f, g: (f.c1.a, f.c1.b)),
-            (plus, lambda f, g: (f.c1.b, g.c1.b)),
-            (product, lambda f, g: (f.rank, f.c1, f.c2, g.rank, g.c1, g.c2)),
+            (pairing, lambda f, g, p: (f.c1.a, f.c1.b, g.c1.a, g.c1.b)),
+            (square, lambda f, g, p: (f.c1.a, f.c1.b)),
+            (plus, lambda f, g, p: (f.c1.b, g.c1.b)),
+            (product, lambda f, g, p: (f.rank, f.c1, f.c2, g.rank, g.c1, g.c2)),
+            (permute, lambda f, g, p: (f.c1.a, f.c1.b, p)),
         ]
         for table, operands in tables:
             assert (table[width] is table.loop) == (width > 8), table.name
-            for f, g, _ in cases:
-                value = table[width](*operands(f, g))
-                assert value == table.loop(*operands(f, g)), table.name
+            for f, g, _, p in cases:
+                value = table[width](*operands(f, g, p))
+                assert value == table.loop(*operands(f, g, p)), table.name
                 if isinstance(value, BundleNumerics):
                     value = (value.rank, value.c2, value.c1.a, *value.c1.b)
+                elif isinstance(value, DivisorClass):
+                    value = (value.a, *value.b)
                 assert all(type(v) is int for v in (value if type(value) is tuple else [value]))
-        for f, g, h in cases:
+        for f, g, h, _ in cases:
             assert tensor(f, g) == product.loop(f.rank, f.c1, f.c2, g.rank, g.c1, g.c2)
             assert tensor_line(f, g.c1) == product.loop(f.rank, f.c1, f.c2, 1, g.c1, 0)
             a, b, c2 = f.c1.a, f.c1.b, f.c2
@@ -228,6 +235,24 @@ class TestTensor:
             a, b = f.c1.a, f.c1.b
             chi = f.rank + (square.loop(a, b) + 3 * a - sum(b)) // 2 - f.c2
             assert euler_char(f, surface) == chi and type(euler_char(f, surface)) is int
+        bundle_draw, permutation_draw = checks_module._BUNDLE_DRAW, checks_module._PERMUTATION_DRAW
+        if width > 8:
+            for table in (bundle_draw, permutation_draw):
+                with pytest.raises(IndexError):
+                    table[width]
+            return
+        rng, twin = random.Random(width), random.Random(width)
+        for _ in range(80):
+            rank = 1 + floor(twin.random() * 5)
+            c2 = floor(twin.random() * 41) - 20 if rank > 1 else 0
+            a, *b = twin.choices(range(-6, 7), k=width + 1)
+            drawn = bundle_draw[width](rng.random)
+            assert drawn == BundleNumerics(rank, DivisorClass(a, tuple(b)), c2)
+            assert all(type(v) is int for v in (drawn.rank, drawn.c2, drawn.c1.a, *drawn.c1.b))
+            images = list(range(1, width + 1))
+            checks_module._shuffle(twin, images)
+            assert permutation_draw[width](rng.random) == tuple(images)
+        assert rng.getstate() == twin.getstate()
 
     @given(surface_bundle_pairs())
     @settings(max_examples=150)

@@ -335,8 +335,9 @@ class TestAgainstReference:
     def test_kernels_are_built_on_first_use_and_only_for_widths_0_to_8(self):
         """In a fresh interpreter: importing builds no kernel, calls at widths 9
         and 12 build none and the tables without a loop raise there, a width-6
-        pairing builds exactly its own, and one chi_pair_oracle call builds
-        the Euler-pairing kernel of width 6 alone."""
+        pairing and a width-6 permutation each build exactly their own, and
+        one chi_pair_oracle call builds the Euler-pairing kernel of width 6
+        alone."""
         script = """if True:
             import sys
             sys.path.insert(0, sys.argv[1])
@@ -354,9 +355,9 @@ class TestAgainstReference:
             def built():
                 return [entry.__name__ for table in tables() for entry in table.values()]
 
-            assert len(tables()) == 5 and built() == [], built()
-            from ulrich_lab import checks
             assert len(tables()) == 6 and built() == [], built()
+            from ulrich_lab import checks
+            assert len(tables()) == 9 and built() == [], built()
 
             for width in (9, 12):
                 x = ulrich_lab.DivisorClass(2, tuple(range(width)))
@@ -367,8 +368,10 @@ class TestAgainstReference:
                 x.dot(x), x.self_intersection, x + x
                 ulrich_lab.tensor(f, f), ulrich_lab.tensor_line(f, x)
                 ulrich_lab.direct_sum([f, f, f]), ulrich_lab.euler_char(f, surface)
+                ulrich_lab.permute_exceptionals(x, range(width, 0, -1))
                 # The tables without a loop refuse a width past 8.
-                for table in (chern._CHI_DUAL, checks._DRAW):
+                for table in (chern._CHI_DUAL, checks._DRAW, checks._BUNDLE_DRAW,
+                              checks._PERMUTATION_DRAW):
                     try:
                         table[width]
                     except IndexError:
@@ -378,6 +381,8 @@ class TestAgainstReference:
             assert built() == [], built()
             x.__class__(1, (2,) * 6).dot(x.__class__(3, (4,) * 6))
             assert built() == ["_pairing_6"], built()
+            ulrich_lab.permute_exceptionals(x.__class__(1, (2,) * 6), (2, 1, 3, 4, 5, 6))
+            assert sorted(built()) == ["_pairing_6", "_permute_6"], built()
             t_a = ulrich_lab.parse_divisor("(1;0,0,0,0,0,0)")
             ulrich_lab.chi_pair_oracle(ulrich_lab.BundleNumerics(1, t_a, 0), t_a,
                                        ulrich_lab.CUBIC_SURFACE)
@@ -403,6 +408,50 @@ class TestPermutations:
     def test_bad_permutation(self, bad):
         with pytest.raises(BadPermutation):
             permute_exceptionals(DivisorClass(1, (1, 2, 3)), bad)
+
+    @pytest.mark.parametrize("t", range(11))
+    def test_refusals_keep_their_class_and_message(self, t):
+        """Every refusal at width t, its exception class and its text: a
+        sequence's message shows the whole sequence read as a tuple."""
+        x = DivisorClass(1, tuple(range(t)))
+        ident = tuple(range(1, t + 1))
+
+        def bijection(p):
+            return f"{p!r} is not a bijection of 1..{t}"
+
+        images = "permutation images must be integers, got "
+        refusals = [
+            (ident + (t + 1,), BadPermutation, bijection(ident + (t + 1,))),
+            (list(ident + (t + 1,)), BadPermutation, bijection(ident + (t + 1,))),
+            ((True,) + ident[1:], BadPermutation, images + "True"),
+            (ident[:-1] + ("1",), BadPermutation, images + "'1'"),
+            ((2.0,) + ident[1:], BadPermutation, images + "2.0"),
+            (None, TypeError, "p must be iterable, got None"),
+            (t, TypeError, f"p must be iterable, got {t}"),
+            # A generator has no len: it is read to t + 1 images at most.
+            ((i for i in ident + (t + 1,)), BadPermutation,
+             f"p has more than {t} images, so it is not a bijection of 1..{t}"),
+            (itertools.count(1), BadPermutation,
+             f"p has more than {t} images, so it is not a bijection of 1..{t}"),
+            (itertools.repeat(True), BadPermutation, images + "True"),
+        ]
+        if t:
+            refusals += [
+                (ident[:-1], BadPermutation, bijection(ident[:-1])),  # too short
+                ((0,) + ident[1:], BadPermutation, bijection((0,) + ident[1:])),
+                (ident[:-1] + (t + 1,), BadPermutation, bijection(ident[:-1] + (t + 1,))),
+                (iter(ident[:-1]), BadPermutation, bijection(ident[:-1])),
+            ]
+        if t >= 2:
+            refusals.append(((1,) + ident[:-1], BadPermutation, bijection((1,) + ident[:-1])))
+        for p, error, message in refusals:
+            with pytest.raises(error) as refused:
+                permute_exceptionals(x, p)
+            assert type(refused.value) is error and str(refused.value) == message, p
+        reverse = DivisorClass(1, tuple(range(t - 1, -1, -1)))
+        for p in (ident[::-1], list(ident[::-1]), range(t, 0, -1), iter(ident[::-1]),
+                  (i for i in ident[::-1])):
+            assert permute_exceptionals(x, p) == reverse
 
     @given(divisor_pairs(), st.randoms(use_true_random=False))
     @settings(max_examples=200)

@@ -29,6 +29,7 @@ from ulrich_lab import (
     decompose_stable_sum,
     direct_sum,
     dual,
+    format_divisor,
     iterate_syzygy,
     make_surface,
     permute_exceptionals,
@@ -41,6 +42,8 @@ from ulrich_lab import (
     twist_by_h,
     twisted_cubics,
 )
+from ulrich_lab import chern as chern_module
+from ulrich_lab import picard as picard_module
 from ulrich_lab.chern import _trusted_bundle, _trusted_numeric
 from ulrich_lab.cubic import _trusted_decomposition
 from ulrich_lab.picard import _trusted
@@ -208,6 +211,40 @@ def test_trusted_results_are_ordinary_values(results):
         for name in (f.name for f in dataclasses.fields(value)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, name, getattr(value, name))
+
+
+@pytest.mark.parametrize("width", range(9))
+def test_kernel_built_values_are_the_trusted_builders(width):
+    """A class or bundle that a kernel builds in its own frame is the value
+    ``_trusted``/``_trusted_bundle`` build from the same fields: same type,
+    fields, ``==``, ``repr``, ``hash`` and pickle, with its memo slots unset
+    until first use, so its first ``str()`` still formats."""
+    rng = random.Random(width)
+    f, g = checks._random_bundle(rng, width), checks._random_bundle(rng, width)
+    built = [checks._random_class(rng, width), f, g,
+             chern_module._PRODUCT[width](f.rank, f.c1, f.c2, g.rank, g.c1, g.c2),
+             tensor_line(f, g.c1), direct_sum([f, g]),
+             picard_module._PERMUTE[width](f.c1.a, f.c1.b, tuple(range(width, 0, -1)))]
+    for value in built:
+        if type(value) is BundleNumerics:
+            twin = _trusted_bundle(value.rank, _trusted(value.c1.a, value.c1.b), value.c2)
+            classes = (value.c1, twin.c1)
+        else:
+            twin = _trusted(value.a, value.b)
+            classes = (value, twin)
+        for item in (value, twin, *classes):
+            _assert_slotted(item)  # before hash(), str() or repr() fill in a memo
+        assert type(value) is type(twin) and type(classes[0]) is DivisorClass
+        assert dataclasses.fields(value) == dataclasses.fields(twin)
+        assert _field_items(value) == _field_items(twin)
+        clone = pickle.loads(pickle.dumps(value))
+        assert type(clone) is type(value) and _field_items(clone) == _field_items(twin)
+        _assert_slotted(clone)
+        text = format_divisor(classes[0])
+        assert str(classes[0]) == text == classes[0]._text_memo == str(classes[1])
+        assert value == twin == clone and twin == value
+        assert hash(value) == hash(twin) == hash(clone)
+        assert repr(value) == repr(twin) == repr(clone)
 
 
 T1, T2 = twisted_cubics()[0], twisted_cubics()[1]
